@@ -145,15 +145,7 @@ fn bench_path_channel_send(c: &mut Criterion) {
         vec![lm, haul, HopChannel::ideal(2.0)]
     };
     let mut g = c.benchmark_group("channel");
-    g.bench_function("send_exact", |b| {
-        let mut ch = PathChannel::exact(hops(), SmallRng::seed_from_u64(23));
-        let mut t = SimTime::EPOCH;
-        b.iter(|| {
-            t += Dur::from_micros(100);
-            black_box(ch.send(t));
-        });
-    });
-    g.bench_function("send_fast", |b| {
+    g.bench_function("send_single", |b| {
         let mut ch = PathChannel::new(hops(), SmallRng::seed_from_u64(23));
         let mut t = SimTime::EPOCH;
         b.iter(|| {
@@ -161,14 +153,14 @@ fn bench_path_channel_send(c: &mut Criterion) {
             black_box(ch.send(t));
         });
     });
-    g.bench_function("send_many_fast_1k", |b| {
+    g.bench_function("send_column_1k", |b| {
         let mut ch = PathChannel::new(hops(), SmallRng::seed_from_u64(23));
+        let mut cols = vns_netsim::scratch();
         let mut t = SimTime::EPOCH;
         b.iter(|| {
             t += Dur::from_millis(100);
-            let base = t;
-            let train = (0..1000u64).map(|i| base + Dur::from_micros(i * 100));
-            black_box(ch.send_many(train).filter(|(_, o)| o.delivered()).count());
+            let train: Vec<u64> = (0..1000u64).map(|i| t.as_nanos() + i * 100_000).collect();
+            black_box(ch.send_column(&train, &mut cols));
         });
     });
     g.finish();

@@ -12,7 +12,7 @@ use vns_bgp::{Asn, Prefix};
 use vns_core::PopId;
 use vns_geo::{GeoPoint, Region};
 use vns_media::{run_echo_session, SessionConfig, SessionReport, VideoSpec};
-use vns_netsim::{Dur, Par, PathChannel, SimTime};
+use vns_netsim::{Dur, EchoScratch, Par, PathChannel, SimTime, BATCH_LEN};
 use vns_probe::{loss_train, rtt_probe_std, LossTrain};
 use vns_topo::{AsType, ResolvedPath};
 
@@ -123,6 +123,31 @@ pub fn channel_pair_args(
         .factory
         .channel_args(&path.reversed(), format_args!("{label}:rev"));
     (fwd, rev)
+}
+
+/// Echoes a run of packets (send clocks in ns, send order) over a channel
+/// pair, chunk by chunk — the replay loop of the failover and adversarial
+/// campaigns. Returns how many failed the round trip and the send time of
+/// the first that completed it.
+pub fn echo_replay(
+    scratch: &mut EchoScratch,
+    sent: &[u64],
+    fwd: &mut PathChannel,
+    rev: &mut PathChannel,
+) -> (u32, Option<SimTime>) {
+    let mut lost = 0u32;
+    let mut first_ok = None;
+    for chunk in sent.chunks(BATCH_LEN) {
+        let echo = scratch.round_trip(chunk, fwd, rev);
+        lost += (chunk.len() - echo.back.len()) as u32;
+        if first_ok.is_none() {
+            first_ok = echo
+                .returned()
+                .next()
+                .map(|(i, _)| SimTime::from_nanos(chunk[i]));
+        }
+    }
+    (lost, first_ok)
 }
 
 /// Minimum RTT (5-ping probe) from a PoP to `ip`, exiting immediately via

@@ -17,7 +17,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use vns_core::{LocalPrefFn, PopId, Vns};
-use vns_netsim::{Dur, HopChannel, LossModel, LossProcess, PathChannel, SimTime};
+use vns_netsim::{Dur, HopChannel, LossModel, LossProcess, PathChannel, SimTime, BATCH_LEN};
 use vns_stats::Table;
 use vns_topo::Internet;
 
@@ -276,17 +276,27 @@ pub fn fec_arq(seed: u64) -> Ablation {
     ]);
     let mut values = Vec::new();
     for (name, model) in [("random 1%", random), ("bursty 1%", bursty)] {
-        // Raw + FEC: sample delivery vector at media cadence (~2.4 ms).
+        // Raw + FEC: one packet every 10 ms; every 11th is the parity
+        // packet of the ten data packets before it.
         let mut ch = mk_channel(model.clone(), seed, 20.0);
+        let sent: Vec<u64> = (0..u64::from(packets + packets / 10))
+            .map(|i| (SimTime::EPOCH + Dur::from_millis(10).mul(i)).as_nanos())
+            .collect();
+        let mut arrived = vec![true; sent.len()];
+        let mut cols = vns_netsim::scratch();
+        for (c, chunk) in sent.chunks(BATCH_LEN).enumerate() {
+            ch.send_column(chunk, &mut cols);
+            for &pk in &cols.lost {
+                arrived[c * BATCH_LEN + (pk >> 8) as usize] = false;
+            }
+        }
         let mut delivered = Vec::with_capacity(packets as usize);
         let mut parity = Vec::new();
-        let mut t = SimTime::EPOCH;
-        for i in 0..packets {
-            delivered.push(ch.send(t).delivered());
-            t += Dur::from_millis(10);
-            if (i + 1) % 10 == 0 {
-                parity.push(ch.send(t).delivered());
-                t += Dur::from_millis(10);
+        for (i, &ok) in arrived.iter().enumerate() {
+            if i % 11 == 10 {
+                parity.push(ok);
+            } else {
+                delivered.push(ok);
             }
         }
         let raw = delivered.iter().filter(|d| !**d).count() as f64 / delivered.len() as f64;

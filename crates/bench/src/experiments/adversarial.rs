@@ -39,14 +39,14 @@ use vns_bgp::{ConvergenceStats, Prefix};
 use vns_core::{launch_attack, AttackKind, PopId, RoutingMode};
 use vns_media::VideoSpec;
 use vns_netsim::diurnal::DiurnalShape;
-use vns_netsim::{DiurnalProfile, Dur, Par, RngTree, SimTime};
+use vns_netsim::{echo_scratch, DiurnalProfile, Dur, Par, RngTree, SimTime};
 use vns_service::{EndpointTable, Orchestrator, PathTable, ServiceConfig, ServiceEnv};
 use vns_topo::ResolvedPath;
 use vns_verify::{
     verify_dataplane_scoped, verify_scoped, DataplaneConfig, Invariant, Severity, VerifyScope,
 };
 
-use crate::campaign::{assert_control_plane, assert_data_plane, channel_pair_args};
+use crate::campaign::{assert_control_plane, assert_data_plane, channel_pair_args, echo_replay};
 use crate::world::{World, WorldConfig};
 
 /// Replayed session length per affected flow (~427 pkt/s at HD1080).
@@ -379,6 +379,7 @@ fn run_attack(config: &WorldConfig, kind: AttackKind) -> AttackRow {
     let mut replay_sent = 0u64;
     let mut replay_lost = 0u64;
     let mut worst_stretch: Option<f64> = None;
+    let mut scratch = echo_scratch();
     for (fi, (flow, pre_path)) in flows.iter().zip(&pre).enumerate() {
         let Some(pre_path) = pre_path else { continue };
         let post_path = world
@@ -410,22 +411,15 @@ fn run_attack(config: &WorldConfig, kind: AttackKind) -> AttackRow {
         });
         let mut rng = tree.stream_args(format_args!("flow:{fi}"));
         let t0 = SimTime::EPOCH + Dur::from_hours(6);
-        for pkt in VideoSpec::HD1080.packets(t0, SESSION, &mut rng) {
-            replay_sent += 1;
-            let Some((fwd, rev)) = pair.as_mut() else {
-                replay_lost += 1;
-                continue;
-            };
-            let ok = match fwd.send(pkt.sent) {
-                vns_netsim::PathOutcome::Delivered { arrival, .. } => {
-                    matches!(rev.send(arrival), vns_netsim::PathOutcome::Delivered { .. })
-                }
-                vns_netsim::PathOutcome::Lost { .. } => false,
-            };
-            if !ok {
-                replay_lost += 1;
-            }
-        }
+        let sent: Vec<u64> = VideoSpec::HD1080
+            .packets(t0, SESSION, &mut rng)
+            .map(|p| p.sent.as_nanos())
+            .collect();
+        replay_sent += sent.len() as u64;
+        replay_lost += match pair.as_mut() {
+            Some((fwd, rev)) => u64::from(echo_replay(&mut scratch, &sent, fwd, rev).0),
+            None => sent.len() as u64,
+        };
     }
 
     // Anycast landing shifts over the client-prefix sample.

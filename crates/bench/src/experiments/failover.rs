@@ -44,11 +44,11 @@ use std::fmt;
 use vns_bgp::ConvergenceStats;
 use vns_core::{FaultEvent, FaultInjector, FaultPlan, PopId};
 use vns_media::VideoSpec;
-use vns_netsim::{Dur, Par, RngTree, SimTime};
+use vns_netsim::{echo_scratch, Dur, Par, PathChannel, RngTree, SimTime};
 use vns_topo::ResolvedPath;
 use vns_verify::{verify_dataplane_scoped, verify_scoped, DataplaneConfig, VerifyScope};
 
-use crate::campaign::{assert_control_plane, assert_data_plane, channel_pair_args};
+use crate::campaign::{assert_control_plane, assert_data_plane, channel_pair_args, echo_replay};
 use crate::world::{World, WorldConfig};
 
 /// Modeled failure-detection delay, ms (BFD-style: 3 × 100 ms).
@@ -423,40 +423,17 @@ fn replay_flow(
         )
     });
 
-    let mut lost_packets = 0u32;
-    let mut first_ok_after: Option<SimTime> = None;
-    for pkt in VideoSpec::HD1080.packets(t0, SESSION, rng) {
-        let before_event = pkt.sent < t_event;
-        let in_window = !before_event && pkt.sent < t_swap;
-        if in_window && hit {
-            lost_packets += 1;
-            continue;
-        }
-        let pair = if before_event || in_window {
-            Some((&mut pre_fwd, &mut pre_rev))
-        } else {
-            post_pair.as_mut().map(|(f, r)| (&mut *f, &mut *r))
-        };
-        let Some((fwd, rev)) = pair else {
-            // Post-event with no route at all: everything from the event
-            // onwards is lost.
-            lost_packets += 1;
-            continue;
-        };
-        let round_trip = match fwd.send(pkt.sent) {
-            vns_netsim::PathOutcome::Delivered { arrival, .. } => {
-                matches!(rev.send(arrival), vns_netsim::PathOutcome::Delivered { .. })
-            }
-            vns_netsim::PathOutcome::Lost { .. } => false,
-        };
-        if !before_event {
-            if round_trip {
-                first_ok_after.get_or_insert(pkt.sent);
-            } else if in_window {
-                lost_packets += 1;
-            }
-        }
-    }
+    let sent: Vec<u64> = VideoSpec::HD1080
+        .packets(t0, SESSION, rng)
+        .map(|p| p.sent.as_nanos())
+        .collect();
+    let (lost_packets, first_ok_after) = replay_across_swap(
+        &sent,
+        (t_event, t_swap),
+        hit,
+        (&mut pre_fwd, &mut pre_rev),
+        post_pair.as_mut().map(|(f, r)| (f, r)),
+    );
 
     let outage_ms = match first_ok_after {
         Some(t) => (t - t_event).as_millis_f64(),
@@ -473,6 +450,41 @@ fn replay_flow(
         pre_km: pre.total_km(),
         post_km: post.map(ResolvedPath::total_km),
     }
+}
+
+/// The packet replay of [`replay_flow`]: `sent` (send clocks in ns,
+/// non-decreasing, so the three phases are contiguous and each is a run of
+/// echo chunks on one channel pair) echoed across the `(event, swap)`
+/// instants. Returns the packets counted lost — the blackholed or dropped
+/// in-window ones, plus everything after the swap when no route is left —
+/// and the send time of the first packet at or after the event that
+/// completed its round trip.
+fn replay_across_swap(
+    sent: &[u64],
+    (t_event, t_swap): (SimTime, SimTime),
+    hit: bool,
+    (pre_fwd, pre_rev): (&mut PathChannel, &mut PathChannel),
+    post: Option<(&mut PathChannel, &mut PathChannel)>,
+) -> (u32, Option<SimTime>) {
+    let n_pre = sent.partition_point(|&t| t < t_event.as_nanos());
+    let n_swap = sent.partition_point(|&t| t < t_swap.as_nanos());
+    let (before, in_window, after) = (&sent[..n_pre], &sent[n_pre..n_swap], &sent[n_swap..]);
+
+    let mut scratch = echo_scratch();
+    // Pre-event packets only advance the old path's channel state.
+    let _ = echo_replay(&mut scratch, before, pre_fwd, pre_rev);
+    // Reconvergence window: a flow that crossed the failed element is
+    // blackholed; any other keeps using its (still valid) old path.
+    let (mut lost, mut first_ok) = if hit {
+        (in_window.len() as u32, None)
+    } else {
+        echo_replay(&mut scratch, in_window, pre_fwd, pre_rev)
+    };
+    match post {
+        Some((fwd, rev)) => first_ok = first_ok.or(echo_replay(&mut scratch, after, fwd, rev).1),
+        None => lost += after.len() as u32,
+    }
+    (lost, first_ok)
 }
 
 impl Failover {
@@ -576,5 +588,122 @@ impl fmt::Display for Failover {
                 "VIOLATED"
             }
         )
+    }
+}
+
+#[cfg(test)]
+#[path = "../../../netsim/tests/support/mod.rs"]
+mod support;
+
+#[cfg(test)]
+mod tests {
+    use super::support::{EpochOracle, Send1};
+    use super::*;
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
+    use vns_netsim::{HopChannel, LossModel, LossProcess, PathOutcome};
+
+    fn hops(p: f64, seed: u64) -> Vec<HopChannel> {
+        let lossy = |ms: f64, model: LossModel, s: u64| {
+            let mut hop = HopChannel::ideal(ms);
+            hop.loss = LossProcess::new(model, SmallRng::seed_from_u64(s));
+            hop
+        };
+        vec![
+            lossy(3.0, LossModel::Bernoulli { p }, seed),
+            HopChannel::ideal(20.0),
+            lossy(6.0, LossModel::bursty(0.02, 0.5, 1.0), seed + 1),
+        ]
+    }
+
+    /// The replay one packet at a time, on the per-packet specification of
+    /// the channel: classify each packet by its send time, skip the
+    /// blackholed window, swap the channel pair after it.
+    fn per_packet(
+        sent: &[u64],
+        (t_event, t_swap): (SimTime, SimTime),
+        hit: bool,
+        pre: &mut (EpochOracle, EpochOracle),
+        mut post: Option<&mut (EpochOracle, EpochOracle)>,
+    ) -> (u32, Option<SimTime>) {
+        let (mut lost, mut first_ok) = (0u32, None);
+        for &t in sent {
+            let t = SimTime::from_nanos(t);
+            let before_event = t < t_event;
+            let in_window = !before_event && t < t_swap;
+            if in_window && hit {
+                lost += 1;
+                continue;
+            }
+            let pair = if before_event || in_window {
+                Some(&mut *pre)
+            } else {
+                post.as_deref_mut()
+            };
+            let Some((fwd, rev)) = pair else {
+                lost += 1;
+                continue;
+            };
+            let round_trip = match fwd.send(t) {
+                PathOutcome::Delivered { arrival, .. } => rev.send(arrival).delivered(),
+                PathOutcome::Lost { .. } => false,
+            };
+            if round_trip && !before_event {
+                first_ok.get_or_insert(t);
+            } else if !round_trip && in_window {
+                lost += 1;
+            }
+        }
+        (lost, first_ok)
+    }
+
+    #[test]
+    fn chunked_replay_matches_per_packet_form() {
+        let t0 = SimTime::EPOCH + Dur::from_hours(6);
+        let t_event = t0 + EVENT_AT;
+        let rng = |s: u64| SmallRng::seed_from_u64(s);
+        let mut cases = 0;
+        for seed in 0..6u64 {
+            let sent: Vec<u64> = VideoSpec::HD1080
+                .packets(t0, SESSION, &mut rng(seed))
+                .map(|p| p.sent.as_nanos())
+                .collect();
+            for conv_ms in [0.0, 301.0, 1_450.5] {
+                for (hit, routed) in [(true, true), (false, true), (true, false), (false, false)] {
+                    let swap = (t_event, t_event + Dur::from_millis_f64(conv_ms));
+                    let p = 0.01 + 0.04 * seed as f64;
+                    let mut pre = (
+                        PathChannel::new(hops(p, seed), rng(seed + 10)),
+                        PathChannel::new(hops(p, seed + 2), rng(seed + 11)),
+                    );
+                    let mut post = (
+                        PathChannel::new(hops(p, seed + 4), rng(seed + 12)),
+                        PathChannel::new(hops(p, seed + 6), rng(seed + 13)),
+                    );
+                    let got = replay_across_swap(
+                        &sent,
+                        swap,
+                        hit,
+                        (&mut pre.0, &mut pre.1),
+                        routed.then_some((&mut post.0, &mut post.1)),
+                    );
+                    let mut pre = (
+                        EpochOracle::new(hops(p, seed), rng(seed + 10)),
+                        EpochOracle::new(hops(p, seed + 2), rng(seed + 11)),
+                    );
+                    let mut post = (
+                        EpochOracle::new(hops(p, seed + 4), rng(seed + 12)),
+                        EpochOracle::new(hops(p, seed + 6), rng(seed + 13)),
+                    );
+                    let want = per_packet(&sent, swap, hit, &mut pre, routed.then_some(&mut post));
+                    assert_eq!(
+                        got, want,
+                        "seed {seed} conv {conv_ms} hit {hit} routed {routed}"
+                    );
+                    cases += usize::from(want.0 > 0);
+                }
+            }
+        }
+        assert!(cases > 20, "the replays must actually lose packets");
     }
 }

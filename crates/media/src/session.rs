@@ -5,7 +5,7 @@
 //! received packet straight back; the client logs loss, per-5-second-slot
 //! loss counts and RFC 3550 jitter.
 
-use vns_netsim::{Dur, PathChannel, SimTime, BATCH_LEN};
+use vns_netsim::{Dur, PathChannel, BATCH_LEN};
 
 use crate::rtp::JitterEstimator;
 use crate::stream::{PacketFeed, ScheduledPacket};
@@ -96,78 +96,46 @@ where
     let mut returned = 0u32;
     let mut jitter = JitterEstimator::new();
     let mut min_rtt_ns = u64::MAX;
-    let mut start: Option<SimTime> = None;
 
-    // Both legs run the columnar batch engine's live-set form: the feed
-    // fills `fwd.times` [`BATCH_LEN`] packets at a time (the session only
-    // consumes send instants), one forward `send_batch_live` leaves the
-    // delivered arrival clocks in `fwd.now`, and that column is fed
-    // straight back as the reverse leg's input — no per-packet outcome
-    // enums, no echo-time re-materialisation. Losses come back as sparse
-    // packed columns, so slot attribution costs one division per *lost*
-    // packet instead of a cursor walk over every packet. Scratch blocks
-    // come from the per-thread arena pool, so a session allocates nothing
-    // for its batching.
+    // The feed fills the send-clock column [`BATCH_LEN`] packets at a time
+    // (the session only consumes send instants) and each chunk makes one
+    // echo round trip through the columnar engine — no per-packet outcome
+    // enums. Losses come back as sparse packed columns keyed by original
+    // packet index, so slot attribution costs one division per *lost*
+    // packet instead of a cursor walk over every packet. The leg columns
+    // come from the per-thread arena pool.
     let mut packets = packets.into_iter();
-    let mut fwd = vns_netsim::scratch();
-    let mut rev = vns_netsim::scratch();
+    let mut scratch = vns_netsim::echo_scratch();
+    let mut sent_ns: Vec<u64> = Vec::with_capacity(BATCH_LEN);
     let slot_ns = config.slot.as_nanos().max(1);
-    let mut start_ns = 0u64;
+    let mut start_ns = None;
     loop {
-        fwd.clear();
-        if packets.fill_times(&mut fwd.times, BATCH_LEN) == 0 {
+        sent_ns.clear();
+        if packets.fill_times(&mut sent_ns, BATCH_LEN) == 0 {
             break;
         }
-        if start.is_none() {
-            start = Some(fwd.times[0]);
-            start_ns = fwd.times[0].as_nanos();
-        }
-        sent += fwd.times.len() as u32;
-        let k = forward.send_batch_live(&mut fwd);
-        delivered_out += k as u32;
-        for &pk in fwd.lost.iter() {
-            let t = fwd.times[(pk >> 8) as usize].as_nanos();
+        let start_ns = *start_ns.get_or_insert(sent_ns[0]);
+        sent += sent_ns.len() as u32;
+        let echo = scratch.round_trip(&sent_ns, forward, reverse);
+        delivered_out += echo.delivered_out as u32;
+        returned += echo.back.len() as u32;
+        for &pk in echo.lost_fwd.iter().chain(echo.lost_rev) {
+            let t = sent_ns[(pk >> 8) as usize];
             let s = (((t - start_ns) / slot_ns) as usize).min(n_slots - 1);
             slot_losses[s] += 1;
         }
-        rev.clear();
-        let m = reverse.send_batch_live_ns(&fwd.now[..k], &mut rev);
-        returned += m as u32;
-        // A reverse-leg index addresses the forward delivered set; chase
-        // it through `fwd.idx` (when non-identity) to the original packet.
-        for &pk in rev.lost.iter() {
-            let r = (pk >> 8) as usize;
-            let orig = if fwd.idx.is_empty() {
-                r
-            } else {
-                fwd.idx[r] as usize
-            };
-            let t = fwd.times[orig].as_nanos();
-            let s = (((t - start_ns) / slot_ns) as usize).min(n_slots - 1);
-            slot_losses[s] += 1;
-        }
-        if fwd.idx.is_empty() && rev.idx.is_empty() {
-            // Lossless chunk on both legs: delivered slot j is packet j.
-            for (j, &back_ns) in rev.now.iter().take(m).enumerate() {
-                let rtt_ns = back_ns - fwd.times[j].as_nanos();
-                jitter.on_transit_ns(rtt_ns);
-                min_rtt_ns = min_rtt_ns.min(rtt_ns);
+        let mut on_return = |rtt_ns: u64| {
+            jitter.on_transit_ns(rtt_ns);
+            min_rtt_ns = min_rtt_ns.min(rtt_ns);
+        };
+        if echo.orig.is_empty() {
+            // Lossless chunk on both legs: returned slot j is packet j.
+            for (&back_ns, &t) in echo.back.iter().zip(&sent_ns) {
+                on_return(back_ns - t);
             }
         } else {
-            for (j, &back_ns) in rev.now.iter().take(m).enumerate() {
-                let r = if rev.idx.is_empty() {
-                    j
-                } else {
-                    rev.idx[j] as usize
-                };
-                let orig = if fwd.idx.is_empty() {
-                    r
-                } else {
-                    fwd.idx[r] as usize
-                };
-                let rtt_ns = back_ns - fwd.times[orig].as_nanos();
-                jitter.on_transit_ns(rtt_ns);
-                min_rtt_ns = min_rtt_ns.min(rtt_ns);
+            for (&back_ns, &i) in echo.back.iter().zip(echo.orig) {
+                on_return(back_ns - sent_ns[i as usize]);
             }
         }
     }
@@ -189,7 +157,7 @@ mod tests {
     use crate::stream::{PacketSchedule, VideoSpec};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-    use vns_netsim::{HopChannel, LossModel, LossProcess};
+    use vns_netsim::{HopChannel, LossModel, LossProcess, SimTime};
 
     fn ideal_channel(ms: f64, seed: u64) -> PathChannel {
         PathChannel::new(vec![HopChannel::ideal(ms)], SmallRng::seed_from_u64(seed))

@@ -9,7 +9,7 @@
 
 use rand::rngs::SmallRng;
 use rand::Rng;
-use vns_netsim::{Dur, SendAt, SimTime};
+use vns_netsim::{Dur, SimTime};
 
 /// A video stream class.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -108,18 +108,18 @@ impl VideoSpec {
     }
 }
 
-/// Batched source of packet send instants — the one packet attribute the
-/// echo session consumes. Implemented natively by [`PacketIter`] (which
+/// Batched source of packet send clocks (nanoseconds, the packet engine's
+/// column format) — the one packet attribute the echo session consumes. Implemented natively by [`PacketIter`] (which
 /// fills a whole frame per inner loop, skipping per-packet struct
 /// assembly) and generically by the materialised schedule's iterator.
 pub trait PacketFeed {
-    /// Appends up to `cap` send instants to `out` in send order. Returns
+    /// Appends up to `cap` send clocks (ns) to `out` in send order. Returns
     /// the number appended; `0` means the source is exhausted.
-    fn fill_times(&mut self, out: &mut Vec<SimTime>, cap: usize) -> usize;
+    fn fill_times(&mut self, out: &mut Vec<u64>, cap: usize) -> usize;
 }
 
 impl PacketFeed for PacketIter<'_> {
-    fn fill_times(&mut self, out: &mut Vec<SimTime>, cap: usize) -> usize {
+    fn fill_times(&mut self, out: &mut Vec<u64>, cap: usize) -> usize {
         let mut left = cap;
         while left > 0 {
             while self.k >= self.n_pkts {
@@ -143,10 +143,10 @@ impl PacketFeed for PacketIter<'_> {
             // Packets of one frame leave back-to-back at `pacing`; emit the
             // run with an incremental add (identical ns arithmetic to
             // `frame_start + pacing.mul(k)`).
-            let mut t = self.frame_start + self.pacing.mul(self.k as u64);
+            let mut t = (self.frame_start + self.pacing.mul(self.k as u64)).as_nanos();
             for _ in 0..take {
                 out.push(t);
-                t += self.pacing;
+                t += self.pacing.as_nanos();
             }
             self.k += take;
             left -= take;
@@ -156,9 +156,9 @@ impl PacketFeed for PacketIter<'_> {
 }
 
 impl PacketFeed for std::iter::Copied<std::slice::Iter<'_, ScheduledPacket>> {
-    fn fill_times(&mut self, out: &mut Vec<SimTime>, cap: usize) -> usize {
+    fn fill_times(&mut self, out: &mut Vec<u64>, cap: usize) -> usize {
         let before = out.len();
-        out.extend(self.by_ref().take(cap).map(|p| p.sent));
+        out.extend(self.by_ref().take(cap).map(|p| p.sent.as_nanos()));
         out.len() - before
     }
 }
@@ -227,12 +227,6 @@ pub struct ScheduledPacket {
     pub payload_bytes: usize,
     /// Frame index the packet belongs to.
     pub frame: u32,
-}
-
-impl SendAt for ScheduledPacket {
-    fn send_at(&self) -> SimTime {
-        self.sent
-    }
 }
 
 /// The full send schedule of one stream.

@@ -1,13 +1,14 @@
-//! Criterion microbenchmarks for the structure-of-arrays batch engine:
-//! batched vs scalar sends on representative multi-hop channels, and the
-//! arena scratch pool vs fresh heap allocation on the session-setup path.
+//! Criterion microbenchmarks for the packet engine's two doors — the
+//! single-packet adapter vs the live column on representative multi-hop
+//! channels — and the arena scratch pool vs fresh heap allocation on the
+//! session-setup path.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use vns_netsim::{
-    scratch, BatchScratch, DiurnalProfile, DiurnalShape, Dur, HopChannel, LossModel, LossProcess,
+    scratch, BatchScratch, DiurnalProfile, DiurnalShape, HopChannel, LossModel, LossProcess,
     PathChannel, SimTime,
 };
 
@@ -40,51 +41,41 @@ fn media_hops(seed: u64) -> Vec<HopChannel> {
     ]
 }
 
-fn times(n: u64) -> Vec<SimTime> {
+fn times(n: u64) -> Vec<u64> {
     // ~1200-byte packets of a 4 Mb/s stream: one every ~2.4 ms.
-    (0..n)
-        .map(|i| SimTime::EPOCH + Dur::from_micros(i * 2400))
-        .collect()
+    (0..n).map(|i| i * 2_400_000).collect()
 }
 
-fn bench_send_scalar_vs_batch(c: &mut Criterion) {
+/// A fresh channel over `hops`, the whole train through the columnar door
+/// in `BATCH_LEN` chunks; returns the delivered count.
+fn send_columns(hops: Vec<HopChannel>, ts: &[u64]) -> usize {
+    let mut ch = PathChannel::new(hops, SmallRng::seed_from_u64(9));
+    let mut s = scratch();
+    ts.chunks(vns_netsim::BATCH_LEN)
+        .map(|chunk| ch.send_column(chunk, &mut s))
+        .sum()
+}
+
+fn bench_send_single_vs_column(c: &mut Criterion) {
     let ts = times(8192);
     let mut g = c.benchmark_group("channel");
-    g.bench_function("send/scalar_8k", |b| {
+    g.bench_function("send/single_8k", |b| {
         b.iter(|| {
             let mut ch = PathChannel::new(media_hops(7), SmallRng::seed_from_u64(9));
             let mut delivered = 0u32;
             for &t in &ts {
-                if ch.send(t).delivered() {
+                if ch.send(SimTime::from_nanos(t)).delivered() {
                     delivered += 1;
                 }
             }
             black_box(delivered);
         });
     });
-    g.bench_function("send/batch_8k", |b| {
+    // The door every packet train uses: no outcome enums, delivered clocks
+    // left in `now`, losses in the sparse column.
+    g.bench_function("send/column_8k", |b| {
         b.iter(|| {
-            let mut ch = PathChannel::new(media_hops(7), SmallRng::seed_from_u64(9));
-            let mut s = scratch();
-            s.times.extend_from_slice(&ts);
-            ch.send_batch(&mut s);
-            let delivered = s.outcomes.iter().filter(|o| o.delivered()).count();
-            black_box(delivered);
-        });
-    });
-    // The live-set API the session loop actually drives: no outcome
-    // column, delivered clocks left in `now`, losses in the sparse column.
-    g.bench_function("send/batch_live_8k", |b| {
-        b.iter(|| {
-            let mut ch = PathChannel::new(media_hops(7), SmallRng::seed_from_u64(9));
-            let mut s = scratch();
-            let mut delivered = 0usize;
-            for chunk in ts.chunks(vns_netsim::BATCH_LEN) {
-                s.clear();
-                s.times.extend_from_slice(chunk);
-                delivered += ch.send_batch_live(&mut s);
-            }
-            black_box(delivered);
+            black_box(send_columns(media_hops(7), &ts));
         });
     });
     g.finish();
@@ -97,15 +88,15 @@ fn bench_arena_vs_heap(c: &mut Criterion) {
     g.bench_function("setup/pooled_scratch", |b| {
         b.iter(|| {
             let mut s = scratch();
-            s.times.extend_from_slice(&ts);
-            black_box(s.times.len());
+            s.now.extend_from_slice(&ts);
+            black_box(s.now.len());
         });
     });
     g.bench_function("setup/fresh_heap", |b| {
         b.iter(|| {
             let mut s = BatchScratch::default();
-            s.times.extend_from_slice(&ts);
-            black_box(s.times.len());
+            s.now.extend_from_slice(&ts);
+            black_box(s.now.len());
         });
     });
     g.finish();
@@ -116,33 +107,15 @@ criterion_main!(benches, probes);
 fn bench_components(c: &mut Criterion) {
     let ts = times(8192);
     let mut g = c.benchmark_group("probe");
-    g.bench_function("ideal_1hop_batch_8k", |b| {
-        b.iter(|| {
-            let mut ch = PathChannel::new(vec![HopChannel::ideal(5.0)], SmallRng::seed_from_u64(9));
-            let mut s = scratch();
-            s.times.extend_from_slice(&ts);
-            ch.send_batch(&mut s);
-            black_box(s.outcomes.len());
-        });
+    g.bench_function("ideal_1hop_column_8k", |b| {
+        b.iter(|| black_box(send_columns(vec![HopChannel::ideal(5.0)], &ts)));
     });
-    g.bench_function("ideal_5hop_batch_8k", |b| {
-        b.iter(|| {
-            let hops = vec![
-                HopChannel::ideal(2.0),
-                HopChannel::ideal(5.0),
-                HopChannel::ideal(12.0),
-                HopChannel::ideal(8.0),
-                HopChannel::ideal(25.0),
-            ];
-            let mut ch = PathChannel::new(hops, SmallRng::seed_from_u64(9));
-            let mut s = scratch();
-            s.times.extend_from_slice(&ts);
-            ch.send_batch(&mut s);
-            black_box(s.outcomes.len());
-        });
+    g.bench_function("ideal_5hop_column_8k", |b| {
+        let hops = || [2.0, 5.0, 12.0, 8.0, 25.0].map(HopChannel::ideal).to_vec();
+        b.iter(|| black_box(send_columns(hops(), &ts)));
     });
     g.finish();
 }
 
-criterion_group!(benches, bench_send_scalar_vs_batch, bench_arena_vs_heap);
+criterion_group!(benches, bench_send_single_vs_column, bench_arena_vs_heap);
 criterion_group!(probes, bench_components);

@@ -1,11 +1,11 @@
-//! Recycled per-thread scratch for the batch packet engine.
+//! Recycled per-thread scratch for the packet engine.
 //!
-//! Every batched send needs a handful of columnar buffers (send instants,
-//! running clocks, live-packet indices, outcomes). Allocating them per
-//! session would put four `Vec` round-trips on the setup path of each of
+//! Every column send needs a handful of buffers (running clocks,
+//! live-packet indices, the sparse loss column). Allocating them per
+//! session would put `Vec` round-trips on the setup path of each of
 //! steady-state's ~170k session units; instead a thread-local pool hands
 //! out [`BatchScratch`] blocks that keep their capacity across uses — after
-//! the first few sessions on a thread, batch sends allocate nothing.
+//! the first few sessions on a thread, sends allocate nothing.
 //!
 //! The workspace forbids `unsafe`, so this is a recycling pool rather than
 //! a raw bump allocator: [`scratch`] pops a block (or builds one), the
@@ -16,38 +16,25 @@
 use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
 
-use crate::channel::PathOutcome;
-use crate::time::SimTime;
-
-/// Column block used by one batched send (see [`crate::channel`]).
-///
-/// `times` is the caller-filled input column; `outcomes` is the engine's
-/// output column (one entry per input); `now` and `idx` are the engine's
-/// internal live-set columns. Capacities persist across pool round-trips.
+/// The engine's columns for one [`crate::PathChannel::send_column`] call.
+/// Capacities persist across pool round-trips.
 #[derive(Debug, Default)]
 pub struct BatchScratch {
-    /// Input: send instants, one per packet in the batch.
-    pub times: Vec<SimTime>,
-    /// Output: per-packet outcomes, same length as `times` after a send.
-    pub outcomes: Vec<PathOutcome>,
-    /// Internal: running clock of each still-live packet, nanoseconds.
-    /// After a live-set send this is the delivered packets' arrival clocks.
+    /// Running clock of each still-live packet, nanoseconds. After a send
+    /// this is the delivered packets' arrival clocks.
     pub now: Vec<u64>,
-    /// Internal: original batch index of each still-live packet. After a
-    /// live-set send it is either empty (identity mapping: nothing was
-    /// dropped, delivered slot `j` is original packet `j`) or one original
-    /// index per delivered slot.
+    /// Original index of each still-live packet. After a send it is either
+    /// empty (identity mapping: nothing was dropped, delivered slot `j` is
+    /// original packet `j`) or one original index per delivered slot.
     pub idx: Vec<u32>,
-    /// Sparse loss column of a live-set send: one `(original index << 8) |
-    /// hop` entry per dropped packet, in drop order (hop-major).
+    /// Sparse loss column: one `(original index << 8) | hop` entry per
+    /// dropped packet, in drop order (hop-major).
     pub lost: Vec<u32>,
 }
 
 impl BatchScratch {
     /// Empties all columns (capacity is retained).
     pub fn clear(&mut self) {
-        self.times.clear();
-        self.outcomes.clear();
         self.now.clear();
         self.idx.clear();
         self.lost.clear();

@@ -6,15 +6,15 @@
 //! and an optional blackout schedule, and a packet either dies at some hop
 //! or arrives after the summed one-way delay.
 //!
-//! # The fast path
+//! # The engine
 //!
 //! A per-packet send costs, naively, per hop: a blackout binary search, a
 //! loss-process state step (diurnal trig for congestion models), a loss
 //! draw and an exponential delay draw. The quantities driving those are
 //! slowly varying — the diurnal curve moves over hours, the congestion
 //! fluctuation is resampled every five minutes — so [`PathChannel`]
-//! quantises them per hop on a configurable sim-time **epoch** (default
-//! [`DEFAULT_EPOCH`] = 1 s) into a `HopEpoch` snapshot:
+//! quantises them per hop on a fixed 1 s sim-time **epoch** into a
+//! `HopEpoch` snapshot:
 //!
 //! * the per-packet loss probability, frozen at the epoch start, with loss
 //!   realised by **geometric gap sampling**
@@ -25,30 +25,27 @@
 //!   **exact**: window edges bound segments, so membership answers never
 //!   quantise (see [`BlackoutSchedule::segment_at`]).
 //!
-//! # The batch engine
+//! There is one engine, `run_hops`: a structure-of-arrays pass over a live
+//! set of up to [`BATCH_LEN`] packets held as two plain columns — running
+//! clocks (`u64` nanoseconds) and original indices — with each hop making
+//! one pass over them. Within a hop the engine detects **runs**: maximal
+//! stretches of consecutive packets whose clocks fall inside the
+//! intersection of the cached epoch and blackout segment. A blacked-out
+//! run is dropped wholesale; a live run executes as a tight loop of one
+//! `next_u64`, one table-driven draw ([`crate::delay`]), a multiply and a
+//! min per packet. Lost packets are compacted out of the columns in stable
+//! order, and each hop owns its delay RNG, so hop-major column order
+//! consumes every stream exactly as a packet-at-a-time walk would.
 //!
-//! On top of the epoch cache, [`PathChannel::send_batch`] processes
-//! structure-of-arrays blocks of up to [`BATCH_LEN`] send instants. The
-//! live set is two plain columns — running clocks (`u64` nanoseconds) and
-//! original batch indices — and each hop makes one pass over them. Within
-//! a hop the engine detects **runs**: maximal stretches of consecutive
-//! packets whose clocks fall inside the intersection of the cached epoch
-//! and blackout segment. A blacked-out run is dropped wholesale; a live
-//! run executes as a tight loop of one `next_u64`, one table-driven
-//! log ([`crate::delay`]'s `fast_ln`), a multiply and a min per packet —
-//! no branches on model state, nothing the compiler can't keep in
-//! registers. Lost packets are compacted out of the columns in stable
-//! order, which is what keeps the per-hop RNG and gap-counter consumption
-//! identical to scalar [`PathChannel::send`]: each hop owns its delay RNG,
-//! so hop-major batch order and packet-major scalar order consume every
-//! stream identically and the two paths are **byte-equal** (pinned by
-//! `tests/batch.rs`).
-//!
-//! Setting the epoch to [`Dur::ZERO`] (via [`PathChannel::exact`] or
-//! [`PathChannel::set_epoch`]) disables all caching and reproduces the
-//! original per-packet reference semantics — the equivalence proptests in
-//! `tests/fastpath.rs` pin the fast path's loss/delay distributions
-//! against it.
+//! It has two doors: [`PathChannel::send_column`] (the columnar live-set
+//! send every packet train uses — see [`crate::echo`] for the round-trip
+//! form) and [`PathChannel::send`], a one-slot adapter for callers that
+//! pick each send instant from the previous packet's fate (SIP
+//! retransmission timers, ARQ). The per-packet state machines the engine
+//! is specified against live outside production code, in
+//! `tests/support/`: an exact per-packet reference and a per-packet
+//! specification of the epoch semantics, both built from [`HopChannel`]'s
+//! public fields.
 //!
 //! Packet counts go to the per-thread [`crate::ledger`] (flushed on channel
 //! drop), so the hot loop never touches a shared cache line.
@@ -62,16 +59,20 @@ use crate::fault::BlackoutSchedule;
 use crate::loss::LossProcess;
 use crate::time::{Dur, SimTime};
 
-/// Default epoch for the fast path: 1 s, far below the 5-minute congestion
-/// fluctuation correlation and the hour-scale diurnal curve the loss and
-/// delay models already assume.
-pub const DEFAULT_EPOCH: Dur = Dur::from_secs(1);
+/// Quantisation epoch: 1 s, far below the 5-minute congestion fluctuation
+/// correlation and the hour-scale diurnal curve the loss and delay models
+/// already assume.
+const EPOCH: Dur = Dur::from_secs(1);
 
-/// Column width of the batch engine: [`PathChannel::send_many`] buffers
-/// this many packets per [`PathChannel::send_batch`] call. Large enough to
-/// amortise per-batch setup to noise, small enough that the scratch
-/// columns stay L1/L2-resident.
+/// Column width of the engine: the most packets one
+/// [`PathChannel::send_column`] call takes. Large enough to amortise
+/// per-chunk setup to noise, small enough that the scratch columns stay
+/// L1/L2-resident.
 pub const BATCH_LEN: usize = 1024;
+
+/// Longest path a [`PathChannel`] accepts: the sparse loss column packs
+/// the dropping hop's index into one byte.
+pub const MAX_HOPS: usize = 255;
 
 /// Packets sent through [`PathChannel`]s, as visible to this thread (see
 /// [`crate::ledger::packets_sent`]).
@@ -178,7 +179,8 @@ impl HopEpoch {
 /// loops into the nanosecond scale: the buffer cap, and the fixed base
 /// with the half-up rounding term pre-added so a delay is one f64 add and
 /// one truncating cast from its queue draw. Assembled identically by
-/// [`DelaySampler::sample_ns`], which keeps exact and fast modes bit-equal.
+/// [`DelaySampler::sample_ns`], which is what lets the test oracles
+/// reproduce the engine's delays bit for bit from public parts.
 #[derive(Clone, Copy)]
 struct HopNs {
     cap_ns: f64,
@@ -215,11 +217,11 @@ fn advance_run(
 }
 
 /// Refreshes a hop's epoch snapshot for the epoch containing `now`.
-fn refresh_epoch(hop: &mut HopChannel, ep: &mut HopEpoch, now: SimTime, epoch: Dur) {
-    let e = epoch.as_nanos();
+fn refresh_epoch(hop: &mut HopChannel, ep: &mut HopEpoch, now: SimTime) {
+    let e = EPOCH.as_nanos();
     let start = SimTime::from_nanos((now.as_nanos() / e) * e);
     ep.valid_from = start;
-    ep.valid_until = start + epoch;
+    ep.valid_until = start + EPOCH;
     ep.loss_p = hop.loss.loss_prob(start).clamp(0.0, 1.0);
     // Geometric gaps are memoryless: discarding the previous epoch's
     // unexhausted gap and re-drawing here preserves the loss distribution
@@ -228,83 +230,16 @@ fn refresh_epoch(hop: &mut HopChannel, ep: &mut HopEpoch, now: SimTime, epoch: D
     ep.mean_queue_ns = hop.delay.mean_queue_ms(start) * 1_000_000.0;
 }
 
-/// Extracts the send instant from a batched-send item; lets
-/// [`PathChannel::send_many`] drive on plain instants as well as richer
-/// packet records (e.g. `vns-media`'s scheduled packets). `Copy` because
-/// the batch engine buffers items by value in its scratch columns.
-pub trait SendAt: Copy {
-    /// When this item goes on the wire.
-    fn send_at(&self) -> SimTime;
-}
-
-impl SendAt for SimTime {
-    fn send_at(&self) -> SimTime {
-        *self
-    }
-}
-
-/// Batched-send iterator: pulls items in [`BATCH_LEN`] blocks, pushes each
-/// block through [`PathChannel::send_batch`], and yields `(item, outcome)`
-/// per input item. See [`PathChannel::send_many`].
-#[derive(Debug)]
-pub struct SendMany<'c, I: Iterator> {
-    channel: &'c mut PathChannel,
-    items: I,
-    buf: Vec<I::Item>,
-    scratch: crate::arena::Scratch,
-    pos: usize,
-}
-
-impl<I> Iterator for SendMany<'_, I>
-where
-    I: Iterator,
-    I::Item: SendAt,
-{
-    type Item = (I::Item, PathOutcome);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.pos >= self.buf.len() {
-            self.buf.clear();
-            self.scratch.times.clear();
-            while self.buf.len() < BATCH_LEN {
-                let Some(item) = self.items.next() else { break };
-                self.scratch.times.push(item.send_at());
-                self.buf.push(item);
-            }
-            if self.buf.is_empty() {
-                return None;
-            }
-            self.pos = 0;
-            self.channel.send_batch(&mut self.scratch);
-        }
-        let i = self.pos;
-        self.pos += 1;
-        Some((self.buf[i], self.scratch.outcomes[i]))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let (lo, hi) = self.items.size_hint();
-        let pending = self.buf.len() - self.pos;
-        (
-            lo.saturating_add(pending),
-            hi.and_then(|h| h.checked_add(pending)),
-        )
-    }
-}
-
 /// A flow's multi-hop channel: owns per-hop state, shared by all packets of
 /// the flow.
 #[derive(Debug)]
 pub struct PathChannel {
     hops: Vec<HopChannel>,
     /// One delay RNG per hop, seeded in hop order from the construction
-    /// RNG. Hop-local streams are what let the batch engine process
-    /// packets hop-major while consuming every stream in the exact order
-    /// the scalar packet-major path does.
+    /// RNG. Hop-local streams are what let the engine process packets
+    /// hop-major while consuming every stream in the exact order a
+    /// packet-major walk does.
     delay_rngs: Vec<SmallRng>,
-    /// Fast-path quantisation epoch; [`Dur::ZERO`] means exact per-packet
-    /// evaluation (the reference path).
-    epoch: Dur,
     cache: Vec<HopEpoch>,
     /// Locally counted packets, flushed to [`crate::ledger`] on drop.
     pending_count: u64,
@@ -315,7 +250,6 @@ impl Clone for PathChannel {
         Self {
             hops: self.hops.clone(),
             delay_rngs: self.delay_rngs.clone(),
-            epoch: self.epoch,
             cache: self.cache.clone(),
             // The clone has sent nothing yet; the original keeps (and will
             // flush) its own tally.
@@ -333,21 +267,18 @@ impl Drop for PathChannel {
 }
 
 impl PathChannel {
-    /// Builds a fast-path channel (epoch [`DEFAULT_EPOCH`]); `rng` seeds
-    /// the per-hop delay streams.
-    pub fn new(hops: Vec<HopChannel>, rng: SmallRng) -> Self {
-        Self::with_epoch(hops, rng, DEFAULT_EPOCH)
-    }
-
-    /// Builds an exact-mode channel: no epoch caching, every packet pays
-    /// the full per-hop evaluation. The reference the fast path's
-    /// equivalence tests pin against.
-    pub fn exact(hops: Vec<HopChannel>, rng: SmallRng) -> Self {
-        Self::with_epoch(hops, rng, Dur::ZERO)
-    }
-
-    /// Builds a channel with an explicit epoch ([`Dur::ZERO`] = exact).
-    pub fn with_epoch(hops: Vec<HopChannel>, mut rng: SmallRng, epoch: Dur) -> Self {
+    /// Builds a channel; `rng` seeds the per-hop delay streams.
+    ///
+    /// # Panics
+    ///
+    /// When `hops` is longer than [`MAX_HOPS`]: the loss column could not
+    /// name the dropping hop.
+    pub fn new(hops: Vec<HopChannel>, mut rng: SmallRng) -> Self {
+        assert!(
+            hops.len() <= MAX_HOPS,
+            "a path of {} hops exceeds MAX_HOPS ({MAX_HOPS})",
+            hops.len()
+        );
         let cache = vec![HopEpoch::stale(); hops.len()];
         let delay_rngs = hops
             .iter()
@@ -356,22 +287,8 @@ impl PathChannel {
         Self {
             hops,
             delay_rngs,
-            epoch,
             cache,
             pending_count: 0,
-        }
-    }
-
-    /// The fast-path epoch ([`Dur::ZERO`] = exact mode).
-    pub fn epoch(&self) -> Dur {
-        self.epoch
-    }
-
-    /// Changes the epoch, invalidating all cached snapshots.
-    pub fn set_epoch(&mut self, epoch: Dur) {
-        self.epoch = epoch;
-        for ep in &mut self.cache {
-            *ep = HopEpoch::stale();
         }
     }
 
@@ -385,271 +302,58 @@ impl PathChannel {
         self.hops.iter().map(|h| h.label.as_str()).collect()
     }
 
-    /// Sends one packet at `sent`; the packet progresses hop by hop,
-    /// accruing sampled delay, and may be dropped by any hop's loss process
-    /// or blackout schedule. Dispatches to the epoch-cached fast path
-    /// unless the epoch is [`Dur::ZERO`]. Byte-equal to pushing the same
-    /// instant through [`PathChannel::send_batch`].
+    /// Sends one packet at `sent`: a one-slot [`PathChannel::send_column`]
+    /// (same engine, same RNG and loss-state consumption) read back as an
+    /// outcome. For callers that choose each send instant from the previous
+    /// packet's fate; packet trains belong on the columnar call.
     pub fn send(&mut self, sent: SimTime) -> PathOutcome {
-        self.pending_count += 1;
-        if self.epoch == Dur::ZERO {
-            self.send_exact(sent)
+        let mut cols = crate::arena::scratch();
+        if self.send_column(&[sent.as_nanos()], &mut cols) == 1 {
+            let arrival = SimTime::from_nanos(cols.now[0]);
+            PathOutcome::Delivered {
+                arrival,
+                delay: arrival - sent,
+            }
         } else {
-            self.send_fast(sent)
+            PathOutcome::Lost {
+                hop: (cols.lost[0] & 0xff) as usize,
+            }
         }
     }
 
-    /// Batched send: pulls items in [`BATCH_LEN`] blocks through
-    /// [`PathChannel::send_batch`] and yields `(item, outcome)` pairs.
-    /// `run_echo_session` and `loss_train` drive their packet trains
-    /// through this; it is also the shape the criterion microbenches
-    /// compare against per-call [`PathChannel::send`].
-    pub fn send_many<I>(&mut self, items: I) -> SendMany<'_, I::IntoIter>
-    where
-        I: IntoIterator,
-        I::Item: SendAt,
-    {
-        SendMany {
-            channel: self,
-            items: items.into_iter(),
-            buf: Vec::new(),
-            scratch: crate::arena::scratch(),
-            pos: 0,
-        }
-    }
-
-    /// Structure-of-arrays batched send: consumes `scratch.times` (the send
-    /// instants, any length — processed in [`BATCH_LEN`] chunks) and fills
-    /// `scratch.outcomes` with one outcome per instant, byte-equal to
-    /// calling [`PathChannel::send`] on each instant in order. `scratch.now`
-    /// and `scratch.idx` are the engine's internal live-set columns.
-    pub fn send_batch(&mut self, scratch: &mut BatchScratch) {
-        let BatchScratch {
-            times,
-            outcomes,
-            now,
-            idx,
-            lost,
-        } = scratch;
-        let n = times.len();
-        self.pending_count += n as u64;
-        outcomes.clear();
-        if self.epoch == Dur::ZERO {
-            // Exact mode has no per-epoch structure to batch over; the
-            // reference path runs per packet.
-            for &t in times.iter() {
-                let out = self.send_exact(t);
-                outcomes.push(out);
-            }
-            return;
-        }
-        // Placeholder; every slot is overwritten exactly once below (the
-        // loss column and the delivered set partition the chunk).
-        outcomes.resize(n, PathOutcome::Lost { hop: usize::MAX });
-        let mut start = 0;
-        while start < n {
-            let end = (start + BATCH_LEN).min(n);
-            now.clear();
-            now.extend(times[start..end].iter().map(|t| t.as_nanos()));
-            idx.clear();
-            lost.clear();
-            let live = self.run_hops(now, idx, lost);
-            let out = &mut outcomes[start..end];
-            for &pk in lost.iter() {
-                out[(pk >> 8) as usize] = PathOutcome::Lost {
-                    hop: (pk & 0xff) as usize,
-                };
-            }
-            if idx.is_empty() {
-                // Identity mapping: nothing was dropped in this chunk.
-                for (j, &clock) in now.iter().take(live).enumerate() {
-                    let sent = times[start + j];
-                    let arrival = SimTime::from_nanos(clock);
-                    out[j] = PathOutcome::Delivered {
-                        arrival,
-                        delay: arrival - sent,
-                    };
-                }
-            } else {
-                for (&clock, &i) in now.iter().zip(idx.iter()).take(live) {
-                    let sent = times[start + i as usize];
-                    let arrival = SimTime::from_nanos(clock);
-                    out[i as usize] = PathOutcome::Delivered {
-                        arrival,
-                        delay: arrival - sent,
-                    };
-                }
-            }
-            start = end;
-        }
-    }
-
-    /// Columnar live-set send: consumes `scratch.times` (at most
-    /// [`BATCH_LEN`] instants, in send order) and returns the delivered
-    /// count `k`, leaving the results in the scratch columns — `now[0..k]`
-    /// holds arrival clocks in ns, `idx` the original-index map (empty =
-    /// identity: delivered slot `j` is original packet `j`), `lost` one
-    /// packed `(original index << 8) | hop` entry per dropped packet.
-    /// `outcomes` is untouched: no per-packet enum is materialised, which
-    /// is what lets `run_echo_session` chain two legs with nothing but
-    /// column reads. Consumes RNG and loss state exactly like
-    /// [`PathChannel::send_batch`] over the same instants.
-    pub fn send_batch_live(&mut self, scratch: &mut BatchScratch) -> usize {
-        let BatchScratch {
-            times,
-            now,
-            idx,
-            lost,
-            ..
-        } = scratch;
-        assert!(times.len() <= BATCH_LEN, "live-set sends are single-chunk");
-        self.pending_count += times.len() as u64;
+    /// Columnar live-set send: pushes the packets whose send clocks (ns,
+    /// send order, at most [`BATCH_LEN`]) are `sent_ns` down the path and
+    /// returns the delivered count `k`, leaving the results in `cols` —
+    /// `now[0..k]` holds arrival clocks in ns, `idx` the original-index
+    /// map (empty = identity: delivered slot `j` is original packet `j`),
+    /// `lost` one packed `(original index << 8) | hop` entry per dropped
+    /// packet. The input is a plain clock column so a leg can be fed
+    /// straight from the `now` column another leg left behind (see
+    /// [`crate::echo`]).
+    pub fn send_column(&mut self, sent_ns: &[u64], cols: &mut BatchScratch) -> usize {
+        let BatchScratch { now, idx, lost } = cols;
+        assert!(sent_ns.len() <= BATCH_LEN, "column sends are single-chunk");
+        self.pending_count += sent_ns.len() as u64;
         now.clear();
-        now.extend(times.iter().map(|t| t.as_nanos()));
+        now.extend_from_slice(sent_ns);
         idx.clear();
         lost.clear();
-        if self.epoch == Dur::ZERO {
-            return self.run_exact_live(now, idx, lost);
-        }
         self.run_hops(now, idx, lost)
     }
 
-    /// [`PathChannel::send_batch_live`] with the send clocks given directly
-    /// as a nanosecond column — e.g. the `now` column a previous leg's send
-    /// left behind, which is exactly how the echo session feeds deliveries
-    /// back without re-materialising `SimTime`s. `scratch.times` is ignored.
-    pub fn send_batch_live_ns(&mut self, times_ns: &[u64], scratch: &mut BatchScratch) -> usize {
-        let BatchScratch { now, idx, lost, .. } = scratch;
-        assert!(
-            times_ns.len() <= BATCH_LEN,
-            "live-set sends are single-chunk"
-        );
-        self.pending_count += times_ns.len() as u64;
-        now.clear();
-        now.extend_from_slice(times_ns);
-        idx.clear();
-        lost.clear();
-        if self.epoch == Dur::ZERO {
-            return self.run_exact_live(now, idx, lost);
-        }
-        self.run_hops(now, idx, lost)
-    }
-
-    /// Exact-mode body of the live-set sends: per-packet reference
-    /// evaluation, packed into the live-set column contract. Reads each
-    /// input clock from `now` before overwriting the (always earlier)
-    /// delivered prefix in place.
-    fn run_exact_live(
-        &mut self,
-        now: &mut [u64],
-        idx: &mut Vec<u32>,
-        lost: &mut Vec<u32>,
-    ) -> usize {
-        debug_assert!(self.hops.len() < 256);
-        let mut live = 0usize;
-        for i in 0..now.len() {
-            let t = SimTime::from_nanos(now[i]);
-            match self.send_exact(t) {
-                PathOutcome::Delivered { arrival, .. } => {
-                    now[live] = arrival.as_nanos();
-                    idx.push(i as u32);
-                    live += 1;
-                }
-                PathOutcome::Lost { hop } => {
-                    lost.push(((i as u32) << 8) | hop as u32);
-                }
-            }
-        }
-        live
-    }
-
-    /// The exact per-packet reference path (what `send` did before the
-    /// epoch cache existed). Every hop pays the blackout binary search, the
-    /// loss-process state step and draw, and the time-dependent delay
-    /// sample.
-    fn send_exact(&mut self, sent: SimTime) -> PathOutcome {
-        let mut now = sent;
-        for (i, (hop, rng)) in self
-            .hops
-            .iter_mut()
-            .zip(self.delay_rngs.iter_mut())
-            .enumerate()
-        {
-            if hop.blackouts.blacked_out(now) || hop.loss.packet_lost(now) {
-                return PathOutcome::Lost { hop: i };
-            }
-            now += Dur::from_nanos(hop.delay.sample_ns(now, rng));
-        }
-        PathOutcome::Delivered {
-            arrival: now,
-            delay: now - sent,
-        }
-    }
-
-    /// The epoch-cached fast path (see module docs). Blackout membership
-    /// stays exact; loss probability and mean queue delay are frozen per
-    /// epoch; loss is realised by geometric gap countdown.
-    fn send_fast(&mut self, sent: SimTime) -> PathOutcome {
-        let mut now = sent;
-        let epoch = self.epoch;
-        let tables = crate::delay::ln_tables();
-        for (i, ((hop, ep), rng)) in self
-            .hops
-            .iter_mut()
-            .zip(self.cache.iter_mut())
-            .zip(self.delay_rngs.iter_mut())
-            .enumerate()
-        {
-            // Blackouts first (mirrors the exact path's short-circuit: a
-            // blacked-out packet consumes no loss draw). The cached segment
-            // is exact — it is re-resolved whenever `now` leaves it, and
-            // segments never span a window edge. Reverse-direction flows
-            // can present non-monotonic times; the containment check
-            // handles both directions.
-            if now < ep.seg_lo || now >= ep.seg_hi {
-                let (lo, hi, blacked) = hop.blackouts.segment_at(now);
-                ep.seg_lo = lo;
-                ep.seg_hi = hi;
-                ep.seg_blacked = blacked;
-            }
-            if ep.seg_blacked {
-                return PathOutcome::Lost { hop: i };
-            }
-            if now < ep.valid_from || now >= ep.valid_until {
-                refresh_epoch(hop, ep, now, epoch);
-            }
-            if ep.loss_p > 0.0 {
-                if ep.gap_left == 0 {
-                    ep.gap_left = hop.loss.gap_to_next_loss(ep.loss_p);
-                    return PathOutcome::Lost { hop: i };
-                }
-                ep.gap_left -= 1;
-            }
-            let ns = HopNs::of(&hop.delay);
-            let q = crate::delay::queue_draw(tables, ep.mean_queue_ns, ns.cap_ns, rng);
-            now += Dur::from_nanos((ns.base_half_ns + q) as u64);
-        }
-        PathOutcome::Delivered {
-            arrival: now,
-            delay: now - sent,
-        }
-    }
-
-    /// One [`BATCH_LEN`]-bounded chunk of the columnar fast path: the hop
-    /// passes over pre-filled live columns. On entry `now` holds the
-    /// chunk's send clocks (ns, send order) and `idx`/`lost` are empty; on
-    /// return the first `live` (returned) slots of `now` are arrival
-    /// clocks, `idx` is the original-index map — left empty (identity)
-    /// when no packet was dropped, materialised lazily on the first drop —
-    /// and `lost` gained one `(orig << 8) | hop` entry per drop. The
-    /// chunk cap keeps `orig` comfortably inside the packed 24 bits; hop
-    /// indices must fit the low byte.
+    /// The engine: the hop passes over one pre-filled chunk of live
+    /// columns. On entry `now` holds the chunk's send clocks (ns, send
+    /// order) and `idx`/`lost` are empty; on return the first `live`
+    /// (returned) slots of `now` are arrival clocks, `idx` is the
+    /// original-index map — left empty (identity) when no packet was
+    /// dropped, materialised lazily on the first drop — and `lost` gained
+    /// one `(orig << 8) | hop` entry per drop. The chunk cap keeps `orig`
+    /// comfortably inside the packed 24 bits; hop indices fit the low byte
+    /// by construction ([`MAX_HOPS`]).
     fn run_hops(&mut self, now: &mut [u64], idx: &mut Vec<u32>, lost: &mut Vec<u32>) -> usize {
         debug_assert!(now.len() <= BATCH_LEN);
-        debug_assert!(self.hops.len() < 256);
         debug_assert!(idx.is_empty());
         let n = now.len();
-        let epoch = self.epoch;
         let tables = crate::delay::ln_tables();
         let mut live = n;
         for (h, ((hop, ep), rng)) in self
@@ -672,7 +376,7 @@ impl PathChannel {
             let mut r = 0usize; // read cursor
             while r < live {
                 let t = SimTime::from_nanos(now[r]);
-                // Same per-packet resolution order as the scalar path:
+                // Per-packet resolution order of the specification:
                 // segment containment, blackout short-circuit (no epoch
                 // refresh, no loss draw), then epoch refresh.
                 if t < ep.seg_lo || t >= ep.seg_hi {
@@ -696,7 +400,7 @@ impl PathChannel {
                     continue;
                 }
                 if t < ep.valid_from || t >= ep.valid_until {
-                    refresh_epoch(hop, ep, t, epoch);
+                    refresh_epoch(hop, ep, t);
                 }
                 // Run: consecutive packets inside both the epoch and the
                 // (non-blacked) blackout segment share all cached state.
@@ -824,48 +528,25 @@ mod tests {
     }
 
     #[test]
-    fn lossless_fast_and_exact_paths_are_identical() {
-        // With no loss process engaged, the fast path consumes the per-hop
-        // delay RNGs exactly like the exact path — outcomes match bit for
-        // bit.
-        let hops = || vec![HopChannel::ideal(10.0), HopChannel::ideal(20.0)];
-        let mut fast = PathChannel::new(hops(), rng(6));
-        let mut exact = PathChannel::exact(hops(), rng(6));
-        let mut t = SimTime::EPOCH;
-        for _ in 0..5000 {
-            assert_eq!(fast.send(t), exact.send(t));
-            t += Dur::from_micros(700);
-        }
-    }
+    fn hop_count_is_bounded_at_construction() {
+        // 255 hops is the longest path the packed loss column can name; a
+        // drop at the last hop must come back attributed to it, and to the
+        // right packet.
+        let mut hops = vec![HopChannel::ideal(0.1); MAX_HOPS];
+        hops[MAX_HOPS - 1].loss = LossProcess::new(LossModel::Bernoulli { p: 1.0 }, rng(6));
+        let mut ch = PathChannel::new(hops, rng(7));
+        assert_eq!(
+            ch.send(SimTime::EPOCH),
+            PathOutcome::Lost { hop: MAX_HOPS - 1 }
+        );
+        let mut cols = crate::arena::scratch();
+        assert_eq!(ch.send_column(&[0, 1_000, 2_000], &mut cols), 0);
+        assert_eq!(cols.lost, [254, (1 << 8) | 254, (2 << 8) | 254]);
 
-    #[test]
-    fn send_many_matches_sequential_sends() {
-        // send_many runs the columnar batch engine; per-call send runs the
-        // scalar state machine. Same hops, same seed — byte-equal.
-        let hops = || {
-            let mut h = HopChannel::ideal(5.0);
-            h.loss = LossProcess::new(LossModel::Bernoulli { p: 0.05 }, rng(7));
-            vec![h]
-        };
-        let mut a = PathChannel::new(hops(), rng(8));
-        let mut b = PathChannel::new(hops(), rng(8));
-        let times: Vec<SimTime> = (0..2000u64)
-            .map(|i| SimTime::EPOCH + Dur::from_micros(i * 100))
-            .collect();
-        let batched: Vec<PathOutcome> =
-            a.send_many(times.iter().copied()).map(|(_, o)| o).collect();
-        let seq: Vec<PathOutcome> = times.iter().map(|&t| b.send(t)).collect();
-        assert_eq!(batched, seq);
-    }
-
-    #[test]
-    fn set_epoch_invalidates_cache() {
-        let mut ch = PathChannel::new(vec![HopChannel::ideal(1.0)], rng(9));
-        assert_eq!(ch.epoch(), DEFAULT_EPOCH);
-        let _ = ch.send(SimTime::EPOCH);
-        ch.set_epoch(Dur::ZERO);
-        assert_eq!(ch.epoch(), Dur::ZERO);
-        assert!(ch.send(SimTime::EPOCH + Dur::from_secs(1)).delivered());
+        let refused = std::panic::catch_unwind(|| {
+            PathChannel::new(vec![HopChannel::ideal(0.1); MAX_HOPS + 1], rng(8))
+        });
+        assert!(refused.is_err(), "a 256-hop channel must be refused");
     }
 
     #[test]
@@ -886,15 +567,13 @@ mod tests {
     }
 
     #[test]
-    fn send_batch_counts_packets() {
+    fn send_column_counts_packets() {
         let before = packets_sent();
         {
             let mut ch = PathChannel::new(vec![HopChannel::ideal(1.0)], rng(11));
-            let mut s = crate::arena::scratch();
-            s.times
-                .extend((0..500u64).map(|i| SimTime::EPOCH + Dur::from_millis(i)));
-            ch.send_batch(&mut s);
-            assert_eq!(s.outcomes.len(), 500);
+            let mut cols = crate::arena::scratch();
+            let sent: Vec<u64> = (0..500u64).map(|i| i * 1_000_000).collect();
+            assert_eq!(ch.send_column(&sent, &mut cols), 500);
         }
         assert_eq!(packets_sent() - before, 500);
     }

@@ -17,12 +17,15 @@
 //!   campaign work units (byte-identical output at any thread count);
 //! * [`DelaySampler`] — propagation + utilisation-dependent queueing delay;
 //! * [`HopChannel`]/[`PathChannel`] — a packet's eye view of a multi-hop
-//!   path, used by both the probing and media crates; `send_batch` is the
-//!   columnar structure-of-arrays fast path;
+//!   path, used by both the probing and media crates: one columnar
+//!   structure-of-arrays engine behind [`PathChannel::send_column`], with
+//!   [`PathChannel::send`] as its single-packet adapter;
+//! * [`echo`] — the forward→reverse echo round trip every probe and media
+//!   session is built from, results keyed by original packet index;
 //! * [`ledger`] — per-thread packet/unit throughput cells, merged in
 //!   canonical worker order at `par_map` joins;
-//! * [`arena`] — recycled per-thread scratch blocks backing the batch
-//!   engine (no allocation on the steady-state session path);
+//! * [`arena`] — recycled per-thread scratch blocks backing the engine
+//!   (no allocation on the steady-state session path);
 //! * [`fault`] — scheduled blackout windows modelling routing-convergence
 //!   events (the bursty-outlier cause in Fig 10);
 //! * [`ArrivalProcess`] — windowed non-homogeneous Poisson call arrivals
@@ -36,6 +39,7 @@ pub mod arrivals;
 pub mod channel;
 pub mod delay;
 pub mod diurnal;
+pub mod echo;
 pub mod engine;
 pub mod event;
 pub mod fault;
@@ -44,15 +48,13 @@ pub mod loss;
 pub mod par;
 pub mod rng;
 pub mod time;
-pub mod trace;
 
 pub use arena::{scratch, BatchScratch, Scratch};
 pub use arrivals::ArrivalProcess;
-pub use channel::{
-    packets_sent, HopChannel, PathChannel, PathOutcome, SendAt, SendMany, BATCH_LEN, DEFAULT_EPOCH,
-};
+pub use channel::{packets_sent, HopChannel, PathChannel, PathOutcome, BATCH_LEN, MAX_HOPS};
 pub use delay::DelaySampler;
 pub use diurnal::{DiurnalProfile, DiurnalShape};
+pub use echo::{echo_scratch, Echo, EchoScratch};
 pub use engine::Engine;
 pub use event::EventQueue;
 pub use fault::{BlackoutSchedule, FaultGenerator};
@@ -61,4 +63,3 @@ pub use loss::{LossModel, LossProcess};
 pub use par::{par_map, Par};
 pub use rng::RngTree;
 pub use time::{Dur, SimTime, Window};
-pub use trace::{Trace, TraceEvent};

@@ -1,85 +1,42 @@
-//! Batch-engine equivalence for [`PathChannel`].
+//! The columnar engine against its per-packet oracles (`support/`).
 //!
-//! The SoA batch path (`send_batch`, `send_batch_live`) is a pure
-//! reorganisation of the per-packet state machine: it must consume the
-//! same RNG draws in the same order and produce byte-identical outcomes.
-//! These tests pin that down against both references —
-//! [`PathChannel::exact`] (the per-packet exact reference the ISSUE names)
-//! and the scalar fast path — across Bernoulli and Gilbert–Elliott loss,
-//! blackout windows straddling epoch edges, and batches that cross both
-//! chunk and epoch boundaries.
+//! `PathChannel`'s one engine is a reorganisation of a per-packet state
+//! machine: it must consume the same RNG draws in the same order and
+//! produce byte-identical outcomes. These tests pin both doors
+//! (`send_column` and the single-packet `send`) to the epoch-semantics
+//! specification — and, on lossless hops, to the exact reference — across
+//! Bernoulli and Gilbert–Elliott loss, blackout windows straddling epoch
+//! edges, and trains that cross both chunk and epoch boundaries.
+
+mod support;
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use vns_netsim::{
-    scratch, BlackoutSchedule, Dur, HopChannel, LossModel, LossProcess, PathChannel, PathOutcome,
-    SimTime, BATCH_LEN,
-};
+use support::{columnar, lossy_path as hops, per_packet, EpochOracle, ExactOracle};
+use vns_netsim::{BlackoutSchedule, Dur, HopChannel, PathChannel, SimTime, BATCH_LEN};
 
-fn lossy_hop(base_ms: f64, model: LossModel, seed: u64) -> HopChannel {
-    let mut hop = HopChannel::ideal(base_ms);
-    hop.loss = LossProcess::new(model, SmallRng::seed_from_u64(seed));
-    hop
-}
-
-/// A 3-hop path exercising both loss families plus a clean hop.
-fn hops(p: f64, burst: f64, seed: u64) -> Vec<HopChannel> {
-    vec![
-        lossy_hop(2.0, LossModel::Bernoulli { p }, seed),
-        lossy_hop(
-            8.0,
-            LossModel::bursty(p.max(0.001), burst, 2.0),
-            seed ^ 0x9e37,
-        ),
+/// Three lossless hops, the middle and last with blackout windows of
+/// `window_ms` every `every_ms` — misaligned with the 1 s epoch grid
+/// unless the parameters happen to land on it.
+fn blackout_hops(every_ms: u64, window_ms: u64) -> Vec<HopChannel> {
+    let windows = |phase_ms: u64| {
+        let at = |ms: u64| SimTime::EPOCH + Dur::from_millis(ms);
+        BlackoutSchedule::new(
+            (0..40)
+                .map(|i| phase_ms + i * every_ms)
+                .map(|ms| (at(ms), at(ms + window_ms)))
+                .collect(),
+        )
+    };
+    let mut hops = vec![
+        HopChannel::ideal(2.0),
+        HopChannel::ideal(8.0),
         HopChannel::ideal(15.0),
-    ]
-}
-
-/// Per-packet reference: one `send` per instant.
-fn sequential(mut ch: PathChannel, times: &[SimTime]) -> Vec<PathOutcome> {
-    times.iter().map(|&t| ch.send(t)).collect()
-}
-
-/// Batched: one `send_batch` over the whole slice (the engine chunks it
-/// into `BATCH_LEN` columns internally).
-fn batched(mut ch: PathChannel, times: &[SimTime]) -> Vec<PathOutcome> {
-    let mut s = scratch();
-    s.times.extend_from_slice(times);
-    ch.send_batch(&mut s);
-    s.outcomes.clone()
-}
-
-/// Live-set: chunked `send_batch_live`, outcomes reconstructed from the
-/// delivered clocks / sparse loss columns.
-fn live(mut ch: PathChannel, times: &[SimTime]) -> Vec<PathOutcome> {
-    let mut out = Vec::with_capacity(times.len());
-    let mut s = scratch();
-    for chunk in times.chunks(BATCH_LEN) {
-        let base = out.len();
-        out.resize(base + chunk.len(), PathOutcome::Lost { hop: usize::MAX });
-        s.clear();
-        s.times.extend_from_slice(chunk);
-        let k = ch.send_batch_live(&mut s);
-        for &pk in &s.lost {
-            out[base + (pk >> 8) as usize] = PathOutcome::Lost {
-                hop: (pk & 0xff) as usize,
-            };
-        }
-        for j in 0..k {
-            let orig = if s.idx.is_empty() {
-                j
-            } else {
-                s.idx[j] as usize
-            };
-            let arrival = SimTime::from_nanos(s.now[j]);
-            out[base + orig] = PathOutcome::Delivered {
-                arrival,
-                delay: arrival - chunk[orig],
-            };
-        }
-    }
-    out
+    ];
+    hops[1].blackouts = windows(250);
+    hops[2].blackouts = windows(every_ms / 2);
+    hops
 }
 
 /// Send instants spanning several cache epochs (1 s) and several
@@ -91,78 +48,90 @@ fn times(n: usize, spacing_us: u64) -> Vec<SimTime> {
         .collect()
 }
 
+fn rng(seed: u64) -> SmallRng {
+    SmallRng::seed_from_u64(seed)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Exact mode: the batch path must be byte-equal to the per-packet
-    /// exact reference for every packet, including which hop dropped it.
+    /// Lossless hops with blackouts: the engine quantises nothing a packet
+    /// can observe, so it must be byte-equal to the exact per-packet
+    /// reference for every packet, including which hop dropped it.
     #[test]
-    fn batch_matches_exact_reference(
+    fn column_matches_exact_reference(
+        every_ms in 700u64..3_000,
+        window_ms in 50u64..600,
+        seed in 0u64..500,
+        spacing_us in 300u64..5_000,
+    ) {
+        let ts = times(3 * BATCH_LEN + 17, spacing_us);
+        let mut ch = PathChannel::new(blackout_hops(every_ms, window_ms), rng(seed ^ 5));
+        let mut exact = ExactOracle::new(blackout_hops(every_ms, window_ms), rng(seed ^ 5));
+        prop_assert_eq!(columnar(&mut ch, &ts), per_packet(&mut exact, &ts));
+    }
+
+    /// Lossy hops: the engine must be byte-equal to the per-packet epoch
+    /// specification. The stride range makes chunks straddle the 1 s epoch
+    /// grid at many offsets.
+    #[test]
+    fn column_matches_epoch_spec(
         p in 0.0f64..0.15,
         burst in 0.25f64..0.7,
         seed in 0u64..500,
         spacing_us in 300u64..5_000,
     ) {
         let ts = times(3 * BATCH_LEN + 17, spacing_us);
-        let mk = || PathChannel::exact(hops(p, burst, seed), SmallRng::seed_from_u64(seed ^ 5));
-        prop_assert_eq!(batched(mk(), &ts), sequential(mk(), &ts));
+        let mut ch = PathChannel::new(hops(p, burst, seed), rng(seed ^ 5));
+        let mut spec = EpochOracle::new(hops(p, burst, seed), rng(seed ^ 5));
+        prop_assert_eq!(columnar(&mut ch, &ts), per_packet(&mut spec, &ts));
     }
 
-    /// Fast mode: batch vs scalar fast path, same requirement. The stride
-    /// range makes batches straddle the 1 s epoch grid at many offsets.
+    /// The single-packet door is a one-slot column: a train sent one
+    /// `send` at a time is byte-identical to the same train sent through
+    /// `send_column`, and to the specification.
     #[test]
-    fn batch_matches_scalar_fast_path(
+    fn single_packet_send_is_a_one_slot_column(
         p in 0.0f64..0.15,
         burst in 0.25f64..0.7,
         seed in 0u64..500,
-        spacing_us in 300u64..5_000,
-    ) {
-        let ts = times(3 * BATCH_LEN + 17, spacing_us);
-        let mk = || PathChannel::new(hops(p, burst, seed), SmallRng::seed_from_u64(seed ^ 5));
-        prop_assert_eq!(batched(mk(), &ts), sequential(mk(), &ts));
-    }
-
-    /// The live-set columns carry the same information as the outcome
-    /// column: reconstructing outcomes from (now, idx, lost) is
-    /// byte-identical, in both fast and exact mode.
-    #[test]
-    fn live_set_columns_equal_outcome_column(
-        p in 0.0f64..0.15,
-        burst in 0.25f64..0.7,
-        seed in 0u64..500,
-        exact in any::<bool>(),
     ) {
         let ts = times(2 * BATCH_LEN + 31, 2_400);
-        let mk = || {
-            let rng = SmallRng::seed_from_u64(seed ^ 7);
-            if exact {
-                PathChannel::exact(hops(p, burst, seed), rng)
-            } else {
-                PathChannel::new(hops(p, burst, seed), rng)
-            }
-        };
-        prop_assert_eq!(live(mk(), &ts), batched(mk(), &ts));
+        let mk = || PathChannel::new(hops(p, burst, seed), rng(seed ^ 7));
+        let one_by_one = per_packet(&mut mk(), &ts);
+        prop_assert_eq!(&one_by_one, &columnar(&mut mk(), &ts));
+        let mut spec = EpochOracle::new(hops(p, burst, seed), rng(seed ^ 7));
+        prop_assert_eq!(&one_by_one, &per_packet(&mut spec, &ts));
     }
 }
 
 /// Blackout edges: windows misaligned with the epoch grid (including one
-/// shorter than an epoch) classify identically under batch and scalar
-/// sends, packet for packet.
+/// shorter than an epoch) classify identically under both doors and both
+/// oracles, packet for packet.
 #[test]
-fn batch_blackout_edges_match_scalar() {
+fn blackout_edges_match_oracles() {
     let s = |ms: u64| SimTime::EPOCH + Dur::from_millis(ms);
     let sched = BlackoutSchedule::new(vec![
         (s(10_250), s(12_750)),
         (s(20_400), s(20_700)),
         (s(30_000), s(33_000)),
     ]);
-    let mk = || {
+    let hops = || {
         let mut hop = HopChannel::ideal(1.0);
         hop.blackouts = sched.clone();
-        PathChannel::new(vec![hop], SmallRng::seed_from_u64(3))
+        vec![hop]
     };
     // 17 ms stride scans every window edge and epoch start over 40 s.
     let ts = times(2_400, 17_000);
-    assert_eq!(batched(mk(), &ts), sequential(mk(), &ts));
-    assert_eq!(live(mk(), &ts), sequential(mk(), &ts));
+    let exact = per_packet(&mut ExactOracle::new(hops(), rng(3)), &ts);
+    assert!(exact.iter().any(|o| !o.delivered()));
+    assert_eq!(columnar(&mut PathChannel::new(hops(), rng(3)), &ts), exact);
+    assert_eq!(
+        per_packet(&mut PathChannel::new(hops(), rng(3)), &ts),
+        exact
+    );
+    assert_eq!(
+        per_packet(&mut EpochOracle::new(hops(), rng(3)), &ts),
+        exact
+    );
 }

@@ -1,29 +1,30 @@
-//! Fast-path vs exact-path equivalence for [`PathChannel`].
+//! [`PathChannel`] vs the exact per-packet reference (`support/`).
 //!
-//! The epoch-cached fast path (default 1 s epoch) is an approximation of
-//! the exact per-packet reference (`epoch == Dur::ZERO`): loss probability
-//! and mean queueing delay are frozen at each epoch's start, and losses are
-//! realised by geometric gap sampling instead of per-packet Bernoulli
-//! draws. These tests pin down what the approximation is allowed to change
-//! (the exact packet fates) and what it must preserve (loss rates, delay
-//! distributions, blackout window edges, lossless-path bit-exactness).
+//! The engine's 1 s epoch cache is an approximation of the exact
+//! reference: loss probability and mean queueing delay are frozen at each
+//! epoch's start, and losses are realised by geometric gap sampling
+//! instead of per-packet Bernoulli draws. These tests pin down what the
+//! approximation is allowed to change (the exact packet fates) and what it
+//! must preserve (loss rates, delay distributions, blackout window edges,
+//! lossless-path bit-exactness).
+
+mod support;
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use support::{ExactOracle, Send1};
 use vns_netsim::diurnal::{DiurnalProfile, DiurnalShape};
 use vns_netsim::{
-    BlackoutSchedule, DelaySampler, Dur, HopChannel, LossModel, LossProcess, PathChannel, SimTime,
+    BlackoutSchedule, DelaySampler, Dur, HopChannel, LossModel, PathChannel, SimTime,
 };
 
 fn lossy_hop(model: LossModel, seed: u64) -> HopChannel {
-    let mut hop = HopChannel::ideal(5.0);
-    hop.loss = LossProcess::new(model, SmallRng::seed_from_u64(seed));
-    hop
+    support::lossy_hop(5.0, model, seed)
 }
 
-/// Sends `n` packets at `spacing` through a fresh channel built by `mk`,
-/// returning (loss fraction, mean one-way delay in ms over delivered).
+/// Sends `n` packets at `spacing` through a fresh channel (or, for
+/// `exact`, the exact reference) over the hops `mk` builds, returning (loss fraction, mean one-way delay in ms over delivered).
 fn run(
     mk: impl Fn() -> Vec<HopChannel>,
     exact: bool,
@@ -32,10 +33,10 @@ fn run(
     rng_seed: u64,
 ) -> (f64, f64) {
     let rng = SmallRng::seed_from_u64(rng_seed);
-    let mut ch = if exact {
-        PathChannel::exact(mk(), rng)
+    let mut ch: Box<dyn Send1> = if exact {
+        Box::new(ExactOracle::new(mk(), rng))
     } else {
-        PathChannel::new(mk(), rng)
+        Box::new(PathChannel::new(mk(), rng))
     };
     let mut lost = 0u64;
     let mut delay_sum = 0.0;
@@ -168,24 +169,23 @@ fn blackout_membership_exact_at_epoch_edges() {
     }
 }
 
-/// On a lossless path the fast path consumes the RNG identically to the
-/// exact path, so outcomes are bit-for-bit equal — the calibration tests
-/// that assert exact RTT bands keep holding under the default epoch.
+/// On a lossless path the engine consumes the RNG identically to the
+/// exact reference, so outcomes are bit-for-bit equal — the calibration
+/// tests that assert exact RTT bands hold because of it.
 #[test]
 fn lossless_paths_bit_identical() {
-    let mk = || {
-        vec![
-            HopChannel::ideal(12.0),
-            HopChannel::ideal(35.0),
-            HopChannel::ideal(2.0),
-        ]
-    };
-    let mut fast = PathChannel::new(mk(), SmallRng::seed_from_u64(5));
-    let mut exact = PathChannel::exact(mk(), SmallRng::seed_from_u64(5));
-    let mut t = SimTime::EPOCH;
-    for _ in 0..20_000 {
-        assert_eq!(fast.send(t), exact.send(t));
-        t += Dur::from_micros(330);
+    for (bases, seed, spacing_us, n) in [
+        (&[12.0, 35.0, 2.0][..], 5, 330, 20_000),
+        (&[10.0, 20.0][..], 6, 700, 5_000),
+    ] {
+        let mk = || bases.iter().map(|&ms| HopChannel::ideal(ms)).collect();
+        let mut fast = PathChannel::new(mk(), SmallRng::seed_from_u64(seed));
+        let mut exact = ExactOracle::new(mk(), SmallRng::seed_from_u64(seed));
+        let mut t = SimTime::EPOCH;
+        for _ in 0..n {
+            assert_eq!(fast.send(t), exact.send(t));
+            t += Dur::from_micros(spacing_us);
+        }
     }
 }
 

@@ -9,7 +9,7 @@
 //! * [`rounds`]/[`TrainSummary`] — probe-round scheduling over multi-day
 //!   windows and campaign aggregation.
 
-use vns_netsim::{Dur, PathChannel, PathOutcome, SimTime};
+use vns_netsim::{echo_scratch, Dur, PathChannel, SimTime, BATCH_LEN};
 
 /// Result of one RTT probe (n echo requests, min RTT kept).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -33,17 +33,14 @@ pub fn rtt_probe(
 ) -> RttProbe {
     let mut received = 0;
     let mut min_rtt: Option<f64> = None;
-    let pings = (0..count).map(|i| start + gap.mul(u64::from(i)));
-    for (t, outcome) in forward.send_many(pings) {
-        if let PathOutcome::Delivered { arrival, .. } = outcome {
-            if let PathOutcome::Delivered {
-                arrival: back_at, ..
-            } = reverse.send(arrival)
-            {
-                received += 1;
-                let rtt = (back_at - t).as_millis_f64();
-                min_rtt = Some(min_rtt.map_or(rtt, |m: f64| m.min(rtt)));
-            }
+    let pings = train_clocks(start, count, gap);
+    let mut scratch = echo_scratch();
+    for chunk in pings.chunks(BATCH_LEN) {
+        let echo = scratch.round_trip(chunk, forward, reverse);
+        received += echo.back.len() as u32;
+        for (i, back_ns) in echo.returned() {
+            let rtt = Dur::from_nanos(back_ns - chunk[i]).as_millis_f64();
+            min_rtt = Some(min_rtt.map_or(rtt, |m: f64| m.min(rtt)));
         }
     }
     RttProbe {
@@ -51,6 +48,13 @@ pub fn rtt_probe(
         received,
         min_rtt_ms: min_rtt,
     }
+}
+
+/// Send clocks (ns) of `count` packets spaced `gap` apart from `start`.
+fn train_clocks(start: SimTime, count: u32, gap: Dur) -> Vec<u64> {
+    (0..count)
+        .map(|i| (start + gap.mul(u64::from(i))).as_nanos())
+        .collect()
 }
 
 /// The paper's standard RTT probe: 5 pings, 200 ms apart.
@@ -97,18 +101,12 @@ pub fn loss_train(
     at: SimTime,
     count: u32,
 ) -> LossTrain {
-    let spacing = Dur::from_micros(100);
+    let train = train_clocks(at, count, Dur::from_micros(100));
+    let mut scratch = echo_scratch();
     let mut lost = 0;
-    let train = (0..count).map(|i| at + spacing.mul(u64::from(i)));
-    for (_, outcome) in forward.send_many(train) {
-        match outcome {
-            PathOutcome::Lost { .. } => lost += 1,
-            PathOutcome::Delivered { arrival, .. } => {
-                if !reverse.send(arrival).delivered() {
-                    lost += 1;
-                }
-            }
-        }
+    for chunk in train.chunks(BATCH_LEN) {
+        let echo = scratch.round_trip(chunk, forward, reverse);
+        lost += (chunk.len() - echo.back.len()) as u32;
     }
     LossTrain {
         at,
