@@ -2,27 +2,20 @@
 //!
 //! ```text
 //! vns-bench [--seed N] [--scale F] [--sessions N] [--hosts N] [--days F]
-//!           [--threads N] [--out DIR] <cmd>
-//!
-//! cmd: fig3 | as-congruence | fig4 | fig5 | fig6 | fig7 | fig9 | fig10 |
-//!      fig11 | fig12 | table1 | jitter | steady-state | failover |
-//!      adversarial | ablate-lp | ablate-best-external | ablate-geoip |
-//!      ablate-fec | ablate-l2 | ablate-mode | ablate-measurement |
-//!      ablate-auto-override | economics | setup-time | scale-curve | all
+//!           [--threads N] [--out DIR] <experiment>|all
 //! ```
 //!
-//! `scale-curve` sweeps a ladder of world scales up to `--scale` (e.g.
-//! `--scale 10 scale-curve` measures scales 1, 2, 5, 10), building each
-//! world with sharded delta convergence, running both verifier stages,
-//! and tabulating AS/prefix/session counts, convergence messages and
-//! rounds, wall clock, and peak RSS per rung.
-//!
-//! ```text
-//! ```
+//! The experiments are the rows of [`vns_bench::experiments::EXPERIMENTS`]
+//! (`vns-bench --help` lists them); `all` runs every row the table marks
+//! `in_all`, in table order, sharing the worlds and campaigns they have in
+//! common. `scale-curve` is the one row outside `all`: it sweeps a ladder
+//! of world scales up to `--scale` (see
+//! [`vns_bench::experiments::scale_curve`]).
 //!
 //! Results print to stdout as labelled series/tables (see EXPERIMENTS.md
-//! for paper-vs-measured). Run with `--release`; the default scales finish
-//! in a few minutes combined.
+//! for paper-vs-measured) and, with `--out DIR`, each experiment is also
+//! written to `DIR/<experiment>.txt`. Run with `--release`; the default
+//! scales finish in a few minutes combined.
 //!
 //! Campaigns fan their work units out over `--threads N` workers
 //! (default: all hardware threads; `--threads 1` is the sequential path).
@@ -32,145 +25,74 @@
 //! without it, only a full baseline run — `all` at scale 1 — takes that
 //! name in the working directory, anything else writes
 //! `BENCH_campaigns.local.json` so the committed baseline stays intact).
+//!
+//! A bad command line (unknown flag or experiment, unparsable or
+//! out-of-range value) prints the reason and the usage on stderr and
+//! exits 2 before any world is built.
 
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use vns_bench::experiments::{
-    ablate, adversarial, congruence, failover, fig10, fig11, fig12, fig3, fig4, fig5, fig6, fig7,
-    fig9, jitter, steady_state, table1,
-};
-use vns_bench::{World, WorldConfig};
-use vns_netsim::{Dur, Par};
-use vns_service::{EndpointTable, PathTable};
-use vns_verify::{verify_dataplane_with_service, DataplaneConfig, VerifyScope};
+use vns_bench::cli::{Args, CliError};
+use vns_bench::experiments::{Ctx, ExpRecord, Experiment, Opts, EXPERIMENTS};
+use vns_netsim::Par;
 
-#[derive(Debug, Clone)]
-struct Opts {
-    seed: u64,
-    scale: f64,
-    sessions: usize,
-    hosts_per_cell: usize,
-    days: f64,
-    threads: usize,
-    out: Option<std::path::PathBuf>,
+/// The command that selects every `in_all` row of the table.
+const ALL: &str = "all";
+
+/// One parsed invocation.
+#[derive(Debug)]
+struct Invocation {
+    opts: Opts,
+    par: Par,
+    out: Option<PathBuf>,
     cmd: String,
 }
 
-fn parse_args() -> Result<Opts, String> {
-    let mut opts = Opts {
-        seed: 77,
-        scale: 1.0,
-        sessions: 40,
-        hosts_per_cell: 10,
-        days: 2.0,
-        threads: 0,
-        out: None,
-        cmd: String::new(),
+fn parse_args(mut args: Args) -> Result<Invocation, CliError> {
+    let inv = Invocation {
+        opts: Opts {
+            seed: args.value("--seed")?.unwrap_or(77),
+            scale: args.positive("--scale")?.unwrap_or(1.0),
+            sessions: args.count("--sessions")?.unwrap_or(40),
+            hosts_per_cell: args.count("--hosts")?.unwrap_or(10),
+            days: args.positive("--days")?.unwrap_or(2.0),
+        },
+        // 0 (the default) = every hardware thread.
+        par: Par::new(args.value("--threads")?.unwrap_or(0)),
+        out: args.value("--out")?,
+        cmd: args.positional().ok_or(CliError::Help)?,
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut take = |name: &str| {
-            args.next()
-                .ok_or_else(|| format!("missing value after {name}"))
-        };
-        match a.as_str() {
-            "--seed" => {
-                opts.seed = take("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--scale" => {
-                opts.scale = take("--scale")?
-                    .parse()
-                    .map_err(|e| format!("--scale: {e}"))?;
-            }
-            "--sessions" => {
-                opts.sessions = take("--sessions")?
-                    .parse()
-                    .map_err(|e| format!("--sessions: {e}"))?;
-            }
-            "--hosts" => {
-                opts.hosts_per_cell = take("--hosts")?
-                    .parse()
-                    .map_err(|e| format!("--hosts: {e}"))?;
-            }
-            "--days" => {
-                opts.days = take("--days")?
-                    .parse()
-                    .map_err(|e| format!("--days: {e}"))?;
-            }
-            "--threads" => {
-                opts.threads = take("--threads")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?;
-            }
-            "--out" => opts.out = Some(std::path::PathBuf::from(take("--out")?)),
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            cmd if !cmd.starts_with('-') && opts.cmd.is_empty() => opts.cmd = cmd.to_string(),
-            other => return Err(format!("unknown argument {other}\n{USAGE}")),
-        }
+    args.finish()?;
+    if inv.cmd != ALL && !EXPERIMENTS.iter().any(|e| e.name == inv.cmd) {
+        return Err(CliError::Unknown(inv.cmd));
     }
-    if opts.cmd.is_empty() {
-        return Err(USAGE.to_string());
-    }
-    Ok(opts)
+    Ok(inv)
 }
 
-const USAGE: &str = "usage: vns-bench [--seed N] [--scale F] [--sessions N] [--hosts N] [--days F] [--threads N] [--out DIR] <experiment>\n\
-experiments: fig3 as-congruence fig4 fig5 fig6 fig7 fig9 fig10 fig11 fig12 table1 jitter\n\
-             steady-state failover adversarial ablate-lp ablate-best-external ablate-geoip ablate-fec\n\
-             ablate-l2 ablate-mode ablate-measurement ablate-auto-override economics setup-time\n\
-             scale-curve all\n\
---threads 0 (default) uses every hardware thread; artefacts are byte-identical at any count";
-
-fn campaign_span(opts: &Opts) -> Dur {
-    Dur::from_mins((opts.days * 24.0 * 60.0) as u64)
-}
-
-/// One timed experiment for `BENCH_campaigns.json`.
-#[derive(Debug)]
-struct ExpRecord {
-    name: &'static str,
-    scale: f64,
-    wall_s: f64,
-    units: u64,
-    packets: u64,
-}
-
-/// Times `f` and samples the global work-unit and packet counters around
-/// it. Channels flush their packet tallies on drop, and every experiment
-/// drops its channels before returning, so the delta is complete.
-/// `scale` is recorded per row — experiments at the invocation's scale
-/// pass `opts.scale`; the scale-curve sweep stamps each rung's own value.
-fn timed<T>(
-    records: &mut Vec<ExpRecord>,
-    name: &'static str,
-    scale: f64,
-    f: impl FnOnce() -> T,
-) -> T {
-    let units0 = vns_netsim::par::units_processed();
-    let packets0 = vns_netsim::packets_sent();
-    let t0 = Instant::now();
-    let out = f();
-    records.push(ExpRecord {
-        name,
-        scale,
-        wall_s: t0.elapsed().as_secs_f64(),
-        units: vns_netsim::par::units_processed() - units0,
-        packets: vns_netsim::packets_sent() - packets0,
-    });
-    out
+/// The usage text; the experiment list is the table's.
+fn usage() -> String {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).chain([ALL]).collect();
+    let lines: Vec<String> = names.chunks(6).map(|line| line.join(" ")).collect();
+    format!(
+        "usage: vns-bench [--seed N] [--scale F] [--sessions N] [--hosts N] [--days F] \
+         [--threads N] [--out DIR] <experiment>\n\
+         experiments: {}\n\
+         --scale and --days take a finite number > 0; --sessions and --hosts a whole number >= 1\n\
+         --threads 0 (default) uses every hardware thread; artefacts are byte-identical at any count",
+        lines.join("\n             ")
+    )
 }
 
 /// Renders the perf ledger. Hand-formatted JSON: the workspace has no
 /// serde, and the schema is flat.
-fn campaigns_json(opts: &Opts, par: Par, records: &[ExpRecord], total_s: f64) -> String {
+fn campaigns_json(inv: &Invocation, records: &[ExpRecord], total_s: f64) -> String {
     let mut s = String::from("{\n");
-    s.push_str(&format!("  \"cmd\": \"{}\",\n", opts.cmd));
-    s.push_str(&format!("  \"seed\": {},\n", opts.seed));
-    s.push_str(&format!("  \"scale\": {},\n", opts.scale));
-    s.push_str(&format!("  \"threads\": {},\n", par.threads()));
+    s.push_str(&format!("  \"cmd\": \"{}\",\n", inv.cmd));
+    s.push_str(&format!("  \"seed\": {},\n", inv.opts.seed));
+    s.push_str(&format!("  \"scale\": {},\n", inv.opts.scale));
+    s.push_str(&format!("  \"threads\": {},\n", inv.par.threads()));
     s.push_str(&format!("  \"total_wall_s\": {total_s:.3},\n"));
     s.push_str("  \"experiments\": [\n");
     for (i, r) in records.iter().enumerate() {
@@ -206,530 +128,79 @@ fn campaigns_json(opts: &Opts, par: Par, records: &[ExpRecord], total_s: f64) ->
 /// (`all` at scale 1) may take that name; anything else — a single
 /// experiment, a reduced scale — lands in `BENCH_campaigns.local.json`
 /// (gitignored) so scratch runs cannot clobber the baseline.
-fn write_campaigns(
-    opts: &Opts,
-    par: Par,
-    records: &[ExpRecord],
-    total_s: f64,
-) -> Result<(), String> {
-    let (dir, name) = match opts.out.clone() {
+fn write_campaigns(inv: &Invocation, records: &[ExpRecord], total_s: f64) -> Result<(), String> {
+    let (dir, name) = match inv.out.clone() {
         Some(dir) => (dir, "BENCH_campaigns.json"),
-        None if opts.cmd == "all" && opts.scale == 1.0 => {
-            (std::path::PathBuf::from("."), "BENCH_campaigns.json")
+        None if inv.cmd == ALL && inv.opts.scale == 1.0 => {
+            (PathBuf::from("."), "BENCH_campaigns.json")
         }
         None => {
             eprintln!(
                 "note: not a full baseline run (cmd {}, scale {}); writing \
                  BENCH_campaigns.local.json — pass --out DIR to name it \
                  BENCH_campaigns.json elsewhere",
-                opts.cmd, opts.scale
+                inv.cmd, inv.opts.scale
             );
-            (std::path::PathBuf::from("."), "BENCH_campaigns.local.json")
+            (PathBuf::from("."), "BENCH_campaigns.local.json")
         }
     };
     std::fs::create_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
     let path = dir.join(name);
-    std::fs::write(&path, campaigns_json(opts, par, records, total_s))
+    std::fs::write(&path, campaigns_json(inv, records, total_s))
         .map_err(|e| format!("{}: {e}", path.display()))?;
     eprintln!("wrote {}", path.display());
     Ok(())
 }
 
-/// Peak resident set (`VmHWM`) in MiB from `/proc/self/status`, `0.0`
-/// where unavailable. Monotonic over the process lifetime, so in a sweep
-/// the per-rung value is the high-water mark *up to* that rung.
-fn peak_rss_mib() -> f64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("VmHWM:"))
-                .and_then(|l| l.split_whitespace().nth(1))
-                .and_then(|kb| kb.parse::<f64>().ok())
-        })
-        .map_or(0.0, |kb| kb / 1024.0)
-}
-
-/// The control-plane scale sweep: builds the world at each rung of a
-/// fixed ladder up to `--scale`, runs both verifier stages on it, and
-/// tabulates size, convergence cost, wall clock and peak memory. Each
-/// rung lands in the perf ledger as `scale-build` / `scale-verify` rows
-/// stamped with the rung's own scale.
-fn scale_curve(opts: &Opts, rec: &mut Vec<ExpRecord>) -> Result<String, String> {
-    const LADDER: [f64; 7] = [1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0];
-    let mut rungs: Vec<f64> = LADDER.iter().copied().filter(|s| *s < opts.scale).collect();
-    rungs.push(opts.scale);
-    let mut body = String::from(
-        "scale-curve: control-plane cost vs world scale (sharded delta convergence)\n\
-         scale    ases  prefixes  sessions  conv_msgs    rounds  build_s  verify_s  peak_rss_mib  verdict\n",
-    );
-    for &s in &rungs {
-        let t0 = Instant::now();
-        let w = timed(rec, "scale-build", s, || World::geo(opts.seed, s));
-        let build_s = t0.elapsed().as_secs_f64();
-        let ases = w.internet.as_count();
-        let prefixes = w.internet.prefixes().count();
-        let sessions = w
-            .internet
-            .net
-            .speaker_ids()
-            .collect::<Vec<_>>()
-            .iter()
-            .map(|id| {
-                w.internet
-                    .net
-                    .speaker(*id)
-                    .map_or(0, |sp| sp.peer_ids().count())
-            })
-            .sum::<usize>()
-            / 2;
-        let msgs: u64 = w.internet.convergence_log.iter().map(|c| c.messages).sum();
-        let rounds: u64 = w.internet.convergence_log.iter().map(|c| c.rounds).sum();
-        let t1 = Instant::now();
-        let ok = timed(rec, "scale-verify", s, || {
-            let control = vns_verify::verify(&w.internet, &w.vns);
-            let endpoints = EndpointTable::build(&w.internet, &w.vns);
-            let paths = PathTable::build(&w.internet, &w.vns, &endpoints);
-            let data = verify_dataplane_with_service(
-                &w.internet,
-                &w.vns,
-                &VerifyScope::default(),
-                &DataplaneConfig::default(),
-                &endpoints,
-                &paths,
-            );
-            control.passes() && data.passes()
-        });
-        let verify_s = t1.elapsed().as_secs_f64();
-        let verdict = if ok { "pass" } else { "FAIL" };
-        body.push_str(&format!(
-            "{s:<7} {ases:<5} {prefixes:<9} {sessions:<9} {msgs:<12} {rounds:<7} {build_s:<8.2} {verify_s:<9.2} {:<13.1} {verdict}\n",
-            peak_rss_mib(),
-        ));
-        eprintln!(
-            "scale {s}: {ases} ASes, {prefixes} prefixes, {sessions} sessions, \
-             {msgs} msgs / {rounds} rounds, build {build_s:.2}s, verify {verify_s:.2}s, {verdict}"
-        );
-        if !ok {
-            return Err(format!("scale-curve: verifier failed at scale {s}\n{body}"));
-        }
-    }
-    Ok(body)
-}
-
-/// Prints a result and, with `--out`, also writes it to `DIR/<cmd>.txt`
+/// Prints a result and, with `--out`, also writes it to `DIR/<name>.txt`
 /// so the series can be re-plotted without re-running.
-fn emit(opts: &Opts, cmd: &str, body: String) -> Result<(), String> {
+fn emit(out: Option<&PathBuf>, name: &str, body: String) -> Result<(), String> {
     println!("{body}");
-    if let Some(dir) = &opts.out {
+    if let Some(dir) = out {
         std::fs::create_dir_all(dir).map_err(|e| format!("--out {}: {e}", dir.display()))?;
-        let path = dir.join(format!("{cmd}.txt"));
+        let path = dir.join(format!("{name}.txt"));
         std::fs::write(&path, body).map_err(|e| format!("{}: {e}", path.display()))?;
         eprintln!("wrote {}", path.display());
     }
     Ok(())
 }
 
-#[allow(clippy::too_many_lines)]
-fn run_one(opts: &Opts, cmd: &str, par: Par, rec: &mut Vec<ExpRecord>) -> Result<(), String> {
-    let timer = std::time::Instant::now();
-    eprintln!(
-        "== {cmd} (seed {}, scale {}, threads {}) ==",
-        opts.seed,
-        opts.scale,
-        par.threads()
-    );
-    match cmd {
-        "fig3" => {
-            let w = World::geo(opts.seed, opts.scale);
-            let r = timed(rec, "fig3", opts.scale, || fig3::run(&w, par));
-            emit(opts, cmd, r.to_string())?;
-        }
-        "as-congruence" => {
-            let w = World::geo(opts.seed, opts.scale);
-            let r = timed(rec, "as-congruence", opts.scale, || {
-                congruence::run(&w, par)
-            });
-            emit(opts, cmd, r.to_string())?;
-        }
-        "fig4" => {
-            let before = World::hot(opts.seed, opts.scale);
-            let after = World::geo(opts.seed, opts.scale);
-            let r = timed(rec, "fig4", opts.scale, || fig4::run(&before, &after));
-            emit(opts, cmd, r.to_string())?;
-        }
-        "fig5" => {
-            let before = World::hot(opts.seed, opts.scale);
-            let after = World::geo(opts.seed, opts.scale);
-            let r = timed(rec, "fig5", opts.scale, || fig5::run(&before, &after));
-            emit(opts, cmd, r.to_string())?;
-        }
-        "fig6" => {
-            let w = World::geo(opts.seed, opts.scale);
-            let r = timed(rec, "fig6", opts.scale, || fig6::run(&w, 3, par));
-            emit(opts, cmd, r.to_string())?;
-        }
-        "fig7" => {
-            let w = World::geo(opts.seed, opts.scale);
-            let r = timed(rec, "fig7", opts.scale, || fig7::run(&w, par));
-            emit(opts, cmd, r.to_string())?;
-        }
-        "fig9" => {
-            let w = World::geo(opts.seed, opts.scale);
-            let r = timed(rec, "fig9", opts.scale, || {
-                fig9::run(&w, opts.sessions, par)
-            });
-            emit(opts, cmd, r.to_string())?;
-        }
-        "fig10" => {
-            let w = World::geo(opts.seed, opts.scale);
-            let nine = timed(rec, "fig10", opts.scale, || {
-                fig9::run(&w, opts.sessions, par)
-            });
-            emit(opts, cmd, fig10::run(&nine.sessions).to_string())?;
-        }
-        "fig11" => {
-            let w = World::geo(opts.seed, opts.scale);
-            let data = timed(rec, "fig11", opts.scale, || {
-                fig11::run_campaign(
-                    &w,
-                    opts.hosts_per_cell,
-                    Dur::from_mins(30),
-                    campaign_span(opts),
-                    par,
-                )
-            });
-            emit(opts, cmd, fig11::run(&data).to_string())?;
-        }
-        "fig12" => {
-            let w = World::geo(opts.seed, opts.scale);
-            let data = timed(rec, "fig12", opts.scale, || {
-                fig11::run_campaign(
-                    &w,
-                    opts.hosts_per_cell,
-                    Dur::from_mins(30),
-                    campaign_span(opts),
-                    par,
-                )
-            });
-            emit(opts, cmd, fig12::run(&data).to_string())?;
-        }
-        "table1" => {
-            let w = World::geo(opts.seed, opts.scale);
-            let data = timed(rec, "table1", opts.scale, || {
-                fig11::run_campaign(
-                    &w,
-                    opts.hosts_per_cell,
-                    Dur::from_mins(30),
-                    campaign_span(opts),
-                    par,
-                )
-            });
-            emit(opts, cmd, table1::run(&data).to_string())?;
-        }
-        "failover" => {
-            // Every scenario mutates its own world, so only the shared
-            // config crosses into the parallel units.
-            let cfg = WorldConfig {
-                seed: opts.seed,
-                scale: opts.scale,
-                ..WorldConfig::default()
-            };
-            let r = timed(rec, "failover", opts.scale, || failover::run(&cfg, par));
-            emit(opts, cmd, r.to_string())?;
-        }
-        "adversarial" => {
-            // Every unit mutates its own world (attacks rewrite the
-            // control plane), so only the shared config crosses into the
-            // parallel units.
-            let cfg = WorldConfig {
-                seed: opts.seed,
-                scale: opts.scale,
-                ..WorldConfig::default()
-            };
-            let r = timed(rec, "adversarial", opts.scale, || {
-                adversarial::run(&cfg, par)
-            });
-            emit(opts, cmd, r.to_string())?;
-        }
-        "jitter" => {
-            let w = World::geo(opts.seed, opts.scale);
-            let r = timed(rec, "jitter", opts.scale, || {
-                jitter::run(&w, opts.sessions.min(20), par)
-            });
-            emit(opts, cmd, r.to_string())?;
-        }
-        "steady-state" => {
-            // Builds its own world: the churn-under-failure phase mutates
-            // the control plane.
-            let cfg = WorldConfig {
-                seed: opts.seed,
-                scale: opts.scale,
-                ..WorldConfig::default()
-            };
-            let ss = steady_state::SteadyStateOpts::from_cli(opts.sessions, opts.days);
-            let r = timed(rec, "steady-state", opts.scale, || {
-                steady_state::run(&cfg, ss, par)
-            });
-            emit(opts, cmd, r.to_string())?;
-        }
-        "ablate-lp" => emit(
-            opts,
-            cmd,
-            timed(rec, "ablate-lp", opts.scale, || {
-                ablate::lp_shape(opts.seed, opts.scale)
-            })
-            .to_string(),
-        )?,
-        "ablate-best-external" => {
-            emit(
-                opts,
-                cmd,
-                timed(rec, "ablate-best-external", opts.scale, || {
-                    ablate::best_external(opts.seed, opts.scale)
-                })
-                .to_string(),
-            )?;
-        }
-        "ablate-geoip" => emit(
-            opts,
-            cmd,
-            timed(rec, "ablate-geoip", opts.scale, || {
-                ablate::geoip(opts.seed, opts.scale)
-            })
-            .to_string(),
-        )?,
-        "ablate-fec" => emit(
-            opts,
-            cmd,
-            timed(rec, "ablate-fec", opts.scale, || ablate::fec_arq(opts.seed)).to_string(),
-        )?,
-        "ablate-l2" => emit(
-            opts,
-            cmd,
-            timed(rec, "ablate-l2", opts.scale, || {
-                ablate::l2_topology(opts.seed, opts.scale)
-            })
-            .to_string(),
-        )?,
-        "ablate-mode" => emit(
-            opts,
-            cmd,
-            timed(rec, "ablate-mode", opts.scale, || {
-                ablate::mode_delay(opts.seed, opts.scale)
-            })
-            .to_string(),
-        )?,
-        "ablate-measurement" => {
-            emit(
-                opts,
-                cmd,
-                timed(rec, "ablate-measurement", opts.scale, || {
-                    ablate::geo_vs_measurement(opts.seed, opts.scale, par)
-                })
-                .to_string(),
-            )?;
-        }
-        "ablate-auto-override" => {
-            emit(
-                opts,
-                cmd,
-                timed(rec, "ablate-auto-override", opts.scale, || {
-                    ablate::auto_override(opts.seed, opts.scale, 30.0, par)
-                })
-                .to_string(),
-            )?;
-        }
-        "economics" => emit(
-            opts,
-            cmd,
-            timed(rec, "economics", opts.scale, || {
-                ablate::economics(opts.seed, opts.scale)
-            })
-            .to_string(),
-        )?,
-        "setup-time" => emit(
-            opts,
-            cmd,
-            timed(rec, "setup-time", opts.scale, || {
-                ablate::setup_time(opts.seed, opts.scale)
-            })
-            .to_string(),
-        )?,
-        "scale-curve" => {
-            let body = scale_curve(opts, rec)?;
-            emit(opts, cmd, body)?;
-        }
-        "all" => {
-            // Share worlds/campaigns where possible to keep `all` fast.
-            let before = World::hot(opts.seed, opts.scale);
-            let w = World::geo(opts.seed, opts.scale);
-            println!("{}", timed(rec, "fig3", opts.scale, || fig3::run(&w, par)));
-            println!(
-                "{}",
-                timed(rec, "as-congruence", opts.scale, || congruence::run(
-                    &w, par
-                ))
-            );
-            println!(
-                "{}",
-                timed(rec, "fig4", opts.scale, || fig4::run(&before, &w))
-            );
-            println!(
-                "{}",
-                timed(rec, "fig5", opts.scale, || fig5::run(&before, &w))
-            );
-            println!(
-                "{}",
-                timed(rec, "fig6", opts.scale, || fig6::run(&w, 3, par))
-            );
-            println!("{}", timed(rec, "fig7", opts.scale, || fig7::run(&w, par)));
-            let nine = timed(rec, "fig9", opts.scale, || {
-                fig9::run(&w, opts.sessions, par)
-            });
-            println!("{nine}");
-            println!(
-                "{}",
-                timed(rec, "fig10", opts.scale, || fig10::run(&nine.sessions))
-            );
-            let data = timed(rec, "fig11", opts.scale, || {
-                fig11::run_campaign(
-                    &w,
-                    opts.hosts_per_cell,
-                    Dur::from_mins(30),
-                    campaign_span(opts),
-                    par,
-                )
-            });
-            emit(opts, cmd, fig11::run(&data).to_string())?;
-            emit(
-                opts,
-                cmd,
-                timed(rec, "fig12", opts.scale, || fig12::run(&data)).to_string(),
-            )?;
-            emit(
-                opts,
-                cmd,
-                timed(rec, "table1", opts.scale, || table1::run(&data)).to_string(),
-            )?;
-            println!(
-                "{}",
-                timed(rec, "jitter", opts.scale, || jitter::run(
-                    &w,
-                    opts.sessions.min(20),
-                    par
-                ))
-            );
-            println!(
-                "{}",
-                timed(rec, "failover", opts.scale, || failover::run(
-                    &w.config, par
-                ))
-            );
-            println!(
-                "{}",
-                timed(rec, "adversarial", opts.scale, || adversarial::run(
-                    &w.config, par
-                ))
-            );
-            let ss = steady_state::SteadyStateOpts::from_cli(opts.sessions, opts.days);
-            emit(
-                opts,
-                "steady-state",
-                timed(rec, "steady-state", opts.scale, || {
-                    steady_state::run(&w.config, ss, par)
-                })
-                .to_string(),
-            )?;
-            println!(
-                "{}",
-                timed(rec, "ablate-lp", opts.scale, || ablate::lp_shape(
-                    opts.seed, opts.scale
-                ))
-            );
-            println!(
-                "{}",
-                timed(rec, "ablate-best-external", opts.scale, || {
-                    ablate::best_external(opts.seed, opts.scale)
-                })
-            );
-            println!(
-                "{}",
-                timed(rec, "ablate-geoip", opts.scale, || ablate::geoip(
-                    opts.seed, opts.scale
-                ))
-            );
-            println!(
-                "{}",
-                timed(rec, "ablate-fec", opts.scale, || ablate::fec_arq(opts.seed))
-            );
-            println!(
-                "{}",
-                timed(rec, "ablate-l2", opts.scale, || {
-                    ablate::l2_topology(opts.seed, opts.scale)
-                })
-            );
-            println!(
-                "{}",
-                timed(rec, "ablate-mode", opts.scale, || {
-                    ablate::mode_delay(opts.seed, opts.scale)
-                })
-            );
-            println!(
-                "{}",
-                timed(rec, "ablate-measurement", opts.scale, || {
-                    ablate::geo_vs_measurement(opts.seed, opts.scale, par)
-                })
-            );
-            println!(
-                "{}",
-                timed(rec, "ablate-auto-override", opts.scale, || {
-                    ablate::auto_override(opts.seed, opts.scale, 30.0, par)
-                })
-            );
-            println!(
-                "{}",
-                timed(rec, "economics", opts.scale, || ablate::economics(
-                    opts.seed, opts.scale
-                ))
-            );
-            println!(
-                "{}",
-                timed(rec, "setup-time", opts.scale, || {
-                    ablate::setup_time(opts.seed, opts.scale)
-                })
-            );
-        }
-        other => return Err(format!("unknown experiment {other}\n{USAGE}")),
+/// Runs the selected rows of the table — one, or every `in_all` row —
+/// through the same timed → emit loop, then writes the perf ledger.
+fn run(inv: &Invocation) -> Result<(), String> {
+    let selected = |e: &&Experiment| e.name == inv.cmd || (inv.cmd == ALL && e.in_all);
+    let mut ctx = Ctx::new(inv.opts.clone(), inv.par);
+    let t0 = Instant::now();
+    for exp in EXPERIMENTS.iter().filter(selected) {
+        let timer = Instant::now();
+        eprintln!(
+            "== {} (seed {}, scale {}, threads {}) ==",
+            exp.name,
+            inv.opts.seed,
+            inv.opts.scale,
+            inv.par.threads()
+        );
+        let body = ctx.timed(exp.name, inv.opts.scale, exp.run)?;
+        emit(inv.out.as_ref(), exp.name, body)?;
+        eprintln!(
+            "== {} done in {:.1}s ==",
+            exp.name,
+            timer.elapsed().as_secs_f64()
+        );
     }
-    eprintln!("== {cmd} done in {:.1}s ==", timer.elapsed().as_secs_f64());
-    Ok(())
+    write_campaigns(inv, &ctx.records, t0.elapsed().as_secs_f64())
 }
 
 fn main() -> ExitCode {
-    match parse_args() {
+    let inv = match parse_args(Args::from_env()) {
+        Ok(inv) => inv,
+        Err(err) => return err.exit(&usage()),
+    };
+    match run(&inv) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("{msg}");
             ExitCode::FAILURE
-        }
-        Ok(opts) => {
-            let par = Par::new(opts.threads);
-            let mut records = Vec::new();
-            let t0 = Instant::now();
-            match run_one(&opts, &opts.cmd.clone(), par, &mut records) {
-                Ok(()) => {
-                    let total = t0.elapsed().as_secs_f64();
-                    if let Err(msg) = write_campaigns(&opts, par, &records, total) {
-                        eprintln!("{msg}");
-                        return ExitCode::FAILURE;
-                    }
-                    ExitCode::SUCCESS
-                }
-                Err(msg) => {
-                    eprintln!("{msg}");
-                    ExitCode::FAILURE
-                }
-            }
         }
     }
 }

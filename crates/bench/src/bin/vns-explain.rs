@@ -5,36 +5,61 @@
 //! ```sh
 //! vns-explain [--seed N] [--scale F] [--pop CODE] [--count N]
 //! ```
+//!
+//! A bad command line (unknown flag or PoP code, `--scale` not a finite
+//! number > 0, `--count 0`) prints the reason and the usage on stderr and
+//! exits 2 before any world is built.
+
+use std::process::ExitCode;
 
 use vns_bench::campaign::prefix_metas;
+use vns_bench::cli::{Args, CliError};
 use vns_bench::World;
+use vns_core::pops::POP_SPECS;
 use vns_core::PopId;
 
-fn main() {
-    let mut seed = 77u64;
-    let mut scale = 0.6f64;
-    let mut pop_code = "AMS".to_string();
-    let mut count = 5usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut val = || args.next().expect("flag value");
-        match a.as_str() {
-            "--seed" => seed = val().parse().expect("seed"),
-            "--scale" => scale = val().parse().expect("scale"),
-            "--pop" => pop_code = val(),
-            "--count" => count = val().parse().expect("count"),
-            other => {
-                eprintln!("unknown argument {other}");
-                std::process::exit(1);
-            }
-        }
-    }
+const USAGE: &str = "usage: vns-explain [--seed N] [--scale F] [--pop CODE] [--count N]\n\
+     --scale takes a finite number > 0, --count a whole number >= 1, --pop a PoP code (AMS, LON, ...)";
 
-    let w = World::geo(seed, scale);
+struct Opts {
+    seed: u64,
+    scale: f64,
+    pop_code: String,
+    count: usize,
+}
+
+fn parse_args(mut args: Args) -> Result<Opts, CliError> {
+    let opts = Opts {
+        seed: args.value("--seed")?.unwrap_or(77),
+        scale: args.positive("--scale")?.unwrap_or(0.6),
+        pop_code: args.value("--pop")?.unwrap_or_else(|| "AMS".to_string()),
+        count: args.count("--count")?.unwrap_or(5),
+    };
+    args.finish()?;
+    if !POP_SPECS.iter().any(|p| p.code == opts.pop_code) {
+        return Err(CliError::BadValue {
+            flag: "--pop",
+            value: opts.pop_code,
+            reason: "no PoP has this code".to_string(),
+        });
+    }
+    Ok(opts)
+}
+
+fn main() -> ExitCode {
+    match parse_args(Args::from_env()) {
+        Ok(opts) => explain(&opts),
+        Err(err) => err.exit(USAGE),
+    }
+}
+
+fn explain(opts: &Opts) -> ExitCode {
+    let (pop_code, count) = (opts.pop_code.as_str(), opts.count);
+    let w = World::geo(opts.seed, opts.scale);
     let pop = w
         .vns
-        .pop_by_code(&pop_code)
-        .unwrap_or_else(|| panic!("unknown PoP code {pop_code}"))
+        .pop_by_code(pop_code)
+        .expect("code checked against POP_SPECS")
         .id();
     let metas = prefix_metas(&w);
     println!(
@@ -82,4 +107,5 @@ fn main() {
             println!("  egress from London's view: {}", w.vns.pop(egress).code());
         }
     }
+    ExitCode::SUCCESS
 }

@@ -15,12 +15,16 @@
 //!   and STRETCH-BOUND, with a per-check timing ledger (stage 2);
 //! * `all` (default) — both stages.
 //!
-//! Exits nonzero when any error-severity violation exists. Use it before
-//! a long campaign run, or after hand-editing deployment knobs, to catch
-//! a misconfigured control plane in seconds instead of hours.
+//! Exits 1 when any error-severity violation exists. Use it before a long
+//! campaign run, or after hand-editing deployment knobs, to catch a
+//! misconfigured control plane in seconds instead of hours. A bad command
+//! line (unknown flag, stage or mode, `--scale` not a finite number > 0)
+//! prints the reason and the usage on stderr and exits 2 before any world
+//! is built.
 
 use std::process::ExitCode;
 
+use vns_bench::cli::{Args, CliError};
 use vns_bench::{World, WorldConfig};
 use vns_core::RoutingMode;
 use vns_service::{EndpointTable, PathTable};
@@ -40,57 +44,37 @@ struct Opts {
     seed: u64,
     scale: f64,
     mode: RoutingMode,
-    monolithic: bool,
     quiet: bool,
 }
 
 const USAGE: &str = "usage: vns-verify [control|dataplane|all] [--seed N] [--scale F] \
-     [--mode geo|hot] [--monolithic] [--quiet]\n\
-     --monolithic converges with the reference activation-queue engine \
-     instead of the sharded one (differential debugging)";
+     [--mode geo|hot] [--quiet]\n\
+     --scale takes a finite number > 0";
 
-fn parse_args() -> Result<Opts, String> {
-    let mut opts = Opts {
-        stage: Stage::All,
-        seed: 77,
-        scale: 1.0,
-        mode: RoutingMode::GeoColdPotato,
-        monolithic: false,
-        quiet: false,
+fn parse_args(mut args: Args) -> Result<Opts, CliError> {
+    let opts = Opts {
+        seed: args.value("--seed")?.unwrap_or(77),
+        scale: args.positive("--scale")?.unwrap_or(1.0),
+        mode: match args.value::<String>("--mode")?.as_deref() {
+            None | Some("geo") => RoutingMode::GeoColdPotato,
+            Some("hot") => RoutingMode::HotPotato,
+            Some(other) => {
+                return Err(CliError::BadValue {
+                    flag: "--mode",
+                    value: other.to_string(),
+                    reason: "expected geo|hot".to_string(),
+                })
+            }
+        },
+        quiet: args.switch(&["--quiet", "-q"]),
+        stage: match args.positional().as_deref() {
+            None | Some("all") => Stage::All,
+            Some("control") => Stage::Control,
+            Some("dataplane") => Stage::Dataplane,
+            Some(other) => return Err(CliError::Unknown(other.to_string())),
+        },
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut take = |name: &str| {
-            args.next()
-                .ok_or_else(|| format!("missing value after {name}"))
-        };
-        match a.as_str() {
-            "control" => opts.stage = Stage::Control,
-            "dataplane" => opts.stage = Stage::Dataplane,
-            "all" => opts.stage = Stage::All,
-            "--seed" => {
-                opts.seed = take("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--scale" => {
-                opts.scale = take("--scale")?
-                    .parse()
-                    .map_err(|e| format!("--scale: {e}"))?;
-            }
-            "--mode" => {
-                opts.mode = match take("--mode")?.as_str() {
-                    "geo" => RoutingMode::GeoColdPotato,
-                    "hot" => RoutingMode::HotPotato,
-                    other => return Err(format!("--mode: expected geo|hot, got {other}")),
-                }
-            }
-            "--monolithic" => opts.monolithic = true,
-            "--quiet" | "-q" => opts.quiet = true,
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other => return Err(format!("unknown argument {other}\n{USAGE}")),
-        }
-    }
+    args.finish()?;
     Ok(opts)
 }
 
@@ -106,7 +90,6 @@ fn run(opts: &Opts) -> ExitCode {
         ..WorldConfig::default()
     };
     cfg.vns.mode = opts.mode;
-    cfg.vns.monolithic_convergence = opts.monolithic;
     let world = World::build(cfg);
 
     let mut ok = true;
@@ -149,11 +132,8 @@ fn run(opts: &Opts) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    match parse_args() {
-        Err(msg) => {
-            eprintln!("{msg}");
-            ExitCode::FAILURE
-        }
+    match parse_args(Args::from_env()) {
         Ok(opts) => run(&opts),
+        Err(err) => err.exit(USAGE),
     }
 }

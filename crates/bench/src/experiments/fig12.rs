@@ -70,27 +70,6 @@ pub fn run(data: &LastMileData) -> Fig12 {
     Fig12 { panels, swing }
 }
 
-impl Fig12 {
-    /// Peak/trough swing for one (type, region).
-    pub fn swing_of(&self, ty: AsType, region: Region) -> f64 {
-        self.swing
-            .iter()
-            .find(|(t, r, _)| *t == ty && *r == region)
-            .map_or(0.0, |(_, _, s)| *s)
-    }
-
-    /// Hour (CET) of peak loss frequency for one (type, region).
-    pub fn peak_hour(&self, ty: AsType, region: Region) -> Option<f64> {
-        let fig = &self.panels.iter().find(|(t, _)| *t == ty)?.1;
-        let series = fig.series_named(region.code())?;
-        series
-            .points
-            .iter()
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
-            .map(|p| p.0)
-    }
-}
-
 impl std::fmt::Display for Fig12 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         for (_, fig) in &self.panels {

@@ -1,4 +1,15 @@
-//! One module per paper artefact (see the crate docs for the index).
+//! One module per paper artefact (see the crate docs for the index), and
+//! the one table that names them: [`EXPERIMENTS`]. `vns-bench <name>` and
+//! `vns-bench all` are the same loop over a selection of its rows, so a
+//! new experiment is one row plus its module.
+
+use std::cell::{Cell, OnceCell};
+use std::fmt::Display;
+use std::time::Instant;
+
+use vns_netsim::{Dur, Par};
+
+use crate::{World, WorldConfig};
 
 pub mod ablate;
 pub mod adversarial;
@@ -14,5 +25,229 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig9;
 pub mod jitter;
+pub mod scale_curve;
 pub mod steady_state;
 pub mod table1;
+
+/// The sizing knobs every experiment reads, as `vns-bench` parsed them.
+#[derive(Debug, Clone)]
+pub struct Opts {
+    /// `--seed`: master seed.
+    pub seed: u64,
+    /// `--scale`: world scale (finite, > 0).
+    pub scale: f64,
+    /// `--sessions`: media sessions per arm (>= 1).
+    pub sessions: usize,
+    /// `--hosts`: last-mile hosts per (AS type, region) cell (>= 1).
+    pub hosts_per_cell: usize,
+    /// `--days`: last-mile campaign span (finite, > 0).
+    pub days: f64,
+}
+
+/// One timed experiment for `BENCH_campaigns.json`.
+#[derive(Debug)]
+pub struct ExpRecord {
+    /// Ledger row name.
+    pub name: &'static str,
+    /// World scale the row ran at.
+    pub scale: f64,
+    /// Wall clock, shared world builds excluded.
+    pub wall_s: f64,
+    /// Work units processed.
+    pub units: u64,
+    /// Packets sent.
+    pub packets: u64,
+}
+
+/// What a run of experiments shares: the parsed options, the worker pool,
+/// the perf ledger, and — built on first use, then reused by every later
+/// row — the two standard worlds, the Fig 9 campaign Fig 10 reduces, and
+/// the last-mile campaign Fig 11 / Fig 12 / Table 1 reduce.
+#[derive(Debug)]
+pub struct Ctx {
+    /// The sizing knobs.
+    pub opts: Opts,
+    /// Campaign worker pool.
+    pub par: Par,
+    /// Ledger rows so far, in run order.
+    pub records: Vec<ExpRecord>,
+    geo: OnceCell<World>,
+    hot: OnceCell<World>,
+    fig9: OnceCell<fig9::Fig9>,
+    lastmile: OnceCell<fig11::LastMileData>,
+    /// Seconds spent building the shared worlds (kept out of `wall_s`).
+    world_build_s: Cell<f64>,
+}
+
+impl Ctx {
+    /// A context with nothing built yet.
+    pub fn new(opts: Opts, par: Par) -> Self {
+        Self {
+            opts,
+            par,
+            records: Vec::new(),
+            geo: OnceCell::new(),
+            hot: OnceCell::new(),
+            fig9: OnceCell::new(),
+            lastmile: OnceCell::new(),
+            world_build_s: Cell::new(0.0),
+        }
+    }
+
+    fn world<'a>(&'a self, cell: &'a OnceCell<World>, build: fn(u64, f64) -> World) -> &'a World {
+        cell.get_or_init(|| {
+            let t0 = Instant::now();
+            let w = build(self.opts.seed, self.opts.scale);
+            self.world_build_s
+                .set(self.world_build_s.get() + t0.elapsed().as_secs_f64());
+            w
+        })
+    }
+
+    /// The geo-cold-potato world.
+    pub fn geo(&self) -> &World {
+        self.world(&self.geo, World::geo)
+    }
+
+    /// The same deployment in hot-potato ("before") mode.
+    pub fn hot(&self) -> &World {
+        self.world(&self.hot, World::hot)
+    }
+
+    /// The configuration of [`Ctx::geo`], for experiments that build and
+    /// mutate worlds of their own (faults and attacks rewrite the control
+    /// plane, so only the config crosses into their parallel units).
+    pub fn world_config(&self) -> WorldConfig {
+        WorldConfig {
+            seed: self.opts.seed,
+            scale: self.opts.scale,
+            ..WorldConfig::default()
+        }
+    }
+
+    /// The Fig 9 media campaign.
+    pub fn fig9(&self) -> &fig9::Fig9 {
+        self.fig9
+            .get_or_init(|| fig9::run(self.geo(), self.opts.sessions, self.par))
+    }
+
+    /// The last-mile loss-train campaign.
+    pub fn lastmile(&self) -> &fig11::LastMileData {
+        self.lastmile.get_or_init(|| {
+            let span = Dur::from_mins((self.opts.days * 24.0 * 60.0) as u64);
+            let hosts = self.opts.hosts_per_cell;
+            fig11::run_campaign(self.geo(), hosts, Dur::from_mins(30), span, self.par)
+        })
+    }
+
+    /// Times `f` into a ledger row named `name`, sampling the global
+    /// work-unit and packet counters around it. Channels flush their
+    /// packet tallies on drop and every experiment drops its channels
+    /// before returning, so the deltas are complete. `scale` is recorded
+    /// per row: experiments pass the invocation's, the scale sweep each
+    /// rung's own.
+    pub fn timed<T>(&mut self, name: &'static str, scale: f64, f: impl FnOnce(&mut Ctx) -> T) -> T {
+        let units0 = vns_netsim::par::units_processed();
+        let packets0 = vns_netsim::packets_sent();
+        let builds0 = self.world_build_s.get();
+        let t0 = Instant::now();
+        let out = f(self);
+        self.records.push(ExpRecord {
+            name,
+            scale,
+            wall_s: t0.elapsed().as_secs_f64() - (self.world_build_s.get() - builds0),
+            units: vns_netsim::par::units_processed() - units0,
+            packets: vns_netsim::packets_sent() - packets0,
+        });
+        out
+    }
+}
+
+/// A row of [`EXPERIMENTS`].
+#[derive(Debug)]
+pub struct Experiment {
+    /// The command-line name, ledger row name and `--out` file stem.
+    pub name: &'static str,
+    /// Whether `vns-bench all` runs it.
+    pub in_all: bool,
+    /// Runs it and renders the artefact.
+    pub run: fn(&mut Ctx) -> Result<String, String>,
+}
+
+const fn row(name: &'static str, run: fn(&mut Ctx) -> Result<String, String>) -> Experiment {
+    Experiment {
+        name,
+        in_all: true,
+        run,
+    }
+}
+
+fn show(artefact: impl Display) -> Result<String, String> {
+    Ok(artefact.to_string())
+}
+
+/// Every experiment `vns-bench` knows, in `all` order.
+pub const EXPERIMENTS: &[Experiment] = &[
+    row("fig3", |c| show(fig3::run(c.geo(), c.par))),
+    row("as-congruence", |c| show(congruence::run(c.geo(), c.par))),
+    row("fig4", |c| show(fig4::run(c.hot(), c.geo()))),
+    row("fig5", |c| show(fig5::run(c.hot(), c.geo()))),
+    row("fig6", |c| show(fig6::run(c.geo(), 3, c.par))),
+    row("fig7", |c| show(fig7::run(c.geo(), c.par))),
+    row("fig9", |c| show(c.fig9())),
+    row("fig10", |c| show(fig10::run(&c.fig9().sessions))),
+    row("fig11", |c| show(fig11::run(c.lastmile()))),
+    row("fig12", |c| show(fig12::run(c.lastmile()))),
+    row("table1", |c| show(table1::run(c.lastmile()))),
+    row("jitter", |c| {
+        show(jitter::run(c.geo(), c.opts.sessions.min(20), c.par))
+    }),
+    row("failover", |c| {
+        show(failover::run(&c.world_config(), c.par))
+    }),
+    row("adversarial", |c| {
+        show(adversarial::run(&c.world_config(), c.par))
+    }),
+    row("steady-state", |c| {
+        let sizing = steady_state::SteadyStateOpts::from_cli(c.opts.sessions, c.opts.days);
+        show(steady_state::run(&c.world_config(), sizing, c.par))
+    }),
+    row("ablate-lp", |c| {
+        show(ablate::lp_shape(c.opts.seed, c.opts.scale))
+    }),
+    row("ablate-best-external", |c| {
+        show(ablate::best_external(c.opts.seed, c.opts.scale))
+    }),
+    row("ablate-geoip", |c| {
+        show(ablate::geoip(c.opts.seed, c.opts.scale))
+    }),
+    row("ablate-fec", |c| show(ablate::fec_arq(c.opts.seed))),
+    row("ablate-l2", |c| {
+        show(ablate::l2_topology(c.opts.seed, c.opts.scale))
+    }),
+    row("ablate-mode", |c| {
+        show(ablate::mode_delay(c.opts.seed, c.opts.scale))
+    }),
+    row("ablate-measurement", |c| {
+        show(ablate::geo_vs_measurement(c.opts.seed, c.opts.scale, c.par))
+    }),
+    row("ablate-auto-override", |c| {
+        show(ablate::auto_override(
+            c.opts.seed,
+            c.opts.scale,
+            30.0,
+            c.par,
+        ))
+    }),
+    row("economics", |c| {
+        show(ablate::economics(c.opts.seed, c.opts.scale))
+    }),
+    row("setup-time", |c| {
+        show(ablate::setup_time(c.opts.seed, c.opts.scale))
+    }),
+    Experiment {
+        name: "scale-curve",
+        in_all: false,
+        run: scale_curve::run,
+    },
+];

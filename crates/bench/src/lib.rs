@@ -5,7 +5,9 @@
 //! Internet plus a VNS deployment — runs the paper's measurement
 //! methodology at a configurable scale, and returns a result struct that
 //! both prints the figure's series/rows and exposes the headline numbers
-//! for assertions. The `vns-bench` binary drives them; the integration
+//! for assertions. The `vns-bench` binary drives them through the one
+//! table that names them, [`experiments::EXPERIMENTS`] (flags parsed by
+//! [`cli`], shared with `vns-verify` and `vns-explain`); the integration
 //! tests assert the paper's qualitative shapes hold (who wins, roughly by
 //! how much, where the crossovers are).
 //!
@@ -27,8 +29,10 @@
 //! | [`experiments::failover`] | beyond-paper failure & reconvergence campaign (link/PoP/RR faults, outage windows) |
 //! | [`experiments::steady_state`] | beyond-paper live call churn with a churn-under-failure phase |
 //! | [`experiments::adversarial`] | beyond-paper attack corpus vs the verifier — detection matrix and catch rate |
+//! | [`experiments::scale_curve`] | beyond-paper control-plane scale sweep — build + verify per ladder rung |
 
 pub mod campaign;
+pub mod cli;
 pub mod experiments;
 pub mod world;
 

@@ -56,10 +56,9 @@ impl WorldConfig {
         let damp = s.max(1.0); // 1 for s <= 1: legacy worlds untouched
         TopoConfig {
             seed: self.seed,
-            // Convergence-engine knobs mirror the VNS config so one flag
-            // flips both convergence runs (generation + deployment).
+            // Both convergence runs (generation + deployment) share one
+            // worker count.
             convergence_threads: self.vns.convergence_threads,
-            monolithic_convergence: self.vns.monolithic_convergence,
             ltps: if s <= 1.0 {
                 scaled(8).max(3)
             } else {

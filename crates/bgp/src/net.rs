@@ -125,11 +125,6 @@ impl BgpNet {
         self.shards.insert(id, shard);
     }
 
-    /// The convergence shard of `id`.
-    pub fn shard_of(&self, id: SpeakerId) -> u32 {
-        self.shards.get(&id).copied().unwrap_or(0)
-    }
-
     /// Sets the [`BgpNet::forwarding_path`] hop bound. World generators
     /// derive this from the generated diameter so that deep-but-legal
     /// paths on 10k-AS worlds are distinguishable from actual loops.

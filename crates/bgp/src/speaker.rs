@@ -395,11 +395,6 @@ impl Speaker {
         self.dirty.extend(all);
     }
 
-    /// Whether the IGP-metric decision step is skipped here.
-    pub fn ignores_igp_metric(&self) -> bool {
-        self.ignore_igp_metric
-    }
-
     /// Hot-potato exit cost for a candidate (decision step 6).
     fn exit_cost(&self, c: &Candidate) -> Option<u64> {
         if self.ignore_igp_metric {
@@ -682,11 +677,6 @@ impl Speaker {
             .unwrap_or_default()
     }
 
-    /// Locally originated prefixes.
-    pub fn local_prefixes(&self) -> impl Iterator<Item = Prefix> + '_ {
-        self.local.keys().copied()
-    }
-
     // --- Read-only introspection (static analysis / vns-verify) -----------
     //
     // These accessors expose converged control-plane state without any
@@ -729,12 +719,6 @@ impl Speaker {
             return Some(0);
         }
         self.igp_costs.get(&to).copied()
-    }
-
-    /// Configured hot-potato exit cost towards eBGP peer `peer` (defaults
-    /// to 0 when unset, matching the decision process).
-    pub fn session_cost(&self, peer: SpeakerId) -> u64 {
-        self.session_costs.get(&peer).copied().unwrap_or(0)
     }
 
     /// Whether best-external advertisement is enabled on this router.

@@ -30,8 +30,19 @@ use crate::service::{EchoServer, Vns};
 /// Base of the VNS service address space (96.0.0.0; /16 per service).
 const VNS_PREFIX_BASE: u32 = 0x6000_0000;
 
-/// Builds VNS into `internet` and converges the combined control plane.
+/// Builds VNS into `internet` and converges the combined control plane:
+/// [`deploy_vns`], then an incremental reconvergence in which only the
+/// speakers the deployment touched start active.
 pub fn build_vns(internet: &mut Internet, config: &VnsConfig) -> Result<Vns, ConvergenceError> {
+    let vns = deploy_vns(internet, config);
+    internet.converge(config.message_budget, config.convergence_threads)?;
+    Ok(vns)
+}
+
+/// Wires the VNS deployment into `internet` — routers, circuits, sessions,
+/// service prefixes — without exchanging a BGP message. The returned
+/// [`Vns`] describes a control plane that has yet to converge.
+pub fn deploy_vns(internet: &mut Internet, config: &VnsConfig) -> Vns {
     let tree = RngTree::new(config.seed).subtree("vns");
     let asn = internet.alloc_asn();
 
@@ -376,23 +387,7 @@ pub fn build_vns(internet: &mut Internet, config: &VnsConfig) -> Result<Vns, Con
     let echo_prefixes: Vec<Prefix> = echo_servers.iter().map(|e| e.prefix).collect();
     internet.as_info_mut(as_id).prefixes.extend(echo_prefixes);
 
-    // --- Converge ----------------------------------------------------------------
-    // Fold the VNS routers into the per-region shard map (their PoP cities
-    // place them), then reconverge incrementally and in parallel: only the
-    // speakers the deployment touched start active.
-    internet.assign_region_shards();
-    let stats = if config.monolithic_convergence {
-        internet.net.run(config.message_budget)?
-    } else {
-        let threads = match config.convergence_threads {
-            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            n => n,
-        };
-        internet.net.run_sharded(config.message_budget, threads)?
-    };
-    internet.convergence_log.push(stats);
-
-    Ok(Vns::assemble(
+    Vns::assemble(
         as_id,
         asn,
         config.mode,
@@ -407,7 +402,7 @@ pub fn build_vns(internet: &mut Internet, config: &VnsConfig) -> Result<Vns, Con
         overrides,
         router_pop,
         config.message_budget,
-    ))
+    )
 }
 
 /// Creates an eBGP session between a VNS border router and an external

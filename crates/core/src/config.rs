@@ -47,10 +47,6 @@ pub struct VnsConfig {
     /// available hardware thread. Never affects the built world — only
     /// wall-clock.
     pub convergence_threads: usize,
-    /// Reconverge with the monolithic activation-queue engine
-    /// ([`vns_bgp::BgpNet::run`]) instead of the sharded one. A reference
-    /// oracle for differential tests; production builds leave this off.
-    pub monolithic_convergence: bool,
     /// Replace the paper's cluster topology (regional meshes + 5 long-haul
     /// circuits) with a full PoP mesh — the cost/quality ablation of the
     /// Sec 3.1 design choice.
@@ -70,7 +66,6 @@ impl Default for VnsConfig {
             seed: 0x5653_4e53, // "VSNS"
             message_budget: 100_000_000,
             convergence_threads: 0,
-            monolithic_convergence: false,
             full_mesh_l2: false,
         }
     }

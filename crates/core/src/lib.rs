@@ -37,7 +37,7 @@ pub mod pops;
 pub mod service;
 
 pub use adversary::{launch as launch_attack, AttackError, AttackKind, LaunchedAttack};
-pub use build::build_vns;
+pub use build::{build_vns, deploy_vns};
 pub use config::{RoutingMode, VnsConfig};
 pub use economics::{analyze as analyze_economics, CostBreakdown, CostModel, Demand};
 pub use fault::{FaultError, FaultEvent, FaultInjector, FaultPlan};

@@ -1,41 +1,24 @@
 //! Differential property test: sharded delta convergence must produce the
-//! same Loc-RIBs as the monolithic activation-queue engine.
+//! same Loc-RIBs as the single-queue activation engine.
 //!
 //! For safe (Gao–Rexford) policies the BGP fixpoint is unique, so the two
 //! engines — which process messages in very different orders — must agree
 //! exactly on every speaker's selected routes, for any seed, either routing
-//! mode, and any worker-thread count. The monolithic engine survives as
-//! the reference oracle behind the `monolithic_convergence` config knobs.
+//! mode, and any worker-thread count. The world builders always converge
+//! sharded; the reference here wires the same world with [`vns_topo::wire`]
+//! / [`vns_core::deploy_vns`] and converges each half by calling
+//! [`vns_bgp::BgpNet::run`] itself.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use vns_core::{build_vns, RoutingMode, VnsConfig};
-use vns_topo::{generate, TopoConfig};
+use vns_core::{build_vns, deploy_vns, RoutingMode, VnsConfig};
+use vns_topo::{generate, wire, Internet, TopoConfig};
 
-/// Builds a full world (synthetic Internet + VNS overlay) and returns a
-/// canonical Loc-RIB snapshot: `(speaker, prefix) -> rendered best route`.
-fn world_ribs(
-    seed: u64,
-    mode: RoutingMode,
-    monolithic: bool,
-    threads: usize,
-) -> BTreeMap<(vns_bgp::SpeakerId, vns_bgp::Prefix), String> {
-    let topo = TopoConfig {
-        monolithic_convergence: monolithic,
-        convergence_threads: threads,
-        ..TopoConfig::tiny(seed)
-    };
-    let mut internet = generate(&topo).expect("topology generation");
-    let vns = VnsConfig {
-        mode,
-        seed,
-        monolithic_convergence: monolithic,
-        convergence_threads: threads,
-        ..VnsConfig::default()
-    };
-    build_vns(&mut internet, &vns).expect("VNS convergence");
+type Ribs = BTreeMap<(vns_bgp::SpeakerId, vns_bgp::Prefix), String>;
 
+/// Canonical Loc-RIB snapshot: `(speaker, prefix) -> rendered best route`.
+fn ribs(internet: &Internet) -> Ribs {
     let ids: Vec<_> = internet.net.speaker_ids().collect();
     let mut snap = BTreeMap::new();
     for id in ids {
@@ -46,6 +29,44 @@ fn world_ribs(
         }
     }
     snap
+}
+
+fn configs(seed: u64, mode: RoutingMode, threads: usize) -> (TopoConfig, VnsConfig) {
+    let topo = TopoConfig {
+        convergence_threads: threads,
+        ..TopoConfig::tiny(seed)
+    };
+    let vns = VnsConfig {
+        mode,
+        seed,
+        convergence_threads: threads,
+        ..VnsConfig::default()
+    };
+    (topo, vns)
+}
+
+/// A full world (synthetic Internet + VNS overlay) as production builds it.
+fn sharded_ribs(seed: u64, mode: RoutingMode, threads: usize) -> Ribs {
+    let (topo, vns) = configs(seed, mode, threads);
+    let mut internet = generate(&topo).expect("topology generation");
+    build_vns(&mut internet, &vns).expect("VNS convergence");
+    ribs(&internet)
+}
+
+/// The same world, both halves converged by the single-queue engine.
+fn reference_ribs(seed: u64, mode: RoutingMode) -> Ribs {
+    let (topo, vns) = configs(seed, mode, 1);
+    let mut internet = wire(&topo);
+    internet
+        .net
+        .run(topo.message_budget)
+        .expect("topology generation");
+    deploy_vns(&mut internet, &vns);
+    internet
+        .net
+        .run(vns.message_budget)
+        .expect("VNS convergence");
+    ribs(&internet)
 }
 
 proptest! {
@@ -63,8 +84,6 @@ proptest! {
         } else {
             RoutingMode::HotPotato
         };
-        let mono = world_ribs(seed, mode, true, 1);
-        let shard = world_ribs(seed, mode, false, threads);
-        prop_assert_eq!(mono, shard);
+        prop_assert_eq!(reference_ribs(seed, mode), sharded_ribs(seed, mode, threads));
     }
 }

@@ -267,11 +267,6 @@ impl<K: Copy + Ord> GeoIpDb<K> {
             }
         }
     }
-
-    /// Iterates over `(key, reported location)` pairs in key order.
-    pub fn iter_reported(&self) -> impl Iterator<Item = (K, GeoPoint)> + '_ {
-        self.records.iter().map(|(k, r)| (*k, r.reported))
-    }
 }
 
 #[cfg(test)]

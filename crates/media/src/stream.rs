@@ -61,11 +61,6 @@ impl VideoSpec {
         bytes_per_frame_avg / weight
     }
 
-    /// Expected packets per second (approximate).
-    pub fn approx_packets_per_sec(&self) -> f64 {
-        (self.bitrate_bps / 8.0) / self.mtu_payload as f64
-    }
-
     /// Generates the packet send schedule for a session of `duration`
     /// starting at `start`. Frame sizes vary ±20% around their class mean;
     /// packets of one frame leave back-to-back at a 100 µs pacing.

@@ -105,12 +105,6 @@ impl ArrivalProcess {
             }
         }
     }
-
-    /// Expected arrivals per window at the *peak* rate (an upper bound on
-    /// the mean of [`ArrivalProcess::window_arrivals`]'s length).
-    pub fn peak_mean_per_window(&self) -> f64 {
-        self.peak_rate_per_s * self.window.as_secs_f64()
-    }
 }
 
 #[cfg(test)]

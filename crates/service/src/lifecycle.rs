@@ -90,19 +90,9 @@ impl SessionManager {
         Self::default()
     }
 
-    /// Currently active sessions.
-    pub fn active_count(&self) -> u64 {
-        self.active.len() as u64
-    }
-
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
         self.engine.now()
-    }
-
-    /// Calls started so far.
-    pub fn calls_started(&self) -> u64 {
-        self.next_id
     }
 
     /// Sessions force-torn by PoP failures so far.

@@ -117,11 +117,6 @@ impl PathTable {
         self.tails[idx * self.landings.len() + callee].as_ref()
     }
 
-    /// Whether `pop` currently has a route to `callee`.
-    pub fn has_tail(&self, pop: PopId, callee: usize) -> bool {
-        self.tail(pop, callee).is_some()
-    }
-
     /// The full caller→relay→callee media path for a call landed at
     /// `landing` and admitted at `admitted` (same PoP for unspilled calls;
     /// spilled calls ride the dedicated L2 splice leg in between).

@@ -116,11 +116,6 @@ impl Cdf {
         }
         out
     }
-
-    /// Borrow of the sorted samples.
-    pub fn sorted_samples(&self) -> &[f64] {
-        &self.sorted
-    }
 }
 
 /// An empirical complementary CDF (`P[X > x]`), the tail view used for the

@@ -71,11 +71,6 @@ pub struct TopoConfig {
     /// hardware thread. The count never affects generated worlds — only
     /// wall-clock — matching the campaign engine's determinism contract.
     pub convergence_threads: usize,
-    /// Converge with the monolithic activation-queue engine
-    /// ([`vns_bgp::BgpNet::run`]) instead of the sharded one. A reference
-    /// oracle for differential tests — the two engines must produce
-    /// identical Loc-RIBs; production builds leave this off.
-    pub monolithic_convergence: bool,
 }
 
 impl Default for TopoConfig {
@@ -95,7 +90,6 @@ impl Default for TopoConfig {
             geoip_jitter_km: 60.0,
             message_budget: 50_000_000,
             convergence_threads: 0,
-            monolithic_convergence: false,
         }
     }
 }

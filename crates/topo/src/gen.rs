@@ -42,6 +42,17 @@ const PREFIX_BASE: u32 = 0x1000_0000;
 
 /// Generates an Internet per `config` and converges its control plane.
 pub fn generate(config: &TopoConfig) -> Result<Internet, GenError> {
+    let mut internet = wire(config);
+    internet
+        .converge(config.message_budget, config.convergence_threads)
+        .map_err(GenError::Convergence)?;
+    Ok(internet)
+}
+
+/// The generator without the convergence: ASes, sessions, prefixes and
+/// GeoIP wired up, no BGP message exchanged yet. [`generate`] is this plus
+/// [`Internet::converge`].
+pub fn wire(config: &TopoConfig) -> Internet {
     let tree = RngTree::new(config.seed).subtree("topo");
     let mut internet = Internet::new();
     let mut next_block: u32 = 0;
@@ -385,29 +396,7 @@ pub fn generate(config: &TopoConfig) -> Result<Internet, GenError> {
             tree.seed_for("geoip-in"),
         );
     }
-
-    // --- 5. Converge -------------------------------------------------------
-    // Shard the control plane by world region and converge in parallel.
-    // Thread count never affects the generated world (see
-    // `BgpNet::run_sharded`), so auto-sizing to the machine is safe.
-    internet.assign_region_shards();
-    let stats = if config.monolithic_convergence {
-        internet
-            .net
-            .run(config.message_budget)
-            .map_err(GenError::Convergence)?
-    } else {
-        let threads = match config.convergence_threads {
-            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            n => n,
-        };
-        internet
-            .net
-            .run_sharded(config.message_budget, threads)
-            .map_err(GenError::Convergence)?
-    };
-    internet.convergence_log.push(stats);
-    Ok(internet)
+    internet
 }
 
 /// Fraction of (speaker, prefix) pairs with a selected route — a generated

@@ -176,24 +176,34 @@ impl Internet {
         self.router_city.insert(router, city);
     }
 
-    /// Assigns every registered router to the convergence shard of its
-    /// city's world region (see [`vns_bgp::BgpNet::run_sharded`]), and
-    /// derives the [`vns_bgp::BgpNet::set_hop_limit`] bound from the
-    /// world's size: router-level paths cross each AS at most twice, so
-    /// `2·|AS| + 2` can never cut a legal path short, however deep the
-    /// provider chains get on scaled worlds. Idempotent; call again after
-    /// registering more routers (e.g. the VNS deployment's).
-    pub fn assign_region_shards(&mut self) {
-        let assignments: Vec<(SpeakerId, u32)> = self
-            .router_city
-            .iter()
-            .map(|(&sp, &c)| (sp, city(c).region.index()))
-            .collect();
-        for (sp, shard) in assignments {
-            self.net.set_shard(sp, shard);
+    /// Converges the control plane with the build-time engine
+    /// ([`vns_bgp::BgpNet::run_sharded`]) on `threads` workers (`0` = one
+    /// per hardware thread; the count never affects the result, only
+    /// wall-clock) and appends the run to [`Self::convergence_log`].
+    ///
+    /// First assigns every registered router to the shard of its city's
+    /// world region and derives the [`vns_bgp::BgpNet::set_hop_limit`]
+    /// bound from the world's size: router-level paths cross each AS at
+    /// most twice, so `2·|AS| + 2` can never cut a legal path short,
+    /// however deep the provider chains get on scaled worlds. Call again
+    /// after registering more routers (e.g. the VNS deployment's).
+    pub fn converge(
+        &mut self,
+        budget: u64,
+        threads: usize,
+    ) -> Result<(), vns_bgp::ConvergenceError> {
+        for (&sp, &c) in &self.router_city {
+            self.net.set_shard(sp, city(c).region.index());
         }
         let hop_limit = (2 * self.ases.len() as u32 + 2).max(vns_bgp::DEFAULT_HOP_LIMIT);
         self.net.set_hop_limit(hop_limit);
+        let threads = match threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
+        };
+        let stats = self.net.run_sharded(budget, threads)?;
+        self.convergence_log.push(stats);
+        Ok(())
     }
 
     /// Records interconnect geometry for a session between two speakers:
@@ -226,11 +236,6 @@ impl Internet {
     /// Ground-truth info for the longest prefix containing `ip`.
     pub fn lookup_prefix(&self, ip: u32) -> Option<&PrefixInfo> {
         self.prefix_table.lookup(ip).map(|(_, v)| v)
-    }
-
-    /// Exact prefix info.
-    pub fn prefix_info(&self, prefix: &Prefix) -> Option<&PrefixInfo> {
-        self.prefix_table.get(prefix)
     }
 
     /// All registered prefixes in address order.
@@ -271,14 +276,6 @@ impl Internet {
     /// Iterates over all ASes.
     pub fn ases(&self) -> impl Iterator<Item = &AsInfo> {
         self.ases.iter()
-    }
-
-    /// ASes of a given type in a given region.
-    pub fn ases_of(&self, ty: AsType, region: Region) -> Vec<&AsInfo> {
-        self.ases
-            .iter()
-            .filter(|a| a.ty == ty && a.region == region)
-            .collect()
     }
 
     /// Great-circle km between two cities.

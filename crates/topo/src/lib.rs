@@ -36,6 +36,6 @@ pub mod path;
 pub use astype::AsType;
 pub use channels::{CalibrationConfig, ChannelFactory};
 pub use config::TopoConfig;
-pub use gen::generate;
+pub use gen::{generate, wire};
 pub use internet::{AsId, AsInfo, Internet, PrefixInfo};
 pub use path::{HopKind, ResolvedHop, ResolvedPath};

@@ -108,11 +108,6 @@ impl VerifyScope {
     pub fn is_dead(&self, router: SpeakerId) -> bool {
         self.dead.contains(&router)
     }
-
-    /// True when no routers are assumed dead.
-    pub fn is_converged(&self) -> bool {
-        self.dead.is_empty()
-    }
 }
 
 /// How bad a violation is.
