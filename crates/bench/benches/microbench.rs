@@ -118,6 +118,73 @@ fn bench_path_resolution(c: &mut Criterion) {
     });
 }
 
+/// The read paths certification runs through, each on the scale-1 world
+/// (the size `benchmark/`'s `fault-reconverge` rebuilds and re-verifies
+/// after every event): Loc-RIB longest match, IGP shortest path, the
+/// service plane's wholesale `PathTable` build and both verifier stages.
+fn bench_certification_reads(c: &mut Criterion) {
+    use vns_service::{EndpointTable, PathTable};
+    use vns_verify::{forwarding_graph, verify, VerifyScope};
+    let world = World::geo(77, 1.0);
+    let (internet, vns) = (&world.internet, &world.vns);
+
+    let border = internet
+        .net
+        .speaker(vns.pop(PopId(9)).borders[0])
+        .expect("AMS border");
+    let hits: Vec<u32> = prefix_metas(&world).iter().map(|m| m.ip).collect();
+    let mut g = c.benchmark_group("bgp/loc_rib_lpm");
+    // 240.0.0.0/4 is never allocated by the generator: every lookup there
+    // probes each populated length and finds nothing.
+    for (name, base, stride, ceiling) in [
+        ("hit", None, 0, None),
+        ("hit_ceiling16", None, 0, Some(16)),
+        ("miss", Some(0xf000_0000u32), 0x9e37, None),
+        ("miss_ceiling16", Some(0xf000_0000), 0x9e37, Some(16)),
+    ] {
+        g.bench_function(name, |b| {
+            let mut i = 0usize;
+            b.iter(|| {
+                i += 1;
+                let ip = match base {
+                    Some(base) => base | ((i as u32).wrapping_mul(stride) & 0x0fff_ffff),
+                    None => hits[i % hits.len()],
+                };
+                black_box(border.lookup_up_to(black_box(ip), ceiling).map(|(p, _)| p));
+            });
+        });
+    }
+    g.finish();
+
+    let igp = internet
+        .as_info(vns.as_id())
+        .igp
+        .as_ref()
+        .expect("VNS has an IGP");
+    let routers: Vec<_> = igp.nodes().collect();
+    c.bench_function("igp/shortest_path_vns", |b| {
+        let mut i = 0usize;
+        b.iter(|| {
+            i += 1;
+            let (a, z) = (routers[i % routers.len()], routers[(i * 7) % routers.len()]);
+            black_box(igp.shortest_path(black_box(a), black_box(z)));
+        });
+    });
+
+    // Whole-world passes of tens of ms each.
+    let endpoints = EndpointTable::build(internet, vns);
+    let scope = VerifyScope::default();
+    c.bench_function("service/path_table_build", |b| {
+        b.iter(|| black_box(PathTable::build(internet, vns, &endpoints)));
+    });
+    c.bench_function("verify/forwarding_graph", |b| {
+        b.iter(|| black_box(forwarding_graph::analyze(internet, &scope)));
+    });
+    c.bench_function("verify/control_checks", |b| {
+        b.iter(|| black_box(verify(internet, vns)));
+    });
+}
+
 fn bench_path_channel_send(c: &mut Criterion) {
     use vns_netsim::diurnal::{DiurnalProfile, DiurnalShape};
     use vns_netsim::{DelaySampler, HopChannel, PathChannel};
@@ -214,6 +281,7 @@ criterion_group!(
     bench_diurnal,
     bench_topology,
     bench_path_resolution,
+    bench_certification_reads,
     bench_media_session
 );
 criterion_main!(benches);

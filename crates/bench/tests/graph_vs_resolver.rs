@@ -1,0 +1,159 @@
+//! The verifier's forwarding graph and the data-plane resolver are two
+//! implementations of one forwarding decision
+//! (`vns_verify::forwarding_graph` says it "mirrors `resolve_path`
+//! exactly"). This suite pins that sentence: on a clean world, after every
+//! event of the failover campaign's fault plans, and with RIB defects
+//! planted, every (live speaker, unshadowed destination) pair gets the same
+//! fate from both —
+//!
+//! * `Origin { at }` / `Anycast { at }` ⇔ `Ok`, ending at router `at`;
+//! * `Blackhole` ⇔ `Err(NoRoute | NoSuchSpeaker)`;
+//! * `Cycle` ⇔ `Err(ForwardingLoop)`;
+//! * no outcome (the speaker holds no covering route) ⇔ `Err(NoRoute)` at
+//!   the speaker itself.
+
+mod testworld;
+
+use vns_bgp::{PathError, SpeakerId};
+use vns_core::{FaultEvent, FaultInjector, FaultPlan, PopId, Vns};
+use vns_topo::path::resolve_path;
+use vns_topo::Internet;
+use vns_verify::forwarding_graph::{analyze, Terminal};
+use vns_verify::{plant_defect, VerifyScope};
+
+/// Asserts graph ≡ resolver for every live speaker and destination;
+/// returns how many pairs ended in (delivery, blackhole, cycle).
+fn assert_agreement(internet: &Internet, scope: &VerifyScope, context: &str) -> [usize; 3] {
+    let analysis = analyze(internet, scope);
+    assert!(
+        !analysis.destinations.is_empty(),
+        "{context}: no destinations"
+    );
+    let mut seen = [0usize; 3];
+    for dest in &analysis.destinations {
+        for id in internet.net.speaker_ids().filter(|&s| !scope.is_dead(s)) {
+            // The entry city picks among parallel interconnects, never the
+            // next router, so any city gives the same router sequence.
+            let city = internet.city_of_router(id).expect("speaker has a city");
+            let resolved = resolve_path(internet, id, city, dest.ip);
+            let at = |e: &str| format!("{context}: {id} -> {} ({e})", dest.prefix);
+            match dest.outcomes.get(&id) {
+                None => assert_eq!(
+                    resolved.as_ref().err(),
+                    Some(&PathError::NoRoute(id)),
+                    "{}",
+                    at("no outcome")
+                ),
+                Some(Terminal::Origin { at: end } | Terminal::Anycast { at: end }) => {
+                    seen[0] += 1;
+                    let path = resolved.unwrap_or_else(|e| panic!("{}", at(&e.to_string())));
+                    assert_eq!(path.routers.last(), Some(end), "{}", at("delivery router"));
+                }
+                Some(Terminal::Blackhole { .. }) => {
+                    seen[1] += 1;
+                    assert!(
+                        matches!(
+                            resolved,
+                            Err(PathError::NoRoute(_) | PathError::NoSuchSpeaker(_))
+                        ),
+                        "{}: {resolved:?}",
+                        at("blackhole")
+                    );
+                }
+                Some(Terminal::Cycle { .. }) => {
+                    seen[2] += 1;
+                    assert_eq!(
+                        resolved.as_ref().err(),
+                        Some(&PathError::ForwardingLoop),
+                        "{}",
+                        at("cycle")
+                    );
+                }
+                // The scope, which the resolver does not know, ends this walk.
+                Some(Terminal::DeadSink { .. }) => {}
+            }
+        }
+    }
+    seen
+}
+
+/// The failover campaign's scenarios (`experiments/failover.rs`): reflector
+/// loss, egress border loss, a long-haul circuit cut, an upstream session
+/// cut, and a flapping eBGP session.
+fn fault_plans(internet: &Internet, vns: &Vns) -> Vec<FaultPlan> {
+    let border = |pop: u8| vns.pop(PopId(pop)).borders[0];
+    let upstream = |pop: u8| -> SpeakerId {
+        let (up_as, up_city) = vns.primary_upstream(PopId(pop));
+        internet.router_of(up_as, up_city).expect("upstream router")
+    };
+    vec![
+        FaultPlan::router_blip("rr-failover", vns.reflectors()[0]),
+        FaultPlan::router_blip("pop-border-loss", border(7)),
+        FaultPlan::circuit_blip("longhaul-cut", border(7), border(9)),
+        FaultPlan::new(
+            "upstream-cut",
+            vec![
+                FaultEvent::SessionCut {
+                    a: border(9),
+                    b: upstream(9),
+                },
+                FaultEvent::SessionRestore {
+                    a: border(9),
+                    b: upstream(9),
+                },
+            ],
+        ),
+        FaultPlan::session_flap("ebgp-flap", border(1), upstream(1), 2),
+    ]
+}
+
+#[test]
+fn graph_agrees_with_resolver_on_clean_and_faulted_worlds() {
+    for seed in [7, 77] {
+        let (mut internet, vns) = testworld::raw_tiny(seed);
+        let clean = assert_agreement(&internet, &VerifyScope::default(), "clean");
+        assert!(clean[0] > 1_000, "seed {seed}: only {clean:?} pairs");
+        assert_eq!(clean[1..], [0, 0], "seed {seed}: clean world misroutes");
+
+        for plan in fault_plans(&internet, &vns) {
+            let mut inj = FaultInjector::new();
+            for (i, &event) in plan.steps.iter().enumerate() {
+                inj.apply(&mut internet, &vns, event)
+                    .expect("event applies");
+                internet
+                    .net
+                    .run(vns.message_budget())
+                    .expect("reconverges within budget");
+                let scope = VerifyScope::with_dead_routers(inj.dead_routers());
+                let context = format!("seed {seed} {} step {i} ({event})", plan.name);
+                assert_agreement(&internet, &scope, &context);
+            }
+            assert!(inj.fully_restored(), "{} left residue", plan.name);
+        }
+    }
+}
+
+#[test]
+fn graph_agrees_with_resolver_on_planted_rib_defects() {
+    // The corpus entries that corrupt RIBs (the others corrupt service
+    // tables or geography, which neither side reads).
+    let (mut blackholes, mut cycles) = (0, 0);
+    for name in [
+        "ibgp-border-cycle",
+        "ebgp-echo-cycle",
+        "self-next-hop",
+        "dropped-transit-rib",
+        "dropped-anycast-rib",
+        "igp-unreachable-next-hop",
+        "phantom-next-hop",
+    ] {
+        let (mut internet, vns) = testworld::raw_tiny(77);
+        plant_defect(name, &mut internet, &vns, None)
+            .unwrap_or_else(|| panic!("defect {name} found no site"));
+        let seen = assert_agreement(&internet, &VerifyScope::default(), name);
+        assert!(seen[1] + seen[2] > 0, "{name} changed no pair's fate");
+        blackholes += seen[1];
+        cycles += seen[2];
+    }
+    assert!(blackholes > 0 && cycles > 0, "{blackholes} / {cycles}");
+}

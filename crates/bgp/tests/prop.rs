@@ -1,11 +1,12 @@
 //! Property tests for the BGP machinery: prefix canonicalisation, trie
-//! correctness against a naive table, decision-process order axioms, and
+//! correctness against a naive table, the Loc-RIB longest-match index
+//! against the linear scan it replaced, decision-process order axioms, and
 //! valley-free export.
 
 use proptest::prelude::*;
 use vns_bgp::{
-    compare_routes, may_export, Asn, Candidate, DecisionContext, Origin, Prefix, PrefixTrie,
-    Relation, RouteAttrs, RouteSource, ScanTable, SpeakerId,
+    compare_routes, may_export, Asn, BgpNet, Candidate, DecisionContext, Origin, Policy, Prefix,
+    PrefixTrie, Relation, RouteAttrs, RouteSource, ScanTable, Speaker, SpeakerId,
 };
 
 fn prefix() -> impl Strategy<Value = Prefix> {
@@ -61,7 +62,112 @@ fn candidate() -> impl Strategy<Value = Candidate> {
         })
 }
 
+/// Speakers of the small net the longest-match property drives.
+const LPM_SPEAKERS: u32 = 5;
+
+/// A provider chain 1 ← 2 ← 3 ← 4 ← 5 (each the customer of the one before)
+/// plus a 1–5 peering, so routes spread both ways and a disconnect removes
+/// Loc-RIB entries somewhere.
+fn lpm_sessions() -> Vec<(SpeakerId, SpeakerId, Relation)> {
+    let mut out: Vec<_> = (1..LPM_SPEAKERS)
+        .map(|i| (SpeakerId(i), SpeakerId(i + 1), Relation::Customer))
+        .collect();
+    out.push((SpeakerId(1), SpeakerId(LPM_SPEAKERS), Relation::Peer));
+    out
+}
+
+fn lpm_net() -> BgpNet {
+    let mut net = BgpNet::new();
+    for i in 1..=LPM_SPEAKERS {
+        net.add_speaker(Speaker::new(SpeakerId(i), Asn(100 + i)));
+    }
+    for (a, b, rel) in lpm_sessions() {
+        net.connect_ebgp(a, b, rel, Policy::GaoRexford);
+    }
+    net
+}
+
+/// A prefix from a collision-heavy space: few distinct addresses, every
+/// mask length, so more- and less-specifics of one another abound.
+fn lpm_prefix(addr_sel: u32, len: u8) -> Prefix {
+    Prefix::new(addr_sel.rotate_right(6).wrapping_mul(0x9e37_79b9), len)
+}
+
+/// The scan `Speaker::lookup_up_to` used to be: filter the whole Loc-RIB,
+/// keep the longest match under the ceiling.
+fn scan_lookup(sp: &Speaker, ip: u32, ceiling: Option<u8>) -> Option<Prefix> {
+    sp.loc_rib_prefixes()
+        .filter(|p| p.contains(ip) && ceiling.is_none_or(|m| p.len() < m))
+        .max_by_key(Prefix::len)
+}
+
+/// `lookup_up_to` ≡ the scan at every speaker, for every probe address and
+/// every ceiling `None | 0..=32`.
+fn assert_lpm_matches_scan(net: &BgpNet, probes: &[u32]) {
+    for id in net.speaker_ids() {
+        let sp = net.speaker(id).expect("listed speaker");
+        for &ip in probes {
+            for ceiling in std::iter::once(None).chain((0..=32).map(Some)) {
+                let got = sp.lookup_up_to(ip, ceiling);
+                let want = scan_lookup(sp, ip, ceiling);
+                assert_eq!(
+                    got.map(|(p, _)| p),
+                    want,
+                    "{id} ip {ip:#x} ceiling {ceiling:?}"
+                );
+                if let Some((p, cand)) = got {
+                    let best = sp.best(&p).expect("matched prefix is selected");
+                    assert!(std::ptr::eq(cand, best));
+                }
+            }
+        }
+    }
+}
+
 proptest! {
+    #[test]
+    fn loc_rib_lookup_matches_scan(
+        // (op, speaker selector, address selector, mask length).
+        ops in prop::collection::vec((0u8..8, 0u32..64, 0u32..12, 0u8..=32), 1..60),
+        salts in prop::collection::vec(any::<u32>(), 4..5),
+    ) {
+        let mut net = lpm_net();
+        let sessions = lpm_sessions();
+        // Probe inside every address block the ops can touch, plus noise.
+        let probes: Vec<u32> = (0..12)
+            .flat_map(|a| salts.iter().map(move |s| lpm_prefix(a, 32).addr() ^ (s >> 12)))
+            .chain(salts.iter().copied())
+            .collect();
+        for (op, sp_sel, addr_sel, len) in ops {
+            let at = SpeakerId(1 + sp_sel % LPM_SPEAKERS);
+            let prefix = lpm_prefix(addr_sel, len);
+            match op {
+                0..=2 => net.originate(at, prefix),
+                3 => net.speaker_mut(at).expect("speaker").withdraw_local(prefix),
+                4 => {
+                    let (a, b, _) = sessions[sp_sel as usize % sessions.len()];
+                    net.disconnect(a, b);
+                }
+                // The planted-defect hooks write the Loc-RIB behind the
+                // decision process's back; the index must follow them too.
+                5 => {
+                    net.speaker_mut(at).expect("speaker").corrupt_drop_route(&prefix);
+                }
+                6 => {
+                    let donor = net.speaker(at).and_then(|s| s.loc_rib_entries().next().map(|(_, c)| c.clone()));
+                    if let Some(cand) = donor {
+                        net.speaker_mut(at).expect("speaker").corrupt_replace_route(prefix, cand);
+                    }
+                }
+                _ => {
+                    net.speaker_mut(at).expect("speaker").corrupt_redirect_ibgp(&prefix, SpeakerId(99));
+                }
+            }
+            net.run(1_000_000).expect("small net converges");
+            assert_lpm_matches_scan(&net, &probes);
+        }
+    }
+
     #[test]
     fn prefix_display_parse_roundtrip(p in prefix()) {
         let s = p.to_string();

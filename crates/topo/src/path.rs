@@ -86,8 +86,8 @@ impl ResolvedPath {
         self.hops.iter().map(|h| h.km).sum()
     }
 
-    /// Number of distinct ASes crossed (IntraAs hop AS changes + 1-ish;
-    /// diagnostics only).
+    /// Number of resolved hops (`hops.len()`: intra-AS hauls, backbone
+    /// links, cross-connects and last miles each count one).
     pub fn hop_count(&self) -> usize {
         self.hops.len()
     }
@@ -119,12 +119,16 @@ impl ResolvedPath {
 const EXTERNAL_PATH_INFLATION: f64 = 1.3;
 
 /// Resolves the path from `start` (a BGP speaker: an external AS or a VNS
-/// router), entering that AS at `entry_city`, towards `dst_ip`.
+/// router), entering that AS at `entry_city`, towards `dst_ip`. Whether
+/// the path ends with a last-mile hop is the destination prefix's own
+/// [`crate::PrefixInfo::last_mile`] flag (false for infrastructure such as
+/// the echo servers inside PoPs).
 ///
-/// `include_last_mile` is normally true; probes to VNS-internal
-/// infrastructure addresses (echo servers inside PoPs) resolve with the
-/// prefix's own `last_mile` flag anyway, so this is the default behaviour
-/// knob for tests.
+/// The walk takes at most [`vns_bgp::BgpNet::hop_limit`] steps — the bound
+/// [`Internet::converge`] derives from the world's size, shared with
+/// [`vns_bgp::BgpNet::forwarding_path`] — and reports exhaustion as
+/// [`PathError::HopLimitExceeded`], never as a loop: only a revisited
+/// router is a [`PathError::ForwardingLoop`].
 pub fn resolve_path(
     internet: &Internet,
     start: SpeakerId,
@@ -139,7 +143,8 @@ pub fn resolve_path(
     // injected steering more-specific onto its covering route.
     let mut max_len: Option<u8> = None;
 
-    for _ in 0..64 {
+    let hop_limit = internet.net.hop_limit();
+    for _ in 0..hop_limit {
         let speaker = internet
             .net
             .speaker(cur)
@@ -186,7 +191,7 @@ pub fn resolve_path(
                                 })
                                 .ok_or(PathError::NoRoute(cur))?;
                             if near != cur_city {
-                                hops.push(intra_hop(internet, cur_info, cur_city, near));
+                                hops.push(intra_hop(cur_info, cur_city, near));
                             }
                             hops.push(ResolvedHop {
                                 kind: HopKind::InterAs {
@@ -225,7 +230,7 @@ pub fn resolve_path(
                 // Arrived at the origin AS: haul to the prefix city, then
                 // the last mile.
                 if pinfo.city != cur_city {
-                    hops.push(intra_hop(internet, cur_info, cur_city, pinfo.city));
+                    hops.push(intra_hop(cur_info, cur_city, pinfo.city));
                 }
                 if pinfo.last_mile {
                     let region = vns_geo::city(pinfo.city).region;
@@ -255,7 +260,7 @@ pub fn resolve_path(
                     })
                     .ok_or(PathError::NoRoute(cur))?;
                 if near != cur_city {
-                    hops.push(intra_hop(internet, cur_info, cur_city, near));
+                    hops.push(intra_hop(cur_info, cur_city, near));
                 }
                 let ix_region = vns_geo::city(far).region;
                 hops.push(ResolvedHop {
@@ -302,7 +307,7 @@ pub fn resolve_path(
             }
         }
     }
-    Err(PathError::ForwardingLoop)
+    Err(PathError::HopLimitExceeded { limit: hop_limit })
 }
 
 /// Resolves a path that starts at a *host* inside `src_prefix` (the host's
@@ -342,12 +347,7 @@ pub fn resolve_from_prefix(
 }
 
 /// An intra-AS haul on shared (non-dedicated) infrastructure.
-fn intra_hop(
-    _internet: &Internet,
-    info: &crate::internet::AsInfo,
-    from: CityId,
-    to: CityId,
-) -> ResolvedHop {
+fn intra_hop(info: &crate::internet::AsInfo, from: CityId, to: CityId) -> ResolvedHop {
     let km = Internet::city_km(from, to) * EXTERNAL_PATH_INFLATION;
     ResolvedHop {
         kind: HopKind::IntraAs {
@@ -398,6 +398,78 @@ mod tests {
     use super::*;
     use crate::config::TopoConfig;
     use crate::gen::generate;
+    use crate::internet::{AsId, AsInfo, PrefixInfo};
+    use vns_bgp::{Policy, Prefix, Relation, Speaker};
+
+    /// A provider chain of `n` single-router ASes, all in one city, with one
+    /// prefix originated by the last: from the first AS every packet takes
+    /// `n - 1` eBGP steps plus the delivery.
+    fn chain_world(n: u32) -> (Internet, SpeakerId, CityId, u32) {
+        let (cid, c) = vns_geo::cities::city_by_name("Amsterdam").expect("known city");
+        let mut internet = Internet::new();
+        let mut speakers = Vec::new();
+        for i in 0..n {
+            let sp = internet.alloc_speaker_id();
+            let asn = internet.alloc_asn();
+            internet.net.add_speaker(Speaker::new(sp, asn));
+            internet.add_as(AsInfo {
+                id: AsId(i),
+                asn,
+                ty: AsType::Stp,
+                region: c.region,
+                home_city: cid,
+                presence: vec![cid],
+                speaker: Some(sp),
+                routers: vec![(cid, sp)],
+                prefixes: vec![],
+                dedicated: false,
+                igp: None,
+            });
+            if let Some(&prev) = speakers.last() {
+                internet
+                    .net
+                    .connect_ebgp(prev, sp, Relation::Customer, Policy::GaoRexford);
+                internet.record_link(prev, cid, sp, cid);
+            }
+            speakers.push(sp);
+        }
+        let prefix: Prefix = "10.0.0.0/8".parse().expect("prefix");
+        internet.add_prefix(
+            PrefixInfo {
+                prefix,
+                origin: AsId(n - 1),
+                city: cid,
+                location: c.location,
+                last_mile: true,
+                anycast: false,
+            },
+            "NL",
+            c.location,
+        );
+        internet.net.originate(speakers[n as usize - 1], prefix);
+        internet.converge(10_000_000, 1).expect("chain converges");
+        (internet, speakers[0], cid, prefix.first_host())
+    }
+
+    #[test]
+    fn long_legal_paths_resolve_and_exhaustion_is_typed() {
+        // 80 ASes: 79 eBGP steps, past the old fixed bound of 64, inside
+        // the bound `converge` derives (2·80 + 2).
+        let (mut internet, start, city, ip) = chain_world(80);
+        assert_eq!(internet.net.hop_limit(), 162);
+        let path = resolve_path(&internet, start, city, ip).expect("long path resolves");
+        assert_eq!(path.routers.len(), 80);
+        assert!(matches!(
+            path.hops.last().map(|h| h.kind),
+            Some(HopKind::LastMile { .. })
+        ));
+        // Running out of steps is not a loop.
+        internet.net.set_hop_limit(40);
+        assert_eq!(
+            resolve_path(&internet, start, city, ip).err(),
+            Some(PathError::HopLimitExceeded { limit: 40 })
+        );
+    }
 
     #[test]
     fn resolves_paths_between_generated_prefixes() {

@@ -9,7 +9,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use vns_bgp::policy::relation_from_tags;
-use vns_bgp::{may_export, Community, Prefix, RouteSource, SpeakerId, DEFAULT_LOCAL_PREF};
+use vns_bgp::{
+    may_export, BgpNet, Candidate, Community, Prefix, RouteSource, SpeakerId, DEFAULT_LOCAL_PREF,
+};
 use vns_core::lpfunc::MAX_DISTANCE_KM;
 use vns_core::{GeoHook, LocalPrefFn, RoutingMode, Vns};
 use vns_topo::Internet;
@@ -234,19 +236,28 @@ pub(crate) fn geo_preference(
     }
 }
 
-/// Invariant 3 — NO-EXPORT: `NO_EXPORT`-tagged routes never cross an AS
-/// boundary. Checked from both ends of every session: (a) receive side —
-/// an eBGP-learned Adj-RIB-In entry carrying the community means a leak
+/// Invariants 3 and 6, which both read every speaker's Adj-RIB-In, in one
+/// pass over it (NO-EXPORT findings go to `rep`, VALLEY-FREE findings to
+/// `valley`, so the caller can place each where its report order wants it).
+///
+/// NO-EXPORT: `NO_EXPORT`-tagged routes never cross an AS boundary.
+/// Checked from both ends of every session: (a) receive side — an
+/// eBGP-learned Adj-RIB-In entry carrying the community means a leak
 /// already happened; (b) send side — recompute every eBGP export for
 /// prefixes whose best (or best-external) route carries the community and
 /// confirm the export pipeline dropped it.
-pub(crate) fn no_export_containment(internet: &Internet, rep: &mut Reporter) {
+///
+/// VALLEY-FREE: see [`valley_free_entry`].
+pub(crate) fn no_export_and_valley_free(
+    internet: &Internet,
+    rep: &mut Reporter,
+    valley: &mut Reporter,
+) {
     let net = &internet.net;
-    let ids: Vec<SpeakerId> = net.speaker_ids().collect();
-    for id in ids {
+    for id in net.speaker_ids() {
         let Some(sp) = net.speaker(id) else { continue };
-        // (a) Receive side.
         for (prefix, from, cand) in sp.adj_rib_in_entries() {
+            // NO-EXPORT (a): receive side.
             if cand.source.is_ebgp() && cand.attrs.has_community(Community::NoExport) {
                 rep.push(
                     Violation::error(
@@ -262,8 +273,9 @@ pub(crate) fn no_export_containment(internet: &Internet, rep: &mut Reporter) {
                     .on(prefix),
                 );
             }
+            valley_free_entry(net, id, prefix, cand, valley);
         }
-        // (b) Send side.
+        // NO-EXPORT (b): send side.
         let ebgp_peers: Vec<SpeakerId> = sp
             .peer_ids()
             .filter(|p| sp.peer_config(*p).is_some_and(|c| c.kind.is_ebgp()))
@@ -271,10 +283,8 @@ pub(crate) fn no_export_containment(internet: &Internet, rep: &mut Reporter) {
         if ebgp_peers.is_empty() {
             continue;
         }
-        for prefix in sp.loc_rib_prefixes() {
-            let tagged_best = sp
-                .best(&prefix)
-                .is_some_and(|c| c.attrs.has_community(Community::NoExport));
+        for (prefix, best) in sp.loc_rib_entries() {
+            let tagged_best = best.attrs.has_community(Community::NoExport);
             let tagged_ext = sp.best_external_enabled()
                 && sp
                     .best_external_route(&prefix)
@@ -332,10 +342,7 @@ pub(crate) fn hidden_routes(
                 );
                 continue;
             };
-            for prefix in sp.loc_rib_prefixes() {
-                let Some(best) = sp.best(&prefix) else {
-                    continue;
-                };
+            for (prefix, best) in sp.loc_rib_entries() {
                 if !best.source.is_ibgp() {
                     continue;
                 }
@@ -391,93 +398,93 @@ pub(crate) fn hidden_routes(
     }
 }
 
-/// Invariant 6 — VALLEY-FREE: for every eBGP-learned Adj-RIB-In entry,
-/// the *sender's* current best route for that prefix was exportable to us
-/// under Gao–Rexford scoping (own and customer routes go everywhere;
-/// peer- and provider-learned routes go only to customers). Also flags
-/// routes echoed straight back to the speaker they were learned from.
-pub(crate) fn valley_free(internet: &Internet, rep: &mut Reporter) {
-    let net = &internet.net;
-    let ids: Vec<SpeakerId> = net.speaker_ids().collect();
-    for id in ids {
-        let Some(sp) = net.speaker(id) else { continue };
-        for (prefix, _from, cand) in sp.adj_rib_in_entries() {
-            let RouteSource::Ebgp { peer, relation, .. } = cand.source else {
-                continue;
-            };
-            let Some(sender) = net.speaker(peer) else {
-                rep.push(
-                    Violation::error(
-                        Invariant::ValleyFree,
-                        format!("eBGP route from {peer}, which is not a registered speaker"),
-                    )
-                    .at(id)
-                    .on(prefix),
-                );
-                continue;
-            };
-            // Converged state: what the sender advertised derives from its
-            // current best for the prefix. Absence means a withdraw is the
-            // correct converged state — skip rather than guess.
-            let Some(sbest) = sender.best(&prefix) else {
-                continue;
-            };
-            if sbest.source.peer() == Some(id) {
+/// Invariant 6 — VALLEY-FREE, for one Adj-RIB-In entry `cand` held by
+/// `id`: if it is eBGP-learned, the *sender's* current best route for that
+/// prefix was exportable to us under Gao–Rexford scoping (own and customer
+/// routes go everywhere; peer- and provider-learned routes go only to
+/// customers). Also flags routes echoed straight back to the speaker they
+/// were learned from.
+fn valley_free_entry(
+    net: &BgpNet,
+    id: SpeakerId,
+    prefix: Prefix,
+    cand: &Candidate,
+    rep: &mut Reporter,
+) {
+    let RouteSource::Ebgp { peer, relation, .. } = cand.source else {
+        return;
+    };
+    let Some(sender) = net.speaker(peer) else {
+        rep.push(
+            Violation::error(
+                Invariant::ValleyFree,
+                format!("eBGP route from {peer}, which is not a registered speaker"),
+            )
+            .at(id)
+            .on(prefix),
+        );
+        return;
+    };
+    // Converged state: what the sender advertised derives from its
+    // current best for the prefix. Absence means a withdraw is the
+    // correct converged state — skip rather than guess.
+    let Some(sbest) = sender.best(&prefix) else {
+        return;
+    };
+    if sbest.source.peer() == Some(id) {
+        rep.push(
+            Violation::error(
+                Invariant::ValleyFree,
+                format!(
+                    "{peer}'s best route for this prefix was learned \
+                     from us, yet we hold its advertisement — the \
+                     route was echoed back across the session"
+                ),
+            )
+            .at(id)
+            .on(prefix),
+        );
+        return;
+    }
+    let learned = match &sbest.source {
+        RouteSource::Local => None,
+        RouteSource::Ebgp { relation, .. } => Some(*relation),
+        RouteSource::Ibgp { .. } => match relation_from_tags(&sbest.attrs) {
+            Some(r) => Some(r),
+            None if sbest.attrs.as_path.is_empty() => None,
+            None => {
                 rep.push(
                     Violation::error(
                         Invariant::ValleyFree,
                         format!(
-                            "{peer}'s best route for this prefix was learned \
-                             from us, yet we hold its advertisement — the \
-                             route was echoed back across the session"
+                            "{peer} exported an iBGP-learned transit \
+                             route with no ingress-relation tag; its \
+                             Gao–Rexford class cannot be established"
                         ),
                     )
                     .at(id)
                     .on(prefix),
                 );
-                continue;
+                return;
             }
-            let learned = match &sbest.source {
-                RouteSource::Local => None,
-                RouteSource::Ebgp { relation, .. } => Some(*relation),
-                RouteSource::Ibgp { .. } => match relation_from_tags(&sbest.attrs) {
-                    Some(r) => Some(r),
-                    None if sbest.attrs.as_path.is_empty() => None,
-                    None => {
-                        rep.push(
-                            Violation::error(
-                                Invariant::ValleyFree,
-                                format!(
-                                    "{peer} exported an iBGP-learned transit \
-                                     route with no ingress-relation tag; its \
-                                     Gao–Rexford class cannot be established"
-                                ),
-                            )
-                            .at(id)
-                            .on(prefix),
-                        );
-                        continue;
-                    }
-                },
-            };
-            // `relation` is *our* relationship to the sender; the sender
-            // sees us as the inverse.
-            let sender_to_us = relation.inverse();
-            if !may_export(learned, sender_to_us) {
-                rep.push(
-                    Violation::error(
-                        Invariant::ValleyFree,
-                        format!(
-                            "{peer} exported a {learned:?}-learned route to a \
-                             {sender_to_us:?} — a valley: peer/provider routes \
-                             may only be exported to customers"
-                        ),
-                    )
-                    .at(id)
-                    .on(prefix),
-                );
-            }
-        }
+        },
+    };
+    // `relation` is *our* relationship to the sender; the sender
+    // sees us as the inverse.
+    let sender_to_us = relation.inverse();
+    if !may_export(learned, sender_to_us) {
+        rep.push(
+            Violation::error(
+                Invariant::ValleyFree,
+                format!(
+                    "{peer} exported a {learned:?}-learned route to a \
+                     {sender_to_us:?} — a valley: peer/provider routes \
+                     may only be exported to customers"
+                ),
+            )
+            .at(id)
+            .on(prefix),
+        );
     }
 }
 
@@ -535,10 +542,7 @@ pub(crate) fn next_hop_resolution(
                 );
             }
         }
-        for prefix in sp.loc_rib_prefixes() {
-            let Some(best) = sp.best(&prefix) else {
-                continue;
-            };
+        for (prefix, best) in sp.loc_rib_entries() {
             if !best.source.is_ibgp() {
                 continue;
             }

@@ -5,11 +5,25 @@
 //! computes each speaker's forwarding successor (mirroring
 //! [`vns_topo::path::resolve_path`]'s decision exactly — longest match,
 //! steering-more-specific fall-through, eBGP interconnect choice, iBGP
-//! next-hop IGP resolution) and walks the resulting functional graph.
+//! next-hop IGP resolution; `crates/bench/tests/graph_vs_resolver.rs` pins
+//! the agreement) and walks the resulting functional graph.
 //! Because each speaker has at most one successor per destination, every
 //! walk is a rho-shaped chain: terminal fates are memoised and propagated
 //! backwards, so the whole pass is linear in `speakers × destinations`
 //! successor evaluations.
+//!
+//! **Dense walk state.** One [`analyze`] call numbers the speakers once
+//! (their *ordinal*: position in id order) and resolves per ordinal what
+//! every step needs — the speaker, its AS, whether the scope declares it
+//! dead. Per destination the walk then runs on `Vec`s indexed by ordinal:
+//! the memoised terminal, an on-chain stamp with the chain position it
+//! vouches for, and one chain buffer reused across sources; the public
+//! `outcomes` map is assembled once at the end. Invariant: a chain
+//! position is meaningful only under the *current* walk's stamp (the
+//! source's ordinal + 1, unique per walk), so nothing is cleared between
+//! sources and a stale stamp can never be taken for chain membership.
+//! Nothing outlives the call: the tables borrow the `Internet`, so there is
+//! no cache to invalidate.
 //!
 //! The output ([`ForwardingAnalysis`]) assigns every reachable source a
 //! [`Terminal`]: delivery at the origin AS, delivery at an anycast
@@ -21,8 +35,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use vns_bgp::{Prefix, RouteSource, SpeakerId};
-use vns_topo::Internet;
+use vns_bgp::{Prefix, RouteSource, Speaker, SpeakerId};
+use vns_topo::{AsId, Internet, PrefixInfo};
 
 use crate::VerifyScope;
 
@@ -96,8 +110,9 @@ enum Step {
         /// Whether this is an anycast delivery.
         anycast: bool,
     },
-    /// Forwarded to the next BGP-level router.
-    Forward(SpeakerId),
+    /// Forwarded to the next BGP-level router (by speaker ordinal, see
+    /// [`Speakers`]).
+    Forward(usize),
     /// Dies here.
     Dead(BlackholeCause),
 }
@@ -144,107 +159,262 @@ impl ForwardingAnalysis {
     }
 }
 
-/// Evaluates one speaker's forwarding decision for `dst_ip`, resolving
-/// locally injected steering more-specifics through the same
-/// longest-match-ceiling fall-through as `resolve_path`. Returns `None`
-/// when the speaker holds no covering route at all.
-fn successor(
-    internet: &Internet,
-    cur: SpeakerId,
-    dst_ip: u32,
-    covering: &[Prefix],
-) -> Option<Step> {
-    let speaker = internet.net.speaker(cur)?;
-    // Longest-match ceiling, lowered when falling through an injected
-    // steering more-specific onto its covering route. The ceiling only
-    // ever decreases, so this loop terminates.
-    let mut max_len: Option<u8> = None;
-    loop {
-        let found = covering.iter().find_map(|p| {
-            if max_len.is_some_and(|m| p.len() >= m) {
-                return None;
-            }
-            speaker.best(p).map(|c| (*p, c))
-        });
-        let Some((matched, cand)) = found else {
-            // Nothing under the ceiling. At ceiling `None` the speaker is
-            // simply not a source for this destination; below a lowered
-            // ceiling the fall-through found no covering route, which
-            // `resolve_path` reports as NoRoute — a blackhole.
-            return if max_len.is_some() {
-                Some(Step::Dead(BlackholeCause::NoRoute))
-            } else {
-                None
+/// The speakers of one world in id order, with what every forwarding
+/// decision needs of each resolved once: built per [`analyze`] call, shared
+/// by all destinations. A speaker's position is its *ordinal*, the index
+/// the per-destination walk state is kept under.
+struct Speakers<'a> {
+    internet: &'a Internet,
+    ids: Vec<SpeakerId>,
+    speakers: Vec<&'a Speaker>,
+    as_of: Vec<Option<AsId>>,
+    dead: Vec<bool>,
+}
+
+impl<'a> Speakers<'a> {
+    fn new(internet: &'a Internet, scope: &VerifyScope) -> Self {
+        let ids: Vec<SpeakerId> = internet.net.speaker_ids().collect();
+        let speakers = ids
+            .iter()
+            .filter_map(|&id| internet.net.speaker(id))
+            .collect();
+        let as_of = ids.iter().map(|&id| internet.as_of_speaker(id)).collect();
+        let dead = ids.iter().map(|&id| scope.is_dead(id)).collect();
+        Self {
+            internet,
+            ids,
+            speakers,
+            as_of,
+            dead,
+        }
+    }
+
+    fn ordinal(&self, id: SpeakerId) -> Option<usize> {
+        self.ids.binary_search(&id).ok()
+    }
+
+    /// Evaluates the forwarding decision of the speaker with ordinal `cur`
+    /// for a destination whose ground-truth entry is `pinfo`, resolving
+    /// locally injected steering more-specifics through the same
+    /// longest-match-ceiling fall-through as `resolve_path`. `covering` is
+    /// every advertised prefix containing the destination, most specific
+    /// first. Returns `None` when the speaker holds no covering route at
+    /// all.
+    fn successor(
+        &self,
+        cur: usize,
+        pinfo: Option<&PrefixInfo>,
+        covering: &[Prefix],
+    ) -> Option<Step> {
+        let (cur_id, speaker) = (self.ids[cur], self.speakers[cur]);
+        // Longest-match ceiling, lowered when falling through an injected
+        // steering more-specific onto its covering route. The ceiling only
+        // ever decreases, so this loop terminates.
+        let mut max_len: Option<u8> = None;
+        loop {
+            let found = covering.iter().find_map(|p| {
+                if max_len.is_some_and(|m| p.len() >= m) {
+                    return None;
+                }
+                speaker.best(p).map(|c| (*p, c))
+            });
+            let Some((matched, cand)) = found else {
+                // Nothing under the ceiling. At ceiling `None` the speaker
+                // is simply not a source for this destination; below a
+                // lowered ceiling the fall-through found no covering route,
+                // which `resolve_path` reports as NoRoute — a blackhole.
+                return max_len.map(|_| Step::Dead(BlackholeCause::NoRoute));
             };
-        };
-        let Some(cur_as) = internet.as_of_speaker(cur) else {
-            return Some(Step::Dead(BlackholeCause::UnknownSpeaker));
-        };
-        match cand.source {
-            RouteSource::Local => {
-                let Some(pinfo) = internet.lookup_prefix(dst_ip) else {
-                    // Locally originated but unregistered (pure
-                    // control-plane prefixes): terminates here.
-                    return Some(Step::Deliver { anycast: false });
-                };
-                if pinfo.origin != cur_as {
-                    // A locally injected steering more-specific for someone
-                    // else's prefix (Sec 3.2): resolve over this router's
-                    // *own* external route to the covering prefix, else
-                    // fall through the ceiling onto the covering route.
-                    if matched.len() == 0 {
-                        return Some(Step::Dead(BlackholeCause::NoRoute));
-                    }
-                    let cover = covering
-                        .iter()
-                        .find(|p| p.len() < matched.len() && speaker.best(p).is_some());
-                    let Some(cover) = cover else {
-                        return Some(Step::Dead(BlackholeCause::NoRoute));
+            let Some(cur_as) = self.as_of[cur] else {
+                return Some(Step::Dead(BlackholeCause::UnknownSpeaker));
+            };
+            match cand.source {
+                RouteSource::Local => {
+                    let Some(pinfo) = pinfo else {
+                        // Locally originated but unregistered (pure
+                        // control-plane prefixes): terminates here.
+                        return Some(Step::Deliver { anycast: false });
                     };
-                    if let Some(ext) = speaker.best_external_route(cover) {
-                        if let RouteSource::Ebgp { peer, .. } = ext.source {
-                            if internet.links_between(cur, peer).is_empty() {
-                                return Some(Step::Dead(BlackholeCause::NoInterconnect));
-                            }
-                            return Some(Step::Forward(peer));
+                    if pinfo.origin != cur_as {
+                        // A locally injected steering more-specific for
+                        // someone else's prefix (Sec 3.2): resolve over this
+                        // router's *own* external route to the covering
+                        // prefix, else fall through the ceiling onto the
+                        // covering route.
+                        if matched.len() == 0 {
+                            return Some(Step::Dead(BlackholeCause::NoRoute));
                         }
+                        let cover = covering
+                            .iter()
+                            .find(|p| p.len() < matched.len() && speaker.best(p).is_some());
+                        let Some(cover) = cover else {
+                            return Some(Step::Dead(BlackholeCause::NoRoute));
+                        };
+                        if let Some(ext) = speaker.best_external_route(cover) {
+                            if let RouteSource::Ebgp { peer, .. } = ext.source {
+                                return Some(self.ebgp_step(cur_id, peer));
+                            }
+                        }
+                        max_len = Some(matched.len());
+                        continue;
                     }
-                    max_len = Some(matched.len());
-                    continue;
+                    return Some(Step::Deliver {
+                        anycast: pinfo.anycast,
+                    });
                 }
-                return Some(Step::Deliver {
-                    anycast: pinfo.anycast,
-                });
+                RouteSource::Ebgp { peer, .. } => return Some(self.ebgp_step(cur_id, peer)),
+                RouteSource::Ibgp { .. } => {
+                    let nh = cand.attrs.next_hop;
+                    if nh == cur_id {
+                        // Degenerate self-next-hop: surfaces as a 1-cycle.
+                        return Some(Step::Forward(cur));
+                    }
+                    let Some(next) = self.ordinal(nh) else {
+                        return Some(Step::Dead(BlackholeCause::UnknownSpeaker));
+                    };
+                    let resolvable = self
+                        .internet
+                        .as_info(cur_as)
+                        .igp
+                        .as_ref()
+                        .is_some_and(|g| g.reachable(cur_id, nh));
+                    if !resolvable {
+                        return Some(Step::Dead(BlackholeCause::IgpUnreachable));
+                    }
+                    return Some(Step::Forward(next));
+                }
             }
-            RouteSource::Ebgp { peer, .. } => {
-                if internet.net.speaker(peer).is_none() {
-                    return Some(Step::Dead(BlackholeCause::UnknownSpeaker));
-                }
-                if internet.links_between(cur, peer).is_empty() {
-                    return Some(Step::Dead(BlackholeCause::NoInterconnect));
-                }
-                return Some(Step::Forward(peer));
+        }
+    }
+
+    /// Forwarding over the eBGP session from `cur` to `peer`: the peer must
+    /// be a speaker and the session must have an interconnect.
+    fn ebgp_step(&self, cur: SpeakerId, peer: SpeakerId) -> Step {
+        let Some(next) = self.ordinal(peer) else {
+            return Step::Dead(BlackholeCause::UnknownSpeaker);
+        };
+        if self.internet.links_between(cur, peer).is_empty() {
+            return Step::Dead(BlackholeCause::NoInterconnect);
+        }
+        Step::Forward(next)
+    }
+
+    /// Derives the forwarding graph for one destination and walks every
+    /// source to its terminal. All walk state is dense, indexed by speaker
+    /// ordinal; the public map is assembled once at the end.
+    fn analyze_destination(
+        &self,
+        prefix: Prefix,
+        advertised: &BTreeSet<Prefix>,
+    ) -> DestinationAnalysis {
+        let ip = prefix.first_host();
+        let pinfo = self.internet.lookup_prefix(ip);
+        // Covering candidates, most specific first: `ip` has exactly one
+        // candidate prefix per mask length.
+        let covering: Vec<Prefix> = (0..=32u8)
+            .rev()
+            .map(|len| Prefix::new(ip, len))
+            .filter(|p| advertised.contains(p))
+            .collect();
+
+        let n = self.ids.len();
+        let mut terminal: Vec<Option<Terminal>> = vec![None; n];
+        // `chain_pos[s]` is `s`'s position on the current walk's chain iff
+        // `on_chain[s]` carries the current walk's stamp (its source's
+        // ordinal + 1); stamps from earlier walks are never equal to it, so
+        // nothing is cleared between sources.
+        let mut on_chain: Vec<usize> = vec![0; n];
+        let mut chain_pos: Vec<usize> = vec![0; n];
+        let mut chain: Vec<usize> = Vec::new();
+        let mut cycles: Vec<Vec<SpeakerId>> = Vec::new();
+
+        for src in 0..n {
+            if terminal[src].is_some() || self.dead[src] {
+                continue;
             }
-            RouteSource::Ibgp { .. } => {
-                let nh = cand.attrs.next_hop;
-                if nh == cur {
-                    // Degenerate self-next-hop: surfaces as a 1-cycle.
-                    return Some(Step::Forward(cur));
+            let stamp = src + 1;
+            chain.clear();
+            let mut cur = src;
+            let fate: Option<Terminal> = loop {
+                if let Some(t) = terminal[cur] {
+                    break Some(t);
                 }
-                if internet.net.speaker(nh).is_none() {
-                    return Some(Step::Dead(BlackholeCause::UnknownSpeaker));
+                if self.dead[cur] {
+                    break Some(Terminal::DeadSink { at: self.ids[cur] });
                 }
-                let resolvable = internet
-                    .as_info(cur_as)
-                    .igp
-                    .as_ref()
-                    .and_then(|g| g.shortest_path(cur, nh))
-                    .is_some();
-                if !resolvable {
-                    return Some(Step::Dead(BlackholeCause::IgpUnreachable));
+                match self.successor(cur, pinfo, &covering) {
+                    None => {
+                        // `cur` holds no covering route. At the walk's
+                        // origin that just means it is not a source for
+                        // this destination; downstream it is a silent
+                        // blackhole.
+                        break (!chain.is_empty()).then_some(Terminal::Blackhole {
+                            at: self.ids[cur],
+                            cause: BlackholeCause::NoRoute,
+                        });
+                    }
+                    Some(Step::Deliver { anycast }) => {
+                        let at = self.ids[cur];
+                        let t = if anycast {
+                            Terminal::Anycast { at }
+                        } else {
+                            Terminal::Origin { at }
+                        };
+                        terminal[cur] = Some(t);
+                        break Some(t);
+                    }
+                    Some(Step::Dead(cause)) => {
+                        let t = Terminal::Blackhole {
+                            at: self.ids[cur],
+                            cause,
+                        };
+                        terminal[cur] = Some(t);
+                        break Some(t);
+                    }
+                    Some(Step::Forward(next)) => {
+                        on_chain[cur] = stamp;
+                        chain_pos[cur] = chain.len();
+                        chain.push(cur);
+                        if on_chain[next] == stamp {
+                            let mut members: Vec<SpeakerId> = chain[chain_pos[next]..]
+                                .iter()
+                                .map(|&s| self.ids[s])
+                                .collect();
+                            let lead = members
+                                .iter()
+                                .enumerate()
+                                .min_by_key(|(_, s)| **s)
+                                .map_or(0, |(i, _)| i);
+                            members.rotate_left(lead);
+                            let idx = cycles.iter().position(|c| *c == members);
+                            break Some(Terminal::Cycle {
+                                idx: idx.unwrap_or_else(|| {
+                                    cycles.push(members);
+                                    cycles.len() - 1
+                                }),
+                            });
+                        }
+                        cur = next;
+                    }
                 }
-                return Some(Step::Forward(nh));
+            };
+            if let Some(t) = fate {
+                for &s in &chain {
+                    terminal[s] = Some(t);
+                }
             }
+        }
+        let outcomes: BTreeMap<SpeakerId, Terminal> = self
+            .ids
+            .iter()
+            .zip(terminal)
+            .filter_map(|(&id, t)| Some((id, t?)))
+            .collect();
+        DestinationAnalysis {
+            prefix,
+            ip,
+            outcomes,
+            cycles,
         }
     }
 }
@@ -257,108 +427,14 @@ pub fn analyze_destination(
     prefix: Prefix,
     advertised: &BTreeSet<Prefix>,
 ) -> DestinationAnalysis {
-    let ip = prefix.first_host();
-    // Covering candidates, most specific first. Two distinct prefixes of
-    // equal length cannot both contain `ip`, so length alone orders the
-    // longest match.
-    let mut covering: Vec<Prefix> = advertised
-        .iter()
-        .filter(|p| p.contains(ip))
-        .copied()
-        .collect();
-    covering.sort_by_key(|p| std::cmp::Reverse(p.len()));
-
-    let mut outcomes: BTreeMap<SpeakerId, Terminal> = BTreeMap::new();
-    let mut cycles: Vec<Vec<SpeakerId>> = Vec::new();
-    let mut cycle_index: BTreeMap<Vec<SpeakerId>, usize> = BTreeMap::new();
-
-    let sources: Vec<SpeakerId> = internet.net.speaker_ids().collect();
-    for src in sources {
-        if outcomes.contains_key(&src) || scope.is_dead(src) {
-            continue;
-        }
-        let mut chain: Vec<SpeakerId> = Vec::new();
-        let mut on_chain: BTreeMap<SpeakerId, usize> = BTreeMap::new();
-        let mut cur = src;
-        let terminal: Option<Terminal> = loop {
-            if let Some(&t) = outcomes.get(&cur) {
-                break Some(t);
-            }
-            if scope.is_dead(cur) {
-                break Some(Terminal::DeadSink { at: cur });
-            }
-            match successor(internet, cur, ip, &covering) {
-                None => {
-                    // `cur` holds no covering route. At the walk's origin
-                    // that just means it is not a source for this
-                    // destination; downstream it is a silent blackhole.
-                    break if chain.is_empty() {
-                        None
-                    } else {
-                        let t = Terminal::Blackhole {
-                            at: cur,
-                            cause: BlackholeCause::NoRoute,
-                        };
-                        Some(t)
-                    };
-                }
-                Some(Step::Deliver { anycast }) => {
-                    let t = if anycast {
-                        Terminal::Anycast { at: cur }
-                    } else {
-                        Terminal::Origin { at: cur }
-                    };
-                    outcomes.insert(cur, t);
-                    break Some(t);
-                }
-                Some(Step::Dead(cause)) => {
-                    let t = Terminal::Blackhole { at: cur, cause };
-                    outcomes.insert(cur, t);
-                    break Some(t);
-                }
-                Some(Step::Forward(next)) => {
-                    on_chain.insert(cur, chain.len());
-                    chain.push(cur);
-                    if let Some(&start) = on_chain.get(&next) {
-                        let mut members: Vec<SpeakerId> = chain[start..].to_vec();
-                        let lead = members
-                            .iter()
-                            .enumerate()
-                            .min_by_key(|(_, s)| **s)
-                            .map_or(0, |(i, _)| i);
-                        members.rotate_left(lead);
-                        let idx = match cycle_index.get(&members) {
-                            Some(&i) => i,
-                            None => {
-                                cycles.push(members.clone());
-                                cycle_index.insert(members, cycles.len() - 1);
-                                cycles.len() - 1
-                            }
-                        };
-                        break Some(Terminal::Cycle { idx });
-                    }
-                    cur = next;
-                }
-            }
-        };
-        if let Some(t) = terminal {
-            for s in chain {
-                outcomes.insert(s, t);
-            }
-        }
-    }
-    DestinationAnalysis {
-        prefix,
-        ip,
-        outcomes,
-        cycles,
-    }
+    Speakers::new(internet, scope).analyze_destination(prefix, advertised)
 }
 
 /// Derives and walks the forwarding graph for every registered,
 /// unshadowed destination prefix.
 pub fn analyze(internet: &Internet, scope: &VerifyScope) -> ForwardingAnalysis {
     let advertised = internet.net.advertised_prefixes();
+    let speakers = Speakers::new(internet, scope);
     let destinations: Vec<DestinationAnalysis> = internet
         .prefixes()
         .filter(|pi| {
@@ -369,7 +445,7 @@ pub fn analyze(internet: &Internet, scope: &VerifyScope) -> ForwardingAnalysis {
                 .lookup_prefix(pi.prefix.first_host())
                 .is_some_and(|m| m.prefix == pi.prefix)
         })
-        .map(|pi| analyze_destination(internet, scope, pi.prefix, &advertised))
+        .map(|pi| speakers.analyze_destination(pi.prefix, &advertised))
         .collect();
     ForwardingAnalysis { destinations }
 }

@@ -313,6 +313,17 @@ impl Reporter {
         }
     }
 
+    /// Appends everything `other` collected. Exact only when the two
+    /// reporters hold disjoint invariants (the cap is per invariant): this
+    /// is how one pass over the RIBs can feed two checks and still report
+    /// each in its own place.
+    pub(crate) fn absorb(&mut self, other: Reporter) {
+        self.violations.extend(other.violations);
+        for (key, n) in other.counts {
+            *self.counts.entry(key).or_default() += n;
+        }
+    }
+
     /// Finalises into a [`Report`], appending one summary line per
     /// truncated invariant.
     pub(crate) fn finish(mut self) -> Report {
@@ -447,9 +458,12 @@ pub fn verify_scoped(internet: &Internet, vns: &Vns, scope: &VerifyScope) -> Rep
     checks::lp_fn_shape(vns.lp_fn(), "deployed", &mut rep);
     checks::override_sanity(vns, &mut rep);
     checks::geo_preference(internet, vns, scope, &mut rep);
-    checks::no_export_containment(internet, &mut rep);
+    // NO-EXPORT and VALLEY-FREE share one pass over every Adj-RIB-In;
+    // VALLEY-FREE's findings are reported after HIDDEN-ROUTE's.
+    let mut valley = Reporter::default();
+    checks::no_export_and_valley_free(internet, &mut rep, &mut valley);
     checks::hidden_routes(internet, vns, scope, &mut rep);
-    checks::valley_free(internet, &mut rep);
+    rep.absorb(valley);
     checks::next_hop_resolution(internet, vns, scope, &mut rep);
     rep.finish()
 }
