@@ -185,6 +185,91 @@ fn bench_certification_reads(c: &mut Criterion) {
     });
 }
 
+/// What a short flow pays before its first packet, each on the scale-1
+/// world: a channel per direction (`ChannelFactory::channel_args`, fresh
+/// flow label every time), the per-world calibration table behind it
+/// (`ChannelFactory::new` = seven `LossModel::mean_rate` integrals), and
+/// the service plane's unit of work — one steady telemetry window at
+/// `benchmark/`'s `service-churn` sizes (16k target sessions, ten steady
+/// windows, setup stride 4, QoS stride 64).
+fn bench_flow_setup(c: &mut Criterion) {
+    use vns_netsim::diurnal::{DiurnalProfile, DiurnalShape};
+    use vns_netsim::{Par, RngTree};
+    use vns_service::{EndpointTable, Orchestrator, PathTable, ServiceConfig, ServiceEnv};
+    use vns_topo::{CalibrationConfig, ChannelFactory};
+    let world = World::geo(77, 1.0);
+    let (internet, vns) = (&world.internet, &world.vns);
+    let endpoints = EndpointTable::build(internet, vns);
+    let paths = PathTable::build(internet, vns, &endpoints);
+
+    // An RTT probe's path (out of AMS through its best local exit) and a
+    // call's (spilled: access + L2 splice + tail).
+    let rtt_path = prefix_metas(&world)
+        .iter()
+        .find_map(|m| vns.path_via_local_exit(internet, PopId(9), m.ip).ok())
+        .expect("AMS reaches a prefix");
+    let call_path = (0..endpoints.len())
+        .find_map(|caller| {
+            let landing = paths.landing_pop(caller)?;
+            let admitted = vns.pops().iter().map(|p| p.id()).find(|&p| p != landing)?;
+            paths.call_path(caller, (caller + 1) % endpoints.len(), admitted)
+        })
+        .expect("a spilled call path");
+    let mut g = c.benchmark_group("topo/channel_build");
+    for (name, path) in [("rtt_path", &rtt_path), ("call_path", &call_path)] {
+        g.bench_function(name, |b| {
+            let mut i = 0u64;
+            b.iter(|| {
+                i += 1;
+                black_box(world.factory.channel_args(path, format_args!("bench:{i}")))
+            });
+        });
+    }
+    g.finish();
+
+    c.bench_function("topo/factory_new", |b| {
+        let tree = RngTree::new(77);
+        b.iter(|| {
+            black_box(ChannelFactory::new(
+                black_box(CalibrationConfig::default()),
+                tree.subtree("channels"),
+            ))
+        });
+    });
+    let congestion = LossModel::Congestion {
+        profile: DiurnalProfile::new(DiurnalShape::Mixed, 0.45, 0.18, 5.5),
+        knee: 0.80,
+        max_p: 1.0,
+        fluctuation_sigma: 0.35,
+    };
+    c.bench_function("netsim/congestion_mean_rate", |b| {
+        b.iter(|| black_box(black_box(&congestion).mean_rate()));
+    });
+
+    let window = Dur::from_mins(5);
+    let hold = Dur::from_millis_f64(window.as_millis_f64() * 10.0 / 3.3);
+    let profile = DiurnalProfile::new(DiurnalShape::Mixed, 0.55, 0.35, 0.0);
+    let mut cfg = ServiceConfig::sized(16_000, hold, window, profile);
+    cfg.setup_stride = 4;
+    cfg.qos_stride = 64;
+    let mut orch = Orchestrator::new(vns, cfg, RngTree::new(77).subtree("steady-state"));
+    let env = ServiceEnv {
+        internet,
+        vns,
+        factory: &world.factory,
+        endpoints: &endpoints,
+        paths: &paths,
+    };
+    // Fill the fleet first: ramp-up from empty takes a few hold times.
+    orch.run_windows(&env, 10, Par::new(1));
+    let mut g = c.benchmark_group("service");
+    g.sample_size(10);
+    g.bench_function("measure_window", |b| {
+        b.iter(|| orch.run_windows(&env, 1, Par::new(1)));
+    });
+    g.finish();
+}
+
 fn bench_path_channel_send(c: &mut Criterion) {
     use vns_netsim::diurnal::{DiurnalProfile, DiurnalShape};
     use vns_netsim::{DelaySampler, HopChannel, PathChannel};
@@ -282,6 +367,7 @@ criterion_group!(
     bench_topology,
     bench_path_resolution,
     bench_certification_reads,
+    bench_flow_setup,
     bench_media_session
 );
 criterion_main!(benches);

@@ -5,6 +5,15 @@
 //! events: the path simply blackholes for a few seconds. A
 //! [`BlackoutSchedule`] is a set of such windows on a hop; a
 //! [`FaultGenerator`] draws them from a Poisson process.
+//!
+//! A schedule belongs to a *hop*, not to a flow: every flow crossing the
+//! hop (in either direction) must see the same outages, so `vns-topo`
+//! generates one per faultable hop and hands a clone to each flow's
+//! channel. The windows therefore sit behind an [`Arc`] — a clone is a
+//! reference-count bump, never a copy of the ~120 windows a 30-day
+//! horizon holds — and an empty schedule holds no allocation at all.
+
+use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -12,11 +21,13 @@ use rand::Rng;
 use crate::time::{Dur, SimTime};
 
 /// A sorted, non-overlapping set of blackout windows. Packets sent inside a
-/// window are lost with probability 1.
+/// window are lost with probability 1. Immutable once built; clones share
+/// the windows.
 #[derive(Debug, Clone, Default)]
 pub struct BlackoutSchedule {
-    /// `(start, end)` pairs, sorted by start, non-overlapping.
-    windows: Vec<(SimTime, SimTime)>,
+    /// `(start, end)` pairs, sorted by start, non-overlapping; `None` when
+    /// there are none.
+    windows: Option<Arc<[(SimTime, SimTime)]>>,
 }
 
 impl BlackoutSchedule {
@@ -40,13 +51,20 @@ impl BlackoutSchedule {
                 _ => merged.push((s, e)),
             }
         }
-        Self { windows: merged }
+        Self {
+            windows: (!merged.is_empty()).then(|| merged.into()),
+        }
+    }
+
+    fn windows(&self) -> &[(SimTime, SimTime)] {
+        self.windows.as_deref().unwrap_or(&[])
     }
 
     /// Whether `t` falls inside a blackout window.
     pub fn blacked_out(&self, t: SimTime) -> bool {
-        let idx = self.windows.partition_point(|(s, _)| *s <= t);
-        idx > 0 && t < self.windows[idx - 1].1
+        let windows = self.windows();
+        let idx = windows.partition_point(|(s, _)| *s <= t);
+        idx > 0 && t < windows[idx - 1].1
     }
 
     /// The maximal segment `[lo, hi)` containing `t` on which membership is
@@ -56,33 +74,34 @@ impl BlackoutSchedule {
     /// staying *exact*: every window boundary starts a new segment, so the
     /// cache can never smear a window edge across an epoch.
     pub fn segment_at(&self, t: SimTime) -> (SimTime, SimTime, bool) {
-        let idx = self.windows.partition_point(|(s, _)| *s <= t);
-        if idx > 0 && t < self.windows[idx - 1].1 {
-            let (s, e) = self.windows[idx - 1];
+        let windows = self.windows();
+        let idx = windows.partition_point(|(s, _)| *s <= t);
+        if idx > 0 && t < windows[idx - 1].1 {
+            let (s, e) = windows[idx - 1];
             return (s, e, true);
         }
         let lo = if idx > 0 {
-            self.windows[idx - 1].1
+            windows[idx - 1].1
         } else {
             SimTime::EPOCH
         };
-        let hi = self.windows.get(idx).map_or(SimTime::MAX, |(s, _)| *s);
+        let hi = windows.get(idx).map_or(SimTime::MAX, |(s, _)| *s);
         (lo, hi, false)
     }
 
     /// Number of windows.
     pub fn len(&self) -> usize {
-        self.windows.len()
+        self.windows().len()
     }
 
     /// True when there are no windows.
     pub fn is_empty(&self) -> bool {
-        self.windows.is_empty()
+        self.windows.is_none()
     }
 
     /// Total blacked-out time.
     pub fn total_duration(&self) -> Dur {
-        self.windows
+        self.windows()
             .iter()
             .fold(Dur::ZERO, |acc, (s, e)| acc + (*e - *s))
     }
@@ -187,8 +206,27 @@ mod tests {
 
     #[test]
     fn empty_windows_dropped() {
-        let s = BlackoutSchedule::new(vec![(t(5), t(5)), (t(9), t(8))]);
-        assert!(s.is_empty());
+        // Every way of saying "no windows" is the same allocation-free
+        // empty schedule.
+        for s in [
+            BlackoutSchedule::none(),
+            BlackoutSchedule::new(vec![]),
+            BlackoutSchedule::new(vec![(t(5), t(5)), (t(9), t(8))]),
+        ] {
+            assert!(s.is_empty());
+            assert!(s.windows.is_none());
+            assert_eq!(s.len(), 0);
+            assert_eq!(s.total_duration(), Dur::ZERO);
+            assert!(!s.blacked_out(t(5)));
+        }
+    }
+
+    #[test]
+    fn clones_share_their_windows() {
+        let s = BlackoutSchedule::new(vec![(t(10), t(15)), (t(20), t(22))]);
+        let c = s.clone();
+        let (a, b) = (s.windows.as_ref().unwrap(), c.windows.as_ref().unwrap());
+        assert!(Arc::ptr_eq(a, b), "a clone must not copy the windows");
     }
 
     #[test]

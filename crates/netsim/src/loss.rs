@@ -128,23 +128,31 @@ impl LossModel {
                 // what lets a link whose deterministic peak sits below the
                 // knee still lose packets in bad five-minute windows, so
                 // ignoring it would bias calibration to zero.
+                //
+                // The lognormal multiplier depends on the quantile only,
+                // so it is evaluated once per quantile, outside the day
+                // loop (`vns-topo` runs this integral seven times per
+                // `ChannelFactory`).
                 let quantiles: &[f64] = if *fluctuation_sigma > 0.0 {
                     &STD_NORMAL_Q16
                 } else {
                     &[0.0]
                 };
+                let mut flucts = [0.0; STD_NORMAL_Q16.len()];
+                for (fluct, &z) in flucts.iter_mut().zip(quantiles) {
+                    *fluct =
+                        (z * fluctuation_sigma - 0.5 * fluctuation_sigma * fluctuation_sigma).exp();
+                }
+                let flucts = &flucts[..quantiles.len()];
                 let n = 96;
                 let mut acc = 0.0;
                 for i in 0..n {
                     let u0 = profile.utilization_at_hour(24.0 * i as f64 / n as f64);
-                    for &z in quantiles {
-                        let fluct = (z * fluctuation_sigma
-                            - 0.5 * fluctuation_sigma * fluctuation_sigma)
-                            .exp();
+                    for &fluct in flucts {
                         acc += congestion_p((u0 * fluct).clamp(0.0, 1.0), *knee, *max_p);
                     }
                 }
-                acc / (n as f64 * quantiles.len() as f64)
+                acc / (n as f64 * flucts.len() as f64)
             }
             LossModel::Composite(models) => {
                 // Survival product under independence.
@@ -472,6 +480,79 @@ mod tests {
         let positives = probs.iter().filter(|&&x| x > 0.0).count();
         assert!(zeros > 10, "fluctuation should create clean intervals");
         assert!(positives > 10, "and lossy intervals");
+    }
+
+    /// The congestion integral with the lognormal multiplier evaluated
+    /// inside the day loop (96 × 16 `exp`) — the form `mean_rate` had
+    /// before the multiplier was hoisted; kept as its reference.
+    fn nested_congestion_mean(
+        profile: &DiurnalProfile,
+        knee: f64,
+        max_p: f64,
+        fluctuation_sigma: f64,
+    ) -> f64 {
+        let quantiles: &[f64] = if fluctuation_sigma > 0.0 {
+            &STD_NORMAL_Q16
+        } else {
+            &[0.0]
+        };
+        let n = 96;
+        let mut acc = 0.0;
+        for i in 0..n {
+            let u0 = profile.utilization_at_hour(24.0 * i as f64 / n as f64);
+            for &z in quantiles {
+                let fluct =
+                    (z * fluctuation_sigma - 0.5 * fluctuation_sigma * fluctuation_sigma).exp();
+                acc += congestion_p((u0 * fluct).clamp(0.0, 1.0), knee, max_p);
+            }
+        }
+        acc / (n as f64 * quantiles.len() as f64)
+    }
+
+    #[test]
+    fn congestion_mean_rate_bit_identical_to_nested_reference() {
+        use DiurnalShape::{Business, Flat, Mixed, Residential};
+        // (shape, base, amplitude, knee): the seven tuples `vns-topo`
+        // calibrates under its default config, then a grid around them.
+        let mut cases = vec![
+            (Mixed, 0.35, 0.12, 0.80),
+            (Mixed, 0.40, 0.12, 0.80),
+            (Mixed, 0.45, 0.18, 0.80),
+            (Mixed, 0.54, 0.24, 0.80),
+            (Mixed, 0.50, 0.42, 0.70),
+            (Residential, 0.50, 0.42, 0.70),
+            (Business, 0.50, 0.42, 0.70),
+        ];
+        for shape in [Flat, Business, Residential, Mixed] {
+            for base in [0.0, 0.3, 0.75, 1.2] {
+                for amplitude in [0.0, 0.25, 0.9] {
+                    for knee in [0.0, 0.7, 1.0] {
+                        cases.push((shape, base, amplitude, knee));
+                    }
+                }
+            }
+        }
+        for (shape, base, amplitude, knee) in cases {
+            for sigma in [0.0, 0.35, 0.8] {
+                for max_p in [1.0, 0.037] {
+                    let profile = DiurnalProfile::new(shape, base, amplitude, 5.5);
+                    let got = LossModel::Congestion {
+                        profile,
+                        knee,
+                        max_p,
+                        fluctuation_sigma: sigma,
+                    }
+                    .mean_rate();
+                    let want = nested_congestion_mean(&profile, knee, max_p, sigma);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{shape:?} base {base} amp {amplitude} knee {knee} sigma {sigma} \
+                         max_p {max_p}: {got} vs {want}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -58,15 +58,31 @@ proptest! {
             })
             .collect();
         let sched = BlackoutSchedule::new(ws.clone());
+        // A clone shares the windows with its source and must answer every
+        // question the same way — also once the source is gone.
+        let clone = sched.clone();
+        prop_assert_eq!(clone.len(), sched.len());
+        prop_assert_eq!(clone.is_empty(), sched.is_empty());
+        prop_assert_eq!(clone.total_duration(), sched.total_duration());
         // Membership must agree with the raw window list.
+        let mut answers = Vec::new();
         for probe in (0..10_500).step_by(97) {
             let t = SimTime::from_nanos(probe * 1_000);
             let raw = ws.iter().any(|(s, e)| t >= *s && t < *e);
             prop_assert_eq!(sched.blacked_out(t), raw, "at {}", probe);
+            prop_assert_eq!(clone.blacked_out(t), raw, "clone at {}", probe);
+            let seg = sched.segment_at(t);
+            prop_assert_eq!(clone.segment_at(t), seg, "clone segment at {}", probe);
+            prop_assert!(seg.0 <= t && t < seg.1 && seg.2 == raw, "segment at {}", probe);
+            answers.push((t, seg));
         }
         // Total duration never exceeds the sum of inputs.
         let sum: u64 = ws.iter().map(|(s, e)| (*e - *s).as_nanos()).sum();
         prop_assert!(sched.total_duration().as_nanos() <= sum);
+        drop(sched);
+        for (t, seg) in answers {
+            prop_assert_eq!(clone.segment_at(t), seg);
+        }
     }
 
     #[test]

@@ -51,9 +51,15 @@ pub struct ServiceConfig {
     pub peak_rate_per_s: f64,
     /// How many nearest PoPs admission may spill to.
     pub spill_depth: usize,
-    /// Measure SIP setup on every `setup_stride`-th call (1 = all).
+    /// Measure SIP setup on every `setup_stride`-th call (1 = all). Only
+    /// these calls are measured at all, so this stride also gates
+    /// [`ServiceConfig::qos_stride`].
     pub setup_stride: u64,
-    /// Run a media QoS burst on every `qos_stride`-th call.
+    /// Run a media QoS burst on every `qos_stride`-th call *among those
+    /// `setup_stride` lets through*: the call id must be a multiple of
+    /// both, so the real rate is every lcm(`setup_stride`,
+    /// `qos_stride`)-th call — `qos_stride` itself only when
+    /// `setup_stride` divides it.
     pub qos_stride: u64,
     /// QoS burst length.
     pub qos_burst: Dur,

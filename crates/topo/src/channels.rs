@@ -17,6 +17,24 @@
 //!   Table 1: CAHPs are residential-congested (evening peak), ECs peak in
 //!   business hours, LTP/STP edges are cleaner; NA is flat across types
 //!   because LTPs there also serve residences.
+//!
+//! What is computed when:
+//!
+//! * **Per world** ([`ChannelFactory::new`]) — the calibration integrals.
+//!   A congestion model hits a target mean by scaling `max_p`, and the
+//!   scale is the curve's long-run mean at `max_p = 1`
+//!   ([`LossModel::mean_rate`]: 96 day samples × 16 fluctuation
+//!   quantiles). That integral reads the curve's shape, base, amplitude,
+//!   knee and sigma and nothing else — not the hop, not its UTC offset —
+//!   so one config has exactly seven of them: the four transit profiles
+//!   and the three last-mile shapes. `new` evaluates all seven; nothing
+//!   below it integrates.
+//! * **Per hop** — the blackout schedule, generated on the first flow that
+//!   crosses the hop and shared (not copied) by every later one, in either
+//!   direction.
+//! * **Per flow** — everything else: each hop's [`LossModel`] (arithmetic
+//!   on the per-world means), its [`DelaySampler`], the loss-process and
+//!   delay RNG seeds derived from the flow label.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -147,14 +165,43 @@ impl Default for CalibrationConfig {
     }
 }
 
+/// Which of the four shared-transit profiles a haul runs on. A profile and
+/// its calibration integral are both selected by slot, so a unit mean can
+/// only ever meet the curve it was computed from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum TransitSlot {
+    Eu,
+    Na,
+    Ap,
+    /// OC/SA/ME/AF.
+    Rest,
+}
+
+impl TransitSlot {
+    const ALL: [TransitSlot; 4] = [Self::Eu, Self::Na, Self::Ap, Self::Rest];
+
+    fn of(region: Region) -> Self {
+        match region {
+            Region::Europe => Self::Eu,
+            Region::NorthAmerica => Self::Na,
+            Region::AsiaPacific => Self::Ap,
+            _ => Self::Rest,
+        }
+    }
+}
+
 impl CalibrationConfig {
     /// Transit profile for a region.
     pub fn transit(&self, region: Region) -> TransitProfile {
-        match region {
-            Region::Europe => self.transit_eu,
-            Region::NorthAmerica => self.transit_na,
-            Region::AsiaPacific => self.transit_ap,
-            _ => self.transit_rest,
+        self.transit_in(TransitSlot::of(region))
+    }
+
+    fn transit_in(&self, slot: TransitSlot) -> TransitProfile {
+        match slot {
+            TransitSlot::Eu => self.transit_eu,
+            TransitSlot::Na => self.transit_na,
+            TransitSlot::Ap => self.transit_ap,
+            TransitSlot::Rest => self.transit_rest,
         }
     }
 
@@ -176,13 +223,38 @@ impl CalibrationConfig {
     }
 }
 
-/// The diurnal shape a last mile of the given AS type follows.
-fn last_mile_shape(ty: AsType) -> DiurnalShape {
+/// Every last mile runs the same utilisation curve; only its diurnal
+/// shape differs by AS type.
+const LAST_MILE_BASE_UTIL: f64 = 0.50;
+const LAST_MILE_AMPLITUDE: f64 = 0.42;
+const LAST_MILE_KNEE: f64 = 0.70;
+
+/// The three last-mile shapes, in [`last_mile_slot`] order.
+const LAST_MILE_SHAPES: [DiurnalShape; 3] = [
+    DiurnalShape::Mixed,
+    DiurnalShape::Residential,
+    DiurnalShape::Business,
+];
+
+/// Index into [`LAST_MILE_SHAPES`] (and the factory's last-mile unit
+/// means) for a last mile of the given AS type.
+fn last_mile_slot(ty: AsType) -> usize {
     match ty {
-        AsType::Cahp => DiurnalShape::Residential,
-        AsType::Ec => DiurnalShape::Business,
-        AsType::Ltp | AsType::Stp => DiurnalShape::Mixed,
+        AsType::Ltp | AsType::Stp => 0,
+        AsType::Cahp => 1,
+        AsType::Ec => 2,
     }
+}
+
+/// The utilisation curve of a last mile of the given AS type whose local
+/// clock runs `utc_offset` hours off UTC.
+fn last_mile_profile(ty: AsType, utc_offset: f64) -> DiurnalProfile {
+    DiurnalProfile::new(
+        LAST_MILE_SHAPES[last_mile_slot(ty)],
+        LAST_MILE_BASE_UTIL,
+        LAST_MILE_AMPLITUDE,
+        utc_offset,
+    )
 }
 
 /// Clamps a congestion model's peak window probability.
@@ -204,33 +276,23 @@ fn cap_max_p(model: LossModel, cap: f64) -> LossModel {
 }
 
 /// Builds a congestion model whose long-run mean equals `target` by scaling
-/// `max_p` (the mean is linear in `max_p`).
+/// `max_p`. The mean is linear in `max_p`, so the curve's mean at
+/// `max_p = 1` (`unit_mean`, one of the factory's seven) calibrates the
+/// peak probability exactly.
 fn congestion_with_mean(
     target: f64,
-    shape: DiurnalShape,
-    base: f64,
-    amplitude: f64,
+    unit_mean: f64,
+    profile: DiurnalProfile,
     knee: f64,
-    utc_offset: f64,
     sigma: f64,
 ) -> LossModel {
-    // mean_rate integrates over both the diurnal curve and the lognormal
-    // fluctuation, and is linear in max_p — so one probe evaluation
-    // calibrates the peak probability exactly.
-    let probe = LossModel::Congestion {
-        profile: DiurnalProfile::new(shape, base, amplitude, utc_offset),
-        knee,
-        max_p: 1.0,
-        fluctuation_sigma: sigma,
-    };
-    let unit_mean = probe.mean_rate();
     let max_p = if unit_mean > 0.0 {
         (target / unit_mean).min(1.0)
     } else {
         0.0
     };
     LossModel::Congestion {
-        profile: DiurnalProfile::new(shape, base, amplitude, utc_offset),
+        profile,
         knee,
         max_p,
         fluctuation_sigma: sigma,
@@ -239,6 +301,10 @@ fn congestion_with_mean(
 
 /// Builds [`PathChannel`]s from resolved paths, caching per-hop blackout
 /// schedules so concurrent flows see the same outage windows.
+///
+/// The seven calibration integrals (module docs) are a table fixed by the
+/// config at construction, not a cache: there is no miss and nothing to
+/// invalidate.
 ///
 /// Every schedule and seed is derived from the factory's [`RngTree`] by
 /// label, never from call order — so [`ChannelFactory::channel`] takes
@@ -249,6 +315,12 @@ fn congestion_with_mean(
 #[derive(Debug)]
 pub struct ChannelFactory {
     config: CalibrationConfig,
+    /// Mean loss at `max_p = 1` of each transit profile's congestion
+    /// curve, indexed by [`TransitSlot`].
+    transit_unit_means: [f64; 4],
+    /// The same for the last-mile curve under each of
+    /// [`LAST_MILE_SHAPES`], indexed by [`last_mile_slot`].
+    last_mile_unit_means: [f64; 3],
     rng: RngTree,
     blackout_cache: Mutex<BTreeMap<String, BlackoutSchedule>>,
 }
@@ -257,8 +329,33 @@ impl ChannelFactory {
     /// Creates a factory. `rng` should be a dedicated subtree (e.g.
     /// `tree.subtree("channels")`).
     pub fn new(config: CalibrationConfig, rng: RngTree) -> Self {
+        // The integral does not read the profile's UTC offset (a full day
+        // is averaged either way), so one value serves every hop.
+        let unit_mean = |shape, base, amplitude, knee| {
+            LossModel::Congestion {
+                profile: DiurnalProfile::new(shape, base, amplitude, 0.0),
+                knee,
+                max_p: 1.0,
+                fluctuation_sigma: config.fluctuation_sigma,
+            }
+            .mean_rate()
+        };
+        let transit_unit_means = TransitSlot::ALL.map(|slot| {
+            let t = config.transit_in(slot);
+            unit_mean(DiurnalShape::Mixed, t.base_util, t.amplitude, t.knee)
+        });
+        let last_mile_unit_means = LAST_MILE_SHAPES.map(|shape| {
+            unit_mean(
+                shape,
+                LAST_MILE_BASE_UTIL,
+                LAST_MILE_AMPLITUDE,
+                LAST_MILE_KNEE,
+            )
+        });
         Self {
             config,
+            transit_unit_means,
+            last_mile_unit_means,
             rng,
             blackout_cache: Mutex::new(BTreeMap::new()),
         }
@@ -280,44 +377,9 @@ impl ChannelFactory {
         &self.config
     }
 
-    /// The shared-haul loss model for a hop of `km` between two regions.
-    ///
-    /// Cross-region hauls take the *milder* endpoint profile: submarine
-    /// long-haul systems are managed point-to-point capacity, and the
-    /// congestion the paper measures lives in domestic aggregation — which
-    /// is also why its SJS vantage reaches AP destinations about as well
-    /// as AP's own PoPs do (Sec 5.2.2).
-    fn transit_model(&self, from: Region, to: Region, km: f64, mid_offset: f64) -> LossModel {
-        let a = self.config.transit(from);
-        let b = self.config.transit(to);
-        // Regions with scarce international capacity (OC/SA/ME/AF) keep
-        // their hot profile on any haul touching them. The EU<->AP route
-        // (Suez/overland) was congested in the measurement era, so it takes
-        // the heavier AP profile; the trans-Pacific and trans-Atlantic
-        // systems were premium capacity, so those hauls take the milder
-        // endpoint — which is why the paper's SJS vantage reaches AP about
-        // as well as AP's own PoPs, and NA->EU looks like EU->EU.
-        let rest_group = |r: Region| {
-            !matches!(
-                r,
-                Region::Europe | Region::NorthAmerica | Region::AsiaPacific
-            )
-        };
-        let eu_ap = |x: Region, y: Region| {
-            matches!(
-                (x, y),
-                (Region::Europe, Region::AsiaPacific) | (Region::AsiaPacific, Region::Europe)
-            )
-        };
-        let t = if rest_group(from) || rest_group(to) {
-            self.config.transit_rest
-        } else if eu_ap(from, to) {
-            self.config.transit_ap
-        } else if a.base_util + a.amplitude <= b.base_util + b.amplitude {
-            a
-        } else {
-            b
-        };
+    /// The loss model of a shared haul of `km` on the given transit profile.
+    fn haul_model(&self, slot: TransitSlot, km: f64, mid_offset: f64) -> LossModel {
+        let t = self.config.transit_in(slot);
         let spans = 0.5 + (km / 4000.0);
         LossModel::Composite(vec![
             LossModel::Bernoulli {
@@ -326,11 +388,9 @@ impl ChannelFactory {
             cap_max_p(
                 congestion_with_mean(
                     (t.mean_per_4000km * spans).min(0.05),
-                    DiurnalShape::Mixed,
-                    t.base_util,
-                    t.amplitude,
+                    self.transit_unit_means[slot as usize],
+                    DiurnalProfile::new(DiurnalShape::Mixed, t.base_util, t.amplitude, mid_offset),
                     t.knee,
-                    mid_offset,
                     self.config.fluctuation_sigma,
                 ),
                 // Sustained transit congestion tops out at several
@@ -339,6 +399,44 @@ impl ChannelFactory {
                 t.window_cap,
             ),
         ])
+    }
+
+    /// The shared-haul loss model for a hop of `km` between two regions.
+    ///
+    /// Cross-region hauls take the *milder* endpoint profile: submarine
+    /// long-haul systems are managed point-to-point capacity, and the
+    /// congestion the paper measures lives in domestic aggregation — which
+    /// is also why its SJS vantage reaches AP destinations about as well
+    /// as AP's own PoPs do (Sec 5.2.2).
+    ///
+    /// `to` is the hop kind's `region`, which on a
+    /// [`ResolvedPath::reversed`] hop equals `from` — so the rule holds on
+    /// forward legs only (see [`HopKind::IntraAs`]'s `region`), and a
+    /// hop's label does not determine its model.
+    fn transit_model(&self, from: Region, to: Region, km: f64, mid_offset: f64) -> LossModel {
+        use TransitSlot::{Ap, Eu, Rest};
+        let (from, to) = (TransitSlot::of(from), TransitSlot::of(to));
+        let peak = |slot| {
+            let t = self.config.transit_in(slot);
+            t.base_util + t.amplitude
+        };
+        // Regions with scarce international capacity (OC/SA/ME/AF) keep
+        // their hot profile on any haul touching them. The EU<->AP route
+        // (Suez/overland) was congested in the measurement era, so it takes
+        // the heavier AP profile; the trans-Pacific and trans-Atlantic
+        // systems were premium capacity, so those hauls take the milder
+        // endpoint — which is why the paper's SJS vantage reaches AP about
+        // as well as AP's own PoPs, and NA->EU looks like EU->EU.
+        let slot = if from == Rest || to == Rest {
+            Rest
+        } else if matches!((from, to), (Eu, Ap) | (Ap, Eu)) {
+            Ap
+        } else if peak(from) <= peak(to) {
+            from
+        } else {
+            to
+        };
+        self.haul_model(slot, km, mid_offset)
     }
 
     /// The loss model for one hop (public for calibration tests).
@@ -362,25 +460,7 @@ impl ChannelFactory {
             // London transit port landing in Ashburn): oversubscribed
             // bargain capacity — the scarce-capacity profile applies.
             HopKind::InterAs { .. } if hop.km > 2000.0 => {
-                let t = self.config.transit_rest;
-                let spans = 0.5 + (hop.km / 4000.0);
-                LossModel::Composite(vec![
-                    LossModel::Bernoulli {
-                        p: (t.bernoulli_per_4000km * spans).min(0.01),
-                    },
-                    cap_max_p(
-                        congestion_with_mean(
-                            (t.mean_per_4000km * spans).min(0.05),
-                            DiurnalShape::Mixed,
-                            t.base_util,
-                            t.amplitude,
-                            t.knee,
-                            mid_offset,
-                            self.config.fluctuation_sigma,
-                        ),
-                        t.window_cap,
-                    ),
-                ])
+                self.haul_model(TransitSlot::Rest, hop.km, mid_offset)
             }
             // A medium "interconnect" is an access circuit: regional haul
             // profile.
@@ -397,11 +477,9 @@ impl ChannelFactory {
                     // … the rest follows the type's diurnal congestion.
                     congestion_with_mean(
                         target * 0.8,
-                        last_mile_shape(ty),
-                        0.50,
-                        0.42,
-                        0.70,
-                        offset,
+                        self.last_mile_unit_means[last_mile_slot(ty)],
+                        last_mile_profile(ty, offset),
+                        LAST_MILE_KNEE,
                         self.config.fluctuation_sigma,
                     ),
                 ])
@@ -432,10 +510,7 @@ impl ChannelFactory {
             HopKind::InterAs { .. } => DelaySampler::fixed(prop_ms + 0.2),
             HopKind::LastMile { ty, .. } => {
                 let offset = city(hop.to_city).location.utc_offset_hours();
-                DelaySampler::contended(
-                    3.0,
-                    DiurnalProfile::new(last_mile_shape(ty), 0.5, 0.42, offset),
-                )
+                DelaySampler::contended(3.0, last_mile_profile(ty, offset))
             }
         }
     }
@@ -444,7 +519,9 @@ impl ChannelFactory {
     ///
     /// The schedule is a pure function of (factory seed, hop label); the
     /// cache only avoids regenerating it, so concurrent callers racing on
-    /// the same label compute identical schedules either way.
+    /// the same label compute identical schedules either way. A hit hands
+    /// out a clone that shares the cached windows, so the lock is held for
+    /// a map lookup and a reference-count bump.
     fn blackouts(&self, hop: &ResolvedHop) -> BlackoutSchedule {
         let subject_to_faults = matches!(
             hop.kind,
@@ -695,6 +772,77 @@ mod tests {
             outcomes
         };
         assert_eq!(mk(), mk());
+    }
+
+    /// A call-shaped path: last mile, shared haul, long leased
+    /// interconnect, dedicated VNS leg.
+    fn mixed_path() -> ResolvedPath {
+        let haul = |region, dedicated| HopKind::IntraAs {
+            asn: Asn(7),
+            ty: AsType::Ltp,
+            region,
+            dedicated,
+        };
+        let last_mile = HopKind::LastMile {
+            ty: AsType::Cahp,
+            region: Region::Europe,
+        };
+        let port = HopKind::InterAs {
+            region: Region::NorthAmerica,
+        };
+        ResolvedPath {
+            hops: vec![
+                hop(last_mile, "Amsterdam", "Amsterdam", 30.0, "lm:ams"),
+                hop(
+                    haul(Region::Europe, false),
+                    "Amsterdam",
+                    "London",
+                    360.0,
+                    "bb:ams-lon",
+                ),
+                hop(port, "London", "Ashburn", 5900.0, "ix:lon-ash"),
+                hop(
+                    haul(Region::AsiaPacific, true),
+                    "Ashburn",
+                    "Singapore",
+                    15500.0,
+                    "l2:ash-sin",
+                ),
+            ],
+            routers: vec![],
+        }
+    }
+
+    #[test]
+    fn channels_do_not_depend_on_factory_history() {
+        // Nothing a factory has built before may leak into the next
+        // channel: the calibration table is fixed at construction and the
+        // blackout memo only ever returns what it would recompute.
+        let (used, fresh) = (factory(), factory());
+        let path = mixed_path();
+        let back = path.reversed();
+        let mut unrelated = path.clone();
+        for (i, h) in unrelated.hops.iter_mut().enumerate() {
+            h.label = format!("other:{i}");
+            h.km += 777.0;
+        }
+        for i in 0..1000 {
+            let _ = used.channel(&unrelated, &format!("warm:{i}"));
+        }
+        // 10k packet fates, 30 s apart: 3.5 days cross diurnal peaks,
+        // fluctuation resamples and blackout windows.
+        let fates = |f: &ChannelFactory, p: &ResolvedPath, label: &str| {
+            let mut ch = f.channel(p, label);
+            (0..10_000u64)
+                .map(|i| ch.send(SimTime::EPOCH + Dur::from_secs(i * 30)))
+                .collect::<Vec<_>>()
+        };
+        for (p, label) in [(&path, "call:fwd"), (&back, "call:rev")] {
+            let got = fates(&used, p, label);
+            assert_eq!(got, fates(&fresh, p, label), "{label}");
+            let lost = got.iter().filter(|o| !o.delivered()).count();
+            assert!(lost > 0 && lost < got.len(), "{label}: lost {lost}");
+        }
     }
 }
 

@@ -33,8 +33,15 @@ pub enum HopKind {
         asn: Asn,
         /// Its type.
         ty: AsType,
-        /// Region whose congestion clock this hop follows (region of the
-        /// hop's *destination* city).
+        /// Region paired with the start city's region to pick the hop's
+        /// shared-transit profile. [`resolve_path`] sets it to the region
+        /// of the hop's *destination* city — but [`ResolvedPath::reversed`]
+        /// copies `kind` while swapping the cities, so on a reversed hop
+        /// this is the region of the hop's *origin* and the profile rule
+        /// sees (B, B) where the forward leg saw (A, B): the return leg of
+        /// an NA→AP haul takes the hot AP profile where the forward leg
+        /// takes the milder NA one. A known asymmetry (ROADMAP item 7);
+        /// closing it moves every packet artefact.
         region: Region,
         /// True on well-provisioned dedicated infrastructure (VNS L2).
         dedicated: bool,

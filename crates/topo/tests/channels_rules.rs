@@ -1,11 +1,13 @@
 //! Calibration-rule tests for the channel factory: the region-pair rules
-//! that encode the paper's transit observations.
+//! that encode the paper's transit observations, and the factory's
+//! per-world calibration table against the per-hop integral it replaced.
 
 use vns_bgp::Asn;
-use vns_geo::cities::city_by_name;
-use vns_geo::Region;
-use vns_netsim::RngTree;
-use vns_topo::path::{HopKind, ResolvedHop};
+use vns_geo::cities::{cities_in_region, city_by_name};
+use vns_geo::{city, Region};
+use vns_netsim::{DiurnalProfile, DiurnalShape, LossModel, RngTree};
+use vns_topo::channels::TransitProfile;
+use vns_topo::path::{HopKind, ResolvedHop, ResolvedPath};
 use vns_topo::{AsType, CalibrationConfig, ChannelFactory};
 
 fn factory() -> ChannelFactory {
@@ -150,4 +152,254 @@ fn last_mile_diurnality_differs_by_type() {
         ec_noon > 3.0 * ec_dawn.max(1e-9),
         "EC noon {ec_noon} vs dawn {ec_dawn}"
     );
+}
+
+/// The loss model as `ChannelFactory::loss_model` computed it before the
+/// calibration table: every congestion hop builds a probe model at
+/// `max_p = 1` and integrates it ([`LossModel::mean_rate`]) to scale its
+/// peak probability. Kept here as the oracle the table must equal.
+mod oracle {
+    use super::*;
+
+    fn congestion_with_mean(
+        target: f64,
+        shape: DiurnalShape,
+        base: f64,
+        amplitude: f64,
+        knee: f64,
+        utc_offset: f64,
+        sigma: f64,
+    ) -> LossModel {
+        let probe = LossModel::Congestion {
+            profile: DiurnalProfile::new(shape, base, amplitude, utc_offset),
+            knee,
+            max_p: 1.0,
+            fluctuation_sigma: sigma,
+        };
+        let unit_mean = probe.mean_rate();
+        let max_p = if unit_mean > 0.0 {
+            (target / unit_mean).min(1.0)
+        } else {
+            0.0
+        };
+        LossModel::Congestion {
+            profile: DiurnalProfile::new(shape, base, amplitude, utc_offset),
+            knee,
+            max_p,
+            fluctuation_sigma: sigma,
+        }
+    }
+
+    fn cap_max_p(model: LossModel, cap: f64) -> LossModel {
+        match model {
+            LossModel::Congestion {
+                profile,
+                knee,
+                max_p,
+                fluctuation_sigma,
+            } => LossModel::Congestion {
+                profile,
+                knee,
+                max_p: max_p.min(cap),
+                fluctuation_sigma,
+            },
+            other => other,
+        }
+    }
+
+    fn haul(cfg: &CalibrationConfig, t: TransitProfile, km: f64, mid_offset: f64) -> LossModel {
+        let spans = 0.5 + (km / 4000.0);
+        LossModel::Composite(vec![
+            LossModel::Bernoulli {
+                p: (t.bernoulli_per_4000km * spans).min(0.01),
+            },
+            cap_max_p(
+                congestion_with_mean(
+                    (t.mean_per_4000km * spans).min(0.05),
+                    DiurnalShape::Mixed,
+                    t.base_util,
+                    t.amplitude,
+                    t.knee,
+                    mid_offset,
+                    cfg.fluctuation_sigma,
+                ),
+                t.window_cap,
+            ),
+        ])
+    }
+
+    fn transit_model(
+        cfg: &CalibrationConfig,
+        from: Region,
+        to: Region,
+        km: f64,
+        mid_offset: f64,
+    ) -> LossModel {
+        let a = cfg.transit(from);
+        let b = cfg.transit(to);
+        let rest_group = |r: Region| {
+            !matches!(
+                r,
+                Region::Europe | Region::NorthAmerica | Region::AsiaPacific
+            )
+        };
+        let eu_ap = |x: Region, y: Region| {
+            matches!(
+                (x, y),
+                (Region::Europe, Region::AsiaPacific) | (Region::AsiaPacific, Region::Europe)
+            )
+        };
+        let t = if rest_group(from) || rest_group(to) {
+            cfg.transit_rest
+        } else if eu_ap(from, to) {
+            cfg.transit_ap
+        } else if a.base_util + a.amplitude <= b.base_util + b.amplitude {
+            a
+        } else {
+            b
+        };
+        haul(cfg, t, km, mid_offset)
+    }
+
+    pub fn loss_model(cfg: &CalibrationConfig, hop: &ResolvedHop) -> LossModel {
+        let mid_offset = (city(hop.from_city).location.utc_offset_hours()
+            + city(hop.to_city).location.utc_offset_hours())
+            / 2.0;
+        match hop.kind {
+            HopKind::IntraAs {
+                dedicated: true, ..
+            } => LossModel::Composite(vec![
+                LossModel::Bernoulli {
+                    p: cfg.dedicated_bernoulli,
+                },
+                LossModel::bursty(cfg.dedicated_burst_rate, 0.15, 0.5),
+            ]),
+            HopKind::IntraAs { region, .. } => {
+                transit_model(cfg, city(hop.from_city).region, region, hop.km, mid_offset)
+            }
+            HopKind::InterAs { .. } if hop.km > 2000.0 => {
+                haul(cfg, cfg.transit_rest, hop.km, mid_offset)
+            }
+            HopKind::InterAs { region } if hop.km > 500.0 => {
+                transit_model(cfg, city(hop.from_city).region, region, hop.km, mid_offset)
+            }
+            HopKind::InterAs { .. } => LossModel::Bernoulli { p: 1e-5 },
+            HopKind::LastMile { ty, region } => {
+                let target = cfg.last_mile_target(ty, region);
+                let offset = city(hop.to_city).location.utc_offset_hours();
+                let shape = match ty {
+                    AsType::Cahp => DiurnalShape::Residential,
+                    AsType::Ec => DiurnalShape::Business,
+                    AsType::Ltp | AsType::Stp => DiurnalShape::Mixed,
+                };
+                LossModel::Composite(vec![
+                    LossModel::Bernoulli { p: target * 0.2 },
+                    congestion_with_mean(
+                        target * 0.8,
+                        shape,
+                        0.50,
+                        0.42,
+                        0.70,
+                        offset,
+                        cfg.fluctuation_sigma,
+                    ),
+                ])
+            }
+        }
+    }
+}
+
+/// Every hop the factory can be asked about: each `HopKind` (shared and
+/// dedicated hauls of all four AS types, interconnects, last miles of all
+/// four types) × every ordered region pair × a km ladder straddling the
+/// 500 / 2000 km interconnect thresholds — and each of those `reversed()`,
+/// which keeps `kind` (so its `region`) while swapping the cities.
+fn every_hop() -> Vec<ResolvedHop> {
+    let kinds = |region| {
+        let mut kinds = vec![HopKind::InterAs { region }];
+        for ty in AsType::ALL {
+            kinds.push(HopKind::LastMile { ty, region });
+            for dedicated in [false, true] {
+                kinds.push(HopKind::IntraAs {
+                    asn: Asn(9),
+                    ty,
+                    region,
+                    dedicated,
+                });
+            }
+        }
+        kinds
+    };
+    let mut hops = Vec::new();
+    for from in Region::ALL {
+        for to in Region::ALL {
+            let from_city = cities_in_region(from)[0];
+            let to_city = *cities_in_region(to).last().expect("region has a city");
+            for km in [30.0, 400.0, 501.0, 1999.0, 2001.0, 6000.0, 12000.0] {
+                for kind in kinds(to) {
+                    let path = ResolvedPath {
+                        hops: vec![ResolvedHop {
+                            kind,
+                            from_city,
+                            to_city,
+                            km,
+                            label: format!("{from:?}->{to:?}:{km}"),
+                        }],
+                        routers: vec![],
+                    };
+                    hops.extend(path.reversed().hops);
+                    hops.extend(path.hops);
+                }
+            }
+        }
+    }
+    hops
+}
+
+fn assert_table_equals_integral(cfg: CalibrationConfig) {
+    let f = ChannelFactory::new(cfg.clone(), RngTree::new(1).subtree("t"));
+    let hops = every_hop();
+    assert_eq!(hops.len(), 7 * 7 * 7 * 13 * 2);
+    for hop in &hops {
+        // `LossModel: PartialEq` compares every `f64` exactly.
+        assert_eq!(
+            f.loss_model(hop),
+            oracle::loss_model(&cfg, hop),
+            "{:?} {} km, {} -> {}",
+            hop.kind,
+            hop.km,
+            city(hop.from_city).name,
+            city(hop.to_city).name,
+        );
+    }
+}
+
+#[test]
+fn calibration_table_equals_per_hop_integral_default_config() {
+    assert_table_equals_integral(CalibrationConfig::default());
+}
+
+#[test]
+fn calibration_table_follows_the_factorys_own_config() {
+    // Every transit profile and the fluctuation sigma moved off their
+    // defaults (and EU made hotter than NA, so the milder-endpoint rule
+    // picks differently): a table computed from `default()` instead of
+    // the factory's config cannot pass.
+    let d = CalibrationConfig::default();
+    let perturb = |t: TransitProfile, base_util, amplitude, knee| TransitProfile {
+        base_util,
+        amplitude,
+        knee,
+        mean_per_4000km: t.mean_per_4000km * 1.7,
+        ..t
+    };
+    let cfg = CalibrationConfig {
+        transit_eu: perturb(d.transit_eu, 0.47, 0.21, 0.75),
+        transit_na: perturb(d.transit_na, 0.33, 0.10, 0.85),
+        transit_ap: perturb(d.transit_ap, 0.41, 0.30, 0.78),
+        transit_rest: perturb(d.transit_rest, 0.60, 0.15, 0.90),
+        fluctuation_sigma: 0.5,
+        ..d
+    };
+    assert_table_equals_integral(cfg);
 }

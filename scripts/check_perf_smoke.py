@@ -16,6 +16,13 @@ a packets_per_s floor: per-thread replay throughput must stay above
 PPS_FLOOR_FRACTION (0.6) of the baseline's. Wall time alone would let a
 packet-engine regression hide behind a faster world build; the throughput
 floor pins the batch fast path itself.
+
+The service-plane experiment (steady-state) gets the same treatment on
+units_per_s (calls per second): its bill is per-call set-up, not packet
+replay, so neither the wall ceiling nor a packets/s floor would notice a
+per-flow cost (a calibration integral, a copied schedule) creeping back
+into channel construction. Per-thread calls/s must stay above
+UNITS_FLOOR_FRACTION (0.6) of the baseline's.
 """
 
 import json
@@ -25,6 +32,11 @@ import sys
 # signal (dominated by packet replay, not world builds or reductions).
 PPS_GUARDED = ("fig9", "jitter")
 PPS_FLOOR_FRACTION = 0.6
+
+# Experiments whose units_per_s is the signal: per-unit (per-call) set-up
+# cost dominates, so work units per second is what a regression moves.
+UNITS_GUARDED = ("steady-state",)
+UNITS_FLOOR_FRACTION = 0.6
 
 # Per-row wall ceiling for scale-sweep rungs: a single rung of the
 # scale-curve ledger (world build or verify at one scale) may not cost
@@ -89,22 +101,28 @@ def main():
 
     base_by_key = {row_key(baseline, e): e for e in baseline["experiments"]}
     cand_by_key = {row_key(candidate, e): e for e in candidate["experiments"]}
-    for key, base_row in base_by_key.items():
-        name, scale = key
-        if name not in PPS_GUARDED or key not in cand_by_key:
-            continue
-        base_pps = base_row["packets_per_s"] / max(baseline["threads"], 1)
-        cand_pps = cand_by_key[key]["packets_per_s"] / max(candidate["threads"], 1)
-        floor = PPS_FLOOR_FRACTION * base_pps
-        status = "OK" if cand_pps >= floor else "FAIL"
-        print(
-            f"  {name} (scale {scale}) throughput: {cand_pps:,.0f} pkts/s/thread"
-            f" (floor {floor:,.0f}, baseline {base_pps:,.0f}) {status}"
-        )
-        if cand_pps < floor:
-            failures.append(
-                f"{name} packets_per_s {cand_pps:,.0f} below floor {floor:,.0f}"
+    # Per-thread throughput floors: packets/s on the replay experiments,
+    # units/s on the per-call one.
+    for guarded, field, fraction, unit in (
+        (PPS_GUARDED, "packets_per_s", PPS_FLOOR_FRACTION, "pkts"),
+        (UNITS_GUARDED, "units_per_s", UNITS_FLOOR_FRACTION, "units"),
+    ):
+        for key, base_row in base_by_key.items():
+            name, scale = key
+            if name not in guarded or key not in cand_by_key:
+                continue
+            base_rate = base_row[field] / max(baseline["threads"], 1)
+            cand_rate = cand_by_key[key][field] / max(candidate["threads"], 1)
+            floor = fraction * base_rate
+            status = "OK" if cand_rate >= floor else "FAIL"
+            print(
+                f"  {name} (scale {scale}) throughput: {cand_rate:,.0f} {unit}/s/thread"
+                f" (floor {floor:,.0f}, baseline {base_rate:,.0f}) {status}"
             )
+            if cand_rate < floor:
+                failures.append(
+                    f"{name} {field} {cand_rate:,.0f} below floor {floor:,.0f}"
+                )
 
     # Per-scale wall ceiling on scale-sweep rungs.
     for key, base_row in sorted(base_by_key.items(), key=lambda kv: str(kv[0])):
