@@ -69,7 +69,8 @@ fn bench_decision(c: &mut Criterion) {
             next_hop: SpeakerId(peer),
             originator_id: None,
             cluster_list: vec![],
-        },
+        }
+        .into(),
         source: RouteSource::Ebgp {
             peer: SpeakerId(peer),
             peer_as: Asn(peer),
@@ -82,6 +83,96 @@ fn bench_decision(c: &mut Criterion) {
     c.bench_function("bgp/compare_routes", |b| {
         b.iter(|| black_box(compare_routes(black_box(&a), black_box(&b2), &ctx)));
     });
+}
+
+/// What one update costs on its way through a router: in
+/// (`bgp/receive_update/*`: hand a held message over — the sender's
+/// per-neighbour copy — and import it) and out (`bgp/reselect_fanout/k`:
+/// one changed update in, the decision process, `k` eBGP neighbours told).
+fn bench_update_flow(c: &mut Criterion) {
+    use vns_bgp::{
+        Asn, ImportHook, Message, Origin, PeerConfig, PeerKind, Policy, Relation, RouteAttrs,
+        RouteSource, Speaker, SpeakerId,
+    };
+    #[derive(Debug)]
+    struct Boost;
+    impl ImportHook for Boost {
+        fn on_import(&self, _: SpeakerId, _: Prefix, _: &RouteSource, attrs: &mut RouteAttrs) {
+            attrs.local_pref = 999;
+        }
+    }
+    let prefix = Prefix::new(0x0a00_0000, 8);
+    // A route as a reflector's client sees it: a few ASes of path, one
+    // community, one cluster id. `tail` tells two versions apart so every
+    // delivery replaces the entry and changes what is exported.
+    let update = |tail: u32| Message::Update {
+        prefix,
+        attrs: RouteAttrs {
+            local_pref: 100,
+            as_path: [200, 300, 400, tail].into_iter().map(Asn).collect(),
+            origin: Origin::Igp,
+            med: 0,
+            communities: vec![vns_bgp::Community::Tag(5)],
+            next_hop: SpeakerId(7),
+            originator_id: Some(SpeakerId(7)),
+            cluster_list: vec![9],
+        }
+        .into(),
+    };
+    let versions = [update(500), update(501)];
+    let ebgp = |peer_as, relation| PeerConfig {
+        kind: PeerKind::Ebgp {
+            peer_as: Asn(peer_as),
+            relation,
+        },
+        import: Policy::GaoRexford,
+    };
+    let ibgp = PeerConfig {
+        kind: PeerKind::Ibgp,
+        import: Policy::FlatPreference,
+    };
+    let from = SpeakerId(2);
+
+    let mut g = c.benchmark_group("bgp/receive_update");
+    for (name, cfg, hook) in [
+        ("ebgp", ebgp(200, Relation::Customer), false),
+        ("ibgp", ibgp, false),
+        ("ibgp_hook", ibgp, true),
+    ] {
+        let mut sp = Speaker::new(SpeakerId(1), Asn(100));
+        sp.add_peer(from, cfg);
+        if hook {
+            sp.set_import_hook(Box::new(Boost));
+        }
+        g.bench_function(name, |b| {
+            let mut i = 0;
+            b.iter(|| {
+                i ^= 1;
+                sp.receive(from, black_box(&versions[i]).clone());
+            });
+        });
+    }
+    g.finish();
+
+    let mut g = c.benchmark_group("bgp/reselect_fanout");
+    for k in [4u32, 64] {
+        let mut sp = Speaker::new(SpeakerId(1), Asn(100));
+        sp.add_peer(from, ebgp(200, Relation::Customer));
+        for n in 0..k {
+            sp.add_peer(SpeakerId(100 + n), ebgp(1000 + n, Relation::Peer));
+        }
+        g.bench_function(k.to_string(), |b| {
+            let mut i = 0;
+            b.iter(|| {
+                i ^= 1;
+                sp.receive(from, versions[i].clone());
+                let out = sp.process();
+                assert_eq!(out.len(), k as usize);
+                black_box(out)
+            });
+        });
+    }
+    g.finish();
 }
 
 fn bench_loss_process(c: &mut Criterion) {
@@ -361,6 +452,7 @@ criterion_group!(
     bench_great_circle,
     bench_trie_lpm,
     bench_decision,
+    bench_update_flow,
     bench_loss_process,
     bench_path_channel_send,
     bench_diurnal,

@@ -14,16 +14,22 @@
 //! 8. lowest sender router id (deterministic final tie-break).
 
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 #[cfg(test)]
 use crate::route::SpeakerId;
 use crate::route::{RouteAttrs, RouteSource};
 
 /// A candidate route as held in an Adj-RIB-In.
+///
+/// The attribute set is shared, not owned: cloning a candidate (into the
+/// Loc-RIB, out of a lookup) is a refcount bump, and a writer goes through
+/// `Arc::make_mut` so it never edits what another RIB reads (see
+/// [`crate::speaker`]'s module docs for who shares what).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Candidate {
     /// Route attributes after import policy.
-    pub attrs: RouteAttrs,
+    pub attrs: Arc<RouteAttrs>,
     /// How it was learned.
     pub source: RouteSource,
 }
@@ -142,7 +148,7 @@ mod tests {
 
     fn cand(lp: u32, path: Vec<u32>, src: RouteSource) -> Candidate {
         Candidate {
-            attrs: RouteAttrs {
+            attrs: Arc::new(RouteAttrs {
                 local_pref: lp,
                 as_path: path.into_iter().map(Asn).collect(),
                 origin: Origin::Igp,
@@ -151,7 +157,7 @@ mod tests {
                 next_hop: SpeakerId(1),
                 originator_id: None,
                 cluster_list: vec![],
-            },
+            }),
             source: src,
         }
     }
@@ -186,7 +192,7 @@ mod tests {
         assert_eq!(compare_routes(&a, &b, &ctx), Ordering::Greater);
 
         let mut c = cand(100, vec![1, 2], ebgp(9));
-        c.attrs.origin = Origin::Incomplete;
+        Arc::make_mut(&mut c.attrs).origin = Origin::Incomplete;
         let d = cand(100, vec![3, 4], ebgp(8));
         assert_eq!(compare_routes(&d, &c, &ctx), Ordering::Greater);
     }
@@ -196,16 +202,16 @@ mod tests {
         let ctx = DecisionContext::no_igp();
         // Same neighbour AS 7: lower MED wins.
         let mut a = cand(100, vec![7, 9], ebgp(1));
-        a.attrs.med = 10;
+        Arc::make_mut(&mut a.attrs).med = 10;
         let mut b = cand(100, vec![7, 8], ebgp(2));
-        b.attrs.med = 20;
+        Arc::make_mut(&mut b.attrs).med = 20;
         assert_eq!(compare_routes(&a, &b, &ctx), Ordering::Greater);
         // Different neighbour AS: MED skipped, falls to router id (lower
         // sender wins).
         let mut c = cand(100, vec![5, 9], ebgp(1));
-        c.attrs.med = 99;
+        Arc::make_mut(&mut c.attrs).med = 99;
         let mut d = cand(100, vec![7, 8], ebgp(2));
-        d.attrs.med = 0;
+        Arc::make_mut(&mut d.attrs).med = 0;
         assert_eq!(compare_routes(&c, &d, &ctx), Ordering::Greater);
     }
 
@@ -225,9 +231,9 @@ mod tests {
         let costs = |c: &Candidate| Some(if c.attrs.next_hop.0 == 10 { 5 } else { 50 });
         let ctx = DecisionContext { exit_cost: &costs };
         let mut a = cand(100, vec![1, 2], ibgp(3));
-        a.attrs.next_hop = SpeakerId(10);
+        Arc::make_mut(&mut a.attrs).next_hop = SpeakerId(10);
         let mut b = cand(100, vec![4, 5], ibgp(6));
-        b.attrs.next_hop = SpeakerId(20);
+        Arc::make_mut(&mut b.attrs).next_hop = SpeakerId(20);
         assert_eq!(compare_routes(&a, &b, &ctx), Ordering::Greater);
     }
 
@@ -242,9 +248,9 @@ mod tests {
         };
         let ctx = DecisionContext { exit_cost: &costs };
         let mut a = cand(100, vec![1, 2], ibgp(3));
-        a.attrs.next_hop = SpeakerId(10);
+        Arc::make_mut(&mut a.attrs).next_hop = SpeakerId(10);
         let mut b = cand(100, vec![4, 5], ibgp(6));
-        b.attrs.next_hop = SpeakerId(99);
+        Arc::make_mut(&mut b.attrs).next_hop = SpeakerId(99);
         assert_eq!(compare_routes(&a, &b, &ctx), Ordering::Greater);
     }
 
@@ -252,9 +258,9 @@ mod tests {
     fn cluster_list_then_router_id() {
         let ctx = DecisionContext::no_igp();
         let mut a = cand(100, vec![1, 2], ibgp(9));
-        a.attrs.cluster_list = vec![1];
+        Arc::make_mut(&mut a.attrs).cluster_list = vec![1];
         let mut b = cand(100, vec![4, 5], ibgp(3));
-        b.attrs.cluster_list = vec![1, 2];
+        Arc::make_mut(&mut b.attrs).cluster_list = vec![1, 2];
         assert_eq!(compare_routes(&a, &b, &ctx), Ordering::Greater);
 
         let c = cand(100, vec![1, 2], ibgp(3));

@@ -40,7 +40,7 @@ pub mod trie;
 pub use decision::{compare_routes, select_best, Candidate, DecisionContext};
 pub use igp::IgpGraph;
 pub use net::{
-    BgpNet, ConvergenceError, ConvergenceStats, PathError, SpeakerId, DEFAULT_HOP_LIMIT,
+    BgpNet, ConvergenceError, ConvergenceStats, PathError, RibCensus, SpeakerId, DEFAULT_HOP_LIMIT,
 };
 pub use policy::{may_export, ExportScope, ImportAction, Policy, Relation};
 pub use prefix::Prefix;

@@ -9,8 +9,8 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::decision::Candidate;
 use crate::prefix::Prefix;
-use crate::route::RouteSource;
 pub use crate::route::SpeakerId;
+use crate::route::{Asn, RouteAttrs, RouteSource};
 use crate::speaker::{Message, PeerConfig, PeerKind, Speaker};
 
 /// Statistics from a convergence run.
@@ -23,6 +23,24 @@ pub struct ConvergenceStats {
     /// Inter-shard merge rounds ([`BgpNet::run_sharded`] only; `0` for the
     /// monolithic [`BgpNet::run`]).
     pub rounds: u64,
+}
+
+/// What the RIBs of a whole network hold, counted by walking them (see
+/// [`BgpNet::rib_census`]). Every field is a pure function of the
+/// network's message history, so it repeats exactly at any thread count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RibCensus {
+    /// Adj-RIB-In entries, one per `(speaker, prefix, sender)`.
+    pub adj_rib_in: usize,
+    /// Loc-RIB entries, one per `(speaker, prefix)`.
+    pub loc_rib: usize,
+    /// Adj-RIB-Out fingerprints, one per `(speaker, peer, prefix)`.
+    pub adj_rib_out: usize,
+    /// Distinct [`RouteAttrs`] allocations behind the Adj-RIB-In and
+    /// Loc-RIB entries, told apart by address: shared sets count once.
+    pub attr_sets: usize,
+    /// Distinct AS_PATH allocations behind those attribute sets.
+    pub as_paths: usize,
 }
 
 /// Error from [`BgpNet::run`].
@@ -187,6 +205,33 @@ impl BgpNet {
             all.extend(sp.loc_rib_prefixes());
         }
         all
+    }
+
+    /// Walks every speaker's RIBs and counts entries per structure and the
+    /// distinct attribute-set and AS_PATH allocations they point at — the
+    /// sharing the RIB layout achieves, measured rather than inferred from
+    /// process RSS. Costs one pointer per entry while it runs.
+    pub fn rib_census(&self) -> RibCensus {
+        let mut census = RibCensus::default();
+        for sp in self.speakers.values() {
+            census.adj_rib_in += sp.adj_rib_in_entries().count();
+            census.loc_rib += sp.loc_rib_entries().count();
+            census.adj_rib_out += sp.adj_rib_out_len();
+        }
+        let mut sets: Vec<&RouteAttrs> = Vec::with_capacity(census.adj_rib_in + census.loc_rib);
+        for sp in self.speakers.values() {
+            let learned = sp.adj_rib_in_entries().map(|(_, _, c)| c);
+            let selected = sp.loc_rib_entries().map(|(_, c)| c);
+            sets.extend(learned.chain(selected).map(|c| &*c.attrs));
+        }
+        sets.sort_unstable_by_key(|a| *a as *const RouteAttrs);
+        sets.dedup_by(|a, b| std::ptr::eq(*a, *b));
+        census.attr_sets = sets.len();
+        let mut paths: Vec<*const Asn> = sets.iter().map(|a| a.as_path.as_ptr()).collect();
+        paths.sort_unstable();
+        paths.dedup();
+        census.as_paths = paths.len();
+        census
     }
 
     /// Configures both sides of a session.
@@ -1148,6 +1193,41 @@ mod tests {
         assert_eq!(best2.attrs.next_hop, SpeakerId(1));
         let path = net.forwarding_path(SpeakerId(2), &dst).unwrap();
         assert_eq!(path, vec![SpeakerId(2), SpeakerId(1), SpeakerId(5)]);
+    }
+
+    #[test]
+    fn rib_census_counts_entries_and_shared_allocations() {
+        // AS200 (speaker 2) announces to border 11; reflector 10 hears it
+        // as-is and reflects it to border 12.
+        let mut net = BgpNet::new();
+        net.add_speaker(Speaker::new(SpeakerId(2), Asn(200)));
+        for i in [10, 11, 12] {
+            net.add_speaker(Speaker::new(SpeakerId(i), Asn(100)));
+        }
+        net.connect_ebgp(
+            SpeakerId(11),
+            SpeakerId(2),
+            Relation::Provider,
+            Policy::FlatPreference,
+        );
+        net.connect_rr_client(SpeakerId(10), SpeakerId(11), Policy::FlatPreference);
+        net.connect_rr_client(SpeakerId(10), SpeakerId(12), Policy::FlatPreference);
+        assert_eq!(net.rib_census(), RibCensus::default());
+        net.originate(SpeakerId(2), p("10.2.0.0/16"));
+        net.run(10_000).unwrap();
+        assert_eq!(
+            net.rib_census(),
+            RibCensus {
+                adj_rib_in: 3,  // at 11, 10, 12
+                loc_rib: 4,     // everywhere
+                adj_rib_out: 3, // 2 -> 11 -> 10 -> 12
+                // 2's origination; 11's import copy, which 10 holds too;
+                // 10's reflected form at 12.
+                attr_sets: 3,
+                // The reflected form keeps the imported path's allocation.
+                as_paths: 2,
+            }
+        );
     }
 
     #[test]

@@ -27,16 +27,16 @@ impl fmt::Display for SpeakerId {
     }
 }
 
-/// An interned AS_PATH: an immutable, atomically reference-counted AS
-/// sequence, nearest AS first.
+/// An AS_PATH: an immutable, atomically reference-counted AS sequence,
+/// nearest AS first.
 ///
-/// At Internet scale the same path is held by every candidate that carries
-/// it — per-candidate `Vec<Asn>` clones dominated `RouteAttrs` memory and
-/// copy time once worlds reached 10⁴ ASes. `AsPath` shares one allocation
-/// across the Adj-RIB-In entry, the Loc-RIB candidate, and every
-/// Adj-RIB-Out copy derived from it: `clone` is a refcount bump, and
-/// [`AsPath::prepend`] (the only mutation BGP ever performs) builds the
-/// one new allocation the protocol actually requires.
+/// Shared by provenance, not interned: `clone` is a refcount bump, so every
+/// copy *derived from* a path — the attribute sets a router copies on
+/// import or reflection, and everything that shares those sets — points at
+/// one allocation, while [`AsPath::prepend`] (the only mutation BGP ever
+/// performs, once per eBGP export form) builds a new one. Two routers that
+/// arrive at equal paths independently hold two allocations; no table
+/// looks paths up by value, so equality is a slice comparison.
 ///
 /// Derefs to `[Asn]`, so slice reads (`len`, `iter`, `first`, `contains`)
 /// work unchanged.
@@ -165,7 +165,7 @@ pub const DEFAULT_LOCAL_PREF: u32 = 100;
 pub struct RouteAttrs {
     /// LOCAL_PREF — higher wins; meaningful only inside an AS.
     pub local_pref: u32,
-    /// AS_PATH, nearest AS first (interned; see [`AsPath`]).
+    /// AS_PATH, nearest AS first (shared, not copied; see [`AsPath`]).
     pub as_path: AsPath,
     /// ORIGIN attribute.
     pub origin: Origin,

@@ -35,13 +35,45 @@
 //! `loc_rib_insert` / `loc_rib_remove` (the decision process and the
 //! planted-defect hooks), which are the only writers of both; nothing
 //! resets the index because nothing else can move the map.
+//!
+//! **Adj-RIB-In key order.** The Adj-RIB-In is one ordered map keyed
+//! `(prefix, sender)`: a prefix's candidates are the contiguous key range
+//! `(prefix, R0) ..= (prefix, R4294967295)`, visited in sender order, and
+//! whole-RIB iteration is prefix order, then sender order — the order the
+//! decision process and every reader (`candidates`, `adj_rib_in_entries`)
+//! have always seen. No per-prefix inner map exists, so a prefix heard from
+//! two neighbours costs two entries, not a B-tree leaf of its own.
+//!
+//! **Who shares an attribute set.** `Candidate::attrs`, `Message::Update`
+//! and locally originated routes hold an `Arc<RouteAttrs>`. Sharing follows
+//! provenance only — a clone of something is the same allocation, two equal
+//! sets built independently are two allocations; there is no interner. One
+//! allocation is shared by: an Adj-RIB-In entry and the Loc-RIB entry it
+//! won; a locally originated route and its Loc-RIB entry; every message one
+//! reselect emits in the same export form; and, over iBGP, the sender's
+//! form and the Adj-RIB-In entry of every receiver without an import hook.
+//! Writers copy first (`Arc::make_mut`): eBGP import (LOCAL_PREF,
+//! next-hop-self, relation tag), the import hook, and the planted-defect
+//! hooks.
+//!
+//! **The export-form rule.** What a candidate looks like on the wire does
+//! not depend on who receives it; only *whether* a peer may hear it does.
+//! A candidate has three forms — as-is (own and eBGP-learned routes over
+//! iBGP: the candidate's own allocation), the eBGP form (relation tags
+//! stripped, own AS prepended, LOCAL_PREF / MED / next hop / reflection
+//! attributes reset) and the reflected form (ORIGINATOR_ID and
+//! CLUSTER_LIST stamped). A reselect builds each form, and its Adj-RIB-Out
+//! fingerprint, at most once per candidate; per peer it only runs the
+//! allow/deny filter and bumps a refcount.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
+use std::ops::RangeInclusive;
+use std::sync::Arc;
 
 use crate::decision::{select_best, Candidate, DecisionContext};
-use crate::policy::{may_export, Policy, Relation};
+use crate::policy::{may_export, relation_from_tags, strip_relation_tags, Policy, Relation};
 use crate::prefix::Prefix;
 use crate::route::{Asn, Community, RouteAttrs, RouteSource, SpeakerId, DEFAULT_LOCAL_PREF};
 
@@ -52,8 +84,9 @@ pub enum Message {
     Update {
         /// The prefix.
         prefix: Prefix,
-        /// Attributes as sent on the wire.
-        attrs: RouteAttrs,
+        /// Attributes as sent on the wire; every message one reselect
+        /// emits in the same export form shares this allocation.
+        attrs: Arc<RouteAttrs>,
     },
     /// Withdraw the previously announced route to `prefix`.
     Withdraw {
@@ -131,6 +164,179 @@ fn attrs_fingerprint(attrs: &RouteAttrs) -> u64 {
     h.finish()
 }
 
+/// One wire form of a candidate: the attributes as sent and their
+/// Adj-RIB-Out fingerprint.
+type Export = (Arc<RouteAttrs>, u64);
+
+/// Which of a candidate's wire forms a peer hears (the export-form rule in
+/// the module docs).
+#[derive(Debug, Clone, Copy)]
+enum Form {
+    /// Own and eBGP-learned routes over iBGP: the candidate's allocation.
+    AsIs,
+    /// Any exportable route over eBGP.
+    Ebgp,
+    /// iBGP-learned routes a reflector passes on.
+    Reflected,
+}
+
+/// One candidate's wire forms during one export pass, each built on first
+/// use and then handed to every further peer by reference.
+struct ExportForms<'a> {
+    candidate: &'a Candidate,
+    // The exporter's identity, copied so the export loop can write
+    // Adj-RIB-Out while the forms are alive.
+    id: SpeakerId,
+    asn: Asn,
+    cluster_id: u32,
+    export_own_ibgp: bool,
+    /// The candidate was learned from one of the exporter's reflection
+    /// clients.
+    from_client: bool,
+    built: [Option<Export>; 3],
+}
+
+impl<'a> ExportForms<'a> {
+    fn new(exporter: &Speaker, candidate: &'a Candidate) -> Self {
+        let from_client = match candidate.source {
+            RouteSource::Ibgp { peer } => exporter
+                .peers
+                .get(&peer)
+                .is_some_and(|c| c.kind == PeerKind::IbgpClient),
+            RouteSource::Local | RouteSource::Ebgp { .. } => false,
+        };
+        Self {
+            candidate,
+            id: exporter.id,
+            asn: exporter.asn,
+            cluster_id: exporter.cluster_id,
+            export_own_ibgp: exporter.export_own_ibgp,
+            from_client,
+            built: [None, None, None],
+        }
+    }
+
+    /// The per-peer half of the export rules: whether `peer` may hear this
+    /// candidate at all, and in which form. Reads only.
+    fn form_for(&self, peer: SpeakerId, kind: PeerKind) -> Option<Form> {
+        let candidate = self.candidate;
+        // Never echo a route back to the peer it came from.
+        if candidate.source.peer() == Some(peer) {
+            return None;
+        }
+        if candidate.attrs.has_community(Community::NoAdvertise) {
+            return None;
+        }
+        match kind {
+            PeerKind::Ebgp { peer_as, relation } => {
+                if candidate.attrs.has_community(Community::NoExport) {
+                    return None;
+                }
+                // Valley-free scoping. iBGP-learned routes export over
+                // eBGP only when an ingress relation tag proves they came
+                // from a customer/peer/provider session elsewhere in this
+                // AS (multi-router transit providers); untagged ones (VNS
+                // runs FlatPreference and never tags) stay internal — VNS
+                // provides no transit.
+                let learned_rel = match candidate.source {
+                    RouteSource::Local => None,
+                    RouteSource::Ebgp { relation, .. } => Some(relation),
+                    RouteSource::Ibgp { .. } => match relation_from_tags(&candidate.attrs) {
+                        Some(rel) => Some(rel),
+                        // Empty path + no tag = originated by a sibling
+                        // router in this AS.
+                        None if self.export_own_ibgp && candidate.attrs.as_path.is_empty() => None,
+                        None => return None,
+                    },
+                };
+                if !may_export(learned_rel, relation) {
+                    return None;
+                }
+                // Sender-side loop avoidance.
+                if candidate.attrs.path_contains(peer_as) {
+                    return None;
+                }
+                Some(Form::Ebgp)
+            }
+            PeerKind::Ibgp | PeerKind::IbgpClient => match candidate.source {
+                // Own and eBGP-learned routes go to every iBGP peer.
+                RouteSource::Local | RouteSource::Ebgp { .. } => Some(Form::AsIs),
+                // iBGP-learned routes: reflection rules. Plain iBGP (not
+                // from a client, not to a client) never re-advertises.
+                RouteSource::Ibgp { .. } => {
+                    (self.from_client || kind == PeerKind::IbgpClient).then_some(Form::Reflected)
+                }
+            },
+        }
+    }
+
+    /// The candidate in `form` with its fingerprint, built on first use.
+    fn get(&mut self, form: Form) -> &Export {
+        let Self {
+            candidate,
+            id,
+            asn,
+            cluster_id,
+            ..
+        } = *self;
+        self.built[form as usize].get_or_insert_with(|| {
+            let attrs = match form {
+                Form::AsIs => Arc::clone(&candidate.attrs),
+                Form::Ebgp => {
+                    let mut attrs = RouteAttrs::clone(&candidate.attrs);
+                    strip_relation_tags(&mut attrs);
+                    attrs.as_path = attrs.as_path.prepend(asn);
+                    attrs.local_pref = DEFAULT_LOCAL_PREF; // non-transitive
+                    attrs.med = 0; // non-transitive
+                    attrs.next_hop = id;
+                    attrs.originator_id = None;
+                    attrs.cluster_list.clear();
+                    Arc::new(attrs)
+                }
+                Form::Reflected => {
+                    // Acting as reflector: stamp ORIGINATOR_ID (the iBGP
+                    // peer the route was learned from) and CLUSTER_LIST.
+                    let mut attrs = RouteAttrs::clone(&candidate.attrs);
+                    attrs.originator_id = attrs.originator_id.or(candidate.source.peer());
+                    attrs.cluster_list.insert(0, cluster_id);
+                    Arc::new(attrs)
+                }
+            };
+            let fingerprint = attrs_fingerprint(&attrs);
+            (attrs, fingerprint)
+        })
+    }
+}
+
+/// What (if anything) `peer` should currently hear: the best route in the
+/// form its session takes, else the best-external fallback.
+fn export_for<'f>(
+    best: Option<&'f mut ExportForms<'_>>,
+    best_ext: Option<&'f mut ExportForms<'_>>,
+    peer: SpeakerId,
+    kind: PeerKind,
+) -> Option<&'f Export> {
+    let best = best?;
+    if let Some(form) = best.form_for(peer, kind) {
+        return Some(best.get(form));
+    }
+    // Best-external: when the best route is iBGP-learned (and therefore
+    // not advertised back over iBGP by the rules above), a border router
+    // still offers its best eBGP-learned route to its iBGP peers so the
+    // reflectors keep seeing every external option.
+    if !kind.is_ebgp() && best.candidate.source.is_ibgp() {
+        let ext = best_ext?;
+        let form = ext.form_for(peer, kind)?;
+        return Some(ext.get(form));
+    }
+    None
+}
+
+/// The Adj-RIB-In keys of one prefix: every possible sender, ascending.
+fn senders_of(prefix: Prefix) -> RangeInclusive<(Prefix, SpeakerId)> {
+    (prefix, SpeakerId(0))..=(prefix, SpeakerId(u32::MAX))
+}
+
 /// One router.
 #[derive(Debug)]
 pub struct Speaker {
@@ -138,10 +344,11 @@ pub struct Speaker {
     asn: Asn,
     cluster_id: u32,
     peers: BTreeMap<SpeakerId, PeerConfig>,
-    /// prefix -> sender -> candidate (post-import).
-    adj_rib_in: BTreeMap<Prefix, BTreeMap<SpeakerId, Candidate>>,
+    /// (prefix, sender) -> candidate (post-import); see the module docs
+    /// for the key order.
+    adj_rib_in: BTreeMap<(Prefix, SpeakerId), Candidate>,
     /// Locally originated routes.
-    local: BTreeMap<Prefix, RouteAttrs>,
+    local: BTreeMap<Prefix, Arc<RouteAttrs>>,
     /// Current best per prefix. Written only through
     /// [`Speaker::loc_rib_insert`] / [`Speaker::loc_rib_remove`].
     loc_rib: BTreeMap<Prefix, Candidate>,
@@ -224,17 +431,18 @@ impl Speaker {
         if self.peers.remove(&peer).is_none() {
             return;
         }
-        for (prefix, per_peer) in self.adj_rib_in.iter_mut() {
-            if per_peer.remove(&peer).is_some() {
-                self.dirty.insert(*prefix);
+        let dirty = &mut self.dirty;
+        self.adj_rib_in.retain(|(prefix, from), _| {
+            if *from == peer {
+                dirty.insert(*prefix);
             }
-        }
+            *from != peer
+        });
         self.adj_rib_out.remove(&peer);
         // Best-external and reflection decisions can change even for
         // prefixes the peer never announced (it may have been an export
         // target): reconsider everything we currently advertise.
-        let all: Vec<Prefix> = self.loc_rib.keys().copied().collect();
-        self.dirty.extend(all);
+        self.dirty.extend(self.loc_rib.keys());
     }
 
     /// The configured peers.
@@ -267,13 +475,8 @@ impl Speaker {
     pub fn set_igp_costs(&mut self, costs: BTreeMap<SpeakerId, u64>) {
         self.igp_costs = costs;
         // Hot-potato inputs changed: every prefix could select differently.
-        let all: Vec<Prefix> = self
-            .adj_rib_in
-            .keys()
-            .chain(self.local.keys())
-            .copied()
-            .collect();
-        self.dirty.extend(all);
+        self.mark_learned_dirty();
+        self.dirty.extend(self.local.keys());
     }
 
     /// Originates a prefix locally with default attributes.
@@ -286,7 +489,7 @@ impl Speaker {
     pub fn originate_with(&mut self, prefix: Prefix, communities: Vec<Community>) {
         let mut attrs = RouteAttrs::originate(self.id);
         attrs.communities = communities;
-        self.local.insert(prefix, attrs);
+        self.local.insert(prefix, Arc::new(attrs));
         self.dirty.insert(prefix);
     }
 
@@ -302,14 +505,7 @@ impl Speaker {
                 *fp ^= 0x5a5a_5a5a_5a5a_5a5a;
             }
         }
-        let all: Vec<Prefix> = self
-            .adj_rib_in
-            .keys()
-            .chain(self.local.keys())
-            .chain(self.loc_rib.keys())
-            .copied()
-            .collect();
-        self.dirty.extend(all);
+        self.schedule_initial_advertisement();
     }
 
     /// Schedules re-evaluation (and hence re-export) of every known prefix
@@ -320,14 +516,15 @@ impl Speaker {
     /// half of BGP session establishment, used by
     /// [`crate::BgpNet::reconnect`].
     pub fn schedule_initial_advertisement(&mut self) {
-        let all: Vec<Prefix> = self
-            .adj_rib_in
-            .keys()
-            .chain(self.local.keys())
-            .chain(self.loc_rib.keys())
-            .copied()
-            .collect();
-        self.dirty.extend(all);
+        self.mark_learned_dirty();
+        self.dirty.extend(self.local.keys());
+        self.dirty.extend(self.loc_rib.keys());
+    }
+
+    /// Marks every prefix with a learned candidate for reselection.
+    fn mark_learned_dirty(&mut self) {
+        self.dirty
+            .extend(self.adj_rib_in.keys().map(|(prefix, _)| *prefix));
     }
 
     /// Stops originating a prefix.
@@ -346,10 +543,8 @@ impl Speaker {
         };
         match msg {
             Message::Withdraw { prefix } => {
-                if let Some(per_peer) = self.adj_rib_in.get_mut(&prefix) {
-                    if per_peer.remove(&from).is_some() {
-                        self.dirty.insert(prefix);
-                    }
+                if self.adj_rib_in.remove(&(prefix, from)).is_some() {
+                    self.dirty.insert(prefix);
                 }
             }
             Message::Update { prefix, mut attrs } => {
@@ -362,8 +557,11 @@ impl Speaker {
                             self.receive(from, Message::Withdraw { prefix });
                             return;
                         }
+                        // The sender's other neighbours hold this same
+                        // allocation: import rewrites a copy of our own.
+                        let attrs = Arc::make_mut(&mut attrs);
                         // Import policy sets LOCAL_PREF.
-                        let _ = cfg.import.import_ebgp(relation, &mut attrs);
+                        let _ = cfg.import.import_ebgp(relation, attrs);
                         // Next-hop-self at ingress; reflection attributes
                         // never cross AS boundaries.
                         attrs.next_hop = self.id;
@@ -385,13 +583,13 @@ impl Speaker {
                         RouteSource::Ibgp { peer: from }
                     }
                 };
+                // Without a hook an iBGP-learned route stays the sender's
+                // allocation; a hook may rewrite, so it gets a copy.
                 if let Some(hook) = &self.import_hook {
-                    hook.on_import(from, prefix, &source, &mut attrs);
+                    hook.on_import(from, prefix, &source, Arc::make_mut(&mut attrs));
                 }
                 self.adj_rib_in
-                    .entry(prefix)
-                    .or_default()
-                    .insert(from, Candidate { attrs, source });
+                    .insert((prefix, from), Candidate { attrs, source });
                 self.dirty.insert(prefix);
             }
         }
@@ -401,8 +599,7 @@ impl Speaker {
     /// (AS-level modelling; see [`DecisionContext::exit_cost`]).
     pub fn set_session_cost(&mut self, peer: SpeakerId, cost: u64) {
         self.session_costs.insert(peer, cost);
-        let all: Vec<Prefix> = self.adj_rib_in.keys().copied().collect();
-        self.dirty.extend(all);
+        self.mark_learned_dirty();
     }
 
     /// Enables/disables the IGP-metric decision step (step 6). See the
@@ -410,8 +607,7 @@ impl Speaker {
     /// vantage-independent. Re-runs the decision process on every prefix.
     pub fn set_ignore_igp_metric(&mut self, on: bool) {
         self.ignore_igp_metric = on;
-        let all: Vec<Prefix> = self.adj_rib_in.keys().copied().collect();
-        self.dirty.extend(all);
+        self.mark_learned_dirty();
     }
 
     /// Hot-potato exit cost for a candidate (decision step 6).
@@ -450,32 +646,26 @@ impl Speaker {
         !self.dirty.is_empty()
     }
 
+    /// Candidates learned for `prefix`, in sender order.
+    fn learned(&self, prefix: Prefix) -> impl Iterator<Item = &Candidate> {
+        self.adj_rib_in.range(senders_of(prefix)).map(|(_, c)| c)
+    }
+
     fn reselect(&mut self, prefix: Prefix, out: &mut Vec<(SpeakerId, Message)>) {
         // Gather candidates: learned + local.
         let local_cand = self.local.get(&prefix).map(|attrs| Candidate {
-            attrs: attrs.clone(),
+            attrs: Arc::clone(attrs),
             source: RouteSource::Local,
         });
         let ctx_costs = |c: &Candidate| self.exit_cost(c);
         let ctx = DecisionContext {
             exit_cost: &ctx_costs,
         };
-        let learned = self.adj_rib_in.get(&prefix);
-        let best = {
-            let iter = learned
-                .into_iter()
-                .flat_map(|m| m.values())
-                .chain(local_cand.iter());
-            select_best(iter, &ctx).cloned()
-        };
+        let best = select_best(self.learned(prefix).chain(local_cand.iter()), &ctx).cloned();
 
         // Best eBGP-learned candidate (for best-external).
         let best_ext = if self.best_external {
-            let iter = learned
-                .into_iter()
-                .flat_map(|m| m.values())
-                .filter(|c| c.source.is_ebgp());
-            select_best(iter, &ctx).cloned()
+            select_best(self.learned(prefix).filter(|c| c.source.is_ebgp()), &ctx).cloned()
         } else {
             None
         };
@@ -489,153 +679,40 @@ impl Speaker {
             }
         }
 
-        // Export to every peer.
-        let peers: Vec<(SpeakerId, PeerConfig)> =
-            self.peers.iter().map(|(k, v)| (*k, *v)).collect();
-        for (peer, cfg) in peers {
-            let desired = self.export_for(&best, best_ext.as_ref(), peer, &cfg);
+        // Export to every peer: the forms are per candidate, only the
+        // filter and the Adj-RIB-Out diff are per peer.
+        let mut best_forms = best.as_ref().map(|c| ExportForms::new(self, c));
+        let mut ext_forms = best_ext.as_ref().map(|c| ExportForms::new(self, c));
+        for (&peer, cfg) in &self.peers {
+            let desired = export_for(best_forms.as_mut(), ext_forms.as_mut(), peer, cfg.kind);
             // Runtime twin of the vns-verify no-export containment
             // invariant: a NO_EXPORT route must never be put on an eBGP
             // session's wire.
             debug_assert!(
                 !(cfg.kind.is_ebgp()
-                    && desired
-                        .as_ref()
-                        .is_some_and(|a| a.has_community(Community::NoExport))),
+                    && desired.is_some_and(|(a, _)| a.has_community(Community::NoExport))),
                 "NO_EXPORT route for {prefix} would leak over eBGP {} -> {peer}",
                 self.id
             );
-            let fp = desired.as_ref().map(attrs_fingerprint);
             let sent = self
                 .adj_rib_out
                 .get(&peer)
                 .and_then(|m| m.get(&prefix))
                 .copied();
-            match (desired, fp, sent) {
-                (Some(attrs), Some(new_fp), old) if old != Some(new_fp) => {
+            match (desired, sent) {
+                (Some((attrs, new_fp)), old) if old != Some(*new_fp) => {
                     self.adj_rib_out
                         .entry(peer)
                         .or_default()
-                        .insert(prefix, new_fp);
+                        .insert(prefix, *new_fp);
+                    let attrs = Arc::clone(attrs);
                     out.push((peer, Message::Update { prefix, attrs }));
                 }
-                (None, _, Some(_)) => {
+                (None, Some(_)) => {
                     self.adj_rib_out.entry(peer).or_default().remove(&prefix);
                     out.push((peer, Message::Withdraw { prefix }));
                 }
                 _ => {}
-            }
-        }
-    }
-
-    /// Computes what (if anything) to advertise to `peer` for the current
-    /// best route.
-    fn export_for(
-        &self,
-        best: &Option<Candidate>,
-        best_ext: Option<&Candidate>,
-        peer: SpeakerId,
-        cfg: &PeerConfig,
-    ) -> Option<RouteAttrs> {
-        let best = best.as_ref()?;
-        if let Some(attrs) = self.advertise(best, peer, cfg) {
-            return Some(attrs);
-        }
-        // Best-external: when the best route is iBGP-learned (and therefore
-        // not advertised back over iBGP by the rules above), a border
-        // router still offers its best eBGP-learned route to its iBGP
-        // peers so the reflectors keep seeing every external option.
-        if !cfg.kind.is_ebgp() && best.source.is_ibgp() {
-            if let Some(ext) = best_ext {
-                return self.advertise(ext, peer, cfg);
-            }
-        }
-        None
-    }
-
-    /// Standard export rules for one concrete candidate.
-    fn advertise(
-        &self,
-        candidate: &Candidate,
-        peer: SpeakerId,
-        cfg: &PeerConfig,
-    ) -> Option<RouteAttrs> {
-        // Never echo a route back to the peer it came from.
-        if candidate.source.peer() == Some(peer) {
-            return None;
-        }
-        if candidate.attrs.has_community(Community::NoAdvertise) {
-            return None;
-        }
-
-        match cfg.kind {
-            PeerKind::Ebgp { peer_as, relation } => {
-                if candidate.attrs.has_community(Community::NoExport) {
-                    return None;
-                }
-                // Valley-free scoping. iBGP-learned routes export over
-                // eBGP only when an ingress relation tag proves they came
-                // from a customer/peer/provider session elsewhere in this
-                // AS (multi-router transit providers); untagged ones (VNS
-                // runs FlatPreference and never tags) stay internal — VNS
-                // provides no transit.
-                let learned_rel = match candidate.source {
-                    RouteSource::Local => None,
-                    RouteSource::Ebgp { relation, .. } => Some(relation),
-                    RouteSource::Ibgp { .. } => {
-                        match crate::policy::relation_from_tags(&candidate.attrs) {
-                            Some(rel) => Some(rel),
-                            // Empty path + no tag = originated by a sibling
-                            // router in this AS.
-                            None if self.export_own_ibgp && candidate.attrs.as_path.is_empty() => {
-                                None
-                            }
-                            None => return None,
-                        }
-                    }
-                };
-                if !may_export(learned_rel, relation) {
-                    return None;
-                }
-                // Sender-side loop avoidance.
-                if candidate.attrs.path_contains(peer_as) {
-                    return None;
-                }
-                let mut attrs = candidate.attrs.clone();
-                crate::policy::strip_relation_tags(&mut attrs);
-                attrs.as_path = attrs.as_path.prepend(self.asn);
-                attrs.local_pref = DEFAULT_LOCAL_PREF; // non-transitive
-                attrs.med = 0; // non-transitive
-                attrs.next_hop = self.id;
-                attrs.originator_id = None;
-                attrs.cluster_list.clear();
-                Some(attrs)
-            }
-            PeerKind::Ibgp | PeerKind::IbgpClient => {
-                match candidate.source {
-                    // Own and eBGP-learned routes go to every iBGP peer.
-                    RouteSource::Local | RouteSource::Ebgp { .. } => Some(candidate.attrs.clone()),
-                    // iBGP-learned routes: reflection rules.
-                    RouteSource::Ibgp { peer: learned_from } => {
-                        let from_client = self
-                            .peers
-                            .get(&learned_from)
-                            .is_some_and(|c| c.kind == PeerKind::IbgpClient);
-                        let to_client = cfg.kind == PeerKind::IbgpClient;
-                        if !from_client && !to_client {
-                            // Plain iBGP: no re-advertisement.
-                            return None;
-                        }
-                        // Acting as reflector: stamp ORIGINATOR_ID and
-                        // CLUSTER_LIST.
-                        let mut attrs = candidate.attrs.clone();
-                        if attrs.originator_id.is_none() {
-                            attrs.originator_id = Some(learned_from);
-                        }
-                        attrs.cluster_list.insert(0, self.cluster_id);
-                        Some(attrs)
-                    }
-                }
             }
         }
     }
@@ -721,16 +798,12 @@ impl Speaker {
         let ctx = DecisionContext {
             exit_cost: &ctx_costs,
         };
-        let learned = self.adj_rib_in.get(prefix)?;
-        select_best(learned.values().filter(|c| c.source.is_ebgp()), &ctx)
+        select_best(self.learned(*prefix).filter(|c| c.source.is_ebgp()), &ctx)
     }
 
     /// Candidates currently in Adj-RIB-In for a prefix (diagnostics).
     pub fn candidates(&self, prefix: &Prefix) -> Vec<&Candidate> {
-        self.adj_rib_in
-            .get(prefix)
-            .map(|m| m.values().collect())
-            .unwrap_or_default()
+        self.learned(*prefix).collect()
     }
 
     // --- Read-only introspection (static analysis / vns-verify) -----------
@@ -741,11 +814,15 @@ impl Speaker {
     // each session, and whether next hops resolve.
 
     /// Every Adj-RIB-In entry as `(prefix, sending peer, candidate)`, in
-    /// prefix order. Read-only; intended for invariant checkers.
+    /// prefix order, then sender order. Read-only; intended for invariant
+    /// checkers.
     pub fn adj_rib_in_entries(&self) -> impl Iterator<Item = (Prefix, SpeakerId, &Candidate)> + '_ {
-        self.adj_rib_in
-            .iter()
-            .flat_map(|(p, per_peer)| per_peer.iter().map(|(from, c)| (*p, *from, c)))
+        self.adj_rib_in.iter().map(|((p, from), c)| (*p, *from, c))
+    }
+
+    /// How many `(peer, prefix)` advertisements the Adj-RIB-Out remembers.
+    pub fn adj_rib_out_len(&self) -> usize {
+        self.adj_rib_out.values().map(BTreeMap::len).sum()
     }
 
     /// Recomputes the exact attributes this router would currently
@@ -757,15 +834,16 @@ impl Speaker {
     ///
     /// The stored Adj-RIB-Out keeps only fingerprints to diff against; this
     /// is the authoritative way to inspect outbound state.
-    pub fn exported_to(&self, peer: SpeakerId, prefix: &Prefix) -> Option<RouteAttrs> {
+    pub fn exported_to(&self, peer: SpeakerId, prefix: &Prefix) -> Option<Arc<RouteAttrs>> {
         let cfg = self.peers.get(&peer)?;
-        let best = self.loc_rib.get(prefix).cloned();
-        let best_ext = if self.best_external {
-            self.best_external_route(prefix).cloned()
-        } else {
-            None
-        };
-        self.export_for(&best, best_ext.as_ref(), peer, cfg)
+        let mut best = ExportForms::new(self, self.loc_rib.get(prefix)?);
+        let mut best_ext = self
+            .best_external
+            .then(|| self.best_external_route(prefix))
+            .flatten()
+            .map(|c| ExportForms::new(self, c));
+        export_for(Some(&mut best), best_ext.as_mut(), peer, cfg.kind)
+            .map(|(attrs, _)| Arc::clone(attrs))
     }
 
     /// Installed IGP cost from this router to `to` (`Some(0)` for itself,
@@ -806,7 +884,10 @@ impl Speaker {
     pub fn corrupt_redirect_ibgp(&mut self, prefix: &Prefix, next_hop: SpeakerId) -> bool {
         match self.loc_rib.get_mut(prefix) {
             Some(cand) => {
-                cand.attrs.next_hop = next_hop;
+                // The selected route shares its attributes with this
+                // router's Adj-RIB-In entry and with peers' RIBs: corrupt
+                // a copy, never the original.
+                Arc::make_mut(&mut cand.attrs).next_hop = next_hop;
                 cand.source = RouteSource::Ibgp { peer: next_hop };
                 true
             }
@@ -875,7 +956,8 @@ mod tests {
                 next_hop: from,
                 originator_id: None,
                 cluster_list: vec![],
-            },
+            }
+            .into(),
         }
     }
 
@@ -1059,7 +1141,7 @@ mod tests {
         );
         let mut msg = update(p("10.0.0.0/8"), vec![200], SpeakerId(1));
         if let Message::Update { attrs, .. } = &mut msg {
-            attrs.cluster_list = vec![10]; // our own cluster id
+            Arc::make_mut(attrs).cluster_list = vec![10]; // our own cluster id
         }
         rr.receive(SpeakerId(1), msg);
         rr.process();
@@ -1119,6 +1201,7 @@ mod tests {
         // Now the RR sends a better (geo-boosted) route via iBGP.
         let mut better = update(p("10.0.0.0/8"), vec![300, 200], SpeakerId(10));
         if let Message::Update { attrs, .. } = &mut better {
+            let attrs = Arc::make_mut(attrs);
             attrs.local_pref = 500;
             attrs.next_hop = SpeakerId(5);
         }
@@ -1152,6 +1235,7 @@ mod tests {
         assert_eq!(s.process().len(), 1);
         let mut better = update(p("10.0.0.0/8"), vec![300, 200], SpeakerId(10));
         if let Message::Update { attrs, .. } = &mut better {
+            let attrs = Arc::make_mut(attrs);
             attrs.local_pref = 500;
             attrs.next_hop = SpeakerId(5);
         }
@@ -1167,19 +1251,6 @@ mod tests {
 
     #[test]
     fn import_hook_rewrites_local_pref() {
-        #[derive(Debug)]
-        struct Boost;
-        impl ImportHook for Boost {
-            fn on_import(
-                &self,
-                _from: SpeakerId,
-                _prefix: Prefix,
-                _source: &RouteSource,
-                attrs: &mut RouteAttrs,
-            ) {
-                attrs.local_pref = 999;
-            }
-        }
         let mut s = Speaker::new(SpeakerId(1), Asn(100));
         s.set_import_hook(Box::new(Boost));
         s.add_peer(SpeakerId(2), ebgp_cfg(200, Relation::Provider));
@@ -1189,6 +1260,360 @@ mod tests {
         );
         s.process();
         assert_eq!(s.best(&p("10.0.0.0/8")).unwrap().attrs.local_pref, 999);
+    }
+
+    fn ibgp_cfg(kind: PeerKind) -> PeerConfig {
+        PeerConfig {
+            kind,
+            import: Policy::FlatPreference,
+        }
+    }
+
+    /// A hook that rewrites LOCAL_PREF, standing in for the geo reflector's.
+    #[derive(Debug)]
+    struct Boost;
+
+    impl ImportHook for Boost {
+        fn on_import(
+            &self,
+            _from: SpeakerId,
+            _prefix: Prefix,
+            _source: &RouteSource,
+            attrs: &mut RouteAttrs,
+        ) {
+            attrs.local_pref = 999;
+        }
+    }
+
+    fn update_attrs(msg: &Message) -> &Arc<RouteAttrs> {
+        match msg {
+            Message::Update { attrs, .. } => attrs,
+            Message::Withdraw { .. } => panic!("expected update, got {msg:?}"),
+        }
+    }
+
+    /// A RIB entry and a message are a pointer and a source, not an
+    /// attribute set: by-value attributes would show here first.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn rib_entries_and_messages_hold_a_pointer() {
+        assert_eq!(std::mem::size_of::<Candidate>(), 24);
+        assert_eq!(std::mem::size_of::<Message>(), 16);
+    }
+
+    #[test]
+    fn one_reselect_shares_one_allocation_across_ebgp_neighbours() {
+        let k = 6;
+        let mut s = Speaker::new(SpeakerId(1), Asn(100));
+        s.add_peer(SpeakerId(2), ebgp_cfg(200, Relation::Customer));
+        for i in 0..k {
+            s.add_peer(SpeakerId(10 + i), ebgp_cfg(1000 + i, Relation::Customer));
+        }
+        s.receive(
+            SpeakerId(2),
+            update(p("10.0.0.0/8"), vec![200], SpeakerId(2)),
+        );
+        let msgs = s.process();
+        assert_eq!(msgs.len(), k as usize, "every neighbour but the sender");
+        let first = update_attrs(&msgs[0].1);
+        assert_eq!(first.as_path, vec![Asn(100), Asn(200)]);
+        for (_, msg) in &msgs {
+            assert!(Arc::ptr_eq(first, update_attrs(msg)));
+        }
+    }
+
+    #[test]
+    fn ibgp_receiver_stores_the_senders_allocation_unless_it_has_a_hook() {
+        let prefix = p("10.0.0.0/8");
+        // Border 1 learns over eBGP and passes the route on as-is to its
+        // reflectors 10 (no hook) and 11 (hook).
+        let mut border = Speaker::new(SpeakerId(1), Asn(100));
+        border.add_peer(SpeakerId(2), ebgp_cfg(200, Relation::Provider));
+        border.add_peer(SpeakerId(10), ibgp_cfg(PeerKind::Ibgp));
+        border.add_peer(SpeakerId(11), ibgp_cfg(PeerKind::Ibgp));
+        border.receive(SpeakerId(2), update(prefix, vec![200], SpeakerId(2)));
+        let msgs = border.process();
+        assert_eq!(msgs.len(), 2);
+        let selected = &border.best(&prefix).unwrap().attrs;
+        assert!(Arc::ptr_eq(selected, &border.candidates(&prefix)[0].attrs));
+        for (_, msg) in &msgs {
+            assert!(Arc::ptr_eq(selected, update_attrs(msg)), "as-is form");
+        }
+
+        let mut plain = Speaker::new(SpeakerId(10), Asn(100));
+        plain.add_peer(SpeakerId(1), ibgp_cfg(PeerKind::IbgpClient));
+        let mut hooked = Speaker::new(SpeakerId(11), Asn(100));
+        hooked.add_peer(SpeakerId(1), ibgp_cfg(PeerKind::IbgpClient));
+        hooked.set_import_hook(Box::new(Boost));
+        for (to, msg) in msgs {
+            let rr = if to == SpeakerId(10) {
+                &mut plain
+            } else {
+                &mut hooked
+            };
+            rr.receive(SpeakerId(1), msg);
+            rr.process();
+        }
+        let selected = &border.best(&prefix).unwrap().attrs;
+        assert!(Arc::ptr_eq(selected, &plain.candidates(&prefix)[0].attrs));
+        assert!(Arc::ptr_eq(selected, &plain.best(&prefix).unwrap().attrs));
+        let rewritten = &hooked.candidates(&prefix)[0].attrs;
+        assert!(!Arc::ptr_eq(selected, rewritten));
+        assert_eq!(rewritten.local_pref, 999);
+        assert_eq!(selected.local_pref, 90, "sender keeps its provider pref");
+    }
+
+    #[test]
+    fn planted_defects_copy_on_write() {
+        let prefix = p("10.0.0.0/8");
+        let mut border = Speaker::new(SpeakerId(1), Asn(100));
+        border.add_peer(SpeakerId(2), ebgp_cfg(200, Relation::Provider));
+        border.add_peer(SpeakerId(10), ibgp_cfg(PeerKind::Ibgp));
+        border.receive(SpeakerId(2), update(prefix, vec![200], SpeakerId(2)));
+        let msgs = border.process();
+        let mut rr = Speaker::new(SpeakerId(10), Asn(100));
+        rr.add_peer(SpeakerId(1), ibgp_cfg(PeerKind::IbgpClient));
+        for (_, msg) in msgs {
+            rr.receive(SpeakerId(1), msg);
+        }
+        rr.process();
+        // One allocation, four holders: both routers' Adj-RIB-In and
+        // Loc-RIB entries.
+        let original = rr.best(&prefix).unwrap().clone();
+        assert!(Arc::ptr_eq(
+            &original.attrs,
+            &border.best(&prefix).unwrap().attrs
+        ));
+        let learned = rr.candidates(&prefix)[0].clone();
+        let sender_best = border.best(&prefix).unwrap().clone();
+
+        assert!(rr.corrupt_redirect_ibgp(&prefix, SpeakerId(77)));
+        let corrupted = rr.best(&prefix).unwrap();
+        assert_eq!(corrupted.attrs.next_hop, SpeakerId(77));
+        assert_eq!(corrupted.source.peer(), Some(SpeakerId(77)));
+        assert_eq!(rr.candidates(&prefix), vec![&learned]);
+        assert_eq!(border.best(&prefix), Some(&sender_best));
+        assert_eq!(border.candidates(&prefix)[0].attrs.next_hop, SpeakerId(1));
+
+        // Restoring the original (what the harness does at an unusable
+        // site) shares again and still leaves every other holder alone.
+        let forged = rr.corrupt_replace_route(prefix, original.clone()).unwrap();
+        assert_eq!(forged.attrs.next_hop, SpeakerId(77));
+        assert_eq!(rr.best(&prefix), Some(&original));
+        assert_eq!(rr.candidates(&prefix), vec![&learned]);
+        assert_eq!(border.best(&prefix), Some(&sender_best));
+    }
+
+    /// The per-peer export rules as they were before export forms: one
+    /// full evaluation, clone and rewrite per (candidate, peer). Kept as the
+    /// oracle the once-per-candidate forms must equal.
+    fn advertise_oracle(
+        s: &Speaker,
+        candidate: &Candidate,
+        peer: SpeakerId,
+        cfg: &PeerConfig,
+    ) -> Option<RouteAttrs> {
+        if candidate.source.peer() == Some(peer) {
+            return None;
+        }
+        if candidate.attrs.has_community(Community::NoAdvertise) {
+            return None;
+        }
+        match cfg.kind {
+            PeerKind::Ebgp { peer_as, relation } => {
+                if candidate.attrs.has_community(Community::NoExport) {
+                    return None;
+                }
+                let learned_rel = match candidate.source {
+                    RouteSource::Local => None,
+                    RouteSource::Ebgp { relation, .. } => Some(relation),
+                    RouteSource::Ibgp { .. } => match relation_from_tags(&candidate.attrs) {
+                        Some(rel) => Some(rel),
+                        None if s.export_own_ibgp && candidate.attrs.as_path.is_empty() => None,
+                        None => return None,
+                    },
+                };
+                if !may_export(learned_rel, relation) {
+                    return None;
+                }
+                if candidate.attrs.path_contains(peer_as) {
+                    return None;
+                }
+                let mut attrs = RouteAttrs::clone(&candidate.attrs);
+                strip_relation_tags(&mut attrs);
+                attrs.as_path = attrs.as_path.prepend(s.asn);
+                attrs.local_pref = DEFAULT_LOCAL_PREF;
+                attrs.med = 0;
+                attrs.next_hop = s.id;
+                attrs.originator_id = None;
+                attrs.cluster_list.clear();
+                Some(attrs)
+            }
+            PeerKind::Ibgp | PeerKind::IbgpClient => match candidate.source {
+                RouteSource::Local | RouteSource::Ebgp { .. } => {
+                    Some(RouteAttrs::clone(&candidate.attrs))
+                }
+                RouteSource::Ibgp { peer: learned_from } => {
+                    let from_client = s
+                        .peers
+                        .get(&learned_from)
+                        .is_some_and(|c| c.kind == PeerKind::IbgpClient);
+                    let to_client = cfg.kind == PeerKind::IbgpClient;
+                    if !from_client && !to_client {
+                        return None;
+                    }
+                    let mut attrs = RouteAttrs::clone(&candidate.attrs);
+                    if attrs.originator_id.is_none() {
+                        attrs.originator_id = Some(learned_from);
+                    }
+                    attrs.cluster_list.insert(0, s.cluster_id);
+                    Some(attrs)
+                }
+            },
+        }
+    }
+
+    /// The old `export_for`: best route, else the best-external fallback.
+    fn export_oracle(
+        s: &Speaker,
+        best: Option<&Candidate>,
+        best_ext: Option<&Candidate>,
+        peer: SpeakerId,
+        cfg: &PeerConfig,
+    ) -> Option<RouteAttrs> {
+        let best = best?;
+        if let Some(attrs) = advertise_oracle(s, best, peer, cfg) {
+            return Some(attrs);
+        }
+        if !cfg.kind.is_ebgp() && best.source.is_ibgp() {
+            if let Some(ext) = best_ext {
+                return advertise_oracle(s, ext, peer, cfg);
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn export_forms_equal_the_per_peer_oracle() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        // Every session kind, two of each so "not the sender" has a
+        // same-kind witness; eBGP peer ASes 200.. can appear on paths.
+        let ebgp = [
+            (SpeakerId(2), 200, Relation::Customer),
+            (SpeakerId(3), 201, Relation::Customer),
+            (SpeakerId(4), 202, Relation::Peer),
+            (SpeakerId(5), 203, Relation::Peer),
+            (SpeakerId(6), 204, Relation::Provider),
+            (SpeakerId(7), 205, Relation::Provider),
+        ];
+        let ibgp = [
+            (SpeakerId(20), PeerKind::Ibgp),
+            (SpeakerId(21), PeerKind::Ibgp),
+            (SpeakerId(30), PeerKind::IbgpClient),
+            (SpeakerId(31), PeerKind::IbgpClient),
+        ];
+        let mut s = Speaker::new(SpeakerId(1), Asn(100));
+        for (id, asn, rel) in ebgp {
+            s.add_peer(id, ebgp_cfg(asn, rel));
+        }
+        for (id, kind) in ibgp {
+            s.add_peer(id, ibgp_cfg(kind));
+        }
+        let tags = [
+            Community::NoExport,
+            Community::NoAdvertise,
+            crate::policy::REL_TAG_CUSTOMER,
+            crate::policy::REL_TAG_PEER,
+            crate::policy::REL_TAG_PROVIDER,
+            Community::Tag(5),
+        ];
+        let mut rng = SmallRng::seed_from_u64(17);
+        let candidate = |rng: &mut SmallRng, ebgp_only: bool| {
+            let source = match rng.gen_range(0..if ebgp_only { 6 } else { 12 }) {
+                i @ 0..=5 => {
+                    let (peer, asn, relation) = ebgp[i];
+                    RouteSource::Ebgp {
+                        peer,
+                        peer_as: Asn(asn),
+                        relation,
+                    }
+                }
+                i @ 6..=9 => RouteSource::Ibgp {
+                    peer: ibgp[i - 6].0,
+                },
+                // An iBGP peer that has since been removed.
+                10 => RouteSource::Ibgp {
+                    peer: SpeakerId(99),
+                },
+                _ => RouteSource::Local,
+            };
+            // Mostly short communities lists: a route with three random
+            // tags is almost never exportable.
+            let communities = tags
+                .iter()
+                .filter(|_| rng.gen_range(0..6) == 0)
+                .copied()
+                .collect();
+            Candidate {
+                attrs: Arc::new(RouteAttrs {
+                    local_pref: rng.gen_range(90..200),
+                    as_path: (0..rng.gen_range(0..4))
+                        .map(|_| Asn(rng.gen_range(198..208)))
+                        .collect(),
+                    origin: Origin::Igp,
+                    med: rng.gen_range(0..3),
+                    communities,
+                    next_hop: SpeakerId(rng.gen_range(1..40)),
+                    originator_id: rng.gen::<bool>().then(|| SpeakerId(rng.gen_range(1..40))),
+                    cluster_list: (0..rng.gen_range(0..3))
+                        .map(|_| rng.gen_range(1..9))
+                        .collect(),
+                }),
+                source,
+            }
+        };
+        let (mut some, mut none, mut fallbacks) = (0, 0, 0);
+        for case in 0..4000 {
+            s.export_own_ibgp = case % 2 == 0;
+            let best = candidate(&mut rng, false);
+            let best_ext = (case % 3 != 0).then(|| candidate(&mut rng, true));
+            // One set of forms serves every peer, as in `reselect`.
+            let mut best_forms = ExportForms::new(&s, &best);
+            let mut ext_forms = best_ext.as_ref().map(|c| ExportForms::new(&s, c));
+            for (&peer, cfg) in &s.peers {
+                let want = export_oracle(&s, Some(&best), best_ext.as_ref(), peer, cfg);
+                let got = export_for(Some(&mut best_forms), ext_forms.as_mut(), peer, cfg.kind);
+                assert_eq!(
+                    got.map(|(attrs, _)| &**attrs),
+                    want.as_ref(),
+                    "case {case}: {best:?} / {best_ext:?} towards {peer} {cfg:?}"
+                );
+                if let Some((attrs, fp)) = got {
+                    assert_eq!(*fp, attrs_fingerprint(attrs), "case {case} towards {peer}");
+                }
+                match &want {
+                    Some(w) if advertise_oracle(&s, &best, peer, cfg).as_ref() != Some(w) => {
+                        fallbacks += 1;
+                    }
+                    Some(_) => some += 1,
+                    None => none += 1,
+                }
+            }
+            assert!(export_for(
+                None,
+                ext_forms.as_mut(),
+                SpeakerId(2),
+                s.peers[&SpeakerId(2)].kind
+            )
+            .is_none());
+        }
+        // The generator reaches all three outcomes, each often.
+        assert!(
+            some > 4000 && none > 4000 && fallbacks > 400,
+            "{some} {none} {fallbacks}"
+        );
     }
 
     #[test]

@@ -168,7 +168,8 @@ fn med_steers_between_parallel_sessions() {
             next_hop: SpeakerId(nh),
             originator_id: None,
             cluster_list: vec![],
-        },
+        }
+        .into(),
     };
     {
         let s2 = net.speaker_mut(SpeakerId(2)).unwrap();

@@ -1,12 +1,16 @@
 //! Property tests for the BGP machinery: prefix canonicalisation, trie
 //! correctness against a naive table, the Loc-RIB longest-match index
-//! against the linear scan it replaced, decision-process order axioms, and
+//! against the linear scan it replaced, the flat Adj-RIB-In against the
+//! nested per-prefix maps it replaced, decision-process order axioms, and
 //! valley-free export.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 use vns_bgp::{
-    compare_routes, may_export, Asn, BgpNet, Candidate, DecisionContext, Origin, Policy, Prefix,
-    PrefixTrie, Relation, RouteAttrs, RouteSource, ScanTable, Speaker, SpeakerId,
+    compare_routes, may_export, select_best, Asn, BgpNet, Candidate, DecisionContext, Message,
+    Origin, PeerConfig, PeerKind, Policy, Prefix, PrefixTrie, Relation, RouteAttrs, RouteSource,
+    ScanTable, Speaker, SpeakerId,
 };
 
 fn prefix() -> impl Strategy<Value = Prefix> {
@@ -57,7 +61,8 @@ fn candidate() -> impl Strategy<Value = Candidate> {
                 next_hop: SpeakerId(nh),
                 originator_id: None,
                 cluster_list: clusters,
-            },
+            }
+            .into(),
             source,
         })
 }
@@ -124,7 +129,193 @@ fn assert_lpm_matches_scan(net: &BgpNet, probes: &[u32]) {
     }
 }
 
+/// The router whose Adj-RIB-In the layout property drives.
+const ME: SpeakerId = SpeakerId(1);
+const ME_ASN: Asn = Asn(100);
+
+/// Its sessions. The sender ids sit on both ends of the id space, so a key
+/// range that is off by one sender on either side loses a candidate.
+fn rib_peers() -> Vec<(SpeakerId, PeerConfig)> {
+    let ebgp = |peer_as, relation, import| PeerConfig {
+        kind: PeerKind::Ebgp {
+            peer_as: Asn(peer_as),
+            relation,
+        },
+        import,
+    };
+    let ibgp = |kind| PeerConfig {
+        kind,
+        import: Policy::FlatPreference,
+    };
+    vec![
+        (
+            SpeakerId(0),
+            ebgp(200, Relation::Customer, Policy::GaoRexford),
+        ),
+        (SpeakerId(5), ebgp(201, Relation::Peer, Policy::GaoRexford)),
+        (SpeakerId(9), ibgp(PeerKind::Ibgp)),
+        (SpeakerId(12), ibgp(PeerKind::IbgpClient)),
+        (
+            SpeakerId(u32::MAX),
+            ebgp(202, Relation::Provider, Policy::FlatPreference),
+        ),
+    ]
+}
+
+/// Neighbouring keys: a prefix, its two halves, and the next block, so one
+/// prefix's key range borders another's on both sides.
+fn rib_prefixes() -> [Prefix; 4] {
+    [
+        Prefix::new(0x0a00_0000, 8),
+        Prefix::new(0x0a00_0000, 9),
+        Prefix::new(0x0a80_0000, 9),
+        Prefix::new(0x0b00_0000, 8),
+    ]
+}
+
+/// The Adj-RIB-In as it was laid out before the flat `(prefix, sender)`
+/// map — prefix, then sender — fed by a restatement of
+/// `Speaker::receive`'s import rules.
+#[derive(Default)]
+struct NestedRib(BTreeMap<Prefix, BTreeMap<SpeakerId, Candidate>>);
+
+impl NestedRib {
+    fn receive(&mut self, from: SpeakerId, cfg: &PeerConfig, msg: &Message) {
+        let (prefix, attrs) = match msg {
+            Message::Withdraw { prefix } => {
+                if let Some(per_peer) = self.0.get_mut(prefix) {
+                    per_peer.remove(&from);
+                }
+                return;
+            }
+            Message::Update { prefix, attrs } => (*prefix, attrs),
+        };
+        let mut attrs = RouteAttrs::clone(attrs);
+        let source = match cfg.kind {
+            PeerKind::Ebgp { peer_as, relation } => {
+                if attrs.path_contains(ME_ASN) {
+                    // Implicit withdraw.
+                    self.receive(from, cfg, &Message::Withdraw { prefix });
+                    return;
+                }
+                cfg.import.import_ebgp(relation, &mut attrs);
+                attrs.next_hop = ME;
+                attrs.originator_id = None;
+                attrs.cluster_list.clear();
+                RouteSource::Ebgp {
+                    peer: from,
+                    peer_as,
+                    relation,
+                }
+            }
+            PeerKind::Ibgp | PeerKind::IbgpClient => {
+                if attrs.originator_id == Some(ME) || attrs.cluster_list.contains(&ME.0) {
+                    return;
+                }
+                RouteSource::Ibgp { peer: from }
+            }
+        };
+        let attrs = attrs.into();
+        self.0
+            .entry(prefix)
+            .or_default()
+            .insert(from, Candidate { attrs, source });
+    }
+
+    fn remove_peer(&mut self, peer: SpeakerId) {
+        for per_peer in self.0.values_mut() {
+            per_peer.remove(&peer);
+        }
+    }
+
+    fn candidates(&self, prefix: &Prefix) -> Vec<&Candidate> {
+        self.0
+            .get(prefix)
+            .map(|m| m.values().collect())
+            .unwrap_or_default()
+    }
+}
+
 proptest! {
+    #[test]
+    fn flat_adj_rib_in_matches_nested_maps(
+        // (op, peer selector, prefix selector, three attribute selectors).
+        ops in prop::collection::vec((0u8..12, 0usize..5, 0usize..4, 0u32..4, 0u32..4, 0u32..3), 1..80),
+    ) {
+        let peers = rib_peers();
+        let prefixes = rib_prefixes();
+        let mut sp = Speaker::new(ME, ME_ASN);
+        sp.set_best_external(true);
+        for (id, cfg) in &peers {
+            sp.add_peer(*id, *cfg);
+        }
+        let mut up: BTreeSet<SpeakerId> = peers.iter().map(|(id, _)| *id).collect();
+        let mut oracle = NestedRib::default();
+        for (op, peer_sel, prefix_sel, a, b, c) in ops {
+            let (from, cfg) = peers[peer_sel];
+            let prefix = prefixes[prefix_sel];
+            let msg = match op {
+                // Update; `a == 3` puts our own AS on the path (an eBGP
+                // loop: implicit withdraw), `b == 3` our cluster id on the
+                // cluster list (an iBGP reflection loop: ignored).
+                0..=5 => Some(Message::Update {
+                    prefix,
+                    attrs: RouteAttrs {
+                        local_pref: 100 + 10 * c,
+                        as_path: [200 + peer_sel as u32, if a == 3 { ME_ASN.0 } else { 300 + a }]
+                            .into_iter()
+                            .map(Asn)
+                            .collect(),
+                        origin: Origin::Igp,
+                        med: b,
+                        communities: vec![],
+                        next_hop: SpeakerId(20 + a),
+                        originator_id: None,
+                        cluster_list: if b == 3 { vec![7, ME.0] } else { vec![7] },
+                    }
+                    .into(),
+                }),
+                6 | 7 => Some(Message::Withdraw { prefix }),
+                8 => {
+                    sp.remove_peer(from);
+                    oracle.remove_peer(from);
+                    up.remove(&from);
+                    None
+                }
+                // The speaker's half of `BgpNet::reconnect`.
+                9 => {
+                    sp.add_peer(from, cfg);
+                    sp.schedule_initial_advertisement();
+                    up.insert(from);
+                    None
+                }
+                _ => {
+                    sp.process();
+                    None
+                }
+            };
+            // A torn-down session delivers nothing.
+            if let Some(msg) = msg.filter(|_| up.contains(&from)) {
+                oracle.receive(from, &cfg, &msg);
+                sp.receive(from, msg);
+            }
+            let ctx = DecisionContext::no_igp();
+            for p in &prefixes {
+                let want = oracle.candidates(p);
+                prop_assert_eq!(&sp.candidates(p), &want, "candidates({})", p);
+                let want_ext = select_best(want.into_iter().filter(|c| c.source.is_ebgp()), &ctx);
+                prop_assert_eq!(sp.best_external_route(p), want_ext, "best_external_route({})", p);
+            }
+            let got: Vec<_> = sp.adj_rib_in_entries().collect();
+            let want: Vec<_> = oracle
+                .0
+                .iter()
+                .flat_map(|(p, per_peer)| per_peer.iter().map(|(from, c)| (*p, *from, c)))
+                .collect();
+            prop_assert_eq!(got, want);
+        }
+    }
+
     #[test]
     fn loc_rib_lookup_matches_scan(
         // (op, speaker selector, address selector, mask length).

@@ -121,7 +121,7 @@ fn no_export_leak_flagged() {
             border,
             Message::Update {
                 prefix: leaked,
-                attrs,
+                attrs: attrs.into(),
             },
         );
     let report = verify(&internet, &vns);
@@ -234,7 +234,13 @@ fn valley_violation_flagged() {
         .net
         .speaker_mut(border)
         .expect("border registered")
-        .receive(x, Message::Update { prefix, attrs });
+        .receive(
+            x,
+            Message::Update {
+                prefix,
+                attrs: attrs.into(),
+            },
+        );
     let report = verify(&internet, &vns);
     assert!(
         report
@@ -266,7 +272,7 @@ fn unresolvable_next_hop_flagged() {
             rr,
             Message::Update {
                 prefix: bogus,
-                attrs,
+                attrs: attrs.into(),
             },
         );
     let report = verify(&internet, &vns);

@@ -6,17 +6,35 @@ Usage: check_scale_curve.py BASELINE.txt CANDIDATE.txt
 Both files are `vns-bench scale-curve` outputs. The world at every rung
 is a pure function of (seed, scale) — thread count and machine speed must
 not move it — so the deterministic columns (ases, prefixes, sessions,
-conv_msgs, rounds) are compared EXACTLY, and every rung must report
-`pass` from both verifier stages. The exact conv_msgs match doubles as
-the message ceiling: convergence cost cannot creep past the committed
-curve unnoticed. Wall clock and peak RSS are machine-dependent and are
-not compared here (the CI job's timeout is the wall ceiling).
+conv_msgs, rounds, and the walked RIB census: adj_in entries and the
+distinct attr_sets allocations behind the RIBs, which are shared by
+provenance and so follow from the message history alone) are compared
+EXACTLY, and every rung must report `pass` from both verifier stages. The
+exact conv_msgs match doubles as the message ceiling: convergence cost
+cannot creep past the committed curve unnoticed. Peak RSS has a ceiling of
+its own: a rung may not exceed RSS_CEILING x the committed value (VmHWM is
+allocator- and kernel-dependent but repeats within ~1 % at a seed on one
+box; by-value attributes or nested per-prefix maps cost 2.8-3x), so the RIB
+layout cannot regress unnoticed either. Wall clock is machine-dependent
+and is not compared here (the CI job's timeout is the wall ceiling).
 """
 
 import sys
 
 # Deterministic columns, by header name.
-EXACT = ("scale", "ases", "prefixes", "sessions", "conv_msgs", "rounds")
+EXACT = (
+    "scale",
+    "ases",
+    "prefixes",
+    "sessions",
+    "conv_msgs",
+    "rounds",
+    "adj_in",
+    "attr_sets",
+)
+
+# A rung's peak_rss_mib may reach this multiple of the committed value.
+RSS_CEILING = 1.25
 
 
 def parse(path):
@@ -59,17 +77,27 @@ def main():
                 failures.append(
                     f"scale {scale}: {col} {c[col]} != baseline {b[col]}"
                 )
+        rss, rss_base = float(c["peak_rss_mib"]), float(b["peak_rss_mib"])
+        if rss > RSS_CEILING * rss_base:
+            failures.append(
+                f"scale {scale}: peak_rss_mib {rss:.1f} > "
+                f"{RSS_CEILING} x baseline {rss_base:.1f}"
+            )
         if c.get("verdict") != "pass":
             failures.append(f"scale {scale}: verifier verdict {c.get('verdict')!r}")
         print(
             f"scale {scale}: {c['ases']} ASes, {c['prefixes']} prefixes, "
             f"{c['sessions']} sessions, {c['conv_msgs']} msgs / "
-            f"{c['rounds']} rounds, {c.get('verdict')}"
+            f"{c['rounds']} rounds, {c['adj_in']} Adj-RIB-In entries on "
+            f"{c['attr_sets']} attribute sets, {rss:.0f} MiB, {c.get('verdict')}"
         )
 
     if failures:
         sys.exit("scale curve FAILED: " + "; ".join(failures))
-    print("scale curve OK: deterministic columns match the baseline exactly")
+    print(
+        "scale curve OK: deterministic columns match the baseline exactly, "
+        f"peak RSS within {RSS_CEILING} x"
+    )
 
 
 if __name__ == "__main__":
