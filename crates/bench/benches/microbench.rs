@@ -89,6 +89,11 @@ fn bench_decision(c: &mut Criterion) {
 /// (`bgp/receive_update/*`: hand a held message over — the sender's
 /// per-neighbour copy — and import it) and out (`bgp/reselect_fanout/k`:
 /// one changed update in, the decision process, `k` eBGP neighbours told).
+/// `reselect_fanout` holds one prefix, so every map it touches has one
+/// entry; `bgp/reselect_table/k` is the same step on a scale-2-sized table
+/// (685 prefixes, the changed update rotating through them) and
+/// `bgp/reselect_quiet/64` the commonest real reselect: a candidate that
+/// loses re-delivered, every neighbour visited, nothing to say.
 fn bench_update_flow(c: &mut Criterion) {
     use vns_bgp::{
         Asn, ImportHook, Message, Origin, PeerConfig, PeerKind, Policy, Relation, RouteAttrs,
@@ -145,10 +150,15 @@ fn bench_update_flow(c: &mut Criterion) {
             sp.set_import_hook(Box::new(Boost));
         }
         g.bench_function(name, |b| {
-            let mut i = 0;
+            let mut i = 0usize;
             b.iter(|| {
-                i ^= 1;
-                sp.receive(from, black_box(&versions[i]).clone());
+                i += 1;
+                sp.receive(from, black_box(&versions[i % 2]).clone());
+                // An inbox is drained, then processed: without this the
+                // dirty queue would grow for as long as the bench runs.
+                if i.is_multiple_of(1024) {
+                    black_box(sp.process());
+                }
             });
         });
     }
@@ -173,6 +183,71 @@ fn bench_update_flow(c: &mut Criterion) {
         });
     }
     g.finish();
+
+    // The table benches: `from` (a customer) wins every prefix; `loser` (a
+    // provider) holds a second candidate for each and, with `k - 1` peers,
+    // makes the `k` neighbours that hear the best.
+    const TABLE: u32 = 685;
+    let loser = SpeakerId(3);
+    let table_update = |n: u32, first_as: u32, tail: u32| {
+        let Message::Update { attrs, .. } = update(tail) else {
+            unreachable!("update() builds updates")
+        };
+        let mut attrs = RouteAttrs::clone(&attrs);
+        attrs.as_path = [first_as, 300, 400, tail].into_iter().map(Asn).collect();
+        Message::Update {
+            prefix: Prefix::new(0x0a00_0000 + (n << 8), 24),
+            attrs: attrs.into(),
+        }
+    };
+    let table_speaker = |k: u32| {
+        let mut sp = Speaker::new(SpeakerId(1), Asn(100));
+        sp.add_peer(from, ebgp(200, Relation::Customer));
+        sp.add_peer(loser, ebgp(201, Relation::Provider));
+        for n in 1..k {
+            sp.add_peer(SpeakerId(100 + n), ebgp(1000 + n, Relation::Peer));
+        }
+        for n in 0..TABLE {
+            sp.receive(from, table_update(n, 200, 500));
+            sp.receive(loser, table_update(n, 201, 500));
+        }
+        assert_eq!(sp.process().len(), (k * TABLE) as usize);
+        sp
+    };
+    let mut g = c.benchmark_group("bgp/reselect_table");
+    for k in [8u32, 64] {
+        let mut sp = table_speaker(k);
+        let versions: Vec<[Message; 2]> = (0..TABLE)
+            .map(|n| [table_update(n, 200, 501), table_update(n, 200, 500)])
+            .collect();
+        g.bench_function(k.to_string(), |b| {
+            let mut i = 0;
+            b.iter(|| {
+                // Each pass over the table delivers the other version.
+                let msg = &versions[i % TABLE as usize][(i / TABLE as usize) % 2];
+                i += 1;
+                sp.receive(from, msg.clone());
+                let out = sp.process();
+                assert_eq!(out.len(), k as usize);
+                black_box(out)
+            });
+        });
+    }
+    g.finish();
+
+    let mut sp = table_speaker(64);
+    let held: Vec<Message> = (0..TABLE).map(|n| table_update(n, 201, 500)).collect();
+    c.bench_function("bgp/reselect_quiet/64", |b| {
+        let mut i = 0;
+        b.iter(|| {
+            let msg = &held[i % TABLE as usize];
+            i += 1;
+            sp.receive(loser, msg.clone());
+            let out = sp.process();
+            assert!(out.is_empty());
+            black_box(out)
+        });
+    });
 }
 
 fn bench_loss_process(c: &mut Criterion) {

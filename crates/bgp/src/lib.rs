@@ -42,7 +42,7 @@ pub use igp::IgpGraph;
 pub use net::{
     BgpNet, ConvergenceError, ConvergenceStats, PathError, RibCensus, SpeakerId, DEFAULT_HOP_LIMIT,
 };
-pub use policy::{may_export, ExportScope, ImportAction, Policy, Relation};
+pub use policy::{may_export, Policy, Relation};
 pub use prefix::Prefix;
 pub use route::{AsPath, Asn, Community, Origin, RouteAttrs, RouteSource, DEFAULT_LOCAL_PREF};
 pub use speaker::{ImportHook, Message, PeerConfig, PeerKind, Speaker};

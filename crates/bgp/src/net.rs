@@ -670,6 +670,7 @@ mod tests {
     use super::*;
     use crate::policy::{Policy, Relation};
     use crate::route::Asn;
+    use proptest::prelude::*;
 
     fn p(s: &str) -> Prefix {
         s.parse().unwrap()
@@ -1080,6 +1081,65 @@ mod tests {
         mono.originate(SpeakerId(4), p("10.4.0.0/16"));
         mono.run(100_000).unwrap();
         assert_eq!(rib_snapshot(&net), rib_snapshot(&mono));
+    }
+
+    /// Converges by `run_sharded(budget, threads)` calls, each resuming
+    /// where the last one paused; returns the messages summed over them.
+    fn converge_in_slices(net: &mut BgpNet, budget: u64, threads: usize) -> u64 {
+        let mut messages = 0;
+        for _ in 0..10_000 {
+            match net.run_sharded(budget, threads) {
+                Ok(stats) => return messages + stats.messages,
+                Err(ConvergenceError::BudgetExhausted { messages: spent }) => messages += spent,
+            }
+        }
+        panic!("budget {budget} never converged");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// Wherever the budget runs out — before the first message,
+        /// mid-round in one shard, between rounds — the pause loses
+        /// nothing: same RIBs and same message total as never pausing.
+        #[test]
+        fn sharded_pause_resume_equals_an_uninterrupted_run(
+            // (originating speaker, which of its prefixes). A prefix has
+            // one origin: two peers originating the same one prefer each
+            // other's route (peer 110 > own 100), withdraw their own, and
+            // flip for ever under synchronous rounds.
+            originations in prop::collection::vec((1u32..=4, 0u32..4), 1..10),
+            session in 0usize..3,
+            // A phase is 1–27 messages: half the budgets pause it, often
+            // more than once; the other half mostly let it through.
+            budget in prop_oneof![0u64..8, 0u64..200],
+            threads in 1usize..=3,
+        ) {
+            let (a, b) = [(2, 1), (4, 3), (1, 3)][session];
+            let (a, b) = (SpeakerId(a), SpeakerId(b));
+            let mut paused = two_region_net();
+            let mut whole = two_region_net();
+            let a_cfg = *whole.speaker(a).unwrap().peer_config(b).unwrap();
+            let b_cfg = *whole.speaker(b).unwrap().peer_config(a).unwrap();
+            // Three edits, each converged before the next.
+            for phase in 0..3 {
+                for net in [&mut paused, &mut whole] {
+                    match phase {
+                        0 => {
+                            for &(at, sel) in &originations {
+                                net.originate(SpeakerId(at), Prefix::new(0x0a00_0000 + ((4 * at + sel) << 16), 16));
+                            }
+                        }
+                        1 => net.disconnect(a, b),
+                        _ => net.reconnect(a, a_cfg, b, b_cfg),
+                    }
+                }
+                let sliced = converge_in_slices(&mut paused, budget, threads);
+                let uninterrupted = whole.run_sharded(u64::MAX, 1).unwrap().messages;
+                prop_assert_eq!(sliced, uninterrupted, "messages, phase {}", phase);
+                prop_assert!(paused.is_quiescent(), "phase {}", phase);
+                prop_assert_eq!(rib_snapshot(&paused), rib_snapshot(&whole), "phase {}", phase);
+            }
+        }
     }
 
     /// Equal-preference boost for client routes at a reflector — a

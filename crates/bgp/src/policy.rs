@@ -32,15 +32,6 @@ impl Relation {
     }
 }
 
-/// What an import policy decided.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ImportAction {
-    /// Accept with the (possibly rewritten) attributes.
-    Accept,
-    /// Reject the route.
-    Reject,
-}
-
 /// Import policy applied to eBGP-learned routes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Policy {
@@ -102,9 +93,9 @@ pub fn strip_relation_tags(attrs: &mut RouteAttrs) {
 
 impl Policy {
     /// Applies the import policy to a route learned over eBGP from a
-    /// neighbour related to us as `rel`. Returns the action; on `Accept`,
-    /// `attrs` has been rewritten in place.
-    pub fn import_ebgp(&self, rel: Relation, attrs: &mut RouteAttrs) -> ImportAction {
+    /// neighbour related to us as `rel`, rewriting `attrs` in place. Every
+    /// policy accepts; rejection is the speaker's loop checks.
+    pub fn import_ebgp(&self, rel: Relation, attrs: &mut RouteAttrs) {
         match self {
             Policy::GaoRexford => {
                 attrs.local_pref = gao_rexford_local_pref(rel);
@@ -112,12 +103,8 @@ impl Policy {
                 // can export valley-free.
                 strip_relation_tags(attrs);
                 attrs.communities.push(relation_tag(rel));
-                ImportAction::Accept
             }
-            Policy::FlatPreference => {
-                attrs.local_pref = DEFAULT_LOCAL_PREF;
-                ImportAction::Accept
-            }
+            Policy::FlatPreference => attrs.local_pref = DEFAULT_LOCAL_PREF,
         }
     }
 }
@@ -137,14 +124,6 @@ pub fn may_export(learned_from: Option<Relation>, export_to: Relation) -> bool {
         // Peer/provider routes only go to customers (no free transit).
         Some(Relation::Peer) | Some(Relation::Provider) => export_to == Relation::Customer,
     }
-}
-
-/// A scope tag used by speakers when deciding eBGP export of iBGP-learned
-/// routes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExportScope {
-    /// Export own + customer routes only (default; VNS and all sane ASes).
-    NoTransitForIbgp,
 }
 
 #[cfg(test)]
@@ -185,10 +164,7 @@ mod tests {
     #[test]
     fn import_sets_local_pref() {
         let mut a = attrs();
-        assert_eq!(
-            Policy::GaoRexford.import_ebgp(Relation::Peer, &mut a),
-            ImportAction::Accept
-        );
+        Policy::GaoRexford.import_ebgp(Relation::Peer, &mut a);
         assert_eq!(a.local_pref, 110);
         let mut b = attrs();
         Policy::FlatPreference.import_ebgp(Relation::Customer, &mut b);

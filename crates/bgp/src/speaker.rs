@@ -64,10 +64,29 @@
 //! attributes reset) and the reflected form (ORIGINATOR_ID and
 //! CLUSTER_LIST stamped). A reselect builds each form, and its Adj-RIB-Out
 //! fingerprint, at most once per candidate; per peer it only runs the
-//! allow/deny filter and bumps a refcount.
+//! allow/deny filter and bumps a refcount. The part of that filter that
+//! does not depend on the receiver either — `NO_ADVERTISE`, and whether the
+//! route may cross an eBGP session at all and as learned over which
+//! relation — is read off the communities once per candidate
+//! (`ExportForms::new`), so a neighbour visit scans no community list.
+//!
+//! **Adj-RIB-Out rows.** What was last advertised is kept per prefix, not
+//! per peer: `adj_rib_out[prefix]` is a row of `(peer, fingerprint)` sorted
+//! by peer. A reselect exports one prefix to every peer in peer order, so
+//! it fetches the row once and merge-joins it with the peer table behind a
+//! single cursor — in-place update, `insert` or `remove` at the cursor —
+//! instead of descending a map per neighbour. Three invariants: a row is
+//! sorted by peer with each peer at most once; a row is never empty (a
+//! first advertisement's row joins the map only if it ends non-empty, a row
+//! that empties leaves it); a row names configured peers only.
+//! `remove_peer` keeps the third by purging the peer from every row — an
+//! entry for a peer the walk never visits would park the cursor in front of
+//! it, and every later peer would read "nothing sent" and re-send on every
+//! reselect. Writers: `reselect` (the walk), `remove_peer` (the purge) and
+//! `request_refresh_all` (poisons fingerprints in place).
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::ops::RangeInclusive;
 use std::sync::Arc;
@@ -189,10 +208,15 @@ struct ExportForms<'a> {
     id: SpeakerId,
     asn: Asn,
     cluster_id: u32,
-    export_own_ibgp: bool,
     /// The candidate was learned from one of the exporter's reflection
     /// clients.
     from_client: bool,
+    /// Carries `NO_ADVERTISE`: no peer hears it.
+    no_advertise: bool,
+    /// `None`: stays off every eBGP session. `Some(learned)`: may cross
+    /// one, subject to [`may_export`] from the relation it was learned
+    /// over (`None` = this AS's own route).
+    ebgp_scope: Option<Option<Relation>>,
     built: [Option<Export>; 3],
 }
 
@@ -205,51 +229,51 @@ impl<'a> ExportForms<'a> {
                 .is_some_and(|c| c.kind == PeerKind::IbgpClient),
             RouteSource::Local | RouteSource::Ebgp { .. } => false,
         };
+        let attrs = &candidate.attrs;
+        // Valley-free scoping. iBGP-learned routes export over eBGP only
+        // when an ingress relation tag proves they came from a
+        // customer/peer/provider session elsewhere in this AS (multi-router
+        // transit providers); untagged ones (VNS runs FlatPreference and
+        // never tags) stay internal — VNS provides no transit.
+        let ebgp_scope = if attrs.has_community(Community::NoExport) {
+            None
+        } else {
+            match candidate.source {
+                RouteSource::Local => Some(None),
+                RouteSource::Ebgp { relation, .. } => Some(Some(relation)),
+                RouteSource::Ibgp { .. } => match relation_from_tags(attrs) {
+                    Some(rel) => Some(Some(rel)),
+                    // Empty path + no tag = originated by a sibling router
+                    // in this AS.
+                    None if exporter.export_own_ibgp && attrs.as_path.is_empty() => Some(None),
+                    None => None,
+                },
+            }
+        };
         Self {
             candidate,
             id: exporter.id,
             asn: exporter.asn,
             cluster_id: exporter.cluster_id,
-            export_own_ibgp: exporter.export_own_ibgp,
             from_client,
+            no_advertise: attrs.has_community(Community::NoAdvertise),
+            ebgp_scope,
             built: [None, None, None],
         }
     }
 
     /// The per-peer half of the export rules: whether `peer` may hear this
-    /// candidate at all, and in which form. Reads only.
+    /// candidate at all, and in which form. Reads only, and only what
+    /// depends on the peer — the rest was decided in [`ExportForms::new`].
     fn form_for(&self, peer: SpeakerId, kind: PeerKind) -> Option<Form> {
         let candidate = self.candidate;
         // Never echo a route back to the peer it came from.
-        if candidate.source.peer() == Some(peer) {
-            return None;
-        }
-        if candidate.attrs.has_community(Community::NoAdvertise) {
+        if candidate.source.peer() == Some(peer) || self.no_advertise {
             return None;
         }
         match kind {
             PeerKind::Ebgp { peer_as, relation } => {
-                if candidate.attrs.has_community(Community::NoExport) {
-                    return None;
-                }
-                // Valley-free scoping. iBGP-learned routes export over
-                // eBGP only when an ingress relation tag proves they came
-                // from a customer/peer/provider session elsewhere in this
-                // AS (multi-router transit providers); untagged ones (VNS
-                // runs FlatPreference and never tags) stay internal — VNS
-                // provides no transit.
-                let learned_rel = match candidate.source {
-                    RouteSource::Local => None,
-                    RouteSource::Ebgp { relation, .. } => Some(relation),
-                    RouteSource::Ibgp { .. } => match relation_from_tags(&candidate.attrs) {
-                        Some(rel) => Some(rel),
-                        // Empty path + no tag = originated by a sibling
-                        // router in this AS.
-                        None if self.export_own_ibgp && candidate.attrs.as_path.is_empty() => None,
-                        None => return None,
-                    },
-                };
-                if !may_export(learned_rel, relation) {
+                if !may_export(self.ebgp_scope?, relation) {
                     return None;
                 }
                 // Sender-side loop avoidance.
@@ -355,8 +379,10 @@ pub struct Speaker {
     /// Loc-RIB keys per mask length (the longest-match index; see the
     /// module docs).
     loc_rib_lens: [u32; 33],
-    /// peer -> prefix -> fingerprint of what we last advertised.
-    adj_rib_out: BTreeMap<SpeakerId, BTreeMap<Prefix, u64>>,
+    /// prefix -> row of (peer, fingerprint of what we last advertised),
+    /// sorted by peer, never empty, configured peers only; see the module
+    /// docs.
+    adj_rib_out: BTreeMap<Prefix, Vec<(SpeakerId, u64)>>,
     /// IGP cost from this router to other routers in the AS.
     igp_costs: BTreeMap<SpeakerId, u64>,
     /// Hot-potato cost of exiting through a given eBGP peer (AS-level
@@ -380,7 +406,10 @@ pub struct Speaker {
     /// transit providers announce their whole address space at every edge
     /// (true); VNS keeps PoP-local service prefixes PoP-local (false).
     export_own_ibgp: bool,
-    dirty: BTreeSet<Prefix>,
+    /// Prefixes awaiting reselection: unsorted, may repeat;
+    /// [`Speaker::process`] sorts and dedups. `k` `remove_peer`s queue
+    /// `k` × |Loc-RIB| prefixes until the next `process()`.
+    dirty: Vec<Prefix>,
 }
 
 impl Speaker {
@@ -403,7 +432,7 @@ impl Speaker {
             best_external: false,
             ignore_igp_metric: false,
             export_own_ibgp: false,
-            dirty: BTreeSet::new(),
+            dirty: Vec::new(),
         }
     }
 
@@ -434,11 +463,14 @@ impl Speaker {
         let dirty = &mut self.dirty;
         self.adj_rib_in.retain(|(prefix, from), _| {
             if *from == peer {
-                dirty.insert(*prefix);
+                dirty.push(*prefix);
             }
             *from != peer
         });
-        self.adj_rib_out.remove(&peer);
+        self.adj_rib_out.retain(|_, row| {
+            row.retain(|(to, _)| *to != peer);
+            !row.is_empty()
+        });
         // Best-external and reflection decisions can change even for
         // prefixes the peer never announced (it may have been an export
         // target): reconsider everything we currently advertise.
@@ -490,7 +522,7 @@ impl Speaker {
         let mut attrs = RouteAttrs::originate(self.id);
         attrs.communities = communities;
         self.local.insert(prefix, Arc::new(attrs));
-        self.dirty.insert(prefix);
+        self.dirty.push(prefix);
     }
 
     /// Requests a full re-advertisement to every peer (BGP route refresh,
@@ -500,8 +532,8 @@ impl Speaker {
     pub fn request_refresh_all(&mut self) {
         // Poison the out-fingerprints so the next process() re-sends even
         // unchanged advertisements.
-        for per_peer in self.adj_rib_out.values_mut() {
-            for fp in per_peer.values_mut() {
+        for row in self.adj_rib_out.values_mut() {
+            for (_, fp) in row {
                 *fp ^= 0x5a5a_5a5a_5a5a_5a5a;
             }
         }
@@ -521,16 +553,21 @@ impl Speaker {
         self.dirty.extend(self.loc_rib.keys());
     }
 
-    /// Marks every prefix with a learned candidate for reselection.
+    /// Marks every prefix with a learned candidate for reselection. The
+    /// keys are prefix-major, so one prefix's senders are adjacent and
+    /// queue it once.
     fn mark_learned_dirty(&mut self) {
-        self.dirty
-            .extend(self.adj_rib_in.keys().map(|(prefix, _)| *prefix));
+        for (prefix, _) in self.adj_rib_in.keys() {
+            if self.dirty.last() != Some(prefix) {
+                self.dirty.push(*prefix);
+            }
+        }
     }
 
     /// Stops originating a prefix.
     pub fn withdraw_local(&mut self, prefix: Prefix) {
         if self.local.remove(&prefix).is_some() {
-            self.dirty.insert(prefix);
+            self.dirty.push(prefix);
         }
     }
 
@@ -544,7 +581,7 @@ impl Speaker {
         match msg {
             Message::Withdraw { prefix } => {
                 if self.adj_rib_in.remove(&(prefix, from)).is_some() {
-                    self.dirty.insert(prefix);
+                    self.dirty.push(prefix);
                 }
             }
             Message::Update { prefix, mut attrs } => {
@@ -561,7 +598,7 @@ impl Speaker {
                         // allocation: import rewrites a copy of our own.
                         let attrs = Arc::make_mut(&mut attrs);
                         // Import policy sets LOCAL_PREF.
-                        let _ = cfg.import.import_ebgp(relation, attrs);
+                        cfg.import.import_ebgp(relation, attrs);
                         // Next-hop-self at ingress; reflection attributes
                         // never cross AS boundaries.
                         attrs.next_hop = self.id;
@@ -590,7 +627,7 @@ impl Speaker {
                 }
                 self.adj_rib_in
                     .insert((prefix, from), Candidate { attrs, source });
-                self.dirty.insert(prefix);
+                self.dirty.push(prefix);
             }
         }
     }
@@ -633,12 +670,20 @@ impl Speaker {
 
     /// Recomputes all dirty prefixes; returns the messages to deliver.
     pub fn process(&mut self) -> Vec<(SpeakerId, Message)> {
-        let dirty: Vec<Prefix> = std::mem::take(&mut self.dirty).into_iter().collect();
         let mut out = Vec::new();
-        for prefix in dirty {
+        for prefix in self.take_dirty() {
             self.reselect(prefix, &mut out);
         }
         out
+    }
+
+    /// Drains the dirty queue into reselection order: ascending, each
+    /// prefix once however often it was queued.
+    fn take_dirty(&mut self) -> Vec<Prefix> {
+        let mut dirty = std::mem::take(&mut self.dirty);
+        dirty.sort_unstable();
+        dirty.dedup();
+        dirty
     }
 
     /// Whether any prefix awaits processing.
@@ -683,6 +728,14 @@ impl Speaker {
         // filter and the Adj-RIB-Out diff are per peer.
         let mut best_forms = best.as_ref().map(|c| ExportForms::new(self, c));
         let mut ext_forms = best_ext.as_ref().map(|c| ExportForms::new(self, c));
+        // The prefix's Adj-RIB-Out row, fetched once and walked in step
+        // with the peer table (both ascend by peer): `at` is the first
+        // entry not yet passed. A first advertisement fills `fresh`.
+        let mut fresh = Vec::new();
+        let stored = self.adj_rib_out.get_mut(&prefix);
+        let is_stored = stored.is_some();
+        let row = stored.unwrap_or(&mut fresh);
+        let mut at = 0;
         for (&peer, cfg) in &self.peers {
             let desired = export_for(best_forms.as_mut(), ext_forms.as_mut(), peer, cfg.kind);
             // Runtime twin of the vns-verify no-export containment
@@ -694,26 +747,47 @@ impl Speaker {
                 "NO_EXPORT route for {prefix} would leak over eBGP {} -> {peer}",
                 self.id
             );
-            let sent = self
-                .adj_rib_out
-                .get(&peer)
-                .and_then(|m| m.get(&prefix))
-                .copied();
+            debug_assert!(
+                row.get(at).is_none_or(|(to, _)| *to >= peer),
+                "Adj-RIB-Out row for {prefix} at {} holds {:?}, passed over before {peer}",
+                self.id,
+                row[at].0
+            );
+            let sent = row.get(at).filter(|(to, _)| *to == peer).map(|(_, fp)| *fp);
             match (desired, sent) {
-                (Some((attrs, new_fp)), old) if old != Some(*new_fp) => {
-                    self.adj_rib_out
-                        .entry(peer)
-                        .or_default()
-                        .insert(prefix, *new_fp);
+                // Advertised and unchanged: step over it.
+                (Some((_, new_fp)), Some(old)) if old == *new_fp => at += 1,
+                (Some((attrs, new_fp)), old) => {
+                    if old.is_some() {
+                        row[at].1 = *new_fp;
+                    } else {
+                        row.insert(at, (peer, *new_fp));
+                    }
+                    at += 1;
                     let attrs = Arc::clone(attrs);
                     out.push((peer, Message::Update { prefix, attrs }));
                 }
                 (None, Some(_)) => {
-                    self.adj_rib_out.entry(peer).or_default().remove(&prefix);
+                    row.remove(at);
                     out.push((peer, Message::Withdraw { prefix }));
                 }
-                _ => {}
+                (None, None) => {}
             }
+        }
+        debug_assert_eq!(
+            at,
+            row.len(),
+            "Adj-RIB-Out row for {prefix} at {} names a peer the walk never met",
+            self.id
+        );
+        match (is_stored, row.is_empty()) {
+            (false, false) => {
+                self.adj_rib_out.insert(prefix, fresh);
+            }
+            (true, true) => {
+                self.adj_rib_out.remove(&prefix);
+            }
+            _ => {}
         }
     }
 
@@ -822,7 +896,7 @@ impl Speaker {
 
     /// How many `(peer, prefix)` advertisements the Adj-RIB-Out remembers.
     pub fn adj_rib_out_len(&self) -> usize {
-        self.adj_rib_out.values().map(BTreeMap::len).sum()
+        self.adj_rib_out.values().map(Vec::len).sum()
     }
 
     /// Recomputes the exact attributes this router would currently
@@ -864,7 +938,7 @@ impl Speaker {
     //
     // These hooks corrupt the *selected* route in the Loc-RIB in place,
     // without touching Adj-RIB-In, the Adj-RIB-Out fingerprints, or the
-    // dirty set. The control plane stays quiescent and keeps believing its
+    // dirty queue. The control plane stays quiescent and keeps believing its
     // own (now wrong) state — exactly the kind of silent forwarding-plane
     // damage the data-plane model checker exists to catch. The simulator
     // itself never calls them; only the verification harness does.
@@ -1402,6 +1476,105 @@ mod tests {
         assert_eq!(rr.best(&prefix), Some(&original));
         assert_eq!(rr.candidates(&prefix), vec![&learned]);
         assert_eq!(border.best(&prefix), Some(&sender_best));
+    }
+
+    /// The three row invariants of the module docs.
+    fn assert_rows_well_formed(s: &Speaker) {
+        for (prefix, row) in &s.adj_rib_out {
+            assert!(!row.is_empty(), "empty row left for {prefix}");
+            assert!(
+                row.windows(2).all(|w| w[0].0 < w[1].0),
+                "row for {prefix} out of peer order: {row:?}"
+            );
+            assert!(
+                row.iter().all(|(to, _)| s.peers.contains_key(to)),
+                "row for {prefix} names an unconfigured peer: {row:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn adj_rib_out_rows_stay_sorted_non_empty_and_configured() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        let peers = [
+            (SpeakerId(2), ebgp_cfg(200, Relation::Customer)),
+            (SpeakerId(3), ebgp_cfg(201, Relation::Peer)),
+            (SpeakerId(4), ebgp_cfg(202, Relation::Provider)),
+            (SpeakerId(20), ibgp_cfg(PeerKind::Ibgp)),
+            (SpeakerId(30), ibgp_cfg(PeerKind::IbgpClient)),
+            (SpeakerId(31), ibgp_cfg(PeerKind::IbgpClient)),
+        ];
+        let prefixes = [p("10.0.0.0/8"), p("10.0.0.0/9"), p("11.0.0.0/8")];
+        let mut s = Speaker::new(SpeakerId(1), Asn(100));
+        s.set_best_external(true);
+        let mut rng = SmallRng::seed_from_u64(23);
+        let (mut widest, mut emptied) = (0, 0);
+        for _ in 0..6000 {
+            let (peer, cfg) = peers[rng.gen_range(0..peers.len())];
+            let prefix = prefixes[rng.gen_range(0..prefixes.len())];
+            let rows_before = s.adj_rib_out.len();
+            match rng.gen_range(0..12) {
+                0..=3 if s.peers.contains_key(&peer) => {
+                    let path = vec![200 + peer.0, rng.gen_range(300..303)];
+                    s.receive(peer, update(prefix, path, peer));
+                }
+                4 | 5 if s.peers.contains_key(&peer) => {
+                    s.receive(peer, Message::Withdraw { prefix });
+                }
+                6 => s.remove_peer(peer),
+                7 => s.add_peer(peer, cfg),
+                8 => {
+                    s.add_peer(peer, cfg);
+                    s.schedule_initial_advertisement();
+                }
+                9 => s.request_refresh_all(),
+                _ => {
+                    s.process();
+                }
+            }
+            assert_rows_well_formed(&s);
+            widest = widest.max(s.adj_rib_out.values().map(Vec::len).max().unwrap_or(0));
+            emptied += usize::from(s.adj_rib_out.len() < rows_before);
+        }
+        // The walk reached rows naming most peers, and rows that emptied.
+        assert!(widest >= 4 && emptied > 50, "{widest} {emptied}");
+    }
+
+    #[test]
+    fn a_prefix_queued_five_times_reselects_once() {
+        let (low, high) = (p("10.0.0.0/8"), p("11.0.0.0/8"));
+        let mut s = Speaker::new(SpeakerId(1), Asn(100));
+        s.add_peer(SpeakerId(2), ebgp_cfg(200, Relation::Provider));
+        s.add_peer(SpeakerId(4), ebgp_cfg(400, Relation::Customer));
+        // Queued out of order, the higher prefix five times over.
+        for i in 0..5 {
+            s.receive(SpeakerId(2), update(high, vec![200, 300 + i], SpeakerId(2)));
+            if i == 2 {
+                s.originate(low);
+            }
+        }
+        let queued = s.dirty.clone();
+        assert_eq!(queued.len(), 6);
+        assert_eq!(s.take_dirty(), vec![low, high]);
+        s.dirty = queued;
+        let msgs = s.process();
+        assert!(!s.has_pending_work());
+        // One reselect each, in prefix order: the own route to both
+        // neighbours, then the last-heard route to the customer.
+        let heard: Vec<_> = msgs
+            .iter()
+            .map(|(to, m)| (*to, update_attrs(m).as_path.clone()))
+            .collect();
+        assert_eq!(
+            heard,
+            vec![
+                (SpeakerId(2), vec![Asn(100)].into()),
+                (SpeakerId(4), vec![Asn(100)].into()),
+                (SpeakerId(4), vec![Asn(100), Asn(200), Asn(304)].into()),
+            ]
+        );
     }
 
     /// The per-peer export rules as they were before export forms: one

@@ -1,16 +1,20 @@
 //! Property tests for the BGP machinery: prefix canonicalisation, trie
 //! correctness against a naive table, the Loc-RIB longest-match index
 //! against the linear scan it replaced, the flat Adj-RIB-In against the
-//! nested per-prefix maps it replaced, decision-process order axioms, and
+//! nested per-prefix maps it replaced, the Adj-RIB-Out rows against the
+//! per-peer maps they replaced, decision-process order axioms, and
 //! valley-free export.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet};
+use std::hash::{Hash, Hasher};
 
 use proptest::prelude::*;
+use vns_bgp::policy::{REL_TAG_CUSTOMER, REL_TAG_PEER};
 use vns_bgp::{
-    compare_routes, may_export, select_best, Asn, BgpNet, Candidate, DecisionContext, Message,
-    Origin, PeerConfig, PeerKind, Policy, Prefix, PrefixTrie, Relation, RouteAttrs, RouteSource,
-    ScanTable, Speaker, SpeakerId,
+    compare_routes, may_export, select_best, Asn, BgpNet, Candidate, Community, DecisionContext,
+    Message, Origin, PeerConfig, PeerKind, Policy, Prefix, PrefixTrie, Relation, RouteAttrs,
+    RouteSource, ScanTable, Speaker, SpeakerId,
 };
 
 fn prefix() -> impl Strategy<Value = Prefix> {
@@ -233,6 +237,195 @@ impl NestedRib {
             .get(prefix)
             .map(|m| m.values().collect())
             .unwrap_or_default()
+    }
+}
+
+/// The sessions the Adj-RIB-Out property drives: every kind, ids on both
+/// ends of the id space. The first and the last start unconfigured, so
+/// their first `add_peer` brings an id lower / higher than every existing
+/// peer's — a row entry in front of, and behind, all the others.
+fn out_peers() -> [(SpeakerId, PeerConfig); 6] {
+    let mut peers = rib_peers();
+    peers.insert(
+        4,
+        (
+            SpeakerId(20),
+            PeerConfig {
+                kind: PeerKind::Ebgp {
+                    peer_as: Asn(203),
+                    relation: Relation::Customer,
+                },
+                import: Policy::GaoRexford,
+            },
+        ),
+    );
+    peers.try_into().expect("six peers")
+}
+
+/// The Adj-RIB-Out as it was laid out before the per-prefix rows — peer,
+/// then prefix — with the old per-peer diff ("send iff the fingerprint
+/// differs, withdraw iff sent and no longer desired") and the old dirty
+/// *set*. What a peer should hear comes from `Speaker::exported_to`, so
+/// nothing here runs the speaker's row walk.
+#[derive(Default)]
+struct PerPeerOut {
+    sent: BTreeMap<SpeakerId, BTreeMap<Prefix, u64>>,
+    dirty: BTreeSet<Prefix>,
+}
+
+impl PerPeerOut {
+    fn fingerprint(attrs: &RouteAttrs) -> u64 {
+        let mut h = DefaultHasher::new();
+        format!("{attrs:?}").hash(&mut h);
+        h.finish()
+    }
+
+    /// Every prefix the speaker knows: what `schedule_initial_advertisement`
+    /// queues (this speaker originates nothing it has not selected).
+    fn mark_all(&mut self, sp: &Speaker) {
+        self.dirty.extend(sp.adj_rib_in_entries().map(|(p, ..)| p));
+        self.dirty.extend(sp.loc_rib_prefixes());
+    }
+
+    /// Call before `sp.remove_peer(peer)`.
+    fn remove_peer(&mut self, sp: &Speaker, peer: SpeakerId) {
+        if sp.peer_config(peer).is_none() {
+            return;
+        }
+        let heard = sp.adj_rib_in_entries().filter(|(_, from, _)| *from == peer);
+        self.dirty.extend(heard.map(|(p, ..)| p));
+        self.dirty.extend(sp.loc_rib_prefixes());
+        self.sent.remove(&peer);
+    }
+
+    fn poison(&mut self) {
+        for fp in self.sent.values_mut().flat_map(BTreeMap::values_mut) {
+            *fp ^= 0x5a5a_5a5a_5a5a_5a5a;
+        }
+    }
+
+    /// Call after `sp.process()`: the export diff over the Loc-RIB it left.
+    fn process(&mut self, sp: &Speaker) -> Vec<(SpeakerId, Message)> {
+        let mut out = Vec::new();
+        for prefix in std::mem::take(&mut self.dirty) {
+            for peer in sp.peer_ids() {
+                let desired = sp
+                    .exported_to(peer, &prefix)
+                    .map(|attrs| (Self::fingerprint(&attrs), attrs));
+                let sent = self.sent.get(&peer).and_then(|m| m.get(&prefix)).copied();
+                match (desired, sent) {
+                    (Some((fp, attrs)), old) if old != Some(fp) => {
+                        self.sent.entry(peer).or_default().insert(prefix, fp);
+                        out.push((peer, Message::Update { prefix, attrs }));
+                    }
+                    (None, Some(_)) => {
+                        self.sent.entry(peer).or_default().remove(&prefix);
+                        out.push((peer, Message::Withdraw { prefix }));
+                    }
+                    _ => {}
+                }
+            }
+        }
+        out
+    }
+
+    fn len(&self) -> usize {
+        self.sent.values().map(BTreeMap::len).sum()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn adj_rib_out_rows_match_per_peer_maps(
+        export_own_ibgp in any::<bool>(),
+        // (op, peer selector, prefix selector, three attribute selectors).
+        ops in prop::collection::vec((0u8..20, 0usize..6, 0usize..4, 0u32..4, 0u32..6, 0u32..3), 1..120),
+    ) {
+        let peers = out_peers();
+        let prefixes = rib_prefixes();
+        let mut sp = Speaker::new(ME, ME_ASN);
+        sp.set_best_external(true);
+        sp.set_export_own_ibgp(export_own_ibgp);
+        for (id, cfg) in &peers[1..5] {
+            sp.add_peer(*id, *cfg);
+        }
+        let mut oracle = PerPeerOut::default();
+        // One own route, so every kind of peer has something to hear.
+        sp.originate(prefixes[3]);
+        oracle.dirty.insert(prefixes[3]);
+        for (op, peer_sel, prefix_sel, a, b, c) in ops {
+            let (peer, cfg) = peers[peer_sel];
+            let prefix = prefixes[prefix_sel];
+            let up = sp.peer_config(peer).is_some();
+            let held = sp.adj_rib_in_entries().any(|(p, from, _)| (p, from) == (prefix, peer));
+            let mut emitted = None;
+            match op {
+                // Update; `a == 3` is an eBGP loop (implicit withdraw).
+                // `b` picks the communities that decide the export scope.
+                0..=7 if up => {
+                    let looped = cfg.kind.is_ebgp() && a == 3;
+                    if held || !looped {
+                        oracle.dirty.insert(prefix);
+                    }
+                    let communities = match b {
+                        0 => vec![Community::NoExport],
+                        1 => vec![Community::NoAdvertise],
+                        2 => vec![REL_TAG_CUSTOMER],
+                        3 => vec![Community::Tag(5), REL_TAG_PEER],
+                        _ => vec![],
+                    };
+                    let attrs = RouteAttrs {
+                        local_pref: 100 + 10 * c,
+                        // `a == 2` is a sibling's own route over iBGP.
+                        as_path: [200 + peer_sel as u32, if a == 3 { ME_ASN.0 } else { 300 + a }]
+                            .into_iter()
+                            .filter(|_| a != 2)
+                            .map(Asn)
+                            .collect(),
+                        origin: Origin::Igp,
+                        med: 0,
+                        communities,
+                        next_hop: SpeakerId(30 + a),
+                        originator_id: None,
+                        cluster_list: vec![7],
+                    };
+                    sp.receive(peer, Message::Update { prefix, attrs: attrs.into() });
+                }
+                8..=10 if up => {
+                    if held {
+                        oracle.dirty.insert(prefix);
+                    }
+                    sp.receive(peer, Message::Withdraw { prefix });
+                }
+                11 | 12 => {
+                    oracle.remove_peer(&sp, peer);
+                    sp.remove_peer(peer);
+                }
+                // A session configured but not yet advertised to: it hears
+                // a prefix the next time something else queues it.
+                13 => sp.add_peer(peer, cfg),
+                // The speaker's half of `BgpNet::reconnect`.
+                14 => {
+                    sp.add_peer(peer, cfg);
+                    sp.schedule_initial_advertisement();
+                    oracle.mark_all(&sp);
+                }
+                15 => {
+                    sp.request_refresh_all();
+                    oracle.poison();
+                    oracle.mark_all(&sp);
+                }
+                16..=19 => emitted = Some(sp.process()),
+                _ => {}
+            }
+            if let Some(got) = emitted {
+                prop_assert_eq!(got, oracle.process(&sp));
+            }
+            prop_assert_eq!(sp.has_pending_work(), !oracle.dirty.is_empty());
+            prop_assert_eq!(sp.adj_rib_out_len(), oracle.len());
+        }
     }
 }
 

@@ -34,6 +34,8 @@ pub enum FaultEvent {
         b: SpeakerId,
     },
     /// Re-establish a session previously cut through the same injector.
+    /// While either endpoint is down the session stays severed and comes
+    /// back with that router's [`FaultEvent::RouterUp`].
     SessionRestore {
         /// One endpoint.
         a: SpeakerId,
@@ -47,8 +49,10 @@ pub enum FaultEvent {
         /// The failing router.
         router: SpeakerId,
     },
-    /// Restore every session of `router` that this injector cut — via
-    /// [`FaultEvent::RouterDown`] or individual cuts.
+    /// Restore every session of `router` that [`FaultEvent::RouterDown`]
+    /// took with it. A session somebody cut on purpose
+    /// ([`FaultEvent::SessionCut`]) stays cut until its own
+    /// [`FaultEvent::SessionRestore`].
     RouterUp {
         /// The recovering router.
         router: SpeakerId,
@@ -189,6 +193,10 @@ pub struct FaultInjector {
     /// Severed sessions: canonical key → (config at key.0 for key.1,
     /// config at key.1 for key.0).
     severed: BTreeMap<(SpeakerId, SpeakerId), (PeerConfig, PeerConfig)>,
+    /// The severed sessions a [`FaultEvent::SessionCut`] asked for and no
+    /// [`FaultEvent::SessionRestore`] has released: a subset of `severed`'s
+    /// keys that [`FaultEvent::RouterUp`] must leave alone.
+    cut_on_purpose: BTreeSet<(SpeakerId, SpeakerId)>,
     /// Routers currently down (all sessions cut via [`FaultEvent::RouterDown`]).
     down: BTreeSet<SpeakerId>,
     /// Cut circuits: canonical key → original IGP cost.
@@ -226,8 +234,24 @@ impl FaultInjector {
         event: FaultEvent,
     ) -> Result<(), FaultError> {
         match event {
-            FaultEvent::SessionCut { a, b } => self.cut_session(internet, a, b),
-            FaultEvent::SessionRestore { a, b } => self.restore_session(internet, a, b),
+            FaultEvent::SessionCut { a, b } => {
+                self.cut_session(internet, a, b)?;
+                self.cut_on_purpose.insert(session_key(a, b));
+                Ok(())
+            }
+            FaultEvent::SessionRestore { a, b } => {
+                let key = session_key(a, b);
+                if !self.severed.contains_key(&key) {
+                    return Err(FaultError::UnknownSession(a, b));
+                }
+                self.cut_on_purpose.remove(&key);
+                // A down router holds no sessions: its `RouterUp` brings
+                // this one back with the rest.
+                if self.down.contains(&a) || self.down.contains(&b) {
+                    return Ok(());
+                }
+                self.restore_session(internet, a, b)
+            }
             FaultEvent::RouterDown { router } => self.router_down(internet, router),
             FaultEvent::RouterUp { router } => self.router_up(internet, router),
             FaultEvent::CircuitCut { a, b } => self.circuit_cut(internet, vns, a, b),
@@ -299,6 +323,7 @@ impl FaultInjector {
             .keys()
             .copied()
             .filter(|&(x, y)| x == router || y == router)
+            .filter(|key| !self.cut_on_purpose.contains(key))
             .collect();
         for (x, y) in sessions {
             // Sessions to a peer that is itself still down stay severed

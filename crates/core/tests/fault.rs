@@ -2,6 +2,7 @@
 //! exactly undoable — after a restore and an incremental reconvergence the
 //! control plane routes like nothing happened.
 
+use vns_bgp::SpeakerId;
 use vns_core::{
     build_vns, FaultError, FaultEvent, FaultInjector, FaultPlan, PopId, Vns, VnsConfig,
 };
@@ -97,6 +98,124 @@ fn router_down_marks_dead_until_up() {
     inj.apply(&mut internet, &vns, FaultEvent::RouterUp { router: rr0 })
         .expect("up");
     assert!(inj.fully_restored());
+}
+
+/// A border of PoP 0 and its primary upstream: a session to cut on purpose
+/// around an outage of the border.
+fn border_and_upstream(internet: &Internet, vns: &Vns) -> (SpeakerId, SpeakerId) {
+    let pop = &vns.pops()[0];
+    let (up_as, up_city) = vns.primary_upstream(pop.id());
+    let upstream = internet.router_of(up_as, up_city).expect("upstream router");
+    (pop.borders[0], upstream)
+}
+
+/// Applies `events` in order, reconverging after each.
+fn apply_all(inj: &mut FaultInjector, internet: &mut Internet, vns: &Vns, events: &[FaultEvent]) {
+    for &event in events {
+        inj.apply(internet, vns, event)
+            .unwrap_or_else(|e| panic!("{event}: {e}"));
+        internet.net.run(vns.message_budget()).expect("reconverge");
+        assert!(internet.net.is_quiescent(), "{event} left the net torn");
+    }
+}
+
+fn session_is_up(internet: &Internet, a: SpeakerId, b: SpeakerId) -> bool {
+    let holds = |x, y| {
+        let sp = internet.net.speaker(x).expect("speaker");
+        sp.peer_config(y).is_some()
+    };
+    holds(a, b) && holds(b, a)
+}
+
+fn assert_healed(inj: &FaultInjector, internet: &Internet, vns: &Vns, a: SpeakerId, b: SpeakerId) {
+    assert!(inj.fully_restored());
+    assert!(session_is_up(internet, a, b));
+    let frac = routable_fraction(internet, vns, vns.pops()[0].id());
+    assert!(frac > 0.999, "post-restore routable fraction: {frac}");
+}
+
+#[test]
+fn router_up_leaves_a_session_cut_on_purpose_cut() {
+    let (mut internet, vns) = world(7);
+    let (a, b) = border_and_upstream(&internet, &vns);
+    let mut inj = FaultInjector::new();
+    apply_all(
+        &mut inj,
+        &mut internet,
+        &vns,
+        &[
+            FaultEvent::SessionCut { a, b },
+            FaultEvent::RouterDown { router: a },
+            FaultEvent::RouterUp { router: a },
+        ],
+    );
+    // The outage took the border's other sessions and gave them back; the
+    // cut is still somebody's decision.
+    assert!(!session_is_up(&internet, a, b));
+    assert_eq!(inj.severed_sessions().count(), 1);
+    assert!(!inj.fully_restored());
+    apply_all(
+        &mut inj,
+        &mut internet,
+        &vns,
+        &[FaultEvent::SessionRestore { a, b }],
+    );
+    assert_healed(&inj, &internet, &vns, a, b);
+}
+
+#[test]
+fn session_restore_during_an_outage_waits_for_router_up() {
+    let (mut internet, vns) = world(7);
+    let (a, b) = border_and_upstream(&internet, &vns);
+    let mut inj = FaultInjector::new();
+    // Named the other way round: `a~b` and `b~a` are one session.
+    apply_all(
+        &mut inj,
+        &mut internet,
+        &vns,
+        &[
+            FaultEvent::SessionCut { a, b },
+            FaultEvent::RouterDown { router: a },
+            FaultEvent::SessionRestore { a: b, b: a },
+        ],
+    );
+    assert!(
+        !session_is_up(&internet, a, b),
+        "a down router holds no session"
+    );
+    assert_eq!(inj.dead_routers().collect::<Vec<_>>(), vec![a]);
+    apply_all(
+        &mut inj,
+        &mut internet,
+        &vns,
+        &[FaultEvent::RouterUp { router: a }],
+    );
+    assert_healed(&inj, &internet, &vns, a, b);
+}
+
+#[test]
+fn session_cut_during_an_outage_is_refused_and_owns_nothing() {
+    let (mut internet, vns) = world(7);
+    let (a, b) = border_and_upstream(&internet, &vns);
+    let mut inj = FaultInjector::new();
+    apply_all(
+        &mut inj,
+        &mut internet,
+        &vns,
+        &[FaultEvent::RouterDown { router: a }],
+    );
+    // The session is already gone with its router: nothing to cut.
+    assert_eq!(
+        inj.apply(&mut internet, &vns, FaultEvent::SessionCut { a, b }),
+        Err(FaultError::UnknownSession(a, b))
+    );
+    apply_all(
+        &mut inj,
+        &mut internet,
+        &vns,
+        &[FaultEvent::RouterUp { router: a }],
+    );
+    assert_healed(&inj, &internet, &vns, a, b);
 }
 
 #[test]

@@ -6,13 +6,14 @@ Usage: check_scale_curve.py BASELINE.txt CANDIDATE.txt
 Both files are `vns-bench scale-curve` outputs. The world at every rung
 is a pure function of (seed, scale) — thread count and machine speed must
 not move it — so the deterministic columns (ases, prefixes, sessions,
-conv_msgs, rounds, and the walked RIB census: adj_in entries and the
-distinct attr_sets allocations behind the RIBs, which are shared by
-provenance and so follow from the message history alone) are compared
-EXACTLY, and every rung must report `pass` from both verifier stages. The
-exact conv_msgs match doubles as the message ceiling: convergence cost
-cannot creep past the committed curve unnoticed. Peak RSS has a ceiling of
-its own: a rung may not exceed RSS_CEILING x the committed value (VmHWM is
+conv_msgs, rounds, and the walked RIB census: adj_in entries, the adj_out
+fingerprints the Adj-RIB-Out rows hold — a stale or duplicated row entry
+shows here — and the distinct attr_sets allocations behind the RIBs, which
+are shared by provenance and so follow from the message history alone) are
+compared EXACTLY, and every rung must report `pass` from both verifier
+stages. The exact conv_msgs match doubles as the message ceiling:
+convergence cost cannot creep past the committed curve unnoticed. Peak RSS
+has a ceiling of its own: a rung may not exceed RSS_CEILING x the committed value (VmHWM is
 allocator- and kernel-dependent but repeats within ~1 % at a seed on one
 box; by-value attributes or nested per-prefix maps cost 2.8-3x), so the RIB
 layout cannot regress unnoticed either. Wall clock is machine-dependent
@@ -30,6 +31,7 @@ EXACT = (
     "conv_msgs",
     "rounds",
     "adj_in",
+    "adj_out",
     "attr_sets",
 )
 
@@ -47,6 +49,9 @@ def parse(path):
         cols = line.split()
         if cols[0] == "scale":
             header = cols
+            missing = [c for c in EXACT + ("peak_rss_mib",) if c not in header]
+            if missing:
+                sys.exit(f"{path}: no {', '.join(missing)} column (an older vns-bench wrote it?)")
             continue
         if header is None or not cols[0][0].isdigit():
             continue
@@ -88,8 +93,9 @@ def main():
         print(
             f"scale {scale}: {c['ases']} ASes, {c['prefixes']} prefixes, "
             f"{c['sessions']} sessions, {c['conv_msgs']} msgs / "
-            f"{c['rounds']} rounds, {c['adj_in']} Adj-RIB-In entries on "
-            f"{c['attr_sets']} attribute sets, {rss:.0f} MiB, {c.get('verdict')}"
+            f"{c['rounds']} rounds, {c['adj_in']} Adj-RIB-In / {c['adj_out']} "
+            f"Adj-RIB-Out entries on {c['attr_sets']} attribute sets, "
+            f"{rss:.0f} MiB, {c.get('verdict')}"
         )
 
     if failures:
