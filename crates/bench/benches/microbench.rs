@@ -8,7 +8,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use vns_bench::campaign::prefix_metas;
 use vns_bench::World;
-use vns_bgp::{compare_routes, Candidate, DecisionContext, Prefix, PrefixTrie};
+use vns_bgp::{compare_routes, Candidate, DecisionContext, LpmMap, Prefix};
 use vns_core::PopId;
 use vns_geo::GeoPoint;
 use vns_netsim::{Dur, Engine, LossModel, LossProcess, SimTime};
@@ -40,21 +40,62 @@ fn bench_great_circle(c: &mut Criterion) {
     });
 }
 
-fn bench_trie_lpm(c: &mut Criterion) {
-    let mut trie = PrefixTrie::new();
+/// Longest match on the table shapes that exist and one that does not.
+/// `bgp/lpm_random_10k` is 10k random /12–/24 — thirteen populated
+/// lengths, a shape no caller builds, kept as the record of what the
+/// census design is worst at. `topo/lookup_prefix/*` is the shape
+/// `Internet::lookup_prefix` really serves, probed at registered first
+/// hosts like a path resolution does: scale 10's registry, 3,252
+/// consecutive /16s (one populated length: every generated world), and the
+/// same with the one forged /20 an attack adds (two: one more probe).
+fn bench_lpm(c: &mut Criterion) {
+    let mut table = LpmMap::new();
     let mut rng = SmallRng::seed_from_u64(5);
     use rand::Rng;
     for i in 0..10_000u32 {
         let len = rng.gen_range(12..=24);
-        trie.insert(Prefix::new(rng.gen(), len), i);
+        table.insert(Prefix::new(rng.gen(), len), i);
     }
-    c.bench_function("bgp/trie_lpm_10k", |b| {
+    c.bench_function("bgp/lpm_random_10k", |b| {
         let mut ip = 0u32;
         b.iter(|| {
             ip = ip.wrapping_add(0x9e37_79b9);
-            black_box(trie.lookup(black_box(ip)));
+            black_box(table.lookup(black_box(ip)));
         });
     });
+
+    let mut internet = vns_topo::Internet::new();
+    let (cid, city) = vns_geo::cities::city_by_name("Amsterdam").expect("known city");
+    let register = |internet: &mut vns_topo::Internet, prefix: Prefix| {
+        let info = vns_topo::PrefixInfo {
+            prefix,
+            origin: vns_topo::AsId(0),
+            city: cid,
+            location: city.location,
+            last_mile: true,
+            anycast: false,
+        };
+        internet.add_prefix(info, "NL", city.location);
+    };
+    for i in 0..3_252u32 {
+        register(&mut internet, Prefix::new(0x1000_0000 + (i << 16), 16));
+    }
+    let hosts: Vec<u32> = internet.prefixes().map(|p| p.prefix.first_host()).collect();
+    let mut g = c.benchmark_group("topo/lookup_prefix");
+    for name in ["slash16s", "slash16s_and_a_slash20"] {
+        if name != "slash16s" {
+            let forged = Prefix::new(0x1000_0000 + (1_600 << 16), 16).subnet(20, 1);
+            register(&mut internet, forged);
+        }
+        g.bench_function(name, |b| {
+            let mut i = 0usize;
+            b.iter(|| {
+                i = (i + 1_009) % hosts.len();
+                black_box(internet.lookup_prefix(black_box(hosts[i])));
+            });
+        });
+    }
+    g.finish();
 }
 
 fn bench_decision(c: &mut Criterion) {
@@ -525,7 +566,7 @@ criterion_group!(
     benches,
     bench_event_engine,
     bench_great_circle,
-    bench_trie_lpm,
+    bench_lpm,
     bench_decision,
     bench_update_flow,
     bench_loss_process,

@@ -12,26 +12,32 @@
 //! * `l2_topology` — regional clusters + 5 long-haul circuits vs a full
 //!   PoP mesh: delay stretch vs circuit kilometres (the cost driver the
 //!   paper's Sec 6 economics discussion identifies).
+//!
+//! Rows that only read the default geo (or hot) world borrow it — `base`
+//! is the world `Ctx::geo()` holds — and build just their variants, from
+//! `base.config` with one knob turned. Rows that mutate a world
+//! (`auto_override`, `geoip`'s exemptions) build their own.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use vns_core::{LocalPrefFn, PopId, Vns};
+use vns_core::{LocalPrefFn, PopId, VnsConfig};
 use vns_netsim::{Dur, HopChannel, LossModel, LossProcess, PathChannel, SimTime, BATCH_LEN};
 use vns_stats::Table;
-use vns_topo::Internet;
 
 use crate::campaign::prefix_metas;
 use crate::world::{World, WorldConfig};
 
-/// Egress-selection quality over well-geolocated prefixes: fraction of
-/// choices within 500 km of optimal, and the mean excess distance (km).
-pub fn egress_precision(world: &World) -> (f64, f64) {
+/// Egress-selection quality: fraction of choices within 500 km of
+/// optimal, and the mean excess distance (km) — over the prefixes whose
+/// GeoIP error is known and at most `max_geoip_err_km`, or over all of
+/// them (`None`: the metric that exposes GeoIP damage).
+fn egress_precision(world: &World, max_geoip_err_km: Option<f64>) -> (f64, f64) {
     let mut good = 0usize;
     let mut total = 0usize;
     let mut excess = 0.0;
     for m in prefix_metas(world) {
-        if !m.geoip_err_km.is_finite() || m.geoip_err_km > 150.0 {
+        if max_geoip_err_km.is_some_and(|max| !m.geoip_err_km.is_finite() || m.geoip_err_km > max) {
             continue;
         }
         let Some(egress) = world.vns.egress_pop(&world.internet, PopId(10), m.ip) else {
@@ -52,6 +58,16 @@ pub fn egress_precision(world: &World) -> (f64, f64) {
         good as f64 / total.max(1) as f64,
         excess / total.max(1) as f64,
     )
+}
+
+/// GeoIP error up to which a prefix counts as well geolocated.
+const WELL_LOCATED_KM: f64 = 150.0;
+
+/// `base`'s world rebuilt with one deployment knob turned.
+fn variant(base: &World, turn: impl FnOnce(&mut VnsConfig)) -> World {
+    let mut cfg = base.config.clone();
+    turn(&mut cfg.vns);
+    World::build(cfg)
 }
 
 /// One ablation table.
@@ -72,8 +88,8 @@ impl std::fmt::Display for Ablation {
     }
 }
 
-/// LOCAL_PREF shape ablation.
-pub fn lp_shape(seed: u64, scale: f64) -> Ablation {
+/// LOCAL_PREF shape ablation (`base` runs the default shape).
+pub fn lp_shape(base: &World) -> Ablation {
     let shapes: [(&str, LocalPrefFn); 4] = [
         ("banded-25km (default)", LocalPrefFn::default()),
         (
@@ -94,15 +110,10 @@ pub fn lp_shape(seed: u64, scale: f64) -> Ablation {
     ];
     let mut table = Table::new(["f(d) shape", "near-optimal egress", "mean excess km"]);
     let mut values = Vec::new();
-    for (name, lp_fn) in shapes {
-        let mut cfg = WorldConfig {
-            seed,
-            scale,
-            ..WorldConfig::default()
-        };
-        cfg.vns.lp_fn = lp_fn;
-        let world = World::build(cfg);
-        let (frac, excess) = egress_precision(&world);
+    for (i, (name, lp_fn)) in shapes.into_iter().enumerate() {
+        let built = (i > 0).then(|| variant(base, |vns| vns.lp_fn = lp_fn));
+        let world = built.as_ref().unwrap_or(base);
+        let (frac, excess) = egress_precision(world, Some(WELL_LOCATED_KM));
         table.push([
             name.to_string(),
             vns_stats::pct(frac),
@@ -117,19 +128,14 @@ pub fn lp_shape(seed: u64, scale: f64) -> Ablation {
     }
 }
 
-/// Best-external on/off (the hidden-routes fix).
-pub fn best_external(seed: u64, scale: f64) -> Ablation {
+/// Best-external on/off (the hidden-routes fix; `base` has it on).
+pub fn best_external(base: &World) -> Ablation {
     let mut table = Table::new(["best-external", "near-optimal egress", "mean excess km"]);
     let mut values = Vec::new();
     for on in [true, false] {
-        let mut cfg = WorldConfig {
-            seed,
-            scale,
-            ..WorldConfig::default()
-        };
-        cfg.vns.best_external = on;
-        let world = World::build(cfg);
-        let (frac, excess) = egress_precision(&world);
+        let built = (!on).then(|| variant(base, |vns| vns.best_external = false));
+        let world = built.as_ref().unwrap_or(base);
+        let (frac, excess) = egress_precision(world, Some(WELL_LOCATED_KM));
         table.push([
             if on { "on (paper)" } else { "off" }.to_string(),
             vns_stats::pct(frac),
@@ -145,44 +151,27 @@ pub fn best_external(seed: u64, scale: f64) -> Ablation {
 }
 
 /// GeoIP errors on/off, plus the management fix for the two documented
-/// pathologies.
-pub fn geoip(seed: u64, scale: f64) -> Ablation {
+/// pathologies (`base` is the erroneous-database world).
+pub fn geoip(base: &World) -> Ablation {
     let mut table = Table::new(["GeoIP database", "near-optimal egress", "mean excess km"]);
     let mut values = Vec::new();
+    let mut row = |label: String, key: &str, world: &World| {
+        let (frac, excess) = egress_precision(world, None);
+        table.push([label, vns_stats::pct(frac), format!("{excess:.0}")]);
+        values.push((key.to_string(), frac));
+    };
 
     // Perfect database.
-    let mut cfg = WorldConfig {
-        seed,
-        scale,
-        ..WorldConfig::default()
-    };
+    let cfg = base.config.clone();
     let mut topo = cfg.topo();
     topo.geoip_errors = false;
     let mut internet = vns_topo::generate(&topo).expect("generate");
     let vns = vns_core::build_vns(&mut internet, &cfg.vns).expect("vns");
-    let world_perfect = world_from(internet, vns, cfg.clone());
-    let (frac, excess) = precision_all(&world_perfect);
-    table.push([
-        "perfect".into(),
-        vns_stats::pct(frac),
-        format!("{excess:.0}"),
-    ]);
-    values.push(("perfect".into(), frac));
+    let world_perfect = World::from_parts(internet, vns, cfg.clone());
+    row("perfect".into(), "perfect", &world_perfect);
 
     // Erroneous database (default).
-    cfg = WorldConfig {
-        seed,
-        scale,
-        ..WorldConfig::default()
-    };
-    let world_err = World::build(cfg.clone());
-    let (frac, excess) = precision_all(&world_err);
-    table.push([
-        "with errors".into(),
-        vns_stats::pct(frac),
-        format!("{excess:.0}"),
-    ]);
-    values.push(("with errors".into(), frac));
+    row("with errors".into(), "with errors", base);
 
     // Erroneous + management overrides: exempt every prefix whose GeoIP
     // error exceeds 1000 km (what an operator does after spotting the
@@ -200,57 +189,16 @@ pub fn geoip(seed: u64, scale: f64) -> Ablation {
             .mgmt_exempt(&mut world_fixed.internet, p)
             .expect("reconverges");
     }
-    let (frac, excess) = precision_all(&world_fixed);
-    table.push([
+    row(
         format!("with errors + {n_bad} exemptions"),
-        vns_stats::pct(frac),
-        format!("{excess:.0}"),
-    ]);
-    values.push(("fixed".into(), frac));
+        "fixed",
+        &world_fixed,
+    );
 
     Ablation {
         name: "GeoIP quality (Fig 3 outlier clusters)",
         table,
         values,
-    }
-}
-
-/// Precision over *all* prefixes (not just well-geolocated ones) — the
-/// metric that exposes GeoIP damage.
-fn precision_all(world: &World) -> (f64, f64) {
-    let mut good = 0usize;
-    let mut total = 0usize;
-    let mut excess = 0.0;
-    for m in prefix_metas(world) {
-        let Some(egress) = world.vns.egress_pop(&world.internet, PopId(10), m.ip) else {
-            continue;
-        };
-        let d_sel = world.vns.pop(egress).location().distance_km(&m.truth);
-        let nearest = world.vns.nearest_pop(m.truth);
-        let d_best = world.vns.pop(nearest).location().distance_km(&m.truth);
-        total += 1;
-        excess += (d_sel - d_best).max(0.0);
-        if d_sel <= d_best + 500.0 {
-            good += 1;
-        }
-    }
-    // One ledger unit per prefix judged.
-    vns_netsim::ledger::add_units(total as u64);
-    (
-        good as f64 / total.max(1) as f64,
-        excess / total.max(1) as f64,
-    )
-}
-
-fn world_from(internet: Internet, vns: Vns, config: WorldConfig) -> World {
-    World {
-        internet,
-        vns,
-        factory: vns_topo::ChannelFactory::new(
-            vns_topo::CalibrationConfig::default(),
-            vns_netsim::RngTree::new(config.seed).subtree("channels"),
-        ),
-        config,
     }
 }
 
@@ -338,8 +286,9 @@ pub fn fec_arq(seed: u64) -> Ablation {
     }
 }
 
-/// Cluster topology vs full L2 mesh: circuit cost vs delay stretch.
-pub fn l2_topology(seed: u64, scale: f64) -> Ablation {
+/// Cluster topology vs full L2 mesh: circuit cost vs delay stretch
+/// (`base` is the clustered deployment).
+pub fn l2_topology(base: &World) -> Ablation {
     let mut table = Table::new([
         "L2 topology",
         "circuits",
@@ -348,13 +297,8 @@ pub fn l2_topology(seed: u64, scale: f64) -> Ablation {
     ]);
     let mut values = Vec::new();
     for full_mesh in [false, true] {
-        let mut cfg = WorldConfig {
-            seed,
-            scale,
-            ..WorldConfig::default()
-        };
-        cfg.vns.full_mesh_l2 = full_mesh;
-        let world = World::build(cfg);
+        let built = full_mesh.then(|| variant(base, |vns| vns.full_mesh_l2 = true));
+        let world = built.as_ref().unwrap_or(base);
         let igp = world
             .internet
             .as_info(world.vns.as_id())
@@ -407,12 +351,10 @@ pub fn l2_topology(seed: u64, scale: f64) -> Ablation {
 
 /// Hot-potato vs cold-potato delay cost inside VNS: how much extra RTT the
 /// cold-potato detour adds before traffic exits (complementary to Fig 6).
-pub fn mode_delay(seed: u64, scale: f64) -> Ablation {
-    let geo = World::geo(seed, scale);
-    let hot = World::hot(seed, scale);
+pub fn mode_delay(geo: &World, hot: &World) -> Ablation {
     let mut table = Table::new(["mode", "mean path km (PoP10 -> all prefixes)"]);
     let mut values = Vec::new();
-    for (name, world) in [("geo cold potato", &geo), ("hot potato", &hot)] {
+    for (name, world) in [("geo cold potato", geo), ("hot potato", hot)] {
         let mut km = 0.0;
         let mut n = 0;
         for m in prefix_metas(world) {
@@ -439,15 +381,14 @@ pub fn mode_delay(seed: u64, scale: f64) -> Ablation {
 /// (fraction of prefixes whose selected egress is delay-best within
 /// 10 ms) against the control-plane overhead (probe packets per routing
 /// decision — the geo metric needs none).
-pub fn geo_vs_measurement(seed: u64, scale: f64, par: vns_netsim::Par) -> Ablation {
+pub fn geo_vs_measurement(world: &World, par: vns_netsim::Par) -> Ablation {
     use crate::campaign::{prefix_metas, rtt_matrix};
     use vns_netsim::{Dur, SimTime};
 
-    let world = World::geo(seed, scale);
-    let metas = prefix_metas(&world);
+    let metas = prefix_metas(world);
     let pops: Vec<PopId> = world.vns.pops().iter().map(|p| p.id()).collect();
     let t = SimTime::EPOCH + Dur::from_hours(10);
-    let matrix = rtt_matrix(&world, &metas, &pops, t, par);
+    let matrix = rtt_matrix(world, &metas, &pops, t, par);
 
     let mut geo_good = 0usize;
     let mut meas_good = 0usize;
@@ -522,12 +463,13 @@ pub fn geo_vs_measurement(seed: u64, scale: f64, par: vns_netsim::Par) -> Ablati
 /// these shortcomings are identified using continuous, low-overhead active
 /// measurements" and fixed through the management interface. Probes every
 /// prefix once, force-exits the ones whose geo egress is ≥ `threshold_ms`
-/// worse than the best PoP, and reports precision before/after.
-pub fn auto_override(seed: u64, scale: f64, threshold_ms: f64, par: vns_netsim::Par) -> Ablation {
+/// worse than the best PoP, and reports precision before/after. Rewrites
+/// the control plane, so it builds its own world from `config`.
+pub fn auto_override(config: &WorldConfig, threshold_ms: f64, par: vns_netsim::Par) -> Ablation {
     use crate::campaign::{prefix_metas, rtt_matrix};
     use vns_netsim::{Dur, SimTime};
 
-    let mut world = World::geo(seed, scale);
+    let mut world = World::build(config.clone());
     let metas = prefix_metas(&world);
     let pops: Vec<PopId> = world.vns.pops().iter().map(|p| p.id()).collect();
     let t = SimTime::EPOCH + Dur::from_hours(10);
@@ -590,11 +532,10 @@ pub fn auto_override(seed: u64, scale: f64, threshold_ms: f64, par: vns_netsim::
 
 /// The Sec 6 economics analysis: cost per Mbps vs traffic volume, geo vs
 /// hot-potato, with the cost breakdown.
-pub fn economics(seed: u64, scale: f64) -> Ablation {
+pub fn economics(geo: &World, hot: &World) -> Ablation {
     use vns_core::economics::{analyze, sample_demands, CostModel};
 
-    let geo = World::geo(seed, scale);
-    let hot = World::hot(seed, scale);
+    let seed = geo.config.seed;
     let model = CostModel::default();
     let mut table = Table::new([
         "calls (4 Mbps each)",
@@ -631,11 +572,10 @@ pub fn economics(seed: u64, scale: f64) -> Ablation {
 
 /// Call-setup latency through VNS vs raw transit — signalling loss turns
 /// into SIP retransmission delay (beyond-paper second-order effect).
-pub fn setup_time(seed: u64, scale: f64) -> Ablation {
+pub fn setup_time(world: &World) -> Ablation {
     use vns_media::setup_call;
     use vns_netsim::{Dur, SimTime};
 
-    let world = World::geo(seed, scale);
     let clients = [PopId(9), PopId(1), PopId(11)];
     let mut table = Table::new([
         "path",

@@ -216,6 +216,7 @@ enum UnitResult {
 pub fn run(config: &WorldConfig, par: Par) -> Adversarial {
     let mut units: Vec<Unit> = vec![Unit::Clean { hot: false }, Unit::Clean { hot: true }];
     units.extend(AttackKind::ALL.into_iter().map(Unit::Attack));
+    let config = &config.for_par_unit();
     let results = par.map(&units, |_, &unit| match unit {
         Unit::Clean { hot } => UnitResult::Clean(run_clean(config, hot)),
         Unit::Attack(kind) => UnitResult::Attack(Box::new(run_attack(config, kind))),

@@ -240,6 +240,7 @@ pub struct Failover {
 /// injects its plan step by step, and measures control plane, data plane
 /// and invariants after every step.
 pub fn run(config: &WorldConfig, par: Par) -> Failover {
+    let config = &config.for_par_unit();
     let scenarios = par.map(&SCENARIOS, |_, &kind| run_scenario(config, kind));
     Failover { scenarios }
 }

@@ -7,6 +7,7 @@ use std::cell::{Cell, OnceCell};
 use std::fmt::Display;
 use std::time::Instant;
 
+use vns_core::RoutingMode;
 use vns_netsim::{Dur, Par};
 
 use crate::{World, WorldConfig};
@@ -94,10 +95,12 @@ impl Ctx {
         }
     }
 
-    fn world<'a>(&'a self, cell: &'a OnceCell<World>, build: fn(u64, f64) -> World) -> &'a World {
+    fn world<'a>(&'a self, cell: &'a OnceCell<World>, mode: RoutingMode) -> &'a World {
         cell.get_or_init(|| {
             let t0 = Instant::now();
-            let w = build(self.opts.seed, self.opts.scale);
+            let mut config = self.world_config();
+            config.vns.mode = mode;
+            let w = World::build(config);
             self.world_build_s
                 .set(self.world_build_s.get() + t0.elapsed().as_secs_f64());
             w
@@ -106,23 +109,28 @@ impl Ctx {
 
     /// The geo-cold-potato world.
     pub fn geo(&self) -> &World {
-        self.world(&self.geo, World::geo)
+        self.world(&self.geo, RoutingMode::GeoColdPotato)
     }
 
     /// The same deployment in hot-potato ("before") mode.
     pub fn hot(&self) -> &World {
-        self.world(&self.hot, World::hot)
+        self.world(&self.hot, RoutingMode::HotPotato)
     }
 
     /// The configuration of [`Ctx::geo`], for experiments that build and
     /// mutate worlds of their own (faults and attacks rewrite the control
     /// plane, so only the config crosses into their parallel units).
+    /// `--threads` is the one thread budget: a world built from this
+    /// converges on as many workers as the campaigns run on (units under
+    /// `par.map` narrow theirs to one, [`WorldConfig::for_par_unit`]).
     pub fn world_config(&self) -> WorldConfig {
-        WorldConfig {
+        let mut config = WorldConfig {
             seed: self.opts.seed,
             scale: self.opts.scale,
             ..WorldConfig::default()
-        }
+        };
+        config.vns.convergence_threads = self.par.threads();
+        config
     }
 
     /// The Fig 9 media campaign.
@@ -212,42 +220,45 @@ pub const EXPERIMENTS: &[Experiment] = &[
         let sizing = steady_state::SteadyStateOpts::from_cli(c.opts.sessions, c.opts.days);
         show(steady_state::run(&c.world_config(), sizing, c.par))
     }),
-    row("ablate-lp", |c| {
-        show(ablate::lp_shape(c.opts.seed, c.opts.scale))
-    }),
+    row("ablate-lp", |c| show(ablate::lp_shape(c.geo()))),
     row("ablate-best-external", |c| {
-        show(ablate::best_external(c.opts.seed, c.opts.scale))
+        show(ablate::best_external(c.geo()))
     }),
-    row("ablate-geoip", |c| {
-        show(ablate::geoip(c.opts.seed, c.opts.scale))
-    }),
+    row("ablate-geoip", |c| show(ablate::geoip(c.geo()))),
     row("ablate-fec", |c| show(ablate::fec_arq(c.opts.seed))),
-    row("ablate-l2", |c| {
-        show(ablate::l2_topology(c.opts.seed, c.opts.scale))
-    }),
+    row("ablate-l2", |c| show(ablate::l2_topology(c.geo()))),
     row("ablate-mode", |c| {
-        show(ablate::mode_delay(c.opts.seed, c.opts.scale))
+        show(ablate::mode_delay(c.geo(), c.hot()))
     }),
     row("ablate-measurement", |c| {
-        show(ablate::geo_vs_measurement(c.opts.seed, c.opts.scale, c.par))
+        show(ablate::geo_vs_measurement(c.geo(), c.par))
     }),
     row("ablate-auto-override", |c| {
-        show(ablate::auto_override(
-            c.opts.seed,
-            c.opts.scale,
-            30.0,
-            c.par,
-        ))
+        show(ablate::auto_override(&c.world_config(), 30.0, c.par))
     }),
-    row("economics", |c| {
-        show(ablate::economics(c.opts.seed, c.opts.scale))
-    }),
-    row("setup-time", |c| {
-        show(ablate::setup_time(c.opts.seed, c.opts.scale))
-    }),
+    row("economics", |c| show(ablate::economics(c.geo(), c.hot()))),
+    row("setup-time", |c| show(ablate::setup_time(c.geo()))),
     Experiment {
         name: "scale-curve",
         in_all: false,
         run: scale_curve::run,
     },
 ];
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn threads_flag_reaches_the_control_plane() {
+        let opts = Opts {
+            seed: 1,
+            scale: 0.1,
+            sessions: 1,
+            hosts_per_cell: 1,
+            days: 1.0,
+        };
+        let ctx = Ctx::new(opts, Par::new(1));
+        assert_eq!(ctx.world_config().vns.convergence_threads, 1);
+    }
+}

@@ -14,7 +14,7 @@ use vns_service::{EndpointTable, PathTable};
 use vns_verify::{verify_dataplane_with_service, DataplaneConfig, VerifyScope};
 
 use super::Ctx;
-use crate::World;
+use crate::{World, WorldConfig};
 
 /// Peak resident set (`VmHWM`) in MiB from `/proc/self/status`, `0.0`
 /// where unavailable. Monotonic over the process lifetime, so in a sweep
@@ -35,7 +35,7 @@ fn peak_rss_mib() -> f64 {
 /// verification.
 pub fn run(ctx: &mut Ctx) -> Result<String, String> {
     const LADDER: [f64; 7] = [1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0];
-    let (seed, top) = (ctx.opts.seed, ctx.opts.scale);
+    let top = ctx.opts.scale;
     let mut rungs: Vec<f64> = LADDER.iter().copied().filter(|s| *s < top).collect();
     rungs.push(top);
     let mut body = String::from(
@@ -44,7 +44,13 @@ pub fn run(ctx: &mut Ctx) -> Result<String, String> {
     );
     for &s in &rungs {
         let t0 = Instant::now();
-        let w = ctx.timed("scale-build", s, |_| World::geo(seed, s));
+        // A lone build: it converges on the whole `--threads` budget.
+        let w = ctx.timed("scale-build", s, |c| {
+            World::build(WorldConfig {
+                scale: s,
+                ..c.world_config()
+            })
+        });
         let build_s = t0.elapsed().as_secs_f64();
         let ases = w.internet.as_count();
         let prefixes = w.internet.prefixes().count();

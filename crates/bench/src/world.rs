@@ -36,6 +36,15 @@ impl WorldConfig {
         }
     }
 
+    /// This configuration for one unit of a `par.map`: the same world (the
+    /// worker count never changes one), converged on a single thread,
+    /// because the units already share the pool's workers between them.
+    pub fn for_par_unit(&self) -> Self {
+        let mut unit = self.clone();
+        unit.vns.convergence_threads = 1;
+        unit
+    }
+
     /// The topology config this world generates with.
     ///
     /// Below `scale = 1` every knob shrinks linearly — the historical
@@ -92,6 +101,13 @@ impl World {
     pub fn build(config: WorldConfig) -> World {
         let mut internet = generate(&config.topo()).expect("topology generation");
         let vns = build_vns(&mut internet, &config.vns).expect("VNS convergence");
+        World::from_parts(internet, vns, config)
+    }
+
+    /// A world around an Internet and a deployment generated elsewhere
+    /// (with topology knobs [`WorldConfig::topo`] does not carry), with the
+    /// channel factory `config.seed` gives every world.
+    pub fn from_parts(internet: Internet, vns: Vns, config: WorldConfig) -> World {
         let factory = ChannelFactory::new(
             CalibrationConfig::default(),
             RngTree::new(config.seed).subtree("channels"),

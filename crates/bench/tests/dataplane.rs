@@ -204,3 +204,71 @@ fn scoped_verification_accepts_declared_dead_routers() {
         report.render()
     );
 }
+
+/// A Sec 3.2 steering more-specific is originated at a PoP's borders and
+/// never registered, so it is a destination of its own: a healthy one
+/// verifies clean, and a defect only its traffic meets is found on it.
+#[test]
+fn steered_subnets_are_verified_destinations() {
+    use vns_bgp::{PathError, Prefix, SpeakerId};
+    use vns_core::PopId;
+
+    let verify = |internet: &vns_topo::Internet, vns: &vns_core::Vns| {
+        verify_dataplane_scoped(
+            internet,
+            vns,
+            &VerifyScope::default(),
+            &DataplaneConfig::default(),
+        )
+    };
+    // A /18 of a European last-mile /16, steered via Hong Kong, with one
+    // corruption of the /18's route at London's first border: the report,
+    // and what the resolver makes of a packet from London into the /18.
+    let steered = |corrupt: &dyn Fn(&mut vns_bgp::Speaker, &Prefix, SpeakerId)| {
+        let (mut internet, vns) = testworld::raw_tiny(20);
+        let sub = testworld::european_prefix(&internet).subnet(18, 1);
+        vns.mgmt_inject_more_specific(&mut internet, sub, PopId(8))
+            .expect("reconverges");
+        let lon = vns.pop(PopId(10)).borders[0];
+        corrupt(
+            internet.net.speaker_mut(lon).expect("LON border"),
+            &sub,
+            lon,
+        );
+        let resolved = vns.path_via_vns(&internet, PopId(10), sub.first_host());
+        (verify(&internet, &vns), sub, lon, resolved)
+    };
+    let found = |report: &DataplaneReport, check, sub: Prefix, lon| {
+        let hit = report
+            .report
+            .of(check)
+            .any(|v| v.prefix == Some(sub) && v.speaker == Some(lon));
+        assert!(hit, "nothing on the steered /18:\n{}", report.render());
+    };
+
+    let (internet, vns) = testworld::raw_tiny(20);
+    let before = verify(&internet, &vns);
+    let (after, ..) = steered(&|_, _, _| {});
+    assert!(before.report.is_clean() && after.report.is_clean());
+    assert_eq!(after.destinations, before.destinations + 1);
+
+    let (report, sub, lon, resolved) = steered(&|sp, sub, lon| {
+        assert!(sp.corrupt_redirect_ibgp(sub, lon));
+    });
+    assert_eq!(resolved.err(), Some(PathError::ForwardingLoop));
+    found(&report, Invariant::LoopFree, sub, lon);
+
+    let (report, sub, lon, resolved) = steered(&|sp, sub, _| {
+        assert!(sp.corrupt_redirect_ibgp(sub, SpeakerId(u32::MAX)));
+    });
+    assert!(resolved.is_err());
+    found(&report, Invariant::NoBlackhole, sub, lon);
+
+    // Losing the /18 at a border is not a defect: the longest match falls
+    // back onto the covering /16, which still delivers.
+    let (report, _, _, resolved) = steered(&|sp, sub, _| {
+        assert!(sp.corrupt_drop_route(sub));
+    });
+    assert!(resolved.is_ok());
+    assert!(report.report.is_clean(), "{}", report.render());
+}

@@ -1,10 +1,13 @@
 //! The verifier's forwarding graph and the data-plane resolver are two
-//! implementations of one forwarding decision
-//! (`vns_verify::forwarding_graph` says it "mirrors `resolve_path`
-//! exactly"). This suite pins that sentence: on a clean world, after every
-//! event of the failover campaign's fault plans, and with RIB defects
-//! planted, every (live speaker, unshadowed destination) pair gets the same
-//! fate from both —
+//! loops around one forwarding decision
+//! (`vns_topo::path::forwarding_decision`; its own decision table lives
+//! beside it). What each loop adds is its own — cycle detection, the IGP
+//! walk against `reachable`, the interconnect choice, termination — and
+//! this suite pins that they agree: on a clean world, after every event of
+//! the failover campaign's fault plans, with RIB defects planted, under the
+//! management interface's overrides and with a forged more-specific in the
+//! registry, every (live speaker, destination) pair gets the same fate from
+//! both —
 //!
 //! * `Origin { at }` / `Anycast { at }` ⇔ `Ok`, ending at router `at`;
 //! * `Blackhole` ⇔ `Err(NoRoute | NoSuchSpeaker)`;
@@ -15,7 +18,7 @@
 mod testworld;
 
 use vns_bgp::{PathError, SpeakerId};
-use vns_core::{FaultEvent, FaultInjector, FaultPlan, PopId, Vns};
+use vns_core::{launch_attack, AttackKind, FaultEvent, FaultInjector, FaultPlan, PopId, Vns};
 use vns_topo::path::resolve_path;
 use vns_topo::Internet;
 use vns_verify::forwarding_graph::{analyze, Terminal};
@@ -156,4 +159,52 @@ fn graph_agrees_with_resolver_on_planted_rib_defects() {
         cycles += seen[2];
     }
     assert!(blackholes > 0 && cycles > 0, "{blackholes} / {cycles}");
+}
+
+#[test]
+fn graph_agrees_with_resolver_under_management_overrides() {
+    let scope = VerifyScope::default();
+    // A steered /18 is a destination of its own, walked through the
+    // steering branch of the decision at every HKG border.
+    let (mut internet, vns) = testworld::raw_tiny(20);
+    let clean = analyze(&internet, &scope).destinations.len();
+    let sub = testworld::european_prefix(&internet).subnet(18, 1);
+    vns.mgmt_inject_more_specific(&mut internet, sub, PopId(8))
+        .expect("reconverges");
+    let seen = assert_agreement(&internet, &scope, "steered /18");
+    assert_eq!(seen[1..], [0, 0], "a healthy steered subnet misroutes");
+    let analysis = analyze(&internet, &scope);
+    assert_eq!(analysis.destinations.len(), clean + 1);
+    let steered = analysis.destinations.last().expect("destinations");
+    assert_eq!((steered.prefix, steered.ip), (sub, sub.first_host()));
+    // Only VNS routers hold the NO_EXPORT /18, but every speaker with the
+    // covering /16 is a source for an address inside it.
+    let parent = analysis
+        .destination(&testworld::european_prefix(&internet))
+        .expect("parent analysed");
+    assert_eq!(steered.outcomes.len(), parent.outcomes.len());
+
+    // A forced exit moves the egress, not the agreement.
+    let (mut internet, vns) = testworld::raw_tiny(20);
+    let prefix = testworld::european_prefix(&internet);
+    vns.mgmt_force_exit(&mut internet, prefix, PopId(7))
+        .expect("reconverges");
+    let seen = assert_agreement(&internet, &scope, "forced exit");
+    assert_eq!(seen[1..], [0, 0], "a forced exit misroutes");
+}
+
+#[test]
+fn graph_agrees_with_resolver_with_a_forged_more_specific_registered() {
+    // `anycast-interception` registers a /20 under the anycast /16: the
+    // registry holds two populated lengths and the /16 is shadowed at its
+    // first host.
+    let (mut internet, vns) = testworld::raw_tiny(77);
+    let attack = launch_attack(AttackKind::AnycastInterception, &mut internet, &vns, 77)
+        .expect("attack launches");
+    let forged = attack.victim_prefix.expect("forged prefix");
+    let seen = assert_agreement(&internet, &VerifyScope::default(), "anycast-interception");
+    assert!(seen[0] > 1_000, "only {seen:?} pairs");
+    let analysis = analyze(&internet, &VerifyScope::default());
+    assert!(analysis.destination(&forged).is_some());
+    assert!(analysis.destination(&vns.anycast_prefix()).is_none());
 }

@@ -221,7 +221,7 @@ fn ablation_fec_vs_arq_crossover() {
 
 #[test]
 fn ablation_l2_topology_cost() {
-    let a = ablate::l2_topology(109, SCALE);
+    let a = ablate::l2_topology(&World::geo(109, SCALE));
     let get = |label: &str| {
         a.values
             .iter()
@@ -237,7 +237,7 @@ fn ablation_l2_topology_cost() {
 
 #[test]
 fn ablation_best_external_never_hurts() {
-    let a = ablate::best_external(110, SCALE);
+    let a = ablate::best_external(&World::geo(110, SCALE));
     let on = a.values.iter().find(|(l, _)| l == "true").unwrap().1;
     let off = a.values.iter().find(|(l, _)| l == "false").unwrap().1;
     assert!(on + 1e-9 >= off, "best-external on {on} vs off {off}");
@@ -366,7 +366,7 @@ fn steady_state_holds_target_and_survives_failure() {
 
 #[test]
 fn economics_shapes() {
-    let a = ablate::economics(114, SCALE);
+    let a = ablate::economics(&World::geo(114, SCALE), &World::hot(114, SCALE));
     let get = |label: &str| {
         a.values
             .iter()
@@ -382,7 +382,7 @@ fn economics_shapes() {
 
 #[test]
 fn setup_time_shapes() {
-    let a = ablate::setup_time(115, SCALE);
+    let a = ablate::setup_time(&World::geo(115, SCALE));
     let get = |label: &str| {
         a.values
             .iter()
@@ -396,7 +396,12 @@ fn setup_time_shapes() {
 
 #[test]
 fn auto_override_closes_the_gap() {
-    let a = ablate::auto_override(116, SCALE, 30.0, Par::seq());
+    let config = WorldConfig {
+        seed: 116,
+        scale: SCALE,
+        ..WorldConfig::default()
+    };
+    let a = ablate::auto_override(&config, 30.0, Par::seq());
     let get = |label: &str| {
         a.values
             .iter()
@@ -507,7 +512,7 @@ fn jitter_stays_low_and_vns_is_not_worse() {
 
 #[test]
 fn ablation_lp_shape_default_is_near_optimal() {
-    let a = ablate::lp_shape(120, SCALE);
+    let a = ablate::lp_shape(&World::geo(120, SCALE));
     let get = |label: &str| {
         a.values
             .iter()
@@ -529,7 +534,7 @@ fn ablation_lp_shape_default_is_near_optimal() {
 
 #[test]
 fn ablation_geoip_errors_cost_precision_and_mgmt_recovers_it() {
-    let a = ablate::geoip(121, SCALE);
+    let a = ablate::geoip(&World::geo(121, SCALE));
     let get = |label: &str| {
         a.values
             .iter()
@@ -557,7 +562,7 @@ fn ablation_geoip_errors_cost_precision_and_mgmt_recovers_it() {
 
 #[test]
 fn ablation_mode_delay_cold_potato_detours() {
-    let a = ablate::mode_delay(122, SCALE);
+    let a = ablate::mode_delay(&World::geo(122, SCALE), &World::hot(122, SCALE));
     let get = |label: &str| {
         a.values
             .iter()
@@ -582,7 +587,7 @@ fn ablation_mode_delay_cold_potato_detours() {
 
 #[test]
 fn ablation_measurement_beats_geo_on_precision() {
-    let a = ablate::geo_vs_measurement(123, SCALE, Par::seq());
+    let a = ablate::geo_vs_measurement(&World::geo(123, SCALE), Par::seq());
     let get = |label: &str| {
         a.values
             .iter()

@@ -59,3 +59,13 @@ pub fn raw_tiny(seed: u64) -> (Internet, Vns) {
     let vns = build_vns(&mut internet, &VnsConfig::default()).expect("converge");
     (internet, vns)
 }
+
+/// The first European last-mile /16 of a world (the prefix the management
+/// interface tests steer or force).
+pub fn european_prefix(internet: &Internet) -> vns_bgp::Prefix {
+    internet
+        .prefixes()
+        .find(|p| p.last_mile && vns_geo::city(p.city).region == vns_geo::Region::Europe)
+        .map(|p| p.prefix)
+        .expect("a European last-mile prefix")
+}

@@ -6,7 +6,8 @@
 //! and its best-external fix — this crate implements the protocol machinery
 //! it sits on:
 //!
-//! * [`Prefix`] and a binary [`trie`] with longest-prefix match;
+//! * [`Prefix`] and [`LpmMap`], the longest-prefix-match table under both
+//!   the Loc-RIB and `vns-topo`'s prefix registry;
 //! * [`RouteAttrs`] — LOCAL_PREF, AS_PATH, ORIGIN, MED, communities
 //!   (including `NO_EXPORT`), originator/cluster list;
 //! * the full [`decision`] process in the order the paper lists it
@@ -30,15 +31,16 @@
 
 pub mod decision;
 pub mod igp;
+pub mod lpm;
 pub mod net;
 pub mod policy;
 pub mod prefix;
 pub mod route;
 pub mod speaker;
-pub mod trie;
 
 pub use decision::{compare_routes, select_best, Candidate, DecisionContext};
 pub use igp::IgpGraph;
+pub use lpm::LpmMap;
 pub use net::{
     BgpNet, ConvergenceError, ConvergenceStats, PathError, RibCensus, SpeakerId, DEFAULT_HOP_LIMIT,
 };
@@ -46,4 +48,3 @@ pub use policy::{may_export, Policy, Relation};
 pub use prefix::Prefix;
 pub use route::{AsPath, Asn, Community, Origin, RouteAttrs, RouteSource, DEFAULT_LOCAL_PREF};
 pub use speaker::{ImportHook, Message, PeerConfig, PeerKind, Speaker};
-pub use trie::{PrefixTrie, ScanTable};

@@ -193,20 +193,6 @@ impl BgpNet {
         self.speakers.keys().copied()
     }
 
-    /// The union of every speaker's selected prefixes — the universe of
-    /// destinations the whole-network forwarding graph is built over.
-    /// A prefix only some speakers carry still shows up once here, so the
-    /// graph extractor can resolve each speaker's own longest match against
-    /// the full candidate set in `O(log n)` per prefix instead of scanning
-    /// the Loc-RIB per lookup.
-    pub fn advertised_prefixes(&self) -> BTreeSet<Prefix> {
-        let mut all = BTreeSet::new();
-        for sp in self.speakers.values() {
-            all.extend(sp.loc_rib_prefixes());
-        }
-        all
-    }
-
     /// Walks every speaker's RIBs and counts entries per structure and the
     /// distinct attribute-set and AS_PATH allocations they point at — the
     /// sharing the RIB layout achieves, measured rather than inferred from

@@ -22,19 +22,14 @@
 //! route to its iBGP peers in that situation, exactly the vendor feature
 //! the paper enables.
 //!
-//! **Longest-match index.** The Loc-RIB stays an ordered map — its
+//! **Longest match.** The Loc-RIB is an [`LpmMap`]: an ordered map (its
 //! iteration order feeds artefacts, and convergence inserts into it on
-//! every reselect — so longest-prefix match does not get a second
-//! structure holding the routes. Beside the map the speaker keeps
-//! `loc_rib_lens`, how many Loc-RIB keys there are of each mask length
-//! (`/0`..=`/32`), and [`Speaker::lookup_up_to`] answers with exact-key
-//! probes of the populated lengths under the ceiling, longest first: at
-//! most 33 `O(log n)` probes, in practice the two or three lengths a
-//! world uses. Invariant: `loc_rib_lens[l]` equals the number of Loc-RIB
-//! keys of length `l`. Every Loc-RIB mutation goes through
-//! `loc_rib_insert` / `loc_rib_remove` (the decision process and the
-//! planted-defect hooks), which are the only writers of both; nothing
-//! resets the index because nothing else can move the map.
+//! every reselect) that keeps its own per-mask-length census, so
+//! [`Speaker::lookup_up_to`] is exact-key probes of the populated lengths
+//! under the ceiling, longest first — in practice the two or three lengths
+//! a world uses. The decision process and the planted-defect hooks write
+//! it through `insert` / `remove` / `get_mut` like any map; the census is
+//! the map's own business.
 //!
 //! **Adj-RIB-In key order.** The Adj-RIB-In is one ordered map keyed
 //! `(prefix, sender)`: a prefix's candidates are the contiguous key range
@@ -92,6 +87,7 @@ use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 use crate::decision::{select_best, Candidate, DecisionContext};
+use crate::lpm::LpmMap;
 use crate::policy::{may_export, relation_from_tags, strip_relation_tags, Policy, Relation};
 use crate::prefix::Prefix;
 use crate::route::{Asn, Community, RouteAttrs, RouteSource, SpeakerId, DEFAULT_LOCAL_PREF};
@@ -373,12 +369,8 @@ pub struct Speaker {
     adj_rib_in: BTreeMap<(Prefix, SpeakerId), Candidate>,
     /// Locally originated routes.
     local: BTreeMap<Prefix, Arc<RouteAttrs>>,
-    /// Current best per prefix. Written only through
-    /// [`Speaker::loc_rib_insert`] / [`Speaker::loc_rib_remove`].
-    loc_rib: BTreeMap<Prefix, Candidate>,
-    /// Loc-RIB keys per mask length (the longest-match index; see the
-    /// module docs).
-    loc_rib_lens: [u32; 33],
+    /// Current best per prefix.
+    loc_rib: LpmMap<Candidate>,
     /// prefix -> row of (peer, fingerprint of what we last advertised),
     /// sorted by peer, never empty, configured peers only; see the module
     /// docs.
@@ -423,8 +415,7 @@ impl Speaker {
             peers: BTreeMap::new(),
             adj_rib_in: BTreeMap::new(),
             local: BTreeMap::new(),
-            loc_rib: BTreeMap::new(),
-            loc_rib_lens: [0; 33],
+            loc_rib: LpmMap::new(),
             adj_rib_out: BTreeMap::new(),
             igp_costs: BTreeMap::new(),
             session_costs: BTreeMap::new(),
@@ -717,10 +708,10 @@ impl Speaker {
 
         match &best {
             Some(b) => {
-                self.loc_rib_insert(prefix, b.clone());
+                self.loc_rib.insert(prefix, b.clone());
             }
             None => {
-                self.loc_rib_remove(&prefix);
+                self.loc_rib.remove(&prefix);
             }
         }
 
@@ -798,44 +789,17 @@ impl Speaker {
 
     /// All prefixes with a selected route.
     pub fn loc_rib_prefixes(&self) -> impl Iterator<Item = Prefix> + '_ {
-        self.loc_rib.keys().copied()
+        self.loc_rib.keys()
+    }
+
+    /// The prefixes this speaker originates itself, in prefix order.
+    pub fn originated_prefixes(&self) -> impl Iterator<Item = Prefix> + '_ {
+        self.local.keys().copied()
     }
 
     /// Every selected route as `(prefix, best)`, in prefix order.
     pub fn loc_rib_entries(&self) -> impl Iterator<Item = (Prefix, &Candidate)> + '_ {
-        self.loc_rib.iter().map(|(p, c)| (*p, c))
-    }
-
-    /// Installs `cand` as the selected route for `prefix`, keeping the
-    /// per-length index in step. Returns the previous entry.
-    fn loc_rib_insert(&mut self, prefix: Prefix, cand: Candidate) -> Option<Candidate> {
-        let prev = self.loc_rib.insert(prefix, cand);
-        if prev.is_none() {
-            self.loc_rib_lens[usize::from(prefix.len())] += 1;
-        }
-        self.debug_check_lens();
-        prev
-    }
-
-    /// Drops the selected route for `prefix`, keeping the per-length index
-    /// in step. Returns the removed entry.
-    fn loc_rib_remove(&mut self, prefix: &Prefix) -> Option<Candidate> {
-        let prev = self.loc_rib.remove(prefix);
-        if prev.is_some() {
-            self.loc_rib_lens[usize::from(prefix.len())] -= 1;
-        }
-        self.debug_check_lens();
-        prev
-    }
-
-    /// Debug builds: the index accounts for every Loc-RIB key.
-    fn debug_check_lens(&self) {
-        debug_assert_eq!(
-            self.loc_rib_lens.iter().map(|&n| n as usize).sum::<usize>(),
-            self.loc_rib.len(),
-            "Loc-RIB length index out of step at {}",
-            self.id
-        );
+        self.loc_rib.iter()
     }
 
     /// Longest-prefix match over the Loc-RIB for a host address.
@@ -853,14 +817,7 @@ impl Speaker {
         ip: u32,
         max_len_exclusive: Option<u8>,
     ) -> Option<(Prefix, &Candidate)> {
-        // One exact-key probe per populated mask length under the ceiling,
-        // longest first: `ip` has exactly one candidate key per length.
-        let ceiling = max_len_exclusive.map_or(33, |m| m.min(33));
-        (0..ceiling)
-            .rev()
-            .filter(|&len| self.loc_rib_lens[usize::from(len)] > 0)
-            .find_map(|len| self.loc_rib.get_key_value(&Prefix::new(ip, len)))
-            .map(|(p, c)| (*p, c))
+        self.loc_rib.lookup_up_to(ip, max_len_exclusive)
     }
 
     /// The best *eBGP-learned* candidate for a prefix, regardless of what
@@ -947,7 +904,7 @@ impl Speaker {
     /// routers still forward here — a silent blackhole). Returns `false`
     /// when no route was selected.
     pub fn corrupt_drop_route(&mut self, prefix: &Prefix) -> bool {
-        self.loc_rib_remove(prefix).is_some()
+        self.loc_rib.remove(prefix).is_some()
     }
 
     /// Rewrites the selected route for `prefix` into an iBGP-style entry
@@ -973,7 +930,7 @@ impl Speaker {
     /// previous entry. Lets the harness restore a candidate corruption
     /// site that turned out unusable and move to the next one.
     pub fn corrupt_replace_route(&mut self, prefix: Prefix, cand: Candidate) -> Option<Candidate> {
-        self.loc_rib_insert(prefix, cand)
+        self.loc_rib.insert(prefix, cand)
     }
 
     /// Rewrites the forwarding peer of an eBGP-selected route for `prefix`
@@ -1799,47 +1756,5 @@ mod tests {
         assert_eq!(pre, p("10.1.0.0/16"));
         let (pre, _) = s.lookup(0x0aff0000).unwrap();
         assert_eq!(pre, p("10.0.0.0/8"));
-    }
-    #[test]
-    fn length_index_tracks_every_loc_rib_mutation() {
-        fn recount(s: &Speaker) -> [u32; 33] {
-            let mut lens = [0; 33];
-            for p in s.loc_rib.keys() {
-                lens[usize::from(p.len())] += 1;
-            }
-            lens
-        }
-        let mut s = Speaker::new(SpeakerId(1), Asn(100));
-        let (p8, p16, p24) = (p("10.0.0.0/8"), p("10.1.0.0/16"), p("10.1.2.0/24"));
-        for pre in [p8, p16, p24, p("11.0.0.0/8")] {
-            s.originate(pre);
-        }
-        s.process();
-        assert_eq!(s.loc_rib_lens, recount(&s));
-        assert_eq!(s.loc_rib_lens[8], 2);
-        // Re-selecting an existing key is not a new key.
-        s.originate(p8);
-        s.process();
-        assert_eq!(s.loc_rib_lens, recount(&s));
-        // The decision process removing a route.
-        s.withdraw_local(p16);
-        s.process();
-        assert_eq!(s.loc_rib_lens, recount(&s));
-        assert_eq!(s.lookup(0x0a010001).map(|(m, _)| m), Some(p8));
-        // The planted-defect hooks write the Loc-RIB directly.
-        let donor = s.best(&p8).expect("selected").clone();
-        assert!(s.corrupt_drop_route(&p24));
-        assert!(!s.corrupt_drop_route(&p24));
-        assert_eq!(s.loc_rib_lens, recount(&s));
-        assert_eq!(s.lookup(0x0a010201).map(|(m, _)| m), Some(p8));
-        assert!(s.corrupt_replace_route(p16, donor.clone()).is_none());
-        assert!(s.corrupt_replace_route(p16, donor).is_some());
-        assert_eq!(s.loc_rib_lens, recount(&s));
-        assert_eq!(s.lookup(0x0a010201).map(|(m, _)| m), Some(p16));
-        assert_eq!(
-            s.lookup_up_to(0x0a010201, Some(16)).map(|(m, _)| m),
-            Some(p8)
-        );
-        assert_eq!(s.lookup_up_to(0x0a010201, Some(8)).map(|(m, _)| m), None);
     }
 }

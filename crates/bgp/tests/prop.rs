@@ -1,6 +1,6 @@
-//! Property tests for the BGP machinery: prefix canonicalisation, trie
-//! correctness against a naive table, the Loc-RIB longest-match index
-//! against the linear scan it replaced, the flat Adj-RIB-In against the
+//! Property tests for the BGP machinery: prefix canonicalisation, the
+//! longest-match table against a linear-scan table, the Loc-RIB's longest
+//! match against the linear scan it replaced, the flat Adj-RIB-In against the
 //! nested per-prefix maps it replaced, the Adj-RIB-Out rows against the
 //! per-peer maps they replaced, decision-process order axioms, and
 //! valley-free export.
@@ -13,9 +13,59 @@ use proptest::prelude::*;
 use vns_bgp::policy::{REL_TAG_CUSTOMER, REL_TAG_PEER};
 use vns_bgp::{
     compare_routes, may_export, select_best, Asn, BgpNet, Candidate, Community, DecisionContext,
-    Message, Origin, PeerConfig, PeerKind, Policy, Prefix, PrefixTrie, Relation, RouteAttrs,
-    RouteSource, ScanTable, Speaker, SpeakerId,
+    LpmMap, Message, Origin, PeerConfig, PeerKind, Policy, Prefix, Relation, RouteAttrs,
+    RouteSource, Speaker, SpeakerId,
 };
+
+/// The linear-scan model of [`LpmMap`]: the same map contract as an
+/// unordered `Vec` scan — slow, but so simple it is obviously correct. The
+/// property test drives both with identical operation sequences and
+/// requires identical observations.
+#[derive(Default)]
+struct ScanTable<V> {
+    entries: Vec<(Prefix, V)>,
+}
+
+impl<V> ScanTable<V> {
+    fn insert(&mut self, prefix: Prefix, value: V) -> Option<V> {
+        for (p, v) in &mut self.entries {
+            if *p == prefix {
+                return Some(std::mem::replace(v, value));
+            }
+        }
+        self.entries.push((prefix, value));
+        None
+    }
+
+    fn remove(&mut self, prefix: &Prefix) -> Option<V> {
+        let i = self.entries.iter().position(|(p, _)| p == prefix)?;
+        Some(self.entries.swap_remove(i).1)
+    }
+
+    fn get(&self, prefix: &Prefix) -> Option<&V> {
+        self.entries
+            .iter()
+            .find(|(p, _)| p == prefix)
+            .map(|(_, v)| v)
+    }
+
+    /// Longest match among the entries shorter than `ceiling`, by scanning
+    /// every entry.
+    fn lookup_up_to(&self, ip: u32, ceiling: Option<u8>) -> Option<(Prefix, &V)> {
+        self.entries
+            .iter()
+            .filter(|(p, _)| p.contains(ip) && ceiling.is_none_or(|c| p.len() < c))
+            .max_by_key(|(p, _)| p.len())
+            .map(|(p, v)| (*p, v))
+    }
+
+    /// Every entry in `(addr, len)` order.
+    fn sorted(&self) -> Vec<(Prefix, &V)> {
+        let mut out: Vec<_> = self.entries.iter().map(|(p, v)| (*p, v)).collect();
+        out.sort_by_key(|(p, _)| *p);
+        out
+    }
+}
 
 fn prefix() -> impl Strategy<Value = Prefix> {
     (any::<u32>(), 0u8..=32).prop_map(|(a, l)| Prefix::new(a, l))
@@ -579,7 +629,7 @@ proptest! {
     }
 
     #[test]
-    fn trie_matches_scan_oracle(
+    fn lpm_map_matches_scan_oracle(
         // Ops over a deliberately collision-heavy space (few distinct
         // addresses, full /0..=/32 length range) so inserts overwrite,
         // removes hit, and default routes and host routes both occur.
@@ -589,34 +639,36 @@ proptest! {
         ),
         probes in prop::collection::vec(any::<u32>(), 1..60)
     ) {
-        let mut trie = PrefixTrie::new();
-        let mut oracle = ScanTable::new();
+        let mut map = LpmMap::new();
+        let mut oracle = ScanTable::default();
         for (i, (is_insert, addr_sel, len)) in ops.iter().enumerate() {
             // Spread the few address selectors across the whole space so
             // short and long prefixes overlap.
-            let addr = addr_sel.rotate_right(6).wrapping_mul(0x9e37_79b9);
-            let p = Prefix::new(addr, *len);
+            let p = lpm_prefix(*addr_sel, *len);
             if *is_insert {
-                prop_assert_eq!(trie.insert(p, i), oracle.insert(p, i));
+                prop_assert_eq!(map.insert(p, i), oracle.insert(p, i));
             } else {
-                prop_assert_eq!(trie.remove(&p), oracle.remove(&p));
+                prop_assert_eq!(map.remove(&p), oracle.remove(&p));
             }
-            prop_assert_eq!(trie.len(), oracle.len());
-            prop_assert_eq!(trie.get(&p).copied(), oracle.get(&p).copied());
+            prop_assert_eq!(map.len(), oracle.entries.len());
+            prop_assert_eq!(map.is_empty(), oracle.entries.is_empty());
+            prop_assert_eq!(map.get(&p), oracle.get(&p));
         }
-        // Structure bound: path compression plus prune-on-remove keeps
-        // node count within 2n-1 whatever the op history was.
-        if !trie.is_empty() {
-            prop_assert!(trie.node_count() < 2 * trie.len());
-        } else {
-            prop_assert_eq!(trie.node_count(), 0);
-        }
-        // Iteration agrees entry-for-entry.
-        prop_assert_eq!(trie.prefixes(), oracle.prefixes());
-        for ip in probes {
-            let got = trie.lookup(ip).map(|(p, v)| (p, *v));
-            let want = oracle.lookup(ip).map(|(p, v)| (p, *v));
-            prop_assert_eq!(got, want);
+        // Iteration agrees entry for entry, in (addr, len) order.
+        prop_assert_eq!(map.iter().collect::<Vec<_>>(), oracle.sorted());
+        prop_assert!(map.keys().eq(oracle.sorted().into_iter().map(|(p, _)| p)));
+        // Probe the stored networks too: random addresses rarely fall under
+        // a long prefix.
+        let stored: Vec<u32> = map.keys().map(|p| p.first_host()).collect();
+        for ip in probes.into_iter().chain(stored) {
+            prop_assert_eq!(map.lookup(ip), oracle.lookup_up_to(ip, None));
+            for c in 0..=33 {
+                prop_assert_eq!(
+                    map.lookup_up_to(ip, Some(c)),
+                    oracle.lookup_up_to(ip, Some(c)),
+                    "ip {:#x} ceiling {}", ip, c
+                );
+            }
         }
     }
 

@@ -14,12 +14,10 @@ pub mod cdf;
 pub mod histogram;
 pub mod quantile;
 pub mod series;
-pub mod summary;
 pub mod table;
 
 pub use cdf::{Ccdf, Cdf};
 pub use histogram::Histogram;
 pub use quantile::QuantileSketch;
 pub use series::{Figure, Series};
-pub use summary::Summary;
 pub use table::{pct, Table};

@@ -1,8 +1,7 @@
-//! Property tests: CDF axioms, quantile bounds, summary merging and
-//! histogram conservation.
+//! Property tests: CDF axioms, quantile bounds and histogram conservation.
 
 use proptest::prelude::*;
-use vns_stats::{Ccdf, Cdf, Histogram, Summary};
+use vns_stats::{Ccdf, Cdf, Histogram};
 
 fn samples() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1.0e6f64..1.0e6, 1..300)
@@ -39,20 +38,6 @@ proptest! {
         let cdf = Cdf::new(xs.clone());
         let ccdf = Ccdf::new(xs);
         prop_assert!((cdf.at(probe) + ccdf.at(probe) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn summary_merge_equals_sequential(xs in samples(), split in 0usize..300) {
-        let k = split.min(xs.len());
-        let seq: Summary = xs.iter().copied().collect();
-        let mut a: Summary = xs[..k].iter().copied().collect();
-        let b: Summary = xs[k..].iter().copied().collect();
-        a.merge(&b);
-        prop_assert_eq!(a.count(), seq.count());
-        let scale = seq.mean().abs().max(1.0);
-        prop_assert!((a.mean() - seq.mean()).abs() / scale < 1e-9);
-        let vscale = seq.variance().max(1.0);
-        prop_assert!((a.variance() - seq.variance()).abs() / vscale < 1e-6);
     }
 
     #[test]

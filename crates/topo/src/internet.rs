@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use vns_bgp::{Asn, BgpNet, IgpGraph, Prefix, PrefixTrie, SpeakerId};
+use vns_bgp::{Asn, BgpNet, IgpGraph, LpmMap, Prefix, SpeakerId};
 use vns_geo::{city, CityId, GeoIpDb, GeoPoint, Region};
 
 use crate::astype::AsType;
@@ -87,7 +87,7 @@ pub struct Internet {
     /// Interconnect geometry per speaker pair: (near city, far city) for
     /// each parallel link, keyed in both directions.
     session_links: BTreeMap<(SpeakerId, SpeakerId), Vec<(CityId, CityId)>>,
-    prefix_table: PrefixTrie<PrefixInfo>,
+    prefix_table: LpmMap<PrefixInfo>,
     next_speaker: u32,
     next_asn: u32,
     /// Stats of every convergence run over `net`, in order (topology
@@ -113,7 +113,7 @@ impl Internet {
             speaker_index: BTreeMap::new(),
             router_city: BTreeMap::new(),
             session_links: BTreeMap::new(),
-            prefix_table: PrefixTrie::new(),
+            prefix_table: LpmMap::new(),
             next_speaker: 1,
             next_asn: 1,
             convergence_log: Vec::new(),
@@ -238,7 +238,13 @@ impl Internet {
         self.prefix_table.lookup(ip).map(|(_, v)| v)
     }
 
-    /// All registered prefixes in address order.
+    /// Ground-truth info registered for exactly `prefix`.
+    pub fn prefix_info(&self, prefix: &Prefix) -> Option<&PrefixInfo> {
+        self.prefix_table.get(prefix)
+    }
+
+    /// All registered prefixes in `(addr, len)` order — an artefact input:
+    /// campaigns sample destinations by position in this sequence.
     pub fn prefixes(&self) -> impl Iterator<Item = &PrefixInfo> {
         self.prefix_table.iter().map(|(_, v)| v)
     }
@@ -334,32 +340,66 @@ mod tests {
         assert!(net.links_between(a, a).is_empty());
     }
 
+    fn register(net: &mut Internet, origin: AsId, prefix: &str) -> Prefix {
+        let (cid, c) = city_by_name("Amsterdam").unwrap();
+        let prefix: Prefix = prefix.parse().unwrap();
+        net.add_prefix(
+            PrefixInfo {
+                prefix,
+                origin,
+                city: cid,
+                location: c.location,
+                last_mile: true,
+                anycast: false,
+            },
+            "NL",
+            c.location,
+        );
+        prefix
+    }
+
     #[test]
     fn prefix_lookup_longest_match() {
         let mut net = Internet::new();
         let sp = net.alloc_speaker_id();
         let as_id = net.add_as(test_as(0, 100, Some(sp), "Amsterdam"));
-        let (cid, c) = city_by_name("Amsterdam").unwrap();
-        let p8: Prefix = "10.0.0.0/8".parse().unwrap();
-        let p16: Prefix = "10.1.0.0/16".parse().unwrap();
-        for p in [p8, p16] {
-            net.add_prefix(
-                PrefixInfo {
-                    prefix: p,
-                    origin: as_id,
-                    city: cid,
-                    location: c.location,
-                    last_mile: true,
-                    anycast: false,
-                },
-                "NL",
-                c.location,
-            );
-        }
+        let p8 = register(&mut net, as_id, "10.0.0.0/8");
+        let p16 = register(&mut net, as_id, "10.1.0.0/16");
         assert_eq!(net.lookup_prefix(0x0a010001).unwrap().prefix, p16);
         assert_eq!(net.lookup_prefix(0x0aff0001).unwrap().prefix, p8);
         assert!(net.lookup_prefix(0x0b000001).is_none());
         assert_eq!(net.geoip.len(), 2);
+    }
+
+    #[test]
+    fn prefixes_iterate_in_addr_then_len_order() {
+        // Campaigns pick destinations by position in `prefixes()`, so the
+        // order is an artefact input: address first, then mask length (a
+        // covering prefix before its more-specifics), whatever the
+        // registration order was.
+        let mut net = Internet::new();
+        let sp = net.alloc_speaker_id();
+        let as_id = net.add_as(test_as(0, 100, Some(sp), "Amsterdam"));
+        for pre in [
+            "16.9.0.0/16",
+            "16.5.16.0/20",
+            "10.0.0.0/8",
+            "16.5.0.0/16",
+            "10.0.0.0/16",
+        ] {
+            register(&mut net, as_id, pre);
+        }
+        let order: Vec<String> = net.prefixes().map(|pi| pi.prefix.to_string()).collect();
+        assert_eq!(
+            order,
+            [
+                "10.0.0.0/8",
+                "10.0.0.0/16",
+                "16.5.0.0/16",
+                "16.5.16.0/20",
+                "16.9.0.0/16"
+            ]
+        );
     }
 
     #[test]

@@ -17,11 +17,11 @@
 //! * at the origin AS the packet hauls to the prefix's city and crosses
 //!   the last mile.
 
-use vns_bgp::{Asn, PathError, RouteSource, SpeakerId};
+use vns_bgp::{Asn, PathError, RouteSource, Speaker, SpeakerId};
 use vns_geo::{CityId, Region};
 
 use crate::astype::AsType;
-use crate::internet::Internet;
+use crate::internet::{AsId, Internet, PrefixInfo};
 
 /// What kind of infrastructure a hop crosses (selects its loss/delay
 /// profile).
@@ -82,8 +82,9 @@ pub struct ResolvedHop {
 pub struct ResolvedPath {
     /// Hops in order.
     pub hops: Vec<ResolvedHop>,
-    /// Routers whose Loc-RIBs were consulted (diagnostics; first is the
-    /// source).
+    /// Every router the packet crosses, source first: the ones whose
+    /// Loc-RIBs were consulted and the ones an IGP walk passes between
+    /// them.
     pub routers: Vec<SpeakerId>,
 }
 
@@ -125,9 +126,71 @@ impl ResolvedPath {
 /// internal topology we don't model: real paths are not great circles.
 const EXTERNAL_PATH_INFLATION: f64 = 1.3;
 
+/// Where one speaker sends a packet: the answer of
+/// [`forwarding_decision`], before the caller checks that the named next
+/// router exists and is reachable.
+#[derive(Debug, Clone, Copy)]
+pub enum Forward<'a> {
+    /// The matched route is locally originated and the packet ends here:
+    /// at the origin AS (or, for an anycast prefix, at whichever instance
+    /// the routes led to) of the registered prefix given, or — `None` — of
+    /// a pure control-plane prefix nobody registered.
+    Deliver(Option<&'a PrefixInfo>),
+    /// Over the eBGP session to this peer.
+    Ebgp(SpeakerId),
+    /// Across the AS towards this iBGP next hop.
+    Ibgp(SpeakerId),
+    /// The longest match is a steering more-specific with neither an
+    /// external route of this speaker's own nor a covering route under it.
+    NoRoute,
+}
+
+/// The forwarding decision of `speaker` (a router of AS `cur_as`; `None`
+/// when the world does not know the speaker, whose Loc-RIB is still read so
+/// that "holds no route" keeps precedence over "unknown") for `dst_ip`,
+/// whose covering registered prefix is `pinfo`: the longest Loc-RIB match,
+/// except that a *locally originated* route for somebody else's prefix is
+/// the management interface's steering more-specific (Sec 3.2), which the
+/// speaker resolves over its **own external** route to the covering prefix
+/// ("given that it has a route to the less-specific prefix" — the AS-wide
+/// best would bounce the traffic straight back to another PoP) and, having
+/// none, falls through onto the covering route itself by lowering the
+/// longest-match ceiling. The ceiling decreases every round, so the loop
+/// terminates. `None` when the speaker holds no covering route at all.
+pub fn forwarding_decision<'a>(
+    speaker: &Speaker,
+    cur_as: Option<AsId>,
+    dst_ip: u32,
+    pinfo: Option<&'a PrefixInfo>,
+) -> Option<Forward<'a>> {
+    let mut ceiling: Option<u8> = None;
+    while let Some((matched, cand)) = speaker.lookup_up_to(dst_ip, ceiling) {
+        // Whatever this match falls through onto lies strictly under it.
+        ceiling = Some(matched.len());
+        match cand.source {
+            RouteSource::Ebgp { peer, .. } => return Some(Forward::Ebgp(peer)),
+            RouteSource::Ibgp { .. } => return Some(Forward::Ibgp(cand.attrs.next_hop)),
+            RouteSource::Local => {
+                if pinfo.is_none_or(|pi| Some(pi.origin) == cur_as) {
+                    return Some(Forward::Deliver(pinfo));
+                }
+                let own_exit = speaker
+                    .lookup_up_to(dst_ip, ceiling)
+                    .and_then(|(covering, _)| speaker.best_external_route(&covering));
+                if let Some(RouteSource::Ebgp { peer, .. }) = own_exit.map(|c| c.source) {
+                    return Some(Forward::Ebgp(peer));
+                }
+            }
+        }
+    }
+    // Nothing at all, or nothing under a steering more-specific.
+    ceiling.map(|_| Forward::NoRoute)
+}
+
 /// Resolves the path from `start` (a BGP speaker: an external AS or a VNS
-/// router), entering that AS at `entry_city`, towards `dst_ip`. Whether
-/// the path ends with a last-mile hop is the destination prefix's own
+/// router), entering that AS at `entry_city`, towards `dst_ip`: one
+/// [`forwarding_decision`] per router, turned into hops. Whether the path
+/// ends with a last-mile hop is the destination prefix's own
 /// [`crate::PrefixInfo::last_mile`] flag (false for infrastructure such as
 /// the echo servers inside PoPs).
 ///
@@ -144,11 +207,14 @@ pub fn resolve_path(
 ) -> Result<ResolvedPath, PathError> {
     let mut hops: Vec<ResolvedHop> = Vec::new();
     let mut routers = vec![start];
+    // The routers that took a forwarding decision. A loop is one of them
+    // deciding twice; a router an IGP walk merely crossed may still be the
+    // next hop of a later decision (a steering PoP's second border falling
+    // through onto a remote egress that hands the packet to the first).
+    let mut decided = vec![start];
     let mut cur = start;
     let mut cur_city = entry_city;
-    // Longest-match ceiling: lowered when we fall through a locally
-    // injected steering more-specific onto its covering route.
-    let mut max_len: Option<u8> = None;
+    let pinfo = internet.lookup_prefix(dst_ip);
 
     let hop_limit = internet.net.hop_limit();
     for _ in 0..hop_limit {
@@ -156,84 +222,21 @@ pub fn resolve_path(
             .net
             .speaker(cur)
             .ok_or(PathError::NoSuchSpeaker(cur))?;
-        let (matched, cand) = speaker
-            .lookup_up_to(dst_ip, max_len)
-            .ok_or(PathError::NoRoute(cur))?;
-        let cur_as = internet
-            .as_of_speaker(cur)
-            .ok_or(PathError::NoSuchSpeaker(cur))?;
-        let cur_info = internet.as_info(cur_as);
+        let cur_as = internet.as_of_speaker(cur);
+        let forward =
+            forwarding_decision(speaker, cur_as, dst_ip, pinfo).ok_or(PathError::NoRoute(cur))?;
+        let cur_info = internet.as_info(cur_as.ok_or(PathError::NoSuchSpeaker(cur))?);
 
-        match cand.source {
-            RouteSource::Local => {
-                let Some(pinfo) = internet.lookup_prefix(dst_ip) else {
-                    // Locally originated but unregistered (pure control-
-                    // plane prefixes): terminate at the current city.
-                    return Ok(ResolvedPath { hops, routers });
-                };
-                if pinfo.origin != cur_as {
-                    // This speaker locally injects a steering more-specific
-                    // for someone else's prefix (the management interface's
-                    // Sec 3.2 mechanism). It resolves the injected route
-                    // over its *own external* route to the covering prefix
-                    // ("given that it has a route to the less-specific
-                    // prefix") — using the AS-wide best would bounce the
-                    // traffic straight back to another PoP.
-                    if matched.len() == 0 {
-                        return Err(PathError::NoRoute(cur));
-                    }
-                    let covering = speaker
-                        .lookup_up_to(dst_ip, Some(matched.len()))
-                        .map(|(p, _)| p)
-                        .ok_or(PathError::NoRoute(cur))?;
-                    if let Some(ext) = speaker.best_external_route(&covering) {
-                        if let RouteSource::Ebgp { peer, .. } = ext.source {
-                            let links = internet.links_between(cur, peer);
-                            let (near, far) = links
-                                .iter()
-                                .copied()
-                                .min_by(|(a, _), (b, _)| {
-                                    Internet::city_km(cur_city, *a)
-                                        .total_cmp(&Internet::city_km(cur_city, *b))
-                                })
-                                .ok_or(PathError::NoRoute(cur))?;
-                            if near != cur_city {
-                                hops.push(intra_hop(cur_info, cur_city, near));
-                            }
-                            hops.push(ResolvedHop {
-                                kind: HopKind::InterAs {
-                                    region: vns_geo::city(far).region,
-                                },
-                                from_city: near,
-                                to_city: far,
-                                km: Internet::city_km(near, far).max(1.0),
-                                label: format!(
-                                    "ix:{}:{}@{}",
-                                    cur_info.asn,
-                                    peer,
-                                    vns_geo::city(far).name
-                                ),
-                            });
-                            if routers.contains(&peer) {
-                                return Err(PathError::ForwardingLoop);
-                            }
-                            routers.push(peer);
-                            cur = peer;
-                            cur_city = far;
-                            max_len = None;
-                            continue;
-                        }
-                    }
-                    // No external route of its own: fall through onto the
-                    // covering route (loop detection catches pathologies).
-                    max_len = Some(matched.len());
-                    continue;
-                }
-                if pinfo.anycast {
-                    // Anycast: the service instance is wherever the route
-                    // led — terminate here.
-                    return Ok(ResolvedPath { hops, routers });
-                }
+        match forward {
+            Forward::NoRoute => return Err(PathError::NoRoute(cur)),
+            // Unregistered (pure control-plane) prefixes terminate at the
+            // current city; an anycast service instance is wherever the
+            // route led.
+            Forward::Deliver(None) => return Ok(ResolvedPath { hops, routers }),
+            Forward::Deliver(Some(pinfo)) if pinfo.anycast => {
+                return Ok(ResolvedPath { hops, routers })
+            }
+            Forward::Deliver(Some(pinfo)) => {
                 // Arrived at the origin AS: haul to the prefix city, then
                 // the last mile.
                 if pinfo.city != cur_city {
@@ -254,7 +257,7 @@ pub fn resolve_path(
                 }
                 return Ok(ResolvedPath { hops, routers });
             }
-            RouteSource::Ebgp { peer, .. } => {
+            Forward::Ebgp(peer) => {
                 // Hot-potato link choice among parallel interconnects.
                 let links = internet.links_between(cur, peer);
                 let (near, far) = links
@@ -277,19 +280,18 @@ pub fn resolve_path(
                     km: Internet::city_km(near, far).max(1.0),
                     label: format!("ix:{}:{}@{}", cur_info.asn, peer, vns_geo::city(far).name),
                 });
-                if routers.contains(&peer) {
+                if decided.contains(&peer) {
                     return Err(PathError::ForwardingLoop);
                 }
                 routers.push(peer);
+                decided.push(peer);
                 cur = peer;
                 cur_city = far;
-                max_len = None;
             }
-            RouteSource::Ibgp { .. } => {
+            Forward::Ibgp(nh) => {
                 // Walk the IGP towards the egress border router, one
                 // internal link per hop.
-                let nh = cand.attrs.next_hop;
-                if nh == cur || routers.contains(&nh) {
+                if decided.contains(&nh) {
                     return Err(PathError::ForwardingLoop);
                 }
                 let igp = cur_info.igp.as_ref().ok_or(PathError::NoRoute(cur))?;
@@ -308,9 +310,9 @@ pub fn resolve_path(
                     // (per-circuit load attribution depends on it).
                     routers.push(w[1]);
                 }
+                decided.push(nh);
                 cur = nh;
                 cur_city = city_cursor;
-                max_len = None;
             }
         }
     }
@@ -408,30 +410,63 @@ mod tests {
     use crate::internet::{AsId, AsInfo, PrefixInfo};
     use vns_bgp::{Policy, Prefix, Relation, Speaker};
 
+    /// Registers a shared-infrastructure AS whose routers all sit in
+    /// Amsterdam and adds a speaker for each to the control plane.
+    fn add_stub_as(internet: &mut Internet, routers: usize) -> (AsId, Vec<SpeakerId>) {
+        let (cid, c) = vns_geo::cities::city_by_name("Amsterdam").expect("known city");
+        let id = internet.next_as_id();
+        let asn = internet.alloc_asn();
+        let speakers: Vec<SpeakerId> = (0..routers)
+            .map(|_| {
+                let sp = internet.alloc_speaker_id();
+                internet.net.add_speaker(Speaker::new(sp, asn));
+                sp
+            })
+            .collect();
+        internet.add_as(AsInfo {
+            id,
+            asn,
+            ty: AsType::Stp,
+            region: c.region,
+            home_city: cid,
+            presence: vec![cid],
+            speaker: (routers == 1).then(|| speakers[0]),
+            routers: speakers.iter().map(|&sp| (cid, sp)).collect(),
+            prefixes: vec![],
+            dedicated: false,
+            igp: None,
+        });
+        (id, speakers)
+    }
+
+    /// Registers `prefix` in Amsterdam as `origin`'s.
+    fn register(internet: &mut Internet, prefix: &str, origin: AsId, anycast: bool) -> Prefix {
+        let (cid, c) = vns_geo::cities::city_by_name("Amsterdam").expect("known city");
+        let prefix: Prefix = prefix.parse().expect("prefix");
+        internet.add_prefix(
+            PrefixInfo {
+                prefix,
+                origin,
+                city: cid,
+                location: c.location,
+                last_mile: true,
+                anycast,
+            },
+            "NL",
+            c.location,
+        );
+        prefix
+    }
+
     /// A provider chain of `n` single-router ASes, all in one city, with one
     /// prefix originated by the last: from the first AS every packet takes
     /// `n - 1` eBGP steps plus the delivery.
     fn chain_world(n: u32) -> (Internet, SpeakerId, CityId, u32) {
-        let (cid, c) = vns_geo::cities::city_by_name("Amsterdam").expect("known city");
+        let (cid, _) = vns_geo::cities::city_by_name("Amsterdam").expect("known city");
         let mut internet = Internet::new();
-        let mut speakers = Vec::new();
-        for i in 0..n {
-            let sp = internet.alloc_speaker_id();
-            let asn = internet.alloc_asn();
-            internet.net.add_speaker(Speaker::new(sp, asn));
-            internet.add_as(AsInfo {
-                id: AsId(i),
-                asn,
-                ty: AsType::Stp,
-                region: c.region,
-                home_city: cid,
-                presence: vec![cid],
-                speaker: Some(sp),
-                routers: vec![(cid, sp)],
-                prefixes: vec![],
-                dedicated: false,
-                igp: None,
-            });
+        let mut speakers: Vec<SpeakerId> = Vec::new();
+        for _ in 0..n {
+            let sp = add_stub_as(&mut internet, 1).1[0];
             if let Some(&prev) = speakers.last() {
                 internet
                     .net
@@ -440,22 +475,133 @@ mod tests {
             }
             speakers.push(sp);
         }
-        let prefix: Prefix = "10.0.0.0/8".parse().expect("prefix");
-        internet.add_prefix(
-            PrefixInfo {
-                prefix,
-                origin: AsId(n - 1),
-                city: cid,
-                location: c.location,
-                last_mile: true,
-                anycast: false,
-            },
-            "NL",
-            c.location,
-        );
+        let prefix = register(&mut internet, "10.0.0.0/8", AsId(n - 1), false);
         internet.net.originate(speakers[n as usize - 1], prefix);
         internet.converge(10_000_000, 1).expect("chain converges");
         (internet, speakers[0], cid, prefix.first_host())
+    }
+
+    #[test]
+    fn forwarding_decision_table() {
+        // Origin AS O (router `o`) is a customer of V and of transit T.
+        // V has five routers: `b1` peers with `o`; `b2` buys transit from
+        // `t` and hears `b1` over iBGP, so its AS-wide best to O's /8 is
+        // the iBGP (customer) route while its *own* external route is the
+        // provider one; `b3` only hears `b1`; `b4` and `b5` hear nobody.
+        // `b1`..`b4` all inject the steering more-specific 10.64.0.0/10 of
+        // O's 10.0.0.0/8 (NO_EXPORT); `b5` originates a default route.
+        use vns_bgp::{Community, PeerConfig, PeerKind};
+        let mut internet = Internet::new();
+        let (as_o, o) = add_stub_as(&mut internet, 1);
+        let (as_v, v) = add_stub_as(&mut internet, 5);
+        let (_, t) = add_stub_as(&mut internet, 1);
+        let (o, t) = (o[0], t[0]);
+        let (b1, b2, b3, b4, b5) = (v[0], v[1], v[2], v[3], v[4]);
+        let net = &mut internet.net;
+        net.connect_ebgp(b1, o, Relation::Customer, Policy::GaoRexford);
+        net.connect_ebgp(t, o, Relation::Customer, Policy::GaoRexford);
+        net.connect_ebgp(t, b2, Relation::Customer, Policy::GaoRexford);
+        let ibgp = PeerConfig {
+            kind: PeerKind::Ibgp,
+            import: Policy::GaoRexford,
+        };
+        net.connect(b1, ibgp, b2, ibgp);
+        net.connect(b1, ibgp, b3, ibgp);
+
+        let p8 = register(&mut internet, "10.0.0.0/8", as_o, false);
+        let unrouted = register(&mut internet, "20.0.0.0/8", as_o, false);
+        let anycast = register(&mut internet, "30.0.0.0/24", as_v, true);
+        let steer: Prefix = "10.64.0.0/10".parse().expect("prefix");
+        let private: Prefix = "192.168.0.0/16".parse().expect("prefix");
+        internet.net.originate(o, p8);
+        internet.net.originate(o, private);
+        for b in [b1, b2] {
+            internet.net.originate(b, anycast);
+        }
+        for b in [b1, b2, b3, b4] {
+            let sp = internet.net.speaker_mut(b).expect("speaker");
+            sp.originate_with(steer, vec![Community::NoExport]);
+        }
+        internet.net.originate(b5, Prefix::DEFAULT);
+        // Known to the control plane, not to the registry.
+        let ghost = internet.alloc_speaker_id();
+        internet.net.add_speaker(Speaker::new(ghost, Asn(64_999)));
+        internet
+            .net
+            .originate(ghost, "50.0.0.0/8".parse().expect("prefix"));
+        internet.converge(1_000_000, 1).expect("converges");
+
+        let decide = |at: SpeakerId, ip: u32| -> String {
+            let speaker = internet.net.speaker(at).expect("speaker");
+            let pinfo = internet.lookup_prefix(ip);
+            match forwarding_decision(speaker, internet.as_of_speaker(at), ip, pinfo) {
+                None => "none".into(),
+                Some(Forward::NoRoute) => "no-route".into(),
+                Some(Forward::Deliver(None)) => "deliver(unregistered)".into(),
+                Some(Forward::Deliver(Some(pi))) if pi.anycast => {
+                    format!("deliver(anycast {})", pi.prefix)
+                }
+                Some(Forward::Deliver(Some(pi))) => format!("deliver({})", pi.prefix),
+                Some(Forward::Ebgp(peer)) => format!("ebgp({peer})"),
+                Some(Forward::Ibgp(nh)) => format!("ibgp({nh})"),
+            }
+        };
+        let (plain, steered) = (p8.first_host(), steer.first_host());
+        let table = [
+            // Delivery: at the origin AS; the /10 never leaves V; a local
+            // route nobody registered; an anycast instance.
+            (o, plain, format!("deliver({p8})")),
+            (o, steered, format!("deliver({p8})")),
+            (o, private.first_host(), "deliver(unregistered)".into()),
+            (
+                b1,
+                anycast.first_host(),
+                format!("deliver(anycast {anycast})"),
+            ),
+            (
+                b2,
+                anycast.first_host(),
+                format!("deliver(anycast {anycast})"),
+            ),
+            // Plain longest match.
+            (o, anycast.first_host(), format!("ebgp({b1})")),
+            (b1, plain, format!("ebgp({o})")),
+            (b2, plain, format!("ibgp({b1})")),
+            (b3, plain, format!("ibgp({b1})")),
+            (b4, plain, "none".into()),
+            (o, unrouted.first_host(), "none".into()),
+            // Steering: over the own external route where there is one —
+            // at `b2` that is the transit session, not the AS-wide best —
+            // else onto the covering route, else nowhere.
+            (b1, steered, format!("ebgp({o})")),
+            (b2, steered, format!("ebgp({t})")),
+            (b3, steered, format!("ibgp({b1})")),
+            (b4, steered, "no-route".into()),
+            // A default route is a local route for somebody else's prefix
+            // with nothing shorter to fall onto; for an unregistered
+            // destination it just delivers.
+            (b5, unrouted.first_host(), "no-route".into()),
+            (b5, 0x0b00_0001, "deliver(unregistered)".into()),
+        ];
+        for (at, ip, want) in table {
+            assert_eq!(decide(at, ip), want, "{at} -> {ip:#x}");
+        }
+
+        // Precedence at a speaker the registry does not know: holding no
+        // route comes first, then being unknown.
+        let (cid, _) = vns_geo::cities::city_by_name("Amsterdam").expect("known city");
+        assert_eq!(
+            resolve_path(&internet, ghost, cid, plain).err(),
+            Some(PathError::NoRoute(ghost))
+        );
+        assert_eq!(
+            resolve_path(&internet, ghost, cid, 0x3200_0001).err(),
+            Some(PathError::NoSuchSpeaker(ghost))
+        );
+        assert_eq!(
+            resolve_path(&internet, b4, cid, steered).err(),
+            Some(PathError::NoRoute(b4))
+        );
     }
 
     #[test]

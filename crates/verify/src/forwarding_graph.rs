@@ -1,12 +1,13 @@
 //! Whole-network forwarding-graph extraction from converged RIBs.
 //!
 //! The control-plane checks audit routers one at a time; this module
-//! derives what the *network* does: for every advertised destination it
-//! computes each speaker's forwarding successor (mirroring
-//! [`vns_topo::path::resolve_path`]'s decision exactly — longest match,
-//! steering-more-specific fall-through, eBGP interconnect choice, iBGP
-//! next-hop IGP resolution; `crates/bench/tests/graph_vs_resolver.rs` pins
-//! the agreement) and walks the resulting functional graph.
+//! derives what the *network* does: for every destination it computes each
+//! speaker's forwarding successor — [`vns_topo::path::forwarding_decision`],
+//! the same longest match and steering fall-through
+//! [`vns_topo::path::resolve_path`] walks, checked here for a known next
+//! router, an interconnect and an IGP path where the resolver builds hops
+//! (`crates/bench/tests/graph_vs_resolver.rs` pins that the two loops around
+//! the one decision agree) — and walks the resulting functional graph.
 //! Because each speaker has at most one successor per destination, every
 //! walk is a rho-shaped chain: terminal fates are memoised and propagated
 //! backwards, so the whole pass is linear in `speakers × destinations`
@@ -25,6 +26,14 @@
 //! Nothing outlives the call: the tables borrow the `Internet`, so there is
 //! no cache to invalidate.
 //!
+//! **Destinations.** Every registered prefix that no more-specific
+//! registration shadows at its first host, then every prefix some speaker
+//! *originates* without it being registered — the management interface's
+//! steering more-specifics (Sec 3.2), which exist only in the control plane
+//! — each analysed at its own first host against the covering registration.
+//! Without the second group no walk starts inside a steered subnet, and a
+//! loop only its traffic takes goes unseen.
+//!
 //! The output ([`ForwardingAnalysis`]) assigns every reachable source a
 //! [`Terminal`]: delivery at the origin AS, delivery at an anycast
 //! instance, an explicit dead-router sink (under a fault
@@ -35,7 +44,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use vns_bgp::{Prefix, RouteSource, Speaker, SpeakerId};
+use vns_bgp::{Prefix, Speaker, SpeakerId};
+use vns_topo::path::{forwarding_decision, Forward};
 use vns_topo::{AsId, Internet, PrefixInfo};
 
 use crate::VerifyScope;
@@ -139,11 +149,12 @@ impl DestinationAnalysis {
     }
 }
 
-/// The whole-network forwarding analysis: one
-/// [`DestinationAnalysis`] per registered, unshadowed destination prefix.
+/// The whole-network forwarding analysis: one [`DestinationAnalysis`] per
+/// destination (see the module docs for which prefixes are destinations).
 #[derive(Debug)]
 pub struct ForwardingAnalysis {
-    /// Per-destination analyses in prefix registration order.
+    /// Per-destination analyses: registered prefixes in address order, then
+    /// originated-but-unregistered ones in address order.
     pub destinations: Vec<DestinationAnalysis>,
 }
 
@@ -193,129 +204,51 @@ impl<'a> Speakers<'a> {
         self.ids.binary_search(&id).ok()
     }
 
-    /// Evaluates the forwarding decision of the speaker with ordinal `cur`
-    /// for a destination whose ground-truth entry is `pinfo`, resolving
-    /// locally injected steering more-specifics through the same
-    /// longest-match-ceiling fall-through as `resolve_path`. `covering` is
-    /// every advertised prefix containing the destination, most specific
-    /// first. Returns `None` when the speaker holds no covering route at
-    /// all.
-    fn successor(
-        &self,
-        cur: usize,
-        pinfo: Option<&PrefixInfo>,
-        covering: &[Prefix],
-    ) -> Option<Step> {
-        let (cur_id, speaker) = (self.ids[cur], self.speakers[cur]);
-        // Longest-match ceiling, lowered when falling through an injected
-        // steering more-specific onto its covering route. The ceiling only
-        // ever decreases, so this loop terminates.
-        let mut max_len: Option<u8> = None;
-        loop {
-            let found = covering.iter().find_map(|p| {
-                if max_len.is_some_and(|m| p.len() >= m) {
-                    return None;
+    /// The forwarding decision of the speaker with ordinal `cur` for `ip`,
+    /// whose covering registration is `pinfo`, as a [`Step`]: the next
+    /// router must be a known speaker, an eBGP step needs an interconnect
+    /// and an iBGP step an IGP path. Returns `None` when the speaker holds
+    /// no covering route at all.
+    fn successor(&self, cur: usize, ip: u32, pinfo: Option<&PrefixInfo>) -> Option<Step> {
+        let cur_id = self.ids[cur];
+        let forward = forwarding_decision(self.speakers[cur], self.as_of[cur], ip, pinfo)?;
+        let Some(cur_as) = self.as_of[cur] else {
+            return Some(Step::Dead(BlackholeCause::UnknownSpeaker));
+        };
+        Some(match forward {
+            Forward::NoRoute => Step::Dead(BlackholeCause::NoRoute),
+            Forward::Deliver(pinfo) => Step::Deliver {
+                anycast: pinfo.is_some_and(|pi| pi.anycast),
+            },
+            Forward::Ebgp(peer) => match self.ordinal(peer) {
+                None => Step::Dead(BlackholeCause::UnknownSpeaker),
+                Some(_) if self.internet.links_between(cur_id, peer).is_empty() => {
+                    Step::Dead(BlackholeCause::NoInterconnect)
                 }
-                speaker.best(p).map(|c| (*p, c))
-            });
-            let Some((matched, cand)) = found else {
-                // Nothing under the ceiling. At ceiling `None` the speaker
-                // is simply not a source for this destination; below a
-                // lowered ceiling the fall-through found no covering route,
-                // which `resolve_path` reports as NoRoute — a blackhole.
-                return max_len.map(|_| Step::Dead(BlackholeCause::NoRoute));
-            };
-            let Some(cur_as) = self.as_of[cur] else {
-                return Some(Step::Dead(BlackholeCause::UnknownSpeaker));
-            };
-            match cand.source {
-                RouteSource::Local => {
-                    let Some(pinfo) = pinfo else {
-                        // Locally originated but unregistered (pure
-                        // control-plane prefixes): terminates here.
-                        return Some(Step::Deliver { anycast: false });
-                    };
-                    if pinfo.origin != cur_as {
-                        // A locally injected steering more-specific for
-                        // someone else's prefix (Sec 3.2): resolve over this
-                        // router's *own* external route to the covering
-                        // prefix, else fall through the ceiling onto the
-                        // covering route.
-                        if matched.len() == 0 {
-                            return Some(Step::Dead(BlackholeCause::NoRoute));
-                        }
-                        let cover = covering
-                            .iter()
-                            .find(|p| p.len() < matched.len() && speaker.best(p).is_some());
-                        let Some(cover) = cover else {
-                            return Some(Step::Dead(BlackholeCause::NoRoute));
-                        };
-                        if let Some(ext) = speaker.best_external_route(cover) {
-                            if let RouteSource::Ebgp { peer, .. } = ext.source {
-                                return Some(self.ebgp_step(cur_id, peer));
-                            }
-                        }
-                        max_len = Some(matched.len());
-                        continue;
-                    }
-                    return Some(Step::Deliver {
-                        anycast: pinfo.anycast,
-                    });
-                }
-                RouteSource::Ebgp { peer, .. } => return Some(self.ebgp_step(cur_id, peer)),
-                RouteSource::Ibgp { .. } => {
-                    let nh = cand.attrs.next_hop;
-                    if nh == cur_id {
-                        // Degenerate self-next-hop: surfaces as a 1-cycle.
-                        return Some(Step::Forward(cur));
-                    }
-                    let Some(next) = self.ordinal(nh) else {
-                        return Some(Step::Dead(BlackholeCause::UnknownSpeaker));
-                    };
-                    let resolvable = self
-                        .internet
-                        .as_info(cur_as)
-                        .igp
-                        .as_ref()
-                        .is_some_and(|g| g.reachable(cur_id, nh));
-                    if !resolvable {
-                        return Some(Step::Dead(BlackholeCause::IgpUnreachable));
-                    }
-                    return Some(Step::Forward(next));
+                Some(next) => Step::Forward(next),
+            },
+            // Degenerate self-next-hop: surfaces as a 1-cycle.
+            Forward::Ibgp(nh) if nh == cur_id => Step::Forward(cur),
+            Forward::Ibgp(nh) => {
+                let Some(next) = self.ordinal(nh) else {
+                    return Some(Step::Dead(BlackholeCause::UnknownSpeaker));
+                };
+                let igp = self.internet.as_info(cur_as).igp.as_ref();
+                if igp.is_some_and(|g| g.reachable(cur_id, nh)) {
+                    Step::Forward(next)
+                } else {
+                    Step::Dead(BlackholeCause::IgpUnreachable)
                 }
             }
-        }
-    }
-
-    /// Forwarding over the eBGP session from `cur` to `peer`: the peer must
-    /// be a speaker and the session must have an interconnect.
-    fn ebgp_step(&self, cur: SpeakerId, peer: SpeakerId) -> Step {
-        let Some(next) = self.ordinal(peer) else {
-            return Step::Dead(BlackholeCause::UnknownSpeaker);
-        };
-        if self.internet.links_between(cur, peer).is_empty() {
-            return Step::Dead(BlackholeCause::NoInterconnect);
-        }
-        Step::Forward(next)
+        })
     }
 
     /// Derives the forwarding graph for one destination and walks every
     /// source to its terminal. All walk state is dense, indexed by speaker
     /// ordinal; the public map is assembled once at the end.
-    fn analyze_destination(
-        &self,
-        prefix: Prefix,
-        advertised: &BTreeSet<Prefix>,
-    ) -> DestinationAnalysis {
+    fn analyze_destination(&self, prefix: Prefix) -> DestinationAnalysis {
         let ip = prefix.first_host();
         let pinfo = self.internet.lookup_prefix(ip);
-        // Covering candidates, most specific first: `ip` has exactly one
-        // candidate prefix per mask length.
-        let covering: Vec<Prefix> = (0..=32u8)
-            .rev()
-            .map(|len| Prefix::new(ip, len))
-            .filter(|p| advertised.contains(p))
-            .collect();
 
         let n = self.ids.len();
         let mut terminal: Vec<Option<Terminal>> = vec![None; n];
@@ -342,7 +275,7 @@ impl<'a> Speakers<'a> {
                 if self.dead[cur] {
                     break Some(Terminal::DeadSink { at: self.ids[cur] });
                 }
-                match self.successor(cur, pinfo, &covering) {
+                match self.successor(cur, ip, pinfo) {
                     None => {
                         // `cur` holds no covering route. At the walk's
                         // origin that just means it is not a source for
@@ -419,33 +352,29 @@ impl<'a> Speakers<'a> {
     }
 }
 
-/// Derives the forwarding graph for one destination and walks every
-/// source to its terminal.
-pub fn analyze_destination(
-    internet: &Internet,
-    scope: &VerifyScope,
-    prefix: Prefix,
-    advertised: &BTreeSet<Prefix>,
-) -> DestinationAnalysis {
-    Speakers::new(internet, scope).analyze_destination(prefix, advertised)
-}
-
-/// Derives and walks the forwarding graph for every registered,
-/// unshadowed destination prefix.
+/// Derives and walks the forwarding graph for every destination: the
+/// registered, unshadowed prefixes, then the originated-but-unregistered
+/// ones (see the module docs).
 pub fn analyze(internet: &Internet, scope: &VerifyScope) -> ForwardingAnalysis {
-    let advertised = internet.net.advertised_prefixes();
     let speakers = Speakers::new(internet, scope);
-    let destinations: Vec<DestinationAnalysis> = internet
-        .prefixes()
-        .filter(|pi| {
-            // A registered prefix shadowed by a more-specific registered
-            // prefix has no representative host of its own; its fate is
-            // the more specific destination's.
-            internet
-                .lookup_prefix(pi.prefix.first_host())
-                .is_some_and(|m| m.prefix == pi.prefix)
-        })
-        .map(|pi| speakers.analyze_destination(pi.prefix, &advertised))
+    // A registered prefix shadowed by a more-specific registered prefix
+    // has no representative host of its own; its fate is the more specific
+    // destination's.
+    let registered = internet.prefixes().map(|pi| pi.prefix).filter(|p| {
+        internet
+            .lookup_prefix(p.first_host())
+            .is_some_and(|m| m.prefix == *p)
+    });
+    // Total originations are about one per prefix, not speakers × prefixes.
+    let steered: BTreeSet<Prefix> = speakers
+        .speakers
+        .iter()
+        .flat_map(|sp| sp.originated_prefixes())
+        .filter(|p| internet.prefix_info(p).is_none())
+        .collect();
+    let destinations = registered
+        .chain(steered)
+        .map(|p| speakers.analyze_destination(p))
         .collect();
     ForwardingAnalysis { destinations }
 }
