@@ -7,7 +7,8 @@
 //! it sits on:
 //!
 //! * [`Prefix`] and [`LpmMap`], the longest-prefix-match table under both
-//!   the Loc-RIB and `vns-topo`'s prefix registry;
+//!   a network's prefix ids (every Loc-RIB's longest match) and `vns-topo`'s
+//!   prefix registry;
 //! * [`RouteAttrs`] — LOCAL_PREF, AS_PATH, ORIGIN, MED, communities
 //!   (including `NO_EXPORT`), originator/cluster list;
 //! * the full [`decision`] process in the order the paper lists it
@@ -15,10 +16,10 @@
 //!   ▸ IGP metric to next hop (hot potato) ▸ router id;
 //! * [`policy`] — Gao–Rexford import preferences and export scoping used by
 //!   the synthetic Internet, plus community filtering;
-//! * [`speaker`] — per-router Adj-RIB-In / Loc-RIB / Adj-RIB-Out state with
-//!   route-reflector semantics (cluster list, originator id), *best
-//!   external* advertisement, and an import hook through which `vns-core`
-//!   injects the geo LOCAL_PREF rewrite;
+//! * [`speaker`] — per-router Adj-RIB-In / Loc-RIB / Adj-RIB-Out state, one
+//!   slot per prefix, with route-reflector semantics (cluster list,
+//!   originator id), *best external* advertisement, and an import hook
+//!   through which `vns-core` injects the geo LOCAL_PREF rewrite;
 //! * [`igp`] — weighted shortest paths inside an AS, driving the hot-potato
 //!   tie-break;
 //! * [`net`] — an activation-queue convergence engine over a set of
@@ -35,6 +36,7 @@ pub mod lpm;
 pub mod net;
 pub mod policy;
 pub mod prefix;
+mod prefix_ids;
 pub mod route;
 pub mod speaker;
 
@@ -42,7 +44,8 @@ pub use decision::{compare_routes, select_best, Candidate, DecisionContext};
 pub use igp::IgpGraph;
 pub use lpm::LpmMap;
 pub use net::{
-    BgpNet, ConvergenceError, ConvergenceStats, PathError, RibCensus, SpeakerId, DEFAULT_HOP_LIMIT,
+    BgpNet, ConvergenceError, ConvergenceStats, PathError, RibCensus, SpeakerId, WorkCounters,
+    DEFAULT_HOP_LIMIT,
 };
 pub use policy::{may_export, Policy, Relation};
 pub use prefix::Prefix;

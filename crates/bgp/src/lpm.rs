@@ -2,24 +2,28 @@
 //! keys per mask length.
 //!
 //! Two tables answer "which stored prefix is the most specific one
-//! containing this address": every speaker's Loc-RIB (on every hop of every
-//! resolved path) and the Internet's prefix registry (once per resolved
-//! path and per verified destination). Both are [`LpmMap`]s. The routes
-//! live in a `BTreeMap` — iteration in `(addr, len)` order feeds artefacts,
-//! and convergence inserts on every reselect — and beside it the map keeps
-//! how many keys it holds of each mask length (`/0`..=`/32`). A lookup is
-//! one exact-key probe per *populated* length under the ceiling, longest
-//! first: an address has exactly one candidate key per length, and the
-//! tables this repo builds populate one to three lengths (/16s, a steered
-//! /18 or a forged /20, an anycast /24), so a lookup is one to three
-//! `O(log n)` probes. On a table with thirteen populated lengths a
+//! containing this address": a network's prefix-id table, through which
+//! every speaker's Loc-RIB longest match goes (on every hop of every
+//! resolved path: the table's matches, longest first, until one the speaker
+//! has selected), and the Internet's prefix registry (once per resolved path
+//! and per verified destination). Both are [`LpmMap`]s. The keys live in a
+//! `BTreeMap` — iteration in `(addr, len)` order feeds artefacts — and
+//! beside it the map keeps how many keys it holds of each mask length
+//! (`/0`..=`/32`). A lookup is one exact-key probe per *populated* length
+//! under the ceiling, longest first: an address has exactly one candidate
+//! key per length, and the tables this repo builds populate one to three
+//! lengths (/16s, a steered /18 or a forged /20, an anycast /24), so a
+//! lookup is one to three `O(log n)` probes. On a table with thirteen
+//! populated lengths a
 //! path-compressed trie reads five to six times faster (DESIGN.md §14 has
 //! both measurements); no caller builds one.
 //!
-//! Invariant: `lens[l]` is the number of keys of length `l`. The map is the
-//! only writer of its own census — `insert` and `remove` are the only
-//! methods that can add or drop a key — so nothing resets it and nothing
-//! else can put it out of step.
+//! Invariants: `lens[l]` is the number of keys of length `l`, and bit `l`
+//! of `populated` is set iff `lens[l] > 0` — so a lookup visits the
+//! populated lengths under its ceiling by their set bits, longest first,
+//! instead of testing all 33 counts. The map is the only writer of its own
+//! census — `insert` and `remove` are the only methods that can add or drop
+//! a key — so nothing resets it and nothing else can put it out of step.
 
 use std::collections::BTreeMap;
 
@@ -27,11 +31,13 @@ use crate::prefix::Prefix;
 
 /// A map from [`Prefix`] to `V` with exact and longest-prefix lookups,
 /// iterating in `(addr, len)` order.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct LpmMap<V> {
     map: BTreeMap<Prefix, V>,
     /// Keys per mask length; see the module docs.
     lens: [u32; 33],
+    /// The lengths with at least one key, as bits; see the module docs.
+    populated: u64,
 }
 
 impl<V> Default for LpmMap<V> {
@@ -46,6 +52,7 @@ impl<V> LpmMap<V> {
         Self {
             map: BTreeMap::new(),
             lens: [0; 33],
+            populated: 0,
         }
     }
 
@@ -64,6 +71,7 @@ impl<V> LpmMap<V> {
         let prev = self.map.insert(prefix, value);
         if prev.is_none() {
             self.lens[usize::from(prefix.len())] += 1;
+            self.populated |= 1 << prefix.len();
         }
         self.debug_check_census();
         prev
@@ -73,18 +81,27 @@ impl<V> LpmMap<V> {
     pub fn remove(&mut self, prefix: &Prefix) -> Option<V> {
         let prev = self.map.remove(prefix);
         if prev.is_some() {
-            self.lens[usize::from(prefix.len())] -= 1;
+            let len = usize::from(prefix.len());
+            self.lens[len] -= 1;
+            if self.lens[len] == 0 {
+                self.populated &= !(1 << len);
+            }
         }
         self.debug_check_census();
         prev
     }
 
-    /// Debug builds: the census accounts for every key.
+    /// Debug builds: the census accounts for every key, and the bits for
+    /// every populated length.
     fn debug_check_census(&self) {
         debug_assert_eq!(
             self.lens.iter().map(|&n| n as usize).sum::<usize>(),
             self.map.len(),
             "per-length census out of step with the map"
+        );
+        debug_assert!(
+            (0..33).all(|l| (self.lens[l] > 0) == (self.populated >> l & 1 == 1)),
+            "populated-length bits out of step with the census"
         );
     }
 
@@ -119,14 +136,33 @@ impl<V> LpmMap<V> {
     /// Longest-prefix match restricted to prefixes *shorter than*
     /// `max_len_exclusive` (`None` = no ceiling).
     pub fn lookup_up_to(&self, ip: u32, max_len_exclusive: Option<u8>) -> Option<(Prefix, &V)> {
+        self.matches_up_to(ip, max_len_exclusive).next()
+    }
+
+    /// Every stored prefix containing `ip` and shorter than
+    /// `max_len_exclusive` (`None` = no ceiling), longest first, with its
+    /// value: the match and every fallback under it, for a caller whose
+    /// longest match is the first one passing a test of its own.
+    pub(crate) fn matches_up_to(
+        &self,
+        ip: u32,
+        max_len_exclusive: Option<u8>,
+    ) -> impl Iterator<Item = (Prefix, &V)> + '_ {
         // One exact-key probe per populated mask length under the ceiling,
         // longest first: `ip` has exactly one candidate key per length.
         let ceiling = max_len_exclusive.map_or(33, |m| m.min(33));
-        (0..ceiling)
-            .rev()
-            .filter(|&len| self.lens[usize::from(len)] > 0)
-            .find_map(|len| self.map.get_key_value(&Prefix::new(ip, len)))
-            .map(|(p, v)| (*p, v))
+        let mut lens = self.populated & ((1 << ceiling) - 1);
+        std::iter::from_fn(move || {
+            while lens != 0 {
+                let len = 63 - lens.leading_zeros();
+                lens ^= 1 << len;
+                let key = Prefix::new(ip, u8::try_from(len).expect("a length under 33"));
+                if let Some((p, v)) = self.map.get_key_value(&key) {
+                    return Some((*p, v));
+                }
+            }
+            None
+        })
     }
 }
 

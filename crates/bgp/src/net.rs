@@ -4,13 +4,44 @@
 //! receiver active; an active speaker ingests its inbox, reruns the decision
 //! process for dirty prefixes, and emits further messages. The queue drains
 //! in router-id order, so runs are deterministic.
+//!
+//! **Addressed by index.** Speaker ids are dense — a generated world's are
+//! `SpeakerId(0..n)` — so the network keeps its speakers, their inboxes and
+//! their shard assignment in `Vec`s indexed by [`SpeakerId`]. Every message
+//! in flight names its prefix by the network's dense prefix id, and the
+//! receiver keeps one slot per id (see [`crate::speaker`]), so a delivery is
+//! an indexed load and a queue push, and the receiver reaches the prefix's
+//! whole state with one more.
+//!
+//! **One prefix table.** The network names every prefix it has seen in one
+//! table, and every speaker holds it (an `Arc`): a speaker's readers —
+//! `loc_rib_entries`, `lookup_up_to` — need the table and get only
+//! `&Speaker`. Ids are only ever added, so an older version of the table
+//! agrees with the current one on every id it names, and a speaker may
+//! hold one as long as it names every prefix the speaker holds state for.
+//! That lets the table be handed out lazily: to every speaker when a
+//! convergence starts (messages carry ids the receiver must know), and to
+//! the speaker [`BgpNet::speaker_mut`] lends out. In between,
+//! [`BgpNet::originate`] names new prefixes in the network's copy alone —
+//! the first new prefix after a hand-out copies the table once, the rest of
+//! a burst (a world names all its prefixes in one) grow it in place — and
+//! the originating speaker holds its own route by id and keeps the prefix
+//! beside it in its list of originations, so no reader needs the name
+//! early. A lent speaker may name a prefix itself (its own `receive`,
+//! `originate` or `corrupt_replace_route` met one the network has not): it
+//! grows a copy of its own, which extends the network's table, and the
+//! network adopts that copy at its next call that lends a speaker, names a
+//! prefix or converges — so at most one table ever runs ahead of the
+//! network's, and ids never fork.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
+use std::sync::Arc;
 
 use crate::decision::Candidate;
 use crate::prefix::Prefix;
+use crate::prefix_ids::{PrefixId, PrefixTable};
 pub use crate::route::SpeakerId;
-use crate::route::{Asn, RouteAttrs, RouteSource};
+use crate::route::{Asn, Community, RouteAttrs, RouteSource};
 use crate::speaker::{Message, PeerConfig, PeerKind, Speaker};
 
 /// Statistics from a convergence run.
@@ -23,6 +54,36 @@ pub struct ConvergenceStats {
     /// Inter-shard merge rounds ([`BgpNet::run_sharded`] only; `0` for the
     /// monolithic [`BgpNet::run`]).
     pub rounds: u64,
+}
+
+/// What the decision process and the export walk did, counted where it
+/// happens: a host-independent record that two versions of the engine did
+/// the same work, whatever each took in time. Exact at any thread count
+/// (shards sum theirs in merge order). Kept apart from
+/// [`ConvergenceStats`], whose `Debug` form artefacts digest; read it from
+/// [`BgpNet::work`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct WorkCounters {
+    /// Prefixes reselected: one decision process each.
+    pub reselects: u64,
+    /// Neighbours the export walk visited: every peer, every reselect.
+    pub visits: u64,
+    /// Visits that emitted a message.
+    pub emitting_visits: u64,
+    /// Reselects that emitted nothing.
+    pub silent_reselects: u64,
+    /// Export forms built: at most three per candidate per reselect.
+    pub forms_built: u64,
+}
+
+impl std::ops::AddAssign for WorkCounters {
+    fn add_assign(&mut self, other: Self) {
+        self.reselects += other.reselects;
+        self.visits += other.visits;
+        self.emitting_visits += other.emitting_visits;
+        self.silent_reselects += other.silent_reselects;
+        self.forms_built += other.forms_built;
+    }
 }
 
 /// What the RIBs of a whole network hold, counted by walking them (see
@@ -105,16 +166,36 @@ impl std::error::Error for PathError {}
 /// bound via [`BgpNet::set_hop_limit`].
 pub const DEFAULT_HOP_LIMIT: u32 = 64;
 
+/// Messages waiting for one receiver: `(sender, message)` in arrival order.
+type Inbox = VecDeque<(SpeakerId, Message<PrefixId>)>;
+
+/// `id` as an index into the per-speaker `Vec`s.
+fn index(id: SpeakerId) -> usize {
+    id.0 as usize
+}
+
 /// A network of speakers plus in-flight messages.
+///
+/// Speaker ids index `Vec`s here (see the module docs): give speakers dense
+/// ids, as `vns-topo`'s `Internet::alloc_speaker_id` does.
 #[derive(Debug)]
 pub struct BgpNet {
-    speakers: BTreeMap<SpeakerId, Speaker>,
-    inboxes: BTreeMap<SpeakerId, VecDeque<(SpeakerId, Message)>>,
+    /// `speakers[id]`, `None` where no speaker has the id.
+    speakers: Vec<Option<Speaker>>,
+    /// `inboxes[id]`: messages not yet delivered to speaker `id`.
+    inboxes: Vec<Inbox>,
     active: BTreeSet<SpeakerId>,
-    /// Convergence shard per speaker (region index on generated worlds);
-    /// unassigned speakers fall into shard 0. Only consulted by
+    /// Convergence shard per speaker id (region index on generated worlds);
+    /// ids never assigned fall into shard 0. Only consulted by
     /// [`BgpNet::run_sharded`].
-    shards: BTreeMap<SpeakerId, u32>,
+    shards: Vec<u32>,
+    /// Every prefix the network has seen (see the module docs).
+    prefixes: Arc<PrefixTable>,
+    /// The speaker [`BgpNet::speaker_mut`] lent out last, whose table may
+    /// run ahead of the network's.
+    lent: Option<SpeakerId>,
+    /// What every convergence so far did.
+    work: WorkCounters,
     /// Hop bound for [`BgpNet::forwarding_path`].
     hop_limit: u32,
 }
@@ -122,10 +203,13 @@ pub struct BgpNet {
 impl Default for BgpNet {
     fn default() -> Self {
         Self {
-            speakers: BTreeMap::new(),
-            inboxes: BTreeMap::new(),
+            speakers: Vec::new(),
+            inboxes: Vec::new(),
             active: BTreeSet::new(),
-            shards: BTreeMap::new(),
+            shards: Vec::new(),
+            prefixes: Arc::default(),
+            lent: None,
+            work: WorkCounters::default(),
             hop_limit: DEFAULT_HOP_LIMIT,
         }
     }
@@ -140,7 +224,11 @@ impl BgpNet {
     /// Assigns `id` to a convergence shard (see [`BgpNet::run_sharded`]).
     /// Speakers never assigned live in shard 0.
     pub fn set_shard(&mut self, id: SpeakerId, shard: u32) {
-        self.shards.insert(id, shard);
+        let i = index(id);
+        if self.shards.len() <= i {
+            self.shards.resize(i + 1, 0);
+        }
+        self.shards[i] = shard;
     }
 
     /// Sets the [`BgpNet::forwarding_path`] hop bound. World generators
@@ -158,39 +246,96 @@ impl BgpNet {
     /// Adds a speaker.
     ///
     /// # Panics
-    /// Panics when the id is already taken.
+    /// Panics when the id is already taken, or when the speaker already
+    /// names prefixes of its own (it received or originated routes before
+    /// joining): a speaker joins empty and sees the network's prefixes.
     pub fn add_speaker(&mut self, speaker: Speaker) {
         let id = speaker.id();
-        let prev = self.speakers.insert(id, speaker);
-        assert!(prev.is_none(), "duplicate speaker id {id}");
-        self.inboxes.entry(id).or_default();
+        assert!(
+            speaker.prefixes().is_empty(),
+            "speaker {id} joins the network naming prefixes of its own"
+        );
+        let i = index(id);
+        if self.speakers.len() <= i {
+            self.speakers.resize_with(i + 1, || None);
+            self.inboxes.resize_with(i + 1, VecDeque::new);
+        }
+        assert!(self.speakers[i].is_none(), "duplicate speaker id {id}");
+        self.speakers[i] = Some(speaker);
     }
 
     /// Number of speakers.
     pub fn len(&self) -> usize {
-        self.speakers.len()
+        self.speakers.iter().flatten().count()
     }
 
     /// True when no speakers exist.
     pub fn is_empty(&self) -> bool {
-        self.speakers.is_empty()
+        self.speakers.iter().all(Option::is_none)
     }
 
     /// Immutable speaker access.
     pub fn speaker(&self, id: SpeakerId) -> Option<&Speaker> {
-        self.speakers.get(&id)
+        self.speakers.get(index(id))?.as_ref()
     }
 
     /// Mutable speaker access; marks the speaker active (its state may have
     /// changed).
     pub fn speaker_mut(&mut self, id: SpeakerId) -> Option<&mut Speaker> {
+        self.sync_prefixes();
+        let speaker = self.speakers.get_mut(index(id))?.as_mut()?;
+        // Lent out with the network's table, so a prefix it names itself
+        // extends that table.
+        speaker.share_prefixes(&self.prefixes);
         self.active.insert(id);
-        self.speakers.get_mut(&id)
+        self.lent = Some(id);
+        Some(speaker)
+    }
+
+    /// Mutable speaker access for the network's own edits.
+    fn get_mut(&mut self, id: SpeakerId) -> Option<&mut Speaker> {
+        self.speakers.get_mut(index(id))?.as_mut()
     }
 
     /// All speaker ids in order.
     pub fn speaker_ids(&self) -> impl Iterator<Item = SpeakerId> + '_ {
-        self.speakers.keys().copied()
+        self.speakers.iter().flatten().map(Speaker::id)
+    }
+
+    /// What every convergence of this network so far did (see
+    /// [`WorkCounters`]).
+    pub fn work(&self) -> WorkCounters {
+        self.work
+    }
+
+    /// Adopts the table of the speaker lent out last, if it named prefixes
+    /// of its own (see the module docs).
+    fn sync_prefixes(&mut self) {
+        let Some(id) = self.lent.take() else {
+            return;
+        };
+        let Some(ahead) = self.speaker(id).map(|sp| Arc::clone(sp.prefixes())) else {
+            return;
+        };
+        if Arc::ptr_eq(&ahead, &self.prefixes) {
+            return;
+        }
+        debug_assert!(
+            ahead.extends(&self.prefixes),
+            "{id}'s prefix table forked the network's"
+        );
+        self.prefixes = ahead;
+    }
+
+    /// The network's id for `prefix`, named on first sight. The speakers
+    /// keep the version they hold (see the module docs): only the first new
+    /// prefix after a hand-out copies the table.
+    fn intern(&mut self, prefix: Prefix) -> PrefixId {
+        self.sync_prefixes();
+        match self.prefixes.id(&prefix) {
+            Some(id) => id,
+            None => Arc::make_mut(&mut self.prefixes).intern(prefix),
+        }
     }
 
     /// Walks every speaker's RIBs and counts entries per structure and the
@@ -199,13 +344,13 @@ impl BgpNet {
     /// process RSS. Costs one pointer per entry while it runs.
     pub fn rib_census(&self) -> RibCensus {
         let mut census = RibCensus::default();
-        for sp in self.speakers.values() {
+        for sp in self.speakers.iter().flatten() {
             census.adj_rib_in += sp.adj_rib_in_entries().count();
             census.loc_rib += sp.loc_rib_entries().count();
             census.adj_rib_out += sp.adj_rib_out_len();
         }
         let mut sets: Vec<&RouteAttrs> = Vec::with_capacity(census.adj_rib_in + census.loc_rib);
-        for sp in self.speakers.values() {
+        for sp in self.speakers.iter().flatten() {
             let learned = sp.adj_rib_in_entries().map(|(_, _, c)| c);
             let selected = sp.loc_rib_entries().map(|(_, c)| c);
             sets.extend(learned.chain(selected).map(|c| &*c.attrs));
@@ -231,14 +376,12 @@ impl BgpNet {
             b_cfg.kind.is_ebgp(),
             "session kind mismatch between {a} and {b}"
         );
-        {
-            let sa = self.speakers.get_mut(&a).expect("speaker a exists");
-            sa.add_peer(b, a_cfg);
-        }
-        {
-            let sb = self.speakers.get_mut(&b).expect("speaker b exists");
-            sb.add_peer(a, b_cfg);
-        }
+        self.get_mut(a)
+            .expect("speaker a exists")
+            .add_peer(b, a_cfg);
+        self.get_mut(b)
+            .expect("speaker b exists")
+            .add_peer(a, b_cfg);
     }
 
     /// Tears down the session between `a` and `b` (both directions),
@@ -246,19 +389,16 @@ impl BgpNet {
     /// on the next [`BgpNet::run`]. Models a link/router failure between
     /// them.
     pub fn disconnect(&mut self, a: SpeakerId, b: SpeakerId) {
-        if let Some(sa) = self.speakers.get_mut(&a) {
-            sa.remove_peer(b);
-            self.active.insert(a);
+        for (me, other) in [(a, b), (b, a)] {
+            if let Some(sp) = self.get_mut(me) {
+                sp.remove_peer(other);
+                self.active.insert(me);
+            }
         }
-        if let Some(sb) = self.speakers.get_mut(&b) {
-            sb.remove_peer(a);
-            self.active.insert(b);
-        }
-        if let Some(inbox) = self.inboxes.get_mut(&a) {
-            inbox.retain(|(from, _)| *from != b);
-        }
-        if let Some(inbox) = self.inboxes.get_mut(&b) {
-            inbox.retain(|(from, _)| *from != a);
+        for (me, other) in [(a, b), (b, a)] {
+            if let Some(inbox) = self.inboxes.get_mut(index(me)) {
+                inbox.retain(|(from, _)| *from != other);
+            }
         }
     }
 
@@ -279,7 +419,7 @@ impl BgpNet {
     pub fn reconnect(&mut self, a: SpeakerId, a_cfg: PeerConfig, b: SpeakerId, b_cfg: PeerConfig) {
         self.connect(a, a_cfg, b, b_cfg);
         for id in [a, b] {
-            let sp = self.speakers.get_mut(&id).expect("speaker exists");
+            let sp = self.get_mut(id).expect("speaker exists");
             sp.schedule_initial_advertisement();
             self.active.insert(id);
         }
@@ -287,10 +427,20 @@ impl BgpNet {
 
     /// Originates a prefix at a speaker and schedules propagation.
     pub fn originate(&mut self, at: SpeakerId, prefix: Prefix) {
-        self.speakers
-            .get_mut(&at)
+        self.originate_with(at, prefix, Vec::new());
+    }
+
+    /// Originates a prefix at a speaker with communities (e.g. `NO_EXPORT`
+    /// for the management interface's injected more-specifics) and
+    /// schedules propagation.
+    ///
+    /// # Panics
+    /// Panics when the speaker is missing.
+    pub fn originate_with(&mut self, at: SpeakerId, prefix: Prefix, communities: Vec<Community>) {
+        let id = self.intern(prefix);
+        self.get_mut(at)
             .expect("speaker exists")
-            .originate(prefix);
+            .originate_id(prefix, id, communities);
         self.active.insert(at);
     }
 
@@ -306,8 +456,28 @@ impl BgpNet {
     /// the job, and honestly reports `true` once one does.
     pub fn is_quiescent(&self) -> bool {
         self.active.is_empty()
-            && self.inboxes.values().all(VecDeque::is_empty)
-            && self.speakers.values().all(|s| !s.has_pending_work())
+            && self.inboxes.iter().all(VecDeque::is_empty)
+            && self
+                .speakers
+                .iter()
+                .flatten()
+                .all(|s| !s.has_pending_work())
+    }
+
+    /// Readies a convergence: adopts a lent speaker's prefixes, hands the
+    /// table to every speaker (messages name prefixes by id), fits every
+    /// speaker's slots to it (so delivery never grows them) and activates
+    /// every speaker with pending work — the local state changes a run
+    /// starts from.
+    fn prepare(&mut self) {
+        self.sync_prefixes();
+        for sp in self.speakers.iter_mut().flatten() {
+            sp.share_prefixes(&self.prefixes);
+            sp.fit_slots();
+            if sp.has_pending_work() {
+                self.active.insert(sp.id());
+            }
+        }
     }
 
     /// Runs to quiescence. `message_budget` bounds total deliveries.
@@ -321,25 +491,24 @@ impl BgpNet {
     /// the inboxes hold precisely the remaining work, and a later run with
     /// fresh budget resumes convergence where this one stopped.
     pub fn run(&mut self, message_budget: u64) -> Result<ConvergenceStats, ConvergenceError> {
+        self.prepare();
         let mut stats = ConvergenceStats::default();
-        // Any speaker with local state changes starts active.
-        for (id, s) in &self.speakers {
-            if s.has_pending_work() {
-                self.active.insert(*id);
-            }
-        }
+        let mut out = Vec::new();
         while let Some(id) = self.active.pop_first() {
             stats.activations += 1;
-            let speaker = self.speakers.get_mut(&id).expect("active speaker exists");
-            if let Some(inbox) = self.inboxes.get_mut(&id) {
-                while let Some((from, msg)) = inbox.pop_front() {
-                    speaker.receive(from, msg);
-                }
+            let i = index(id);
+            let speaker = self.speakers[i].as_mut().expect("active speaker exists");
+            // Drained by value: the inbox gives its buffer back.
+            for (from, msg) in std::mem::take(&mut self.inboxes[i]) {
+                speaker.deliver(from, msg);
             }
-            let outgoing = speaker.process();
-            for (to, msg) in outgoing {
+            speaker.process_into(&mut out, &mut self.work);
+            for (to, msg) in out.drain(..) {
                 stats.messages += 1;
-                self.inboxes.entry(to).or_default().push_back((id, msg));
+                self.inboxes
+                    .get_mut(index(to))
+                    .expect("messages go to speakers of this network")
+                    .push_back((id, msg));
                 self.active.insert(to);
             }
             if stats.messages > message_budget {
@@ -351,15 +520,23 @@ impl BgpNet {
         Ok(stats)
     }
 
-    /// Runs to quiescence with per-shard parallelism: speakers are grouped
-    /// by their [`BgpNet::set_shard`] assignment, each round sweeps every
-    /// active speaker of every live shard exactly once (router-id order
-    /// within a shard, shards on parallel workers), and all messages —
-    /// intra- and cross-shard — are merged between rounds in canonical
-    /// shard order. The thread count only affects wall-clock, never
-    /// results: each shard round is a pure function of the shard's state
-    /// at the round start, and the merge order is fixed — the same
-    /// label-derived-stream discipline the campaign engine uses.
+    /// Runs to quiescence with per-shard parallelism. Speakers are grouped
+    /// by their [`BgpNet::set_shard`] assignment, and each round sweeps, on
+    /// parallel workers, every live shard once: each speaker active at the
+    /// round start drains its inbox and processes exactly once, in
+    /// router-id order within its shard (see `run_shard`). A message to a
+    /// speaker of the same shard is delivered at once — a receiver later in
+    /// the sweep drains it in the same round — while a message to another
+    /// shard is held and merged between rounds, in canonical shard order.
+    ///
+    /// The thread count only affects wall-clock, never results: a shard's
+    /// round reads only its own state and what was merged into it before
+    /// the round, and the merge order is fixed — the same
+    /// label-derived-stream discipline the campaign engine uses. The shard
+    /// *assignment* does affect results, through that intra-shard delivery:
+    /// a 1→2→3 provider chain originating at 1 and 2 converges in 2 rounds
+    /// (5 activations) as one shard and in 3 rounds (6 activations) as
+    /// three, sending the same 4 messages either way.
     ///
     /// Like [`BgpNet::run`] this is *delta* convergence: only speakers
     /// with pending work (topology edits, originations, undrained inboxes)
@@ -375,35 +552,45 @@ impl BgpNet {
         message_budget: u64,
         threads: usize,
     ) -> Result<ConvergenceStats, ConvergenceError> {
+        self.prepare();
         let mut stats = ConvergenceStats::default();
-        for (id, s) in &self.speakers {
-            if s.has_pending_work() {
-                self.active.insert(*id);
-            }
-        }
-        // Partition every speaker, inbox, and activation by shard.
-        let mut shards: BTreeMap<u32, Shard> = BTreeMap::new();
-        for (id, sp) in std::mem::take(&mut self.speakers) {
-            let sid = self.shards.get(&id).copied().unwrap_or(0);
-            shards.entry(sid).or_default().speakers.insert(id, sp);
-        }
-        for (id, q) in std::mem::take(&mut self.inboxes) {
-            if !q.is_empty() {
-                let sid = self.shards.get(&id).copied().unwrap_or(0);
-                shards.entry(sid).or_default().inbox.insert(id, q);
-            }
+        // Partition every speaker, inbox and activation by shard: shards
+        // ascend by shard id, a shard's speakers by speaker id, and
+        // `place[id]` is `(shard, index within it)`.
+        let shard_of = |i: usize| self.shards.get(i).copied().unwrap_or(0);
+        let mut shard_ids: Vec<u32> = (0..self.speakers.len())
+            .filter(|&i| self.speakers[i].is_some())
+            .map(shard_of)
+            .collect();
+        shard_ids.sort_unstable();
+        shard_ids.dedup();
+        let mut shards: Vec<Shard> = shard_ids.iter().map(|_| Shard::default()).collect();
+        let mut place = vec![None; self.speakers.len()];
+        for (i, entry) in self.speakers.iter_mut().enumerate() {
+            let Some(sp) = entry.take() else {
+                continue;
+            };
+            let shard_id = self.shards.get(i).copied().unwrap_or(0);
+            let s = shard_ids
+                .binary_search(&shard_id)
+                .expect("every speaker's shard is listed");
+            let sh = &mut shards[s];
+            place[i] = Some((s, sh.speakers.len()));
+            sh.speakers.push(sp);
+            sh.inboxes.push(std::mem::take(&mut self.inboxes[i]));
+            sh.queued.push(false);
         }
         for id in std::mem::take(&mut self.active) {
-            let sid = self.shards.get(&id).copied().unwrap_or(0);
-            shards.entry(sid).or_default().active.insert(id);
+            let (s, k) = placed(&place, id);
+            shards[s].activate(k);
         }
 
         let mut failed = false;
         loop {
-            let mut live: Vec<(u32, &mut Shard)> = shards
+            let mut live: Vec<(usize, &mut Shard)> = shards
                 .iter_mut()
+                .enumerate()
                 .filter(|(_, sh)| !sh.active.is_empty())
-                .map(|(sid, sh)| (*sid, sh))
                 .collect();
             if live.is_empty() {
                 break;
@@ -411,21 +598,22 @@ impl BgpNet {
             stats.rounds += 1;
             let remaining = message_budget.saturating_sub(stats.messages);
             let workers = threads.max(1).min(live.len());
-            let outputs: Vec<(u32, ShardRound)> = if workers <= 1 {
+            let place = &place;
+            let outputs: Vec<ShardRound> = if workers <= 1 {
                 live.iter_mut()
-                    .map(|(sid, sh)| (*sid, run_shard(sh, remaining)))
+                    .map(|(s, sh)| run_shard(sh, *s, place, remaining))
                     .collect()
             } else {
                 // Contiguous chunks, one worker each; chunk outputs are
-                // re-joined in spawn order, so `outputs` stays sorted by
-                // shard id whatever the scheduling did.
+                // re-joined in spawn order, so `outputs` stays in shard
+                // order whatever the scheduling did.
                 let chunk = live.len().div_ceil(workers);
                 std::thread::scope(|scope| {
                     let mut handles = Vec::with_capacity(workers);
                     for part in live.chunks_mut(chunk) {
                         handles.push(scope.spawn(move || {
                             part.iter_mut()
-                                .map(|(sid, sh)| (*sid, run_shard(sh, remaining)))
+                                .map(|(s, sh)| run_shard(sh, *s, place, remaining))
                                 .collect::<Vec<_>>()
                         }));
                     }
@@ -438,18 +626,18 @@ impl BgpNet {
                         .collect()
                 })
             };
-            // Canonical-order merge: shard ids ascending, each outbox in
-            // its shard's deterministic processing order.
+            // Canonical-order merge: shards ascending, each outbox in its
+            // shard's deterministic processing order.
             let mut exhausted = false;
-            for (_, round) in outputs {
+            for round in outputs {
                 stats.activations += round.activations;
                 stats.messages += round.messages;
+                self.work += round.work;
                 exhausted |= round.stopped;
                 for (from, to, msg) in round.outbox {
-                    let sid = self.shards.get(&to).copied().unwrap_or(0);
-                    let target = shards.entry(sid).or_default();
-                    target.inbox.entry(to).or_default().push_back((from, msg));
-                    target.active.insert(to);
+                    let (s, k) = placed(place, to);
+                    shards[s].inboxes[k].push_back((from, msg));
+                    shards[s].activate(k);
                 }
             }
             if exhausted || stats.messages > message_budget {
@@ -460,18 +648,14 @@ impl BgpNet {
 
         // Reassemble; on failure the residual work survives in
         // `active`/inboxes, making the pause resumable.
-        for sh in shards.into_values() {
-            self.speakers.extend(sh.speakers);
-            for (id, q) in sh.inbox {
-                if !q.is_empty() {
-                    self.inboxes.insert(id, q);
-                }
+        for sh in shards {
+            self.active
+                .extend(sh.active.iter().map(|&k| sh.speakers[k].id()));
+            for (sp, inbox) in sh.speakers.into_iter().zip(sh.inboxes) {
+                let i = index(sp.id());
+                self.inboxes[i] = inbox;
+                self.speakers[i] = Some(sp);
             }
-            self.active.extend(sh.active);
-        }
-        let ids: Vec<SpeakerId> = self.speakers.keys().copied().collect();
-        for id in ids {
-            self.inboxes.entry(id).or_default();
         }
         if failed {
             Err(ConvergenceError::BudgetExhausted {
@@ -484,7 +668,7 @@ impl BgpNet {
 
     /// The best route at `speaker` for `prefix`.
     pub fn best_route(&self, speaker: SpeakerId, prefix: &Prefix) -> Option<&Candidate> {
-        self.speakers.get(&speaker)?.best(prefix)
+        self.speaker(speaker)?.best(prefix)
     }
 
     /// Resolves the router-level forwarding path from `from` towards
@@ -501,10 +685,7 @@ impl BgpNet {
         // Bound derived from world diameter by the generator (router-level
         // paths cross each AS at most twice); see `set_hop_limit`.
         for _ in 0..self.hop_limit {
-            let speaker = self
-                .speakers
-                .get(&cur)
-                .ok_or(PathError::NoSuchSpeaker(cur))?;
+            let speaker = self.speaker(cur).ok_or(PathError::NoSuchSpeaker(cur))?;
             let best = speaker.best(prefix).ok_or(PathError::NoRoute(cur))?;
             match best.source {
                 RouteSource::Local => return Ok(path),
@@ -540,8 +721,8 @@ impl BgpNet {
         a_view: crate::policy::Relation,
         import: crate::policy::Policy,
     ) {
-        let a_asn = self.speakers.get(&a).expect("a exists").asn();
-        let b_asn = self.speakers.get(&b).expect("b exists").asn();
+        let a_asn = self.speaker(a).expect("a exists").asn();
+        let b_asn = self.speaker(b).expect("b exists").asn();
         self.connect(
             a,
             PeerConfig {
@@ -585,13 +766,28 @@ impl BgpNet {
     }
 }
 
-/// One shard's share of the network during [`BgpNet::run_sharded`]:
-/// its speakers, their inboxes, and the activation queue.
+/// One shard's share of the network during [`BgpNet::run_sharded`]: its
+/// speakers, their inboxes, and its activations.
 #[derive(Debug, Default)]
 struct Shard {
-    speakers: BTreeMap<SpeakerId, Speaker>,
-    inbox: BTreeMap<SpeakerId, VecDeque<(SpeakerId, Message)>>,
-    active: BTreeSet<SpeakerId>,
+    /// The shard's speakers, ascending by id.
+    speakers: Vec<Speaker>,
+    /// `inboxes[k]`: messages not yet delivered to `speakers[k]`.
+    inboxes: Vec<Inbox>,
+    /// The speakers (by index) to sweep next round, in activation order;
+    /// `queued[k]` says whether `k` is among them.
+    active: Vec<usize>,
+    queued: Vec<bool>,
+}
+
+impl Shard {
+    /// Schedules `speakers[k]` for the next sweep.
+    fn activate(&mut self, k: usize) {
+        if !self.queued[k] {
+            self.queued[k] = true;
+            self.active.push(k);
+        }
+    }
 }
 
 /// What one shard did in one round of [`BgpNet::run_sharded`].
@@ -599,45 +795,72 @@ struct Shard {
 struct ShardRound {
     activations: u64,
     messages: u64,
+    work: WorkCounters,
     /// The shard stopped on its local budget before reaching local
     /// quiescence; residual work remains queued in the shard.
     stopped: bool,
     /// Cross-shard messages, `(from, to, msg)`, in deterministic
     /// processing order.
-    outbox: Vec<(SpeakerId, SpeakerId, Message)>,
+    outbox: Vec<(SpeakerId, SpeakerId, Message<PrefixId>)>,
 }
 
-/// Runs one synchronous sweep over a shard: every speaker active at the
-/// round start drains its inbox and processes exactly once, in router-id
-/// order. All deliveries — intra-shard and cross-shard alike — take
-/// effect at the *next* round, which keeps rounds pure functions of the
-/// round-start state and, crucially, bounds BGP path exploration: letting
-/// a shard chase full local quiescence over stale cross-shard state
-/// amplifies path hunting combinatorially, while the synchronous model
-/// converges in O(diameter) rounds like a classic synchronous BGP
-/// simulator. Thread scheduling cannot affect any of it.
-fn run_shard(sh: &mut Shard, budget: u64) -> ShardRound {
+/// Where [`BgpNet::run_sharded`] put speaker `id`: `(shard, index within
+/// it)`.
+fn placed(place: &[Option<(usize, usize)>], id: SpeakerId) -> (usize, usize) {
+    place
+        .get(index(id))
+        .copied()
+        .flatten()
+        .expect("messages go to speakers of this network")
+}
+
+/// Runs one sweep over shard `me`: every speaker active at the round start
+/// drains its inbox and processes exactly once, in router-id order.
+///
+/// A message to a speaker of this shard is delivered at once and activates
+/// the receiver for the next round; a receiver later in this sweep drains
+/// it in this round too. A message to another shard waits in the outbox
+/// for the merge between rounds. So a cross-shard delivery always takes
+/// effect at the next round, an intra-shard one as soon as the sweep
+/// reaches its receiver — which is why one shard converges the 1→2→3
+/// chain a round sooner than three (see [`BgpNet::run_sharded`]). Bounding
+/// a round to one sweep is what matters: letting a shard chase full local
+/// quiescence over stale cross-shard state amplifies path hunting
+/// combinatorially, while one sweep per round converges in O(diameter)
+/// rounds like a classic synchronous BGP simulator. Thread scheduling
+/// cannot affect any of it.
+fn run_shard(
+    sh: &mut Shard,
+    me: usize,
+    place: &[Option<(usize, usize)>],
+    budget: u64,
+) -> ShardRound {
     let mut round = ShardRound::default();
-    let sweep = std::mem::take(&mut sh.active);
-    let mut sweep = sweep.into_iter();
-    for id in sweep.by_ref() {
+    let mut sweep = std::mem::take(&mut sh.active);
+    sweep.sort_unstable();
+    for &k in &sweep {
+        sh.queued[k] = false;
+    }
+    let mut out = Vec::new();
+    let mut swept = 0;
+    for &k in &sweep {
+        swept += 1;
         round.activations += 1;
-        let outgoing = {
-            let speaker = sh.speakers.get_mut(&id).expect("active speaker in shard");
-            if let Some(inbox) = sh.inbox.get_mut(&id) {
-                while let Some((from, msg)) = inbox.pop_front() {
-                    speaker.receive(from, msg);
-                }
-            }
-            speaker.process()
-        };
-        for (to, msg) in outgoing {
+        let speaker = &mut sh.speakers[k];
+        // Drained by value: the inbox gives its buffer back.
+        for (from, msg) in std::mem::take(&mut sh.inboxes[k]) {
+            speaker.deliver(from, msg);
+        }
+        speaker.process_into(&mut out, &mut round.work);
+        let id = speaker.id();
+        for (to, msg) in out.drain(..) {
             round.messages += 1;
-            if sh.speakers.contains_key(&to) {
-                sh.inbox.entry(to).or_default().push_back((id, msg));
-                sh.active.insert(to);
-            } else {
-                round.outbox.push((id, to, msg));
+            match placed(place, to) {
+                (s, j) if s == me => {
+                    sh.inboxes[j].push_back((id, msg));
+                    sh.activate(j);
+                }
+                _ => round.outbox.push((id, to, msg)),
             }
         }
         if round.messages > budget {
@@ -647,7 +870,9 @@ fn run_shard(sh: &mut Shard, budget: u64) -> ShardRound {
     }
     // On a budget stop the un-swept speakers keep their activation so a
     // resumed run picks them straight back up.
-    sh.active.extend(sweep);
+    for &k in &sweep[swept..] {
+        sh.activate(k);
+    }
     round
 }
 
@@ -821,7 +1046,7 @@ mod tests {
         net.originate(SpeakerId(1), p("10.1.0.0/16"));
         let err = net.run(0).unwrap_err();
         let ConvergenceError::BudgetExhausted { messages } = err;
-        let queued: u64 = net.inboxes.values().map(|q| q.len() as u64).sum();
+        let queued: u64 = net.inboxes.iter().map(|q| q.len() as u64).sum();
         assert_eq!(messages, queued, "every counted message is enqueued");
         assert!(!net.is_quiescent());
     }
@@ -1009,6 +1234,35 @@ mod tests {
         for threads in [1, 2, 8] {
             assert_eq!(build(Some(threads)), mono, "threads {threads}");
         }
+    }
+
+    #[test]
+    fn intra_shard_delivery_lands_in_the_same_sweep() {
+        // The chain 1 → 2 → 3 originating at 1 and 2. As one shard, round 1
+        // sweeps 1 then 2, and 2 drains 1's update before its own turn, so
+        // it tells 3 about both prefixes at once; as three shards, 1's
+        // update reaches 2 only at the merge, and 2 tells 3 about it a
+        // round later. Same messages, same RIBs, one more round.
+        let converge = |shards: [u32; 3]| {
+            let mut net = chain();
+            for (i, shard) in (1..=3).zip(shards) {
+                net.set_shard(SpeakerId(i), shard);
+            }
+            net.originate(SpeakerId(1), p("10.1.0.0/16"));
+            net.originate(SpeakerId(2), p("10.2.0.0/16"));
+            let stats = net.run_sharded(10_000, 1).unwrap();
+            (stats, rib_snapshot(&net))
+        };
+        let (one, one_rib) = converge([0, 0, 0]);
+        let (three, three_rib) = converge([1, 2, 3]);
+        let stats = |activations, rounds| ConvergenceStats {
+            activations,
+            messages: 4,
+            rounds,
+        };
+        assert_eq!(one, stats(5, 2));
+        assert_eq!(three, stats(6, 3));
+        assert_eq!(one_rib, three_rib);
     }
 
     #[test]

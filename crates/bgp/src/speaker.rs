@@ -22,22 +22,40 @@
 //! route to its iBGP peers in that situation, exactly the vendor feature
 //! the paper enables.
 //!
-//! **Longest match.** The Loc-RIB is an [`LpmMap`]: an ordered map (its
-//! iteration order feeds artefacts, and convergence inserts into it on
-//! every reselect) that keeps its own per-mask-length census, so
-//! [`Speaker::lookup_up_to`] is exact-key probes of the populated lengths
-//! under the ceiling, longest first — in practice the two or three lengths
-//! a world uses. The decision process and the planted-defect hooks write
-//! it through `insert` / `remove` / `get_mut` like any map; the census is
-//! the map's own business.
+//! **One slot per prefix.** Everything a speaker holds for one prefix — the
+//! Adj-RIB-In candidates, its own origination and the Adj-RIB-Out row —
+//! sits in one slot, and the slots sit in a `Vec` indexed by the prefix's
+//! dense id in the network's prefix table (`prefix_ids`); the Loc-RIB entry
+//! sits at the same index of a second `Vec`, `loc_rib`. Inside a
+//! [`crate::BgpNet`] every message carries that id, so `receive` and
+//! `reselect` reach a prefix's whole state by index and search no map. The
+//! Loc-RIB is a column of its own for its readers: the resolver and the
+//! verifier's graph read one selected route per speaker per destination, and
+//! 24-byte entries put the next destination's on the same cache line where a
+//! slot-wide stride put every read on a line of its own. A world's speakers
+//! hold nearly every prefix (scale 2: 350 speakers × 685 prefixes, every
+//! pair with a Loc-RIB entry), so a speaker sizes both to the whole table;
+//! the network fits them exactly before it converges, so they carry no
+//! growth slack. A slot's candidate list and row keep their first two
+//! entries inline (72 % of a scale-2 world's candidate lists hold one or
+//! two).
 //!
-//! **Adj-RIB-In key order.** The Adj-RIB-In is one ordered map keyed
-//! `(prefix, sender)`: a prefix's candidates are the contiguous key range
-//! `(prefix, R0) ..= (prefix, R4294967295)`, visited in sender order, and
+//! **Who names prefixes, and in which order.** The speakers of a network
+//! share its prefix table (an `Arc`); a standalone speaker owns one. The
+//! table orders every reader: `loc_rib_entries`, `adj_rib_in_entries` and
+//! `loc_rib_prefixes` walk it in `(addr, len)` order and index the slots,
+//! and `originated_prefixes` keeps its ids in prefix order — ids are
+//! first-seen (a steering /18 arrives after its /16), so id order is not
+//! prefix order. [`Speaker::lookup_up_to`] probes the table's longest-match
+//! census, longest first, and indexes the slot: the longest named prefix
+//! this speaker has selected. The dirty queue holds ids and drains in prefix
+//! order, so [`Speaker::process`] emits what it always has, in that order.
+//!
+//! **Adj-RIB-In order.** A slot's candidates are sorted by sender, one per
+//! sender: a prefix's candidates are visited in sender order, and
 //! whole-RIB iteration is prefix order, then sender order — the order the
 //! decision process and every reader (`candidates`, `adj_rib_in_entries`)
-//! have always seen. No per-prefix inner map exists, so a prefix heard from
-//! two neighbours costs two entries, not a B-tree leaf of its own.
+//! have always seen.
 //!
 //! **Who shares an attribute set.** `Candidate::attrs`, `Message::Update`
 //! and locally originated routes hold an `Arc<RouteAttrs>`. Sharing follows
@@ -66,39 +84,42 @@
 //! (`ExportForms::new`), so a neighbour visit scans no community list.
 //!
 //! **Adj-RIB-Out rows.** What was last advertised is kept per prefix, not
-//! per peer: `adj_rib_out[prefix]` is a row of `(peer, fingerprint)` sorted
-//! by peer. A reselect exports one prefix to every peer in peer order, so
-//! it fetches the row once and merge-joins it with the peer table behind a
-//! single cursor — in-place update, `insert` or `remove` at the cursor —
-//! instead of descending a map per neighbour. Three invariants: a row is
-//! sorted by peer with each peer at most once; a row is never empty (a
-//! first advertisement's row joins the map only if it ends non-empty, a row
-//! that empties leaves it); a row names configured peers only.
-//! `remove_peer` keeps the third by purging the peer from every row — an
-//! entry for a peer the walk never visits would park the cursor in front of
-//! it, and every later peer would read "nothing sent" and re-send on every
-//! reselect. Writers: `reselect` (the walk), `remove_peer` (the purge) and
-//! `request_refresh_all` (poisons fingerprints in place).
+//! per peer: a slot's row is `(peer, fingerprint)` sorted by peer. A
+//! reselect exports one prefix to every peer in peer order, so it takes the
+//! row out of the slot and merge-joins it with the peer table (a `Vec`
+//! sorted by peer) behind a single cursor — in-place update, insert or
+//! remove at the cursor — instead of searching per neighbour. Two
+//! invariants: a row is sorted by peer with each peer at most once; a row
+//! names configured peers only. `remove_peer` keeps the second by purging
+//! the peer from every row — an entry for a peer the walk never visits
+//! would park the cursor in front of it, and every later peer would read
+//! "nothing sent" and re-send on every reselect. Writers: `reselect` (the
+//! walk), `remove_peer` (the purge) and `request_refresh_all` (poisons
+//! fingerprints in place).
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
-use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 use crate::decision::{select_best, Candidate, DecisionContext};
-use crate::lpm::LpmMap;
+use crate::net::WorkCounters;
 use crate::policy::{may_export, relation_from_tags, strip_relation_tags, Policy, Relation};
 use crate::prefix::Prefix;
+use crate::prefix_ids::{PrefixId, PrefixTable};
 use crate::route::{Asn, Community, RouteAttrs, RouteSource, SpeakerId, DEFAULT_LOCAL_PREF};
 
 /// A BGP message on a session.
+///
+/// `P` names the prefix: a [`Prefix`] on a speaker's own API
+/// ([`Speaker::receive`], [`Speaker::process`]); the network's dense prefix
+/// id between the speakers of a [`crate::BgpNet`].
 #[derive(Debug, Clone, PartialEq)]
-pub enum Message {
+pub enum Message<P = Prefix> {
     /// Announce/replace a route to `prefix`.
     Update {
         /// The prefix.
-        prefix: Prefix,
+        prefix: P,
         /// Attributes as sent on the wire; every message one reselect
         /// emits in the same export form shares this allocation.
         attrs: Arc<RouteAttrs>,
@@ -106,7 +127,7 @@ pub enum Message {
     /// Withdraw the previously announced route to `prefix`.
     Withdraw {
         /// The prefix.
-        prefix: Prefix,
+        prefix: P,
     },
 }
 
@@ -220,8 +241,7 @@ impl<'a> ExportForms<'a> {
     fn new(exporter: &Speaker, candidate: &'a Candidate) -> Self {
         let from_client = match candidate.source {
             RouteSource::Ibgp { peer } => exporter
-                .peers
-                .get(&peer)
+                .peer_config(peer)
                 .is_some_and(|c| c.kind == PeerKind::IbgpClient),
             RouteSource::Local | RouteSource::Ebgp { .. } => false,
         };
@@ -256,6 +276,11 @@ impl<'a> ExportForms<'a> {
             ebgp_scope,
             built: [None, None, None],
         }
+    }
+
+    /// How many wire forms were built.
+    fn built(&self) -> u64 {
+        self.built.iter().flatten().count() as u64
     }
 
     /// The per-peer half of the export rules: whether `peer` may hear this
@@ -352,9 +377,131 @@ fn export_for<'f>(
     None
 }
 
-/// The Adj-RIB-In keys of one prefix: every possible sender, ascending.
-fn senders_of(prefix: Prefix) -> RangeInclusive<(Prefix, SpeakerId)> {
-    (prefix, SpeakerId(0))..=(prefix, SpeakerId(u32::MAX))
+/// A short list its owner keeps sorted: up to two entries inline, more on
+/// the heap.
+#[derive(Debug, Default)]
+enum Few<T> {
+    #[default]
+    Zero,
+    One(T),
+    Two([T; 2]),
+    /// Three or more.
+    Many(Vec<T>),
+}
+
+impl<T> Few<T> {
+    fn as_slice(&self) -> &[T] {
+        match self {
+            Few::Zero => &[],
+            Few::One(a) => std::slice::from_ref(a),
+            Few::Two(ab) => ab,
+            Few::Many(v) => v,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [T] {
+        match self {
+            Few::Zero => &mut [],
+            Few::One(a) => std::slice::from_mut(a),
+            Few::Two(ab) => ab,
+            Few::Many(v) => v,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.as_slice().len()
+    }
+
+    fn is_empty(&self) -> bool {
+        matches!(self, Few::Zero)
+    }
+
+    /// Inserts `x` at position `at`, shifting the rest up.
+    fn insert(&mut self, at: usize, x: T) {
+        *self = match std::mem::take(self) {
+            Few::Zero => Few::One(x),
+            Few::One(a) if at == 0 => Few::Two([x, a]),
+            Few::One(a) => Few::Two([a, x]),
+            Few::Two([a, b]) => {
+                let mut v = Vec::with_capacity(3);
+                v.extend([a, b]);
+                v.insert(at, x);
+                Few::Many(v)
+            }
+            Few::Many(mut v) => {
+                v.insert(at, x);
+                Few::Many(v)
+            }
+        };
+    }
+
+    /// Removes and returns the entry at `at`; a list back down to two
+    /// entries gives its heap buffer back.
+    fn remove(&mut self, at: usize) -> T {
+        let (rest, x) = match std::mem::take(self) {
+            Few::Zero => panic!("remove({at}) from an empty list"),
+            Few::One(a) => {
+                assert_eq!(at, 0, "remove({at}) from a one-entry list");
+                (Few::Zero, a)
+            }
+            Few::Two([a, b]) if at == 0 => (Few::One(b), a),
+            Few::Two([a, b]) => {
+                assert_eq!(at, 1, "remove({at}) from a two-entry list");
+                (Few::One(a), b)
+            }
+            Few::Many(mut v) => {
+                let x = v.remove(at);
+                match <[T; 2]>::try_from(v) {
+                    Ok(ab) => (Few::Two(ab), x),
+                    Err(v) => (Few::Many(v), x),
+                }
+            }
+        };
+        *self = rest;
+        x
+    }
+}
+
+/// Everything one speaker holds for one prefix (see the module docs).
+#[derive(Debug, Default)]
+struct Slot {
+    /// Adj-RIB-In: the candidates heard, one per sender, sorted by sender.
+    learned: Few<Candidate>,
+    /// This speaker's own origination.
+    local: Option<Arc<RouteAttrs>>,
+    /// Adj-RIB-Out: `(peer, fingerprint of what we last advertised)`,
+    /// sorted by peer, configured peers only.
+    row: Few<(SpeakerId, u64)>,
+}
+
+impl Slot {
+    /// Where `from`'s candidate is, or would go, in `learned`.
+    fn find_learned(&self, from: SpeakerId) -> Result<usize, usize> {
+        self.learned
+            .as_slice()
+            .binary_search_by_key(&Some(from), |c| c.source.peer())
+    }
+}
+
+/// The sender of an Adj-RIB-In candidate.
+fn sender(c: &Candidate) -> SpeakerId {
+    c.source
+        .peer()
+        .expect("a learned candidate names its sender")
+}
+
+/// The value at `key` in a list sorted by key.
+fn lookup<V>(list: &[(SpeakerId, V)], key: SpeakerId) -> Option<&V> {
+    let at = list.binary_search_by_key(&key, |(k, _)| *k).ok()?;
+    Some(&list[at].1)
+}
+
+/// Sets the value at `key` in a list sorted by key.
+fn upsert<V>(list: &mut Vec<(SpeakerId, V)>, key: SpeakerId, value: V) {
+    match list.binary_search_by_key(&key, |(k, _)| *k) {
+        Ok(at) => list[at].1 = value,
+        Err(at) => list.insert(at, (key, value)),
+    }
 }
 
 /// One router.
@@ -363,24 +510,27 @@ pub struct Speaker {
     id: SpeakerId,
     asn: Asn,
     cluster_id: u32,
-    peers: BTreeMap<SpeakerId, PeerConfig>,
-    /// (prefix, sender) -> candidate (post-import); see the module docs
-    /// for the key order.
-    adj_rib_in: BTreeMap<(Prefix, SpeakerId), Candidate>,
-    /// Locally originated routes.
-    local: BTreeMap<Prefix, Arc<RouteAttrs>>,
-    /// Current best per prefix.
-    loc_rib: LpmMap<Candidate>,
-    /// prefix -> row of (peer, fingerprint of what we last advertised),
-    /// sorted by peer, never empty, configured peers only; see the module
-    /// docs.
-    adj_rib_out: BTreeMap<Prefix, Vec<(SpeakerId, u64)>>,
-    /// IGP cost from this router to other routers in the AS.
-    igp_costs: BTreeMap<SpeakerId, u64>,
+    /// Sessions, sorted by peer.
+    peers: Vec<(SpeakerId, PeerConfig)>,
+    /// The network's prefix ids (see the module docs).
+    prefixes: Arc<PrefixTable>,
+    /// `slots[id]`: everything held for prefix `id` but the selected
+    /// route; an id past the end holds nothing.
+    slots: Vec<Slot>,
+    /// `loc_rib[id]`: the selected route for prefix `id`, the same length
+    /// as `slots`.
+    loc_rib: Vec<Option<Candidate>>,
+    /// The prefixes whose slot holds an own origination, with their ids,
+    /// in prefix order. Kept by prefix because a speaker's table may not
+    /// name them yet (see [`crate::BgpNet`]'s table docs).
+    originated: Vec<(Prefix, PrefixId)>,
+    /// IGP cost from this router to other routers in the AS, sorted by
+    /// router.
+    igp_costs: Vec<(SpeakerId, u64)>,
     /// Hot-potato cost of exiting through a given eBGP peer (AS-level
     /// speakers: intra-AS haul to that session's interconnect; router-level
-    /// speakers leave this empty, meaning 0).
-    session_costs: BTreeMap<SpeakerId, u64>,
+    /// speakers leave this empty, meaning 0), sorted by peer.
+    session_costs: Vec<(SpeakerId, u64)>,
     import_hook: Option<Box<dyn ImportHook>>,
     best_external: bool,
     /// Skip the IGP-metric step of the decision process (step 6), the
@@ -399,9 +549,9 @@ pub struct Speaker {
     /// (true); VNS keeps PoP-local service prefixes PoP-local (false).
     export_own_ibgp: bool,
     /// Prefixes awaiting reselection: unsorted, may repeat;
-    /// [`Speaker::process`] sorts and dedups. `k` `remove_peer`s queue
-    /// `k` × |Loc-RIB| prefixes until the next `process()`.
-    dirty: Vec<Prefix>,
+    /// [`Speaker::process`] sorts them by prefix and dedups. `k`
+    /// `remove_peer`s queue `k` × |Loc-RIB| ids until the next `process()`.
+    dirty: Vec<PrefixId>,
 }
 
 impl Speaker {
@@ -412,13 +562,13 @@ impl Speaker {
             id,
             asn,
             cluster_id: id.0,
-            peers: BTreeMap::new(),
-            adj_rib_in: BTreeMap::new(),
-            local: BTreeMap::new(),
-            loc_rib: LpmMap::new(),
-            adj_rib_out: BTreeMap::new(),
-            igp_costs: BTreeMap::new(),
-            session_costs: BTreeMap::new(),
+            peers: Vec::new(),
+            prefixes: Arc::default(),
+            slots: Vec::new(),
+            loc_rib: Vec::new(),
+            originated: Vec::new(),
+            igp_costs: Vec::new(),
+            session_costs: Vec::new(),
             import_hook: None,
             best_external: false,
             ignore_igp_metric: false,
@@ -440,7 +590,7 @@ impl Speaker {
     /// Configures a peer session (one side; the other side configures its
     /// own view).
     pub fn add_peer(&mut self, peer: SpeakerId, config: PeerConfig) {
-        self.peers.insert(peer, config);
+        upsert(&mut self.peers, peer, config);
     }
 
     /// Tears a session down: the peer's routes leave Adj-RIB-In (as if a
@@ -448,34 +598,40 @@ impl Speaker {
     /// and affected prefixes are reselected on the next
     /// [`Speaker::process`]. Models session/router failure.
     pub fn remove_peer(&mut self, peer: SpeakerId) {
-        if self.peers.remove(&peer).is_none() {
+        let Ok(at) = self.peers.binary_search_by_key(&peer, |(p, _)| *p) else {
             return;
-        }
-        let dirty = &mut self.dirty;
-        self.adj_rib_in.retain(|(prefix, from), _| {
-            if *from == peer {
-                dirty.push(*prefix);
+        };
+        self.peers.remove(at);
+        for (i, (slot, best)) in self.slots.iter_mut().zip(&self.loc_rib).enumerate() {
+            let id = PrefixId::from_index(i);
+            if let Ok(k) = slot.find_learned(peer) {
+                slot.learned.remove(k);
+                self.dirty.push(id);
             }
-            *from != peer
-        });
-        self.adj_rib_out.retain(|_, row| {
-            row.retain(|(to, _)| *to != peer);
-            !row.is_empty()
-        });
-        // Best-external and reflection decisions can change even for
-        // prefixes the peer never announced (it may have been an export
-        // target): reconsider everything we currently advertise.
-        self.dirty.extend(self.loc_rib.keys());
+            if let Ok(k) = slot
+                .row
+                .as_slice()
+                .binary_search_by_key(&peer, |(to, _)| *to)
+            {
+                slot.row.remove(k);
+            }
+            // Best-external and reflection decisions can change even for
+            // prefixes the peer never announced (it may have been an
+            // export target): reconsider everything we currently advertise.
+            if best.is_some() {
+                self.dirty.push(id);
+            }
+        }
     }
 
     /// The configured peers.
     pub fn peer_ids(&self) -> impl Iterator<Item = SpeakerId> + '_ {
-        self.peers.keys().copied()
+        self.peers.iter().map(|(p, _)| *p)
     }
 
     /// Peer configuration lookup.
     pub fn peer_config(&self, peer: SpeakerId) -> Option<&PeerConfig> {
-        self.peers.get(&peer)
+        lookup(&self.peers, peer)
     }
 
     /// Installs the import hook (route reflectors in VNS).
@@ -496,24 +652,42 @@ impl Speaker {
 
     /// Sets IGP costs from this router to others in its AS.
     pub fn set_igp_costs(&mut self, costs: BTreeMap<SpeakerId, u64>) {
-        self.igp_costs = costs;
+        self.igp_costs = costs.into_iter().collect();
         // Hot-potato inputs changed: every prefix could select differently.
         self.mark_learned_dirty();
-        self.dirty.extend(self.local.keys());
+        self.dirty.extend(self.originated.iter().map(|(_, id)| *id));
     }
 
-    /// Originates a prefix locally with default attributes.
+    /// Originates a prefix locally with default attributes. Inside a
+    /// [`crate::BgpNet`], originate through [`crate::BgpNet::originate`],
+    /// which names the prefix in the network's table; a speaker names a
+    /// prefix new to the network in a copy of its own.
     pub fn originate(&mut self, prefix: Prefix) {
         self.originate_with(prefix, Vec::new());
     }
 
     /// Originates a prefix locally with communities (e.g. `NO_EXPORT` for
-    /// the management interface's injected more-specifics).
+    /// the management interface's injected more-specifics). Inside a
+    /// [`crate::BgpNet`], use [`crate::BgpNet::originate_with`].
     pub fn originate_with(&mut self, prefix: Prefix, communities: Vec<Community>) {
+        let id = self.intern(prefix);
+        self.originate_id(prefix, id, communities);
+    }
+
+    /// Originates `prefix`, named `id` in the network's table.
+    pub(crate) fn originate_id(
+        &mut self,
+        prefix: Prefix,
+        id: PrefixId,
+        communities: Vec<Community>,
+    ) {
         let mut attrs = RouteAttrs::originate(self.id);
         attrs.communities = communities;
-        self.local.insert(prefix, Arc::new(attrs));
-        self.dirty.push(prefix);
+        if self.slot_mut(id).local.replace(Arc::new(attrs)).is_none() {
+            let at = self.originated.partition_point(|(p, _)| *p < prefix);
+            self.originated.insert(at, (prefix, id));
+        }
+        self.dirty.push(id);
     }
 
     /// Requests a full re-advertisement to every peer (BGP route refresh,
@@ -523,8 +697,8 @@ impl Speaker {
     pub fn request_refresh_all(&mut self) {
         // Poison the out-fingerprints so the next process() re-sends even
         // unchanged advertisements.
-        for row in self.adj_rib_out.values_mut() {
-            for (_, fp) in row {
+        for slot in &mut self.slots {
+            for (_, fp) in slot.row.as_mut_slice() {
                 *fp ^= 0x5a5a_5a5a_5a5a_5a5a;
             }
         }
@@ -539,50 +713,76 @@ impl Speaker {
     /// half of BGP session establishment, used by
     /// [`crate::BgpNet::reconnect`].
     pub fn schedule_initial_advertisement(&mut self) {
-        self.mark_learned_dirty();
-        self.dirty.extend(self.local.keys());
-        self.dirty.extend(self.loc_rib.keys());
+        for (i, (slot, best)) in self.slots.iter().zip(&self.loc_rib).enumerate() {
+            if !slot.learned.is_empty() || slot.local.is_some() || best.is_some() {
+                self.dirty.push(PrefixId::from_index(i));
+            }
+        }
     }
 
-    /// Marks every prefix with a learned candidate for reselection. The
-    /// keys are prefix-major, so one prefix's senders are adjacent and
-    /// queue it once.
+    /// Marks every prefix with a learned candidate for reselection.
     fn mark_learned_dirty(&mut self) {
-        for (prefix, _) in self.adj_rib_in.keys() {
-            if self.dirty.last() != Some(prefix) {
-                self.dirty.push(*prefix);
+        for (i, slot) in self.slots.iter().enumerate() {
+            if !slot.learned.is_empty() {
+                self.dirty.push(PrefixId::from_index(i));
             }
         }
     }
 
     /// Stops originating a prefix.
     pub fn withdraw_local(&mut self, prefix: Prefix) {
-        if self.local.remove(&prefix).is_some() {
-            self.dirty.push(prefix);
-        }
+        let Ok(at) = self.originated.binary_search_by_key(&prefix, |(p, _)| *p) else {
+            return;
+        };
+        let (_, id) = self.originated.remove(at);
+        self.slots[id.index()].local = None;
+        self.dirty.push(id);
     }
 
     /// Handles one incoming message from `from`. Call [`Speaker::process`]
     /// afterwards to recompute and collect outbound messages.
     pub fn receive(&mut self, from: SpeakerId, msg: Message) {
-        let Some(cfg) = self.peers.get(&from).copied() else {
+        let msg = match msg {
+            Message::Update { prefix, attrs } => Message::Update {
+                prefix: self.intern(prefix),
+                attrs,
+            },
+            Message::Withdraw { prefix } => match self.prefixes.id(&prefix) {
+                Some(id) => Message::Withdraw { prefix: id },
+                // Never heard, so there is nothing to withdraw.
+                None => return,
+            },
+        };
+        self.deliver(from, msg);
+    }
+
+    /// [`Speaker::receive`] for a message between the speakers of a
+    /// network: the prefix is already an id of its table.
+    pub(crate) fn deliver(&mut self, from: SpeakerId, msg: Message<PrefixId>) {
+        let Some(cfg) = self.peer_config(from).copied() else {
             debug_assert!(false, "message from unconfigured peer {from}");
             return;
         };
         match msg {
-            Message::Withdraw { prefix } => {
-                if self.adj_rib_in.remove(&(prefix, from)).is_some() {
-                    self.dirty.push(prefix);
+            Message::Withdraw { prefix: id } => {
+                if let Some(slot) = self.slots.get_mut(id.index()) {
+                    if let Ok(k) = slot.find_learned(from) {
+                        slot.learned.remove(k);
+                        self.dirty.push(id);
+                    }
                 }
             }
-            Message::Update { prefix, mut attrs } => {
+            Message::Update {
+                prefix: id,
+                mut attrs,
+            } => {
                 let source = match cfg.kind {
                     PeerKind::Ebgp { peer_as, relation } => {
                         // eBGP loop prevention: our AS already on the path.
                         if attrs.path_contains(self.asn) {
                             // Treat as implicit withdraw of any previous
                             // route from this peer.
-                            self.receive(from, Message::Withdraw { prefix });
+                            self.deliver(from, Message::Withdraw { prefix: id });
                             return;
                         }
                         // The sender's other neighbours hold this same
@@ -614,11 +814,16 @@ impl Speaker {
                 // Without a hook an iBGP-learned route stays the sender's
                 // allocation; a hook may rewrite, so it gets a copy.
                 if let Some(hook) = &self.import_hook {
+                    let prefix = self.prefixes.prefix(id);
                     hook.on_import(from, prefix, &source, Arc::make_mut(&mut attrs));
                 }
-                self.adj_rib_in
-                    .insert((prefix, from), Candidate { attrs, source });
-                self.dirty.push(prefix);
+                let candidate = Candidate { attrs, source };
+                let slot = self.slot_mut(id);
+                match slot.find_learned(from) {
+                    Ok(k) => slot.learned.as_mut_slice()[k] = candidate,
+                    Err(k) => slot.learned.insert(k, candidate),
+                }
+                self.dirty.push(id);
             }
         }
     }
@@ -626,7 +831,7 @@ impl Speaker {
     /// Sets the hot-potato cost of exiting through eBGP peer `peer`
     /// (AS-level modelling; see [`DecisionContext::exit_cost`]).
     pub fn set_session_cost(&mut self, peer: SpeakerId, cost: u64) {
-        self.session_costs.insert(peer, cost);
+        upsert(&mut self.session_costs, peer, cost);
         self.mark_learned_dirty();
     }
 
@@ -646,33 +851,77 @@ impl Speaker {
         match c.source {
             RouteSource::Local => Some(0),
             RouteSource::Ebgp { peer, .. } => {
-                Some(self.session_costs.get(&peer).copied().unwrap_or(0))
+                Some(lookup(&self.session_costs, peer).copied().unwrap_or(0))
             }
             RouteSource::Ibgp { .. } => {
                 let nh = c.attrs.next_hop;
                 if nh == self.id {
                     Some(0)
                 } else {
-                    self.igp_costs.get(&nh).copied()
+                    lookup(&self.igp_costs, nh).copied()
                 }
             }
         }
     }
 
+    /// The decision process over `candidates`.
+    fn select<'a>(
+        &self,
+        candidates: impl IntoIterator<Item = &'a Candidate>,
+    ) -> Option<&'a Candidate> {
+        let ctx_costs = |c: &Candidate| self.exit_cost(c);
+        let ctx = DecisionContext {
+            exit_cost: &ctx_costs,
+        };
+        select_best(candidates, &ctx)
+    }
+
+    /// The best eBGP-learned candidate of a slot.
+    fn best_ebgp<'a>(&self, slot: &'a Slot) -> Option<&'a Candidate> {
+        self.select(
+            slot.learned
+                .as_slice()
+                .iter()
+                .filter(|c| c.source.is_ebgp()),
+        )
+    }
+
     /// Recomputes all dirty prefixes; returns the messages to deliver.
     pub fn process(&mut self) -> Vec<(SpeakerId, Message)> {
         let mut out = Vec::new();
-        for prefix in self.take_dirty() {
-            self.reselect(prefix, &mut out);
-        }
+        self.process_as(&mut out, &mut WorkCounters::default(), PrefixTable::prefix);
         out
     }
 
-    /// Drains the dirty queue into reselection order: ascending, each
-    /// prefix once however often it was queued.
-    fn take_dirty(&mut self) -> Vec<Prefix> {
+    /// [`Speaker::process`] for a network: appends the messages, prefixes
+    /// named by id, to `out` and counts the work into `work`.
+    pub(crate) fn process_into(
+        &mut self,
+        out: &mut Vec<(SpeakerId, Message<PrefixId>)>,
+        work: &mut WorkCounters,
+    ) {
+        self.process_as(out, work, |_, id| id);
+    }
+
+    /// Reselects every dirty prefix, naming each in the messages by `name`.
+    fn process_as<P: Copy>(
+        &mut self,
+        out: &mut Vec<(SpeakerId, Message<P>)>,
+        work: &mut WorkCounters,
+        name: fn(&PrefixTable, PrefixId) -> P,
+    ) {
+        for id in self.take_dirty() {
+            let prefix = name(&self.prefixes, id);
+            self.reselect(id, prefix, out, work);
+        }
+    }
+
+    /// Drains the dirty queue into reselection order: ascending by prefix,
+    /// each prefix once however often it was queued.
+    fn take_dirty(&mut self) -> Vec<PrefixId> {
         let mut dirty = std::mem::take(&mut self.dirty);
-        dirty.sort_unstable();
+        let table = &self.prefixes;
+        dirty.sort_unstable_by_key(|&id| table.prefix(id));
         dirty.dedup();
         dirty
     }
@@ -682,52 +931,44 @@ impl Speaker {
         !self.dirty.is_empty()
     }
 
-    /// Candidates learned for `prefix`, in sender order.
-    fn learned(&self, prefix: Prefix) -> impl Iterator<Item = &Candidate> {
-        self.adj_rib_in.range(senders_of(prefix)).map(|(_, c)| c)
-    }
-
-    fn reselect(&mut self, prefix: Prefix, out: &mut Vec<(SpeakerId, Message)>) {
-        // Gather candidates: learned + local.
-        let local_cand = self.local.get(&prefix).map(|attrs| Candidate {
+    /// Reselects prefix `id`, named `prefix` in the messages it emits.
+    fn reselect<P: Copy>(
+        &mut self,
+        id: PrefixId,
+        prefix: P,
+        out: &mut Vec<(SpeakerId, Message<P>)>,
+        work: &mut WorkCounters,
+    ) {
+        let emitted = out.len();
+        let i = id.index();
+        let slot = self.slot_mut(id);
+        let local = slot.local.as_ref().map(|attrs| Candidate {
             attrs: Arc::clone(attrs),
             source: RouteSource::Local,
         });
-        let ctx_costs = |c: &Candidate| self.exit_cost(c);
-        let ctx = DecisionContext {
-            exit_cost: &ctx_costs,
-        };
-        let best = select_best(self.learned(prefix).chain(local_cand.iter()), &ctx).cloned();
-
+        let slot = &self.slots[i];
+        let best = self
+            .select(slot.learned.as_slice().iter().chain(local.iter()))
+            .cloned();
         // Best eBGP-learned candidate (for best-external).
         let best_ext = if self.best_external {
-            select_best(self.learned(prefix).filter(|c| c.source.is_ebgp()), &ctx).cloned()
+            self.best_ebgp(slot).cloned()
         } else {
             None
         };
-
-        match &best {
-            Some(b) => {
-                self.loc_rib.insert(prefix, b.clone());
-            }
-            None => {
-                self.loc_rib.remove(&prefix);
-            }
-        }
+        // The Loc-RIB write; then the row leaves the slot for the walk, so
+        // the walk can write it while reading the rest of the speaker.
+        self.loc_rib[i] = best;
+        let mut row = std::mem::take(&mut self.slots[i].row);
 
         // Export to every peer: the forms are per candidate, only the
         // filter and the Adj-RIB-Out diff are per peer.
-        let mut best_forms = best.as_ref().map(|c| ExportForms::new(self, c));
+        let mut best_forms = self.loc_rib[i].as_ref().map(|c| ExportForms::new(self, c));
         let mut ext_forms = best_ext.as_ref().map(|c| ExportForms::new(self, c));
-        // The prefix's Adj-RIB-Out row, fetched once and walked in step
-        // with the peer table (both ascend by peer): `at` is the first
-        // entry not yet passed. A first advertisement fills `fresh`.
-        let mut fresh = Vec::new();
-        let stored = self.adj_rib_out.get_mut(&prefix);
-        let is_stored = stored.is_some();
-        let row = stored.unwrap_or(&mut fresh);
+        // The row and the peer table both ascend by peer: `at` is the
+        // first row entry not yet passed.
         let mut at = 0;
-        for (&peer, cfg) in &self.peers {
+        for &(peer, cfg) in &self.peers {
             let desired = export_for(best_forms.as_mut(), ext_forms.as_mut(), peer, cfg.kind);
             // Runtime twin of the vns-verify no-export containment
             // invariant: a NO_EXPORT route must never be put on an eBGP
@@ -735,22 +976,24 @@ impl Speaker {
             debug_assert!(
                 !(cfg.kind.is_ebgp()
                     && desired.is_some_and(|(a, _)| a.has_community(Community::NoExport))),
-                "NO_EXPORT route for {prefix} would leak over eBGP {} -> {peer}",
+                "NO_EXPORT route for {} would leak over eBGP {} -> {peer}",
+                self.prefixes.prefix(id),
                 self.id
             );
+            let next = row.as_slice().get(at).copied();
             debug_assert!(
-                row.get(at).is_none_or(|(to, _)| *to >= peer),
-                "Adj-RIB-Out row for {prefix} at {} holds {:?}, passed over before {peer}",
-                self.id,
-                row[at].0
+                next.is_none_or(|(to, _)| to >= peer),
+                "Adj-RIB-Out row for {} at {} holds {next:?}, passed over before {peer}",
+                self.prefixes.prefix(id),
+                self.id
             );
-            let sent = row.get(at).filter(|(to, _)| *to == peer).map(|(_, fp)| *fp);
+            let sent = next.filter(|(to, _)| *to == peer).map(|(_, fp)| fp);
             match (desired, sent) {
                 // Advertised and unchanged: step over it.
                 (Some((_, new_fp)), Some(old)) if old == *new_fp => at += 1,
                 (Some((attrs, new_fp)), old) => {
                     if old.is_some() {
-                        row[at].1 = *new_fp;
+                        row.as_mut_slice()[at].1 = *new_fp;
                     } else {
                         row.insert(at, (peer, *new_fp));
                     }
@@ -768,38 +1011,111 @@ impl Speaker {
         debug_assert_eq!(
             at,
             row.len(),
-            "Adj-RIB-Out row for {prefix} at {} names a peer the walk never met",
+            "Adj-RIB-Out row for {} at {} names a peer the walk never met",
+            self.prefixes.prefix(id),
             self.id
         );
-        match (is_stored, row.is_empty()) {
-            (false, false) => {
-                self.adj_rib_out.insert(prefix, fresh);
-            }
-            (true, true) => {
-                self.adj_rib_out.remove(&prefix);
-            }
-            _ => {}
+        let sent = (out.len() - emitted) as u64;
+        *work += WorkCounters {
+            reselects: 1,
+            visits: self.peers.len() as u64,
+            emitting_visits: sent,
+            silent_reselects: u64::from(sent == 0),
+            forms_built: best_forms.map_or(0, |f| f.built()) + ext_forms.map_or(0, |f| f.built()),
+        };
+        self.slots[i].row = row;
+    }
+
+    /// The id of `prefix`, naming it on first sight — in this speaker's
+    /// own copy of the table when it shares the network's (the network
+    /// adopts the copy; see [`crate::BgpNet`]'s table docs).
+    fn intern(&mut self, prefix: Prefix) -> PrefixId {
+        match self.prefixes.id(&prefix) {
+            Some(id) => id,
+            None => Arc::make_mut(&mut self.prefixes).intern(prefix),
         }
+    }
+
+    /// The slot of `id`, if any.
+    fn slot(&self, id: PrefixId) -> Option<&Slot> {
+        self.slots.get(id.index())
+    }
+
+    /// The slot of `prefix`, if any.
+    fn slot_of(&self, prefix: &Prefix) -> Option<&Slot> {
+        self.slot(self.prefixes.id(prefix)?)
+    }
+
+    /// The slot of `id`, created on first use together with one for every
+    /// other prefix the table names.
+    fn slot_mut(&mut self, id: PrefixId) -> &mut Slot {
+        let i = id.index();
+        if i >= self.slots.len() {
+            let n = self.prefixes.len().max(i + 1);
+            self.slots.resize_with(n, Slot::default);
+            self.loc_rib.resize(n, None);
+        }
+        &mut self.slots[i]
+    }
+
+    /// The selected route of `id`, if any.
+    fn selected(&self, id: PrefixId) -> Option<&Candidate> {
+        self.loc_rib.get(id.index())?.as_ref()
+    }
+
+    /// Every slot in `(addr, len)` order, with its prefix.
+    fn slots_in_order(&self) -> impl Iterator<Item = (Prefix, &Slot)> + '_ {
+        self.prefixes
+            .iter()
+            .filter_map(|(prefix, id)| Some((prefix, self.slot(id)?)))
+    }
+
+    /// The network's prefix table, as this speaker sees it.
+    pub(crate) fn prefixes(&self) -> &Arc<PrefixTable> {
+        &self.prefixes
+    }
+
+    /// Sees the network's prefixes through `table` from now on.
+    pub(crate) fn share_prefixes(&mut self, table: &Arc<PrefixTable>) {
+        if !Arc::ptr_eq(&self.prefixes, table) {
+            self.prefixes = Arc::clone(table);
+        }
+    }
+
+    /// Sizes the slots to the table exactly — one per named prefix, no
+    /// growth slack — so convergence never grows them.
+    pub(crate) fn fit_slots(&mut self) {
+        let n = self.prefixes.len();
+        if self.slots.len() < n {
+            self.slots.reserve_exact(n - self.slots.len());
+            self.slots.resize_with(n, Slot::default);
+            self.loc_rib.reserve_exact(n - self.loc_rib.len());
+            self.loc_rib.resize(n, None);
+        }
+        self.slots.shrink_to_fit();
+        self.loc_rib.shrink_to_fit();
     }
 
     /// The current best route for `prefix`.
     pub fn best(&self, prefix: &Prefix) -> Option<&Candidate> {
-        self.loc_rib.get(prefix)
+        self.selected(self.prefixes.id(prefix)?)
     }
 
-    /// All prefixes with a selected route.
+    /// All prefixes with a selected route, in prefix order.
     pub fn loc_rib_prefixes(&self) -> impl Iterator<Item = Prefix> + '_ {
-        self.loc_rib.keys()
+        self.loc_rib_entries().map(|(prefix, _)| prefix)
     }
 
     /// The prefixes this speaker originates itself, in prefix order.
     pub fn originated_prefixes(&self) -> impl Iterator<Item = Prefix> + '_ {
-        self.local.keys().copied()
+        self.originated.iter().map(|(prefix, _)| *prefix)
     }
 
     /// Every selected route as `(prefix, best)`, in prefix order.
     pub fn loc_rib_entries(&self) -> impl Iterator<Item = (Prefix, &Candidate)> + '_ {
-        self.loc_rib.iter()
+        self.prefixes
+            .iter()
+            .filter_map(|(prefix, id)| Some((prefix, self.selected(id)?)))
     }
 
     /// Longest-prefix match over the Loc-RIB for a host address.
@@ -817,7 +1133,11 @@ impl Speaker {
         ip: u32,
         max_len_exclusive: Option<u8>,
     ) -> Option<(Prefix, &Candidate)> {
-        self.loc_rib.lookup_up_to(ip, max_len_exclusive)
+        // The network's prefixes containing `ip`, longest first; the first
+        // this speaker has selected is the match.
+        self.prefixes
+            .matches_up_to(ip, max_len_exclusive)
+            .find_map(|(prefix, id)| Some((prefix, self.selected(id)?)))
     }
 
     /// The best *eBGP-learned* candidate for a prefix, regardless of what
@@ -825,16 +1145,15 @@ impl Speaker {
     /// steering more-specific (Sec 3.2) resolves it over its own external
     /// route to the covering prefix — this is that route.
     pub fn best_external_route(&self, prefix: &Prefix) -> Option<&Candidate> {
-        let ctx_costs = |c: &Candidate| self.exit_cost(c);
-        let ctx = DecisionContext {
-            exit_cost: &ctx_costs,
-        };
-        select_best(self.learned(*prefix).filter(|c| c.source.is_ebgp()), &ctx)
+        self.best_ebgp(self.slot_of(prefix)?)
     }
 
     /// Candidates currently in Adj-RIB-In for a prefix (diagnostics).
     pub fn candidates(&self, prefix: &Prefix) -> Vec<&Candidate> {
-        self.learned(*prefix).collect()
+        self.slot_of(prefix)
+            .into_iter()
+            .flat_map(|slot| slot.learned.as_slice())
+            .collect()
     }
 
     // --- Read-only introspection (static analysis / vns-verify) -----------
@@ -848,12 +1167,17 @@ impl Speaker {
     /// prefix order, then sender order. Read-only; intended for invariant
     /// checkers.
     pub fn adj_rib_in_entries(&self) -> impl Iterator<Item = (Prefix, SpeakerId, &Candidate)> + '_ {
-        self.adj_rib_in.iter().map(|((p, from), c)| (*p, *from, c))
+        self.slots_in_order().flat_map(|(prefix, slot)| {
+            slot.learned
+                .as_slice()
+                .iter()
+                .map(move |c| (prefix, sender(c), c))
+        })
     }
 
     /// How many `(peer, prefix)` advertisements the Adj-RIB-Out remembers.
     pub fn adj_rib_out_len(&self) -> usize {
-        self.adj_rib_out.values().map(Vec::len).sum()
+        self.slots.iter().map(|slot| slot.row.len()).sum()
     }
 
     /// Recomputes the exact attributes this router would currently
@@ -866,11 +1190,13 @@ impl Speaker {
     /// The stored Adj-RIB-Out keeps only fingerprints to diff against; this
     /// is the authoritative way to inspect outbound state.
     pub fn exported_to(&self, peer: SpeakerId, prefix: &Prefix) -> Option<Arc<RouteAttrs>> {
-        let cfg = self.peers.get(&peer)?;
-        let mut best = ExportForms::new(self, self.loc_rib.get(prefix)?);
+        let cfg = self.peer_config(peer)?;
+        let id = self.prefixes.id(prefix)?;
+        let slot = self.slot(id)?;
+        let mut best = ExportForms::new(self, self.selected(id)?);
         let mut best_ext = self
             .best_external
-            .then(|| self.best_external_route(prefix))
+            .then(|| self.best_ebgp(slot))
             .flatten()
             .map(|c| ExportForms::new(self, c));
         export_for(Some(&mut best), best_ext.as_mut(), peer, cfg.kind)
@@ -883,7 +1209,7 @@ impl Speaker {
         if to == self.id {
             return Some(0);
         }
-        self.igp_costs.get(&to).copied()
+        lookup(&self.igp_costs, to).copied()
     }
 
     /// Whether best-external advertisement is enabled on this router.
@@ -900,11 +1226,23 @@ impl Speaker {
     // damage the data-plane model checker exists to catch. The simulator
     // itself never calls them; only the verification harness does.
 
+    /// The Loc-RIB entry of `prefix`, for the hooks below.
+    fn selected_mut(&mut self, prefix: &Prefix) -> Option<&mut Candidate> {
+        let id = self.prefixes.id(prefix)?;
+        self.loc_rib.get_mut(id.index())?.as_mut()
+    }
+
     /// Drops the selected route for `prefix` from the Loc-RIB (downstream
     /// routers still forward here — a silent blackhole). Returns `false`
     /// when no route was selected.
     pub fn corrupt_drop_route(&mut self, prefix: &Prefix) -> bool {
-        self.loc_rib.remove(prefix).is_some()
+        let Some(id) = self.prefixes.id(prefix) else {
+            return false;
+        };
+        self.loc_rib
+            .get_mut(id.index())
+            .and_then(Option::take)
+            .is_some()
     }
 
     /// Rewrites the selected route for `prefix` into an iBGP-style entry
@@ -913,7 +1251,7 @@ impl Speaker {
     /// pointing at an IGP-unreachable or phantom speaker forges a
     /// blackhole. Returns `false` when no route was selected.
     pub fn corrupt_redirect_ibgp(&mut self, prefix: &Prefix, next_hop: SpeakerId) -> bool {
-        match self.loc_rib.get_mut(prefix) {
+        match self.selected_mut(prefix) {
             Some(cand) => {
                 // The selected route shares its attributes with this
                 // router's Adj-RIB-In entry and with peers' RIBs: corrupt
@@ -930,14 +1268,16 @@ impl Speaker {
     /// previous entry. Lets the harness restore a candidate corruption
     /// site that turned out unusable and move to the next one.
     pub fn corrupt_replace_route(&mut self, prefix: Prefix, cand: Candidate) -> Option<Candidate> {
-        self.loc_rib.insert(prefix, cand)
+        let id = self.intern(prefix);
+        self.slot_mut(id);
+        self.loc_rib[id.index()].replace(cand)
     }
 
     /// Rewrites the forwarding peer of an eBGP-selected route for `prefix`
     /// (the AS-level analogue of a corrupted FIB next hop). Returns `false`
     /// when the selected route is not eBGP-learned.
     pub fn corrupt_forward_peer(&mut self, prefix: &Prefix, peer: SpeakerId) -> bool {
-        match self.loc_rib.get_mut(prefix) {
+        match self.selected_mut(prefix) {
             Some(cand) => match cand.source {
                 RouteSource::Ebgp {
                     peer_as, relation, ..
@@ -1330,6 +1670,13 @@ mod tests {
     fn rib_entries_and_messages_hold_a_pointer() {
         assert_eq!(std::mem::size_of::<Candidate>(), 24);
         assert_eq!(std::mem::size_of::<Message>(), 16);
+        assert_eq!(std::mem::size_of::<Message<PrefixId>>(), 16);
+        // Two candidates inline (48), the own route (8), two row entries
+        // inline (40), and beside the slot a Loc-RIB entry (24): a world
+        // holds one of each per (speaker, prefix), so every byte here is
+        // 240k bytes at scale 2.
+        assert_eq!(std::mem::size_of::<Slot>(), 96);
+        assert_eq!(std::mem::size_of::<Option<Candidate>>(), 24);
     }
 
     #[test]
@@ -1435,23 +1782,37 @@ mod tests {
         assert_eq!(border.best(&prefix), Some(&sender_best));
     }
 
-    /// The three row invariants of the module docs.
+    /// The row invariants of the module docs, and a list's own: three or
+    /// more entries, or inline.
     fn assert_rows_well_formed(s: &Speaker) {
-        for (prefix, row) in &s.adj_rib_out {
-            assert!(!row.is_empty(), "empty row left for {prefix}");
+        for (i, slot) in s.slots.iter().enumerate() {
+            let (prefix, row) = (
+                s.prefixes.prefix(PrefixId::from_index(i)),
+                slot.row.as_slice(),
+            );
+            assert!(
+                !matches!(&slot.row, Few::Many(v) if v.len() < 3),
+                "row for {prefix} spilled with {} entries",
+                row.len()
+            );
             assert!(
                 row.windows(2).all(|w| w[0].0 < w[1].0),
                 "row for {prefix} out of peer order: {row:?}"
             );
             assert!(
-                row.iter().all(|(to, _)| s.peers.contains_key(to)),
+                row.iter().all(|(to, _)| s.peer_config(*to).is_some()),
                 "row for {prefix} names an unconfigured peer: {row:?}"
             );
         }
     }
 
+    /// Rows holding at least one advertisement.
+    fn rows_in_use(s: &Speaker) -> usize {
+        s.slots.iter().filter(|slot| !slot.row.is_empty()).count()
+    }
+
     #[test]
-    fn adj_rib_out_rows_stay_sorted_non_empty_and_configured() {
+    fn adj_rib_out_rows_stay_sorted_and_configured() {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
 
@@ -1471,13 +1832,13 @@ mod tests {
         for _ in 0..6000 {
             let (peer, cfg) = peers[rng.gen_range(0..peers.len())];
             let prefix = prefixes[rng.gen_range(0..prefixes.len())];
-            let rows_before = s.adj_rib_out.len();
+            let rows_before = rows_in_use(&s);
             match rng.gen_range(0..12) {
-                0..=3 if s.peers.contains_key(&peer) => {
+                0..=3 if s.peer_config(peer).is_some() => {
                     let path = vec![200 + peer.0, rng.gen_range(300..303)];
                     s.receive(peer, update(prefix, path, peer));
                 }
-                4 | 5 if s.peers.contains_key(&peer) => {
+                4 | 5 if s.peer_config(peer).is_some() => {
                     s.receive(peer, Message::Withdraw { prefix });
                 }
                 6 => s.remove_peer(peer),
@@ -1492,11 +1853,32 @@ mod tests {
                 }
             }
             assert_rows_well_formed(&s);
-            widest = widest.max(s.adj_rib_out.values().map(Vec::len).max().unwrap_or(0));
-            emptied += usize::from(s.adj_rib_out.len() < rows_before);
+            widest = widest.max(s.slots.iter().map(|slot| slot.row.len()).max().unwrap_or(0));
+            emptied += usize::from(rows_in_use(&s) < rows_before);
         }
         // The walk reached rows naming most peers, and rows that emptied.
         assert!(widest >= 4 && emptied > 50, "{widest} {emptied}");
+    }
+
+    #[test]
+    fn few_matches_a_vec_and_keeps_two_inline() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = SmallRng::seed_from_u64(5);
+        let (mut few, mut model) = (Few::default(), Vec::new());
+        for step in 0..20_000u32 {
+            if model.is_empty() || (model.len() < 6 && rng.gen_bool(0.55)) {
+                let at = rng.gen_range(0..=model.len());
+                few.insert(at, step);
+                model.insert(at, step);
+            } else {
+                let at = rng.gen_range(0..model.len());
+                assert_eq!(few.remove(at), model.remove(at));
+            }
+            assert_eq!(few.as_slice(), &model[..]);
+            assert_eq!(matches!(few, Few::Many(_)), model.len() > 2, "{model:?}");
+        }
     }
 
     #[test]
@@ -1514,7 +1896,12 @@ mod tests {
         }
         let queued = s.dirty.clone();
         assert_eq!(queued.len(), 6);
-        assert_eq!(s.take_dirty(), vec![low, high]);
+        let drained: Vec<Prefix> = s
+            .take_dirty()
+            .into_iter()
+            .map(|id| s.prefixes.prefix(id))
+            .collect();
+        assert_eq!(drained, vec![low, high]);
         s.dirty = queued;
         let msgs = s.process();
         assert!(!s.has_pending_work());
@@ -1585,8 +1972,7 @@ mod tests {
                 }
                 RouteSource::Ibgp { peer: learned_from } => {
                     let from_client = s
-                        .peers
-                        .get(&learned_from)
+                        .peer_config(learned_from)
                         .is_some_and(|c| c.kind == PeerKind::IbgpClient);
                     let to_client = cfg.kind == PeerKind::IbgpClient;
                     if !from_client && !to_client {
@@ -1712,7 +2098,8 @@ mod tests {
             // One set of forms serves every peer, as in `reselect`.
             let mut best_forms = ExportForms::new(&s, &best);
             let mut ext_forms = best_ext.as_ref().map(|c| ExportForms::new(&s, c));
-            for (&peer, cfg) in &s.peers {
+            for (peer, cfg) in &s.peers {
+                let peer = *peer;
                 let want = export_oracle(&s, Some(&best), best_ext.as_ref(), peer, cfg);
                 let got = export_for(Some(&mut best_forms), ext_forms.as_mut(), peer, cfg.kind);
                 assert_eq!(
@@ -1735,7 +2122,7 @@ mod tests {
                 None,
                 ext_forms.as_mut(),
                 SpeakerId(2),
-                s.peers[&SpeakerId(2)].kind
+                s.peer_config(SpeakerId(2)).unwrap().kind
             )
             .is_none());
         }

@@ -190,9 +190,7 @@ fn no_export_stays_inside_the_as() {
     use vns_bgp::Community;
     let mut net = diamond();
     let prefix = p("10.4.64.0/18");
-    net.speaker_mut(SpeakerId(4))
-        .unwrap()
-        .originate_with(prefix, vec![Community::NoExport]);
+    net.originate_with(SpeakerId(4), prefix, vec![Community::NoExport]);
     net.run(100_000).unwrap();
     // Direct eBGP neighbours 2 and 3 never hear it (AS-level speakers:
     // NO_EXPORT blocks the very first eBGP hop).

@@ -2,8 +2,9 @@
 //! longest-match table against a linear-scan table, the Loc-RIB's longest
 //! match against the linear scan it replaced, the flat Adj-RIB-In against the
 //! nested per-prefix maps it replaced, the Adj-RIB-Out rows against the
-//! per-peer maps they replaced, decision-process order axioms, and
-//! valley-free export.
+//! per-peer maps they replaced, prefix order and longest match under any
+//! prefix-naming order and every engine, the slot lifecycle,
+//! decision-process order axioms, and valley-free export.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet};
@@ -13,7 +14,7 @@ use proptest::prelude::*;
 use vns_bgp::policy::{REL_TAG_CUSTOMER, REL_TAG_PEER};
 use vns_bgp::{
     compare_routes, may_export, select_best, Asn, BgpNet, Candidate, Community, DecisionContext,
-    LpmMap, Message, Origin, PeerConfig, PeerKind, Policy, Prefix, Relation, RouteAttrs,
+    LpmMap, Message, Origin, PeerConfig, PeerKind, Policy, Prefix, Relation, RibCensus, RouteAttrs,
     RouteSource, Speaker, SpeakerId,
 };
 
@@ -715,5 +716,157 @@ proptest! {
         // Own and customer routes go anywhere.
         prop_assert!(may_export(None, to));
         prop_assert!(may_export(Some(Relation::Customer), to));
+    }
+}
+
+/// The nested prefixes the prefix-id properties originate: a /16, a /18
+/// and a /20 inside it, a /32 inside those, and a /0.
+fn nested_prefixes(addr: u32) -> [Prefix; 5] {
+    [
+        Prefix::new(addr, 16),
+        Prefix::new(addr, 18),
+        Prefix::new(addr, 20),
+        Prefix::DEFAULT,
+        Prefix::new(addr, 32),
+    ]
+}
+
+/// `lpm_net` with its five speakers spread over two or three shards (1 and
+/// 2 always apart), originating `prefixes[k]` at `origins[k]` in the order
+/// `keys` sorts them — so a more-specific is often named before the prefix
+/// covering it.
+fn nested_net(prefixes: &[Prefix], origins: &[u32], keys: &[u32], shards: &[u32]) -> BgpNet {
+    let mut net = lpm_net();
+    for (i, shard) in shards.iter().enumerate() {
+        net.set_shard(SpeakerId(1 + i as u32), *shard);
+    }
+    let mut order: Vec<usize> = (0..prefixes.len()).collect();
+    order.sort_by_key(|&k| keys[k]);
+    for k in order {
+        net.originate(SpeakerId(origins[k]), prefixes[k]);
+    }
+    net
+}
+
+/// Every reader of every speaker, rendered: what "equal RIBs" means below.
+fn readers(net: &BgpNet) -> Vec<String> {
+    net.speaker_ids()
+        .map(|id| {
+            let sp = net.speaker(id).expect("listed speaker");
+            format!(
+                "{id} loc {:?} in {:?} own {:?} out {}",
+                sp.loc_rib_entries().collect::<Vec<_>>(),
+                sp.adj_rib_in_entries().collect::<Vec<_>>(),
+                sp.originated_prefixes().collect::<Vec<_>>(),
+                sp.adj_rib_out_len(),
+            )
+        })
+        .collect()
+}
+
+/// Every ordered reader ascends strictly, and `lookup_up_to` equals a scan
+/// of `loc_rib_entries` for every probe and every ceiling `None | 0..=33`.
+fn assert_ordered_and_matching(net: &BgpNet, probes: &[u32]) {
+    for id in net.speaker_ids() {
+        let sp = net.speaker(id).expect("listed speaker");
+        let loc: Vec<Prefix> = sp.loc_rib_entries().map(|(p, _)| p).collect();
+        assert!(loc.windows(2).all(|w| w[0] < w[1]), "{id} loc {loc:?}");
+        assert!(sp.loc_rib_prefixes().eq(loc.iter().copied()), "{id}");
+        let own: Vec<Prefix> = sp.originated_prefixes().collect();
+        assert!(own.windows(2).all(|w| w[0] < w[1]), "{id} own {own:?}");
+        let heard: Vec<(Prefix, SpeakerId)> = sp
+            .adj_rib_in_entries()
+            .map(|(p, from, _)| (p, from))
+            .collect();
+        assert!(heard.windows(2).all(|w| w[0] < w[1]), "{id} in {heard:?}");
+        for &ip in probes {
+            for ceiling in std::iter::once(None).chain((0..=33).map(Some)) {
+                let want = sp
+                    .loc_rib_entries()
+                    .filter(|(p, _)| p.contains(ip) && ceiling.is_none_or(|m| p.len() < m))
+                    .max_by_key(|(p, _)| p.len());
+                let got = sp.lookup_up_to(ip, ceiling);
+                assert_eq!(
+                    got.map(|(p, c)| (p, c as *const Candidate)),
+                    want.map(|(p, c)| (p, c as *const Candidate)),
+                    "{id} ip {ip:#x} ceiling {ceiling:?}"
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Prefix ids are first-seen, readers are ordered by prefix: whatever
+    /// order the nested prefixes are named in, every engine and thread
+    /// count converges to the same RIBs, read in `(addr, len)` order.
+    #[test]
+    fn readers_keep_prefix_order_whatever_the_naming_order(
+        addr in any::<u32>(),
+        origins in prop::collection::vec(1u32..=LPM_SPEAKERS, 5..6),
+        keys in prop::collection::vec(any::<u32>(), 5..6),
+        shard_count in 2u32..=3,
+        assign in prop::collection::vec(0u32..3, 5..6),
+    ) {
+        let prefixes = nested_prefixes(addr);
+        let shards: Vec<u32> = (0..LPM_SPEAKERS as usize)
+            .map(|i| if i < 2 { i as u32 } else { assign[i] % shard_count })
+            .collect();
+        let probes: Vec<u32> = prefixes
+            .iter()
+            .flat_map(|p| [p.first_host(), p.addr() | !0u32 >> p.len().min(31)])
+            .chain([addr ^ 0x8000_0000, addr ^ 0x0000_4000, addr ^ 1])
+            .collect();
+        let mut mono = nested_net(&prefixes, &origins, &keys, &shards);
+        mono.run(1_000_000).expect("small net converges");
+        prop_assert!(mono.is_quiescent());
+        assert_ordered_and_matching(&mono, &probes);
+        let want = readers(&mono);
+        for threads in 1..=3 {
+            let mut net = nested_net(&prefixes, &origins, &keys, &shards);
+            net.run_sharded(1_000_000, threads).expect("small net converges");
+            prop_assert!(net.is_quiescent());
+            assert_ordered_and_matching(&net, &probes);
+            prop_assert_eq!(readers(&net), want.clone(), "threads {}", threads);
+        }
+    }
+
+    /// A speaker's slots outlive the prefixes in them: withdrawing every
+    /// origination empties every RIB, and re-originating builds exactly
+    /// what a fresh network builds.
+    #[test]
+    fn withdrawn_then_reoriginated_equals_a_fresh_build(
+        addr in any::<u32>(),
+        origins in prop::collection::vec(1u32..=LPM_SPEAKERS, 5..6),
+        keys in prop::collection::vec(any::<u32>(), 5..6),
+        reorder in prop::collection::vec(any::<u32>(), 5..6),
+    ) {
+        let prefixes = nested_prefixes(addr);
+        let shards = [0, 1, 0, 1, 0];
+        let mut net = nested_net(&prefixes, &origins, &keys, &shards);
+        net.run_sharded(1_000_000, 1).expect("small net converges");
+        for (prefix, at) in prefixes.iter().zip(&origins) {
+            net.speaker_mut(SpeakerId(*at)).expect("speaker").withdraw_local(*prefix);
+        }
+        net.run_sharded(1_000_000, 1).expect("small net converges");
+        prop_assert_eq!(net.rib_census(), RibCensus::default());
+        let empty: Vec<String> = net
+            .speaker_ids()
+            .map(|id| format!("{id} loc [] in [] own [] out 0"))
+            .collect();
+        prop_assert_eq!(readers(&net), empty);
+        // Named again in another order: the ids stay the first naming's.
+        let mut order: Vec<usize> = (0..prefixes.len()).collect();
+        order.sort_by_key(|&k| reorder[k]);
+        for &k in &order {
+            net.originate(SpeakerId(origins[k]), prefixes[k]);
+        }
+        net.run_sharded(1_000_000, 1).expect("small net converges");
+        let mut fresh = nested_net(&prefixes, &origins, &reorder, &shards);
+        fresh.run_sharded(1_000_000, 1).expect("small net converges");
+        prop_assert_eq!(net.rib_census(), fresh.rib_census());
+        prop_assert_eq!(readers(&net), readers(&fresh));
     }
 }

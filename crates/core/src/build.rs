@@ -349,11 +349,7 @@ pub fn deploy_vns(internet: &mut Internet, config: &VnsConfig) -> Vns {
     );
     for pop in &pops {
         for b in pop.borders {
-            internet
-                .net
-                .speaker_mut(b)
-                .expect("border exists")
-                .originate(anycast_prefix);
+            internet.net.originate(b, anycast_prefix);
         }
     }
     // Echo servers: two per measurement region (Sec 5.1 uses six).
@@ -375,11 +371,7 @@ pub fn deploy_vns(internet: &mut Internet, config: &VnsConfig) -> Vns {
             pop.location(),
         );
         for b in pop.borders {
-            internet
-                .net
-                .speaker_mut(b)
-                .expect("border exists")
-                .originate(prefix);
+            internet.net.originate(b, prefix);
         }
         echo_servers.push(EchoServer { prefix, pop: pid });
     }

@@ -141,13 +141,10 @@ impl Vns {
         more_specific: Prefix,
         pop: PopId,
     ) -> Result<(), ConvergenceError> {
-        let borders = self.pop(pop).borders;
-        for b in borders {
-            let speaker = internet
+        for b in self.pop(pop).borders {
+            internet
                 .net
-                .speaker_mut(b)
-                .expect("VNS border router registered");
-            speaker.originate_with(more_specific, vec![Community::NoExport]);
+                .originate_with(b, more_specific, vec![Community::NoExport]);
         }
         internet.net.run(self.message_budget()).map(|_| ())
     }

@@ -519,8 +519,9 @@ mod tests {
             internet.net.originate(b, anycast);
         }
         for b in [b1, b2, b3, b4] {
-            let sp = internet.net.speaker_mut(b).expect("speaker");
-            sp.originate_with(steer, vec![Community::NoExport]);
+            internet
+                .net
+                .originate_with(b, steer, vec![Community::NoExport]);
         }
         internet.net.originate(b5, Prefix::DEFAULT);
         // Known to the control plane, not to the registry.

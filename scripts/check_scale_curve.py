@@ -9,7 +9,8 @@ not move it — so the deterministic columns (ases, prefixes, sessions,
 conv_msgs, rounds, and the walked RIB census: adj_in entries, the adj_out
 fingerprints the Adj-RIB-Out rows hold — a stale or duplicated row entry
 shows here — and the distinct attr_sets allocations behind the RIBs, which
-are shared by provenance and so follow from the message history alone) are
+are shared by provenance and so follow from the message history alone,
+and the convergence's work counters: reselects and neighbour visits) are
 compared EXACTLY, and every rung must report `pass` from both verifier
 stages. The exact conv_msgs match doubles as the message ceiling:
 convergence cost cannot creep past the committed curve unnoticed. Peak RSS
@@ -33,6 +34,8 @@ EXACT = (
     "adj_in",
     "adj_out",
     "attr_sets",
+    "reselects",
+    "visits",
 )
 
 # A rung's peak_rss_mib may reach this multiple of the committed value.
