@@ -361,6 +361,17 @@ fn bench_certification_reads(c: &mut Criterion) {
             });
         });
     }
+    // `hit` with each address's covering list built beforehand, as the
+    // resolver and the verifier build it once for every router they ask.
+    let coverings: Vec<_> = hits.iter().map(|&ip| internet.net.covering(ip)).collect();
+    g.bench_function("hit_in_covering", |b| {
+        let mut i = 0usize;
+        b.iter(|| {
+            i += 1;
+            let covering = black_box(&coverings[i % coverings.len()]);
+            black_box(border.lookup_in(covering, None).map(|(p, ..)| p));
+        });
+    });
     g.finish();
 
     let igp = internet

@@ -5,7 +5,8 @@
 //! messages and rounds, the walked RIB census (Adj-RIB-In entries,
 //! Adj-RIB-Out fingerprints and the distinct attribute-set allocations
 //! behind the RIBs), the convergence's work counters (reselects and
-//! neighbour visits), wall clock and peak RSS. Each rung lands in the perf
+//! neighbour visits), the (source, destination) pairs the data-plane stage
+//! walked, wall clock and peak RSS. Each rung lands in the perf
 //! ledger as `scale-build` / `scale-verify` rows stamped with the rung's
 //! own scale.
 
@@ -41,7 +42,7 @@ pub fn run(ctx: &mut Ctx) -> Result<String, String> {
     rungs.push(top);
     let mut body = String::from(
         "scale-curve: control-plane cost vs world scale (sharded delta convergence)\n\
-         scale    ases  prefixes  sessions  conv_msgs    rounds  adj_in      adj_out     attr_sets   reselects   visits       build_s  verify_s  peak_rss_mib  verdict\n",
+         scale    ases  prefixes  sessions  conv_msgs    rounds  adj_in      adj_out     attr_sets   reselects   visits       fwd_pairs  build_s  verify_s  peak_rss_mib  verdict\n",
     );
     for &s in &rungs {
         let t0 = Instant::now();
@@ -73,7 +74,7 @@ pub fn run(ctx: &mut Ctx) -> Result<String, String> {
         let rounds: u64 = w.internet.convergence_log.iter().map(|c| c.rounds).sum();
         let work = w.internet.net.work();
         let t1 = Instant::now();
-        let ok = ctx.timed("scale-verify", s, |_| {
+        let (ok, fwd_pairs) = ctx.timed("scale-verify", s, |_| {
             let control = vns_verify::verify(&w.internet, &w.vns);
             let endpoints = EndpointTable::build(&w.internet, &w.vns);
             let paths = PathTable::build(&w.internet, &w.vns, &endpoints);
@@ -85,7 +86,7 @@ pub fn run(ctx: &mut Ctx) -> Result<String, String> {
                 &endpoints,
                 &paths,
             );
-            control.passes() && data.passes()
+            (control.passes() && data.passes(), data.pairs)
         });
         let verify_s = t1.elapsed().as_secs_f64();
         // Read the high-water mark first: the census holds a pointer per
@@ -94,7 +95,7 @@ pub fn run(ctx: &mut Ctx) -> Result<String, String> {
         let census = w.internet.net.rib_census();
         let verdict = if ok { "pass" } else { "FAIL" };
         body.push_str(&format!(
-            "{s:<7} {ases:<5} {prefixes:<9} {sessions:<9} {msgs:<12} {rounds:<7} {:<11} {:<11} {:<11} {:<11} {:<12} {build_s:<8.2} {verify_s:<9.2} {peak_rss:<13.1} {verdict}\n",
+            "{s:<7} {ases:<5} {prefixes:<9} {sessions:<9} {msgs:<12} {rounds:<7} {:<11} {:<11} {:<11} {:<11} {:<12} {fwd_pairs:<10} {build_s:<8.2} {verify_s:<9.2} {peak_rss:<13.1} {verdict}\n",
             census.adj_rib_in,
             census.adj_rib_out,
             census.attr_sets,

@@ -9,6 +9,10 @@
 //! * [`Prefix`] and [`LpmMap`], the longest-prefix-match table under both
 //!   a network's prefix ids (every Loc-RIB's longest match) and `vns-topo`'s
 //!   prefix registry;
+//! * [`PrefixId`], a network's dense name for a prefix, which readers hand
+//!   out beside the prefix and accept in its place ([`PrefixKey`]), and
+//!   [`Covering`], the network's prefixes containing one address, so a walk
+//!   that asks many speakers about one address probes the table once;
 //! * [`RouteAttrs`] — LOCAL_PREF, AS_PATH, ORIGIN, MED, communities
 //!   (including `NO_EXPORT`), originator/cluster list;
 //! * the full [`decision`] process in the order the paper lists it
@@ -49,5 +53,6 @@ pub use net::{
 };
 pub use policy::{may_export, Policy, Relation};
 pub use prefix::Prefix;
+pub use prefix_ids::{Covering, PrefixId, PrefixKey};
 pub use route::{AsPath, Asn, Community, Origin, RouteAttrs, RouteSource, DEFAULT_LOCAL_PREF};
 pub use speaker::{ImportHook, Message, PeerConfig, PeerKind, Speaker};

@@ -39,7 +39,7 @@ use std::sync::Arc;
 
 use crate::decision::Candidate;
 use crate::prefix::Prefix;
-use crate::prefix_ids::{PrefixId, PrefixTable};
+use crate::prefix_ids::{Covering, PrefixId, PrefixTable};
 pub use crate::route::SpeakerId;
 use crate::route::{Asn, Community, RouteAttrs, RouteSource};
 use crate::speaker::{Message, PeerConfig, PeerKind, Speaker};
@@ -327,6 +327,25 @@ impl BgpNet {
         self.prefixes = ahead;
     }
 
+    /// Every prefix the network names that contains `ip`, longest first,
+    /// with its id — from the newest table: the network's, or the one the
+    /// speaker lent out last has grown ahead of it (see the module docs),
+    /// so a prefix a lent speaker named after convergence is on the list.
+    /// [`Speaker::lookup_in`] over it is [`Speaker::lookup_up_to`] at every
+    /// speaker of the network, for one probe of the table per address
+    /// instead of one per speaker.
+    pub fn covering(&self, ip: u32) -> Covering {
+        let lent = self.lent.and_then(|id| self.speaker(id));
+        let newest = match lent.map(|sp| &**sp.prefixes()) {
+            Some(ahead) if ahead.len() > self.prefixes.len() => {
+                debug_assert!(ahead.extends(&self.prefixes), "a lent table forked");
+                ahead
+            }
+            _ => &*self.prefixes,
+        };
+        newest.covering(ip)
+    }
+
     /// The network's id for `prefix`, named on first sight. The speakers
     /// keep the version they hold (see the module docs): only the first new
     /// prefix after a hand-out copies the table.
@@ -351,8 +370,8 @@ impl BgpNet {
         }
         let mut sets: Vec<&RouteAttrs> = Vec::with_capacity(census.adj_rib_in + census.loc_rib);
         for sp in self.speakers.iter().flatten() {
-            let learned = sp.adj_rib_in_entries().map(|(_, _, c)| c);
-            let selected = sp.loc_rib_entries().map(|(_, c)| c);
+            let learned = sp.adj_rib_in_entries().map(|(.., c)| c);
+            let selected = sp.loc_rib_entries().map(|(.., c)| c);
             sets.extend(learned.chain(selected).map(|c| &*c.attrs));
         }
         sets.sort_unstable_by_key(|a| *a as *const RouteAttrs);

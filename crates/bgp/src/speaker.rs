@@ -47,9 +47,14 @@
 //! and `originated_prefixes` keeps its ids in prefix order — ids are
 //! first-seen (a steering /18 arrives after its /16), so id order is not
 //! prefix order. [`Speaker::lookup_up_to`] probes the table's longest-match
-//! census, longest first, and indexes the slot: the longest named prefix
-//! this speaker has selected. The dirty queue holds ids and drains in prefix
-//! order, so [`Speaker::process`] emits what it always has, in that order.
+//! census, longest first, and indexes the Loc-RIB: the longest named prefix
+//! this speaker has selected. [`Speaker::lookup_in`] takes the same matches
+//! from a [`Covering`] list the caller built once for every speaker it asks;
+//! one helper picks the first selected match for both. The readers hand out
+//! each prefix's [`PrefixId`] beside it, and the by-prefix readers accept
+//! the id instead ([`PrefixKey`]), so a walk that holds one indexes. The
+//! dirty queue holds ids and drains in prefix order, so
+//! [`Speaker::process`] emits what it always has, in that order.
 //!
 //! **Adj-RIB-In order.** A slot's candidates are sorted by sender, one per
 //! sender: a prefix's candidates are visited in sender order, and
@@ -106,7 +111,7 @@ use crate::decision::{select_best, Candidate, DecisionContext};
 use crate::net::WorkCounters;
 use crate::policy::{may_export, relation_from_tags, strip_relation_tags, Policy, Relation};
 use crate::prefix::Prefix;
-use crate::prefix_ids::{PrefixId, PrefixTable};
+use crate::prefix_ids::{Covering, PrefixId, PrefixKey, PrefixTable};
 use crate::route::{Asn, Community, RouteAttrs, RouteSource, SpeakerId, DEFAULT_LOCAL_PREF};
 
 /// A BGP message on a session.
@@ -1042,8 +1047,8 @@ impl Speaker {
     }
 
     /// The slot of `prefix`, if any.
-    fn slot_of(&self, prefix: &Prefix) -> Option<&Slot> {
-        self.slot(self.prefixes.id(prefix)?)
+    fn slot_of(&self, prefix: impl PrefixKey) -> Option<&Slot> {
+        self.slot(self.prefixes.id_of(prefix)?)
     }
 
     /// The slot of `id`, created on first use together with one for every
@@ -1063,11 +1068,11 @@ impl Speaker {
         self.loc_rib.get(id.index())?.as_ref()
     }
 
-    /// Every slot in `(addr, len)` order, with its prefix.
-    fn slots_in_order(&self) -> impl Iterator<Item = (Prefix, &Slot)> + '_ {
+    /// Every slot in `(addr, len)` order, with its prefix and id.
+    fn slots_in_order(&self) -> impl Iterator<Item = (Prefix, PrefixId, &Slot)> + '_ {
         self.prefixes
             .iter()
-            .filter_map(|(prefix, id)| Some((prefix, self.slot(id)?)))
+            .filter_map(|(prefix, id)| Some((prefix, id, self.slot(id)?)))
     }
 
     /// The network's prefix table, as this speaker sees it.
@@ -1096,14 +1101,14 @@ impl Speaker {
         self.loc_rib.shrink_to_fit();
     }
 
-    /// The current best route for `prefix`.
-    pub fn best(&self, prefix: &Prefix) -> Option<&Candidate> {
-        self.selected(self.prefixes.id(prefix)?)
+    /// The current best route for `prefix` (by value or by id).
+    pub fn best(&self, prefix: impl PrefixKey) -> Option<&Candidate> {
+        self.selected(self.prefixes.id_of(prefix)?)
     }
 
     /// All prefixes with a selected route, in prefix order.
     pub fn loc_rib_prefixes(&self) -> impl Iterator<Item = Prefix> + '_ {
-        self.loc_rib_entries().map(|(prefix, _)| prefix)
+        self.loc_rib_entries().map(|(prefix, ..)| prefix)
     }
 
     /// The prefixes this speaker originates itself, in prefix order.
@@ -1111,11 +1116,11 @@ impl Speaker {
         self.originated.iter().map(|(prefix, _)| *prefix)
     }
 
-    /// Every selected route as `(prefix, best)`, in prefix order.
-    pub fn loc_rib_entries(&self) -> impl Iterator<Item = (Prefix, &Candidate)> + '_ {
+    /// Every selected route as `(prefix, id, best)`, in prefix order.
+    pub fn loc_rib_entries(&self) -> impl Iterator<Item = (Prefix, PrefixId, &Candidate)> + '_ {
         self.prefixes
             .iter()
-            .filter_map(|(prefix, id)| Some((prefix, self.selected(id)?)))
+            .filter_map(|(prefix, id)| Some((prefix, id, self.selected(id)?)))
     }
 
     /// Longest-prefix match over the Loc-RIB for a host address.
@@ -1133,18 +1138,39 @@ impl Speaker {
         ip: u32,
         max_len_exclusive: Option<u8>,
     ) -> Option<(Prefix, &Candidate)> {
-        // The network's prefixes containing `ip`, longest first; the first
-        // this speaker has selected is the match.
-        self.prefixes
-            .matches_up_to(ip, max_len_exclusive)
-            .find_map(|(prefix, id)| Some((prefix, self.selected(id)?)))
+        let matches = self.prefixes.matches_up_to(ip, max_len_exclusive);
+        self.first_selected(matches)
+            .map(|(prefix, _, best)| (prefix, best))
     }
 
-    /// The best *eBGP-learned* candidate for a prefix, regardless of what
-    /// the overall decision selected. A router that statically injects a
-    /// steering more-specific (Sec 3.2) resolves it over its own external
-    /// route to the covering prefix — this is that route.
-    pub fn best_external_route(&self, prefix: &Prefix) -> Option<&Candidate> {
+    /// [`Speaker::lookup_up_to`] for the address `covering` was built for,
+    /// with the matched prefix's id: the same longest match, read off a
+    /// list of the network's prefixes containing the address instead of
+    /// probing the table. A caller matching one address at many speakers
+    /// builds the list once ([`crate::BgpNet::covering`]).
+    pub fn lookup_in(
+        &self,
+        covering: &Covering,
+        max_len_exclusive: Option<u8>,
+    ) -> Option<(Prefix, PrefixId, &Candidate)> {
+        self.first_selected(covering.up_to(max_len_exclusive))
+    }
+
+    /// The first of `matches` (prefixes containing one address, longest
+    /// first) this speaker has selected: the longest match.
+    fn first_selected(
+        &self,
+        mut matches: impl Iterator<Item = (Prefix, PrefixId)>,
+    ) -> Option<(Prefix, PrefixId, &Candidate)> {
+        matches.find_map(|(prefix, id)| Some((prefix, id, self.selected(id)?)))
+    }
+
+    /// The best *eBGP-learned* candidate for a prefix (by value or by id),
+    /// regardless of what the overall decision selected. A router that
+    /// statically injects a steering more-specific (Sec 3.2) resolves it
+    /// over its own external route to the covering prefix — this is that
+    /// route.
+    pub fn best_external_route(&self, prefix: impl PrefixKey) -> Option<&Candidate> {
         self.best_ebgp(self.slot_of(prefix)?)
     }
 
@@ -1163,15 +1189,17 @@ impl Speaker {
     // audits vendor configs: what is in Adj-RIB-In, what *would* go out on
     // each session, and whether next hops resolve.
 
-    /// Every Adj-RIB-In entry as `(prefix, sending peer, candidate)`, in
-    /// prefix order, then sender order. Read-only; intended for invariant
-    /// checkers.
-    pub fn adj_rib_in_entries(&self) -> impl Iterator<Item = (Prefix, SpeakerId, &Candidate)> + '_ {
-        self.slots_in_order().flat_map(|(prefix, slot)| {
+    /// Every Adj-RIB-In entry as `(prefix, id, sending peer, candidate)`,
+    /// in prefix order, then sender order. Read-only; intended for
+    /// invariant checkers.
+    pub fn adj_rib_in_entries(
+        &self,
+    ) -> impl Iterator<Item = (Prefix, PrefixId, SpeakerId, &Candidate)> + '_ {
+        self.slots_in_order().flat_map(|(prefix, id, slot)| {
             slot.learned
                 .as_slice()
                 .iter()
-                .map(move |c| (prefix, sender(c), c))
+                .map(move |c| (prefix, id, sender(c), c))
         })
     }
 
@@ -1181,17 +1209,17 @@ impl Speaker {
     }
 
     /// Recomputes the exact attributes this router would currently
-    /// advertise to `peer` for `prefix` — the full export pipeline
-    /// (echo suppression, community filtering, valley-free scoping,
-    /// best-external fallback, reflection stamping) applied to the
+    /// advertise to `peer` for `prefix` (by value or by id) — the full
+    /// export pipeline (echo suppression, community filtering, valley-free
+    /// scoping, best-external fallback, reflection stamping) applied to the
     /// converged best route. `None` when nothing would be advertised or
     /// the peer is not configured.
     ///
     /// The stored Adj-RIB-Out keeps only fingerprints to diff against; this
     /// is the authoritative way to inspect outbound state.
-    pub fn exported_to(&self, peer: SpeakerId, prefix: &Prefix) -> Option<Arc<RouteAttrs>> {
+    pub fn exported_to(&self, peer: SpeakerId, prefix: impl PrefixKey) -> Option<Arc<RouteAttrs>> {
         let cfg = self.peer_config(peer)?;
-        let id = self.prefixes.id(prefix)?;
+        let id = self.prefixes.id_of(prefix)?;
         let slot = self.slot(id)?;
         let mut best = ExportForms::new(self, self.selected(id)?);
         let mut best_ext = self

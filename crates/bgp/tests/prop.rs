@@ -3,8 +3,10 @@
 //! match against the linear scan it replaced, the flat Adj-RIB-In against the
 //! nested per-prefix maps it replaced, the Adj-RIB-Out rows against the
 //! per-peer maps they replaced, prefix order and longest match under any
-//! prefix-naming order and every engine, the slot lifecycle,
-//! decision-process order axioms, and valley-free export.
+//! prefix-naming order and every engine, the slot lifecycle, one covering
+//! list per address against every speaker's own longest match (and the
+//! readers by prefix against the same readers by id), decision-process
+//! order axioms, and valley-free export.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet};
@@ -343,7 +345,9 @@ impl PerPeerOut {
         if sp.peer_config(peer).is_none() {
             return;
         }
-        let heard = sp.adj_rib_in_entries().filter(|(_, from, _)| *from == peer);
+        let heard = sp
+            .adj_rib_in_entries()
+            .filter(|(_, _, from, _)| *from == peer);
         self.dirty.extend(heard.map(|(p, ..)| p));
         self.dirty.extend(sp.loc_rib_prefixes());
         self.sent.remove(&peer);
@@ -410,7 +414,7 @@ proptest! {
             let (peer, cfg) = peers[peer_sel];
             let prefix = prefixes[prefix_sel];
             let up = sp.peer_config(peer).is_some();
-            let held = sp.adj_rib_in_entries().any(|(p, from, _)| (p, from) == (prefix, peer));
+            let held = sp.adj_rib_in_entries().any(|(p, _, from, _)| (p, from) == (prefix, peer));
             let mut emitted = None;
             match op {
                 // Update; `a == 3` is an eBGP loop (implicit withdraw).
@@ -550,7 +554,7 @@ proptest! {
                 let want_ext = select_best(want.into_iter().filter(|c| c.source.is_ebgp()), &ctx);
                 prop_assert_eq!(sp.best_external_route(p), want_ext, "best_external_route({})", p);
             }
-            let got: Vec<_> = sp.adj_rib_in_entries().collect();
+            let got: Vec<_> = sp.adj_rib_in_entries().map(|(p, _, from, c)| (p, from, c)).collect();
             let want: Vec<_> = oracle
                 .0
                 .iter()
@@ -589,7 +593,7 @@ proptest! {
                     net.speaker_mut(at).expect("speaker").corrupt_drop_route(&prefix);
                 }
                 6 => {
-                    let donor = net.speaker(at).and_then(|s| s.loc_rib_entries().next().map(|(_, c)| c.clone()));
+                    let donor = net.speaker(at).and_then(|s| s.loc_rib_entries().next().map(|(.., c)| c.clone()));
                     if let Some(cand) = donor {
                         net.speaker_mut(at).expect("speaker").corrupt_replace_route(prefix, cand);
                     }
@@ -749,14 +753,20 @@ fn nested_net(prefixes: &[Prefix], origins: &[u32], keys: &[u32], shards: &[u32]
 }
 
 /// Every reader of every speaker, rendered: what "equal RIBs" means below.
+/// Prefix ids are left out: they follow the order prefixes were first
+/// named in, which two equal networks need not share.
 fn readers(net: &BgpNet) -> Vec<String> {
     net.speaker_ids()
         .map(|id| {
             let sp = net.speaker(id).expect("listed speaker");
             format!(
                 "{id} loc {:?} in {:?} own {:?} out {}",
-                sp.loc_rib_entries().collect::<Vec<_>>(),
-                sp.adj_rib_in_entries().collect::<Vec<_>>(),
+                sp.loc_rib_entries()
+                    .map(|(p, _, c)| (p, c))
+                    .collect::<Vec<_>>(),
+                sp.adj_rib_in_entries()
+                    .map(|(p, _, from, c)| (p, from, c))
+                    .collect::<Vec<_>>(),
                 sp.originated_prefixes().collect::<Vec<_>>(),
                 sp.adj_rib_out_len(),
             )
@@ -769,26 +779,26 @@ fn readers(net: &BgpNet) -> Vec<String> {
 fn assert_ordered_and_matching(net: &BgpNet, probes: &[u32]) {
     for id in net.speaker_ids() {
         let sp = net.speaker(id).expect("listed speaker");
-        let loc: Vec<Prefix> = sp.loc_rib_entries().map(|(p, _)| p).collect();
+        let loc: Vec<Prefix> = sp.loc_rib_entries().map(|(p, ..)| p).collect();
         assert!(loc.windows(2).all(|w| w[0] < w[1]), "{id} loc {loc:?}");
         assert!(sp.loc_rib_prefixes().eq(loc.iter().copied()), "{id}");
         let own: Vec<Prefix> = sp.originated_prefixes().collect();
         assert!(own.windows(2).all(|w| w[0] < w[1]), "{id} own {own:?}");
         let heard: Vec<(Prefix, SpeakerId)> = sp
             .adj_rib_in_entries()
-            .map(|(p, from, _)| (p, from))
+            .map(|(p, _, from, _)| (p, from))
             .collect();
         assert!(heard.windows(2).all(|w| w[0] < w[1]), "{id} in {heard:?}");
         for &ip in probes {
             for ceiling in std::iter::once(None).chain((0..=33).map(Some)) {
                 let want = sp
                     .loc_rib_entries()
-                    .filter(|(p, _)| p.contains(ip) && ceiling.is_none_or(|m| p.len() < m))
-                    .max_by_key(|(p, _)| p.len());
+                    .filter(|(p, ..)| p.contains(ip) && ceiling.is_none_or(|m| p.len() < m))
+                    .max_by_key(|(p, ..)| p.len());
                 let got = sp.lookup_up_to(ip, ceiling);
                 assert_eq!(
                     got.map(|(p, c)| (p, c as *const Candidate)),
-                    want.map(|(p, c)| (p, c as *const Candidate)),
+                    want.map(|(p, _, c)| (p, c as *const Candidate)),
                     "{id} ip {ip:#x} ceiling {ceiling:?}"
                 );
             }
@@ -868,5 +878,99 @@ proptest! {
         fresh.run_sharded(1_000_000, 1).expect("small net converges");
         prop_assert_eq!(net.rib_census(), fresh.rib_census());
         prop_assert_eq!(readers(&net), readers(&fresh));
+    }
+}
+
+/// Nested prefixes at seven lengths — more than any world populates.
+fn nested_at_every_length(addr: u32) -> [Prefix; 7] {
+    [0, 8, 16, 18, 20, 24, 32].map(|len| Prefix::new(addr, len))
+}
+
+/// At every speaker, for every probe and every ceiling `None | 0..=33`: the
+/// longest match over the network's covering list is the speaker's own
+/// longest match, and every reader that takes a prefix answers the same by
+/// prefix and by the id the readers hand out beside it.
+fn assert_covering_matches_each_lookup(net: &BgpNet, probes: &[u32]) {
+    for &ip in probes {
+        let covering = net.covering(ip);
+        for id in net.speaker_ids() {
+            let sp = net.speaker(id).expect("listed speaker");
+            for ceiling in std::iter::once(None).chain((0..=33).map(Some)) {
+                let got = sp.lookup_in(&covering, ceiling);
+                let want = sp.lookup_up_to(ip, ceiling);
+                assert_eq!(
+                    got.map(|(p, _, c)| (p, c as *const Candidate)),
+                    want.map(|(p, c)| (p, c as *const Candidate)),
+                    "{id} ip {ip:#x} ceiling {ceiling:?}"
+                );
+                if let Some((p, pid, c)) = got {
+                    assert!(std::ptr::eq(sp.best(pid).expect("selected"), c));
+                    assert_eq!(sp.best(&p), sp.best(pid), "{id} {p}");
+                }
+            }
+        }
+    }
+    for id in net.speaker_ids() {
+        let sp = net.speaker(id).expect("listed speaker");
+        for (p, pid, c) in sp.loc_rib_entries() {
+            assert!(std::ptr::eq(sp.best(pid).expect("selected"), c));
+            assert_eq!(sp.best_external_route(&p), sp.best_external_route(pid));
+            for peer in sp.peer_ids() {
+                assert_eq!(sp.exported_to(peer, &p), sp.exported_to(peer, pid));
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// One longest match per destination ≡ a longest match per router:
+    /// after convergence, and after a lent speaker names a prefix the
+    /// network has not (its table then runs ahead of the network's, and
+    /// the covering list must come from it).
+    #[test]
+    fn one_covering_list_matches_every_speakers_lookup(
+        addr in any::<u32>(),
+        origins in prop::collection::vec(1u32..=LPM_SPEAKERS, 7..8),
+        keys in prop::collection::vec(any::<u32>(), 7..8),
+        lent in 1u32..=LPM_SPEAKERS,
+        late_sel in 0usize..6,
+        by_origination in any::<bool>(),
+        salts in prop::collection::vec(any::<u32>(), 4..5),
+    ) {
+        let prefixes = nested_at_every_length(addr);
+        let mut net = lpm_net();
+        let mut order: Vec<usize> = (0..prefixes.len()).collect();
+        order.sort_by_key(|&k| keys[k]);
+        for k in order {
+            net.originate(SpeakerId(origins[k]), prefixes[k]);
+        }
+        net.run(1_000_000).expect("small net converges");
+        // Inside and just outside every nested prefix, plus noise.
+        let probes: Vec<u32> = prefixes
+            .iter()
+            .flat_map(|p| [p.first_host(), p.addr() | !0u32 >> p.len().min(31)])
+            .chain([addr ^ 0x8000_0000, addr ^ 0x0001_0000, addr ^ 0x0000_0100, addr ^ 1])
+            .chain(salts.iter().copied())
+            .collect();
+        assert_covering_matches_each_lookup(&net, &probes);
+
+        // A length no nested prefix has, so the network has not named it.
+        let late = Prefix::new(addr, [4, 12, 17, 22, 28, 31][late_sel]);
+        let sp = net.speaker_mut(SpeakerId(lent)).expect("speaker");
+        if by_origination {
+            sp.originate(late);
+            sp.process();
+        } else {
+            let cand = Candidate {
+                attrs: RouteAttrs::originate(SpeakerId(lent)).into(),
+                source: RouteSource::Local,
+            };
+            sp.corrupt_replace_route(late, cand);
+        }
+        prop_assert!(net.speaker(SpeakerId(lent)).and_then(|s| s.best(&late)).is_some());
+        let probes: Vec<u32> = probes.into_iter().chain([late.first_host()]).collect();
+        assert_covering_matches_each_lookup(&net, &probes);
     }
 }

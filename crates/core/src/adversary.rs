@@ -887,7 +887,7 @@ mod tests {
             let Some(sp) = internet.net.speaker(id) else {
                 return false;
             };
-            sp.adj_rib_in_entries().any(|(prefix, from, _)| {
+            sp.adj_rib_in_entries().any(|(prefix, _, from, _)| {
                 from == attacker
                     && internet
                         .net
@@ -926,7 +926,7 @@ mod tests {
             .speaker(rr)
             .unwrap()
             .adj_rib_in_entries()
-            .map(|(_, _, c)| c.attrs.local_pref)
+            .map(|(.., c)| c.attrs.local_pref)
             .collect();
         let hit = launch(AttackKind::GeoPoisonIngested, &mut internet, &vns, 11).unwrap();
         assert!(hit.quiescent);
@@ -935,7 +935,7 @@ mod tests {
             .speaker(rr)
             .unwrap()
             .adj_rib_in_entries()
-            .map(|(_, _, c)| c.attrs.local_pref)
+            .map(|(.., c)| c.attrs.local_pref)
             .collect();
         assert_ne!(before, after, "poisoned ingest left every pref unchanged");
         // Ground truth (the registry's own database) was not touched.

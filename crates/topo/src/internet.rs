@@ -5,6 +5,19 @@
 //! ASes) and `vns-core` (which registers the VNS AS: multi-router, with an
 //! IGP and dedicated links). The data-plane resolver in [`crate::path`]
 //! reads everything it needs from here.
+//!
+//! **By speaker id.** Speaker ids are dense ([`Internet::alloc_speaker_id`]
+//! mints them in order), so what the resolver and the verifier read on every
+//! hop — a router's AS, its city, the interconnects of a session — sits in
+//! `Vec`s indexed by [`SpeakerId`], as `BgpNet` keeps its speakers: a read
+//! is an indexed load, and for a session a binary search of one router's
+//! few peers. An id that was never registered, or lies past the end, reads
+//! as absent. A registration grows the `Vec`s to the id, so ids must stay
+//! dense — like `BgpNet`, this is no place for an arbitrary `u32`.
+//! Re-registering a router replaces what was recorded for it. A session's
+//! parallel links keep the order they were recorded in: the resolver's
+//! hot-potato choice keeps the first of equally near links, so that order
+//! is an artefact input.
 
 use std::collections::BTreeMap;
 
@@ -12,6 +25,20 @@ use vns_bgp::{Asn, BgpNet, IgpGraph, LpmMap, Prefix, SpeakerId};
 use vns_geo::{city, CityId, GeoIpDb, GeoPoint, Region};
 
 use crate::astype::AsType;
+
+/// `id` as an index into the per-speaker `Vec`s.
+fn index(id: SpeakerId) -> usize {
+    id.0 as usize
+}
+
+/// The speaker id at index `i` of the per-speaker `Vec`s.
+fn speaker(i: usize) -> SpeakerId {
+    SpeakerId(u32::try_from(i).expect("indices come from u32 ids"))
+}
+
+/// The interconnects of one session, (near city, far city) each, in
+/// recording order.
+type Links = Vec<(CityId, CityId)>;
 
 /// Index into the AS registry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -81,12 +108,16 @@ pub struct Internet {
     pub geoip: GeoIpDb<Prefix>,
     ases: Vec<AsInfo>,
     asn_index: BTreeMap<Asn, AsId>,
-    speaker_index: BTreeMap<SpeakerId, AsId>,
-    /// City of each registered router (AS-level speakers: home city).
-    router_city: BTreeMap<SpeakerId, CityId>,
-    /// Interconnect geometry per speaker pair: (near city, far city) for
-    /// each parallel link, keyed in both directions.
-    session_links: BTreeMap<(SpeakerId, SpeakerId), Vec<(CityId, CityId)>>,
+    /// `speaker_index[id]`: the AS of registered router `id`.
+    speaker_index: Vec<Option<AsId>>,
+    /// `router_city[id]`: the city of registered router `id` (AS-level
+    /// speakers: home city).
+    router_city: Vec<Option<CityId>>,
+    /// `session_links[a]`: per peer `b` of `a`, sorted by `b`, the
+    /// interconnect geometry (near city, far city) of each parallel link
+    /// from `a` towards `b`, in recording order. Recorded in both
+    /// directions.
+    session_links: Vec<Vec<(SpeakerId, Links)>>,
     prefix_table: LpmMap<PrefixInfo>,
     next_speaker: u32,
     next_asn: u32,
@@ -110,9 +141,9 @@ impl Internet {
             geoip: GeoIpDb::new(),
             ases: Vec::new(),
             asn_index: BTreeMap::new(),
-            speaker_index: BTreeMap::new(),
-            router_city: BTreeMap::new(),
-            session_links: BTreeMap::new(),
+            speaker_index: Vec::new(),
+            router_city: Vec::new(),
+            session_links: Vec::new(),
             prefix_table: LpmMap::new(),
             next_speaker: 1,
             next_asn: 1,
@@ -140,12 +171,10 @@ impl Internet {
         debug_assert_eq!(info.id, id, "AsInfo.id must match registry position");
         self.asn_index.insert(info.asn, id);
         if let Some(sp) = info.speaker {
-            self.speaker_index.insert(sp, id);
-            self.router_city.insert(sp, info.home_city);
+            self.register_router(sp, id, info.home_city);
         }
         for &(city, sp) in &info.routers {
-            self.speaker_index.insert(sp, id);
-            self.router_city.insert(sp, city);
+            self.register_router(sp, id, city);
         }
         self.ases.push(info);
         id
@@ -172,8 +201,13 @@ impl Internet {
     /// Registers a router belonging to a multi-router AS (VNS border
     /// routers and reflectors).
     pub fn register_router(&mut self, router: SpeakerId, as_id: AsId, city: CityId) {
-        self.speaker_index.insert(router, as_id);
-        self.router_city.insert(router, city);
+        let i = index(router);
+        if self.speaker_index.len() <= i {
+            self.speaker_index.resize(i + 1, None);
+            self.router_city.resize(i + 1, None);
+        }
+        self.speaker_index[i] = Some(as_id);
+        self.router_city[i] = Some(city);
     }
 
     /// Converges the control plane with the build-time engine
@@ -192,8 +226,10 @@ impl Internet {
         budget: u64,
         threads: usize,
     ) -> Result<(), vns_bgp::ConvergenceError> {
-        for (&sp, &c) in &self.router_city {
-            self.net.set_shard(sp, city(c).region.index());
+        for (i, c) in self.router_city.iter().enumerate() {
+            if let Some(c) = *c {
+                self.net.set_shard(speaker(i), city(c).region.index());
+            }
         }
         let hop_limit = (2 * self.ases.len() as u32 + 2).max(vns_bgp::DEFAULT_HOP_LIMIT);
         self.net.set_hop_limit(hop_limit);
@@ -211,19 +247,32 @@ impl Internet {
     /// (usually the same metro). Parallel links at more cities may be
     /// recorded by calling again.
     pub fn record_link(&mut self, a: SpeakerId, city_a: CityId, b: SpeakerId, city_b: CityId) {
-        self.session_links
-            .entry((a, b))
-            .or_default()
-            .push((city_a, city_b));
-        self.session_links
-            .entry((b, a))
-            .or_default()
-            .push((city_b, city_a));
+        for (near, near_city, far, far_city) in [(a, city_a, b, city_b), (b, city_b, a, city_a)] {
+            let i = index(near);
+            if self.session_links.len() <= i {
+                self.session_links.resize_with(i + 1, Vec::new);
+            }
+            let row = &mut self.session_links[i];
+            let at = match row.binary_search_by_key(&far, |(peer, _)| *peer) {
+                Ok(at) => at,
+                Err(at) => {
+                    row.insert(at, (far, Vec::new()));
+                    at
+                }
+            };
+            row[at].1.push((near_city, far_city));
+        }
     }
 
-    /// Interconnect candidates from `a` towards `b`.
+    /// Interconnect candidates from `a` towards `b`, in recording order.
     pub fn links_between(&self, a: SpeakerId, b: SpeakerId) -> &[(CityId, CityId)] {
-        self.session_links.get(&(a, b)).map_or(&[], Vec::as_slice)
+        let Some(row) = self.session_links.get(index(a)) else {
+            return &[];
+        };
+        match row.binary_search_by_key(&b, |(peer, _)| *peer) {
+            Ok(at) => &row[at].1,
+            Err(_) => &[],
+        }
     }
 
     /// Registers a prefix: control plane origination is the caller's job;
@@ -271,12 +320,12 @@ impl Internet {
 
     /// The AS a speaker belongs to.
     pub fn as_of_speaker(&self, sp: SpeakerId) -> Option<AsId> {
-        self.speaker_index.get(&sp).copied()
+        self.speaker_index.get(index(sp)).copied().flatten()
     }
 
     /// The city a router sits in.
     pub fn city_of_router(&self, sp: SpeakerId) -> Option<CityId> {
-        self.router_city.get(&sp).copied()
+        self.router_city.get(index(sp)).copied().flatten()
     }
 
     /// Iterates over all ASes.
@@ -338,6 +387,77 @@ mod tests {
         assert_eq!(net.links_between(a, b), &[(ams, lon)]);
         assert_eq!(net.links_between(b, a), &[(lon, ams)]);
         assert!(net.links_between(a, a).is_empty());
+    }
+
+    #[test]
+    fn sparse_and_late_ids_read_as_registered() {
+        let (ams, _) = city_by_name("Amsterdam").unwrap();
+        let (lon, _) = city_by_name("London").unwrap();
+        let (par, _) = city_by_name("Paris").unwrap();
+        let mut net = Internet::new();
+        // Id 0 (never minted, but a valid index) and a gap up to 7.
+        let (zero, seven) = (SpeakerId(0), SpeakerId(7));
+        let as0 = net.add_as(test_as(0, 100, Some(zero), "Amsterdam"));
+        let as1 = net.next_as_id();
+        net.add_as(AsInfo {
+            routers: vec![(lon, seven)],
+            ..test_as(1, 101, None, "London")
+        });
+        assert_eq!(net.as_of_speaker(zero), Some(as0));
+        assert_eq!(net.as_of_speaker(seven), Some(as1));
+        assert_eq!(net.city_of_router(seven), Some(lon));
+        for gap in [1, 3, 6, 8, 1_000_000] {
+            assert_eq!(net.as_of_speaker(SpeakerId(gap)), None, "R{gap}");
+            assert_eq!(net.city_of_router(SpeakerId(gap)), None, "R{gap}");
+            assert!(net.links_between(zero, SpeakerId(gap)).is_empty());
+            assert!(net.links_between(SpeakerId(gap), seven).is_empty());
+        }
+        // Re-registered to another city: the newest registration holds.
+        net.register_router(seven, as1, par);
+        assert_eq!(net.city_of_router(seven), Some(par));
+        assert_eq!(net.as_of_speaker(seven), Some(as1));
+        // A router added after the world was built and converged (as an
+        // attacker AS joins one) reads like any other; nobody else moves.
+        net.converge(1_000, 1).expect("empty net converges");
+        let late = SpeakerId(40);
+        net.register_router(late, as0, ams);
+        net.record_link(late, ams, zero, ams);
+        assert_eq!(net.as_of_speaker(late), Some(as0));
+        assert_eq!(net.city_of_router(late), Some(ams));
+        assert_eq!(net.links_between(zero, late), &[(ams, ams)]);
+        assert_eq!(net.city_of_router(seven), Some(par));
+        assert_eq!(net.as_of_speaker(SpeakerId(39)), None);
+    }
+
+    #[test]
+    fn parallel_links_keep_recording_order() {
+        // The resolver keeps the first of equally near links, so the order
+        // links were recorded in is what it reads, peers of either side
+        // recorded in any order.
+        let city = |name| city_by_name(name).unwrap().0;
+        let (ams, lon, par, fra) = (
+            city("Amsterdam"),
+            city("London"),
+            city("Paris"),
+            city("Frankfurt"),
+        );
+        let mut net = Internet::new();
+        let (a, b, c) = (SpeakerId(5), SpeakerId(2), SpeakerId(9));
+        net.record_link(a, par, b, par);
+        net.record_link(a, fra, c, lon);
+        net.record_link(b, ams, a, ams);
+        net.record_link(a, lon, b, lon);
+        assert_eq!(
+            net.links_between(a, b),
+            &[(par, par), (ams, ams), (lon, lon)]
+        );
+        assert_eq!(
+            net.links_between(b, a),
+            &[(par, par), (ams, ams), (lon, lon)]
+        );
+        assert_eq!(net.links_between(a, c), &[(fra, lon)]);
+        assert_eq!(net.links_between(c, a), &[(lon, fra)]);
+        assert!(net.links_between(b, c).is_empty());
     }
 
     fn register(net: &mut Internet, origin: AsId, prefix: &str) -> Prefix {

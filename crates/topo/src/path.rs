@@ -6,7 +6,8 @@
 //!
 //! * at each speaker the destination is matched against its Loc-RIB
 //!   (longest prefix first, so VNS-internal more-specifics injected by the
-//!   management interface steer correctly);
+//!   management interface steer correctly), over the list of the network's
+//!   prefixes containing the destination that the walk builds once;
 //! * an eBGP step hauls the packet across the current AS from its entry
 //!   city to the hot-potato-chosen interconnect city, then over the
 //!   cross-connect;
@@ -17,7 +18,7 @@
 //! * at the origin AS the packet hauls to the prefix's city and crosses
 //!   the last mile.
 
-use vns_bgp::{Asn, PathError, RouteSource, Speaker, SpeakerId};
+use vns_bgp::{Asn, Covering, PathError, RouteSource, Speaker, SpeakerId};
 use vns_geo::{CityId, Region};
 
 use crate::astype::AsType;
@@ -40,7 +41,7 @@ pub enum HopKind {
         /// this is the region of the hop's *origin* and the profile rule
         /// sees (B, B) where the forward leg saw (A, B): the return leg of
         /// an NA→AP haul takes the hot AP profile where the forward leg
-        /// takes the milder NA one. A known asymmetry (ROADMAP item 7);
+        /// takes the milder NA one. A known asymmetry (ROADMAP item 11(a));
         /// closing it moves every packet artefact.
         region: Region,
         /// True on well-provisioned dedicated infrastructure (VNS L2).
@@ -147,24 +148,30 @@ pub enum Forward<'a> {
 
 /// The forwarding decision of `speaker` (a router of AS `cur_as`; `None`
 /// when the world does not know the speaker, whose Loc-RIB is still read so
-/// that "holds no route" keeps precedence over "unknown") for `dst_ip`,
-/// whose covering registered prefix is `pinfo`: the longest Loc-RIB match,
-/// except that a *locally originated* route for somebody else's prefix is
-/// the management interface's steering more-specific (Sec 3.2), which the
-/// speaker resolves over its **own external** route to the covering prefix
-/// ("given that it has a route to the less-specific prefix" — the AS-wide
-/// best would bounce the traffic straight back to another PoP) and, having
-/// none, falls through onto the covering route itself by lowering the
-/// longest-match ceiling. The ceiling decreases every round, so the loop
-/// terminates. `None` when the speaker holds no covering route at all.
+/// that "holds no route" keeps precedence over "unknown") for the
+/// destination address `covering` lists the network's prefixes of (see
+/// [`vns_bgp::BgpNet::covering`]), whose covering registered prefix is
+/// `pinfo`: the longest Loc-RIB match, except that a *locally originated*
+/// route for somebody else's prefix is the management interface's steering
+/// more-specific (Sec 3.2), which the speaker resolves over its **own
+/// external** route to the covering prefix ("given that it has a route to
+/// the less-specific prefix" — the AS-wide best would bounce the traffic
+/// straight back to another PoP) and, having none, falls through onto the
+/// covering route itself by lowering the longest-match ceiling. The ceiling
+/// decreases every round, so the loop terminates. `None` when the speaker
+/// holds no covering route at all.
+///
+/// The caller builds `covering` once per address and asks every router on
+/// the way with it, so a walk probes the network's prefix table once, not
+/// once per router.
 pub fn forwarding_decision<'a>(
     speaker: &Speaker,
     cur_as: Option<AsId>,
-    dst_ip: u32,
+    covering: &Covering,
     pinfo: Option<&'a PrefixInfo>,
 ) -> Option<Forward<'a>> {
     let mut ceiling: Option<u8> = None;
-    while let Some((matched, cand)) = speaker.lookup_up_to(dst_ip, ceiling) {
+    while let Some((matched, _, cand)) = speaker.lookup_in(covering, ceiling) {
         // Whatever this match falls through onto lies strictly under it.
         ceiling = Some(matched.len());
         match cand.source {
@@ -175,8 +182,8 @@ pub fn forwarding_decision<'a>(
                     return Some(Forward::Deliver(pinfo));
                 }
                 let own_exit = speaker
-                    .lookup_up_to(dst_ip, ceiling)
-                    .and_then(|(covering, _)| speaker.best_external_route(&covering));
+                    .lookup_in(covering, ceiling)
+                    .and_then(|(_, under, _)| speaker.best_external_route(under));
                 if let Some(RouteSource::Ebgp { peer, .. }) = own_exit.map(|c| c.source) {
                     return Some(Forward::Ebgp(peer));
                 }
@@ -214,7 +221,9 @@ pub fn resolve_path(
     let mut decided = vec![start];
     let mut cur = start;
     let mut cur_city = entry_city;
+    // Both prefix tables probed once per path, not once per router.
     let pinfo = internet.lookup_prefix(dst_ip);
+    let covering = internet.net.covering(dst_ip);
 
     let hop_limit = internet.net.hop_limit();
     for _ in 0..hop_limit {
@@ -223,8 +232,8 @@ pub fn resolve_path(
             .speaker(cur)
             .ok_or(PathError::NoSuchSpeaker(cur))?;
         let cur_as = internet.as_of_speaker(cur);
-        let forward =
-            forwarding_decision(speaker, cur_as, dst_ip, pinfo).ok_or(PathError::NoRoute(cur))?;
+        let forward = forwarding_decision(speaker, cur_as, &covering, pinfo)
+            .ok_or(PathError::NoRoute(cur))?;
         let cur_info = internet.as_info(cur_as.ok_or(PathError::NoSuchSpeaker(cur))?);
 
         match forward {
@@ -535,7 +544,8 @@ mod tests {
         let decide = |at: SpeakerId, ip: u32| -> String {
             let speaker = internet.net.speaker(at).expect("speaker");
             let pinfo = internet.lookup_prefix(ip);
-            match forwarding_decision(speaker, internet.as_of_speaker(at), ip, pinfo) {
+            let covering = internet.net.covering(ip);
+            match forwarding_decision(speaker, internet.as_of_speaker(at), &covering, pinfo) {
                 None => "none".into(),
                 Some(Forward::NoRoute) => "no-route".into(),
                 Some(Forward::Deliver(None)) => "deliver(unregistered)".into(),

@@ -10,7 +10,8 @@ use std::sync::Arc;
 
 use vns_bgp::policy::relation_from_tags;
 use vns_bgp::{
-    may_export, BgpNet, Candidate, Community, Prefix, RouteSource, SpeakerId, DEFAULT_LOCAL_PREF,
+    may_export, BgpNet, Candidate, Community, Prefix, PrefixId, RouteSource, SpeakerId,
+    DEFAULT_LOCAL_PREF,
 };
 use vns_core::lpfunc::MAX_DISTANCE_KM;
 use vns_core::{GeoHook, LocalPrefFn, RoutingMode, Vns};
@@ -188,7 +189,7 @@ pub(crate) fn geo_preference(
             );
             continue;
         };
-        for (prefix, from, cand) in sp.adj_rib_in_entries() {
+        for (prefix, _, from, cand) in sp.adj_rib_in_entries() {
             if !cand.source.is_ibgp() {
                 rep.push(
                     Violation::error(
@@ -248,6 +249,10 @@ pub(crate) fn geo_preference(
 /// confirm the export pipeline dropped it.
 ///
 /// VALLEY-FREE: see [`valley_free_entry`].
+///
+/// Both walks hold each prefix's [`PrefixId`] beside it and read the
+/// sender's Loc-RIB, the best-external route and the exports by that id,
+/// so the pass over every Adj-RIB-In entry probes no prefix table.
 pub(crate) fn no_export_and_valley_free(
     internet: &Internet,
     rep: &mut Reporter,
@@ -256,7 +261,7 @@ pub(crate) fn no_export_and_valley_free(
     let net = &internet.net;
     for id in net.speaker_ids() {
         let Some(sp) = net.speaker(id) else { continue };
-        for (prefix, from, cand) in sp.adj_rib_in_entries() {
+        for (prefix, pid, from, cand) in sp.adj_rib_in_entries() {
             // NO-EXPORT (a): receive side.
             if cand.source.is_ebgp() && cand.attrs.has_community(Community::NoExport) {
                 rep.push(
@@ -273,7 +278,7 @@ pub(crate) fn no_export_and_valley_free(
                     .on(prefix),
                 );
             }
-            valley_free_entry(net, id, prefix, cand, valley);
+            valley_free_entry(net, id, (prefix, pid), cand, valley);
         }
         // NO-EXPORT (b): send side.
         let ebgp_peers: Vec<SpeakerId> = sp
@@ -283,17 +288,17 @@ pub(crate) fn no_export_and_valley_free(
         if ebgp_peers.is_empty() {
             continue;
         }
-        for (prefix, best) in sp.loc_rib_entries() {
+        for (prefix, pid, best) in sp.loc_rib_entries() {
             let tagged_best = best.attrs.has_community(Community::NoExport);
             let tagged_ext = sp.best_external_enabled()
                 && sp
-                    .best_external_route(&prefix)
+                    .best_external_route(pid)
                     .is_some_and(|c| c.attrs.has_community(Community::NoExport));
             if !tagged_best && !tagged_ext {
                 continue;
             }
             for &peer in &ebgp_peers {
-                if let Some(attrs) = sp.exported_to(peer, &prefix) {
+                if let Some(attrs) = sp.exported_to(peer, pid) {
                     if attrs.has_community(Community::NoExport) {
                         rep.push(
                             Violation::error(
@@ -321,7 +326,9 @@ pub(crate) fn no_export_and_valley_free(
 /// cannot consider that egress). Error when best-external is enabled and
 /// the advertisement is still missing (machinery broken); warning when the
 /// deployment runs with best-external off (the paper's pathology,
-/// reproduced deliberately).
+/// reproduced deliberately). A border with no session to a live reflector
+/// is one error, found before any prefix is audited; that reflector's
+/// per-prefix audit is skipped, since nothing crosses a missing session.
 pub(crate) fn hidden_routes(
     internet: &Internet,
     vns: &Vns,
@@ -342,34 +349,38 @@ pub(crate) fn hidden_routes(
                 );
                 continue;
             };
-            for (prefix, best) in sp.loc_rib_entries() {
+            // Sessions to a dead reflector are *expected* to be gone; the
+            // surviving reflector's visibility is what keeps a route
+            // un-hidden.
+            let mut reflectors = vns.reflectors().to_vec();
+            reflectors.retain(|&rr| {
+                if scope.is_dead(rr) {
+                    return false;
+                }
+                let up = sp.peer_config(rr).is_some();
+                if !up {
+                    rep.push(
+                        Violation::error(
+                            Invariant::HiddenRoute,
+                            format!("border has no iBGP session to reflector {rr}"),
+                        )
+                        .at(b),
+                    );
+                }
+                up
+            });
+            for (prefix, pid, best) in sp.loc_rib_entries() {
                 if !best.source.is_ibgp() {
                     continue;
                 }
-                let Some(ext) = sp.best_external_route(&prefix) else {
+                let Some(ext) = sp.best_external_route(pid) else {
                     continue;
                 };
                 if ext.attrs.has_community(Community::NoAdvertise) {
                     continue;
                 }
-                for rr in vns.reflectors() {
-                    if scope.is_dead(rr) {
-                        // Sessions to a dead reflector are *expected* to be
-                        // gone; the surviving reflector's visibility is
-                        // what keeps the route un-hidden.
-                        continue;
-                    }
-                    if sp.peer_config(rr).is_none() {
-                        rep.push(
-                            Violation::error(
-                                Invariant::HiddenRoute,
-                                format!("border has no iBGP session to reflector {rr}"),
-                            )
-                            .at(b),
-                        );
-                        continue;
-                    }
-                    if sp.exported_to(rr, &prefix).is_none() {
+                for &rr in &reflectors {
+                    if sp.exported_to(rr, pid).is_none() {
                         let v = if sp.best_external_enabled() {
                             Violation::error(
                                 Invariant::HiddenRoute,
@@ -398,16 +409,16 @@ pub(crate) fn hidden_routes(
     }
 }
 
-/// Invariant 6 — VALLEY-FREE, for one Adj-RIB-In entry `cand` held by
-/// `id`: if it is eBGP-learned, the *sender's* current best route for that
-/// prefix was exportable to us under Gao–Rexford scoping (own and customer
-/// routes go everywhere; peer- and provider-learned routes go only to
-/// customers). Also flags routes echoed straight back to the speaker they
-/// were learned from.
+/// Invariant 6 — VALLEY-FREE, for one Adj-RIB-In entry `cand` for `prefix`
+/// (with its net-wide id `pid`) held by `id`: if it is eBGP-learned, the
+/// *sender's* current best route for that prefix was exportable to us under
+/// Gao–Rexford scoping (own and customer routes go everywhere; peer- and
+/// provider-learned routes go only to customers). Also flags routes echoed
+/// straight back to the speaker they were learned from.
 fn valley_free_entry(
     net: &BgpNet,
     id: SpeakerId,
-    prefix: Prefix,
+    (prefix, pid): (Prefix, PrefixId),
     cand: &Candidate,
     rep: &mut Reporter,
 ) {
@@ -428,7 +439,7 @@ fn valley_free_entry(
     // Converged state: what the sender advertised derives from its
     // current best for the prefix. Absence means a withdraw is the
     // correct converged state — skip rather than guess.
-    let Some(sbest) = sender.best(&prefix) else {
+    let Some(sbest) = sender.best(pid) else {
         return;
     };
     if sbest.source.peer() == Some(id) {
@@ -522,7 +533,7 @@ pub(crate) fn next_hop_resolution(
             continue;
         };
         let mut seen: BTreeSet<(Prefix, SpeakerId)> = BTreeSet::new();
-        for (prefix, from, cand) in sp.adj_rib_in_entries() {
+        for (prefix, _, from, cand) in sp.adj_rib_in_entries() {
             if !cand.source.is_ibgp() {
                 continue;
             }
@@ -542,7 +553,7 @@ pub(crate) fn next_hop_resolution(
                 );
             }
         }
-        for (prefix, best) in sp.loc_rib_entries() {
+        for (prefix, _, best) in sp.loc_rib_entries() {
             if !best.source.is_ibgp() {
                 continue;
             }

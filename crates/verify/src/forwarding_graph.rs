@@ -14,13 +14,17 @@
 //! successor evaluations.
 //!
 //! **Dense walk state.** One [`analyze`] call numbers the speakers once
-//! (their *ordinal*: position in id order) and resolves per ordinal what
-//! every step needs — the speaker, its AS, whether the scope declares it
-//! dead. Per destination the walk then runs on `Vec`s indexed by ordinal:
-//! the memoised terminal, an on-chain stamp with the chain position it
-//! vouches for, and one chain buffer reused across sources; the public
-//! `outcomes` map is assembled once at the end. Invariant: a chain
-//! position is meaningful only under the *current* walk's stamp (the
+//! (their *ordinal*: position in id order, found from a speaker id by
+//! indexing a table over the dense ids, not by searching) and resolves per
+//! ordinal what every step needs — the speaker, its AS, whether the scope
+//! declares it dead. Per destination it probes the network's prefix table
+//! once, for the list of prefixes containing the destination's address
+//! ([`vns_bgp::BgpNet::covering`]), and every speaker's decision reads its
+//! own Loc-RIB at those ids. The walk then runs on `Vec`s indexed by
+//! ordinal: the memoised terminal, an on-chain stamp with the chain
+//! position it vouches for, and one chain buffer reused across sources;
+//! the public `outcomes` map is assembled once at the end. Invariant: a
+//! chain position is meaningful only under the *current* walk's stamp (the
 //! source's ordinal + 1, unique per walk), so nothing is cleared between
 //! sources and a stale stamp can never be taken for chain membership.
 //! Nothing outlives the call: the tables borrow the `Internet`, so there is
@@ -44,7 +48,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use vns_bgp::{Prefix, Speaker, SpeakerId};
+use vns_bgp::{Covering, Prefix, Speaker, SpeakerId};
 use vns_topo::path::{forwarding_decision, Forward};
 use vns_topo::{AsId, Internet, PrefixInfo};
 
@@ -173,10 +177,14 @@ impl ForwardingAnalysis {
 /// The speakers of one world in id order, with what every forwarding
 /// decision needs of each resolved once: built per [`analyze`] call, shared
 /// by all destinations. A speaker's position is its *ordinal*, the index
-/// the per-destination walk state is kept under.
+/// the per-destination walk state is kept under; `ordinals` maps a speaker
+/// id back to it by index.
 struct Speakers<'a> {
     internet: &'a Internet,
     ids: Vec<SpeakerId>,
+    /// `ordinals[id]`: the ordinal of speaker `id`, `None` for an id with
+    /// no speaker.
+    ordinals: Vec<Option<usize>>,
     speakers: Vec<&'a Speaker>,
     as_of: Vec<Option<AsId>>,
     dead: Vec<bool>,
@@ -184,16 +192,21 @@ struct Speakers<'a> {
 
 impl<'a> Speakers<'a> {
     fn new(internet: &'a Internet, scope: &VerifyScope) -> Self {
-        let ids: Vec<SpeakerId> = internet.net.speaker_ids().collect();
-        let speakers = ids
-            .iter()
-            .filter_map(|&id| internet.net.speaker(id))
-            .collect();
+        let net = &internet.net;
+        let (ids, speakers): (Vec<SpeakerId>, Vec<&Speaker>) = net
+            .speaker_ids()
+            .filter_map(|id| Some((id, net.speaker(id)?)))
+            .unzip();
+        let mut ordinals = vec![None; ids.last().map_or(0, |id| id.0 as usize + 1)];
+        for (ordinal, id) in ids.iter().enumerate() {
+            ordinals[id.0 as usize] = Some(ordinal);
+        }
         let as_of = ids.iter().map(|&id| internet.as_of_speaker(id)).collect();
         let dead = ids.iter().map(|&id| scope.is_dead(id)).collect();
         Self {
             internet,
             ids,
+            ordinals,
             speakers,
             as_of,
             dead,
@@ -201,17 +214,23 @@ impl<'a> Speakers<'a> {
     }
 
     fn ordinal(&self, id: SpeakerId) -> Option<usize> {
-        self.ids.binary_search(&id).ok()
+        self.ordinals.get(id.0 as usize).copied().flatten()
     }
 
-    /// The forwarding decision of the speaker with ordinal `cur` for `ip`,
-    /// whose covering registration is `pinfo`, as a [`Step`]: the next
-    /// router must be a known speaker, an eBGP step needs an interconnect
-    /// and an iBGP step an IGP path. Returns `None` when the speaker holds
-    /// no covering route at all.
-    fn successor(&self, cur: usize, ip: u32, pinfo: Option<&PrefixInfo>) -> Option<Step> {
+    /// The forwarding decision of the speaker with ordinal `cur` for the
+    /// address `covering` lists the prefixes of, whose covering
+    /// registration is `pinfo`, as a [`Step`]: the next router must be a
+    /// known speaker, an eBGP step needs an interconnect and an iBGP step
+    /// an IGP path. Returns `None` when the speaker holds no covering route
+    /// at all.
+    fn successor(
+        &self,
+        cur: usize,
+        covering: &Covering,
+        pinfo: Option<&PrefixInfo>,
+    ) -> Option<Step> {
         let cur_id = self.ids[cur];
-        let forward = forwarding_decision(self.speakers[cur], self.as_of[cur], ip, pinfo)?;
+        let forward = forwarding_decision(self.speakers[cur], self.as_of[cur], covering, pinfo)?;
         let Some(cur_as) = self.as_of[cur] else {
             return Some(Step::Dead(BlackholeCause::UnknownSpeaker));
         };
@@ -248,7 +267,10 @@ impl<'a> Speakers<'a> {
     /// ordinal; the public map is assembled once at the end.
     fn analyze_destination(&self, prefix: Prefix) -> DestinationAnalysis {
         let ip = prefix.first_host();
+        // Both prefix tables probed once per destination, not once per
+        // speaker.
         let pinfo = self.internet.lookup_prefix(ip);
+        let covering = self.internet.net.covering(ip);
 
         let n = self.ids.len();
         let mut terminal: Vec<Option<Terminal>> = vec![None; n];
@@ -275,7 +297,7 @@ impl<'a> Speakers<'a> {
                 if self.dead[cur] {
                     break Some(Terminal::DeadSink { at: self.ids[cur] });
                 }
-                match self.successor(cur, ip, pinfo) {
+                match self.successor(cur, &covering, pinfo) {
                     None => {
                         // `cur` holds no covering route. At the walk's
                         // origin that just means it is not a source for

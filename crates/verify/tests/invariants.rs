@@ -29,8 +29,8 @@ fn reflector_external_prefix(internet: &Internet, vns: &Vns) -> Prefix {
     let rr = vns.reflectors()[0];
     let sp = internet.net.speaker(rr).expect("reflector registered");
     sp.adj_rib_in_entries()
-        .find(|(_, _, c)| !c.attrs.as_path.is_empty())
-        .map(|(p, _, _)| p)
+        .find(|(.., c)| !c.attrs.as_path.is_empty())
+        .map(|(p, ..)| p)
         .expect("reflector sees external routes")
 }
 
@@ -185,6 +185,40 @@ fn hidden_routes_surface_without_best_external() {
     );
     // Warnings alone must not fail the campaign pre-flight gate.
     assert!(report.passes(), "{}", report.render());
+}
+
+#[test]
+fn missing_reflector_session_is_one_finding() {
+    // The scale-1 world at seed 77. Cutting the iBGP session between
+    // border R183 and reflector R205 used to report the missing session
+    // once per prefix the border audits (347 errors, 100 identical lines
+    // and a suppression summary); it is one finding, with no prefix.
+    let mut internet = generate(&TopoConfig {
+        seed: 77,
+        ..TopoConfig::default()
+    })
+    .expect("topology generation");
+    let vns = build_vns(&mut internet, &VnsConfig::default()).expect("VNS convergence");
+    let (border, rr) = (SpeakerId(183), SpeakerId(205));
+    assert!(vns.pops().iter().any(|p| p.borders.contains(&border)));
+    assert!(vns.reflectors().contains(&rr));
+    internet.net.disconnect(border, rr);
+    internet.net.run(vns.message_budget()).expect("reconverges");
+    let report = verify(&internet, &vns);
+    let want = format!("border has no iBGP session to reflector {rr}");
+    assert_eq!(
+        (report.error_count(), report.warning_count()),
+        (1, 0),
+        "{}",
+        report.render()
+    );
+    let [only] = report.violations() else {
+        panic!("{}", report.render());
+    };
+    assert_eq!(
+        (only.invariant, only.speaker, only.prefix, &only.message),
+        (Invariant::HiddenRoute, Some(border), None, &want)
+    );
 }
 
 #[test]

@@ -10,9 +10,10 @@ conv_msgs, rounds, and the walked RIB census: adj_in entries, the adj_out
 fingerprints the Adj-RIB-Out rows hold — a stale or duplicated row entry
 shows here — and the distinct attr_sets allocations behind the RIBs, which
 are shared by provenance and so follow from the message history alone,
-and the convergence's work counters: reselects and neighbour visits) are
-compared EXACTLY, and every rung must report `pass` from both verifier
-stages. The exact conv_msgs match doubles as the message ceiling:
+the convergence's work counters: reselects and neighbour visits, and the
+(source, destination) pairs the data-plane stage walked, fwd_pairs, so a
+walk that drops a source or a destination fails on any host) are compared
+EXACTLY, and every rung must report `pass` from both verifier stages. The exact conv_msgs match doubles as the message ceiling:
 convergence cost cannot creep past the committed curve unnoticed. Peak RSS
 has a ceiling of its own: a rung may not exceed RSS_CEILING x the committed value (VmHWM is
 allocator- and kernel-dependent but repeats within ~1 % at a seed on one
@@ -36,6 +37,7 @@ EXACT = (
     "attr_sets",
     "reselects",
     "visits",
+    "fwd_pairs",
 )
 
 # A rung's peak_rss_mib may reach this multiple of the committed value.
