@@ -6,7 +6,7 @@ use std::sync::{Arc, RwLock};
 
 use vns_bgp::{Asn, PathError, Prefix, RouteSource, SpeakerId};
 use vns_geo::{city, CityId, GeoPoint};
-use vns_topo::path::{resolve_from_prefix, resolve_path, HopKind, ResolvedHop};
+use vns_topo::path::{resolve_from_prefix, resolve_path, HopKind, HopLabel, ResolvedHop};
 use vns_topo::{AsId, Internet, ResolvedPath};
 
 use crate::config::RoutingMode;
@@ -323,12 +323,11 @@ impl Vns {
             from_city: pop.city,
             to_city: entry_city,
             km,
-            label: format!(
-                "transit-port:{}:{}@{}",
-                self.asn,
-                info.asn,
-                city(entry_city).name
-            ),
+            label: HopLabel::TransitPort {
+                asn: self.asn,
+                upstream: info.asn,
+                city: entry_city,
+            },
         };
         let mut rest = resolve_path(internet, up_sp, entry_city, dst_ip)?;
         let mut hops = vec![access];
@@ -388,7 +387,11 @@ impl Vns {
             from_city: near,
             to_city: far,
             km: Internet::city_km(near, far).max(1.0),
-            label: format!("exit:{}:{}@{}", self.asn, peer, city(far).name),
+            label: HopLabel::Exit {
+                asn: self.asn,
+                peer,
+                city: far,
+            },
         });
         let mut rest = resolve_path(internet, peer, far, dst_ip)?;
         hops.append(&mut rest.hops);

@@ -29,7 +29,10 @@ fn local_exit_never_uses_vns_circuits() {
                     }
                 )),
                 "local exit must not ride VNS circuits: {:?}",
-                path.hops.iter().map(|h| &h.label).collect::<Vec<_>>()
+                path.hops
+                    .iter()
+                    .map(|h| h.label.to_string())
+                    .collect::<Vec<_>>()
             );
             // The first hop leaves from the PoP's own city.
             assert_eq!(path.hops[0].from_city, vns.pop(pop).city);

@@ -90,8 +90,6 @@ pub struct HopChannel {
     /// Blackout windows (shared schedule, e.g. convergence events on the
     /// underlying link).
     pub blackouts: BlackoutSchedule,
-    /// Human-readable hop label for diagnostics (e.g. `"AS7018:Dallas->AS174:Chicago"`).
-    pub label: String,
 }
 
 impl HopChannel {
@@ -102,7 +100,6 @@ impl HopChannel {
             loss: LossProcess::new(LossModel::None, SmallRng::seed_from_u64(0)),
             delay: DelaySampler::fixed(base_ms),
             blackouts: BlackoutSchedule::none(),
-            label: String::new(),
         }
     }
 }
@@ -295,11 +292,6 @@ impl PathChannel {
     /// Number of hops.
     pub fn hop_count(&self) -> usize {
         self.hops.len()
-    }
-
-    /// Hop labels (diagnostics).
-    pub fn labels(&self) -> Vec<&str> {
-        self.hops.iter().map(|h| h.label.as_str()).collect()
     }
 
     /// Sends one packet at `sent`: a one-slot [`PathChannel::send_column`]
@@ -517,8 +509,7 @@ mod tests {
     fn delay_accumulates_across_hops() {
         // A packet reaches hop 2 later than it was sent; blackout on hop 2
         // starting after send time can still drop it.
-        let mut hop1 = HopChannel::ideal(1000.0); // 1 second
-        hop1.label = "slow".into();
+        let hop1 = HopChannel::ideal(1000.0); // 1 second
         let mut hop2 = HopChannel::ideal(1.0);
         let w0 = SimTime::EPOCH + Dur::from_millis(500);
         hop2.blackouts = BlackoutSchedule::new(vec![(w0, w0 + Dur::from_secs(2))]);

@@ -16,7 +16,7 @@
 
 use vns_core::{PopId, Vns};
 use vns_geo::city;
-use vns_topo::path::{HopKind, ResolvedHop};
+use vns_topo::path::{HopKind, HopLabel, ResolvedHop};
 use vns_topo::{Internet, ResolvedPath};
 
 use crate::endpoints::EndpointTable;
@@ -81,7 +81,7 @@ impl PathTable {
                     from_city: from.city,
                     to_city: to.city,
                     km: Internet::city_km(from.city, to.city).max(1.0),
-                    label: format!("spill:{a}->{b}"),
+                    label: HopLabel::Spill { from: a.0, to: b.0 },
                 }));
             }
         }
@@ -124,12 +124,15 @@ impl PathTable {
     pub fn call_path(&self, caller: usize, callee: usize, admitted: PopId) -> Option<ResolvedPath> {
         let (landing, access) = self.landings[caller].as_ref()?;
         let tail = self.tail(admitted, callee)?;
-        let mut hops = access.hops.clone();
-        let mut routers = access.routers.clone();
+        // Hops are `Copy`: the path is three slice copies into one buffer.
+        let mut hops = Vec::with_capacity(access.hops.len() + 1 + tail.hops.len());
+        let mut routers = Vec::with_capacity(access.routers.len() + tail.routers.len());
+        hops.extend_from_slice(&access.hops);
+        routers.extend_from_slice(&access.routers);
         if *landing == admitted {
             // The access path already ends at the admitted PoP's border:
             // drop the tail's duplicate of it.
-            routers.extend(tail.routers.iter().skip(1).cloned());
+            routers.extend_from_slice(tail.routers.get(1..).unwrap_or_default());
         } else {
             // Distinct PoPs always get a splice leg at build time, so a
             // `None` here means the table was handed an unknown PoP pair.
@@ -137,10 +140,10 @@ impl PathTable {
                 .splices
                 .get(self.pop_index(*landing)? * self.pop_ids.len() + self.pop_index(admitted)?)?
                 .as_ref()?;
-            hops.push(splice.clone());
-            routers.extend(tail.routers.iter().cloned());
+            hops.push(*splice);
+            routers.extend_from_slice(&tail.routers);
         }
-        hops.extend(tail.hops.iter().cloned());
+        hops.extend_from_slice(&tail.hops);
         Some(ResolvedPath { hops, routers })
     }
 

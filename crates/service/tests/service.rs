@@ -1,13 +1,14 @@
 //! End-to-end service-plane tests on a tiny world.
 
-use vns_core::{build_vns, Vns, VnsConfig};
+use vns_core::{build_vns, Pop, Vns, VnsConfig};
+use vns_geo::city;
 use vns_netsim::diurnal::DiurnalShape;
 use vns_netsim::{DiurnalProfile, Dur, Par, RngTree};
 use vns_service::{
     AdmissionController, EndpointTable, Orchestrator, PathTable, ServiceConfig, ServiceEnv,
 };
 use vns_topo::channels::{CalibrationConfig, ChannelFactory};
-use vns_topo::{generate, Internet, TopoConfig};
+use vns_topo::{generate, HopKind, HopLabel, Internet, ResolvedHop, ResolvedPath, TopoConfig};
 
 struct World {
     internet: Internet,
@@ -107,7 +108,9 @@ fn path_table_composes_spilled_paths() {
             if let Some(p) = w.paths.call_path(caller, callee, other) {
                 spliced = spliced.max(p.hops.len());
                 assert!(
-                    p.hops.iter().any(|h| h.label.starts_with("spill:")),
+                    p.hops
+                        .iter()
+                        .any(|h| matches!(h.label, HopLabel::Spill { .. })),
                     "spilled path carries the splice leg"
                 );
             }
@@ -115,6 +118,77 @@ fn path_table_composes_spilled_paths() {
     }
     assert!(direct >= 2, "direct path hops {direct}");
     assert!(spliced > 0, "no spilled path resolved");
+}
+
+/// Hops are `Copy`, and a call path is three slice copies. Over the
+/// scale-1 world's endpoints and every (landing, admitted) PoP pair it
+/// must equal, hop for hop and label for label, the concatenation the
+/// clone-based code built: the access path, then the splice leg (restated
+/// here) for a spilled call, then the tail. Reversing it twice gives it
+/// back.
+#[test]
+fn call_paths_by_copy_equal_the_cloned_concatenation() {
+    let mut internet = generate(&TopoConfig {
+        seed: 77,
+        ..TopoConfig::default()
+    })
+    .expect("generate");
+    let vns = build_vns(&mut internet, &VnsConfig::default()).expect("converge");
+    let endpoints = EndpointTable::build(&internet, &vns);
+    let paths = PathTable::build(&internet, &vns, &endpoints);
+    let info = internet.as_info(vns.as_id());
+    let n = endpoints.len();
+    let (mut direct, mut spilled) = (0, 0);
+    for caller in 0..n {
+        let Ok((landing, access)) = vns.anycast_landing(&internet, endpoints.endpoint(caller).ip)
+        else {
+            assert_eq!(paths.landing_pop(caller), None);
+            continue;
+        };
+        assert_eq!(paths.landing_pop(caller), Some(landing));
+        for admitted in vns.pops().iter().map(Pop::id) {
+            let callee = (caller * 31 + usize::from(admitted.0)) % n;
+            let want = paths.tail(admitted, callee).map(|tail| {
+                let mut hops = access.hops.clone();
+                let mut routers = access.routers.clone();
+                if landing == admitted {
+                    routers.extend(tail.routers.iter().skip(1).cloned());
+                } else {
+                    let (from, to) = (vns.pop(landing).city, vns.pop(admitted).city);
+                    hops.push(ResolvedHop {
+                        kind: HopKind::IntraAs {
+                            asn: info.asn,
+                            ty: info.ty,
+                            region: city(to).region,
+                            dedicated: true,
+                        },
+                        from_city: from,
+                        to_city: to,
+                        km: Internet::city_km(from, to).max(1.0),
+                        label: HopLabel::Spill {
+                            from: landing.0,
+                            to: admitted.0,
+                        },
+                    });
+                    routers.extend(tail.routers.iter().cloned());
+                }
+                hops.extend(tail.hops.iter().cloned());
+                ResolvedPath { hops, routers }
+            });
+            let got = paths.call_path(caller, callee, admitted);
+            assert_eq!(got, want, "caller {caller} callee {callee} at {admitted}");
+            if let Some(path) = got {
+                assert_eq!(path.reversed().reversed(), path);
+                if landing == admitted {
+                    direct += 1;
+                } else {
+                    spilled += 1;
+                }
+            }
+        }
+    }
+    assert!(direct > n / 2, "direct {direct} of {n} callers");
+    assert!(spilled > direct, "spilled {spilled}, direct {direct}");
 }
 
 #[test]

@@ -49,7 +49,7 @@ use vns_netsim::{
 };
 
 use crate::astype::AsType;
-use crate::path::{HopKind, ResolvedHop, ResolvedPath};
+use crate::path::{HopKind, HopLabel, ResolvedHop, ResolvedPath};
 
 use vns_netsim::diurnal::DiurnalShape;
 
@@ -322,7 +322,7 @@ pub struct ChannelFactory {
     /// [`LAST_MILE_SHAPES`], indexed by [`last_mile_slot`].
     last_mile_unit_means: [f64; 3],
     rng: RngTree,
-    blackout_cache: Mutex<BTreeMap<String, BlackoutSchedule>>,
+    blackout_cache: Mutex<BTreeMap<HopLabel, BlackoutSchedule>>,
 }
 
 impl ChannelFactory {
@@ -544,9 +544,9 @@ impl ChannelFactory {
             return s.clone();
         }
         let gen = FaultGenerator::convergence(self.config.blackout_events_per_day);
-        let mut rng = self.rng.stream(&format!("blackout:{}", hop.label));
+        let mut rng = self.rng.stream_args(format_args!("blackout:{}", hop.label));
         let schedule = gen.generate(SimTime::EPOCH, self.config.blackout_horizon, &mut rng);
-        cache.insert(hop.label.clone(), schedule.clone());
+        cache.insert(hop.label, schedule.clone());
         schedule
     }
 
@@ -575,7 +575,6 @@ impl ChannelFactory {
                 loss: LossProcess::new(model, SmallRng::seed_from_u64(seed)),
                 delay,
                 blackouts,
-                label: hop.label.clone(),
             });
         }
         let rng = self.rng.stream_args(format_args!("flowdelay:{flow_label}"));
@@ -589,13 +588,31 @@ mod tests {
     use vns_bgp::Asn;
     use vns_geo::cities::city_by_name;
 
-    fn hop(kind: HopKind, from: &str, to: &str, km: f64, label: &str) -> ResolvedHop {
+    fn hop(kind: HopKind, from: &str, to: &str, km: f64, label: HopLabel) -> ResolvedHop {
         ResolvedHop {
             kind,
             from_city: city_by_name(from).unwrap().0,
             to_city: city_by_name(to).unwrap().0,
             km,
-            label: label.to_string(),
+            label,
+        }
+    }
+
+    /// A test label of the backbone shape between two named cities.
+    fn bb(asn: u32, dedicated: bool, from: &str, to: &str) -> HopLabel {
+        HopLabel::Backbone {
+            asn: Asn(asn),
+            dedicated,
+            from: city_by_name(from).unwrap().0,
+            to: city_by_name(to).unwrap().0,
+        }
+    }
+
+    /// A test label of the last-mile shape.
+    fn lm(asn: u32) -> HopLabel {
+        HopLabel::LastMile {
+            asn: Asn(asn),
+            prefix: "10.0.0.0/24".parse().unwrap(),
         }
     }
 
@@ -616,7 +633,7 @@ mod tests {
             "Amsterdam",
             "London",
             360.0,
-            "l2",
+            bb(1, true, "Amsterdam", "London"),
         );
         let rate = f.loss_model(&h).mean_rate();
         assert!(rate < 1e-4, "dedicated rate {rate}");
@@ -635,7 +652,7 @@ mod tests {
             "Amsterdam",
             "Frankfurt",
             360.0,
-            "eu",
+            bb(1, false, "Amsterdam", "Frankfurt"),
         );
         let ap = hop(
             HopKind::IntraAs {
@@ -647,7 +664,7 @@ mod tests {
             "Singapore",
             "HongKong",
             2600.0,
-            "ap",
+            bb(1, false, "Singapore", "HongKong"),
         );
         let eu_rate = f.loss_model(&eu).mean_rate();
         let ap_rate = f.loss_model(&ap).mean_rate();
@@ -671,7 +688,7 @@ mod tests {
                 "NewYork",
                 "LosAngeles",
                 km,
-                "na",
+                bb(1, false, "NewYork", "LosAngeles"),
             )
         };
         assert!(
@@ -688,7 +705,7 @@ mod tests {
             (AsType::Ltp, Region::Europe, "Amsterdam"),
             (AsType::Ec, Region::NorthAmerica, "Atlanta"),
         ] {
-            let h = hop(HopKind::LastMile { ty, region }, cname, cname, 30.0, "lm");
+            let h = hop(HopKind::LastMile { ty, region }, cname, cname, 30.0, lm(1));
             let target = cfg.last_mile_target(ty, region);
             let got = f.loss_model(&h).mean_rate();
             assert!(
@@ -730,7 +747,7 @@ mod tests {
             "Amsterdam",
             "Frankfurt",
             360.0,
-            "shared-haul",
+            bb(1, false, "Amsterdam", "Frankfurt"),
         );
         let path = ResolvedPath {
             hops: vec![h],
@@ -757,7 +774,7 @@ mod tests {
                 "Amsterdam",
                 "Amsterdam",
                 30.0,
-                "lm-x",
+                lm(1),
             );
             let path = ResolvedPath {
                 hops: vec![h],
@@ -792,21 +809,31 @@ mod tests {
         };
         ResolvedPath {
             hops: vec![
-                hop(last_mile, "Amsterdam", "Amsterdam", 30.0, "lm:ams"),
+                hop(last_mile, "Amsterdam", "Amsterdam", 30.0, lm(7)),
                 hop(
                     haul(Region::Europe, false),
                     "Amsterdam",
                     "London",
                     360.0,
-                    "bb:ams-lon",
+                    bb(7, false, "Amsterdam", "London"),
                 ),
-                hop(port, "London", "Ashburn", 5900.0, "ix:lon-ash"),
+                hop(
+                    port,
+                    "London",
+                    "Ashburn",
+                    5900.0,
+                    HopLabel::Ix {
+                        asn: Asn(7),
+                        peer: vns_bgp::SpeakerId(8),
+                        city: city_by_name("Ashburn").unwrap().0,
+                    },
+                ),
                 hop(
                     haul(Region::AsiaPacific, true),
                     "Ashburn",
                     "Singapore",
                     15500.0,
-                    "l2:ash-sin",
+                    bb(7, true, "Ashburn", "Singapore"),
                 ),
             ],
             routers: vec![],
@@ -823,7 +850,11 @@ mod tests {
         let back = path.reversed();
         let mut unrelated = path.clone();
         for (i, h) in unrelated.hops.iter_mut().enumerate() {
-            h.label = format!("other:{i}");
+            h.label = HopLabel::Intra {
+                asn: Asn(900 + i as u32),
+                from: h.from_city,
+                to: h.to_city,
+            };
             h.km += 777.0;
         }
         for i in 0..1000 {
@@ -865,7 +896,12 @@ mod blackout_tests {
             from_city: city_by_name("NewYork").unwrap().0,
             to_city: city_by_name("Ashburn").unwrap().0,
             km: 455.0,
-            label: "bb:test".into(),
+            label: HopLabel::Backbone {
+                asn: Asn(1),
+                dedicated: false,
+                from: city_by_name("NewYork").unwrap().0,
+                to: city_by_name("Ashburn").unwrap().0,
+            },
         };
         let path = ResolvedPath {
             hops: vec![hop],
@@ -877,7 +913,7 @@ mod blackout_tests {
             .blackout_cache
             .lock()
             .unwrap()
-            .get("bb:test")
+            .get(&hop.label)
             .expect("schedule cached")
             .clone();
         // 30-day horizon at 4 events/day: ~120 windows.

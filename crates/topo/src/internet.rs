@@ -20,8 +20,10 @@
 //! is an artefact input.
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use vns_bgp::{Asn, BgpNet, IgpGraph, LpmMap, Prefix, SpeakerId};
+use vns_geo::cities::CITIES;
 use vns_geo::{city, CityId, GeoIpDb, GeoPoint, Region};
 
 use crate::astype::AsType;
@@ -333,9 +335,20 @@ impl Internet {
         self.ases.iter()
     }
 
-    /// Great-circle km between two cities.
+    /// Great-circle km between two cities: a load from a table of every
+    /// city pair, filled on first use with the haversine of each pair (the
+    /// same `f64`s computing it in place gives). The resolver asks this
+    /// several times per hop.
     pub fn city_km(a: CityId, b: CityId) -> f64 {
-        city(a).location.distance_km(&city(b).location)
+        static KM: OnceLock<Vec<f64>> = OnceLock::new();
+        let n = CITIES.len();
+        let km = KM.get_or_init(|| {
+            CITIES
+                .iter()
+                .flat_map(|a| CITIES.iter().map(|b| a.location.distance_km(&b.location)))
+                .collect()
+        });
+        km[usize::from(a.0) * n..][..n][usize::from(b.0)]
     }
 }
 

@@ -38,4 +38,4 @@ pub use channels::{CalibrationConfig, ChannelFactory};
 pub use config::TopoConfig;
 pub use gen::{generate, wire};
 pub use internet::{AsId, AsInfo, Internet, PrefixInfo};
-pub use path::{HopKind, ResolvedHop, ResolvedPath};
+pub use path::{HopKind, HopLabel, ResolvedHop, ResolvedPath};

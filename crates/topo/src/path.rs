@@ -18,7 +18,9 @@
 //! * at the origin AS the packet hauls to the prefix's city and crosses
 //!   the last mile.
 
-use vns_bgp::{Asn, Covering, PathError, RouteSource, Speaker, SpeakerId};
+use std::fmt;
+
+use vns_bgp::{Asn, Covering, PathError, Prefix, RouteSource, Speaker, SpeakerId};
 use vns_geo::{CityId, Region};
 
 use crate::astype::AsType;
@@ -41,8 +43,9 @@ pub enum HopKind {
         /// this is the region of the hop's *origin* and the profile rule
         /// sees (B, B) where the forward leg saw (A, B): the return leg of
         /// an NA→AP haul takes the hot AP profile where the forward leg
-        /// takes the milder NA one. A known asymmetry (ROADMAP item 11(a));
-        /// closing it moves every packet artefact.
+        /// takes the milder NA one. A known asymmetry (ROADMAP, *One
+        /// reviewed artefact diff*); closing it moves every packet
+        /// artefact.
         region: Region,
         /// True on well-provisioned dedicated infrastructure (VNS L2).
         dedicated: bool,
@@ -62,8 +65,130 @@ pub enum HopKind {
     },
 }
 
+/// A hop's identity: the ids that name the infrastructure it crosses, one
+/// variant per kind of hop the resolver and the service plane build.
+///
+/// Labels are RNG stream names (blackout schedules and per-flow loss
+/// seeds), but only through their rendered text: [`fmt::Display`] writes
+/// the bytes every seed hashes, and is the only renderer. Every variant's
+/// text starts with its own tag and city names are unique, so two distinct
+/// labels never render the same text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum HopLabel {
+    /// `lastmile:{asn}:{prefix}`: the access segment of `prefix`, whose
+    /// origin is `asn`.
+    LastMile {
+        /// The origin AS.
+        asn: Asn,
+        /// The host prefix.
+        prefix: Prefix,
+    },
+    /// `ix:{asn}:{peer}@{city}`: the cross-connect from `asn` to the
+    /// speaker `peer`, landing in `city`.
+    Ix {
+        /// The AS the packet leaves.
+        asn: Asn,
+        /// The speaker across the session.
+        peer: SpeakerId,
+        /// The far end of the interconnect.
+        city: CityId,
+    },
+    /// `intra:{asn}:{from}->{to}`: a haul across an AS whose internal
+    /// topology is not modelled.
+    Intra {
+        /// The AS.
+        asn: Asn,
+        /// Start city.
+        from: CityId,
+        /// End city.
+        to: CityId,
+    },
+    /// `l2:{asn}:{from}->{to}` when `dedicated`, else
+    /// `bb:{asn}:{from}->{to}`: one backbone link of a multi-router AS.
+    Backbone {
+        /// The AS.
+        asn: Asn,
+        /// VNS's dedicated L2 circuits (`l2`) or shared circuits (`bb`).
+        dedicated: bool,
+        /// Start city.
+        from: CityId,
+        /// End city.
+        to: CityId,
+    },
+    /// `transit-port:{asn}:{upstream}@{city}`: a PoP's access leg to its
+    /// primary upstream's port in `city`.
+    TransitPort {
+        /// The overlay's AS.
+        asn: Asn,
+        /// The upstream's AS.
+        upstream: Asn,
+        /// The city of the transit port.
+        city: CityId,
+    },
+    /// `exit:{asn}:{peer}@{city}`: a PoP's exit over its best local
+    /// external session.
+    Exit {
+        /// The overlay's AS.
+        asn: Asn,
+        /// The speaker across the session.
+        peer: SpeakerId,
+        /// The far end of the interconnect.
+        city: CityId,
+    },
+    /// `spill:PoP{from}->PoP{to}`: the dedicated L2 splice leg a spilled
+    /// call rides between two PoPs, by their raw PoP ids.
+    Spill {
+        /// The landing PoP.
+        from: u8,
+        /// The admitting PoP.
+        to: u8,
+    },
+}
+
+impl fmt::Display for HopLabel {
+    /// One `write!` per label, with each id's number written in place of
+    /// its own `Display` (`AS{n}`, `R{n}`, `PoP{n}`): the same bytes, one
+    /// formatting pass instead of one per id.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let name = |c: CityId| vns_geo::city(c).name;
+        match *self {
+            HopLabel::LastMile { asn, prefix } => write!(f, "lastmile:AS{}:{prefix}", asn.0),
+            HopLabel::Ix { asn, peer, city } => {
+                write!(f, "ix:AS{}:R{}@{}", asn.0, peer.0, name(city))
+            }
+            HopLabel::Intra { asn, from, to } => {
+                write!(f, "intra:AS{}:{}->{}", asn.0, name(from), name(to))
+            }
+            HopLabel::Backbone {
+                asn,
+                dedicated,
+                from,
+                to,
+            } => {
+                let tag = if dedicated { "l2" } else { "bb" };
+                write!(f, "{tag}:AS{}:{}->{}", asn.0, name(from), name(to))
+            }
+            HopLabel::TransitPort {
+                asn,
+                upstream,
+                city,
+            } => write!(
+                f,
+                "transit-port:AS{}:AS{}@{}",
+                asn.0,
+                upstream.0,
+                name(city)
+            ),
+            HopLabel::Exit { asn, peer, city } => {
+                write!(f, "exit:AS{}:R{}@{}", asn.0, peer.0, name(city))
+            }
+            HopLabel::Spill { from, to } => write!(f, "spill:PoP{from}->PoP{to}"),
+        }
+    }
+}
+
 /// One resolved hop.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResolvedHop {
     /// Profile selector.
     pub kind: HopKind,
@@ -73,13 +198,13 @@ pub struct ResolvedHop {
     pub to_city: CityId,
     /// Great-circle length, km.
     pub km: f64,
-    /// Diagnostic label, stable across flows on the same hop (shared
-    /// blackout schedules key on it).
-    pub label: String,
+    /// The hop's identity, stable across flows on the same hop (shared
+    /// blackout schedules key on it, and per-flow seeds hash its text).
+    pub label: HopLabel,
 }
 
 /// A fully resolved path.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResolvedPath {
     /// Hops in order.
     pub hops: Vec<ResolvedHop>,
@@ -110,12 +235,10 @@ impl ResolvedPath {
             .hops
             .iter()
             .rev()
-            .map(|h| ResolvedHop {
-                kind: h.kind,
+            .map(|&h| ResolvedHop {
                 from_city: h.to_city,
                 to_city: h.from_city,
-                km: h.km,
-                label: h.label.clone(),
+                ..h
             })
             .collect();
         let routers = self.routers.iter().rev().copied().collect();
@@ -261,7 +384,10 @@ pub fn resolve_path(
                         from_city: pinfo.city,
                         to_city: pinfo.city,
                         km: 30.0,
-                        label: format!("lastmile:{}:{}", cur_info.asn, pinfo.prefix),
+                        label: HopLabel::LastMile {
+                            asn: cur_info.asn,
+                            prefix: pinfo.prefix,
+                        },
                     });
                 }
                 return Ok(ResolvedPath { hops, routers });
@@ -287,7 +413,11 @@ pub fn resolve_path(
                     from_city: near,
                     to_city: far,
                     km: Internet::city_km(near, far).max(1.0),
-                    label: format!("ix:{}:{}@{}", cur_info.asn, peer, vns_geo::city(far).name),
+                    label: HopLabel::Ix {
+                        asn: cur_info.asn,
+                        peer,
+                        city: far,
+                    },
                 });
                 if decided.contains(&peer) {
                     return Err(PathError::ForwardingLoop);
@@ -353,7 +483,10 @@ pub fn resolve_from_prefix(
             from_city: pinfo.city,
             to_city: pinfo.city,
             km: 30.0,
-            label: format!("lastmile:{}:{}", origin.asn, pinfo.prefix),
+            label: HopLabel::LastMile {
+                asn: origin.asn,
+                prefix: pinfo.prefix,
+            },
         });
     }
     let mut rest = resolve_path(internet, speaker, pinfo.city, dst_ip)?;
@@ -377,12 +510,11 @@ fn intra_hop(info: &crate::internet::AsInfo, from: CityId, to: CityId) -> Resolv
         from_city: from,
         to_city: to,
         km,
-        label: format!(
-            "intra:{}:{}->{}",
-            info.asn,
-            vns_geo::city(from).name,
-            vns_geo::city(to).name
-        ),
+        label: HopLabel::Intra {
+            asn: info.asn,
+            from,
+            to,
+        },
     }
 }
 
@@ -401,13 +533,12 @@ fn backbone_hop(info: &crate::internet::AsInfo, from: CityId, to: CityId) -> Res
         from_city: from,
         to_city: to,
         km: Internet::city_km(from, to) * inflation,
-        label: format!(
-            "{}:{}:{}->{}",
-            if info.dedicated { "l2" } else { "bb" },
-            info.asn,
-            vns_geo::city(from).name,
-            vns_geo::city(to).name
-        ),
+        label: HopLabel::Backbone {
+            asn: info.asn,
+            dedicated: info.dedicated,
+            from,
+            to,
+        },
     }
 }
 

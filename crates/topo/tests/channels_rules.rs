@@ -7,7 +7,7 @@ use vns_geo::cities::{cities_in_region, city_by_name};
 use vns_geo::{city, Region};
 use vns_netsim::{DiurnalProfile, DiurnalShape, LossModel, RngTree};
 use vns_topo::channels::TransitProfile;
-use vns_topo::path::{HopKind, ResolvedHop, ResolvedPath};
+use vns_topo::path::{HopKind, HopLabel, ResolvedHop, ResolvedPath};
 use vns_topo::{AsType, CalibrationConfig, ChannelFactory};
 
 fn factory() -> ChannelFactory {
@@ -15,18 +15,25 @@ fn factory() -> ChannelFactory {
 }
 
 fn haul(from: &str, to: &str, km: f64) -> ResolvedHop {
-    let to_region = city_by_name(to).expect("known city").1.region;
+    let (from, to) = (
+        city_by_name(from).expect("known city").0,
+        city_by_name(to).expect("known city").0,
+    );
     ResolvedHop {
         kind: HopKind::IntraAs {
             asn: Asn(9),
             ty: AsType::Ltp,
-            region: to_region,
+            region: city(to).region,
             dedicated: false,
         },
-        from_city: city_by_name(from).expect("known city").0,
-        to_city: city_by_name(to).expect("known city").0,
+        from_city: from,
+        to_city: to,
         km,
-        label: format!("t:{from}->{to}"),
+        label: HopLabel::Intra {
+            asn: Asn(9),
+            from,
+            to,
+        },
     }
 }
 
@@ -102,7 +109,11 @@ fn long_leased_ports_are_oversubscribed() {
         from_city: city_by_name("London").unwrap().0,
         to_city: city_by_name("Ashburn").unwrap().0,
         km,
-        label: "port".into(),
+        label: HopLabel::TransitPort {
+            asn: Asn(9),
+            upstream: Asn(10),
+            city: city_by_name("Ashburn").unwrap().0,
+        },
     };
     let metro = f.loss_model(&mk(1.0)).mean_rate();
     let backhaul = f.loss_model(&mk(5900.0)).mean_rate();
@@ -127,7 +138,10 @@ fn last_mile_diurnality_differs_by_type() {
         from_city: city_by_name("Amsterdam").unwrap().0,
         to_city: city_by_name("Amsterdam").unwrap().0,
         km: 30.0,
-        label: format!("lm:{ty:?}"),
+        label: HopLabel::LastMile {
+            asn: Asn(ty as u32),
+            prefix: "10.0.0.0/24".parse().unwrap(),
+        },
     };
     let prob_at = |ty, hour: u64| {
         let model = f.loss_model(&lm(ty));
@@ -343,7 +357,11 @@ fn every_hop() -> Vec<ResolvedHop> {
                             from_city,
                             to_city,
                             km,
-                            label: format!("{from:?}->{to:?}:{km}"),
+                            label: HopLabel::Intra {
+                                asn: Asn(km as u32),
+                                from: from_city,
+                                to: to_city,
+                            },
                         }],
                         routers: vec![],
                     };
