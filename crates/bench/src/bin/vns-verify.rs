@@ -27,8 +27,8 @@ use std::process::ExitCode;
 use vns_bench::cli::{Args, CliError};
 use vns_bench::{World, WorldConfig};
 use vns_core::RoutingMode;
-use vns_service::{EndpointTable, PathTable};
-use vns_verify::{verify_dataplane_with_service, DataplaneConfig, VerifyScope};
+use vns_service::EndpointTable;
+use vns_verify::Certifier;
 
 /// Which verification stage(s) to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,15 +105,8 @@ fn run(opts: &Opts) -> ExitCode {
         // something to cross-check, exactly as the steady-state campaign
         // would hold them.
         let endpoints = EndpointTable::build(&world.internet, &world.vns);
-        let paths = PathTable::build(&world.internet, &world.vns, &endpoints);
-        let report = verify_dataplane_with_service(
-            &world.internet,
-            &world.vns,
-            &VerifyScope::default(),
-            &DataplaneConfig::default(),
-            &endpoints,
-            &paths,
-        );
+        let (_, report) =
+            Certifier::default().rebuild_paths(&world.internet, &world.vns, &endpoints);
         if !opts.quiet || !report.passes() {
             print!("{}", report.render());
         }

@@ -15,45 +15,31 @@ use vns_media::{run_echo_session, SessionConfig, SessionReport, VideoSpec};
 use vns_netsim::{Dur, EchoScratch, Par, PathChannel, SimTime, BATCH_LEN};
 use vns_probe::{loss_train, rtt_probe_std, LossTrain};
 use vns_topo::{AsType, ResolvedPath};
+use vns_verify::Certifier;
 
 use crate::world::World;
 
-/// Fail-fast pre-flight: audits the converged control plane with
-/// `vns-verify`'s static invariants before a campaign spends simulated
-/// hours of packets on it. A deployment that converged into a broken
-/// state (stale overrides, leaked `NO_EXPORT`, unresolvable next hops, …)
-/// produces figures that look plausible and are quietly wrong — better to
-/// die here with the report.
+/// Fail-fast pre-flight: both `vns-verify` stages ([`Certifier::check`])
+/// before a campaign spends simulated hours of packets on the world. A
+/// deployment that converged into a broken state (stale overrides, leaked
+/// `NO_EXPORT`, unresolvable next hops, a loop, …) produces figures that
+/// look plausible and are quietly wrong — better to die here with the report.
 ///
 /// # Panics
-/// Panics with the rendered violation report when any error-severity
-/// violation exists. Warnings (e.g. hidden routes on a deployment that
-/// deliberately disabled best-external for the ablation) pass.
-pub fn assert_control_plane(world: &World) {
-    let report = vns_verify::verify(&world.internet, &world.vns);
+/// With the rendered report of the first failing stage on any error-severity
+/// finding. Warnings (e.g. hidden routes on a deployment that deliberately
+/// disabled best-external for the ablation) pass.
+pub fn assert_certified(world: &World) {
+    let (control, dataplane) = Certifier::default().check(&world.internet, &world.vns);
     assert!(
-        report.passes(),
+        control.passes(),
         "control-plane pre-flight failed:\n{}",
-        report.render()
+        control.render()
     );
-}
-
-/// Stage-2 fail-fast pre-flight: statically certifies the *data plane* —
-/// the whole-network forwarding graph derived from the converged RIBs —
-/// before a campaign replays flows over it. Proves LOOP-FREE,
-/// NO-BLACKHOLE, ANYCAST-NEAREST and STRETCH-BOUND; campaigns that build
-/// service-plane tables additionally cross-check WAYPOINT via
-/// [`vns_verify::verify_dataplane_with_service`] at their own call sites.
-///
-/// # Panics
-/// Panics with the rendered report (violations + per-check timing ledger)
-/// on any error-severity finding.
-pub fn assert_data_plane(world: &World) {
-    let report = vns_verify::verify_dataplane(&world.internet, &world.vns);
     assert!(
-        report.passes(),
+        dataplane.passes(),
         "data-plane pre-flight failed:\n{}",
-        report.render()
+        dataplane.render()
     );
 }
 
@@ -190,8 +176,7 @@ pub fn rtt_matrix(
     t: SimTime,
     par: Par,
 ) -> Vec<Vec<Option<f64>>> {
-    assert_control_plane(world);
-    assert_data_plane(world);
+    assert_certified(world);
     par.map(metas, |_, m| {
         pops.iter()
             .map(|&p| rtt_via_local_exit(world, p, m.ip, t))
@@ -247,8 +232,7 @@ pub fn media_campaign(
     start: SimTime,
     par: Par,
 ) -> Vec<(MediaArm, SessionReport)> {
-    assert_control_plane(world);
-    assert_data_plane(world);
+    assert_certified(world);
     let cfg = SessionConfig::default();
     let echo: Vec<(PopId, Region, u32)> = world
         .vns
@@ -387,8 +371,7 @@ pub fn lastmile_campaign(
     span: Dur,
     par: Par,
 ) -> Vec<TrainRecord> {
-    assert_control_plane(world);
-    assert_data_plane(world);
+    assert_certified(world);
     let rounds = vns_probe::rounds(SimTime::EPOCH, interval, span);
     let mut units: Vec<(PopId, usize)> = Vec::with_capacity(pops.len() * hosts.len());
     for &pop in pops {

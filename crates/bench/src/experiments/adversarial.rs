@@ -42,11 +42,9 @@ use vns_netsim::diurnal::DiurnalShape;
 use vns_netsim::{echo_scratch, DiurnalProfile, Dur, Par, RngTree, SimTime};
 use vns_service::{EndpointTable, Orchestrator, PathTable, ServiceConfig, ServiceEnv};
 use vns_topo::ResolvedPath;
-use vns_verify::{
-    verify_dataplane_scoped, verify_scoped, DataplaneConfig, Invariant, Severity, VerifyScope,
-};
+use vns_verify::{Certifier, Invariant, Severity};
 
-use crate::campaign::{assert_control_plane, assert_data_plane, channel_pair_args, echo_replay};
+use crate::campaign::{assert_certified, channel_pair_args, echo_replay};
 use crate::world::{World, WorldConfig};
 
 /// Replayed session length per affected flow (~427 pkt/s at HD1080).
@@ -247,14 +245,7 @@ fn unit_config(config: &WorldConfig, hot: bool) -> WorldConfig {
 /// Error-severity finding counts from both verifier stages, in report
 /// order.
 fn fired_invariants(world: &World) -> FiredCounts {
-    let scope = VerifyScope::default();
-    let control = verify_scoped(&world.internet, &world.vns, &scope);
-    let data = verify_dataplane_scoped(
-        &world.internet,
-        &world.vns,
-        &scope,
-        &DataplaneConfig::default(),
-    );
+    let (control, data) = Certifier::default().check(&world.internet, &world.vns);
     let mut counts: BTreeMap<&'static str, usize> = BTreeMap::new();
     let errors = control
         .violations()
@@ -336,8 +327,7 @@ fn landing(world: &World, ip: u32) -> Option<PopId> {
 #[allow(clippy::too_many_lines)] // one linear measurement recipe
 fn run_attack(config: &WorldConfig, kind: AttackKind) -> AttackRow {
     let mut world = World::build(unit_config(config, false));
-    assert_control_plane(&world);
-    assert_data_plane(&world);
+    assert_certified(&world);
     let tree = RngTree::new(config.seed)
         .subtree("adversarial")
         .subtree(kind.name());

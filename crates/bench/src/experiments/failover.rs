@@ -11,17 +11,17 @@
 //! once:
 //!
 //! * **control plane** — activations and messages per event
-//!   ([`vns_bgp::ConvergenceStats`]), plus a
-//!   [`BgpNet::is_quiescent`](vns_bgp::BgpNet::is_quiescent) check so a
-//!   torn RIB is never silently measured;
+//!   ([`vns_bgp::ConvergenceStats`]); each event goes through
+//!   [`Certifier::apply`], which refuses a torn net, so a torn RIB is never
+//!   silently measured;
 //! * **data plane** — monitored client→echo flows are re-resolved across
 //!   the routing epoch and an in-flight HD session is replayed over the
 //!   pre→post path swap, yielding the outage window, packets lost during
 //!   reconvergence, and post-failure path stretch vs. the geo-optimal
 //!   pre-failure exit;
-//! * **invariants** — the vns-verify suite re-runs on the post-event RIBs,
-//!   scoped to the surviving topology (`verify_scoped`), so GEO-PREF /
-//!   HIDDEN-ROUTE / VALLEY-FREE / NEXT-HOP must still hold mid-incident.
+//! * **invariants** — both vns-verify stages re-run on the post-event RIBs,
+//!   scoped to the surviving topology, so GEO-PREF / HIDDEN-ROUTE / NEXT-HOP
+//!   and LOOP-FREE / NO-BLACKHOLE must still hold mid-incident.
 //!
 //! ## Reconvergence-time model
 //!
@@ -42,13 +42,13 @@
 use std::fmt;
 
 use vns_bgp::ConvergenceStats;
-use vns_core::{FaultEvent, FaultInjector, FaultPlan, PopId};
+use vns_core::{FaultEvent, FaultPlan, PopId};
 use vns_media::VideoSpec;
 use vns_netsim::{echo_scratch, Dur, Par, PathChannel, RngTree, SimTime};
 use vns_topo::ResolvedPath;
-use vns_verify::{verify_dataplane_scoped, verify_scoped, DataplaneConfig, VerifyScope};
+use vns_verify::Certifier;
 
-use crate::campaign::{assert_control_plane, assert_data_plane, channel_pair_args, echo_replay};
+use crate::campaign::{assert_certified, channel_pair_args, echo_replay};
 use crate::world::{World, WorldConfig};
 
 /// Modeled failure-detection delay, ms (BFD-style: 3 × 100 ms).
@@ -196,9 +196,6 @@ pub struct EventOutcome {
     pub event: String,
     /// Control-plane reconvergence cost.
     pub stats: ConvergenceStats,
-    /// The net reached true quiescence after the event (always required;
-    /// a torn net panics the driver instead of being recorded).
-    pub quiescent: bool,
     /// Modeled reconvergence time, ms (detection + per-message cost).
     pub conv_ms: f64,
     /// Error-severity invariant violations on the post-event RIBs
@@ -292,14 +289,13 @@ fn monitor_flows(world: &World) -> Vec<FlowSpec> {
 
 fn run_scenario(config: &WorldConfig, kind: ScenarioKind) -> ScenarioOutcome {
     let mut world = World::build(config.clone());
-    assert_control_plane(&world);
-    assert_data_plane(&world);
+    assert_certified(&world);
     let plan = kind.plan(&world);
     let flows = monitor_flows(&world);
     let tree = RngTree::new(config.seed)
         .subtree("failover")
         .subtree(&plan.name);
-    let mut inj = FaultInjector::new();
+    let mut certifier = Certifier::default();
     let mut steps = Vec::with_capacity(plan.steps.len());
 
     for (step_idx, &event) in plan.steps.iter().enumerate() {
@@ -313,29 +309,10 @@ fn run_scenario(config: &WorldConfig, kind: ScenarioKind) -> ScenarioOutcome {
             })
             .collect();
 
-        inj.apply(&mut world.internet, &world.vns, event)
-            .expect("scripted event applies");
-        let stats = world
-            .internet
-            .net
-            .run(world.vns.message_budget())
-            .expect("reconverges within budget");
-        let quiescent = world.internet.net.is_quiescent();
-        assert!(
-            quiescent,
-            "{}: step {step_idx} ({event}) left the net torn",
-            plan.name
-        );
-
-        let scope = VerifyScope::with_dead_routers(inj.dead_routers());
-        let report = verify_scoped(&world.internet, &world.vns, &scope);
-        let dataplane = verify_dataplane_scoped(
-            &world.internet,
-            &world.vns,
-            &scope,
-            &DataplaneConfig::default(),
-        );
-        let conv_ms = convergence_ms(event, &stats);
+        let certified = certifier
+            .apply(&mut world.internet, &world.vns, event)
+            .unwrap_or_else(|e| panic!("{}: step {step_idx} ({event}): {e}", plan.name));
+        let conv_ms = convergence_ms(event, &certified.stats);
 
         let mut affected = Vec::new();
         for (fi, (flow, pre_path)) in flows.iter().zip(&pre).enumerate() {
@@ -367,17 +344,17 @@ fn run_scenario(config: &WorldConfig, kind: ScenarioKind) -> ScenarioOutcome {
 
         steps.push(EventOutcome {
             event: event.to_string(),
-            stats,
-            quiescent,
+            stats: certified.stats,
             conv_ms,
-            verify_errors: report.error_count(),
-            verify_warnings: report.warning_count(),
-            dataplane_errors: dataplane.error_count(),
-            dataplane_warnings: dataplane.warning_count(),
+            verify_errors: certified.control.error_count(),
+            verify_warnings: certified.control.warning_count(),
+            dataplane_errors: certified.dataplane.error_count(),
+            dataplane_warnings: certified.dataplane.warning_count(),
             affected,
             flows_monitored: flows.len(),
         });
     }
+    assert!(certifier.fully_restored(), "{} left a fault", plan.name);
 
     ScenarioOutcome {
         name: plan.name,

@@ -12,8 +12,8 @@
 
 use std::time::Instant;
 
-use vns_service::{EndpointTable, PathTable};
-use vns_verify::{verify_dataplane_with_service, DataplaneConfig, VerifyScope};
+use vns_service::EndpointTable;
+use vns_verify::Certifier;
 
 use super::Ctx;
 use crate::{World, WorldConfig};
@@ -77,15 +77,7 @@ pub fn run(ctx: &mut Ctx) -> Result<String, String> {
         let (ok, fwd_pairs) = ctx.timed("scale-verify", s, |_| {
             let control = vns_verify::verify(&w.internet, &w.vns);
             let endpoints = EndpointTable::build(&w.internet, &w.vns);
-            let paths = PathTable::build(&w.internet, &w.vns, &endpoints);
-            let data = verify_dataplane_with_service(
-                &w.internet,
-                &w.vns,
-                &VerifyScope::default(),
-                &DataplaneConfig::default(),
-                &endpoints,
-                &paths,
-            );
+            let (_, data) = Certifier::default().rebuild_paths(&w.internet, &w.vns, &endpoints);
             (control.passes() && data.passes(), data.pairs)
         });
         let verify_s = t1.elapsed().as_secs_f64();

@@ -32,18 +32,15 @@
 
 use std::fmt;
 
-use vns_core::{FaultEvent, FaultInjector, PopId};
+use vns_core::{FaultEvent, PopId};
 use vns_netsim::diurnal::DiurnalShape;
 use vns_netsim::{DiurnalProfile, Dur, Par, RngTree};
 use vns_service::{
     EndpointTable, Orchestrator, PathTable, ServiceConfig, ServiceEnv, ServiceTelemetry,
 };
-use vns_verify::{
-    verify_dataplane_scoped, verify_dataplane_with_service, verify_scoped, DataplaneConfig,
-    VerifyScope,
-};
+use vns_verify::Certifier;
 
-use crate::campaign::{assert_control_plane, assert_data_plane};
+use crate::campaign::assert_certified;
 use crate::world::{World, WorldConfig};
 
 /// Telemetry window width.
@@ -172,8 +169,7 @@ impl fmt::Display for SteadyStateResult {
 /// because the failure phase mutates the control plane.
 pub fn run(config: &WorldConfig, opts: SteadyStateOpts, par: Par) -> SteadyStateResult {
     let mut world = World::build(config.clone());
-    assert_control_plane(&world);
-    assert_data_plane(&world);
+    assert_certified(&world);
     let endpoints = EndpointTable::build(&world.internet, &world.vns);
     let mut paths = PathTable::build(&world.internet, &world.vns, &endpoints);
     let total_endpoints = endpoints.len();
@@ -202,76 +198,31 @@ pub fn run(config: &WorldConfig, opts: SteadyStateOpts, par: Par) -> SteadyState
     let victim_id = busiest_pop(&orch);
     let victim = world.vns.pop(victim_id).code();
     let border = world.vns.pop(victim_id).borders[0];
-    let mut inj = FaultInjector::new();
+    let mut certifier = Certifier::default();
     let mut verify_errors = 0;
     let mut dataplane_errors = 0;
     let mut messages = 0;
-    // Applies one fault event, reconverges, and re-runs both verifier
-    // stages scoped to the surviving topology.
-    let apply = |world: &mut World, inj: &mut FaultInjector, ev| {
-        inj.apply(&mut world.internet, &world.vns, ev)
-            .expect("scripted event applies");
-        let stats = world
-            .internet
-            .net
-            .run(world.vns.message_budget())
-            .expect("reconverges within budget");
-        assert!(
-            world.internet.net.is_quiescent(),
-            "steady-state: {ev} left the net torn"
-        );
-        let scope = VerifyScope::with_dead_routers(inj.dead_routers());
-        let errors = verify_scoped(&world.internet, &world.vns, &scope).error_count();
-        let dp = verify_dataplane_scoped(
-            &world.internet,
-            &world.vns,
-            &scope,
-            &DataplaneConfig::default(),
-        )
-        .error_count();
-        (stats.messages, errors, dp)
+    // One certified routing change, then the path table rebuilt for the
+    // new epoch and re-certified against the forwarding graph.
+    let mut change = |world: &mut World, event| {
+        let certified = certifier
+            .apply(&mut world.internet, &world.vns, event)
+            .unwrap_or_else(|e| panic!("steady-state: {event}: {e}"));
+        let (paths, report) = certifier.rebuild_paths(&world.internet, &world.vns, &endpoints);
+        messages += certified.stats.messages;
+        verify_errors += certified.control.error_count();
+        dataplane_errors += certified.dataplane.error_count() + report.error_count();
+        paths
     };
-    // Re-certifies a freshly rebuilt path table against the forwarding
-    // graph (the WAYPOINT cross-check) for the new routing epoch.
-    let certify_tables = |world: &World, inj: &FaultInjector, paths: &PathTable| {
-        let scope = VerifyScope::with_dead_routers(inj.dead_routers());
-        verify_dataplane_with_service(
-            &world.internet,
-            &world.vns,
-            &scope,
-            &DataplaneConfig::default(),
-            &endpoints,
-            paths,
-        )
-        .error_count()
-    };
-    let (m, e, dp) = apply(
-        &mut world,
-        &mut inj,
-        FaultEvent::RouterDown { router: border },
-    );
-    messages += m;
-    verify_errors += e;
-    dataplane_errors += dp;
+    paths = change(&mut world, FaultEvent::RouterDown { router: border });
     let (prev_cap, torn_down) = orch.fail_pop(victim_id).expect("victim is a known PoP");
-    paths = PathTable::build(&world.internet, &world.vns, &endpoints);
-    dataplane_errors += certify_tables(&world, &inj, &paths);
     let routable_during_fault = (paths.routable_endpoints(), total_endpoints);
     run_phase(&mut orch, &world, &endpoints, &paths, FAULT_WINDOWS, par);
 
     // Phase 3: recovery.
-    let (m, e, dp) = apply(
-        &mut world,
-        &mut inj,
-        FaultEvent::RouterUp { router: border },
-    );
-    messages += m;
-    verify_errors += e;
-    dataplane_errors += dp;
+    paths = change(&mut world, FaultEvent::RouterUp { router: border });
     orch.restore_pop(victim_id, prev_cap)
         .expect("victim is a known PoP");
-    paths = PathTable::build(&world.internet, &world.vns, &endpoints);
-    dataplane_errors += certify_tables(&world, &inj, &paths);
     run_phase(&mut orch, &world, &endpoints, &paths, RECOVERY_WINDOWS, par);
 
     let steady_windows = opts.windows;

@@ -1,15 +1,17 @@
 //! Property: the control plane survives *any* scripted sequence of
-//! session cut/restore events. After every event the net reconverges
-//! within budget to true quiescence and the data plane stays loop-free;
-//! after restoring every severed session, the vns-verify invariant suite
-//! still passes — churn must leave no residue.
+//! session cut/restore events. Every event is a certified change: the net
+//! reconverges within budget to true quiescence and the data plane stays
+//! loop-free, by the forwarding walk and by the model checker; after
+//! restoring every severed session, the vns-verify invariant suite still
+//! passes — churn must leave no residue.
 
 mod testworld;
 
 use proptest::prelude::*;
 use vns_bgp::{PathError, SpeakerId};
-use vns_core::{FaultEvent, FaultInjector, Vns};
+use vns_core::{FaultEvent, Vns};
 use vns_topo::Internet;
+use vns_verify::{Certifier, Invariant};
 
 use testworld::raw_tiny as world;
 
@@ -63,7 +65,7 @@ proptest! {
         let sessions = vns_sessions(&internet, &vns);
         prop_assert!(!sessions.is_empty());
 
-        let mut inj = FaultInjector::new();
+        let mut certifier = Certifier::default();
         let mut severed = std::collections::BTreeSet::new();
         for (i, &c) in choices.iter().enumerate() {
             let (a, b) = sessions[c as usize % sessions.len()];
@@ -74,29 +76,25 @@ proptest! {
                 severed.insert((a, b));
                 FaultEvent::SessionCut { a, b }
             };
-            inj.apply(&mut internet, &vns, event).expect("event applies");
-            let stats = internet
-                .net
-                .run(vns.message_budget())
-                .expect("reconverges within budget");
+            let certified = certifier
+                .apply(&mut internet, &vns, event)
+                .unwrap_or_else(|e| panic!("event {i} ({event}): {e}"));
+            let loops: Vec<_> = certified.dataplane.report.of(Invariant::LoopFree).collect();
             prop_assert!(
-                internet.net.is_quiescent(),
-                "event {i} ({event}) left the net torn ({} msgs)",
-                stats.messages
+                loops.is_empty(),
+                "event {i} ({event}): {} msgs, LOOP-FREE findings {loops:?}",
+                certified.stats.messages
             );
             assert_loop_free(&internet, &vns, &format!("after event {i} ({event})"));
         }
 
         // Heal everything and demand a spotless control plane.
-        for (a, b) in inj.severed_sessions().collect::<Vec<_>>() {
-            inj.apply(&mut internet, &vns, FaultEvent::SessionRestore { a, b })
-                .expect("restore applies");
-            internet
-                .net
-                .run(vns.message_budget())
-                .expect("restore reconverges");
+        for (a, b) in severed {
+            certifier
+                .apply(&mut internet, &vns, FaultEvent::SessionRestore { a, b })
+                .unwrap_or_else(|e| panic!("restore {a}~{b}: {e}"));
         }
-        prop_assert!(inj.fully_restored());
+        prop_assert!(certifier.fully_restored());
         prop_assert!(internet.net.is_quiescent());
         assert_loop_free(&internet, &vns, "after full restoration");
         let report = vns_verify::verify(&internet, &vns);

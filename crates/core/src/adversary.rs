@@ -331,7 +331,7 @@ fn settle(
     vns: &Vns,
     stats: &mut ConvergenceStats,
 ) -> Result<bool, AttackError> {
-    let s = internet.net.run(vns.message_budget())?;
+    let s = vns.reconverge(internet)?;
     stats.activations += s.activations;
     stats.messages += s.messages;
     Ok(internet.net.is_quiescent())

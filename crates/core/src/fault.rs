@@ -13,8 +13,8 @@
 //! link weights. It never deletes speakers: a "dead" router is one whose
 //! BGP sessions are all torn down (control-plane crash), which is both the
 //! common real-world failure and the one the paper's mechanisms defend
-//! against. Re-running [`vns_bgp::BgpNet::run`] after each event yields
-//! the incremental reconvergence the failover campaign measures.
+//! against. [`Vns::reconverge`] after each event yields the incremental
+//! reconvergence the failover campaign measures.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -187,7 +187,7 @@ fn session_key(a: SpeakerId, b: SpeakerId) -> (SpeakerId, SpeakerId) {
 /// re-establishes the session exactly as built; cut circuits keep their
 /// IGP cost. The injector also tracks which routers are currently down so
 /// verification can be scoped to the degraded topology
-/// (see `vns_verify::verify_scoped`).
+/// (see `vns_verify::Certifier`).
 #[derive(Debug, Clone, Default)]
 pub struct FaultInjector {
     /// Severed sessions: canonical key → (config at key.0 for key.1,
@@ -220,13 +220,8 @@ impl FaultInjector {
         self.severed.is_empty() && self.down.is_empty() && self.cut_circuits.is_empty()
     }
 
-    /// Sessions currently severed, in canonical order.
-    pub fn severed_sessions(&self) -> impl Iterator<Item = (SpeakerId, SpeakerId)> + '_ {
-        self.severed.keys().copied()
-    }
-
-    /// Applies one event to the world. The caller re-runs
-    /// `internet.net.run(..)` afterwards to reconverge incrementally.
+    /// Applies one event to the world, queued until [`Vns::reconverge`]
+    /// runs; `vns_verify::Certifier::apply` does both and certifies it.
     pub fn apply(
         &mut self,
         internet: &mut Internet,

@@ -146,7 +146,7 @@ impl Vns {
                 .net
                 .originate_with(b, more_specific, vec![Community::NoExport]);
         }
-        internet.net.run(self.message_budget()).map(|_| ())
+        self.reconverge(internet).map(|_| ())
     }
 
     /// Requests route refresh from every border router and reconverges —
@@ -161,7 +161,7 @@ impl Vns {
                     .request_refresh_all();
             }
         }
-        internet.net.run(self.message_budget()).map(|_| ())
+        self.reconverge(internet).map(|_| ())
     }
 }
 

@@ -4,7 +4,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};
 
-use vns_bgp::{Asn, PathError, Prefix, RouteSource, SpeakerId};
+use vns_bgp::{Asn, ConvergenceError, ConvergenceStats, PathError, Prefix, RouteSource, SpeakerId};
 use vns_geo::{city, CityId, GeoPoint};
 use vns_topo::path::{resolve_from_prefix, resolve_path, HopKind, HopLabel, ResolvedHop};
 use vns_topo::{AsId, Internet, ResolvedPath};
@@ -174,6 +174,15 @@ impl Vns {
     /// Message budget for reconvergence runs.
     pub fn message_budget(&self) -> u64 {
         self.message_budget
+    }
+
+    /// Reconverges `internet` after a change (fault, override, attack) within
+    /// [`Vns::message_budget`]: the one call that picks that engine.
+    pub fn reconverge(
+        &self,
+        internet: &mut Internet,
+    ) -> Result<ConvergenceStats, ConvergenceError> {
+        internet.net.run(self.message_budget)
     }
 
     /// The PoP a VNS router belongs to.

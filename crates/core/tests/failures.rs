@@ -42,7 +42,7 @@ fn reflector_failure_is_survivable() {
     for peer in sessions {
         internet.net.disconnect(rr0, peer);
     }
-    internet.net.run(vns.message_budget()).expect("reconverges");
+    vns.reconverge(&mut internet).expect("reconverges");
 
     // The surviving reflector keeps the AS fully routed.
     let after = routable_fraction(&internet, &vns, PopId(10));
@@ -81,7 +81,7 @@ fn losing_both_reflectors_partitions_the_control_plane() {
             internet.net.disconnect(rr, peer);
         }
     }
-    internet.net.run(vns.message_budget()).expect("reconverges");
+    vns.reconverge(&mut internet).expect("reconverges");
     // Border routers keep only their own eBGP routes; cross-PoP iBGP
     // knowledge is gone, so remote-egress routing collapses but local
     // exits survive.
@@ -120,7 +120,7 @@ fn upstream_session_failure_reroutes() {
     for p in peers {
         internet.net.disconnect(border, p);
     }
-    internet.net.run(vns.message_budget()).expect("reconverges");
+    vns.reconverge(&mut internet).expect("reconverges");
     // Everything stays reachable through the other PoPs' sessions.
     let frac = routable_fraction(&internet, &vns, pop);
     assert!(frac > 0.999, "after upstream failure: {frac}");
@@ -160,6 +160,6 @@ fn before_mode_also_survives_rr_loss() {
     for peer in sessions {
         internet.net.disconnect(rr1, peer);
     }
-    internet.net.run(vns.message_budget()).expect("reconverges");
+    vns.reconverge(&mut internet).expect("reconverges");
     assert!(routable_fraction(&internet, &vns, PopId(7)) > 0.999);
 }

@@ -47,7 +47,7 @@ fn session_cut_and_restore_round_trips() {
         },
     )
     .expect("cut");
-    internet.net.run(vns.message_budget()).expect("reconverge");
+    vns.reconverge(&mut internet).expect("reconverge");
     assert!(internet.net.is_quiescent());
     assert!(!inj.fully_restored());
 
@@ -60,7 +60,7 @@ fn session_cut_and_restore_round_trips() {
         },
     )
     .expect("restore");
-    internet.net.run(vns.message_budget()).expect("reconverge");
+    vns.reconverge(&mut internet).expect("reconverge");
     assert!(internet.net.is_quiescent());
     assert!(inj.fully_restored());
     let frac = routable_fraction(&internet, &vns, pop.id());
@@ -76,7 +76,7 @@ fn reflector_blip_survives_and_recovers() {
 
     for (i, &step) in plan.steps.iter().enumerate() {
         inj.apply(&mut internet, &vns, step).expect("apply");
-        internet.net.run(vns.message_budget()).expect("reconverge");
+        vns.reconverge(&mut internet).expect("reconverge");
         assert!(internet.net.is_quiescent(), "step {i} left the net torn");
         // The surviving reflector keeps the AS routed even mid-plan.
         let frac = routable_fraction(&internet, &vns, PopId(10));
@@ -90,14 +90,30 @@ fn reflector_blip_survives_and_recovers() {
 fn router_down_marks_dead_until_up() {
     let (mut internet, vns) = world(3);
     let [rr0, _] = vns.reflectors();
+    let sessions = peer_count(&internet, rr0);
+    assert!(sessions > 0);
     let mut inj = FaultInjector::new();
     inj.apply(&mut internet, &vns, FaultEvent::RouterDown { router: rr0 })
         .expect("down");
     assert_eq!(inj.dead_routers().collect::<Vec<_>>(), vec![rr0]);
-    assert!(inj.severed_sessions().count() > 0);
+    assert_eq!(
+        peer_count(&internet, rr0),
+        0,
+        "a down router holds no session"
+    );
     inj.apply(&mut internet, &vns, FaultEvent::RouterUp { router: rr0 })
         .expect("up");
     assert!(inj.fully_restored());
+    assert_eq!(peer_count(&internet, rr0), sessions);
+}
+
+fn peer_count(internet: &Internet, router: SpeakerId) -> usize {
+    internet
+        .net
+        .speaker(router)
+        .expect("speaker")
+        .peer_ids()
+        .count()
 }
 
 /// A border of PoP 0 and its primary upstream: a session to cut on purpose
@@ -114,7 +130,7 @@ fn apply_all(inj: &mut FaultInjector, internet: &mut Internet, vns: &Vns, events
     for &event in events {
         inj.apply(internet, vns, event)
             .unwrap_or_else(|e| panic!("{event}: {e}"));
-        internet.net.run(vns.message_budget()).expect("reconverge");
+        vns.reconverge(internet).expect("reconverge");
         assert!(internet.net.is_quiescent(), "{event} left the net torn");
     }
 }
@@ -138,6 +154,7 @@ fn assert_healed(inj: &FaultInjector, internet: &Internet, vns: &Vns, a: Speaker
 fn router_up_leaves_a_session_cut_on_purpose_cut() {
     let (mut internet, vns) = world(7);
     let (a, b) = border_and_upstream(&internet, &vns);
+    let sessions = peer_count(&internet, a);
     let mut inj = FaultInjector::new();
     apply_all(
         &mut inj,
@@ -152,7 +169,7 @@ fn router_up_leaves_a_session_cut_on_purpose_cut() {
     // The outage took the border's other sessions and gave them back; the
     // cut is still somebody's decision.
     assert!(!session_is_up(&internet, a, b));
-    assert_eq!(inj.severed_sessions().count(), 1);
+    assert_eq!(peer_count(&internet, a), sessions - 1);
     assert!(!inj.fully_restored());
     apply_all(
         &mut inj,
@@ -228,7 +245,7 @@ fn circuit_cut_and_restore_round_trips() {
     let mut inj = FaultInjector::new();
     inj.apply(&mut internet, &vns, FaultEvent::CircuitCut { a: b0, b: b1 })
         .expect("cut");
-    internet.net.run(vns.message_budget()).expect("reconverge");
+    vns.reconverge(&mut internet).expect("reconverge");
     assert!(internet.net.is_quiescent());
     inj.apply(
         &mut internet,
@@ -236,7 +253,7 @@ fn circuit_cut_and_restore_round_trips() {
         FaultEvent::CircuitRestore { a: b0, b: b1 },
     )
     .expect("restore");
-    internet.net.run(vns.message_budget()).expect("reconverge");
+    vns.reconverge(&mut internet).expect("reconverge");
     assert!(inj.fully_restored());
     let frac = routable_fraction(&internet, &vns, pop.id());
     assert!(frac > 0.999, "post-restore routable fraction: {frac}");

@@ -308,7 +308,7 @@ fn an_attacker_as_late_ids_render_the_old_text() {
         location,
     );
     internet.net.originate(attacker, prefix);
-    internet.net.run(vns.message_budget()).expect("reconverges");
+    vns.reconverge(&mut internet).expect("reconverges");
     assert!(internet.net.is_quiescent());
 
     let labels = check_world(&internet, &vns, seed);

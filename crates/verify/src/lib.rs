@@ -49,13 +49,15 @@
 //! measured catch rate.
 //!
 //! The checks assume the network has been run to quiescence
-//! ([`vns_bgp::BgpNet::run`]); on a mid-convergence network they may
+//! ([`vns_core::Vns::reconverge`]); on a mid-convergence network they may
 //! report transients.
 //!
-//! Entry points: [`verify`] (stage 1) and [`dataplane::verify_dataplane`]
-//! (stage 2). The `vns-verify` binary (in `vns-bench`) pretty-prints the
-//! [`Report`]s and exits nonzero on errors, and the campaign drivers run
-//! both stages as a fail-fast pre-flight.
+//! Entry points: a [`Certifier`] applies a fault event, reconverges and
+//! runs both stages scoped to the dead routers ([`Certifier::apply`]), runs
+//! them on the current state ([`Certifier::check`]) and certifies a rebuilt
+//! `PathTable` ([`Certifier::rebuild_paths`]), over [`verify_scoped`] and
+//! [`verify_dataplane_scoped`]. The `vns-verify` binary (in `vns-bench`)
+//! pretty-prints the reports and exits nonzero on errors.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -64,11 +66,13 @@ use vns_bgp::{Prefix, SpeakerId};
 use vns_core::{LocalPrefFn, Vns};
 use vns_topo::Internet;
 
+mod certify;
 mod checks;
 pub mod dataplane;
 pub mod forwarding_graph;
 pub mod mutations;
 
+pub use certify::{Certified, Certifier, CertifyError};
 pub use dataplane::{
     verify_dataplane, verify_dataplane_scoped, verify_dataplane_with_service, DataplaneConfig,
     DataplaneReport,
@@ -91,11 +95,6 @@ pub struct VerifyScope {
 }
 
 impl VerifyScope {
-    /// The healthy-deployment scope (equivalent to [`VerifyScope::default`]).
-    pub fn converged() -> Self {
-        Self::default()
-    }
-
     /// A scope in which the given routers are known to be down
     /// (control-plane dead: all BGP sessions torn).
     pub fn with_dead_routers(dead: impl IntoIterator<Item = SpeakerId>) -> Self {

@@ -203,7 +203,7 @@ fn missing_reflector_session_is_one_finding() {
     assert!(vns.pops().iter().any(|p| p.borders.contains(&border)));
     assert!(vns.reflectors().contains(&rr));
     internet.net.disconnect(border, rr);
-    internet.net.run(vns.message_budget()).expect("reconverges");
+    vns.reconverge(&mut internet).expect("reconverges");
     let report = verify(&internet, &vns);
     let want = format!("border has no iBGP session to reflector {rr}");
     assert_eq!(
