@@ -136,6 +136,63 @@ pub fn echo_replay(
     (lost, first_ok)
 }
 
+/// The vantage PoPs the failover and adversarial campaigns monitor (the
+/// paper's three plotted vantage PoPs).
+const MONITOR_CLIENTS: [(&str, u8); 3] = [("AMS", 9), ("SJS", 1), ("SYD", 11)];
+
+/// One monitored flow from a vantage PoP.
+#[derive(Debug, Clone)]
+pub(crate) struct MonitoredFlow {
+    /// `"AMS->SIN"` (echo server) or `"AMS=>16.1.0.0/16"` (external
+    /// prefix) label.
+    pub(crate) label: String,
+    /// Client PoP.
+    pub(crate) client: PopId,
+    /// Destination address.
+    pub(crate) addr: u32,
+}
+
+/// Monitored flows: every vantage PoP towards every echo server outside
+/// it, then towards each of `externals` (`(prefix, host address)`), in
+/// vantage order.
+pub(crate) fn monitored_flows(world: &World, externals: &[(Prefix, u32)]) -> Vec<MonitoredFlow> {
+    let mut flows = Vec::new();
+    for (code, id) in MONITOR_CLIENTS {
+        for echo in world.vns.echo_servers() {
+            if echo.pop == PopId(id) {
+                continue; // co-located: no long-haul path to disturb
+            }
+            flows.push(MonitoredFlow {
+                label: format!("{code}->{}", world.vns.pop(echo.pop).spec.code),
+                client: PopId(id),
+                addr: echo.address(),
+            });
+        }
+        for (prefix, ip) in externals {
+            flows.push(MonitoredFlow {
+                label: format!("{code}=>{prefix}"),
+                client: PopId(id),
+                addr: *ip,
+            });
+        }
+    }
+    flows
+}
+
+/// Each flow's current path through VNS, `None` where it is unroutable:
+/// read once before a change and once after it.
+pub(crate) fn resolve_flows(world: &World, flows: &[MonitoredFlow]) -> Vec<Option<ResolvedPath>> {
+    flows
+        .iter()
+        .map(|f| {
+            world
+                .vns
+                .path_via_vns(&world.internet, f.client, f.addr)
+                .ok()
+        })
+        .collect()
+}
+
 /// Minimum RTT (5-ping probe) from a PoP to `ip`, exiting immediately via
 /// the PoP's primary upstream. `None` when unroutable or all probes lost.
 pub fn rtt_via_upstream(world: &World, pop: PopId, ip: u32, t: SimTime) -> Option<f64> {

@@ -41,17 +41,15 @@ use vns_media::VideoSpec;
 use vns_netsim::diurnal::DiurnalShape;
 use vns_netsim::{echo_scratch, DiurnalProfile, Dur, Par, RngTree, SimTime};
 use vns_service::{EndpointTable, Orchestrator, PathTable, ServiceConfig, ServiceEnv};
-use vns_topo::ResolvedPath;
 use vns_verify::{Certifier, Invariant, Severity};
 
-use crate::campaign::{assert_certified, channel_pair_args, echo_replay};
+use crate::campaign::{
+    assert_certified, channel_pair_args, echo_replay, monitored_flows, resolve_flows,
+};
 use crate::world::{World, WorldConfig};
 
 /// Replayed session length per affected flow (~427 pkt/s at HD1080).
 const SESSION: Dur = Dur::from_secs(10);
-
-/// Monitored clients (the failover campaign's three vantage PoPs).
-const CLIENTS: [(&str, u8); 3] = [("AMS", 9), ("SJS", 1), ("SYD", 11)];
 
 /// External last-mile prefixes sampled as egress targets per client PoP
 /// (geo poisoning and Byzantine corruptions damage egress paths, which
@@ -270,41 +268,6 @@ fn run_clean(config: &WorldConfig, hot: bool) -> CleanRow {
     }
 }
 
-/// One monitored client→echo flow.
-struct FlowSpec {
-    label: String,
-    client: PopId,
-    addr: u32,
-}
-
-/// Monitored flows: every client PoP towards every non-colocated echo
-/// server (intra-VNS damage) plus an even sample of external last-mile
-/// prefixes (egress damage).
-fn monitor_flows(world: &World, externals: &[(Prefix, u32)]) -> Vec<FlowSpec> {
-    let mut flows = Vec::new();
-    let step = (externals.len() / EXTERNAL_TARGETS).max(1);
-    for (code, id) in CLIENTS {
-        for echo in world.vns.echo_servers() {
-            if echo.pop == PopId(id) {
-                continue; // co-located: no long-haul path to disturb
-            }
-            flows.push(FlowSpec {
-                label: format!("{code}->{}", world.vns.pop(echo.pop).spec.code),
-                client: PopId(id),
-                addr: echo.address(),
-            });
-        }
-        for (prefix, ip) in externals.iter().step_by(step).take(EXTERNAL_TARGETS) {
-            flows.push(FlowSpec {
-                label: format!("{code}=>{prefix}"),
-                client: PopId(id),
-                addr: *ip,
-            });
-        }
-    }
-    flows
-}
-
 /// Every external last-mile prefix with its representative host (the
 /// anycast landing sample, and the egress-target pool).
 fn client_prefixes(world: &World) -> Vec<(Prefix, u32)> {
@@ -332,18 +295,19 @@ fn run_attack(config: &WorldConfig, kind: AttackKind) -> AttackRow {
         .subtree("adversarial")
         .subtree(kind.name());
 
-    // Pre-attack reference state.
+    // Pre-attack reference state. Monitored flows: the vantage PoPs
+    // towards every echo server (intra-VNS damage) and an even sample of
+    // external last-mile prefixes (egress damage).
     let externals = client_prefixes(&world);
-    let flows = monitor_flows(&world, &externals);
-    let pre: Vec<Option<ResolvedPath>> = flows
+    let step = (externals.len() / EXTERNAL_TARGETS).max(1);
+    let targets: Vec<(Prefix, u32)> = externals
         .iter()
-        .map(|f| {
-            world
-                .vns
-                .path_via_vns(&world.internet, f.client, f.addr)
-                .ok()
-        })
+        .step_by(step)
+        .take(EXTERNAL_TARGETS)
+        .copied()
         .collect();
+    let flows = monitored_flows(&world, &targets);
+    let pre = resolve_flows(&world, &flows);
     let pre_land: Vec<Option<PopId>> = externals
         .iter()
         .map(|&(_, ip)| landing(&world, ip))
@@ -357,7 +321,6 @@ fn run_attack(config: &WorldConfig, kind: AttackKind) -> AttackRow {
     // Launch and reconverge.
     let launched = launch_attack(kind, &mut world.internet, &world.vns, config.seed)
         .unwrap_or_else(|e| panic!("{kind}: launch failed: {e}"));
-    assert!(launched.quiescent, "{kind}: net left torn after attack");
 
     // Detection: both verifier stages on the post-attack RIBs.
     let fired = fired_invariants(&world);
@@ -371,12 +334,9 @@ fn run_attack(config: &WorldConfig, kind: AttackKind) -> AttackRow {
     let mut replay_lost = 0u64;
     let mut worst_stretch: Option<f64> = None;
     let mut scratch = echo_scratch();
-    for (fi, (flow, pre_path)) in flows.iter().zip(&pre).enumerate() {
+    let post = resolve_flows(&world, &flows);
+    for (fi, ((flow, pre_path), post_path)) in flows.iter().zip(&pre).zip(post).enumerate() {
         let Some(pre_path) = pre_path else { continue };
-        let post_path = world
-            .vns
-            .path_via_vns(&world.internet, flow.client, flow.addr)
-            .ok();
         let changed = post_path
             .as_ref()
             .is_none_or(|p| p.routers != pre_path.routers);

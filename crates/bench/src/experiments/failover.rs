@@ -48,7 +48,9 @@ use vns_netsim::{echo_scratch, Dur, Par, PathChannel, RngTree, SimTime};
 use vns_topo::ResolvedPath;
 use vns_verify::Certifier;
 
-use crate::campaign::{assert_certified, channel_pair_args, echo_replay};
+use crate::campaign::{
+    assert_certified, channel_pair_args, echo_replay, monitored_flows, resolve_flows, MonitoredFlow,
+};
 use crate::world::{World, WorldConfig};
 
 /// Modeled failure-detection delay, ms (BFD-style: 3 × 100 ms).
@@ -63,9 +65,6 @@ const SESSION: Dur = Dur::from_secs(30);
 
 /// Event injection time, relative to session start.
 const EVENT_AT: Dur = Dur::from_secs(10);
-
-/// Monitored clients (the paper's three plotted vantage PoPs).
-const CLIENTS: [(&str, u8); 3] = [("AMS", 9), ("SJS", 1), ("SYD", 11)];
 
 /// The scripted scenarios, in artefact order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,17 +146,6 @@ impl ScenarioKind {
             }
         }
     }
-}
-
-/// One monitored client→echo flow.
-#[derive(Debug, Clone)]
-struct FlowSpec {
-    /// `"AMS->SIN"`-style label.
-    label: String,
-    /// Client PoP.
-    client: PopId,
-    /// Echo server address.
-    addr: u32,
 }
 
 /// Data-plane impact on one monitored flow for one event.
@@ -270,28 +258,11 @@ fn path_hit(path: &ResolvedPath, event: FaultEvent) -> bool {
     }
 }
 
-fn monitor_flows(world: &World) -> Vec<FlowSpec> {
-    let mut flows = Vec::new();
-    for (code, id) in CLIENTS {
-        for echo in world.vns.echo_servers() {
-            if echo.pop == PopId(id) {
-                continue; // co-located: no long-haul path to disturb
-            }
-            flows.push(FlowSpec {
-                label: format!("{code}->{}", world.vns.pop(echo.pop).spec.code),
-                client: PopId(id),
-                addr: echo.address(),
-            });
-        }
-    }
-    flows
-}
-
 fn run_scenario(config: &WorldConfig, kind: ScenarioKind) -> ScenarioOutcome {
     let mut world = World::build(config.clone());
     assert_certified(&world);
     let plan = kind.plan(&world);
-    let flows = monitor_flows(&world);
+    let flows = monitored_flows(&world, &[]);
     let tree = RngTree::new(config.seed)
         .subtree("failover")
         .subtree(&plan.name);
@@ -299,28 +270,17 @@ fn run_scenario(config: &WorldConfig, kind: ScenarioKind) -> ScenarioOutcome {
     let mut steps = Vec::with_capacity(plan.steps.len());
 
     for (step_idx, &event) in plan.steps.iter().enumerate() {
-        let pre: Vec<Option<ResolvedPath>> = flows
-            .iter()
-            .map(|f| {
-                world
-                    .vns
-                    .path_via_vns(&world.internet, f.client, f.addr)
-                    .ok()
-            })
-            .collect();
+        let pre = resolve_flows(&world, &flows);
 
         let certified = certifier
             .apply(&mut world.internet, &world.vns, event)
             .unwrap_or_else(|e| panic!("{}: step {step_idx} ({event}): {e}", plan.name));
         let conv_ms = convergence_ms(event, &certified.stats);
 
+        let post = resolve_flows(&world, &flows);
         let mut affected = Vec::new();
-        for (fi, (flow, pre_path)) in flows.iter().zip(&pre).enumerate() {
+        for (fi, ((flow, pre_path), post_path)) in flows.iter().zip(&pre).zip(post).enumerate() {
             let Some(pre_path) = pre_path else { continue };
-            let post_path = world
-                .vns
-                .path_via_vns(&world.internet, flow.client, flow.addr)
-                .ok();
             let hit = path_hit(pre_path, event);
             let rerouted = post_path
                 .as_ref()
@@ -374,7 +334,7 @@ fn run_scenario(config: &WorldConfig, kind: ScenarioKind) -> ScenarioOutcome {
 #[allow(clippy::too_many_arguments)] // measurement context, not an API
 fn replay_flow(
     world: &World,
-    flow: &FlowSpec,
+    flow: &MonitoredFlow,
     pre: &ResolvedPath,
     post: Option<&ResolvedPath>,
     hit: bool,
@@ -492,11 +452,6 @@ impl Failover {
             .iter()
             .flat_map(|s| &s.steps)
             .all(|e| e.verify_errors == 0 && e.dataplane_errors == 0)
-    }
-
-    /// A named scenario's outcome.
-    pub fn scenario(&self, name: &str) -> Option<&ScenarioOutcome> {
-        self.scenarios.iter().find(|s| s.name == name)
     }
 }
 

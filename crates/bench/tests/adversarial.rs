@@ -44,9 +44,8 @@ fn fired_invariants(internet: &Internet, vns: &vns_core::Vns) -> BTreeSet<&'stat
 /// Launches `kind` on a fresh geo world and returns the fired codes.
 fn attack_and_verify(kind: AttackKind) -> BTreeSet<&'static str> {
     let mut world: World = testworld::sweep(GATE_SEED, false);
-    let launched = launch_attack(kind, &mut world.internet, &world.vns, GATE_SEED)
+    launch_attack(kind, &mut world.internet, &world.vns, GATE_SEED)
         .unwrap_or_else(|e| panic!("{kind}: launch failed: {e}"));
-    assert!(launched.quiescent, "{kind}: net left torn after attack");
     fired_invariants(&world.internet, &world.vns)
 }
 

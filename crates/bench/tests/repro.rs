@@ -122,7 +122,8 @@ fn rr_failover_reconverges_clean_with_bounded_outage() {
     // flow's outage window may exceed a sane bound.
     let w = tiny_world();
     let result = failover::run(&w.config, Par::seq());
-    let rr = result.scenario("rr-failover").expect("scenario present");
+    let rr = result.scenarios.iter().find(|s| s.name == "rr-failover");
+    let rr = rr.expect("scenario present");
     assert!(!rr.steps.is_empty());
     for step in &rr.steps {
         assert_eq!(step.verify_errors, 0, "{}: verify errors", step.event);
@@ -152,7 +153,7 @@ fn media_sub_units_are_per_session_and_ledger_counted() {
     use vns_bench::campaign::media_campaign;
     use vns_core::PopId;
     use vns_media::VideoSpec;
-    use vns_netsim::SimTime;
+    use vns_netsim::{ledger, SimTime};
 
     let w = tiny_world();
     let clients = [PopId(1), PopId(2)];
@@ -167,12 +168,16 @@ fn media_sub_units_are_per_session_and_ledger_counted() {
             par,
         )
     };
-    let u0 = vns_netsim::ledger::units_processed();
+    // A sequential run counts into this thread's ledger cell only; other
+    // tests' multi-worker runs move the process-wide merged total.
+    let earlier = ledger::take_local();
     let seq = run(Par::seq());
+    let counted = ledger::take_local();
+    ledger::merge(earlier);
+    ledger::merge(counted);
     let expected_units = clients.len() * w.vns.echo_servers().len() * 2 * sessions_per_arm;
     assert_eq!(
-        vns_netsim::ledger::units_processed() - u0,
-        expected_units as u64,
+        counted.units, expected_units as u64,
         "one ledger unit per (arm, session) sub-unit"
     );
     assert_eq!(seq.len(), expected_units, "every sub-unit routed");

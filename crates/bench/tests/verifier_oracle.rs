@@ -340,9 +340,8 @@ fn attacks_say_what_they_said() {
     let mut valleys = 0;
     for kind in AttackKind::ALL {
         let mut world = testworld::tiny(77);
-        let launched = launch_attack(kind, &mut world.internet, &world.vns, 77)
+        launch_attack(kind, &mut world.internet, &world.vns, 77)
             .unwrap_or_else(|e| panic!("{kind}: launch failed: {e}"));
-        assert!(launched.quiescent, "{kind}: net left torn");
         let (v, _) = assert_says_what_it_said(
             &world.internet,
             &world.vns,

@@ -132,11 +132,6 @@ impl IgpGraph {
         cost
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.adj.len()
-    }
-
     /// Nodes in id order.
     pub fn nodes(&self) -> impl Iterator<Item = SpeakerId> + '_ {
         self.adj.keys().copied()

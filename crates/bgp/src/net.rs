@@ -37,7 +37,6 @@
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
-use crate::decision::Candidate;
 use crate::prefix::Prefix;
 use crate::prefix_ids::{Covering, PrefixId, PrefixTable};
 pub use crate::route::SpeakerId;
@@ -685,11 +684,6 @@ impl BgpNet {
         }
     }
 
-    /// The best route at `speaker` for `prefix`.
-    pub fn best_route(&self, speaker: SpeakerId, prefix: &Prefix) -> Option<&Candidate> {
-        self.speaker(speaker)?.best(prefix)
-    }
-
     /// Resolves the router-level forwarding path from `from` towards
     /// `prefix`, following each router's Loc-RIB until the route's
     /// originator is reached. Consecutive entries alternate between
@@ -933,7 +927,10 @@ mod tests {
         net.originate(SpeakerId(1), p("10.1.0.0/16"));
         let stats = net.run(10_000).unwrap();
         assert!(stats.messages >= 2);
-        let best3 = net.best_route(SpeakerId(3), &p("10.1.0.0/16")).unwrap();
+        let best3 = net
+            .speaker(SpeakerId(3))
+            .and_then(|s| s.best(&p("10.1.0.0/16")))
+            .unwrap();
         assert_eq!(best3.attrs.as_path, vec![Asn(2), Asn(1)]);
         let path = net
             .forwarding_path(SpeakerId(3), &p("10.1.0.0/16"))
@@ -963,8 +960,14 @@ mod tests {
         );
         net.originate(SpeakerId(1), p("10.1.0.0/16"));
         net.run(10_000).unwrap();
-        assert!(net.best_route(SpeakerId(2), &p("10.1.0.0/16")).is_some());
-        assert!(net.best_route(SpeakerId(3), &p("10.1.0.0/16")).is_none());
+        assert!(net
+            .speaker(SpeakerId(2))
+            .and_then(|s| s.best(&p("10.1.0.0/16")))
+            .is_some());
+        assert!(net
+            .speaker(SpeakerId(3))
+            .and_then(|s| s.best(&p("10.1.0.0/16")))
+            .is_none());
     }
 
     #[test]
@@ -1003,7 +1006,10 @@ mod tests {
         );
         net.originate(SpeakerId(1), p("10.1.0.0/16"));
         net.run(10_000).unwrap();
-        let best = net.best_route(SpeakerId(4), &p("10.1.0.0/16")).unwrap();
+        let best = net
+            .speaker(SpeakerId(4))
+            .and_then(|s| s.best(&p("10.1.0.0/16")))
+            .unwrap();
         assert_eq!(best.attrs.neighbor_as(), Some(Asn(3)));
     }
 
@@ -1012,13 +1018,22 @@ mod tests {
         let mut net = chain();
         net.originate(SpeakerId(1), p("10.1.0.0/16"));
         net.run(10_000).unwrap();
-        assert!(net.best_route(SpeakerId(3), &p("10.1.0.0/16")).is_some());
+        assert!(net
+            .speaker(SpeakerId(3))
+            .and_then(|s| s.best(&p("10.1.0.0/16")))
+            .is_some());
         net.speaker_mut(SpeakerId(1))
             .unwrap()
             .withdraw_local(p("10.1.0.0/16"));
         net.run(10_000).unwrap();
-        assert!(net.best_route(SpeakerId(3), &p("10.1.0.0/16")).is_none());
-        assert!(net.best_route(SpeakerId(2), &p("10.1.0.0/16")).is_none());
+        assert!(net
+            .speaker(SpeakerId(3))
+            .and_then(|s| s.best(&p("10.1.0.0/16")))
+            .is_none());
+        assert!(net
+            .speaker(SpeakerId(2))
+            .and_then(|s| s.best(&p("10.1.0.0/16")))
+            .is_none());
     }
 
     #[test]
@@ -1029,7 +1044,8 @@ mod tests {
             let stats = net.run(10_000).unwrap();
             (
                 stats,
-                net.best_route(SpeakerId(3), &p("10.1.0.0/16"))
+                net.speaker(SpeakerId(3))
+                    .and_then(|s| s.best(&p("10.1.0.0/16")))
                     .unwrap()
                     .attrs
                     .clone(),
@@ -1098,7 +1114,10 @@ mod tests {
             net.is_quiescent(),
             "a completed resume is honest quiescence"
         );
-        let best3 = net.best_route(SpeakerId(3), &p("10.1.0.0/16")).unwrap();
+        let best3 = net
+            .speaker(SpeakerId(3))
+            .and_then(|s| s.best(&p("10.1.0.0/16")))
+            .unwrap();
         assert_eq!(best3.attrs.as_path, vec![Asn(2), Asn(1)]);
         // Pausing preserves the activation queue and inboxes exactly, so
         // the resumed sequence delivers the same messages an uninterrupted
@@ -1126,11 +1145,17 @@ mod tests {
             .unwrap();
         net.disconnect(SpeakerId(1), SpeakerId(2));
         net.run(10_000).unwrap();
-        assert!(net.best_route(SpeakerId(3), &p("10.1.0.0/16")).is_none());
+        assert!(net
+            .speaker(SpeakerId(3))
+            .and_then(|s| s.best(&p("10.1.0.0/16")))
+            .is_none());
         net.reconnect(SpeakerId(1), cfg12, SpeakerId(2), cfg21);
         net.run(10_000).unwrap();
         assert!(net.is_quiescent());
-        let best3 = net.best_route(SpeakerId(3), &p("10.1.0.0/16")).unwrap();
+        let best3 = net
+            .speaker(SpeakerId(3))
+            .and_then(|s| s.best(&p("10.1.0.0/16")))
+            .unwrap();
         assert_eq!(best3.attrs.as_path, vec![Asn(2), Asn(1)]);
     }
 
@@ -1297,7 +1322,10 @@ mod tests {
             } else {
                 net.run(100_000).unwrap();
             }
-            assert!(net.best_route(SpeakerId(4), &p("10.2.0.0/16")).is_some());
+            assert!(net
+                .speaker(SpeakerId(4))
+                .and_then(|s| s.best(&p("10.2.0.0/16")))
+                .is_some());
             net.disconnect(SpeakerId(1), SpeakerId(3));
             let stats = if sharded {
                 net.run_sharded(100_000, 2).unwrap()
@@ -1306,7 +1334,10 @@ mod tests {
             };
             assert!(net.is_quiescent());
             // Peer link gone: region 1 loses the route entirely.
-            assert!(net.best_route(SpeakerId(4), &p("10.2.0.0/16")).is_none());
+            assert!(net
+                .speaker(SpeakerId(4))
+                .and_then(|s| s.best(&p("10.2.0.0/16")))
+                .is_none());
             (rib_snapshot(&net), stats.activations)
         };
         let (mono_rib, mono_acts) = run_case(false);
@@ -1485,8 +1516,14 @@ mod tests {
         let mut net = two_reflector_net(false);
         net.run(100_000).unwrap();
         let dst = p("10.9.0.0/16");
-        let best1 = net.best_route(SpeakerId(1), &dst).unwrap();
-        let best2 = net.best_route(SpeakerId(2), &dst).unwrap();
+        let best1 = net
+            .speaker(SpeakerId(1))
+            .and_then(|s| s.best(&dst))
+            .unwrap();
+        let best2 = net
+            .speaker(SpeakerId(2))
+            .and_then(|s| s.best(&dst))
+            .unwrap();
         assert!(best1.source.is_ibgp());
         assert!(best2.source.is_ibgp());
         assert_eq!(best1.attrs.next_hop, SpeakerId(2));
@@ -1502,8 +1539,14 @@ mod tests {
         let mut net = two_reflector_net(true);
         net.run(100_000).unwrap();
         let dst = p("10.9.0.0/16");
-        let best1 = net.best_route(SpeakerId(1), &dst).unwrap();
-        let best2 = net.best_route(SpeakerId(2), &dst).unwrap();
+        let best1 = net
+            .speaker(SpeakerId(1))
+            .and_then(|s| s.best(&dst))
+            .unwrap();
+        let best2 = net
+            .speaker(SpeakerId(2))
+            .and_then(|s| s.best(&dst))
+            .unwrap();
         assert!(matches!(
             best1.source,
             crate::route::RouteSource::Ebgp { .. }
@@ -1568,7 +1611,10 @@ mod tests {
         net.connect_rr_client(SpeakerId(10), SpeakerId(12), Policy::FlatPreference);
         net.originate(SpeakerId(2), p("10.2.0.0/16"));
         net.run(10_000).unwrap();
-        let best12 = net.best_route(SpeakerId(12), &p("10.2.0.0/16")).unwrap();
+        let best12 = net
+            .speaker(SpeakerId(12))
+            .and_then(|s| s.best(&p("10.2.0.0/16")))
+            .unwrap();
         assert!(best12.source.is_ibgp());
         assert_eq!(best12.attrs.next_hop, SpeakerId(11));
         // Data plane: 12 -> 11 (intra-AS) -> 2 (eBGP).

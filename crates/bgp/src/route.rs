@@ -212,12 +212,6 @@ impl RouteAttrs {
         self.as_path.first().copied()
     }
 
-    /// The AS that originated the prefix (last AS on the path); `None` for
-    /// locally originated routes.
-    pub fn origin_as(&self) -> Option<Asn> {
-        self.as_path.last().copied()
-    }
-
     /// Whether `asn` appears on the AS path (eBGP loop check).
     pub fn path_contains(&self, asn: Asn) -> bool {
         self.as_path.contains(&asn)
@@ -280,10 +274,8 @@ mod tests {
     fn path_helpers() {
         let mut a = RouteAttrs::originate(SpeakerId(1));
         assert_eq!(a.neighbor_as(), None);
-        assert_eq!(a.origin_as(), None);
         a.as_path = vec![Asn(10), Asn(20), Asn(30)].into();
         assert_eq!(a.neighbor_as(), Some(Asn(10)));
-        assert_eq!(a.origin_as(), Some(Asn(30)));
         assert!(a.path_contains(Asn(20)));
         assert!(!a.path_contains(Asn(40)));
     }

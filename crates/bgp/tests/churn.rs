@@ -51,7 +51,7 @@ fn origin_flap_converges_every_time() {
         net.originate(SpeakerId(4), prefix);
         net.run(100_000).unwrap();
         assert!(
-            net.best_route(SpeakerId(1), &prefix).is_some(),
+            net.speaker(SpeakerId(1)).unwrap().best(&prefix).is_some(),
             "round {round}: reachable after announce"
         );
         net.speaker_mut(SpeakerId(4))
@@ -59,11 +59,11 @@ fn origin_flap_converges_every_time() {
             .withdraw_local(prefix);
         net.run(100_000).unwrap();
         assert!(
-            net.best_route(SpeakerId(1), &prefix).is_none(),
+            net.speaker(SpeakerId(1)).unwrap().best(&prefix).is_none(),
             "round {round}: gone after withdraw"
         );
         assert!(
-            net.best_route(SpeakerId(2), &prefix).is_none(),
+            net.speaker(SpeakerId(2)).unwrap().best(&prefix).is_none(),
             "round {round}: no stale state at AS2"
         );
     }
@@ -87,7 +87,9 @@ fn flap_leaves_identical_state() {
         net.run(100_000).unwrap();
         (1..=3)
             .map(|i| {
-                net.best_route(SpeakerId(i), &prefix)
+                net.speaker(SpeakerId(i))
+                    .unwrap()
+                    .best(&prefix)
                     .map(|c| c.attrs.as_path.clone())
             })
             .collect::<Vec<_>>()
@@ -102,7 +104,7 @@ fn refresh_is_idempotent_at_steady_state() {
     net.originate(SpeakerId(4), prefix);
     net.run(100_000).unwrap();
     let before: Vec<_> = (1..=4)
-        .map(|i| net.best_route(SpeakerId(i), &prefix).cloned())
+        .map(|i| net.speaker(SpeakerId(i)).unwrap().best(&prefix).cloned())
         .collect();
     // Refresh every speaker: messages flow, state must not change.
     for i in 1..=4 {
@@ -111,7 +113,7 @@ fn refresh_is_idempotent_at_steady_state() {
     let stats = net.run(100_000).unwrap();
     assert!(stats.messages > 0, "refresh re-sends advertisements");
     let after: Vec<_> = (1..=4)
-        .map(|i| net.best_route(SpeakerId(i), &prefix).cloned())
+        .map(|i| net.speaker(SpeakerId(i)).unwrap().best(&prefix).cloned())
         .collect();
     for (b, a) in before.iter().zip(&after) {
         assert_eq!(b.as_ref().map(|c| &c.attrs), a.as_ref().map(|c| &c.attrs));
@@ -177,7 +179,7 @@ fn med_steers_between_parallel_sessions() {
         s2.receive(SpeakerId(12), mk(10, 12));
         s2.process();
     }
-    let best = net.best_route(SpeakerId(2), &prefix).unwrap();
+    let best = net.speaker(SpeakerId(2)).unwrap().best(&prefix).unwrap();
     assert_eq!(
         best.attrs.med, 10,
         "lower MED wins between same-AS sessions"
@@ -196,7 +198,7 @@ fn no_export_stays_inside_the_as() {
     // NO_EXPORT blocks the very first eBGP hop).
     for i in 1..=3 {
         assert!(
-            net.best_route(SpeakerId(i), &prefix).is_none(),
+            net.speaker(SpeakerId(i)).unwrap().best(&prefix).is_none(),
             "AS{i} must not learn a NO_EXPORT origination"
         );
     }

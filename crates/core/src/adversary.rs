@@ -242,8 +242,6 @@ pub struct LaunchedAttack {
     pub events: usize,
     /// Aggregated reconvergence work across every incremental run.
     pub stats: ConvergenceStats,
-    /// Whether the control plane was quiescent after the final run.
-    pub quiescent: bool,
 }
 
 /// Stages one attack against a converged world and reconverges. The world
@@ -324,17 +322,22 @@ pub fn spawn_malicious_as(
     Ok((asn, sp_id))
 }
 
-/// Incremental reconvergence; accumulates work into `stats` and reports
-/// quiescence.
+/// Incremental reconvergence; accumulates work into `stats`. A run that
+/// returns `Ok` has drained every queue (a budget exhaustion is an
+/// [`AttackError`]), so the net is quiescent afterwards.
 fn settle(
     internet: &mut Internet,
     vns: &Vns,
     stats: &mut ConvergenceStats,
-) -> Result<bool, AttackError> {
+) -> Result<(), AttackError> {
     let s = vns.reconverge(internet)?;
     stats.activations += s.activations;
     stats.messages += s.messages;
-    Ok(internet.net.is_quiescent())
+    debug_assert!(
+        internet.net.is_quiescent(),
+        "reconverge returned Ok unsettled"
+    );
+    Ok(())
 }
 
 fn anycast_exact_hijack(internet: &mut Internet, vns: &Vns) -> Result<LaunchedAttack, AttackError> {
@@ -342,7 +345,7 @@ fn anycast_exact_hijack(internet: &mut Internet, vns: &Vns) -> Result<LaunchedAt
     let pfx = vns.anycast_prefix();
     internet.net.originate(attacker, pfx);
     let mut stats = ConvergenceStats::default();
-    let quiescent = settle(internet, vns, &mut stats)?;
+    settle(internet, vns, &mut stats)?;
     Ok(LaunchedAttack {
         kind: AttackKind::AnycastExactHijack,
         detail: format!(
@@ -354,7 +357,6 @@ fn anycast_exact_hijack(internet: &mut Internet, vns: &Vns) -> Result<LaunchedAt
         attacker: Some(attacker),
         events: 1,
         stats,
-        quiescent,
     })
 }
 
@@ -388,7 +390,7 @@ fn anycast_interception(internet: &mut Internet, vns: &Vns) -> Result<LaunchedAt
     );
     internet.net.originate(attacker, more);
     let mut stats = ConvergenceStats::default();
-    let quiescent = settle(internet, vns, &mut stats)?;
+    settle(internet, vns, &mut stats)?;
     Ok(LaunchedAttack {
         kind: AttackKind::AnycastInterception,
         detail: format!(
@@ -401,7 +403,6 @@ fn anycast_interception(internet: &mut Internet, vns: &Vns) -> Result<LaunchedAt
         attacker: Some(attacker),
         events: 1,
         stats,
-        quiescent,
     })
 }
 
@@ -414,7 +415,7 @@ fn lastmile_hijack(internet: &mut Internet, vns: &Vns) -> Result<LaunchedAttack,
     let (asn, attacker) = spawn_malicious_as(internet, vns)?;
     internet.net.originate(attacker, victim);
     let mut stats = ConvergenceStats::default();
-    let quiescent = settle(internet, vns, &mut stats)?;
+    settle(internet, vns, &mut stats)?;
     Ok(LaunchedAttack {
         kind: AttackKind::LastMileHijack,
         detail: format!(
@@ -426,7 +427,6 @@ fn lastmile_hijack(internet: &mut Internet, vns: &Vns) -> Result<LaunchedAttack,
         attacker: Some(attacker),
         events: 1,
         stats,
-        quiescent,
     })
 }
 
@@ -476,7 +476,7 @@ fn route_leak(internet: &mut Internet, vns: &Vns) -> Result<LaunchedAttack, Atta
         }
     }
     let mut stats = ConvergenceStats::default();
-    let quiescent = settle(internet, vns, &mut stats)?;
+    settle(internet, vns, &mut stats)?;
     Ok(LaunchedAttack {
         kind: AttackKind::RouteLeak,
         detail: format!(
@@ -488,7 +488,6 @@ fn route_leak(internet: &mut Internet, vns: &Vns) -> Result<LaunchedAttack, Atta
         attacker: Some(attacker),
         events: 2,
         stats,
-        quiescent,
     })
 }
 
@@ -523,7 +522,6 @@ fn geo_poison_db(
         attacker: None,
         events: 1,
         stats: ConvergenceStats::default(),
-        quiescent: internet.net.is_quiescent(),
     })
 }
 
@@ -534,7 +532,7 @@ fn ingest_snapshot(
     internet: &mut Internet,
     vns: &Vns,
     snapshot: vns_geo::GeoIpDb<Prefix>,
-) -> Result<(ConvergenceStats, bool, usize), AttackError> {
+) -> Result<(ConvergenceStats, usize), AttackError> {
     let snapshot = Arc::new(snapshot);
     let mut locations = BTreeMap::new();
     let mut pops = BTreeMap::new();
@@ -567,8 +565,8 @@ fn ingest_snapshot(
         }
     }
     let mut stats = ConvergenceStats::default();
-    let quiescent = settle(internet, vns, &mut stats)?;
-    Ok((stats, quiescent, events))
+    settle(internet, vns, &mut stats)?;
+    Ok((stats, events))
 }
 
 fn geo_poison_ingested(
@@ -586,12 +584,11 @@ fn geo_poison_ingested(
             attacker: None,
             events: 0,
             stats: ConvergenceStats::default(),
-            quiescent: internet.net.is_quiescent(),
         });
     }
     let mut poisoned = internet.geoip.clone();
     poisoned.apply_error_model(&region_swap(), seed);
-    let (stats, quiescent, events) = ingest_snapshot(internet, vns, poisoned)?;
+    let (stats, events) = ingest_snapshot(internet, vns, poisoned)?;
     Ok(LaunchedAttack {
         kind: AttackKind::GeoPoisonIngested,
         detail: "reflectors ingested a region-swapped GeoIP snapshot \
@@ -602,7 +599,6 @@ fn geo_poison_ingested(
         attacker: None,
         events,
         stats,
-        quiescent,
     })
 }
 
@@ -617,7 +613,6 @@ fn geo_shift_ingested(internet: &mut Internet, vns: &Vns) -> Result<LaunchedAtta
             attacker: None,
             events: 0,
             stats: ConvergenceStats::default(),
-            quiescent: internet.net.is_quiescent(),
         });
     }
     let target: GeoPoint =
@@ -634,7 +629,7 @@ fn geo_shift_ingested(internet: &mut Internet, vns: &Vns) -> Result<LaunchedAtta
         },
         0, // the shift is deterministic; the seed is unused entropy
     );
-    let (stats, quiescent, events) = ingest_snapshot(internet, vns, poisoned)?;
+    let (stats, events) = ingest_snapshot(internet, vns, poisoned)?;
     Ok(LaunchedAttack {
         kind: AttackKind::GeoShiftIngested,
         detail: format!(
@@ -646,7 +641,6 @@ fn geo_shift_ingested(internet: &mut Internet, vns: &Vns) -> Result<LaunchedAtta
         attacker: None,
         events,
         stats,
-        quiescent,
     })
 }
 
@@ -662,7 +656,6 @@ pub fn flap_storm(
     let mut inj = FaultInjector::new();
     let mut stats = ConvergenceStats::default();
     let mut events = 0;
-    let mut quiescent = true;
     let mut flapped = Vec::new();
     for code in pop_codes {
         let pop = vns
@@ -677,7 +670,7 @@ pub fn flap_storm(
         for step in plan.steps {
             inj.apply(internet, vns, step)?;
             events += 1;
-            quiescent &= settle(internet, vns, &mut stats)?;
+            settle(internet, vns, &mut stats)?;
         }
         flapped.push(*code);
     }
@@ -693,7 +686,6 @@ pub fn flap_storm(
         attacker: None,
         events,
         stats,
-        quiescent,
     })
 }
 
@@ -732,7 +724,7 @@ fn byzantine_loop(internet: &mut Internet, vns: &Vns) -> Result<LaunchedAttack, 
         }
     }
     let mut stats = ConvergenceStats::default();
-    let quiescent = settle(internet, vns, &mut stats)?;
+    settle(internet, vns, &mut stats)?;
     Ok(LaunchedAttack {
         kind: AttackKind::ByzantineLoop,
         detail: format!(
@@ -743,7 +735,6 @@ fn byzantine_loop(internet: &mut Internet, vns: &Vns) -> Result<LaunchedAttack, 
         attacker: Some(b0),
         events: 2,
         stats,
-        quiescent,
     })
 }
 
@@ -776,7 +767,7 @@ fn byzantine_blackhole(internet: &mut Internet, vns: &Vns) -> Result<LaunchedAtt
         ));
     }
     let mut stats = ConvergenceStats::default();
-    let quiescent = settle(internet, vns, &mut stats)?;
+    settle(internet, vns, &mut stats)?;
     Ok(LaunchedAttack {
         kind: AttackKind::ByzantineBlackhole,
         detail: format!(
@@ -787,7 +778,6 @@ fn byzantine_blackhole(internet: &mut Internet, vns: &Vns) -> Result<LaunchedAtt
         attacker: Some(egress),
         events: 1,
         stats,
-        quiescent,
     })
 }
 
@@ -840,7 +830,6 @@ mod tests {
     fn exact_hijack_converges_with_forged_origin() {
         let (mut internet, vns) = tiny_world(7);
         let hit = launch(AttackKind::AnycastExactHijack, &mut internet, &vns, 7).unwrap();
-        assert!(hit.quiescent);
         let attacker = hit.attacker.unwrap();
         let best = internet
             .net
@@ -857,7 +846,6 @@ mod tests {
     fn interception_keeps_a_covering_route() {
         let (mut internet, vns) = tiny_world(8);
         let hit = launch(AttackKind::AnycastInterception, &mut internet, &vns, 8).unwrap();
-        assert!(hit.quiescent);
         let attacker = hit.attacker.unwrap();
         let sp = internet.net.speaker(attacker).unwrap();
         // The /20 is locally originated; the covering /16 was learned from
@@ -879,7 +867,6 @@ mod tests {
             return; // tiny worlds may lack IXP peers; campaign worlds don't
         }
         let hit = launch(AttackKind::RouteLeak, &mut internet, &vns, 9).unwrap();
-        assert!(hit.quiescent);
         let attacker = hit.attacker.unwrap();
         // Some prefix in the peer's Adj-RIB-In from the attacker must be
         // provider-learned at the attacker — the valley the verifier flags.
@@ -911,7 +898,6 @@ mod tests {
     fn flap_storm_ends_restored_and_quiescent() {
         let (mut internet, vns) = tiny_world(10);
         let hit = launch(AttackKind::FlapStorm, &mut internet, &vns, 10).unwrap();
-        assert!(hit.quiescent);
         assert_eq!(hit.events, FLAP_STORM_POPS.len() * FLAP_STORM_CYCLES * 2);
         assert!(hit.stats.messages > 0);
     }
@@ -928,8 +914,7 @@ mod tests {
             .adj_rib_in_entries()
             .map(|(.., c)| c.attrs.local_pref)
             .collect();
-        let hit = launch(AttackKind::GeoPoisonIngested, &mut internet, &vns, 11).unwrap();
-        assert!(hit.quiescent);
+        launch(AttackKind::GeoPoisonIngested, &mut internet, &vns, 11).unwrap();
         let after: Vec<u32> = internet
             .net
             .speaker(rr)
@@ -947,7 +932,6 @@ mod tests {
     fn byzantine_corruptions_survive_reconvergence() {
         let (mut internet, vns) = tiny_world(12);
         let hit = launch(AttackKind::ByzantineLoop, &mut internet, &vns, 12).unwrap();
-        assert!(hit.quiescent);
         let victim = hit.victim_prefix.unwrap();
         let pop = vns.pop_by_code("AMS").unwrap();
         let [b0, b1] = pop.borders;
@@ -958,7 +942,6 @@ mod tests {
 
         let (mut internet, vns) = tiny_world(13);
         let hit = launch(AttackKind::ByzantineBlackhole, &mut internet, &vns, 13).unwrap();
-        assert!(hit.quiescent);
         let victim = hit.victim_prefix.unwrap();
         let egress = hit.attacker.unwrap();
         assert!(internet

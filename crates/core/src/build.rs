@@ -21,7 +21,7 @@ use vns_netsim::RngTree;
 use vns_topo::internet::{AsInfo, PrefixInfo};
 use vns_topo::{AsId, AsType, Internet};
 
-use crate::config::{RoutingMode, VnsConfig};
+use crate::config::{RoutingMode, VnsConfig, MESSAGE_BUDGET};
 use crate::georr::GeoHook;
 use crate::mgmt::Overrides;
 use crate::pops::{resolve_city, Pop, PopId, INTER_CLUSTER_LINKS, POP_SPECS};
@@ -30,12 +30,23 @@ use crate::service::{EchoServer, Vns};
 /// Base of the VNS service address space (96.0.0.0; /16 per service).
 const VNS_PREFIX_BASE: u32 = 0x6000_0000;
 
+/// Upstream transit providers contracted (the paper has 7).
+const UPSTREAM_COUNT: usize = 7;
+
+/// Transit sessions per PoP: how many of the upstreams each PoP buys from
+/// locally.
+const UPSTREAMS_PER_POP: usize = 4;
+
+/// Fraction of co-located candidate networks VNS peers with ("VNS peers
+/// openly with any other interested AS").
+const PEER_FRACTION: f64 = 0.6;
+
 /// Builds VNS into `internet` and converges the combined control plane:
 /// [`deploy_vns`], then an incremental reconvergence in which only the
 /// speakers the deployment touched start active.
 pub fn build_vns(internet: &mut Internet, config: &VnsConfig) -> Result<Vns, ConvergenceError> {
     let vns = deploy_vns(internet, config);
-    internet.converge(config.message_budget, config.convergence_threads)?;
+    internet.converge(MESSAGE_BUDGET, config.convergence_threads)?;
     Ok(vns)
 }
 
@@ -203,7 +214,7 @@ pub fn deploy_vns(internet: &mut Internet, config: &VnsConfig) -> Vns {
     let upstream_ltps: Vec<AsId> = internet
         .ases()
         .filter(|a| a.ty == AsType::Ltp)
-        .take(config.upstream_count)
+        .take(UPSTREAM_COUNT)
         .map(|a| a.id)
         .collect();
     assert!(
@@ -214,9 +225,8 @@ pub fn deploy_vns(internet: &mut Internet, config: &VnsConfig) -> Vns {
     let mut pop_upstream: BTreeMap<PopId, (AsId, CityId)> = BTreeMap::new();
     for (i, pop) in pops.iter().enumerate() {
         let is_london = pop.spec.code == "LON";
-        let london_misconfigured = is_london && config.london_us_upstream;
         let mut chosen: Vec<(AsId, CityId)> = Vec::new();
-        if london_misconfigured {
+        if is_london {
             // The Fig 11 anomaly: London's main transit is a US-centric
             // Tier-1. The port is physically in London — so in BGP it looks
             // local and wins hot-potato ties, which is exactly why the
@@ -246,20 +256,19 @@ pub fn deploy_vns(internet: &mut Internet, config: &VnsConfig) -> Vns {
                 (ltp, entry)
             })
             .collect();
-        let n = candidates.len().max(1);
-        candidates.rotate_left(i % n);
+        candidates.rotate_left(i % upstream_ltps.len());
         for cand in candidates {
             if chosen.iter().any(|(a, _)| *a == cand.0) {
                 continue;
             }
             chosen.push(cand);
-            if chosen.len() >= config.upstreams_per_pop.max(1) {
+            if chosen.len() >= UPSTREAMS_PER_POP {
                 break;
             }
         }
         pop_upstream.insert(pop.id(), chosen[0]);
         for (i, (ltp, entry_city)) in chosen.into_iter().enumerate() {
-            let misconfigured_port = london_misconfigured && i == 0;
+            let misconfigured_port = is_london && i == 0;
             let ltp_sp = internet
                 .router_of(ltp, entry_city)
                 .expect("LTP has routers");
@@ -310,7 +319,7 @@ pub fn deploy_vns(internet: &mut Internet, config: &VnsConfig) -> Vns {
             .filter(|p| presence.contains(&p.city))
             .map(|p| (p.borders[1], p.city))
             .collect();
-        if shared_pops.is_empty() || !rng.gen_bool(config.peer_fraction) {
+        if shared_pops.is_empty() || !rng.gen_bool(PEER_FRACTION) {
             continue;
         }
         peers.push(peer_id);
@@ -393,7 +402,6 @@ pub fn deploy_vns(internet: &mut Internet, config: &VnsConfig) -> Vns {
         echo_servers,
         overrides,
         router_pop,
-        config.message_budget,
     )
 }
 

@@ -16,7 +16,16 @@ pub enum RoutingMode {
     GeoColdPotato,
 }
 
+/// Message budget for every convergence run of a VNS deployment.
+pub const MESSAGE_BUDGET: u64 = 100_000_000;
+
 /// Build-time configuration of the overlay.
+///
+/// The fields are what the experiments, ablations and runs vary. The
+/// deployment's fixed facts are constants of [`crate::build_vns`]:
+/// seven Tier-1 upstreams, four of them at each PoP, open peering with
+/// 60% of the co-located candidates, and London's US-centric transit
+/// behind Fig 11's anomaly (Sec 3.1; DESIGN.md §1).
 #[derive(Debug, Clone)]
 pub struct VnsConfig {
     /// Routing policy.
@@ -26,22 +35,8 @@ pub struct VnsConfig {
     /// Advertise best-external on border routers (the Sec 3.2 hidden-routes
     /// fix; disable only for the ablation).
     pub best_external: bool,
-    /// How many upstream transit providers to contract (the paper has 7).
-    pub upstream_count: usize,
-    /// Transit sessions per PoP (how many of the upstreams each PoP buys
-    /// from locally).
-    pub upstreams_per_pop: usize,
-    /// Fraction of co-located candidate networks VNS peers with ("VNS
-    /// peers openly with any other interested AS").
-    pub peer_fraction: f64,
-    /// Use a US-centric Tier-1 as London's primary upstream, with the
-    /// interconnect backhauled to Ashburn — the misconfiguration behind
-    /// Fig 11's London anomaly.
-    pub london_us_upstream: bool,
     /// Seed for peer-selection randomness.
     pub seed: u64,
-    /// Message budget for convergence runs.
-    pub message_budget: u64,
     /// Worker threads for the sharded reconvergence after the deployment
     /// is wired in ([`vns_bgp::BgpNet::run_sharded`]); `0` means one per
     /// available hardware thread. Never affects the built world — only
@@ -59,12 +54,7 @@ impl Default for VnsConfig {
             mode: RoutingMode::GeoColdPotato,
             lp_fn: LocalPrefFn::default(),
             best_external: true,
-            upstream_count: 7,
-            upstreams_per_pop: 4,
-            peer_fraction: 0.6,
-            london_us_upstream: true,
             seed: 0x5653_4e53, // "VSNS"
-            message_budget: 100_000_000,
             convergence_threads: 0,
             full_mesh_l2: false,
         }
@@ -87,7 +77,6 @@ mod tests {
     fn defaults() {
         let c = VnsConfig::default();
         assert_eq!(c.mode, RoutingMode::GeoColdPotato);
-        assert_eq!(c.upstream_count, 7);
         assert!(c.best_external);
         assert_eq!(c.before().mode, RoutingMode::HotPotato);
     }

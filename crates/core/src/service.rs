@@ -9,7 +9,7 @@ use vns_geo::{city, CityId, GeoPoint};
 use vns_topo::path::{resolve_from_prefix, resolve_path, HopKind, HopLabel, ResolvedHop};
 use vns_topo::{AsId, Internet, ResolvedPath};
 
-use crate::config::RoutingMode;
+use crate::config::{RoutingMode, MESSAGE_BUDGET};
 use crate::lpfunc::LocalPrefFn;
 use crate::mgmt::Overrides;
 use crate::pops::{Pop, PopId};
@@ -47,7 +47,6 @@ pub struct Vns {
     echo_servers: Vec<EchoServer>,
     overrides: Arc<RwLock<Overrides>>,
     router_pop: Arc<BTreeMap<SpeakerId, PopId>>,
-    message_budget: u64,
 }
 
 impl Vns {
@@ -67,7 +66,6 @@ impl Vns {
         echo_servers: Vec<EchoServer>,
         overrides: Arc<RwLock<Overrides>>,
         router_pop: Arc<BTreeMap<SpeakerId, PopId>>,
-        message_budget: u64,
     ) -> Self {
         Self {
             as_id,
@@ -83,7 +81,6 @@ impl Vns {
             echo_servers,
             overrides,
             router_pop,
-            message_budget,
         }
     }
 
@@ -171,9 +168,9 @@ impl Vns {
         &self.overrides
     }
 
-    /// Message budget for reconvergence runs.
+    /// Message budget for reconvergence runs ([`MESSAGE_BUDGET`]).
     pub fn message_budget(&self) -> u64 {
-        self.message_budget
+        MESSAGE_BUDGET
     }
 
     /// Reconverges `internet` after a change (fault, override, attack) within
@@ -182,7 +179,7 @@ impl Vns {
         &self,
         internet: &mut Internet,
     ) -> Result<ConvergenceStats, ConvergenceError> {
-        internet.net.run(self.message_budget)
+        internet.net.run(MESSAGE_BUDGET)
     }
 
     /// The PoP a VNS router belongs to.

@@ -59,12 +59,12 @@ fn reference_ribs(seed: u64, mode: RoutingMode) -> Ribs {
     let mut internet = wire(&topo);
     internet
         .net
-        .run(topo.message_budget)
+        .run(vns_topo::config::MESSAGE_BUDGET)
         .expect("topology generation");
     deploy_vns(&mut internet, &vns);
     internet
         .net
-        .run(vns.message_budget)
+        .run(vns_core::config::MESSAGE_BUDGET)
         .expect("VNS convergence");
     ribs(&internet)
 }

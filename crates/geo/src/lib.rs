@@ -24,5 +24,5 @@ pub mod region;
 pub use cities::{city, city_opt, City, CityId};
 pub use coords::{great_circle_km, initial_bearing_deg, GeoPoint, EARTH_RADIUS_KM};
 pub use geoip::{GeoIpDb, GeoIpError, GeoIpErrorModel};
-pub use population::{metro_population_k, population_weights};
+pub use population::metro_population_k;
 pub use region::{PopRegion, Region};

@@ -22,11 +22,6 @@ impl FecConfig {
     /// A common 1-parity-per-10 configuration (10% overhead).
     pub const K10: FecConfig = FecConfig { k: 10 };
 
-    /// Bandwidth overhead fraction.
-    pub fn overhead(&self) -> f64 {
-        1.0 / self.k as f64
-    }
-
     /// Applies FEC recovery to a per-packet delivery vector (`true` =
     /// arrived). `parity_arrived[g]` says whether group `g`'s parity packet
     /// survived (callers sample it through the same channel). Returns the
@@ -115,10 +110,5 @@ mod tests {
         let r_bursty = cfg.residual_loss(&bursty, &parity);
         assert_eq!(r_random, 0.0, "isolated losses all recovered");
         assert!(r_bursty > 0.03, "burst survives FEC: {r_bursty}");
-    }
-
-    #[test]
-    fn overhead() {
-        assert!((FecConfig::K10.overhead() - 0.1).abs() < 1e-12);
     }
 }

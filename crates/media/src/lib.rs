@@ -29,5 +29,5 @@ pub use arq::send_with_arq;
 pub use fec::FecConfig;
 pub use rtp::JitterEstimator;
 pub use session::{run_echo_session, SessionConfig, SessionReport};
-pub use signaling::{authenticate, setup_call, teardown_call, SetupReport, TeardownReport};
+pub use signaling::{setup_call, teardown_call, SetupReport, TeardownReport};
 pub use stream::{PacketIter, PacketSchedule, ScheduledPacket, VideoSpec};

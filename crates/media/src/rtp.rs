@@ -1,34 +1,6 @@
-//! Minimal RTP bookkeeping: sequence numbers, timestamps, and the RFC 3550
-//! interarrival-jitter estimator the paper's clients report.
+//! The RFC 3550 interarrival-jitter estimator the paper's clients report.
 
 use vns_netsim::SimTime;
-
-/// RTP clock rate for video (per RFC 3551).
-pub const VIDEO_CLOCK_HZ: f64 = 90_000.0;
-
-/// An RTP header's fields we care about.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RtpHeader {
-    /// Sequence number (wraps at 2^16).
-    pub seq: u16,
-    /// Media timestamp in 90 kHz units.
-    pub timestamp: u32,
-    /// Synchronisation source.
-    pub ssrc: u32,
-}
-
-impl RtpHeader {
-    /// Builds a header for the `i`-th packet of a stream whose media clock
-    /// started at `start`.
-    pub fn for_packet(i: u64, sent: SimTime, start: SimTime, ssrc: u32) -> Self {
-        let elapsed = (sent - start).as_secs_f64();
-        RtpHeader {
-            seq: (i % 65_536) as u16,
-            timestamp: ((elapsed * VIDEO_CLOCK_HZ) as u64 % (1 << 32)) as u32,
-            ssrc,
-        }
-    }
-}
 
 /// RFC 3550 §6.4.1 interarrival jitter, in milliseconds.
 ///
@@ -90,20 +62,6 @@ impl JitterEstimator {
 mod tests {
     use super::*;
     use vns_netsim::Dur;
-
-    #[test]
-    fn header_sequence_wraps() {
-        let h = RtpHeader::for_packet(65_537, SimTime::EPOCH, SimTime::EPOCH, 7);
-        assert_eq!(h.seq, 1);
-        assert_eq!(h.ssrc, 7);
-    }
-
-    #[test]
-    fn header_timestamp_advances_at_90khz() {
-        let start = SimTime::EPOCH;
-        let h = RtpHeader::for_packet(0, start + Dur::from_millis(100), start, 1);
-        assert_eq!(h.timestamp, 9000);
-    }
 
     #[test]
     fn constant_delay_means_zero_jitter() {

@@ -50,14 +50,6 @@ pub struct SessionReport {
 }
 
 impl SessionReport {
-    /// Outgoing-leg loss percentage (0–100).
-    pub fn out_loss_pct(&self) -> f64 {
-        if self.sent == 0 {
-            return 0.0;
-        }
-        100.0 * (self.sent - self.delivered_out) as f64 / self.sent as f64
-    }
-
     /// Round-trip loss percentage (0–100) — the headline number of Fig 9.
     pub fn rt_loss_pct(&self) -> f64 {
         if self.sent == 0 {
@@ -198,8 +190,9 @@ mod tests {
         let mut fwd = lossy_channel(0.01, 10);
         let mut rev = ideal_channel(5.0, 11);
         let r = run_echo_session(&sched, &cfg, &mut fwd, &mut rev);
-        assert!((r.out_loss_pct() - 1.0).abs() < 0.4, "{}", r.out_loss_pct());
-        assert_eq!(r.rt_loss_pct(), r.out_loss_pct());
+        let out_loss_pct = 100.0 * (r.sent - r.delivered_out) as f64 / r.sent as f64;
+        assert!((out_loss_pct - 1.0).abs() < 0.4, "{out_loss_pct}");
+        assert_eq!(r.returned, r.delivered_out);
         // 1% random loss over 2 minutes touches most 5 s slots.
         assert!(r.lossy_slots() >= 20, "slots {}", r.lossy_slots());
     }
@@ -211,7 +204,7 @@ mod tests {
         let mut fwd = ideal_channel(5.0, 20);
         let mut rev = lossy_channel(0.02, 21);
         let r = run_echo_session(&sched, &cfg, &mut fwd, &mut rev);
-        assert_eq!(r.out_loss_pct(), 0.0);
+        assert_eq!(r.delivered_out, r.sent);
         assert!(r.rt_loss_pct() > 1.0);
     }
 

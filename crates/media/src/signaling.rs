@@ -129,35 +129,6 @@ pub fn teardown_call(
     }
 }
 
-/// A TURN-style authentication exchange (what the paper's Fig 7 counts):
-/// one request/challenge plus one authenticated retry — two round trips,
-/// each retransmitted on loss like the INVITE.
-pub fn authenticate(fwd: &mut PathChannel, rev: &mut PathChannel, start: SimTime) -> Option<f64> {
-    let mut messages = 0u32;
-    let deadline = start + SIP_TIMER_B;
-    let mut at = start;
-    let mut interval = SIP_T1;
-    // Two sequential round trips (challenge, then authenticated request).
-    let mut completed = 0;
-    while completed < 2 {
-        match transact(fwd, rev, at, &mut messages) {
-            Some(done) => {
-                completed += 1;
-                at = done;
-                interval = SIP_T1;
-            }
-            None => {
-                at += interval;
-                interval = interval + interval;
-                if at >= deadline {
-                    return None;
-                }
-            }
-        }
-    }
-    Some((at - start).as_millis_f64())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,16 +210,5 @@ mod tests {
         assert!(!r.confirmed);
         assert!(r.teardown_ms <= SIP_TIMER_B.as_millis_f64() + 1e-6);
         assert!(r.messages_sent >= 6, "{}", r.messages_sent);
-    }
-
-    #[test]
-    fn auth_is_two_round_trips() {
-        let mut fwd = channel(25.0, 0.0, 7);
-        let mut rev = channel(25.0, 0.0, 8);
-        let ms = authenticate(&mut fwd, &mut rev, SimTime::EPOCH).expect("auth");
-        assert!((100.0..106.0).contains(&ms), "{ms}");
-        let mut dead = channel(25.0, 1.0, 9);
-        let mut rev2 = channel(25.0, 0.0, 10);
-        assert!(authenticate(&mut dead, &mut rev2, SimTime::EPOCH).is_none());
     }
 }

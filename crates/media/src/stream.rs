@@ -241,11 +241,6 @@ impl PacketSchedule {
     pub fn is_empty(&self) -> bool {
         self.packets.is_empty()
     }
-
-    /// Total payload bytes.
-    pub fn total_bytes(&self) -> u64 {
-        self.packets.iter().map(|p| p.payload_bytes as u64).sum()
-    }
 }
 
 impl<'a> IntoIterator for &'a PacketSchedule {
@@ -270,7 +265,8 @@ mod tests {
     fn bitrate_roughly_met() {
         let spec = VideoSpec::HD1080;
         let sched = spec.schedule(SimTime::EPOCH, Dur::from_secs(120), &mut rng());
-        let bits = sched.total_bytes() as f64 * 8.0;
+        let bytes: usize = sched.packets.iter().map(|p| p.payload_bytes).sum();
+        let bits = bytes as f64 * 8.0;
         let rate = bits / 120.0;
         assert!(
             (rate - spec.bitrate_bps).abs() / spec.bitrate_bps < 0.1,

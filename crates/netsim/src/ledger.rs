@@ -15,9 +15,12 @@
 //!   [`merge`];
 //! * readers ([`packets_sent`], [`units_processed`]) see the merged totals
 //!   plus their own thread's still-local tally, so single-threaded flows
-//!   (tests, the bench runner between experiments) observe their own
-//!   counts immediately and exactly — concurrent tests on other threads
-//!   can no longer skew a delta measured on this one.
+//!   (the bench runner between experiments) observe their own counts
+//!   immediately. The merged part moves whenever any thread's `par_map`
+//!   joins, so a reader's delta is exact only while nothing else runs in
+//!   the process; a test that shares its process with others and needs an
+//!   exact count drains its own cells with [`take_local`] before and after
+//!   the measured work, then [`merge`]s both deltas back.
 //!
 //! Counts recorded on a plain `std::thread` that never merges are visible
 //! only to that thread; inside this workspace every worker thread is

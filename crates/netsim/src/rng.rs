@@ -24,11 +24,6 @@ impl RngTree {
         }
     }
 
-    /// The master seed.
-    pub fn master_seed(&self) -> u64 {
-        self.master
-    }
-
     /// Derives the 64-bit seed for a labelled stream (FNV-1a over the label,
     /// mixed with the master via splitmix64 finalisation).
     pub fn seed_for(&self, label: &str) -> u64 {

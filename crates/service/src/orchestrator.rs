@@ -32,15 +32,24 @@ use crate::lifecycle::{CallOutcome, CallRecord, ServiceEvent, SessionManager};
 use crate::paths::PathTable;
 use crate::telemetry::{ServiceTelemetry, WindowReport};
 
-/// Service-plane parameters.
+/// Relay capacity budget as a multiple of `target_concurrent`: the diurnal
+/// peak deliberately overshoots it, so admission spill and rejection are
+/// exercised daily.
+const CAPACITY_HEADROOM: f64 = 1.25;
+
+/// How many nearest PoPs admission may spill to.
+const SPILL_DEPTH: usize = 3;
+
+/// Length of a measured call's media QoS burst.
+const QOS_BURST: Dur = Dur::from_secs(1);
+
+/// Service-plane parameters: the demand the plane is sized for and which
+/// calls it measures. The relay capacity headroom, the admission spill
+/// depth and the QoS burst length are constants of the orchestrator.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Concurrency the plane is sized to sustain at the diurnal trough.
     pub target_concurrent: u64,
-    /// Relay capacity budget as a multiple of `target_concurrent`; the
-    /// diurnal peak deliberately overshoots it so admission spill and
-    /// rejection are exercised daily.
-    pub capacity_headroom: f64,
     /// Mean call hold time (exponential).
     pub hold_mean: Dur,
     /// Telemetry window width.
@@ -49,8 +58,6 @@ pub struct ServiceConfig {
     pub profile: DiurnalProfile,
     /// Peak call arrival rate, calls/s (see [`ServiceConfig::sized`]).
     pub peak_rate_per_s: f64,
-    /// How many nearest PoPs admission may spill to.
-    pub spill_depth: usize,
     /// Measure SIP setup on every `setup_stride`-th call (1 = all). Only
     /// these calls are measured at all, so this stride also gates
     /// [`ServiceConfig::qos_stride`].
@@ -61,8 +68,6 @@ pub struct ServiceConfig {
     /// `qos_stride`)-th call — `qos_stride` itself only when
     /// `setup_stride` divides it.
     pub qos_stride: u64,
-    /// QoS burst length.
-    pub qos_burst: Dur,
     /// Windows to exclude from the sustained-concurrency figure (ramp-up
     /// from an empty system takes a few hold times).
     pub warmup_windows: usize,
@@ -86,22 +91,19 @@ impl ServiceConfig {
         let peak_rate_per_s = target_concurrent as f64 / (hold_mean.as_secs_f64() * trough);
         Self {
             target_concurrent,
-            capacity_headroom: 1.25,
             hold_mean,
             window,
             profile,
             peak_rate_per_s,
-            spill_depth: 3,
             setup_stride: 1,
             qos_stride: 32,
-            qos_burst: Dur::from_secs(1),
             warmup_windows: 2,
         }
     }
 
     /// The total relay capacity budget.
     pub fn capacity_budget(&self) -> u64 {
-        (self.target_concurrent as f64 * self.capacity_headroom).round() as u64
+        (self.target_concurrent as f64 * CAPACITY_HEADROOM).round() as u64
     }
 }
 
@@ -140,7 +142,7 @@ impl Orchestrator {
     /// `tree.subtree("service")`).
     pub fn new(vns: &Vns, cfg: ServiceConfig, tree: RngTree) -> Self {
         let arrivals = ArrivalProcess::new(cfg.peak_rate_per_s, cfg.profile, cfg.window);
-        let admission = AdmissionController::new(vns, cfg.capacity_budget(), cfg.spill_depth);
+        let admission = AdmissionController::new(vns, cfg.capacity_budget(), SPILL_DEPTH);
         let warmup_windows = cfg.warmup_windows;
         Self {
             cfg,
@@ -373,11 +375,11 @@ fn measure_call(
         let media_start = rec.arrival + Dur::from_millis_f64(setup.setup_ms);
         let mut media_rng = tree.stream_args(format_args!("svc:{id}:media"));
         let session_cfg = SessionConfig {
-            slot: cfg.qos_burst,
-            duration: cfg.qos_burst,
+            slot: QOS_BURST,
+            duration: QOS_BURST,
         };
         let r = run_echo_session(
-            VideoSpec::HD720.packets(media_start, cfg.qos_burst, &mut media_rng),
+            VideoSpec::HD720.packets(media_start, QOS_BURST, &mut media_rng),
             &session_cfg,
             &mut fwd,
             &mut rev,
@@ -385,7 +387,7 @@ fn measure_call(
         qos = Some((r.rt_loss_pct(), r.jitter_ms));
         // The BYE goes out when the call actually ends (the scheduled
         // departure, or right after the burst for very short holds).
-        let bye_at = rec.departure.max(media_start + cfg.qos_burst);
+        let bye_at = rec.departure.max(media_start + QOS_BURST);
         teardown_confirmed = Some(teardown_call(&mut fwd, &mut rev, bye_at).confirmed);
     }
     CallOutcome {

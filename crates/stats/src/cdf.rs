@@ -81,24 +81,6 @@ impl Cdf {
         points.iter().map(|&x| (x, self.at(x))).collect()
     }
 
-    /// Evaluates the CDF on `n` evenly spaced points spanning the sample
-    /// range (plus the exact endpoints).
-    pub fn sample_even(&self, n: usize) -> Vec<(f64, f64)> {
-        let (Some(lo), Some(hi)) = (self.min(), self.max()) else {
-            return Vec::new();
-        };
-        if n < 2 || (hi - lo).abs() < f64::EPSILON {
-            return vec![(lo, self.at(lo)), (hi, 1.0)];
-        }
-        let step = (hi - lo) / (n - 1) as f64;
-        (0..n)
-            .map(|i| {
-                let x = lo + step * i as f64;
-                (x, self.at(x))
-            })
-            .collect()
-    }
-
     /// Full step-function representation: one `(x, F(x))` row per distinct
     /// sample value.
     pub fn steps(&self) -> Vec<(f64, f64)> {
@@ -185,7 +167,6 @@ mod tests {
         assert!(c.is_empty());
         assert_eq!(c.at(0.0), 0.0);
         assert_eq!(c.quantile(0.5), None);
-        assert!(c.sample_even(10).is_empty());
     }
 
     #[test]

@@ -48,12 +48,6 @@ impl Histogram {
         self.counts[b] += 1;
     }
 
-    /// Records `n` observations at once.
-    pub fn record_n(&mut self, x: f64, n: u64) {
-        let b = self.bin_of(x);
-        self.counts[b] += n;
-    }
-
     /// Count in bin `i`.
     pub fn count(&self, i: usize) -> u64 {
         self.counts[i]
@@ -115,7 +109,9 @@ mod tests {
         let mut h = Histogram::hourly();
         h.record(0.5);
         h.record(23.5);
-        h.record_n(12.1, 7);
+        for _ in 0..7 {
+            h.record(12.1);
+        }
         assert_eq!(h.bins(), 24);
         assert_eq!(h.count(0), 1);
         assert_eq!(h.count(23), 1);

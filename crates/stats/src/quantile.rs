@@ -124,19 +124,9 @@ impl QuantileSketch {
         Some(self.max)
     }
 
-    /// Median.
-    pub fn p50(&self) -> Option<f64> {
-        self.quantile(0.50)
-    }
-
     /// 99th percentile.
     pub fn p99(&self) -> Option<f64> {
         self.quantile(0.99)
-    }
-
-    /// 99.9th percentile.
-    pub fn p999(&self) -> Option<f64> {
-        self.quantile(0.999)
     }
 
     /// Merges another sketch with identical geometry. Associative and
@@ -177,9 +167,9 @@ mod tests {
         for i in 0..10_000 {
             s.record(i as f64 / 10.0); // 0.0, 0.1, ... 999.9
         }
-        let p50 = s.p50().unwrap();
+        let p50 = s.quantile(0.5).unwrap();
         let p99 = s.p99().unwrap();
-        let p999 = s.p999().unwrap();
+        let p999 = s.quantile(0.999).unwrap();
         assert!((p50 - 500.0).abs() < 2.0, "p50 {p50}");
         assert!((p99 - 990.0).abs() < 2.0, "p99 {p99}");
         assert!((p999 - 999.0).abs() < 2.0, "p999 {p999}");

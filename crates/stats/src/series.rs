@@ -29,26 +29,6 @@ impl Series {
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
     }
-
-    /// Linear interpolation of y at `x`; clamps outside the x range.
-    /// Returns `None` for an empty series.
-    pub fn interpolate(&self, x: f64) -> Option<f64> {
-        let pts = &self.points;
-        let (first, last) = (pts.first()?, pts.last()?);
-        if x <= first.0 {
-            return Some(first.1);
-        }
-        if x >= last.0 {
-            return Some(last.1);
-        }
-        let i = pts.partition_point(|p| p.0 < x);
-        let (x0, y0) = pts[i - 1];
-        let (x1, y1) = pts[i];
-        if (x1 - x0).abs() < f64::EPSILON {
-            return Some(y1);
-        }
-        Some(y0 + (y1 - y0) * (x - x0) / (x1 - x0))
-    }
 }
 
 impl fmt::Display for Series {
@@ -118,20 +98,6 @@ impl fmt::Display for Figure {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn interpolation_and_clamping() {
-        let s = Series::new("t", vec![(0.0, 0.0), (10.0, 100.0)]);
-        assert_eq!(s.interpolate(-5.0), Some(0.0));
-        assert_eq!(s.interpolate(5.0), Some(50.0));
-        assert_eq!(s.interpolate(20.0), Some(100.0));
-    }
-
-    #[test]
-    fn empty_series_interpolation() {
-        let s = Series::new("t", vec![]);
-        assert_eq!(s.interpolate(1.0), None);
-    }
 
     #[test]
     fn display_contains_points() {

@@ -34,11 +34,6 @@ impl AsType {
             AsType::Ec => "EC",
         }
     }
-
-    /// Whether this type sells transit (can appear mid-path).
-    pub fn is_transit(&self) -> bool {
-        matches!(self, AsType::Ltp | AsType::Stp)
-    }
 }
 
 impl fmt::Display for AsType {
@@ -52,12 +47,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn codes_and_transit() {
+    fn codes() {
         assert_eq!(AsType::Ltp.code(), "LTP");
-        assert!(AsType::Ltp.is_transit());
-        assert!(AsType::Stp.is_transit());
-        assert!(!AsType::Cahp.is_transit());
-        assert!(!AsType::Ec.is_transit());
         assert_eq!(AsType::ALL.len(), 4);
     }
 }

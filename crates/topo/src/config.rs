@@ -2,36 +2,19 @@
 
 use vns_geo::Region;
 
-/// Prefix counts originated per AS, by type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PrefixCounts {
-    /// Prefixes per LTP.
-    pub ltp: usize,
-    /// Prefixes per STP.
-    pub stp: usize,
-    /// Prefixes per CAHP.
-    pub cahp: usize,
-    /// Prefixes per EC.
-    pub ec: usize,
-}
-
-impl Default for PrefixCounts {
-    fn default() -> Self {
-        Self {
-            ltp: 5,
-            stp: 4,
-            cahp: 3,
-            ec: 1,
-        }
-    }
-}
+/// Message budget for the initial BGP convergence of a generated Internet.
+pub const MESSAGE_BUDGET: u64 = 50_000_000;
 
 /// Configuration for [`crate::generate`].
 ///
 /// The defaults build a ~200-AS, ~600-prefix Internet that converges in
 /// well under a second — the paper's 400k-prefix table is scaled down by
-/// ~3 orders of magnitude, preserving structure (see DESIGN.md). Multiply
-/// the counts for paper-scale runs.
+/// ~3 orders of magnitude, preserving structure (see DESIGN.md). The AS
+/// counts below are the size axis that `vns-bench --scale` multiplies;
+/// prefixes per AS, the AP trans-Pacific and spread-AS fractions, the
+/// GeoIP jitter radius and the convergence budget are constants of the
+/// generator ([`MESSAGE_BUDGET`] is public for code that converges a
+/// [`crate::wire`]d world itself).
 #[derive(Debug, Clone)]
 pub struct TopoConfig {
     /// Master seed for all generator randomness.
@@ -44,17 +27,6 @@ pub struct TopoConfig {
     pub cahps_per_region: usize,
     /// ECs per unit-weight region.
     pub ecs_per_region: usize,
-    /// Prefixes originated per AS by type.
-    pub prefixes: PrefixCounts,
-    /// Fraction of AP transit providers that also maintain their own
-    /// trans-Pacific presence on the US west coast (the paper observed
-    /// "many Asian network providers carry data to the USA over own
-    /// trans-Pacific infrastructure").
-    pub ap_transpacific_fraction: f64,
-    /// Fraction of non-LTP ASes whose prefixes are geographically spread
-    /// across two regions (the paper's Sec 3.2 "subnets of a contiguous
-    /// prefix can have a large geographic spread").
-    pub spread_as_fraction: f64,
     /// Probability that two same-region STPs peer (given a shared city).
     pub stp_peering_prob: f64,
     /// Probability that two same-region CAHPs peer at a regional hub.
@@ -62,10 +34,6 @@ pub struct TopoConfig {
     /// Whether to apply the GeoIP error models (city jitter + the Russian
     /// centroid collapse + the Indian stale-WHOIS relocation).
     pub geoip_errors: bool,
-    /// Uniform city-level GeoIP jitter radius, km.
-    pub geoip_jitter_km: f64,
-    /// Message budget for the initial BGP convergence.
-    pub message_budget: u64,
     /// Worker threads for the sharded initial convergence
     /// ([`vns_bgp::BgpNet::run_sharded`]); `0` means one per available
     /// hardware thread. The count never affects generated worlds — only
@@ -81,14 +49,9 @@ impl Default for TopoConfig {
             stps_per_region: 6,
             cahps_per_region: 14,
             ecs_per_region: 12,
-            prefixes: PrefixCounts::default(),
-            ap_transpacific_fraction: 0.35,
-            spread_as_fraction: 0.05,
             stp_peering_prob: 0.5,
             cahp_peering_prob: 0.25,
             geoip_errors: true,
-            geoip_jitter_km: 60.0,
-            message_budget: 50_000_000,
             convergence_threads: 0,
         }
     }
@@ -135,8 +98,6 @@ mod tests {
     fn defaults_sane() {
         let c = TopoConfig::default();
         assert!(c.ltps >= 2);
-        assert!(c.prefixes.ltp >= 1);
-        assert!(c.ap_transpacific_fraction >= 0.0 && c.ap_transpacific_fraction <= 1.0);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use vns_geo::{city, CityId, GeoIpErrorModel, GeoPoint, Region};
 use vns_netsim::RngTree;
 
 use crate::astype::AsType;
-use crate::config::TopoConfig;
+use crate::config::{TopoConfig, MESSAGE_BUDGET};
 use crate::internet::{AsId, AsInfo, Internet, PrefixInfo};
 
 /// Generation failure.
@@ -40,11 +40,25 @@ impl std::error::Error for GenError {}
 /// First /16 block handed to the prefix allocator (16.0.0.0).
 const PREFIX_BASE: u32 = 0x1000_0000;
 
+/// Fraction of AP transit providers that also maintain their own
+/// trans-Pacific presence on the US west coast (the paper observed "many
+/// Asian network providers carry data to the USA over own trans-Pacific
+/// infrastructure").
+const AP_TRANSPACIFIC_FRACTION: f64 = 0.35;
+
+/// Fraction of stub ASes whose prefixes are geographically spread across
+/// two regions (the paper's Sec 3.2 "subnets of a contiguous prefix can
+/// have a large geographic spread").
+const SPREAD_AS_FRACTION: f64 = 0.05;
+
+/// Uniform city-level GeoIP jitter radius, km.
+const GEOIP_JITTER_KM: f64 = 60.0;
+
 /// Generates an Internet per `config` and converges its control plane.
 pub fn generate(config: &TopoConfig) -> Result<Internet, GenError> {
     let mut internet = wire(config);
     internet
-        .converge(config.message_budget, config.convergence_threads)
+        .converge(MESSAGE_BUDGET, config.convergence_threads)
         .map_err(GenError::Convergence)?;
     Ok(internet)
 }
@@ -106,7 +120,7 @@ pub fn wire(config: &TopoConfig) -> Internet {
             }
             // Some AP transit providers maintain their own trans-Pacific
             // leg to the US west coast (Sec 4.1's "delay-closer to NA").
-            if region == Region::AsiaPacific && rng.gen_bool(config.ap_transpacific_fraction) {
+            if region == Region::AsiaPacific && rng.gen_bool(AP_TRANSPACIFIC_FRACTION) {
                 let west = ["Seattle", "SanJose", "LosAngeles"];
                 let pickw = west[rng.gen_range(0..west.len())];
                 presence.push(city_by_name(pickw).expect("west coast city").0);
@@ -152,7 +166,7 @@ pub fn wire(config: &TopoConfig) -> Internet {
     let mut rng_spread = tree.stream("spread");
     let mut spread_ases: Vec<AsId> = Vec::new();
     for id in cahps.iter().chain(ecs.iter()) {
-        if rng_spread.gen_bool(config.spread_as_fraction) {
+        if rng_spread.gen_bool(SPREAD_AS_FRACTION) {
             let home_region = internet.as_info(*id).region;
             let other = *pick(
                 &mut rng_spread,
@@ -314,17 +328,14 @@ pub fn wire(config: &TopoConfig) -> Internet {
     let mut rng_pfx = tree.stream("prefixes");
     let all_as: Vec<AsId> = (0..internet.as_count() as u32).map(AsId).collect();
     for id in all_as {
-        let (ty, count) = {
-            let info = internet.as_info(id);
-            let count = match info.ty {
-                AsType::Ltp => config.prefixes.ltp,
-                AsType::Stp => config.prefixes.stp,
-                AsType::Cahp => config.prefixes.cahp,
-                AsType::Ec => config.prefixes.ec,
-            };
-            (info.ty, count)
+        // Prefixes originated per AS: the bigger the network, the more
+        // address space it announces.
+        let count = match internet.as_info(id).ty {
+            AsType::Ltp => 5,
+            AsType::Stp => 4,
+            AsType::Cahp => 3,
+            AsType::Ec => 1,
         };
-        let _ = ty;
         let is_spread = spread_ases.contains(&id);
         for _ in 0..count {
             let block = next_block;
@@ -377,7 +388,7 @@ pub fn wire(config: &TopoConfig) -> Internet {
             .location;
         internet.geoip.apply_error_model(
             &GeoIpErrorModel::CityJitter {
-                max_km: config.geoip_jitter_km,
+                max_km: GEOIP_JITTER_KM,
             },
             tree.seed_for("geoip-jitter"),
         );
@@ -633,8 +644,16 @@ mod tests {
         // Same route choices at a sample speaker.
         let sp = a.ases().find_map(|x| x.speaker).unwrap();
         for p in pa.iter().take(20) {
-            let ra = a.net.best_route(sp, &p.0).map(|c| c.attrs.as_path.clone());
-            let rb = b.net.best_route(sp, &p.0).map(|c| c.attrs.as_path.clone());
+            let ra = a
+                .net
+                .speaker(sp)
+                .and_then(|s| s.best(&p.0))
+                .map(|c| c.attrs.as_path.clone());
+            let rb = b
+                .net
+                .speaker(sp)
+                .and_then(|s| s.best(&p.0))
+                .map(|c| c.attrs.as_path.clone());
             assert_eq!(ra, rb);
         }
     }

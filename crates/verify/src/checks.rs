@@ -31,8 +31,8 @@ const SWEEP_STEP_KM: f64 = 1.0;
 
 /// Invariant 1 — LP-SHAPE: `f(d)` is monotone nonincreasing over the whole
 /// great-circle domain, its floor stays ≫ 100, and out-of-domain inputs
-/// clamp to the endpoints. `label` distinguishes the deployed function
-/// from candidates vetted via [`crate::check_local_pref_fn`].
+/// clamp to the endpoints. `label` names the audited function in each
+/// finding.
 pub(crate) fn lp_fn_shape(lp_fn: LocalPrefFn, label: &str, rep: &mut Reporter) {
     let mut prev = lp_fn.compute(0.0);
     let mut min = prev;

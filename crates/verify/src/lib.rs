@@ -63,7 +63,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use vns_bgp::{Prefix, SpeakerId};
-use vns_core::{LocalPrefFn, Vns};
+use vns_core::Vns;
 use vns_topo::Internet;
 
 mod certify;
@@ -467,18 +467,17 @@ pub fn verify_scoped(internet: &Internet, vns: &Vns, scope: &VerifyScope) -> Rep
     rep.finish()
 }
 
-/// Audits a single LOCAL_PREF function shape in isolation (invariant 1
-/// only) — lets tests and the ablation tooling vet a candidate `f(d)`
-/// before deploying it.
-pub fn check_local_pref_fn(lp_fn: LocalPrefFn) -> Vec<Violation> {
-    let mut rep = Reporter::default();
-    checks::lp_fn_shape(lp_fn, "candidate", &mut rep);
-    rep.finish().violations
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vns_core::LocalPrefFn;
+
+    /// Invariant 1 alone on a candidate `f(d)`.
+    fn shape_violations(lp_fn: LocalPrefFn) -> Vec<Violation> {
+        let mut rep = Reporter::default();
+        checks::lp_fn_shape(lp_fn, "candidate", &mut rep);
+        rep.finish().violations
+    }
 
     #[test]
     fn violation_renders_location() {
@@ -530,7 +529,7 @@ mod tests {
             },
             LocalPrefFn::Stepped,
         ] {
-            let vs = check_local_pref_fn(f);
+            let vs = shape_violations(f);
             assert!(vs.is_empty(), "{f:?}: {vs:?}");
         }
     }
@@ -539,13 +538,13 @@ mod tests {
     fn broken_shapes_flagged() {
         // Floor at or below the BGP default: geo scores stop dominating
         // plain routes.
-        let low = check_local_pref_fn(LocalPrefFn::BandedLinear {
+        let low = shape_violations(LocalPrefFn::BandedLinear {
             floor: 0,
             band_km: 1_000_000.0,
         });
         assert!(low.iter().any(|v| v.severity == Severity::Error), "{low:?}");
         // Floor above default but nowhere near "much higher": warning.
-        let near = check_local_pref_fn(LocalPrefFn::BandedLinear {
+        let near = shape_violations(LocalPrefFn::BandedLinear {
             floor: 150,
             band_km: 1_000_000.0,
         });
