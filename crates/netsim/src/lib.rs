@@ -61,5 +61,5 @@ pub use fault::{BlackoutSchedule, FaultGenerator};
 pub use ledger::LedgerDelta;
 pub use loss::{LossModel, LossProcess};
 pub use par::{par_map, Par};
-pub use rng::RngTree;
+pub use rng::{LabelHash, RngTree};
 pub use time::{Dur, SimTime, Window};

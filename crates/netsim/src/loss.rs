@@ -185,6 +185,9 @@ const FLUCTUATION_PERIOD: Dur = Dur::from_secs(300);
 /// Per-flow mutable state for one [`LossModel`].
 #[derive(Debug, Clone)]
 pub struct LossProcess {
+    /// The configuration `state` walks. A composite's children were moved
+    /// into their own processes (`State::Composite`), so its list is
+    /// empty here.
     model: LossModel,
     rng: SmallRng,
     state: State,
@@ -199,11 +202,13 @@ enum State {
 }
 
 impl LossProcess {
-    /// Creates a process for `model`, seeded by `rng`.
-    pub fn new(model: LossModel, mut rng: SmallRng) -> Self {
-        let state = match &model {
+    /// Creates a process for `model`, seeded by `rng`. A composite draws
+    /// one seed from `rng` per child, in order, and moves each child model
+    /// into that child's process.
+    pub fn new(mut model: LossModel, mut rng: SmallRng) -> Self {
+        let state = match &mut model {
             LossModel::None | LossModel::Bernoulli { .. } => State::Stateless,
-            LossModel::GilbertElliott {
+            &mut LossModel::GilbertElliott {
                 g2b_per_sec,
                 b2g_per_sec,
                 ..
@@ -227,11 +232,11 @@ impl LossProcess {
             },
             LossModel::Composite(models) => {
                 use rand::SeedableRng;
-                let children = models
-                    .iter()
+                let children = std::mem::take(models)
+                    .into_iter()
                     .map(|m| {
                         let seed: u64 = rng.gen();
-                        LossProcess::new(m.clone(), SmallRng::seed_from_u64(seed))
+                        LossProcess::new(m, SmallRng::seed_from_u64(seed))
                     })
                     .collect();
                 State::Composite(children)
@@ -351,11 +356,6 @@ impl LossProcess {
         } else {
             gap as u64
         }
-    }
-
-    /// The underlying model.
-    pub fn model(&self) -> &LossModel {
-        &self.model
     }
 }
 
@@ -565,6 +565,88 @@ mod tests {
         assert!((m.mean_rate() - expected).abs() < 1e-12);
         let r = sample_rate(m, 200_000, Dur::from_millis(1), 7);
         assert!((r - expected).abs() < 0.003, "rate {r}");
+    }
+
+    /// A composite as `LossProcess::new` built one before its children
+    /// were moved: each child model cloned and seeded by the parent's next
+    /// draw, in order; the parent's RNG (held by `shell`) keeps the rest.
+    struct ClonedComposite {
+        shell: LossProcess,
+        children: Vec<LossProcess>,
+    }
+
+    impl ClonedComposite {
+        fn new(model: &LossModel, mut parent: SmallRng) -> Self {
+            let LossModel::Composite(models) = model else {
+                panic!("not a composite: {model:?}")
+            };
+            let children = models
+                .iter()
+                .map(|child| LossProcess::new(child.clone(), SmallRng::seed_from_u64(parent.gen())))
+                .collect();
+            Self {
+                shell: LossProcess::new(LossModel::None, parent),
+                children,
+            }
+        }
+
+        fn loss_prob(&mut self, t: SimTime) -> f64 {
+            let mut survive = 1.0;
+            for c in &mut self.children {
+                survive *= 1.0 - c.loss_prob(t);
+            }
+            1.0 - survive
+        }
+
+        fn packet_lost(&mut self, t: SimTime) -> bool {
+            let p = self.loss_prob(t);
+            p > 0.0 && self.shell.rng.gen_bool(p.clamp(0.0, 1.0))
+        }
+    }
+
+    #[test]
+    fn composite_by_move_walks_the_cloned_sequence() {
+        let congestion = LossModel::Congestion {
+            profile: DiurnalProfile::new(DiurnalShape::Business, 0.45, 0.4, 2.0),
+            knee: 0.7,
+            max_p: 0.2,
+            fluctuation_sigma: 0.8,
+        };
+        let stacks = [
+            vec![LossModel::Bernoulli { p: 0.01 }, congestion],
+            vec![
+                LossModel::Bernoulli { p: 0.005 },
+                LossModel::bursty(0.02, 0.5, 2.0),
+            ],
+        ];
+        for (k, stack) in stacks.into_iter().enumerate() {
+            let model = LossModel::Composite(stack);
+            let seed = 40 + k as u64;
+            let mut cloned = ClonedComposite::new(&model, rng(seed));
+            let mut moved = LossProcess::new(model, rng(seed));
+            let (mut lost, mut lossy) = (0, 0);
+            // A day of instants, 3 s apart: diurnal peaks, fluctuation
+            // resamples and chain transitions all happen.
+            for i in 0..28_800u64 {
+                let t = SimTime::EPOCH + Dur::from_secs(3 * i);
+                let p = moved.loss_prob(t);
+                assert_eq!(
+                    p.to_bits(),
+                    cloned.loss_prob(t).to_bits(),
+                    "stack {k} at {i}"
+                );
+                let l = moved.packet_lost(t);
+                assert_eq!(l, cloned.packet_lost(t), "stack {k} at {i}");
+                let gap = moved.gap_to_next_loss(p);
+                assert_eq!(gap, cloned.shell.gap_to_next_loss(p), "stack {k} at {i}");
+                lost += u32::from(l);
+                lossy += u32::from(p > 0.0);
+            }
+            assert!(
+                lost > 10 && lossy > 100,
+                "stack {k}: {lost} lost, {lossy} lossy"
+            );
+        }
     }
 
     #[test]

@@ -24,15 +24,18 @@ impl RngTree {
         }
     }
 
+    /// The hash of the empty label under this tree: write a label into
+    /// it and [`LabelHash::finish`] gives that label's seed.
+    pub fn label_hash(&self) -> LabelHash {
+        LabelHash(FNV_OFFSET ^ self.master)
+    }
+
     /// Derives the 64-bit seed for a labelled stream (FNV-1a over the label,
     /// mixed with the master via splitmix64 finalisation).
     pub fn seed_for(&self, label: &str) -> u64 {
-        let mut h: u64 = 0xcbf29ce484222325 ^ self.master;
-        for b in label.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        splitmix64(h)
+        let mut h = self.label_hash();
+        h.bytes(label.as_bytes());
+        h.finish()
     }
 
     /// Like [`RngTree::seed_for`], but hashes a `format_args!` label as it
@@ -41,19 +44,9 @@ impl RngTree {
     /// label each. Produces the identical seed to
     /// `seed_for(&label.to_string())`.
     pub fn seed_for_args(&self, label: fmt::Arguments<'_>) -> u64 {
-        struct Fnv(u64);
-        impl fmt::Write for Fnv {
-            fn write_str(&mut self, s: &str) -> fmt::Result {
-                for b in s.as_bytes() {
-                    self.0 ^= u64::from(*b);
-                    self.0 = self.0.wrapping_mul(0x100000001b3);
-                }
-                Ok(())
-            }
-        }
-        let mut h = Fnv(0xcbf29ce484222325 ^ self.master);
-        fmt::write(&mut h, label).expect("label formatting failed");
-        splitmix64(h.0)
+        let mut h = self.label_hash();
+        h.args(label);
+        h.finish()
     }
 
     /// A fresh RNG for a labelled stream.
@@ -78,6 +71,61 @@ impl RngTree {
         RngTree {
             master: self.seed_for(label),
         }
+    }
+}
+
+const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+const FNV_PRIME: u64 = 0x100000001b3;
+
+/// A stream label's seed in the making: the FNV-1a state over the bytes
+/// written so far. Being `Copy`, a state is a resumable prefix — hash
+/// `flow:{f}:hop` once, copy it per hop and write only what differs — and
+/// every way of writing the same bytes finishes to the same seed, equal to
+/// [`RngTree::seed_for`] over their concatenation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LabelHash(u64);
+
+impl LabelHash {
+    /// Appends raw label bytes.
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
+        }
+    }
+
+    /// Appends `n` in decimal, the bytes `{n}` formats, without `fmt`.
+    pub fn uint(&mut self, n: u64) {
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        let mut rest = n;
+        loop {
+            at -= 1;
+            // `rest % 10` is a single digit.
+            digits[at] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        self.bytes(&digits[at..]);
+    }
+
+    /// Appends the text `args` renders.
+    pub fn args(&mut self, args: fmt::Arguments<'_>) {
+        fmt::write(self, args).expect("label formatting failed");
+    }
+
+    /// The seed of the label written so far.
+    pub fn finish(self) -> u64 {
+        splitmix64(self.0)
+    }
+}
+
+impl fmt::Write for LabelHash {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.bytes(s.as_bytes());
+        Ok(())
     }
 }
 
@@ -153,6 +201,42 @@ mod tests {
             t.seed_for("n=007"),
             t.seed_for_args(format_args!("n={:03}", 7))
         );
+    }
+
+    #[test]
+    fn resumed_hash_matches_one_shot_seed_at_every_split() {
+        let t = RngTree::new(77);
+        for label in [
+            "",
+            "x",
+            "flow:probe:3:hop12:ix:AS7:R81@Ashburn",
+            "blackout:bb:AS1:a->b",
+        ] {
+            let whole = t.seed_for(label);
+            for split in 0..=label.len() {
+                let (head, tail) = label.as_bytes().split_at(split);
+                let mut prefix = t.label_hash();
+                prefix.bytes(head);
+                // A copy resumes the prefix; the original is left as it was.
+                let mut resumed = prefix;
+                resumed.bytes(tail);
+                assert_eq!(resumed.finish(), whole, "{label:?} split at {split}");
+                let mut again = prefix;
+                again.args(format_args!("{}", &label[split..]));
+                assert_eq!(again.finish(), whole, "{label:?} split at {split}");
+            }
+        }
+    }
+
+    #[test]
+    fn uint_writes_the_decimal_text() {
+        let t = RngTree::new(5);
+        for n in [0, 7, 10, 99, 1000, 65_535, u64::from(u32::MAX), u64::MAX] {
+            let mut h = t.label_hash();
+            h.bytes(b"hop");
+            h.uint(n);
+            assert_eq!(h.finish(), t.seed_for(&format!("hop{n}")), "{n}");
+        }
     }
 
     #[test]

@@ -544,7 +544,10 @@ impl ChannelFactory {
             return s.clone();
         }
         let gen = FaultGenerator::convergence(self.config.blackout_events_per_day);
-        let mut rng = self.rng.stream_args(format_args!("blackout:{}", hop.label));
+        let mut label = self.rng.label_hash();
+        label.bytes(b"blackout:");
+        hop.label.write_to(&mut label);
+        let mut rng = SmallRng::seed_from_u64(label.finish());
         let schedule = gen.generate(SimTime::EPOCH, self.config.blackout_horizon, &mut rng);
         cache.insert(hop.label, schedule.clone());
         schedule
@@ -562,15 +565,36 @@ impl ChannelFactory {
     /// seeds without materialising a label `String`. Hash-compatible with
     /// the `&str` form: `channel_args(p, format_args!("x"))` ==
     /// `channel(p, "x")`.
+    ///
+    /// Hop `i`'s loss process is seeded by the factory tree's
+    /// `seed_for("flow:{flow_label}:hop{i}:{label}")`, where `{label}` is
+    /// the hop label's text, and the flow's delay stream by
+    /// `stream("flowdelay:{flow_label}")`. The per-hop label is never
+    /// rendered: `flow:{flow_label}:hop` is hashed once into a
+    /// [`LabelHash`](vns_netsim::LabelHash), and each hop resumes a copy
+    /// of it with `{i}:` and [`HopLabel::write_to`].
     pub fn channel_args(&self, path: &ResolvedPath, flow_label: fmt::Arguments<'_>) -> PathChannel {
+        let mut flow = self.rng.label_hash();
+        flow.bytes(b"flow:");
+        flow.args(flow_label);
+        flow.bytes(b":hop");
         let mut hops = Vec::with_capacity(path.hops.len());
         for (i, hop) in path.hops.iter().enumerate() {
             let model = self.loss_model(hop);
             let delay = self.delay_sampler(hop);
             let blackouts = self.blackouts(hop);
-            let seed = self
-                .rng
-                .seed_for_args(format_args!("flow:{flow_label}:hop{i}:{}", hop.label));
+            let mut label = flow;
+            label.uint(i as u64);
+            label.bytes(b":");
+            hop.label.write_to(&mut label);
+            let seed = label.finish();
+            debug_assert_eq!(
+                seed,
+                self.rng
+                    .seed_for_args(format_args!("flow:{flow_label}:hop{i}:{}", hop.label)),
+                "resumed seed of hop {i} ({}) of flow {flow_label}",
+                hop.label
+            );
             hops.push(HopChannel {
                 loss: LossProcess::new(model, SmallRng::seed_from_u64(seed)),
                 delay,

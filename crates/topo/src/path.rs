@@ -22,6 +22,7 @@ use std::fmt;
 
 use vns_bgp::{Asn, Covering, PathError, Prefix, RouteSource, Speaker, SpeakerId};
 use vns_geo::{CityId, Region};
+use vns_netsim::LabelHash;
 
 use crate::astype::AsType;
 use crate::internet::{AsId, Internet, PrefixInfo};
@@ -69,10 +70,12 @@ pub enum HopKind {
 /// variant per kind of hop the resolver and the service plane build.
 ///
 /// Labels are RNG stream names (blackout schedules and per-flow loss
-/// seeds), but only through their rendered text: [`fmt::Display`] writes
-/// the bytes every seed hashes, and is the only renderer. Every variant's
-/// text starts with its own tag and city names are unique, so two distinct
-/// labels never render the same text.
+/// seeds), but only through their rendered text: [`HopLabel::write_to`]
+/// is the only renderer, and both the seed hash ([`LabelHash`]) and
+/// [`fmt::Display`] are writers it writes into, so a seed hashes exactly
+/// the text the label prints. Every variant's text starts with its own tag
+/// and city names are unique, so two distinct labels never render the same
+/// text.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum HopLabel {
     /// `lastmile:{asn}:{prefix}`: the access segment of `prefix`, whose
@@ -145,19 +148,50 @@ pub enum HopLabel {
     },
 }
 
-impl fmt::Display for HopLabel {
-    /// One `write!` per label, with each id's number written in place of
-    /// its own `Display` (`AS{n}`, `R{n}`, `PoP{n}`): the same bytes, one
-    /// formatting pass instead of one per id.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = |c: CityId| vns_geo::city(c).name;
+/// Where [`HopLabel::write_to`] puts a label's text: fixed tags and city
+/// names as text, ids as decimal integers.
+pub trait LabelWriter {
+    /// Appends `s`.
+    fn text(&mut self, s: &str);
+    /// Appends `n` in decimal.
+    fn uint(&mut self, n: u64);
+}
+
+impl LabelWriter for LabelHash {
+    fn text(&mut self, s: &str) {
+        self.bytes(s.as_bytes());
+    }
+
+    fn uint(&mut self, n: u64) {
+        LabelHash::uint(self, n);
+    }
+}
+
+impl HopLabel {
+    /// Writes the label's text into `w`, each id's number in place of its
+    /// own `Display` (`AS{n}`, `R{n}`, `PoP{n}`) and a prefix as
+    /// `{a}.{b}.{c}.{d}/{len}`: the bytes the seven construction sites
+    /// once formatted, without a formatting pass.
+    pub fn write_to<W: LabelWriter>(&self, w: &mut W) {
         match *self {
-            HopLabel::LastMile { asn, prefix } => write!(f, "lastmile:AS{}:{prefix}", asn.0),
+            HopLabel::LastMile { asn, prefix } => {
+                head(w, "lastmile", asn);
+                let a = prefix.addr();
+                w.uint((a >> 24).into());
+                for shift in [16, 8, 0] {
+                    w.text(".");
+                    w.uint(((a >> shift) & 0xff).into());
+                }
+                w.text("/");
+                w.uint(prefix.len().into());
+            }
             HopLabel::Ix { asn, peer, city } => {
-                write!(f, "ix:AS{}:R{}@{}", asn.0, peer.0, name(city))
+                head(w, "ix", asn);
+                id_at(w, "R", peer.0, city);
             }
             HopLabel::Intra { asn, from, to } => {
-                write!(f, "intra:AS{}:{}->{}", asn.0, name(from), name(to))
+                head(w, "intra", asn);
+                span(w, from, to);
             }
             HopLabel::Backbone {
                 asn,
@@ -165,25 +199,81 @@ impl fmt::Display for HopLabel {
                 from,
                 to,
             } => {
-                let tag = if dedicated { "l2" } else { "bb" };
-                write!(f, "{tag}:AS{}:{}->{}", asn.0, name(from), name(to))
+                head(w, if dedicated { "l2" } else { "bb" }, asn);
+                span(w, from, to);
             }
             HopLabel::TransitPort {
                 asn,
                 upstream,
                 city,
-            } => write!(
-                f,
-                "transit-port:AS{}:AS{}@{}",
-                asn.0,
-                upstream.0,
-                name(city)
-            ),
-            HopLabel::Exit { asn, peer, city } => {
-                write!(f, "exit:AS{}:R{}@{}", asn.0, peer.0, name(city))
+            } => {
+                head(w, "transit-port", asn);
+                id_at(w, "AS", upstream.0, city);
             }
-            HopLabel::Spill { from, to } => write!(f, "spill:PoP{from}->PoP{to}"),
+            HopLabel::Exit { asn, peer, city } => {
+                head(w, "exit", asn);
+                id_at(w, "R", peer.0, city);
+            }
+            HopLabel::Spill { from, to } => {
+                w.text("spill:PoP");
+                w.uint(from.into());
+                w.text("->PoP");
+                w.uint(to.into());
+            }
         }
+    }
+}
+
+/// `{tag}:AS{asn}:`, the head of every label but the splice leg's.
+fn head<W: LabelWriter>(w: &mut W, tag: &str, asn: Asn) {
+    w.text(tag);
+    w.text(":AS");
+    w.uint(asn.0.into());
+    w.text(":");
+}
+
+/// `{from}->{to}` by city name.
+fn span<W: LabelWriter>(w: &mut W, from: CityId, to: CityId) {
+    w.text(vns_geo::city(from).name);
+    w.text("->");
+    w.text(vns_geo::city(to).name);
+}
+
+/// `{kind}{id}@{city}`: a speaker or AS id landing in a named city.
+fn id_at<W: LabelWriter>(w: &mut W, kind: &str, id: u32, city: CityId) {
+    w.text(kind);
+    w.uint(id.into());
+    w.text("@");
+    w.text(vns_geo::city(city).name);
+}
+
+/// [`fmt::Display`]'s [`LabelWriter`]: a formatter that keeps the first
+/// write error.
+struct FmtWriter<'a, 'b> {
+    f: &'a mut fmt::Formatter<'b>,
+    result: fmt::Result,
+}
+
+impl LabelWriter for FmtWriter<'_, '_> {
+    fn text(&mut self, s: &str) {
+        if self.result.is_ok() {
+            self.result = self.f.write_str(s);
+        }
+    }
+
+    fn uint(&mut self, n: u64) {
+        if self.result.is_ok() {
+            self.result = write!(self.f, "{n}");
+        }
+    }
+}
+
+impl fmt::Display for HopLabel {
+    /// The text [`HopLabel::write_to`] writes.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut w = FmtWriter { f, result: Ok(()) };
+        self.write_to(&mut w);
+        w.result
     }
 }
 

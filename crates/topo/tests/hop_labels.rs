@@ -1,11 +1,13 @@
 //! The hop-label oracle. A hop's label is a value, but blackout schedules
-//! and per-flow seeds hash its rendered text, so `HopLabel`'s `Display`
-//! must write exactly the bytes each construction site once formatted.
-//! [`old_format`] restates those seven `format!` expressions; every label
-//! here is checked against it: arbitrary ids of every shape, and every hop
-//! the service plane and the PoP probes resolve on generated worlds —
-//! including one grown by an attacker AS, whose ids are the last handed
-//! out.
+//! and per-flow seeds hash its rendered text, so `HopLabel`'s byte writer
+//! (and `Display`, which writes through it) must write exactly the bytes
+//! each construction site once formatted, and a flow's per-hop seed,
+//! resumed from a hash of the flow's prefix, must equal the seed of the
+//! whole label hashed in one piece. [`old_format`] restates those seven
+//! `format!` expressions; every label here is checked against it:
+//! arbitrary ids of every shape, and every hop the service plane and the
+//! PoP probes resolve on generated worlds — including one grown by an
+//! attacker AS, whose ids are the last handed out.
 
 use std::collections::BTreeSet;
 
@@ -109,12 +111,49 @@ fn any_label() -> impl Strategy<Value = HopLabel> {
         })
 }
 
+/// Hop `i`'s seed as `ChannelFactory::channel_args` derives it: the
+/// flow's prefix `flow:{flow}:hop` hashed once, then a copy resumed with
+/// `{i}:` and the label's byte writer.
+fn resumed_seed(tree: &RngTree, flow: &str, i: usize, label: &HopLabel) -> u64 {
+    let mut prefix = tree.label_hash();
+    prefix.bytes(b"flow:");
+    prefix.bytes(flow.as_bytes());
+    prefix.bytes(b":hop");
+    let mut hop = prefix;
+    hop.uint(u64::try_from(i).expect("hop index fits u64"));
+    hop.bytes(b":");
+    label.write_to(&mut hop);
+    hop.finish()
+}
+
+/// The same seed the way it was derived before: the whole label rendered
+/// and hashed in one piece.
+fn one_shot_seed(tree: &RngTree, flow: &str, i: usize, label: &HopLabel) -> u64 {
+    tree.seed_for(&format!("flow:{flow}:hop{i}:{}", old_format(label)))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2_000))]
 
     #[test]
     fn display_writes_the_old_text(label in any_label()) {
         prop_assert_eq!(label.to_string(), old_format(&label));
+    }
+
+    #[test]
+    fn resumed_seed_finishes_to_the_one_shot_seed(
+        label in any_label(),
+        i in 0usize..100_000,
+        flow in prop::collection::vec(b' '..b'~', 0..24)
+            .prop_map(|text| String::from_utf8(text).expect("printable ASCII")),
+        master in any::<u64>(),
+    ) {
+        let tree = RngTree::new(master);
+        prop_assert_eq!(
+            resumed_seed(&tree, &flow, i, &label),
+            one_shot_seed(&tree, &flow, i, &label),
+            "{:?} hop {} of flow {:?}", label, i, flow
+        );
     }
 
     #[test]
@@ -213,11 +252,23 @@ fn world_paths(internet: &Internet, vns: &Vns) -> Vec<ResolvedPath> {
     paths
 }
 
-/// Runs the oracle over one world: every hop's text, every label naming
-/// its own hop, injectivity over the world's label set, and the blackout
-/// memo holding one schedule per distinct faultable text.
+/// Runs the oracle over one world: every hop's text, every hop's resumed
+/// seed, every label naming its own hop, injectivity over the world's
+/// label set, and the blackout memo holding one schedule per distinct
+/// faultable text.
 fn check_world(internet: &Internet, vns: &Vns, seed: u64) -> BTreeSet<HopLabel> {
     let paths = world_paths(internet, vns);
+    let tree = RngTree::new(seed).subtree("channels");
+    for (p, path) in paths.iter().enumerate() {
+        let flow = format!("oracle:{p}");
+        for (i, hop) in path.hops.iter().enumerate() {
+            assert_eq!(
+                resumed_seed(&tree, &flow, i, &hop.label),
+                one_shot_seed(&tree, &flow, i, &hop.label),
+                "seed {seed}: hop {i} of {flow}"
+            );
+        }
+    }
     let mut labels = BTreeSet::new();
     let mut faultable_text = BTreeSet::new();
     let mut shapes = BTreeSet::new();
@@ -254,12 +305,11 @@ fn check_world(internet: &Internet, vns: &Vns, seed: u64) -> BTreeSet<HopLabel> 
         );
     }
 
-    let factory = ChannelFactory::new(
-        CalibrationConfig::default(),
-        RngTree::new(seed).subtree("channels"),
-    );
-    for (i, path) in paths.iter().enumerate() {
-        let _ = factory.channel(path, &format!("oracle:{i}"));
+    // In a debug build each of these channels also checks every hop's
+    // resumed seed against the old rendering.
+    let factory = ChannelFactory::new(CalibrationConfig::default(), tree);
+    for (p, path) in paths.iter().enumerate() {
+        let _ = factory.channel(path, &format!("oracle:{p}"));
     }
     assert_eq!(
         factory.cached_blackout_schedules(),
