@@ -137,17 +137,23 @@ fn bench_decision(c: &mut Criterion) {
 /// loses re-delivered, every neighbour visited, nothing to say.
 fn bench_update_flow(c: &mut Criterion) {
     use vns_bgp::{
-        Asn, ImportHook, Message, Origin, PeerConfig, PeerKind, Policy, Relation, RouteAttrs,
-        RouteSource, Speaker, SpeakerId,
+        Asn, BgpNet, Message, Origin, PeerConfig, PeerKind, Policy, Relation, RouteAttrs, Speaker,
+        SpeakerId,
     };
-    #[derive(Debug)]
-    struct Boost;
-    impl ImportHook for Boost {
-        fn on_import(&self, _: SpeakerId, _: Prefix, _: &RouteSource, attrs: &mut RouteAttrs) {
-            attrs.local_pref = 999;
-        }
-    }
     let prefix = Prefix::new(0x0a00_0000, 8);
+    // A reflector with the geo table's stand-in: LOCAL_PREF 999 for the
+    // prefix via any next hop of the updates below. A network names the
+    // prefix and hands the speaker its table.
+    let boosted = || {
+        let mut net = BgpNet::new();
+        net.add_speaker(Speaker::new(SpeakerId(1), Asn(100)));
+        net.add_speaker(Speaker::new(SpeakerId(2), Asn(100)));
+        net.originate(SpeakerId(2), prefix);
+        let boost = net.import_prefs(vec![SpeakerId(7)], |_, _| Some(999));
+        let mut sp = net.speaker_mut(SpeakerId(1)).expect("added").clone();
+        sp.set_import_prefs(std::sync::Arc::new(boost));
+        sp
+    };
     // A route as a reflector's client sees it: a few ASes of path, one
     // community, one cluster id. `tail` tells two versions apart so every
     // delivery replaces the entry and changes what is exported.
@@ -180,16 +186,17 @@ fn bench_update_flow(c: &mut Criterion) {
     let from = SpeakerId(2);
 
     let mut g = c.benchmark_group("bgp/receive_update");
-    for (name, cfg, hook) in [
+    for (name, cfg, boost) in [
         ("ebgp", ebgp(200, Relation::Customer), false),
         ("ibgp", ibgp, false),
         ("ibgp_hook", ibgp, true),
     ] {
-        let mut sp = Speaker::new(SpeakerId(1), Asn(100));
+        let mut sp = if boost {
+            boosted()
+        } else {
+            Speaker::new(SpeakerId(1), Asn(100))
+        };
         sp.add_peer(from, cfg);
-        if hook {
-            sp.set_import_hook(Box::new(Boost));
-        }
         g.bench_function(name, |b| {
             let mut i = 0usize;
             b.iter(|| {

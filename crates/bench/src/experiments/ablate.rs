@@ -16,7 +16,7 @@
 //! Rows that only read the default geo (or hot) world borrow it — `base`
 //! is the world `Ctx::geo()` holds — and build just their variants, from
 //! `base.config` with one knob turned. Rows that mutate a world
-//! (`auto_override`, `geoip`'s exemptions) build their own.
+//! (`auto_override`, `geoip`'s exemptions) mutate a clone of `base`.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -26,7 +26,7 @@ use vns_netsim::{Dur, HopChannel, LossModel, LossProcess, PathChannel, SimTime, 
 use vns_stats::Table;
 
 use crate::campaign::prefix_metas;
-use crate::world::{World, WorldConfig};
+use crate::world::World;
 
 /// Egress-selection quality: fraction of choices within 500 km of
 /// optimal, and the mean excess distance (km) — over the prefixes whose
@@ -176,7 +176,7 @@ pub fn geoip(base: &World) -> Ablation {
     // Erroneous + management overrides: exempt every prefix whose GeoIP
     // error exceeds 1000 km (what an operator does after spotting the
     // Fig 3 outlier clusters).
-    let mut world_fixed = World::build(cfg);
+    let mut world_fixed = World::from_parts(base.internet.clone(), base.vns.clone(), cfg);
     let bad: Vec<vns_bgp::Prefix> = prefix_metas(&world_fixed)
         .iter()
         .filter(|m| m.geoip_err_km.is_finite() && m.geoip_err_km > 1_000.0)
@@ -464,12 +464,12 @@ pub fn geo_vs_measurement(world: &World, par: vns_netsim::Par) -> Ablation {
 /// measurements" and fixed through the management interface. Probes every
 /// prefix once, force-exits the ones whose geo egress is ≥ `threshold_ms`
 /// worse than the best PoP, and reports precision before/after. Rewrites
-/// the control plane, so it builds its own world from `config`.
-pub fn auto_override(config: &WorldConfig, threshold_ms: f64, par: vns_netsim::Par) -> Ablation {
+/// the control plane, so it works on a clone of `base`.
+pub fn auto_override(base: &World, threshold_ms: f64, par: vns_netsim::Par) -> Ablation {
     use crate::campaign::{prefix_metas, rtt_matrix};
     use vns_netsim::{Dur, SimTime};
 
-    let mut world = World::build(config.clone());
+    let mut world = World::from_parts(base.internet.clone(), base.vns.clone(), base.config.clone());
     let metas = prefix_metas(&world);
     let pops: Vec<PopId> = world.vns.pops().iter().map(|p| p.id()).collect();
     let t = SimTime::EPOCH + Dur::from_hours(10);

@@ -319,7 +319,7 @@ fn run_attack(config: &WorldConfig, kind: AttackKind) -> AttackRow {
     let endpoints = EndpointTable::build(&world.internet, &world.vns);
 
     // Launch and reconverge.
-    let launched = launch_attack(kind, &mut world.internet, &world.vns, config.seed)
+    let launched = launch_attack(kind, &mut world.internet, &mut world.vns, config.seed)
         .unwrap_or_else(|e| panic!("{kind}: launch failed: {e}"));
 
     // Detection: both verifier stages on the post-attack RIBs.

@@ -234,7 +234,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
         show(ablate::geo_vs_measurement(c.geo(), c.par))
     }),
     row("ablate-auto-override", |c| {
-        show(ablate::auto_override(&c.world_config(), 30.0, c.par))
+        show(ablate::auto_override(c.geo(), 30.0, c.par))
     }),
     row("economics", |c| show(ablate::economics(c.geo(), c.hot()))),
     row("setup-time", |c| show(ablate::setup_time(c.geo()))),

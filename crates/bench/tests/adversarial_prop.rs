@@ -51,7 +51,7 @@ proptest! {
             let kind = AttackKind::ALL[pick];
             // An attack may fail to stage (no viable target on this
             // world); staged or not, the net must be left quiescent.
-            let staged = launch_attack(kind, &mut world.internet, &world.vns, seed).is_ok();
+            let staged = launch_attack(kind, &mut world.internet, &mut world.vns, seed).is_ok();
             prop_assert!(
                 world.internet.net.is_quiescent(),
                 "{kind} left the net torn (staged {staged}, seed {seed}, hot {hot})"
@@ -75,7 +75,7 @@ proptest! {
             AttackKind::AnycastExactHijack
         };
         let mut world = testworld::tiny_mode(seed, false);
-        launch_attack(kind, &mut world.internet, &world.vns, seed)
+        launch_attack(kind, &mut world.internet, &mut world.vns, seed)
             .expect("anycast attacks always stage (the VNS always has an upstream)");
         let codes = fired(&world);
         for code in kind.expected_invariants() {

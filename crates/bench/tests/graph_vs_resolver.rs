@@ -185,7 +185,7 @@ fn graph_agrees_with_resolver_under_management_overrides() {
     assert_eq!(steered.outcomes.len(), parent.outcomes.len());
 
     // A forced exit moves the egress, not the agreement.
-    let (mut internet, vns) = testworld::raw_tiny(20);
+    let (mut internet, mut vns) = testworld::raw_tiny(20);
     let prefix = testworld::european_prefix(&internet);
     vns.mgmt_force_exit(&mut internet, prefix, PopId(7))
         .expect("reconverges");
@@ -198,8 +198,8 @@ fn graph_agrees_with_resolver_with_a_forged_more_specific_registered() {
     // `anycast-interception` registers a /20 under the anycast /16: the
     // registry holds two populated lengths and the /16 is shadowed at its
     // first host.
-    let (mut internet, vns) = testworld::raw_tiny(77);
-    let attack = launch_attack(AttackKind::AnycastInterception, &mut internet, &vns, 77)
+    let (mut internet, mut vns) = testworld::raw_tiny(77);
+    let attack = launch_attack(AttackKind::AnycastInterception, &mut internet, &mut vns, 77)
         .expect("attack launches");
     let forged = attack.victim_prefix.expect("forged prefix");
     let seen = assert_agreement(&internet, &VerifyScope::default(), "anycast-interception");

@@ -396,12 +396,7 @@ fn setup_time_shapes() {
 
 #[test]
 fn auto_override_closes_the_gap() {
-    let config = WorldConfig {
-        seed: 116,
-        scale: SCALE,
-        ..WorldConfig::default()
-    };
-    let a = ablate::auto_override(&config, 30.0, Par::seq());
+    let a = ablate::auto_override(&World::geo(116, SCALE), 30.0, Par::seq());
     let get = |label: &str| {
         a.values
             .iter()

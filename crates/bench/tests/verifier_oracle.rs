@@ -340,7 +340,7 @@ fn attacks_say_what_they_said() {
     let mut valleys = 0;
     for kind in AttackKind::ALL {
         let mut world = testworld::tiny(77);
-        launch_attack(kind, &mut world.internet, &world.vns, 77)
+        launch_attack(kind, &mut world.internet, &mut world.vns, 77)
             .unwrap_or_else(|e| panic!("{kind}: launch failed: {e}"));
         let (v, _) = assert_says_what_it_said(
             &world.internet,

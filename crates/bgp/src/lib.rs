@@ -22,8 +22,9 @@
 //!   the synthetic Internet, plus community filtering;
 //! * [`speaker`] — per-router Adj-RIB-In / Loc-RIB / Adj-RIB-Out state, one
 //!   slot per prefix, with route-reflector semantics (cluster list,
-//!   originator id), *best external* advertisement, and an import hook
-//!   through which `vns-core` injects the geo LOCAL_PREF rewrite;
+//!   originator id), *best external* advertisement, and an import
+//!   preference table ([`ImportPrefs`]) through which `vns-core` injects the
+//!   geo LOCAL_PREF rewrite;
 //! * [`igp`] — weighted shortest paths inside an AS, driving the hot-potato
 //!   tie-break;
 //! * [`net`] — an activation-queue convergence engine over a set of
@@ -55,4 +56,4 @@ pub use policy::{may_export, Policy, Relation};
 pub use prefix::Prefix;
 pub use prefix_ids::{Covering, PrefixId, PrefixKey};
 pub use route::{AsPath, Asn, Community, Origin, RouteAttrs, RouteSource, DEFAULT_LOCAL_PREF};
-pub use speaker::{ImportHook, Message, PeerConfig, PeerKind, Speaker};
+pub use speaker::{ImportPrefs, Message, PeerConfig, PeerKind, Speaker};

@@ -41,7 +41,7 @@ use crate::prefix::Prefix;
 use crate::prefix_ids::{Covering, PrefixId, PrefixTable};
 pub use crate::route::SpeakerId;
 use crate::route::{Asn, Community, RouteAttrs, RouteSource};
-use crate::speaker::{Message, PeerConfig, PeerKind, Speaker};
+use crate::speaker::{ImportPrefs, Message, PeerConfig, PeerKind, Speaker};
 
 /// Statistics from a convergence run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -177,7 +177,7 @@ fn index(id: SpeakerId) -> usize {
 ///
 /// Speaker ids index `Vec`s here (see the module docs): give speakers dense
 /// ids, as `vns-topo`'s `Internet::alloc_speaker_id` does.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct BgpNet {
     /// `speakers[id]`, `None` where no speaker has the id.
     speakers: Vec<Option<Speaker>>,
@@ -326,23 +326,46 @@ impl BgpNet {
         self.prefixes = ahead;
     }
 
-    /// Every prefix the network names that contains `ip`, longest first,
-    /// with its id — from the newest table: the network's, or the one the
-    /// speaker lent out last has grown ahead of it (see the module docs),
-    /// so a prefix a lent speaker named after convergence is on the list.
-    /// [`Speaker::lookup_in`] over it is [`Speaker::lookup_up_to`] at every
-    /// speaker of the network, for one probe of the table per address
-    /// instead of one per speaker.
-    pub fn covering(&self, ip: u32) -> Covering {
+    /// The newest prefix table: the network's, or the one the speaker lent
+    /// out last has grown ahead of it (see the module docs), so a prefix a
+    /// lent speaker named after convergence is in it.
+    fn newest_prefixes(&self) -> &PrefixTable {
         let lent = self.lent.and_then(|id| self.speaker(id));
-        let newest = match lent.map(|sp| &**sp.prefixes()) {
+        match lent.map(|sp| &**sp.prefixes()) {
             Some(ahead) if ahead.len() > self.prefixes.len() => {
                 debug_assert!(ahead.extends(&self.prefixes), "a lent table forked");
                 ahead
             }
-            _ => &*self.prefixes,
-        };
-        newest.covering(ip)
+            _ => &self.prefixes,
+        }
+    }
+
+    /// Every prefix the network names that contains `ip`, longest first,
+    /// with its id — from the newest table. [`Speaker::lookup_in`] over it
+    /// is [`Speaker::lookup_up_to`] at every speaker of the network, for
+    /// one probe of the table per address instead of one per speaker.
+    pub fn covering(&self, ip: u32) -> Covering {
+        self.newest_prefixes().covering(ip)
+    }
+
+    /// Every prefix the network names, with its id, in id order.
+    pub fn prefix_ids(&self) -> impl Iterator<Item = (Prefix, PrefixId)> + '_ {
+        let table = self.newest_prefixes();
+        (0..table.len()).map(|i| {
+            let id = PrefixId::from_index(i);
+            (table.prefix(id), id)
+        })
+    }
+
+    /// The import preferences `pref(prefix, next_hop)` gives every prefix
+    /// the network names × every hop in `next_hops`, one row per prefix id
+    /// (see [`ImportPrefs`]). A prefix named later has no row.
+    pub fn import_prefs(
+        &self,
+        next_hops: Vec<SpeakerId>,
+        pref: impl FnMut(Prefix, SpeakerId) -> Option<u32>,
+    ) -> ImportPrefs {
+        ImportPrefs::build(self.newest_prefixes(), next_hops, pref)
     }
 
     /// The network's id for `prefix`, named on first sight. The speakers
@@ -1432,30 +1455,12 @@ mod tests {
         }
     }
 
-    /// Equal-preference boost for client routes at a reflector — a
-    /// stand-in for the geo LOCAL_PREF rewrite when two egresses fall in
-    /// the same distance band.
-    #[derive(Debug)]
-    struct FlatBoost;
-
-    impl crate::speaker::ImportHook for FlatBoost {
-        fn on_import(
-            &self,
-            _from: SpeakerId,
-            _prefix: Prefix,
-            source: &crate::route::RouteSource,
-            attrs: &mut crate::route::RouteAttrs,
-        ) {
-            if source.is_ibgp() {
-                attrs.local_pref = 200;
-            }
-        }
-    }
-
     /// AS100 with borders 1, 2 and reflectors 3 (near border 1) and
     /// 4 (near border 2); both borders hold an equally-preferred external
     /// route to the same prefix, boosted above the default by the
-    /// reflectors' import hook. Reproduces the two-reflector deflection
+    /// reflectors' import preferences — a flat 200 via either border,
+    /// standing in for the geo LOCAL_PREF when two egresses fall in the
+    /// same distance band. Reproduces the two-reflector deflection
     /// loop: with a vantage-dependent IGP tie-break each reflector picks
     /// its nearest egress, and each border then prefers the *other*
     /// border's reflected route over its own external one.
@@ -1488,9 +1493,13 @@ mod tests {
             import: Policy::FlatPreference,
         };
         net.connect(SpeakerId(3), ibgp, SpeakerId(4), ibgp);
+        net.originate(SpeakerId(5), p("10.9.0.0/16"));
+        net.originate(SpeakerId(6), p("10.9.0.0/16"));
+        let flat_boost =
+            Arc::new(net.import_prefs(vec![SpeakerId(1), SpeakerId(2)], |_, _| Some(200)));
         for (rr, near, far) in [(3, 1, 2), (4, 2, 1)] {
             let sp = net.speaker_mut(SpeakerId(rr)).expect("rr exists");
-            sp.set_import_hook(Box::new(FlatBoost));
+            sp.set_import_prefs(Arc::clone(&flat_boost));
             sp.set_igp_costs(
                 [(SpeakerId(near), 1), (SpeakerId(far), 10)]
                     .into_iter()
@@ -1503,8 +1512,6 @@ mod tests {
                 .expect("border exists")
                 .set_best_external(true);
         }
-        net.originate(SpeakerId(5), p("10.9.0.0/16"));
-        net.originate(SpeakerId(6), p("10.9.0.0/16"));
         net
     }
 

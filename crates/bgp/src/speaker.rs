@@ -4,15 +4,16 @@
 //! The update flow mirrors a real implementation:
 //!
 //! ```text
-//! receive() ── import policy / loop checks / import hook ──▶ Adj-RIB-In
+//! receive() ── import policy / loop checks / import preferences ──▶ Adj-RIB-In
 //! process() ── decision process per dirty prefix ──▶ Loc-RIB
 //!          └── export policy per peer, diffed against Adj-RIB-Out ──▶ messages
 //! ```
 //!
-//! The **import hook** is the extension point the paper's contribution
-//! plugs into: `vns-core` installs a hook on the route-reflector speakers
-//! that rewrites LOCAL_PREF from the great-circle distance between the
-//! route's egress router and the prefix's GeoIP location (Sec 3.2).
+//! The **import preferences** are where the paper's contribution plugs in:
+//! `vns-core` gives the route-reflector speakers an [`ImportPrefs`] table
+//! holding the LOCAL_PREF of every (prefix, egress router) pair, filled
+//! from the great-circle distance between the router and the prefix's
+//! GeoIP location (Sec 3.2).
 //!
 //! **Best external** (Sec 3.2, "hidden routes"): when a border router's
 //! overall best route is iBGP-learned, it would normally stay silent over
@@ -69,10 +70,11 @@
 //! allocation is shared by: an Adj-RIB-In entry and the Loc-RIB entry it
 //! won; a locally originated route and its Loc-RIB entry; every message one
 //! reselect emits in the same export form; and, over iBGP, the sender's
-//! form and the Adj-RIB-In entry of every receiver without an import hook.
+//! form and the Adj-RIB-In entry of every receiver whose import
+//! preferences leave the route's LOCAL_PREF as it is.
 //! Writers copy first (`Arc::make_mut`): eBGP import (LOCAL_PREF,
-//! next-hop-self, relation tag), the import hook, and the planted-defect
-//! hooks.
+//! next-hop-self, relation tag), an import preference that changes
+//! LOCAL_PREF, and the planted-defect hooks.
 //!
 //! **The export-form rule.** What a candidate looks like on the wire does
 //! not depend on who receives it; only *whether* a peer may hear it does.
@@ -170,24 +172,67 @@ pub struct PeerConfig {
     pub import: Policy,
 }
 
-/// Hook applied to every accepted route before it enters Adj-RIB-In.
+/// LOCAL_PREF by prefix and next hop: what a speaker assigns to every
+/// iBGP-learned route with a non-empty AS path before it enters
+/// Adj-RIB-In.
 ///
 /// This is how `vns-core` implements the paper's modified Quagga: the geo
-/// route reflector's hook rewrites `attrs.local_pref` as a function of the
-/// distance between `attrs.next_hop` (the egress border router) and the
-/// prefix's GeoIP location.
-///
-/// `Send + Sync` so a converged network (and the hooks installed on its
-/// speakers) can be shared read-only across campaign worker threads.
-pub trait ImportHook: std::fmt::Debug + Send + Sync {
-    /// Inspect/rewrite an accepted route. `from` is the sending peer.
-    fn on_import(
-        &self,
-        from: SpeakerId,
-        prefix: Prefix,
-        source: &RouteSource,
-        attrs: &mut RouteAttrs,
-    );
+/// route reflector's LOCAL_PREF depends only on the route's egress router
+/// (its next hop, which next-hop-self at ingress preserves across iBGP) and
+/// the prefix, so `vns-core` fills one table — every prefix the network
+/// names × every VNS router — and gives it to both reflectors. A row is a
+/// prefix id of the network's table ([`crate::BgpNet::import_prefs`]
+/// builds one); a column, a next hop. A missing row or cell (a prefix named
+/// after the table was built, a next hop without a column, a cell left
+/// `None`) leaves the route alone, and so does a route learned over eBGP or
+/// originated inside the AS (empty AS path).
+#[derive(Debug, Clone)]
+pub struct ImportPrefs {
+    /// The next hops with a column, sorted.
+    next_hops: Vec<SpeakerId>,
+    /// `cells[row * next_hops.len() + column]`.
+    cells: Vec<Option<u32>>,
+}
+
+impl ImportPrefs {
+    /// The table `pref` gives every prefix `table` names (one row per id)
+    /// × every hop in `next_hops`.
+    pub(crate) fn build(
+        table: &PrefixTable,
+        mut next_hops: Vec<SpeakerId>,
+        mut pref: impl FnMut(Prefix, SpeakerId) -> Option<u32>,
+    ) -> Self {
+        next_hops.sort_unstable();
+        next_hops.dedup();
+        let mut cells = Vec::with_capacity(table.len() * next_hops.len());
+        for i in 0..table.len() {
+            let prefix = table.prefix(PrefixId::from_index(i));
+            cells.extend(next_hops.iter().map(|&hop| pref(prefix, hop)));
+        }
+        Self { next_hops, cells }
+    }
+
+    /// The LOCAL_PREF of a route to prefix `id` via `next_hop`; `None`
+    /// leaves such a route alone.
+    pub fn get(&self, id: PrefixId, next_hop: SpeakerId) -> Option<u32> {
+        let column = self.next_hops.binary_search(&next_hop).ok()?;
+        *self.cells.get(id.index() * self.next_hops.len() + column)?
+    }
+
+    /// Applies the table to a route for prefix `id` learned from `source`.
+    /// The attributes stay the sender's allocation unless the preference
+    /// changes; only then are they copied.
+    fn apply(&self, id: PrefixId, source: &RouteSource, attrs: &mut Arc<RouteAttrs>) {
+        if !source.is_ibgp() || attrs.as_path.is_empty() {
+            return;
+        }
+        if let Some(lp) = self
+            .get(id, attrs.next_hop)
+            .filter(|lp| *lp != attrs.local_pref)
+        {
+            Arc::make_mut(attrs).local_pref = lp;
+        }
+    }
 }
 
 /// Stable hash of advertised attributes, used to diff Adj-RIB-Out without
@@ -384,7 +429,7 @@ fn export_for<'f>(
 
 /// A short list its owner keeps sorted: up to two entries inline, more on
 /// the heap.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 enum Few<T> {
     #[default]
     Zero,
@@ -468,7 +513,7 @@ impl<T> Few<T> {
 }
 
 /// Everything one speaker holds for one prefix (see the module docs).
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct Slot {
     /// Adj-RIB-In: the candidates heard, one per sender, sorted by sender.
     learned: Few<Candidate>,
@@ -510,7 +555,7 @@ fn upsert<V>(list: &mut Vec<(SpeakerId, V)>, key: SpeakerId, value: V) {
 }
 
 /// One router.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Speaker {
     id: SpeakerId,
     asn: Asn,
@@ -536,7 +581,9 @@ pub struct Speaker {
     /// speakers: intra-AS haul to that session's interconnect; router-level
     /// speakers leave this empty, meaning 0), sorted by peer.
     session_costs: Vec<(SpeakerId, u64)>,
-    import_hook: Option<Box<dyn ImportHook>>,
+    /// LOCAL_PREF for iBGP imports (route reflectors in VNS), shared with
+    /// the other reflectors.
+    import_prefs: Option<Arc<ImportPrefs>>,
     best_external: bool,
     /// Skip the IGP-metric step of the decision process (step 6), the
     /// `bgp bestpath igp-metric ignore` of real routers. Deployed on
@@ -574,7 +621,7 @@ impl Speaker {
             originated: Vec::new(),
             igp_costs: Vec::new(),
             session_costs: Vec::new(),
-            import_hook: None,
+            import_prefs: None,
             best_external: false,
             ignore_igp_metric: false,
             export_own_ibgp: false,
@@ -639,9 +686,16 @@ impl Speaker {
         lookup(&self.peers, peer)
     }
 
-    /// Installs the import hook (route reflectors in VNS).
-    pub fn set_import_hook(&mut self, hook: Box<dyn ImportHook>) {
-        self.import_hook = Some(hook);
+    /// Installs the import preferences (route reflectors in VNS). They
+    /// apply to routes imported from now on: a route refresh from the
+    /// senders re-imports what is already held.
+    pub fn set_import_prefs(&mut self, prefs: Arc<ImportPrefs>) {
+        self.import_prefs = Some(prefs);
+    }
+
+    /// The import preferences, if any were installed.
+    pub fn import_prefs(&self) -> Option<&Arc<ImportPrefs>> {
+        self.import_prefs.as_ref()
     }
 
     /// Enables best-external advertisement (border routers in VNS).
@@ -816,11 +870,8 @@ impl Speaker {
                         RouteSource::Ibgp { peer: from }
                     }
                 };
-                // Without a hook an iBGP-learned route stays the sender's
-                // allocation; a hook may rewrite, so it gets a copy.
-                if let Some(hook) = &self.import_hook {
-                    let prefix = self.prefixes.prefix(id);
-                    hook.on_import(from, prefix, &source, Arc::make_mut(&mut attrs));
+                if let Some(prefs) = &self.import_prefs {
+                    prefs.apply(id, &source, &mut attrs);
                 }
                 let candidate = Candidate { attrs, source };
                 let slot = self.slot_mut(id);
@@ -1648,19 +1699,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn import_hook_rewrites_local_pref() {
-        let mut s = Speaker::new(SpeakerId(1), Asn(100));
-        s.set_import_hook(Box::new(Boost));
-        s.add_peer(SpeakerId(2), ebgp_cfg(200, Relation::Provider));
-        s.receive(
-            SpeakerId(2),
-            update(p("10.0.0.0/8"), vec![200], SpeakerId(2)),
-        );
-        s.process();
-        assert_eq!(s.best(&p("10.0.0.0/8")).unwrap().attrs.local_pref, 999);
-    }
-
     fn ibgp_cfg(kind: PeerKind) -> PeerConfig {
         PeerConfig {
             kind,
@@ -1668,20 +1706,63 @@ mod tests {
         }
     }
 
-    /// A hook that rewrites LOCAL_PREF, standing in for the geo reflector's.
-    #[derive(Debug)]
-    struct Boost;
-
-    impl ImportHook for Boost {
-        fn on_import(
-            &self,
-            _from: SpeakerId,
-            _prefix: Prefix,
-            _source: &RouteSource,
-            attrs: &mut RouteAttrs,
-        ) {
-            attrs.local_pref = 999;
+    /// Names `prefixes` at `s`, then gives it the table `pref` fills over
+    /// every prefix it names × `next_hops` — standing in for the geo
+    /// reflector's.
+    fn install_prefs(
+        s: &mut Speaker,
+        prefixes: &[Prefix],
+        next_hops: Vec<SpeakerId>,
+        pref: impl FnMut(Prefix, SpeakerId) -> Option<u32>,
+    ) {
+        for &prefix in prefixes {
+            s.intern(prefix);
         }
+        let prefs = ImportPrefs::build(s.prefixes(), next_hops, pref);
+        s.set_import_prefs(Arc::new(prefs));
+    }
+
+    #[test]
+    fn import_prefs_rewrite_ibgp_local_pref() {
+        let prefix = p("10.0.0.0/8");
+        let mut s = Speaker::new(SpeakerId(1), Asn(100));
+        install_prefs(&mut s, &[prefix], vec![SpeakerId(2)], |_, _| Some(999));
+        s.add_peer(SpeakerId(2), ibgp_cfg(PeerKind::IbgpClient));
+        s.receive(SpeakerId(2), update(prefix, vec![200], SpeakerId(2)));
+        s.process();
+        assert_eq!(s.best(&prefix).unwrap().attrs.local_pref, 999);
+    }
+
+    #[test]
+    fn import_prefs_leave_ebgp_empty_path_and_unnamed_routes_alone() {
+        let (named, late) = (p("10.0.0.0/8"), p("11.0.0.0/8"));
+        let mut s = Speaker::new(SpeakerId(1), Asn(100));
+        // Every cell of every row and column says 999; the table is built
+        // before `late` is named, so `late`'s row is past the end.
+        install_prefs(
+            &mut s,
+            &[named],
+            vec![SpeakerId(2), SpeakerId(3)],
+            |_, _| Some(999),
+        );
+        s.add_peer(SpeakerId(2), ebgp_cfg(200, Relation::Customer));
+        s.add_peer(SpeakerId(3), ibgp_cfg(PeerKind::IbgpClient));
+        s.receive(SpeakerId(2), update(named, vec![200], SpeakerId(2)));
+        let ebgp = &s.candidates(&named)[0].attrs;
+        assert_eq!(
+            ebgp.local_pref, 130,
+            "the customer policy's, not the table's"
+        );
+        s.receive(SpeakerId(3), update(named, vec![], SpeakerId(3)));
+        s.receive(SpeakerId(3), update(late, vec![300], SpeakerId(3)));
+        let own = &s.candidates(&named)[1].attrs;
+        assert_eq!(own.local_pref, DEFAULT_LOCAL_PREF, "empty AS path");
+        let unnamed = &s.candidates(&late)[0].attrs;
+        assert_eq!(unnamed.local_pref, DEFAULT_LOCAL_PREF, "past-the-end row");
+        let prefs = s.import_prefs().unwrap();
+        assert_eq!(prefs.get(PrefixId::from_index(0), SpeakerId(3)), Some(999));
+        assert_eq!(prefs.get(PrefixId::from_index(1), SpeakerId(3)), None);
+        assert_eq!(prefs.get(PrefixId::from_index(0), SpeakerId(4)), None);
     }
 
     fn update_attrs(msg: &Message) -> &Arc<RouteAttrs> {
@@ -1729,44 +1810,53 @@ mod tests {
     }
 
     #[test]
-    fn ibgp_receiver_stores_the_senders_allocation_unless_it_has_a_hook() {
+    fn ibgp_receiver_copies_the_senders_allocation_only_for_a_changed_pref() {
         let prefix = p("10.0.0.0/8");
         // Border 1 learns over eBGP and passes the route on as-is to its
-        // reflectors 10 (no hook) and 11 (hook).
+        // reflectors 10 (no table), 11 (a table that changes the
+        // preference) and 12 (a table that assigns the one it has).
         let mut border = Speaker::new(SpeakerId(1), Asn(100));
         border.add_peer(SpeakerId(2), ebgp_cfg(200, Relation::Provider));
-        border.add_peer(SpeakerId(10), ibgp_cfg(PeerKind::Ibgp));
-        border.add_peer(SpeakerId(11), ibgp_cfg(PeerKind::Ibgp));
+        for rr in [10, 11, 12] {
+            border.add_peer(SpeakerId(rr), ibgp_cfg(PeerKind::Ibgp));
+        }
         border.receive(SpeakerId(2), update(prefix, vec![200], SpeakerId(2)));
         let msgs = border.process();
-        assert_eq!(msgs.len(), 2);
+        assert_eq!(msgs.len(), 3);
         let selected = &border.best(&prefix).unwrap().attrs;
         assert!(Arc::ptr_eq(selected, &border.candidates(&prefix)[0].attrs));
         for (_, msg) in &msgs {
             assert!(Arc::ptr_eq(selected, update_attrs(msg)), "as-is form");
         }
 
-        let mut plain = Speaker::new(SpeakerId(10), Asn(100));
-        plain.add_peer(SpeakerId(1), ibgp_cfg(PeerKind::IbgpClient));
-        let mut hooked = Speaker::new(SpeakerId(11), Asn(100));
-        hooked.add_peer(SpeakerId(1), ibgp_cfg(PeerKind::IbgpClient));
-        hooked.set_import_hook(Box::new(Boost));
-        for (to, msg) in msgs {
-            let rr = if to == SpeakerId(10) {
-                &mut plain
-            } else {
-                &mut hooked
-            };
+        let mut rrs: Vec<Speaker> = [(10, None), (11, Some(999)), (12, Some(90))]
+            .into_iter()
+            .map(|(id, lp)| {
+                let mut rr = Speaker::new(SpeakerId(id), Asn(100));
+                rr.add_peer(SpeakerId(1), ibgp_cfg(PeerKind::IbgpClient));
+                if lp.is_some() {
+                    install_prefs(&mut rr, &[prefix], vec![SpeakerId(1)], |_, _| lp);
+                }
+                rr
+            })
+            .collect();
+        for ((to, msg), rr) in msgs.into_iter().zip(&mut rrs) {
+            assert_eq!(to, rr.id());
             rr.receive(SpeakerId(1), msg);
             rr.process();
         }
         let selected = &border.best(&prefix).unwrap().attrs;
+        let [plain, changed, unchanged] = &rrs[..] else {
+            unreachable!("three reflectors")
+        };
         assert!(Arc::ptr_eq(selected, &plain.candidates(&prefix)[0].attrs));
         assert!(Arc::ptr_eq(selected, &plain.best(&prefix).unwrap().attrs));
-        let rewritten = &hooked.candidates(&prefix)[0].attrs;
+        let rewritten = &changed.candidates(&prefix)[0].attrs;
         assert!(!Arc::ptr_eq(selected, rewritten));
         assert_eq!(rewritten.local_pref, 999);
         assert_eq!(selected.local_pref, 90, "sender keeps its provider pref");
+        let kept = &unchanged.candidates(&prefix)[0].attrs;
+        assert!(Arc::ptr_eq(selected, kept), "an unchanged pref is no copy");
     }
 
     #[test]

@@ -19,9 +19,6 @@
 //! and records which invariants actually fired — the detection matrix with
 //! its measured catch rate.
 
-use std::collections::BTreeMap;
-use std::sync::Arc;
-
 use vns_bgp::{
     ConvergenceError, ConvergenceStats, PeerConfig, PeerKind, Policy, Prefix, Relation, Speaker,
     SpeakerId,
@@ -32,7 +29,6 @@ use vns_topo::{AsId, AsInfo, AsType, Internet};
 
 use crate::config::RoutingMode;
 use crate::fault::{FaultError, FaultInjector, FaultPlan};
-use crate::georr::GeoHook;
 use crate::service::Vns;
 
 /// Where the synthetic malicious AS homes: far from the EU/NA client mass
@@ -250,7 +246,7 @@ pub struct LaunchedAttack {
 pub fn launch(
     kind: AttackKind,
     internet: &mut Internet,
-    vns: &Vns,
+    vns: &mut Vns,
     seed: u64,
 ) -> Result<LaunchedAttack, AttackError> {
     match kind {
@@ -525,39 +521,17 @@ fn geo_poison_db(
     })
 }
 
-/// Installs fresh reflector hooks over `snapshot` (the build-time wiring
-/// with a different database) and refreshes every border session so the
-/// whole control plane reconverges on the poisoned geography.
+/// Has the reflectors score with `snapshot` from now on (a new import
+/// table, as the build fills it, over a different database) and refreshes
+/// every border session so the whole control plane reconverges on the
+/// poisoned geography.
 fn ingest_snapshot(
     internet: &mut Internet,
-    vns: &Vns,
+    vns: &mut Vns,
     snapshot: vns_geo::GeoIpDb<Prefix>,
 ) -> Result<(ConvergenceStats, usize), AttackError> {
-    let snapshot = Arc::new(snapshot);
-    let mut locations = BTreeMap::new();
-    let mut pops = BTreeMap::new();
-    for pop in vns.pops() {
-        for b in pop.borders {
-            locations.insert(b, pop.location());
-            pops.insert(b, pop.id());
-        }
-    }
-    let locations = Arc::new(locations);
-    let pops = Arc::new(pops);
-    let mut events = 0;
-    for rr in vns.reflectors() {
-        let hook = GeoHook::new(
-            Arc::clone(&snapshot),
-            Arc::clone(&locations),
-            Arc::clone(&pops),
-            vns.lp_fn(),
-            Arc::clone(vns.overrides()),
-        );
-        if let Some(s) = internet.net.speaker_mut(rr) {
-            s.set_import_hook(Box::new(hook));
-            events += 1;
-        }
-    }
+    vns.reflector_geoip = snapshot;
+    let events = vns.push_import_prefs(internet);
     let borders: Vec<SpeakerId> = vns.pops().iter().flat_map(|p| p.borders).collect();
     for b in borders {
         if let Some(s) = internet.net.speaker_mut(b) {
@@ -571,7 +545,7 @@ fn ingest_snapshot(
 
 fn geo_poison_ingested(
     internet: &mut Internet,
-    vns: &Vns,
+    vns: &mut Vns,
     seed: u64,
 ) -> Result<LaunchedAttack, AttackError> {
     if vns.mode() != RoutingMode::GeoColdPotato {
@@ -602,7 +576,10 @@ fn geo_poison_ingested(
     })
 }
 
-fn geo_shift_ingested(internet: &mut Internet, vns: &Vns) -> Result<LaunchedAttack, AttackError> {
+fn geo_shift_ingested(
+    internet: &mut Internet,
+    vns: &mut Vns,
+) -> Result<LaunchedAttack, AttackError> {
     if vns.mode() != RoutingMode::GeoColdPotato {
         return Ok(LaunchedAttack {
             kind: AttackKind::GeoShiftIngested,
@@ -828,8 +805,8 @@ mod tests {
 
     #[test]
     fn exact_hijack_converges_with_forged_origin() {
-        let (mut internet, vns) = tiny_world(7);
-        let hit = launch(AttackKind::AnycastExactHijack, &mut internet, &vns, 7).unwrap();
+        let (mut internet, mut vns) = tiny_world(7);
+        let hit = launch(AttackKind::AnycastExactHijack, &mut internet, &mut vns, 7).unwrap();
         let attacker = hit.attacker.unwrap();
         let best = internet
             .net
@@ -844,8 +821,8 @@ mod tests {
 
     #[test]
     fn interception_keeps_a_covering_route() {
-        let (mut internet, vns) = tiny_world(8);
-        let hit = launch(AttackKind::AnycastInterception, &mut internet, &vns, 8).unwrap();
+        let (mut internet, mut vns) = tiny_world(8);
+        let hit = launch(AttackKind::AnycastInterception, &mut internet, &mut vns, 8).unwrap();
         let attacker = hit.attacker.unwrap();
         let sp = internet.net.speaker(attacker).unwrap();
         // The /20 is locally originated; the covering /16 was learned from
@@ -862,11 +839,11 @@ mod tests {
 
     #[test]
     fn route_leak_plants_a_valley() {
-        let (mut internet, vns) = tiny_world(9);
+        let (mut internet, mut vns) = tiny_world(9);
         if vns.peers().is_empty() {
             return; // tiny worlds may lack IXP peers; campaign worlds don't
         }
-        let hit = launch(AttackKind::RouteLeak, &mut internet, &vns, 9).unwrap();
+        let hit = launch(AttackKind::RouteLeak, &mut internet, &mut vns, 9).unwrap();
         let attacker = hit.attacker.unwrap();
         // Some prefix in the peer's Adj-RIB-In from the attacker must be
         // provider-learned at the attacker — the valley the verifier flags.
@@ -896,15 +873,15 @@ mod tests {
 
     #[test]
     fn flap_storm_ends_restored_and_quiescent() {
-        let (mut internet, vns) = tiny_world(10);
-        let hit = launch(AttackKind::FlapStorm, &mut internet, &vns, 10).unwrap();
+        let (mut internet, mut vns) = tiny_world(10);
+        let hit = launch(AttackKind::FlapStorm, &mut internet, &mut vns, 10).unwrap();
         assert_eq!(hit.events, FLAP_STORM_POPS.len() * FLAP_STORM_CYCLES * 2);
         assert!(hit.stats.messages > 0);
     }
 
     #[test]
     fn ingested_poison_changes_reflector_preferences() {
-        let (mut internet, vns) = tiny_world(11);
+        let (mut internet, mut vns) = tiny_world(11);
         // Snapshot reflector Adj-RIB-In preferences before the attack.
         let rr = vns.reflectors()[0];
         let before: Vec<u32> = internet
@@ -914,7 +891,7 @@ mod tests {
             .adj_rib_in_entries()
             .map(|(.., c)| c.attrs.local_pref)
             .collect();
-        launch(AttackKind::GeoPoisonIngested, &mut internet, &vns, 11).unwrap();
+        launch(AttackKind::GeoPoisonIngested, &mut internet, &mut vns, 11).unwrap();
         let after: Vec<u32> = internet
             .net
             .speaker(rr)
@@ -930,8 +907,8 @@ mod tests {
 
     #[test]
     fn byzantine_corruptions_survive_reconvergence() {
-        let (mut internet, vns) = tiny_world(12);
-        let hit = launch(AttackKind::ByzantineLoop, &mut internet, &vns, 12).unwrap();
+        let (mut internet, mut vns) = tiny_world(12);
+        let hit = launch(AttackKind::ByzantineLoop, &mut internet, &mut vns, 12).unwrap();
         let victim = hit.victim_prefix.unwrap();
         let pop = vns.pop_by_code("AMS").unwrap();
         let [b0, b1] = pop.borders;
@@ -940,8 +917,8 @@ mod tests {
         assert_eq!(nh0.attrs.next_hop, b1);
         assert_eq!(nh1.attrs.next_hop, b0);
 
-        let (mut internet, vns) = tiny_world(13);
-        let hit = launch(AttackKind::ByzantineBlackhole, &mut internet, &vns, 13).unwrap();
+        let (mut internet, mut vns) = tiny_world(13);
+        let hit = launch(AttackKind::ByzantineBlackhole, &mut internet, &mut vns, 13).unwrap();
         let victim = hit.victim_prefix.unwrap();
         let egress = hit.attacker.unwrap();
         assert!(internet

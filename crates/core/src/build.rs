@@ -7,7 +7,6 @@
 //! convergence.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, RwLock};
 
 use rand::Rng;
 
@@ -22,8 +21,6 @@ use vns_topo::internet::{AsInfo, PrefixInfo};
 use vns_topo::{AsId, AsType, Internet};
 
 use crate::config::{RoutingMode, VnsConfig, MESSAGE_BUDGET};
-use crate::georr::GeoHook;
-use crate::mgmt::Overrides;
 use crate::pops::{resolve_city, Pop, PopId, INTER_CLUSTER_LINKS, POP_SPECS};
 use crate::service::{EchoServer, Vns};
 
@@ -170,32 +167,24 @@ pub fn deploy_vns(internet: &mut Internet, config: &VnsConfig) -> Vns {
         },
     );
 
-    // --- Geo hook -------------------------------------------------------------
-    let overrides = Arc::new(RwLock::new(Overrides::default()));
-    let mut router_pop_map: BTreeMap<SpeakerId, PopId> = BTreeMap::new();
-    let mut router_loc: BTreeMap<SpeakerId, GeoPoint> = BTreeMap::new();
+    // --- Geo preference ---------------------------------------------------------
+    // The reflectors score with the registry's GeoIP database as it stands
+    // now, before the service prefixes below are registered; the import
+    // table itself is filled once the deployment is assembled.
+    let mut router_pop: BTreeMap<SpeakerId, PopId> = BTreeMap::new();
+    let mut router_locations: BTreeMap<SpeakerId, GeoPoint> = BTreeMap::new();
     for pop in &pops {
         for b in pop.borders {
-            router_pop_map.insert(b, pop.id());
-            router_loc.insert(b, pop.location());
+            router_pop.insert(b, pop.id());
+            router_locations.insert(b, pop.location());
         }
     }
-    router_loc.insert(rr0, city(ams).location);
-    router_loc.insert(rr1, city(ash).location);
-    let router_pop = Arc::new(router_pop_map);
+    router_locations.insert(rr0, city(ams).location);
+    router_locations.insert(rr1, city(ash).location);
+    let reflector_geoip = internet.geoip.clone();
     if config.mode == RoutingMode::GeoColdPotato {
-        let geoip = Arc::new(internet.geoip.clone());
-        let locations = Arc::new(router_loc);
         for rr in [rr0, rr1] {
-            let hook = GeoHook::new(
-                Arc::clone(&geoip),
-                Arc::clone(&locations),
-                Arc::clone(&router_pop),
-                config.lp_fn,
-                Arc::clone(&overrides),
-            );
             let speaker = internet.net.speaker_mut(rr).expect("rr exists");
-            speaker.set_import_hook(Box::new(hook));
             // Geo mode overrides hot potato, so the reflectors' own IGP
             // position must not leak into their choice: with two
             // reflectors at different sites, a vantage-dependent
@@ -388,7 +377,7 @@ pub fn deploy_vns(internet: &mut Internet, config: &VnsConfig) -> Vns {
     let echo_prefixes: Vec<Prefix> = echo_servers.iter().map(|e| e.prefix).collect();
     internet.as_info_mut(as_id).prefixes.extend(echo_prefixes);
 
-    Vns::assemble(
+    let vns = Vns::assemble(
         as_id,
         asn,
         config.mode,
@@ -400,9 +389,12 @@ pub fn deploy_vns(internet: &mut Internet, config: &VnsConfig) -> Vns {
         peers,
         anycast_prefix,
         echo_servers,
-        overrides,
         router_pop,
-    )
+        router_locations,
+        reflector_geoip,
+    );
+    vns.push_import_prefs(internet);
+    vns
 }
 
 /// Creates an eBGP session between a VNS border router and an external

@@ -1,4 +1,4 @@
-//! The geo route-reflector hook — the paper's modified Quagga.
+//! The geo route-reflector preference — the paper's modified Quagga.
 //!
 //! Sec 3.2, "Basic operation": *"Our Quagga RR is modified to assign a
 //! local preference value to each route based on its geographic location.
@@ -10,22 +10,24 @@
 //! of 100. Finally, it re-advertises the modified route to all neighbors
 //! except A."*
 //!
-//! [`GeoHook`] implements exactly that as an import hook on the reflector
-//! speakers: the egress router is the route's next hop (next-hop-self at
-//! ingress preserves it across iBGP), its location is known from the PoP
-//! map, and the prefix's location comes from the GeoIP database. The
-//! management overrides (Sec 3.2, "Overriding Geo-routing") are consulted
-//! first.
+//! [`Vns::assigned_pref`] is that rule: the egress router is the route's
+//! next hop (next-hop-self at ingress preserves it across iBGP), its
+//! location is known from the PoP map, and the prefix's location comes from
+//! the GeoIP database. The management overrides (Sec 3.2, "Overriding
+//! Geo-routing") are consulted first. Because the result depends only on
+//! the egress router and the prefix, the reflectors hold it as a table
+//! ([`vns_bgp::ImportPrefs`]) filled for every prefix × VNS router at
+//! deploy, before each management route refresh, and when an ingest attack
+//! swaps the GeoIP copy they score with.
 
-use std::collections::BTreeMap;
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
-use vns_bgp::{ImportHook, Prefix, RouteAttrs, RouteSource, SpeakerId, DEFAULT_LOCAL_PREF};
-use vns_geo::{GeoIpDb, GeoPoint};
+use vns_bgp::{Prefix, SpeakerId, DEFAULT_LOCAL_PREF};
+use vns_geo::GeoIpDb;
+use vns_topo::Internet;
 
-use crate::lpfunc::LocalPrefFn;
-use crate::mgmt::Overrides;
-use crate::pops::PopId;
+use crate::config::RoutingMode;
+use crate::service::Vns;
 
 /// LOCAL_PREF given to the forced egress PoP's routes.
 pub const FORCED_EXIT_PREF: u32 = 100_000;
@@ -33,67 +35,33 @@ pub const FORCED_EXIT_PREF: u32 = 100_000;
 /// above default so hot-potato doesn't resurface through a stale route).
 pub const FORCED_OTHER_PREF: u32 = 150;
 
-/// The reflector's import transformation.
-#[derive(Debug, Clone)]
-pub struct GeoHook {
-    /// GeoIP view shared with the rest of the deployment.
-    geoip: Arc<GeoIpDb<Prefix>>,
-    /// Location of every VNS router.
-    router_locations: Arc<BTreeMap<SpeakerId, GeoPoint>>,
-    /// PoP of every VNS router (for forced exits).
-    router_pops: Arc<BTreeMap<SpeakerId, PopId>>,
-    /// The `f(d)` shape.
-    lp_fn: LocalPrefFn,
-    /// Live management overrides.
-    overrides: Arc<RwLock<Overrides>>,
-}
-
-impl GeoHook {
-    /// Builds a hook over shared deployment state.
-    pub fn new(
-        geoip: Arc<GeoIpDb<Prefix>>,
-        router_locations: Arc<BTreeMap<SpeakerId, GeoPoint>>,
-        router_pops: Arc<BTreeMap<SpeakerId, PopId>>,
-        lp_fn: LocalPrefFn,
-        overrides: Arc<RwLock<Overrides>>,
-    ) -> Self {
-        Self {
-            geoip,
-            router_locations,
-            router_pops,
-            lp_fn,
-            overrides,
-        }
-    }
-
-    /// The preference this hook would assign to a route for `prefix`
-    /// egressing at `router` (exposed for tests and diagnostics).
-    pub fn preference_for(&self, router: SpeakerId, prefix: Prefix) -> Option<u32> {
-        let loc = self.geoip.lookup(prefix).ok()?;
-        let rloc = self.router_locations.get(&router)?;
-        Some(self.lp_fn.compute(rloc.distance_km(&loc)))
-    }
-
-    /// The LOCAL_PREF this hook assigns to a route for `prefix` egressing
-    /// at `egress`, overrides included; `None` leaves the route untouched
-    /// (prefix missing from GeoIP with no override active).
+impl Vns {
+    /// The LOCAL_PREF the reflectors assign to a route for `prefix`
+    /// egressing at `egress`, with `geoip` locating the prefix and the
+    /// current overrides included; `None` leaves the route untouched
+    /// (prefix missing from `geoip`, or an egress that is no VNS router,
+    /// with no override active).
     ///
     /// This is the *whole* transformation: it depends only on the egress
     /// router and the prefix, never on the incoming attributes — which is
-    /// what makes the hook idempotent and lets `vns-verify` recompute the
-    /// expected preference for every reflector Adj-RIB-In entry.
-    pub fn assigned_pref(&self, egress: SpeakerId, prefix: Prefix) -> Option<u32> {
-        let overrides = self.overrides.read().expect("overrides lock poisoned");
-        if overrides.is_exempt(&prefix) {
+    /// what lets the reflectors hold it as a table and `vns-verify`
+    /// recompute the expected preference for every reflector Adj-RIB-In
+    /// entry.
+    pub fn assigned_pref(
+        &self,
+        geoip: &GeoIpDb<Prefix>,
+        egress: SpeakerId,
+        prefix: Prefix,
+    ) -> Option<u32> {
+        if self.overrides.is_exempt(&prefix) {
             // Exempted from geo-routing: fall back to default preference,
             // i.e. plain BGP behaviour (Sec 3.2: "exempting a prefix
             // altogether from being geo-routed, in case it is spread
             // globally").
             return Some(DEFAULT_LOCAL_PREF);
         }
-        if let Some(forced) = overrides.forced_exit(&prefix) {
-            let here = self.router_pops.get(&egress);
-            return Some(if here == Some(&forced) {
+        if let Some(forced) = self.overrides.forced_exit(&prefix) {
+            return Some(if self.pop_of_router(egress) == Some(forced) {
                 FORCED_EXIT_PREF
             } else {
                 FORCED_OTHER_PREF
@@ -101,160 +69,37 @@ impl GeoHook {
         }
         // Normal geo scoring. Prefixes missing from the GeoIP database
         // keep their default preference (the paper's fallback).
-        self.preference_for(egress, prefix)
+        let loc = geoip.lookup(prefix).ok()?;
+        let rloc = self.router_locations.get(&egress)?;
+        Some(self.lp_fn().compute(rloc.distance_km(&loc)))
     }
-}
 
-impl ImportHook for GeoHook {
-    fn on_import(
-        &self,
-        _from: SpeakerId,
-        prefix: Prefix,
-        source: &RouteSource,
-        attrs: &mut RouteAttrs,
-    ) {
-        // Only routes arriving over iBGP from clients carry an egress to
-        // score; the reflectors have no eBGP sessions, but be explicit.
-        if !source.is_ibgp() {
-            return;
+    /// Fills the reflectors' import preferences — [`Vns::assigned_pref`]
+    /// over the reflectors' GeoIP copy for every prefix the network names
+    /// × every VNS router — and gives both reflectors the one table.
+    /// Returns how many reflectors got it; a hot-potato deployment has no
+    /// geo preference and gets none.
+    ///
+    /// The table takes effect on the routes the reflectors import next, so
+    /// every caller follows it with a route refresh. A prefix named after
+    /// the push has no row, so its routes keep their preference until the
+    /// next push: an override set on a prefix no router had named at the
+    /// last push does not apply when that prefix is originated later.
+    pub(crate) fn push_import_prefs(&self, internet: &mut Internet) -> usize {
+        if self.mode() != RoutingMode::GeoColdPotato {
+            return 0;
         }
-        // Never geo-score routes originated inside the VNS AS itself
-        // (empty AS path): the paper's rewrite targets Internet
-        // destinations. Service prefixes (the anycast relay, echo servers,
-        // injected steering more-specifics) must keep default preference,
-        // or the reflected copy would outrank each border's own Local
-        // route and break anycast landing.
-        if attrs.as_path.is_empty() {
-            return;
+        let routers = self.router_locations.keys().copied().collect();
+        let prefs = Arc::new(internet.net.import_prefs(routers, |prefix, egress| {
+            self.assigned_pref(&self.reflector_geoip, egress, prefix)
+        }));
+        let mut pushed = 0;
+        for rr in self.reflectors() {
+            if let Some(speaker) = internet.net.speaker_mut(rr) {
+                speaker.set_import_prefs(Arc::clone(&prefs));
+                pushed += 1;
+            }
         }
-        if let Some(lp) = self.assigned_pref(attrs.next_hop, prefix) {
-            attrs.local_pref = lp;
-            // Runtime twin of the vns-verify geo-preference invariant: the
-            // transformation must be idempotent — re-applying it to the
-            // already-rewritten route assigns the same preference.
-            debug_assert_eq!(
-                self.assigned_pref(attrs.next_hop, prefix),
-                Some(lp),
-                "geo hook not idempotent for {prefix} via {}",
-                attrs.next_hop
-            );
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use vns_bgp::{Asn, Origin};
-    use vns_geo::cities::city_by_name;
-
-    fn loc(name: &str) -> GeoPoint {
-        city_by_name(name).unwrap().1.location
-    }
-
-    fn setup() -> (GeoHook, Prefix) {
-        let prefix: Prefix = "20.0.0.0/16".parse().unwrap();
-        let mut geoip = GeoIpDb::new();
-        geoip.insert(prefix, loc("Paris"), "FR");
-        let mut locations = BTreeMap::new();
-        locations.insert(SpeakerId(1), loc("Amsterdam"));
-        locations.insert(SpeakerId(2), loc("Singapore"));
-        let mut pops = BTreeMap::new();
-        pops.insert(SpeakerId(1), PopId(9));
-        pops.insert(SpeakerId(2), PopId(7));
-        let hook = GeoHook::new(
-            Arc::new(geoip),
-            Arc::new(locations),
-            Arc::new(pops),
-            LocalPrefFn::default(),
-            Arc::new(RwLock::new(Overrides::default())),
-        );
-        (hook, prefix)
-    }
-
-    fn attrs(next_hop: u32) -> RouteAttrs {
-        RouteAttrs {
-            local_pref: DEFAULT_LOCAL_PREF,
-            as_path: vec![Asn(7)].into(),
-            origin: Origin::Igp,
-            med: 0,
-            communities: vec![],
-            next_hop: SpeakerId(next_hop),
-            originator_id: None,
-            cluster_list: vec![],
-        }
-    }
-
-    fn ibgp(from: u32) -> RouteSource {
-        RouteSource::Ibgp {
-            peer: SpeakerId(from),
-        }
-    }
-
-    #[test]
-    fn closer_egress_scores_higher() {
-        let (hook, prefix) = setup();
-        // Paris prefix: Amsterdam egress beats Singapore egress.
-        let mut a = attrs(1);
-        hook.on_import(SpeakerId(1), prefix, &ibgp(1), &mut a);
-        let mut b = attrs(2);
-        hook.on_import(SpeakerId(2), prefix, &ibgp(2), &mut b);
-        assert!(
-            a.local_pref > b.local_pref,
-            "{} vs {}",
-            a.local_pref,
-            b.local_pref
-        );
-        assert!(b.local_pref > DEFAULT_LOCAL_PREF, "always above default");
-    }
-
-    #[test]
-    fn unknown_prefix_untouched() {
-        let (hook, _) = setup();
-        let other: Prefix = "99.0.0.0/16".parse().unwrap();
-        let mut a = attrs(1);
-        hook.on_import(SpeakerId(1), other, &ibgp(1), &mut a);
-        assert_eq!(a.local_pref, DEFAULT_LOCAL_PREF);
-    }
-
-    #[test]
-    fn ebgp_updates_ignored() {
-        let (hook, prefix) = setup();
-        let mut a = attrs(1);
-        hook.on_import(
-            SpeakerId(1),
-            prefix,
-            &RouteSource::Ebgp {
-                peer: SpeakerId(9),
-                peer_as: Asn(9),
-                relation: vns_bgp::Relation::Provider,
-            },
-            &mut a,
-        );
-        assert_eq!(a.local_pref, DEFAULT_LOCAL_PREF);
-    }
-
-    #[test]
-    fn exempt_prefix_reverts_to_default() {
-        let (hook, prefix) = setup();
-        hook.overrides.write().unwrap().exempt(prefix);
-        let mut a = attrs(1);
-        a.local_pref = 999;
-        hook.on_import(SpeakerId(1), prefix, &ibgp(1), &mut a);
-        assert_eq!(a.local_pref, DEFAULT_LOCAL_PREF);
-    }
-
-    #[test]
-    fn forced_exit_dominates_geography() {
-        let (hook, prefix) = setup();
-        // Force the Paris prefix out of Singapore (PoP 7).
-        hook.overrides.write().unwrap().force_exit(prefix, PopId(7));
-        let mut ams = attrs(1);
-        hook.on_import(SpeakerId(1), prefix, &ibgp(1), &mut ams);
-        let mut sin = attrs(2);
-        hook.on_import(SpeakerId(2), prefix, &ibgp(2), &mut sin);
-        assert_eq!(sin.local_pref, FORCED_EXIT_PREF);
-        assert_eq!(ams.local_pref, FORCED_OTHER_PREF);
-        assert!(sin.local_pref > ams.local_pref);
+        pushed
     }
 }

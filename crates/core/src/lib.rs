@@ -12,17 +12,18 @@
 //! Routing (Sec 3.2): every border router speaks eBGP to upstream transit
 //! providers and IXP peers, and iBGP to two route reflectors. The route
 //! reflectors run the paper's modified Quagga logic — implemented here as
-//! a [`GeoHook`] on the reflector speakers: on every update from a client,
-//! LOCAL_PREF is rewritten as a decreasing function of the great-circle
-//! distance between the announcing egress router and the prefix's GeoIP
-//! location, so the whole AS converges on the geographically closest
-//! egress ("cold potato"). Border routers advertise *best external* to
+//! an import table on the reflector speakers, filled by
+//! [`Vns::assigned_pref`]: on every update from a client, LOCAL_PREF is
+//! rewritten as a decreasing function of the great-circle distance between
+//! the announcing egress router and the prefix's GeoIP location, so the
+//! whole AS converges on the geographically closest egress ("cold
+//! potato"). Border routers advertise *best external* to
 //! keep alternatives visible (the hidden-routes fix), and a management
 //! interface ([`mgmt`]) can force exits, exempt badly geolocated prefixes,
 //! or inject `NO_EXPORT`-tagged more-specifics.
 //!
 //! [`RoutingMode::HotPotato`] builds the same overlay without the geo
-//! hook — the paper's "before" configuration that Figs 4 and 5 compare
+//! preference — the paper's "before" configuration that Figs 4 and 5 compare
 //! against.
 
 pub mod adversary;
@@ -41,7 +42,6 @@ pub use build::{build_vns, deploy_vns};
 pub use config::{RoutingMode, VnsConfig};
 pub use economics::{analyze as analyze_economics, CostBreakdown, CostModel, Demand};
 pub use fault::{FaultError, FaultEvent, FaultInjector, FaultPlan};
-pub use georr::GeoHook;
 pub use lpfunc::LocalPrefFn;
 pub use mgmt::Overrides;
 pub use pops::{ClusterId, Pop, PopId, POP_COUNT};

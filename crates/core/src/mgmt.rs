@@ -8,10 +8,10 @@
 //! geo-routing entirely, and (c) statically advertise remote more-specific
 //! subnets from their closest PoP, tagged `NO_EXPORT`.
 //!
-//! [`Overrides`] is the shared state the [`crate::GeoHook`] consults; the
-//! apply-functions here push the change through the control plane (route
-//! refresh from the clients so the reflectors re-transform, then
-//! reconvergence).
+//! [`Overrides`] is the table [`Vns::assigned_pref`] consults first; the
+//! apply-functions here push the change through the control plane (a new
+//! import table for the reflectors, route refresh from the clients so the
+//! reflectors re-import, then reconvergence).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -77,58 +77,49 @@ impl Overrides {
     pub fn forced_exits(&self) -> impl Iterator<Item = (Prefix, PopId)> + '_ {
         self.forced.iter().map(|(p, pop)| (*p, *pop))
     }
-
-    /// Fault injection for verifier tests: puts `prefix` in *both* the
-    /// exempt set and the forced map, violating the mutual exclusion that
-    /// [`Overrides::exempt`]/[`Overrides::force_exit`] maintain. Exists so
-    /// tests can prove `vns-verify` catches a corrupted table; never call
-    /// it from operational code.
-    #[doc(hidden)]
-    pub fn inject_inconsistent_for_test(&mut self, prefix: Prefix, pop: PopId) {
-        self.exempt.insert(prefix);
-        self.forced.insert(prefix, pop);
-    }
 }
 
 impl Vns {
     /// Forces `prefix` to exit at `pop` and reconverges.
     pub fn mgmt_force_exit(
-        &self,
+        &mut self,
         internet: &mut Internet,
         prefix: Prefix,
         pop: PopId,
     ) -> Result<(), ConvergenceError> {
-        self.overrides()
-            .write()
-            .expect("overrides lock poisoned")
-            .force_exit(prefix, pop);
+        self.overrides.force_exit(prefix, pop);
         self.refresh_and_run(internet)
     }
 
     /// Exempts `prefix` from geo-routing and reconverges.
     pub fn mgmt_exempt(
-        &self,
+        &mut self,
         internet: &mut Internet,
         prefix: Prefix,
     ) -> Result<(), ConvergenceError> {
-        self.overrides()
-            .write()
-            .expect("overrides lock poisoned")
-            .exempt(prefix);
+        self.overrides.exempt(prefix);
         self.refresh_and_run(internet)
     }
 
     /// Clears overrides on `prefix` and reconverges.
     pub fn mgmt_clear(
-        &self,
+        &mut self,
         internet: &mut Internet,
         prefix: Prefix,
     ) -> Result<(), ConvergenceError> {
-        self.overrides()
-            .write()
-            .expect("overrides lock poisoned")
-            .clear(&prefix);
+        self.overrides.clear(&prefix);
         self.refresh_and_run(internet)
+    }
+
+    /// Fault injection for verifier tests: puts `prefix` in *both* the
+    /// exempt set and the forced map of the override table, violating the
+    /// mutual exclusion that [`Overrides::exempt`]/[`Overrides::force_exit`]
+    /// maintain, and pushes nothing. Exists so tests can prove `vns-verify`
+    /// catches a corrupted table; never call it from operational code.
+    #[doc(hidden)]
+    pub fn inject_inconsistent_override_for_test(&mut self, prefix: Prefix, pop: PopId) {
+        self.overrides.exempt.insert(prefix);
+        self.overrides.forced.insert(prefix, pop);
     }
 
     /// Statically advertises `more_specific` from PoP `pop`, tagged
@@ -149,9 +140,11 @@ impl Vns {
         self.reconverge(internet).map(|_| ())
     }
 
-    /// Requests route refresh from every border router and reconverges —
-    /// how override changes reach the reflectors' import hook.
+    /// Gives the reflectors the import table of the current overrides,
+    /// requests route refresh from every border router and reconverges —
+    /// how override changes reach the reflectors' imports.
     fn refresh_and_run(&self, internet: &mut Internet) -> Result<(), ConvergenceError> {
+        self.push_import_prefs(internet);
         for pop in self.pops() {
             for b in pop.borders {
                 internet

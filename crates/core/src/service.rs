@@ -2,10 +2,9 @@
 //! via raw transit, and the anycast relay service.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, RwLock};
 
 use vns_bgp::{Asn, ConvergenceError, ConvergenceStats, PathError, Prefix, RouteSource, SpeakerId};
-use vns_geo::{city, CityId, GeoPoint};
+use vns_geo::{city, CityId, GeoIpDb, GeoPoint};
 use vns_topo::path::{resolve_from_prefix, resolve_path, HopKind, HopLabel, ResolvedHop};
 use vns_topo::{AsId, Internet, ResolvedPath};
 
@@ -32,7 +31,7 @@ impl EchoServer {
 }
 
 /// A built VNS deployment (see [`crate::build_vns`]).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Vns {
     as_id: AsId,
     asn: Asn,
@@ -45,8 +44,16 @@ pub struct Vns {
     peers: Vec<AsId>,
     anycast_prefix: Prefix,
     echo_servers: Vec<EchoServer>,
-    overrides: Arc<RwLock<Overrides>>,
-    router_pop: Arc<BTreeMap<SpeakerId, PopId>>,
+    /// The PoP of every border router.
+    router_pop: BTreeMap<SpeakerId, PopId>,
+    /// The location of every VNS router: borders and reflectors.
+    pub(crate) router_locations: BTreeMap<SpeakerId, GeoPoint>,
+    /// The management overrides ([`crate::mgmt`]).
+    pub(crate) overrides: Overrides,
+    /// The GeoIP database the reflectors score with: the registry's, as
+    /// the deployment found it (before its own service prefixes were
+    /// registered), until an ingest attack replaces it.
+    pub(crate) reflector_geoip: GeoIpDb<Prefix>,
 }
 
 impl Vns {
@@ -64,8 +71,9 @@ impl Vns {
         peers: Vec<AsId>,
         anycast_prefix: Prefix,
         echo_servers: Vec<EchoServer>,
-        overrides: Arc<RwLock<Overrides>>,
-        router_pop: Arc<BTreeMap<SpeakerId, PopId>>,
+        router_pop: BTreeMap<SpeakerId, PopId>,
+        router_locations: BTreeMap<SpeakerId, GeoPoint>,
+        reflector_geoip: GeoIpDb<Prefix>,
     ) -> Self {
         Self {
             as_id,
@@ -79,8 +87,10 @@ impl Vns {
             peers,
             anycast_prefix,
             echo_servers,
-            overrides,
             router_pop,
+            router_locations,
+            overrides: Overrides::default(),
+            reflector_geoip,
         }
     }
 
@@ -99,7 +109,7 @@ impl Vns {
         self.mode
     }
 
-    /// The `lp = f(d)` shape installed on the reflectors (what `vns-verify`
+    /// The `lp = f(d)` shape the reflectors score with (what `vns-verify`
     /// audits against the converged RIBs).
     pub fn lp_fn(&self) -> LocalPrefFn {
         self.lp_fn
@@ -163,9 +173,15 @@ impl Vns {
         &self.echo_servers
     }
 
-    /// Live management override table (shared with the reflectors' hook).
-    pub fn overrides(&self) -> &Arc<RwLock<Overrides>> {
+    /// The management override table: what [`Vns::assigned_pref`]
+    /// consults first.
+    pub fn overrides(&self) -> &Overrides {
         &self.overrides
+    }
+
+    /// The GeoIP database the reflectors' import table was filled from.
+    pub fn reflector_geoip(&self) -> &GeoIpDb<Prefix> {
+        &self.reflector_geoip
     }
 
     /// Message budget for reconvergence runs ([`MESSAGE_BUDGET`]).

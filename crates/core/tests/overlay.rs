@@ -210,7 +210,7 @@ fn london_upstream_backhauls_to_us() {
 
 #[test]
 fn management_force_exit_and_exempt() {
-    let (mut internet, vns) = world(19, RoutingMode::GeoColdPotato);
+    let (mut internet, mut vns) = world(19, RoutingMode::GeoColdPotato);
     // Pick a European prefix currently exiting in the EU, then force it
     // through Singapore.
     let pinfo = internet
@@ -240,7 +240,7 @@ fn management_force_exit_and_exempt() {
     // Exempting falls back to default BGP (egress may or may not change,
     // but the override table must reflect it and reconvergence succeed).
     vns.mgmt_exempt(&mut internet, prefix).expect("reconverges");
-    assert!(vns.overrides().read().unwrap().is_exempt(&prefix));
+    assert!(vns.overrides().is_exempt(&prefix));
 }
 
 #[test]

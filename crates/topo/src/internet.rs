@@ -100,7 +100,7 @@ pub struct PrefixInfo {
 }
 
 /// The world.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Internet {
     /// The BGP control plane (external AS speakers + any registered
     /// routers).

@@ -5,8 +5,7 @@
 //! shared [`Reporter`]. None of them mutate the network or depend on
 //! check order.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::collections::BTreeSet;
 
 use vns_bgp::policy::relation_from_tags;
 use vns_bgp::{
@@ -14,7 +13,7 @@ use vns_bgp::{
     DEFAULT_LOCAL_PREF,
 };
 use vns_core::lpfunc::MAX_DISTANCE_KM;
-use vns_core::{GeoHook, LocalPrefFn, RoutingMode, Vns};
+use vns_core::{LocalPrefFn, RoutingMode, Vns};
 use vns_topo::Internet;
 
 use crate::{Invariant, Reporter, VerifyScope, Violation};
@@ -100,11 +99,11 @@ pub(crate) fn lp_fn_shape(lp_fn: LocalPrefFn, label: &str, rep: &mut Reporter) {
 
 /// Invariant 4 — OVERRIDE: forced exits reference PoPs that exist, and the
 /// exempt set and forced map are disjoint (the table's own mutators keep
-/// them so; a corrupted table makes the geo hook's answer depend on
-/// lookup order).
+/// them so; a corrupted table makes the geo preference depend on lookup
+/// order).
 pub(crate) fn override_sanity(vns: &Vns, rep: &mut Reporter) {
     let pop_ids: BTreeSet<_> = vns.pops().iter().map(|p| p.id()).collect();
-    let overrides = vns.overrides().read().expect("overrides lock poisoned");
+    let overrides = vns.overrides();
     let exempt: BTreeSet<Prefix> = overrides.exempt_prefixes().collect();
     for (prefix, pop) in overrides.forced_exits() {
         if !pop_ids.contains(&pop) {
@@ -135,33 +134,13 @@ pub(crate) fn override_sanity(vns: &Vns, rep: &mut Reporter) {
     }
 }
 
-/// Rebuilds the reflectors' geo hook from deployment state, exactly as
-/// `build_vns` wired it: border locations from their PoPs, the shared
-/// GeoIP view, the deployed `f(d)` and the *live* override table.
-fn mirror_hook(internet: &Internet, vns: &Vns) -> GeoHook {
-    let mut locations = BTreeMap::new();
-    let mut pops = BTreeMap::new();
-    for pop in vns.pops() {
-        for b in pop.borders {
-            locations.insert(b, pop.location());
-            pops.insert(b, pop.id());
-        }
-    }
-    GeoHook::new(
-        Arc::new(internet.geoip.clone()),
-        Arc::new(locations),
-        Arc::new(pops),
-        vns.lp_fn(),
-        Arc::clone(vns.overrides()),
-    )
-}
-
 /// Invariant 2 — GEO-PREF: every route in a reflector's Adj-RIB-In carries
-/// exactly the LOCAL_PREF the geo hook assigns for (egress, prefix) under
-/// the *current* override table. Catches a hook that was skipped, applied
-/// twice non-idempotently, or — the common operational failure — an
-/// override change that was never pushed through a route refresh, leaving
-/// the RIBs stale.
+/// exactly the LOCAL_PREF [`Vns::assigned_pref`] assigns for (egress,
+/// prefix) over the *live* GeoIP database and the *current* override
+/// table. Catches a preference that was skipped or mis-applied, a GeoIP
+/// snapshot the reflectors ingested that disagrees with the registry, or
+/// — the common operational failure — an override change that was never
+/// pushed through a route refresh, leaving the RIBs stale.
 pub(crate) fn geo_preference(
     internet: &Internet,
     vns: &Vns,
@@ -169,10 +148,9 @@ pub(crate) fn geo_preference(
     rep: &mut Reporter,
 ) {
     if vns.mode() != RoutingMode::GeoColdPotato {
-        // Hot-potato deployments install no hook; nothing to audit.
+        // Hot-potato deployments assign no geo preference; nothing to audit.
         return;
     }
-    let hook = mirror_hook(internet, vns);
     for rr in vns.reflectors() {
         if scope.is_dead(rr) {
             // A downed reflector's Adj-RIB-In is empty by construction;
@@ -206,11 +184,12 @@ pub(crate) fn geo_preference(
             }
             if cand.attrs.as_path.is_empty() {
                 // VNS-originated service prefixes are exempt from geo
-                // scoring by design (the hook skips empty AS paths).
+                // scoring by design (the import table skips empty AS
+                // paths).
                 continue;
             }
             let egress = cand.attrs.next_hop;
-            if let Some(expected) = hook.assigned_pref(egress, prefix) {
+            if let Some(expected) = vns.assigned_pref(&internet.geoip, egress, prefix) {
                 let got = cand.attrs.local_pref;
                 if got != expected {
                     let pop = vns
@@ -232,7 +211,7 @@ pub(crate) fn geo_preference(
                 }
             }
             // `None` means the prefix is absent from GeoIP with no override
-            // active: the hook leaves such routes untouched by design.
+            // active: the reflectors leave such routes untouched by design.
         }
     }
 }

@@ -17,9 +17,9 @@
 //!    *much* higher than the default preference of 100 (Sec 3.2: "always
 //!    much higher than the default value of 100").
 //! 2. **GEO-PREF** — every route in a reflector's Adj-RIB-In carries
-//!    exactly the LOCAL_PREF the geo hook assigns for its egress router
-//!    and prefix, overrides included (the hook was applied exactly once
-//!    and the override table is not stale).
+//!    exactly the LOCAL_PREF `Vns::assigned_pref` assigns for its egress
+//!    router and prefix over the live GeoIP database, overrides included
+//!    (the reflectors scored it and the override table is not stale).
 //! 3. **NO-EXPORT** — no `NO_EXPORT`-tagged route crossed or would cross
 //!    an AS boundary (Sec 3.2: injected steering more-specifics must stay
 //!    inside VNS).
@@ -133,7 +133,7 @@ impl fmt::Display for Severity {
 pub enum Invariant {
     /// LOCAL_PREF function shape (monotonicity + floor).
     LpFnShape,
-    /// Reflector Adj-RIB-In preference matches the geo hook.
+    /// Reflector Adj-RIB-In preference matches the geo preference rule.
     GeoPreference,
     /// `NO_EXPORT` containment inside the AS.
     NoExportLeak,

@@ -80,15 +80,17 @@ fn broken_lp_fn_deployment_flagged() {
 fn stale_override_table_flagged() {
     let (internet, vns) = world(43);
     assert!(verify(&internet, &vns).is_clean());
-    // Mutate the override table WITHOUT the route refresh the management
-    // interface performs: the reflectors' RIBs still carry the old geo
-    // preferences, contradicting the table.
+    // Force an exit on a clone of the deployment, through the management
+    // interface but on a clone of the Internet: the original reflectors'
+    // RIBs never hear of it and still carry the old geo preferences,
+    // contradicting the clone's override table.
     let prefix = reflector_external_prefix(&internet, &vns);
-    vns.overrides()
-        .write()
-        .unwrap()
-        .force_exit(prefix, PopId(1));
-    let report = verify(&internet, &vns);
+    let mut changed = vns.clone();
+    changed
+        .mgmt_force_exit(&mut internet.clone(), prefix, PopId(1))
+        .expect("reconvergence");
+    assert!(vns.overrides().is_empty(), "the original is untouched");
+    let report = verify(&internet, &changed);
     assert!(
         report
             .of(Invariant::GeoPreference)
@@ -136,20 +138,15 @@ fn no_export_leak_flagged() {
 
 #[test]
 fn corrupted_override_table_flagged() {
-    let (internet, vns) = world(45);
+    let (mut internet, mut vns) = world(45);
     let prefix = reflector_external_prefix(&internet, &vns);
     // Hand-corrupt the table into the both-exempt-and-forced state the
     // mutators normally make unrepresentable, and force a second prefix to
     // a PoP that does not exist.
-    vns.overrides()
-        .write()
-        .unwrap()
-        .inject_inconsistent_for_test(prefix, PopId(3));
+    vns.inject_inconsistent_override_for_test(prefix, PopId(3));
     let ghost: Prefix = "200.1.0.0/16".parse().expect("prefix");
-    vns.overrides()
-        .write()
-        .unwrap()
-        .force_exit(ghost, PopId(99));
+    vns.mgmt_force_exit(&mut internet, ghost, PopId(99))
+        .expect("reconvergence");
     let report = verify(&internet, &vns);
     assert!(
         report
@@ -345,7 +342,7 @@ fn steerable_prefix(internet: &Internet, vns: &Vns) -> (Prefix, u32, PopId, PopI
 
 #[test]
 fn override_precedence_end_to_end() {
-    let (mut internet, vns) = world(49);
+    let (mut internet, mut vns) = world(49);
     let vantage = vns.pops()[0].id();
     let (prefix, ip, geo_egress, forced) = steerable_prefix(&internet, &vns);
 
@@ -360,27 +357,21 @@ fn override_precedence_end_to_end() {
     // Exempt replaces force (this order)…
     vns.mgmt_exempt(&mut internet, prefix)
         .expect("reconvergence");
-    {
-        let ov = vns.overrides().read().unwrap();
-        assert!(ov.is_exempt(&prefix));
-        assert_eq!(ov.forced_exit(&prefix), None);
-    }
+    assert!(vns.overrides().is_exempt(&prefix));
+    assert_eq!(vns.overrides().forced_exit(&prefix), None);
     assert!(verify(&internet, &vns).passes());
 
     // …and force replaces exempt (the other order).
     vns.mgmt_force_exit(&mut internet, prefix, forced)
         .expect("reconvergence");
-    {
-        let ov = vns.overrides().read().unwrap();
-        assert!(!ov.is_exempt(&prefix));
-        assert_eq!(ov.forced_exit(&prefix), Some(forced));
-    }
+    assert!(!vns.overrides().is_exempt(&prefix));
+    assert_eq!(vns.overrides().forced_exit(&prefix), Some(forced));
     assert_eq!(vns.egress_pop(&internet, vantage, ip), Some(forced));
 
     // Clear restores pure geo-routing.
     vns.mgmt_clear(&mut internet, prefix)
         .expect("reconvergence");
-    assert!(vns.overrides().read().unwrap().is_empty());
+    assert!(vns.overrides().is_empty());
     assert_eq!(vns.egress_pop(&internet, vantage, ip), Some(geo_egress));
     let report = verify(&internet, &vns);
     assert!(report.is_clean(), "{}", report.render());

@@ -24,7 +24,7 @@ fn main() {
 
     println!("Building the 'after' world (geo cold potato)...");
     let mut after_net = generate(&topo).expect("generate");
-    let after = build_vns(&mut after_net, &VnsConfig::default()).expect("converge");
+    let mut after = build_vns(&mut after_net, &VnsConfig::default()).expect("converge");
 
     println!("\nEgress PoP from London for sample prefixes:");
     println!(
@@ -81,25 +81,23 @@ fn main() {
         .expect("a European prefix");
     let ip = victim.first_host();
     println!("\nManagement interface on {victim}:");
-    let show = |net: &vns::topo::Internet, label: &str| {
-        let e = after
-            .egress_pop(net, viewpoint, ip)
-            .expect("egress resolves");
-        println!("  {label}: exits at {}", after.pop(e).code());
+    let show = |vns: &vns::core::Vns, net: &vns::topo::Internet, label: &str| {
+        let e = vns.egress_pop(net, viewpoint, ip).expect("egress resolves");
+        println!("  {label}: exits at {}", vns.pop(e).code());
     };
-    show(&after_net, "geo default     ");
+    show(&after, &after_net, "geo default     ");
     after
         .mgmt_force_exit(&mut after_net, victim, PopId(7))
         .expect("reconverges");
-    show(&after_net, "forced to SIN   ");
+    show(&after, &after_net, "forced to SIN   ");
     after
         .mgmt_exempt(&mut after_net, victim)
         .expect("reconverges");
-    show(&after_net, "exempted        ");
+    show(&after, &after_net, "exempted        ");
     after
         .mgmt_clear(&mut after_net, victim)
         .expect("reconverges");
-    show(&after_net, "cleared         ");
+    show(&after, &after_net, "cleared         ");
 
     // Steer one /18 of it via Hong Kong without leaking the route.
     let sub = victim.subnet(18, 2);
