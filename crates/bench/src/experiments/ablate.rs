@@ -13,10 +13,12 @@
 //!   PoP mesh: delay stretch vs circuit kilometres (the cost driver the
 //!   paper's Sec 6 economics discussion identifies).
 //!
-//! Rows that only read the default geo (or hot) world borrow it — `base`
-//! is the world `Ctx::geo()` holds — and build just their variants, from
-//! `base.config` with one knob turned. Rows that mutate a world
-//! (`auto_override`, `geoip`'s exemptions) mutate a clone of `base`.
+//! Rows borrow the default geo (or hot) world — `base` is the world
+//! `Ctx::geo()` holds. A variant is `base.config` with one deployment knob
+//! turned, deployed on a clone of `internet`, the Internet `base` was
+//! deployed on (`Ctx::internet()`); only `geoip`'s perfect database needs
+//! an Internet of its own. Rows that mutate a world (`auto_override`,
+//! `geoip`'s exemptions) mutate a [`World::fork`] of `base`.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -24,6 +26,7 @@ use rand::SeedableRng;
 use vns_core::{LocalPrefFn, PopId, VnsConfig};
 use vns_netsim::{Dur, HopChannel, LossModel, LossProcess, PathChannel, SimTime, BATCH_LEN};
 use vns_stats::Table;
+use vns_topo::Internet;
 
 use crate::campaign::prefix_metas;
 use crate::world::World;
@@ -63,11 +66,11 @@ fn egress_precision(world: &World, max_geoip_err_km: Option<f64>) -> (f64, f64) 
 /// GeoIP error up to which a prefix counts as well geolocated.
 const WELL_LOCATED_KM: f64 = 150.0;
 
-/// `base`'s world rebuilt with one deployment knob turned.
-fn variant(base: &World, turn: impl FnOnce(&mut VnsConfig)) -> World {
+/// `base`'s deployment with one knob turned, on a clone of `internet`.
+fn variant(internet: &Internet, base: &World, turn: impl FnOnce(&mut VnsConfig)) -> World {
     let mut cfg = base.config.clone();
     turn(&mut cfg.vns);
-    World::build(cfg)
+    World::deploy(internet.clone(), cfg)
 }
 
 /// One ablation table.
@@ -89,7 +92,7 @@ impl std::fmt::Display for Ablation {
 }
 
 /// LOCAL_PREF shape ablation (`base` runs the default shape).
-pub fn lp_shape(base: &World) -> Ablation {
+pub fn lp_shape(internet: &Internet, base: &World) -> Ablation {
     let shapes: [(&str, LocalPrefFn); 4] = [
         ("banded-25km (default)", LocalPrefFn::default()),
         (
@@ -111,7 +114,7 @@ pub fn lp_shape(base: &World) -> Ablation {
     let mut table = Table::new(["f(d) shape", "near-optimal egress", "mean excess km"]);
     let mut values = Vec::new();
     for (i, (name, lp_fn)) in shapes.into_iter().enumerate() {
-        let built = (i > 0).then(|| variant(base, |vns| vns.lp_fn = lp_fn));
+        let built = (i > 0).then(|| variant(internet, base, |vns| vns.lp_fn = lp_fn));
         let world = built.as_ref().unwrap_or(base);
         let (frac, excess) = egress_precision(world, Some(WELL_LOCATED_KM));
         table.push([
@@ -129,11 +132,11 @@ pub fn lp_shape(base: &World) -> Ablation {
 }
 
 /// Best-external on/off (the hidden-routes fix; `base` has it on).
-pub fn best_external(base: &World) -> Ablation {
+pub fn best_external(internet: &Internet, base: &World) -> Ablation {
     let mut table = Table::new(["best-external", "near-optimal egress", "mean excess km"]);
     let mut values = Vec::new();
     for on in [true, false] {
-        let built = (!on).then(|| variant(base, |vns| vns.best_external = false));
+        let built = (!on).then(|| variant(internet, base, |vns| vns.best_external = false));
         let world = built.as_ref().unwrap_or(base);
         let (frac, excess) = egress_precision(world, Some(WELL_LOCATED_KM));
         table.push([
@@ -161,13 +164,11 @@ pub fn geoip(base: &World) -> Ablation {
         values.push((key.to_string(), frac));
     };
 
-    // Perfect database.
-    let cfg = base.config.clone();
-    let mut topo = cfg.topo();
+    // Perfect database: the one variant on an Internet of its own.
+    let mut topo = base.config.topo();
     topo.geoip_errors = false;
-    let mut internet = vns_topo::generate(&topo).expect("generate");
-    let vns = vns_core::build_vns(&mut internet, &cfg.vns).expect("vns");
-    let world_perfect = World::from_parts(internet, vns, cfg.clone());
+    let internet = vns_topo::generate(&topo).expect("generate");
+    let world_perfect = World::deploy(internet, base.config.clone());
     row("perfect".into(), "perfect", &world_perfect);
 
     // Erroneous database (default).
@@ -176,7 +177,7 @@ pub fn geoip(base: &World) -> Ablation {
     // Erroneous + management overrides: exempt every prefix whose GeoIP
     // error exceeds 1000 km (what an operator does after spotting the
     // Fig 3 outlier clusters).
-    let mut world_fixed = World::from_parts(base.internet.clone(), base.vns.clone(), cfg);
+    let mut world_fixed = base.fork();
     let bad: Vec<vns_bgp::Prefix> = prefix_metas(&world_fixed)
         .iter()
         .filter(|m| m.geoip_err_km.is_finite() && m.geoip_err_km > 1_000.0)
@@ -288,7 +289,7 @@ pub fn fec_arq(seed: u64) -> Ablation {
 
 /// Cluster topology vs full L2 mesh: circuit cost vs delay stretch
 /// (`base` is the clustered deployment).
-pub fn l2_topology(base: &World) -> Ablation {
+pub fn l2_topology(internet: &Internet, base: &World) -> Ablation {
     let mut table = Table::new([
         "L2 topology",
         "circuits",
@@ -297,7 +298,7 @@ pub fn l2_topology(base: &World) -> Ablation {
     ]);
     let mut values = Vec::new();
     for full_mesh in [false, true] {
-        let built = full_mesh.then(|| variant(base, |vns| vns.full_mesh_l2 = true));
+        let built = full_mesh.then(|| variant(internet, base, |vns| vns.full_mesh_l2 = true));
         let world = built.as_ref().unwrap_or(base);
         let igp = world
             .internet
@@ -469,7 +470,7 @@ pub fn auto_override(base: &World, threshold_ms: f64, par: vns_netsim::Par) -> A
     use crate::campaign::{prefix_metas, rtt_matrix};
     use vns_netsim::{Dur, SimTime};
 
-    let mut world = World::from_parts(base.internet.clone(), base.vns.clone(), base.config.clone());
+    let mut world = base.fork();
     let metas = prefix_metas(&world);
     let pops: Vec<PopId> = world.vns.pops().iter().map(|p| p.id()).collect();
     let t = SimTime::EPOCH + Dur::from_hours(10);

@@ -3,7 +3,7 @@
 //!
 //! PR-5's fault campaigns established that the network *recovers from
 //! accidents*; this campaign asks whether the verifier *detects malice*.
-//! Each work unit builds a fresh converged geo world, launches one attack
+//! Each work unit forks the converged geo world, launches one attack
 //! from [`vns_core::AttackKind`]'s corpus (prefix hijacks, sub-prefix
 //! interception with forged registry cover, a valley-violating route leak,
 //! GeoIP feed poisoning, an eBGP flap storm, Byzantine RIB corruptions),
@@ -28,15 +28,15 @@
 //! converged verdict is *correct*, and the headline catch rate charges it
 //! against the corpus anyway (9/10 = 90%).
 //!
-//! Each unit builds its own world from the shared [`WorldConfig`] and
-//! derives its RNG streams from `(seed, "adversarial", attack name)`, so
-//! the artefact is byte-identical at any `--threads N`.
+//! Each attack unit rewrites its own [`World::fork`] and derives its RNG
+//! streams from `(seed, "adversarial", attack name)`, so the artefact is
+//! byte-identical at any `--threads N`.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
 use vns_bgp::{ConvergenceStats, Prefix};
-use vns_core::{launch_attack, AttackKind, PopId, RoutingMode};
+use vns_core::{launch_attack, AttackKind, PopId};
 use vns_media::VideoSpec;
 use vns_netsim::diurnal::DiurnalShape;
 use vns_netsim::{echo_scratch, DiurnalProfile, Dur, Par, RngTree, SimTime};
@@ -46,7 +46,7 @@ use vns_verify::{Certifier, Invariant, Severity};
 use crate::campaign::{
     assert_certified, channel_pair_args, echo_replay, monitored_flows, resolve_flows,
 };
-use crate::world::{World, WorldConfig};
+use crate::world::World;
 
 /// Replayed session length per affected flow (~427 pkt/s at HD1080).
 const SESSION: Dur = Dur::from_secs(10);
@@ -207,15 +207,19 @@ enum UnitResult {
     Attack(Box<AttackRow>),
 }
 
-/// Runs the campaign: two clean control rows plus every attack in
-/// [`AttackKind::ALL`], one parallel unit each.
-pub fn run(config: &WorldConfig, par: Par) -> Adversarial {
+/// Runs the campaign: two clean control rows, which verify `geo` and
+/// `hot` as they are, plus every attack in [`AttackKind::ALL`] on a fork
+/// of `geo` (half the corpus targets the geo machinery), one parallel
+/// unit each. Neither world is changed.
+pub fn run(geo: &World, hot: &World, par: Par) -> Adversarial {
     let mut units: Vec<Unit> = vec![Unit::Clean { hot: false }, Unit::Clean { hot: true }];
     units.extend(AttackKind::ALL.into_iter().map(Unit::Attack));
-    let config = &config.for_par_unit();
     let results = par.map(&units, |_, &unit| match unit {
-        Unit::Clean { hot } => UnitResult::Clean(run_clean(config, hot)),
-        Unit::Attack(kind) => UnitResult::Attack(Box::new(run_attack(config, kind))),
+        Unit::Clean { hot: h } => UnitResult::Clean(CleanRow {
+            hot: h,
+            fired: fired_invariants(if h { hot } else { geo }),
+        }),
+        Unit::Attack(kind) => UnitResult::Attack(Box::new(run_attack(geo, kind))),
     });
     let mut clean = Vec::new();
     let mut attacks = Vec::new();
@@ -226,18 +230,6 @@ pub fn run(config: &WorldConfig, par: Par) -> Adversarial {
         }
     }
     Adversarial { clean, attacks }
-}
-
-/// World config for one unit: attacks always run geo cold-potato (half
-/// the corpus targets the geo machinery); clean rows pin both modes.
-fn unit_config(config: &WorldConfig, hot: bool) -> WorldConfig {
-    let mut cfg = config.clone();
-    cfg.vns.mode = if hot {
-        RoutingMode::HotPotato
-    } else {
-        RoutingMode::GeoColdPotato
-    };
-    cfg
 }
 
 /// Error-severity finding counts from both verifier stages, in report
@@ -260,14 +252,6 @@ fn fired_invariants(world: &World) -> FiredCounts {
         .collect()
 }
 
-fn run_clean(config: &WorldConfig, hot: bool) -> CleanRow {
-    let world = World::build(unit_config(config, hot));
-    CleanRow {
-        hot,
-        fired: fired_invariants(&world),
-    }
-}
-
 /// Every external last-mile prefix with its representative host (the
 /// anycast landing sample, and the egress-target pool).
 fn client_prefixes(world: &World) -> Vec<(Prefix, u32)> {
@@ -288,10 +272,11 @@ fn landing(world: &World, ip: u32) -> Option<PopId> {
 }
 
 #[allow(clippy::too_many_lines)] // one linear measurement recipe
-fn run_attack(config: &WorldConfig, kind: AttackKind) -> AttackRow {
-    let mut world = World::build(unit_config(config, false));
+fn run_attack(geo: &World, kind: AttackKind) -> AttackRow {
+    let mut world = geo.fork();
     assert_certified(&world);
-    let tree = RngTree::new(config.seed)
+    let seed = world.config.seed;
+    let tree = RngTree::new(seed)
         .subtree("adversarial")
         .subtree(kind.name());
 
@@ -319,7 +304,7 @@ fn run_attack(config: &WorldConfig, kind: AttackKind) -> AttackRow {
     let endpoints = EndpointTable::build(&world.internet, &world.vns);
 
     // Launch and reconverge.
-    let launched = launch_attack(kind, &mut world.internet, &mut world.vns, config.seed)
+    let launched = launch_attack(kind, &mut world.internet, &mut world.vns, seed)
         .unwrap_or_else(|e| panic!("{kind}: launch failed: {e}"));
 
     // Detection: both verifier stages on the post-attack RIBs.

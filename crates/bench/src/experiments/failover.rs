@@ -35,9 +35,9 @@
 //! while the new state propagates, so their modeled outage is zero and
 //! only the measured swap gap applies.
 //!
-//! Each scenario is one parallel work unit that builds its own world from
-//! the shared [`WorldConfig`] — a pure function of the master seed — so
-//! artefacts are byte-identical at any `--threads N`.
+//! Each scenario is one parallel work unit that rewrites its own fork of
+//! the converged geo world ([`World::fork`]) — a pure function of the
+//! master seed — so artefacts are byte-identical at any `--threads N`.
 
 use std::fmt;
 
@@ -51,7 +51,7 @@ use vns_verify::Certifier;
 use crate::campaign::{
     assert_certified, channel_pair_args, echo_replay, monitored_flows, resolve_flows, MonitoredFlow,
 };
-use crate::world::{World, WorldConfig};
+use crate::world::World;
 
 /// Modeled failure-detection delay, ms (BFD-style: 3 × 100 ms).
 pub const DETECTION_MS: f64 = 300.0;
@@ -220,13 +220,11 @@ pub struct Failover {
     pub scenarios: Vec<ScenarioOutcome>,
 }
 
-/// Runs every scripted scenario, one parallel unit each. Each unit builds
-/// a fresh world from `config` (a pure function of the master seed),
-/// injects its plan step by step, and measures control plane, data plane
-/// and invariants after every step.
-pub fn run(config: &WorldConfig, par: Par) -> Failover {
-    let config = &config.for_par_unit();
-    let scenarios = par.map(&SCENARIOS, |_, &kind| run_scenario(config, kind));
+/// Runs every scripted scenario, one parallel unit each. Each unit forks
+/// `world` (left as it is), injects its plan step by step, and measures
+/// control plane, data plane and invariants after every step.
+pub fn run(world: &World, par: Par) -> Failover {
+    let scenarios = par.map(&SCENARIOS, |_, &kind| run_scenario(world, kind));
     Failover { scenarios }
 }
 
@@ -258,12 +256,12 @@ fn path_hit(path: &ResolvedPath, event: FaultEvent) -> bool {
     }
 }
 
-fn run_scenario(config: &WorldConfig, kind: ScenarioKind) -> ScenarioOutcome {
-    let mut world = World::build(config.clone());
+fn run_scenario(source: &World, kind: ScenarioKind) -> ScenarioOutcome {
+    let mut world = source.fork();
     assert_certified(&world);
     let plan = kind.plan(&world);
     let flows = monitored_flows(&world, &[]);
-    let tree = RngTree::new(config.seed)
+    let tree = RngTree::new(world.config.seed)
         .subtree("failover")
         .subtree(&plan.name);
     let mut certifier = Certifier::default();

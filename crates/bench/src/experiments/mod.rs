@@ -9,6 +9,7 @@ use std::time::Instant;
 
 use vns_core::RoutingMode;
 use vns_netsim::{Dur, Par};
+use vns_topo::{generate, Internet};
 
 use crate::{World, WorldConfig};
 
@@ -52,7 +53,9 @@ pub struct ExpRecord {
     pub name: &'static str,
     /// World scale the row ran at.
     pub scale: f64,
-    /// Wall clock, shared world builds excluded.
+    /// Wall clock without the shared builds ([`Ctx::internet`]'s one
+    /// generation, [`Ctx::geo`]'s and [`Ctx::hot`]'s deployments); what a row
+    /// builds itself, a variant's deployment or a unit's fork, counts.
     pub wall_s: f64,
     /// Work units processed.
     pub units: u64,
@@ -62,8 +65,9 @@ pub struct ExpRecord {
 
 /// What a run of experiments shares: the parsed options, the worker pool,
 /// the perf ledger, and — built on first use, then reused by every later
-/// row — the two standard worlds, the Fig 9 campaign Fig 10 reduces, and
-/// the last-mile campaign Fig 11 / Fig 12 / Table 1 reduce.
+/// row — the one generated Internet, the two standard worlds deployed on
+/// clones of it, the Fig 9 campaign Fig 10 reduces, and the last-mile
+/// campaign Fig 11 / Fig 12 / Table 1 reduce.
 #[derive(Debug)]
 pub struct Ctx {
     /// The sizing knobs.
@@ -72,11 +76,12 @@ pub struct Ctx {
     pub par: Par,
     /// Ledger rows so far, in run order.
     pub records: Vec<ExpRecord>,
+    internet: OnceCell<Internet>,
     geo: OnceCell<World>,
     hot: OnceCell<World>,
     fig9: OnceCell<fig9::Fig9>,
     lastmile: OnceCell<fig11::LastMileData>,
-    /// Seconds spent building the shared worlds (kept out of `wall_s`).
+    /// Seconds spent on the shared builds (kept out of `wall_s`).
     world_build_s: Cell<f64>,
 }
 
@@ -87,6 +92,7 @@ impl Ctx {
             opts,
             par,
             records: Vec::new(),
+            internet: OnceCell::new(),
             geo: OnceCell::new(),
             hot: OnceCell::new(),
             fig9: OnceCell::new(),
@@ -95,15 +101,27 @@ impl Ctx {
         }
     }
 
+    fn shared<T>(&self, build: impl FnOnce() -> T) -> T {
+        let t0 = Instant::now();
+        let built = build();
+        self.world_build_s
+            .set(self.world_build_s.get() + t0.elapsed().as_secs_f64());
+        built
+    }
+
+    /// The run's Internet as generated, before any VNS is deployed on it.
+    pub fn internet(&self) -> &Internet {
+        self.internet.get_or_init(|| {
+            self.shared(|| generate(&self.world_config().topo()).expect("topology generation"))
+        })
+    }
+
     fn world<'a>(&'a self, cell: &'a OnceCell<World>, mode: RoutingMode) -> &'a World {
         cell.get_or_init(|| {
-            let t0 = Instant::now();
+            let internet = self.internet();
             let mut config = self.world_config();
             config.vns.mode = mode;
-            let w = World::build(config);
-            self.world_build_s
-                .set(self.world_build_s.get() + t0.elapsed().as_secs_f64());
-            w
+            self.shared(|| World::deploy(internet.clone(), config))
         })
     }
 
@@ -117,12 +135,8 @@ impl Ctx {
         self.world(&self.hot, RoutingMode::HotPotato)
     }
 
-    /// The configuration of [`Ctx::geo`], for experiments that build and
-    /// mutate worlds of their own (faults and attacks rewrite the control
-    /// plane, so only the config crosses into their parallel units).
-    /// `--threads` is the one thread budget: a world built from this
-    /// converges on as many workers as the campaigns run on (units under
-    /// `par.map` narrow theirs to one, [`WorldConfig::for_par_unit`]).
+    /// The configuration of [`Ctx::geo`]. `--threads` is the one thread
+    /// budget: what is built from this converges on the campaigns' workers.
     pub fn world_config(&self) -> WorldConfig {
         let mut config = WorldConfig {
             seed: self.opts.seed,
@@ -210,23 +224,25 @@ pub const EXPERIMENTS: &[Experiment] = &[
     row("jitter", |c| {
         show(jitter::run(c.geo(), c.opts.sessions.min(20), c.par))
     }),
-    row("failover", |c| {
-        show(failover::run(&c.world_config(), c.par))
-    }),
+    row("failover", |c| show(failover::run(c.geo(), c.par))),
     row("adversarial", |c| {
-        show(adversarial::run(&c.world_config(), c.par))
+        show(adversarial::run(c.geo(), c.hot(), c.par))
     }),
     row("steady-state", |c| {
         let sizing = steady_state::SteadyStateOpts::from_cli(c.opts.sessions, c.opts.days);
-        show(steady_state::run(&c.world_config(), sizing, c.par))
+        show(steady_state::run_on(c.geo(), sizing, c.par))
     }),
-    row("ablate-lp", |c| show(ablate::lp_shape(c.geo()))),
+    row("ablate-lp", |c| {
+        show(ablate::lp_shape(c.internet(), c.geo()))
+    }),
     row("ablate-best-external", |c| {
-        show(ablate::best_external(c.geo()))
+        show(ablate::best_external(c.internet(), c.geo()))
     }),
     row("ablate-geoip", |c| show(ablate::geoip(c.geo()))),
     row("ablate-fec", |c| show(ablate::fec_arq(c.opts.seed))),
-    row("ablate-l2", |c| show(ablate::l2_topology(c.geo()))),
+    row("ablate-l2", |c| {
+        show(ablate::l2_topology(c.internet(), c.geo()))
+    }),
     row("ablate-mode", |c| {
         show(ablate::mode_delay(c.geo(), c.hot()))
     }),

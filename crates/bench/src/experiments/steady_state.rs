@@ -165,10 +165,16 @@ impl fmt::Display for SteadyStateResult {
     }
 }
 
-/// Runs the steady-state campaign. Builds its own world from `config`
-/// because the failure phase mutates the control plane.
+/// The campaign on a world built from `config` alone, the form
+/// `benchmark/`'s equivalence test compares its service driver against.
 pub fn run(config: &WorldConfig, opts: SteadyStateOpts, par: Par) -> SteadyStateResult {
-    let mut world = World::build(config.clone());
+    run_on(&World::build(config.clone()), opts, par)
+}
+
+/// Runs the steady-state campaign on a fork of `world` (left as it is),
+/// because the failure phase mutates the control plane.
+pub fn run_on(world: &World, opts: SteadyStateOpts, par: Par) -> SteadyStateResult {
+    let mut world = world.fork();
     assert_certified(&world);
     let endpoints = EndpointTable::build(&world.internet, &world.vns);
     let mut paths = PathTable::build(&world.internet, &world.vns, &endpoints);
@@ -187,7 +193,7 @@ pub fn run(config: &WorldConfig, opts: SteadyStateOpts, par: Par) -> SteadyState
     // indistinguishable and the campaign stays inside the perf budget.
     cfg.setup_stride = 4;
     cfg.qos_stride = 64;
-    let tree = RngTree::new(config.seed).subtree("steady-state");
+    let tree = RngTree::new(world.config.seed).subtree("steady-state");
     let mut orch = Orchestrator::new(&world.vns, cfg, tree);
 
     // Phase 1: steady churn.

@@ -36,15 +36,6 @@ impl WorldConfig {
         }
     }
 
-    /// This configuration for one unit of a `par.map`: the same world (the
-    /// worker count never changes one), converged on a single thread,
-    /// because the units already share the pool's workers between them.
-    pub fn for_par_unit(&self) -> Self {
-        let mut unit = self.clone();
-        unit.vns.convergence_threads = 1;
-        unit
-    }
-
     /// The topology config this world generates with.
     ///
     /// Below `scale = 1` every knob shrinks linearly — the historical
@@ -97,17 +88,26 @@ pub struct World {
 }
 
 impl World {
-    /// Builds a world per `config`.
+    /// Builds a world per `config`: generates its Internet and deploys on it.
     pub fn build(config: WorldConfig) -> World {
-        let mut internet = generate(&config.topo()).expect("topology generation");
+        let internet = generate(&config.topo()).expect("topology generation");
+        World::deploy(internet, config)
+    }
+
+    /// Deploys and converges VNS per `config.vns` on `internet`, one
+    /// generated per `config.topo()` or a clone of one.
+    pub fn deploy(mut internet: Internet, config: WorldConfig) -> World {
         let vns = build_vns(&mut internet, &config.vns).expect("VNS convergence");
         World::from_parts(internet, vns, config)
     }
 
-    /// A world around an Internet and a deployment generated elsewhere
-    /// (with topology knobs [`WorldConfig::topo`] does not carry), with the
-    /// channel factory `config.seed` gives every world.
-    pub fn from_parts(internet: Internet, vns: Vns, config: WorldConfig) -> World {
+    /// A copy for a campaign unit to rewrite, the source left as it was,
+    /// with the fresh channel factory every world starts with.
+    pub fn fork(&self) -> World {
+        World::from_parts(self.internet.clone(), self.vns.clone(), self.config.clone())
+    }
+
+    fn from_parts(internet: Internet, vns: Vns, config: WorldConfig) -> World {
         let factory = ChannelFactory::new(
             CalibrationConfig::default(),
             RngTree::new(config.seed).subtree("channels"),

@@ -114,12 +114,9 @@ fn clean_worlds_fire_nothing() {
 /// every per-attack verdict must match the per-kind expectation.
 #[test]
 fn campaign_catch_rate_meets_the_committed_baseline() {
-    let config = vns_bench::WorldConfig {
-        seed: GATE_SEED,
-        scale: testworld::SWEEP_SCALE,
-        ..vns_bench::WorldConfig::default()
-    };
-    let result = vns_bench::experiments::adversarial::run(&config, vns_netsim::Par::seq());
+    let geo = testworld::sweep(GATE_SEED, false);
+    let hot = testworld::sweep(GATE_SEED, true);
+    let result = vns_bench::experiments::adversarial::run(&geo, &hot, vns_netsim::Par::seq());
     for row in &result.attacks {
         let expected_detected = !row.kind.expected_invariants().is_empty();
         assert_eq!(

@@ -82,15 +82,15 @@ fn by_hand(inj: &mut FaultInjector, internet: &mut Internet, vns: &Vns, e: Fault
 
 #[test]
 fn certified_steps_equal_the_hand_written_sequence_and_the_campaign() {
-    let config = WorldConfig::tiny(REPRO_SEED).for_par_unit();
-    let campaign = failover::run(&config, Par::seq());
-    let plans = failover_plans(&World::build(config.clone()));
+    let world = World::build(WorldConfig::tiny(REPRO_SEED));
+    let campaign = failover::run(&world, Par::seq());
+    let plans = failover_plans(&world);
     assert_eq!(campaign.scenarios.len(), plans.len());
     for (plan, recorded) in plans.iter().zip(&campaign.scenarios) {
         assert_eq!(plan.name, recorded.name);
         assert_eq!(plan.steps.len(), recorded.steps.len(), "{}", plan.name);
-        let mut certified_world = World::build(config.clone());
-        let mut hand_world = World::build(config.clone());
+        let mut certified_world = world.fork();
+        let mut hand_world = world.fork();
         let mut certifier = Certifier::default();
         let mut inj = FaultInjector::new();
         for (&event, step) in plan.steps.iter().zip(&recorded.steps) {

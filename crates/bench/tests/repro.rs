@@ -81,22 +81,20 @@ fn table1_artefact_is_byte_identical_across_thread_counts() {
 
 #[test]
 fn failover_artefact_is_byte_identical_across_thread_counts() {
-    // Failover units each mutate their own world built from the shared
-    // config, so this also pins the incremental-reconvergence engine
-    // (disconnect/reconnect, fault injection, scoped verify) across
-    // thread counts.
-    assert_identical("failover", |w, par| {
-        failover::run(&w.config, par).to_string()
-    });
+    // Failover units each mutate their own fork of the world, so this
+    // also pins the incremental-reconvergence engine (disconnect/
+    // reconnect, fault injection, scoped verify) across thread counts.
+    assert_identical("failover", |w, par| failover::run(w, par).to_string());
 }
 
 #[test]
 fn adversarial_artefact_is_byte_identical_across_thread_counts() {
-    // Each unit rebuilds and attacks its own world; this pins the whole
-    // corpus — attack staging, incremental reconvergence, both verifier
-    // stages, flow replay and the live call slice — across thread counts.
+    // Each unit forks and attacks the world; this pins the whole corpus —
+    // attack staging, incremental reconvergence, both verifier stages,
+    // flow replay and the live call slice — across thread counts.
+    let hot = testworld::tiny_mode(testworld::REPRO_SEED, true);
     assert_identical("adversarial", |w, par| {
-        adversarial::run(&w.config, par).to_string()
+        adversarial::run(w, &hot, par).to_string()
     });
 }
 
@@ -111,7 +109,7 @@ fn steady_state_artefact_is_byte_identical_across_thread_counts() {
         windows: 6,
     };
     assert_identical("steady-state", |w, par| {
-        steady_state::run(&w.config, opts, par).to_string()
+        steady_state::run_on(w, opts, par).to_string()
     });
 }
 
@@ -121,7 +119,7 @@ fn rr_failover_reconverges_clean_with_bounded_outage() {
     // to quiescence with zero scoped-verify violations, and no monitored
     // flow's outage window may exceed a sane bound.
     let w = tiny_world();
-    let result = failover::run(&w.config, Par::seq());
+    let result = failover::run(&w, Par::seq());
     let rr = result.scenarios.iter().find(|s| s.name == "rr-failover");
     let rr = rr.expect("scenario present");
     assert!(!rr.steps.is_empty());

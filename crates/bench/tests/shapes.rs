@@ -10,9 +10,22 @@ use vns_bench::{World, WorldConfig};
 use vns_core::PopId;
 use vns_geo::Region;
 use vns_netsim::{Dur, Par};
-use vns_topo::AsType;
+use vns_topo::{generate, AsType, Internet};
 
 const SCALE: f64 = 0.45;
+
+/// `World::geo(seed, SCALE)` and the Internet it is deployed on, for the
+/// ablations that deploy their variants on a clone of that Internet.
+fn geo_on_internet(seed: u64) -> (Internet, World) {
+    let config = WorldConfig {
+        seed,
+        scale: SCALE,
+        ..WorldConfig::default()
+    };
+    let internet = generate(&config.topo()).expect("topology generation");
+    let world = World::deploy(internet.clone(), config);
+    (internet, world)
+}
 
 #[test]
 fn fig3_geo_metric_mostly_matches_network_proximity() {
@@ -221,7 +234,8 @@ fn ablation_fec_vs_arq_crossover() {
 
 #[test]
 fn ablation_l2_topology_cost() {
-    let a = ablate::l2_topology(&World::geo(109, SCALE));
+    let (internet, base) = geo_on_internet(109);
+    let a = ablate::l2_topology(&internet, &base);
     let get = |label: &str| {
         a.values
             .iter()
@@ -237,7 +251,8 @@ fn ablation_l2_topology_cost() {
 
 #[test]
 fn ablation_best_external_never_hurts() {
-    let a = ablate::best_external(&World::geo(110, SCALE));
+    let (internet, base) = geo_on_internet(110);
+    let a = ablate::best_external(&internet, &base);
     let on = a.values.iter().find(|(l, _)| l == "true").unwrap().1;
     let off = a.values.iter().find(|(l, _)| l == "false").unwrap().1;
     assert!(on + 1e-9 >= off, "best-external on {on} vs off {off}");
@@ -507,7 +522,8 @@ fn jitter_stays_low_and_vns_is_not_worse() {
 
 #[test]
 fn ablation_lp_shape_default_is_near_optimal() {
-    let a = ablate::lp_shape(&World::geo(120, SCALE));
+    let (internet, base) = geo_on_internet(120);
+    let a = ablate::lp_shape(&internet, &base);
     let get = |label: &str| {
         a.values
             .iter()

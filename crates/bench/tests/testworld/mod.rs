@@ -69,3 +69,22 @@ pub fn european_prefix(internet: &Internet) -> vns_bgp::Prefix {
         .map(|p| p.prefix)
         .expect("a European last-mile prefix")
 }
+
+/// Every speaker's Adj-RIB-In and Loc-RIB, attributes and sources spelled
+/// out.
+pub fn rib_snapshot(internet: &Internet) -> Vec<(vns_bgp::SpeakerId, Vec<String>)> {
+    internet
+        .net
+        .speaker_ids()
+        .map(|id| {
+            let sp = internet.net.speaker(id).expect("listed speaker");
+            let learned = sp
+                .adj_rib_in_entries()
+                .map(|(p, _, from, c)| format!("in {p} {from} {:?} {:?}", c.attrs, c.source));
+            let selected = sp
+                .loc_rib_entries()
+                .map(|(p, _, c)| format!("best {p} {:?} {:?}", c.attrs, c.source));
+            (id, learned.chain(selected).collect())
+        })
+        .collect()
+}

@@ -129,21 +129,7 @@ pub fn deploy_vns(internet: &mut Internet, config: &VnsConfig) -> Vns {
     }
     igp.add_link(rr0, pop_by_id(PopId(9)).borders[0], 1);
     igp.add_link(rr1, pop_by_id(PopId(5)).borders[0], 1);
-    // Install per-router IGP cost tables.
-    let all_routers: Vec<SpeakerId> = pops
-        .iter()
-        .flat_map(|p| p.borders)
-        .chain([rr0, rr1])
-        .collect();
-    for &r in &all_routers {
-        let costs = igp.shortest_costs(r);
-        internet
-            .net
-            .speaker_mut(r)
-            .expect("router exists")
-            .set_igp_costs(costs.into_iter().collect());
-    }
-    internet.as_info_mut(as_id).igp = Some(igp);
+    internet.set_igp(as_id, igp);
 
     // --- iBGP ----------------------------------------------------------------
     let flat = Policy::FlatPreference;

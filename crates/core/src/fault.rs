@@ -340,17 +340,16 @@ impl FaultInjector {
         b: SpeakerId,
     ) -> Result<(), FaultError> {
         let key = session_key(a, b);
-        let as_id = vns.as_id();
-        let igp = {
-            let info = internet.as_info_mut(as_id);
-            let igp = info.igp.as_mut().ok_or(FaultError::UnknownCircuit(a, b))?;
-            let cost = igp
-                .remove_link(key.0, key.1)
-                .ok_or(FaultError::UnknownCircuit(a, b))?;
-            self.cut_circuits.insert(key, cost);
-            igp.clone()
-        };
-        reinstall_igp_costs(internet, vns, &igp);
+        let mut igp = internet
+            .as_info(vns.as_id())
+            .igp
+            .clone()
+            .ok_or(FaultError::UnknownCircuit(a, b))?;
+        let cost = igp
+            .remove_link(key.0, key.1)
+            .ok_or(FaultError::UnknownCircuit(a, b))?;
+        self.cut_circuits.insert(key, cost);
+        internet.set_igp(vns.as_id(), igp);
         Ok(())
     }
 
@@ -366,31 +365,13 @@ impl FaultInjector {
             .cut_circuits
             .remove(&key)
             .ok_or(FaultError::UnknownCircuit(a, b))?;
-        let as_id = vns.as_id();
-        let igp = {
-            let info = internet.as_info_mut(as_id);
-            let igp = info.igp.as_mut().ok_or(FaultError::UnknownCircuit(a, b))?;
-            igp.add_link(key.0, key.1, cost);
-            igp.clone()
-        };
-        reinstall_igp_costs(internet, vns, &igp);
+        let mut igp = internet
+            .as_info(vns.as_id())
+            .igp
+            .clone()
+            .ok_or(FaultError::UnknownCircuit(a, b))?;
+        igp.add_link(key.0, key.1, cost);
+        internet.set_igp(vns.as_id(), igp);
         Ok(())
-    }
-}
-
-/// Pushes fresh per-router shortest-cost tables into every VNS speaker
-/// after an IGP topology change (hot-potato inputs changed everywhere).
-fn reinstall_igp_costs(internet: &mut Internet, vns: &Vns, igp: &vns_bgp::IgpGraph) {
-    let routers: Vec<SpeakerId> = vns
-        .pops()
-        .iter()
-        .flat_map(|p| p.borders)
-        .chain(vns.reflectors())
-        .collect();
-    for r in routers {
-        let costs = igp.shortest_costs(r);
-        if let Some(sp) = internet.net.speaker_mut(r) {
-            sp.set_igp_costs(costs);
-        }
     }
 }

@@ -500,21 +500,17 @@ fn create_ltp(
         routers.push((site, id));
     }
     debug_assert!(!routers.is_empty(), "LTP with no presence");
-    // Backbone IGP: full mesh between regional routers.
+    // Backbone IGP: full mesh between regional routers (every router a
+    // node, so a one-region provider has one too).
     let mut igp = vns_bgp::IgpGraph::new();
+    for &(_, r) in &routers {
+        igp.add_node(r);
+    }
     for i in 0..routers.len() {
         for j in (i + 1)..routers.len() {
             let km = Internet::city_km(routers[i].0, routers[j].0).max(1.0) as u64;
             igp.add_link(routers[i].1, routers[j].1, km);
         }
-    }
-    for &(_, r) in &routers {
-        let costs = igp.shortest_costs(r);
-        internet
-            .net
-            .speaker_mut(r)
-            .expect("router exists")
-            .set_igp_costs(costs.into_iter().collect());
     }
     // iBGP full mesh.
     for i in 0..routers.len() {
@@ -531,7 +527,7 @@ fn create_ltp(
         .find(|(c, _)| *c == home)
         .or(routers.first())
         .map(|&(_, s)| s);
-    internet.add_as(AsInfo {
+    let id = internet.add_as(AsInfo {
         id: internet.next_as_id(),
         asn,
         ty: AsType::Ltp,
@@ -542,8 +538,10 @@ fn create_ltp(
         routers,
         prefixes: Vec::new(),
         dedicated: false,
-        igp: Some(igp),
-    })
+        igp: None,
+    });
+    internet.set_igp(id, igp);
+    id
 }
 
 /// Cities where both ASes are present, sorted for determinism.

@@ -315,6 +315,21 @@ impl Internet {
         &mut self.ases[id.0 as usize]
     }
 
+    /// Lays `graph` down as the intra-AS topology of `as_id`: stores it in
+    /// [`AsInfo::igp`] and installs each node's shortest-cost row into that
+    /// router, in node order, marking the router active (its hot-potato
+    /// inputs changed). The one place an IGP lands, at build time and
+    /// after a circuit fault alike.
+    pub fn set_igp(&mut self, as_id: AsId, graph: IgpGraph) {
+        for router in graph.nodes() {
+            self.net
+                .speaker_mut(router)
+                .expect("every IGP node is a router of the network")
+                .set_igp_costs(graph.shortest_costs(router));
+        }
+        self.as_info_mut(as_id).igp = Some(graph);
+    }
+
     /// AS by number.
     pub fn as_by_asn(&self, asn: Asn) -> Option<&AsInfo> {
         self.asn_index.get(&asn).map(|id| self.as_info(*id))
