@@ -23,7 +23,7 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use vns_core::{LocalPrefFn, PopId, VnsConfig};
+use vns_core::{Change, FaultInjector, LocalPrefFn, MgmtChange, PopId, VnsConfig};
 use vns_netsim::{Dur, HopChannel, LossModel, LossProcess, PathChannel, SimTime, BATCH_LEN};
 use vns_stats::Table;
 use vns_topo::Internet;
@@ -184,10 +184,11 @@ pub fn geoip(base: &World) -> Ablation {
         .map(|m| m.prefix)
         .collect();
     let n_bad = bad.len();
+    let mut injector = FaultInjector::new();
+    let World { internet, vns, .. } = &mut world_fixed;
     for p in bad {
-        world_fixed
-            .vns
-            .mgmt_exempt(&mut world_fixed.internet, p)
+        let exempt = Change::Mgmt(MgmtChange::Exempt(p));
+        vns.apply(internet, &mut injector, exempt)
             .expect("reconverges");
     }
     row(
@@ -494,6 +495,7 @@ pub fn auto_override(base: &World, threshold_ms: f64, par: vns_netsim::Par) -> A
     let bad_before = count_bad(&world);
 
     // Apply the overrides: force each bad prefix out of its delay-best PoP.
+    let mut injector = FaultInjector::new();
     let mut fixed = 0usize;
     for (mi, m) in metas.iter().enumerate() {
         if displaced(&world, mi, m).is_none_or(|d| d <= threshold_ms) {
@@ -506,9 +508,10 @@ pub fn auto_override(base: &World, threshold_ms: f64, par: vns_netsim::Par) -> A
             .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
             .map(|(i, _)| i)
             .expect("reachable");
-        world
-            .vns
-            .mgmt_force_exit(&mut world.internet, m.prefix, pops[best_idx])
+        let (prefix, pop) = (m.prefix, pops[best_idx]);
+        let force = Change::Mgmt(MgmtChange::ForceExit { prefix, pop });
+        let World { internet, vns, .. } = &mut world;
+        vns.apply(internet, &mut injector, force)
             .expect("reconverges");
         fixed += 1;
     }

@@ -3,11 +3,12 @@
 //!
 //! PR-5's fault campaigns established that the network *recovers from
 //! accidents*; this campaign asks whether the verifier *detects malice*.
-//! Each work unit forks the converged geo world, launches one attack
+//! Each work unit forks the converged geo world, applies one attack
 //! from [`vns_core::AttackKind`]'s corpus (prefix hijacks, sub-prefix
 //! interception with forged registry cover, a valley-violating route leak,
-//! GeoIP feed poisoning, an eBGP flap storm, Byzantine RIB corruptions),
-//! reconverges incrementally, and then measures two planes:
+//! GeoIP feed poisoning, an eBGP flap storm, Byzantine RIB corruptions)
+//! through [`Certifier::apply`], which reconverges incrementally, and then
+//! measures two planes:
 //!
 //! * **data-plane damage** — monitored client→echo flows are re-resolved
 //!   and the affected ones replay an HD session over the post-attack path
@@ -15,7 +16,7 @@
 //!   landing is re-resolved (shifted / lost landings); a short live call
 //!   slice runs on the attacked service plane (rejected / unreachable
 //!   arrivals);
-//! * **detection** — both verifier stages re-run on the post-attack RIBs
+//! * **detection** — both verifier stages run on the post-attack RIBs
 //!   and the campaign records *which* invariant fired, per attack — the
 //!   detection matrix. An attack counts as detected only when every
 //!   invariant its kind declares ([`AttackKind::expected_invariants`])
@@ -36,12 +37,12 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use vns_bgp::{ConvergenceStats, Prefix};
-use vns_core::{launch_attack, AttackKind, PopId};
+use vns_core::{AttackKind, Change, PopId};
 use vns_media::VideoSpec;
 use vns_netsim::diurnal::DiurnalShape;
 use vns_netsim::{echo_scratch, DiurnalProfile, Dur, Par, RngTree, SimTime};
 use vns_service::{EndpointTable, Orchestrator, PathTable, ServiceConfig, ServiceEnv};
-use vns_verify::{Certifier, Invariant, Severity};
+use vns_verify::{Certifier, DataplaneReport, Invariant, Report, Severity};
 
 use crate::campaign::{
     assert_certified, channel_pair_args, echo_replay, monitored_flows, resolve_flows,
@@ -215,10 +216,12 @@ pub fn run(geo: &World, hot: &World, par: Par) -> Adversarial {
     let mut units: Vec<Unit> = vec![Unit::Clean { hot: false }, Unit::Clean { hot: true }];
     units.extend(AttackKind::ALL.into_iter().map(Unit::Attack));
     let results = par.map(&units, |_, &unit| match unit {
-        Unit::Clean { hot: h } => UnitResult::Clean(CleanRow {
-            hot: h,
-            fired: fired_invariants(if h { hot } else { geo }),
-        }),
+        Unit::Clean { hot: h } => {
+            let world = if h { hot } else { geo };
+            let (control, data) = Certifier::default().check(&world.internet, &world.vns);
+            let fired = fired_invariants(&control, &data);
+            UnitResult::Clean(CleanRow { hot: h, fired })
+        }
         Unit::Attack(kind) => UnitResult::Attack(Box::new(run_attack(geo, kind))),
     });
     let mut clean = Vec::new();
@@ -232,10 +235,9 @@ pub fn run(geo: &World, hot: &World, par: Par) -> Adversarial {
     Adversarial { clean, attacks }
 }
 
-/// Error-severity finding counts from both verifier stages, in report
-/// order.
-fn fired_invariants(world: &World) -> FiredCounts {
-    let (control, data) = Certifier::default().check(&world.internet, &world.vns);
+/// Error-severity finding counts in both verifier stages' reports, in
+/// report order.
+fn fired_invariants(control: &Report, data: &DataplaneReport) -> FiredCounts {
     let mut counts: BTreeMap<&'static str, usize> = BTreeMap::new();
     let errors = control
         .violations()
@@ -303,12 +305,16 @@ fn run_attack(geo: &World, kind: AttackKind) -> AttackRow {
     // not as an empty table).
     let endpoints = EndpointTable::build(&world.internet, &world.vns);
 
-    // Launch and reconverge.
-    let launched = launch_attack(kind, &mut world.internet, &mut world.vns, seed)
+    // Launch, reconverge, and detect: both verifier stages on the
+    // post-attack RIBs, unscoped (the flap storm restores what it cuts).
+    let attack = Change::Attack { kind, seed };
+    let certified = Certifier::default()
+        .apply(&mut world.internet, &mut world.vns, attack)
         .unwrap_or_else(|e| panic!("{kind}: launch failed: {e}"));
-
-    // Detection: both verifier stages on the post-attack RIBs.
-    let fired = fired_invariants(&world);
+    let fired = fired_invariants(&certified.control, &certified.dataplane);
+    let launched = certified
+        .attack
+        .unwrap_or_else(|| panic!("{kind}: staged nothing"));
 
     // Flow damage: re-resolve every monitored flow; affected ones replay
     // an HD session over the post-attack path (an unroutable flow loses
@@ -401,7 +407,7 @@ fn run_attack(geo: &World, kind: AttackKind) -> AttackRow {
     AttackRow {
         kind,
         detail: launched.detail,
-        stats: launched.stats,
+        stats: certified.stats,
         events: launched.events,
         fired,
         flows_monitored: flows.len(),

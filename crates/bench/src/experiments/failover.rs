@@ -42,7 +42,7 @@
 use std::fmt;
 
 use vns_bgp::ConvergenceStats;
-use vns_core::{FaultEvent, FaultPlan, PopId};
+use vns_core::{Change, FaultEvent, FaultPlan, PopId};
 use vns_media::VideoSpec;
 use vns_netsim::{echo_scratch, Dur, Par, PathChannel, RngTree, SimTime};
 use vns_topo::ResolvedPath;
@@ -271,7 +271,7 @@ fn run_scenario(source: &World, kind: ScenarioKind) -> ScenarioOutcome {
         let pre = resolve_flows(&world, &flows);
 
         let certified = certifier
-            .apply(&mut world.internet, &world.vns, event)
+            .apply(&mut world.internet, &mut world.vns, Change::Fault(event))
             .unwrap_or_else(|e| panic!("{}: step {step_idx} ({event}): {e}", plan.name));
         let conv_ms = convergence_ms(event, &certified.stats);
 

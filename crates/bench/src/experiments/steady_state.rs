@@ -32,7 +32,7 @@
 
 use std::fmt;
 
-use vns_core::{FaultEvent, PopId};
+use vns_core::{Change, FaultEvent, PopId};
 use vns_netsim::diurnal::DiurnalShape;
 use vns_netsim::{DiurnalProfile, Dur, Par, RngTree};
 use vns_service::{
@@ -212,7 +212,7 @@ pub fn run_on(world: &World, opts: SteadyStateOpts, par: Par) -> SteadyStateResu
     // new epoch and re-certified against the forwarding graph.
     let mut change = |world: &mut World, event| {
         let certified = certifier
-            .apply(&mut world.internet, &world.vns, event)
+            .apply(&mut world.internet, &mut world.vns, Change::Fault(event))
             .unwrap_or_else(|e| panic!("steady-state: {event}: {e}"));
         let (paths, report) = certifier.rebuild_paths(&world.internet, &world.vns, &endpoints);
         messages += certified.stats.messages;

@@ -10,7 +10,7 @@ mod testworld;
 use std::collections::BTreeSet;
 
 use vns_bench::World;
-use vns_core::{launch_attack, AttackKind};
+use vns_core::AttackKind;
 use vns_topo::Internet;
 use vns_verify::{verify_dataplane_scoped, DataplaneConfig, Severity, VerifyScope};
 
@@ -44,7 +44,7 @@ fn fired_invariants(internet: &Internet, vns: &vns_core::Vns) -> BTreeSet<&'stat
 /// Launches `kind` on a fresh geo world and returns the fired codes.
 fn attack_and_verify(kind: AttackKind) -> BTreeSet<&'static str> {
     let mut world: World = testworld::sweep(GATE_SEED, false);
-    launch_attack(kind, &mut world.internet, &mut world.vns, GATE_SEED)
+    testworld::launch(&mut world, kind, GATE_SEED)
         .unwrap_or_else(|e| panic!("{kind}: launch failed: {e}"));
     fired_invariants(&world.internet, &world.vns)
 }

@@ -9,7 +9,7 @@
 mod testworld;
 
 use proptest::prelude::*;
-use vns_core::{launch_attack, AttackKind};
+use vns_core::AttackKind;
 use vns_verify::{verify_dataplane_scoped, DataplaneConfig, Severity, VerifyScope};
 
 /// Error-severity invariant codes fired by both stages.
@@ -51,7 +51,7 @@ proptest! {
             let kind = AttackKind::ALL[pick];
             // An attack may fail to stage (no viable target on this
             // world); staged or not, the net must be left quiescent.
-            let staged = launch_attack(kind, &mut world.internet, &mut world.vns, seed).is_ok();
+            let staged = testworld::launch(&mut world, kind, seed).is_ok();
             prop_assert!(
                 world.internet.net.is_quiescent(),
                 "{kind} left the net torn (staged {staged}, seed {seed}, hot {hot})"
@@ -75,7 +75,7 @@ proptest! {
             AttackKind::AnycastExactHijack
         };
         let mut world = testworld::tiny_mode(seed, false);
-        launch_attack(kind, &mut world.internet, &mut world.vns, seed)
+        testworld::launch(&mut world, kind, seed)
             .expect("anycast attacks always stage (the VNS always has an upstream)");
         let codes = fired(&world);
         for code in kind.expected_invariants() {

@@ -211,7 +211,7 @@ fn scoped_verification_accepts_declared_dead_routers() {
 #[test]
 fn steered_subnets_are_verified_destinations() {
     use vns_bgp::{PathError, Prefix, SpeakerId};
-    use vns_core::PopId;
+    use vns_core::{MgmtChange, PopId};
 
     let verify = |internet: &vns_topo::Internet, vns: &vns_core::Vns| {
         verify_dataplane_scoped(
@@ -225,10 +225,13 @@ fn steered_subnets_are_verified_destinations() {
     // corruption of the /18's route at London's first border: the report,
     // and what the resolver makes of a packet from London into the /18.
     let steered = |corrupt: &dyn Fn(&mut vns_bgp::Speaker, &Prefix, SpeakerId)| {
-        let (mut internet, vns) = testworld::raw_tiny(20);
+        let (mut internet, mut vns) = testworld::raw_tiny(20);
         let sub = testworld::european_prefix(&internet).subnet(18, 1);
-        vns.mgmt_inject_more_specific(&mut internet, sub, PopId(8))
-            .expect("reconverges");
+        let inject = MgmtChange::InjectMoreSpecific {
+            prefix: sub,
+            pop: PopId(8),
+        };
+        testworld::mgmt(&mut internet, &mut vns, inject);
         let lon = vns.pop(PopId(10)).borders[0];
         corrupt(
             internet.net.speaker_mut(lon).expect("LON border"),

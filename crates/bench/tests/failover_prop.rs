@@ -9,7 +9,7 @@ mod testworld;
 
 use proptest::prelude::*;
 use vns_bgp::{PathError, SpeakerId};
-use vns_core::{FaultEvent, Vns};
+use vns_core::{Change, FaultEvent, Vns};
 use vns_topo::Internet;
 use vns_verify::{Certifier, Invariant};
 
@@ -61,7 +61,7 @@ proptest! {
         seed in 0u64..64,
         choices in prop::collection::vec(any::<u16>(), 1..8),
     ) {
-        let (mut internet, vns) = world(seed);
+        let (mut internet, mut vns) = world(seed);
         let sessions = vns_sessions(&internet, &vns);
         prop_assert!(!sessions.is_empty());
 
@@ -77,7 +77,7 @@ proptest! {
                 FaultEvent::SessionCut { a, b }
             };
             let certified = certifier
-                .apply(&mut internet, &vns, event)
+                .apply(&mut internet, &mut vns, Change::Fault(event))
                 .unwrap_or_else(|e| panic!("event {i} ({event}): {e}"));
             let loops: Vec<_> = certified.dataplane.report.of(Invariant::LoopFree).collect();
             prop_assert!(
@@ -91,7 +91,7 @@ proptest! {
         // Heal everything and demand a spotless control plane.
         for (a, b) in severed {
             certifier
-                .apply(&mut internet, &vns, FaultEvent::SessionRestore { a, b })
+                .apply(&mut internet, &mut vns, Change::Fault(FaultEvent::SessionRestore { a, b }))
                 .unwrap_or_else(|e| panic!("restore {a}~{b}: {e}"));
         }
         prop_assert!(certifier.fully_restored());

@@ -18,7 +18,7 @@
 mod testworld;
 
 use vns_bgp::{PathError, SpeakerId};
-use vns_core::{launch_attack, AttackKind, FaultEvent, FaultInjector, FaultPlan, PopId, Vns};
+use vns_core::{AttackKind, Change, FaultEvent, FaultInjector, FaultPlan, MgmtChange, PopId, Vns};
 use vns_topo::path::resolve_path;
 use vns_topo::Internet;
 use vns_verify::forwarding_graph::{analyze, Terminal};
@@ -166,11 +166,14 @@ fn graph_agrees_with_resolver_under_management_overrides() {
     let scope = VerifyScope::default();
     // A steered /18 is a destination of its own, walked through the
     // steering branch of the decision at every HKG border.
-    let (mut internet, vns) = testworld::raw_tiny(20);
+    let (mut internet, mut vns) = testworld::raw_tiny(20);
     let clean = analyze(&internet, &scope).destinations.len();
     let sub = testworld::european_prefix(&internet).subnet(18, 1);
-    vns.mgmt_inject_more_specific(&mut internet, sub, PopId(8))
-        .expect("reconverges");
+    let inject = MgmtChange::InjectMoreSpecific {
+        prefix: sub,
+        pop: PopId(8),
+    };
+    testworld::mgmt(&mut internet, &mut vns, inject);
     let seen = assert_agreement(&internet, &scope, "steered /18");
     assert_eq!(seen[1..], [0, 0], "a healthy steered subnet misroutes");
     let analysis = analyze(&internet, &scope);
@@ -187,8 +190,11 @@ fn graph_agrees_with_resolver_under_management_overrides() {
     // A forced exit moves the egress, not the agreement.
     let (mut internet, mut vns) = testworld::raw_tiny(20);
     let prefix = testworld::european_prefix(&internet);
-    vns.mgmt_force_exit(&mut internet, prefix, PopId(7))
-        .expect("reconverges");
+    let force = MgmtChange::ForceExit {
+        prefix,
+        pop: PopId(7),
+    };
+    testworld::mgmt(&mut internet, &mut vns, force);
     let seen = assert_agreement(&internet, &scope, "forced exit");
     assert_eq!(seen[1..], [0, 0], "a forced exit misroutes");
 }
@@ -199,8 +205,15 @@ fn graph_agrees_with_resolver_with_a_forged_more_specific_registered() {
     // registry holds two populated lengths and the /16 is shadowed at its
     // first host.
     let (mut internet, mut vns) = testworld::raw_tiny(77);
-    let attack = launch_attack(AttackKind::AnycastInterception, &mut internet, &mut vns, 77)
-        .expect("attack launches");
+    let interception = Change::Attack {
+        kind: AttackKind::AnycastInterception,
+        seed: 77,
+    };
+    let attack = vns
+        .apply(&mut internet, &mut FaultInjector::new(), interception)
+        .expect("attack launches")
+        .attack
+        .expect("attack staged");
     let forged = attack.victim_prefix.expect("forged prefix");
     let seen = assert_agreement(&internet, &VerifyScope::default(), "anycast-interception");
     assert!(seen[0] > 1_000, "only {seen:?} pairs");

@@ -3,6 +3,8 @@
 //! asserts the direction/ordering the paper reports — who wins, roughly by
 //! what factor, where the crossovers are.
 
+mod testworld;
+
 use vns_bench::experiments::{
     ablate, congruence, fig10, fig11, fig3, fig4, fig5, fig7, fig9, jitter, steady_state, table1,
 };
@@ -67,8 +69,7 @@ fn sec41_same_as_prefixes_are_congruent() {
 
 #[test]
 fn fig4_geo_routing_spreads_egress() {
-    let before = World::hot(103, SCALE);
-    let after = World::geo(103, SCALE);
+    let (before, after) = testworld::hot_and_geo(103, SCALE);
     let r = fig4::run(&before, &after);
     // Paper: ~70% local exit before; a spread distribution after.
     assert!(
@@ -90,8 +91,7 @@ fn fig4_geo_routing_spreads_egress() {
 
 #[test]
 fn fig5_transit_share_high_and_stable() {
-    let before = World::hot(104, SCALE);
-    let after = World::geo(104, SCALE);
+    let (before, after) = testworld::hot_and_geo(104, SCALE);
     let r = fig5::run(&before, &after);
     // Paper: ~80% of prefixes reached through upstreams, stable across the
     // change (we tolerate a modest shift).
@@ -381,7 +381,8 @@ fn steady_state_holds_target_and_survives_failure() {
 
 #[test]
 fn economics_shapes() {
-    let a = ablate::economics(&World::geo(114, SCALE), &World::hot(114, SCALE));
+    let (hot, geo) = testworld::hot_and_geo(114, SCALE);
+    let a = ablate::economics(&geo, &hot);
     let get = |label: &str| {
         a.values
             .iter()
@@ -573,7 +574,8 @@ fn ablation_geoip_errors_cost_precision_and_mgmt_recovers_it() {
 
 #[test]
 fn ablation_mode_delay_cold_potato_detours() {
-    let a = ablate::mode_delay(&World::geo(122, SCALE), &World::hot(122, SCALE));
+    let (hot, geo) = testworld::hot_and_geo(122, SCALE);
+    let a = ablate::mode_delay(&geo, &hot);
     let get = |label: &str| {
         a.values
             .iter()

@@ -8,7 +8,10 @@
 #![allow(dead_code)] // each test binary uses its own subset
 
 use vns_bench::{World, WorldConfig};
-use vns_core::{build_vns, RoutingMode, Vns, VnsConfig};
+use vns_core::{
+    build_vns, Applied, AttackKind, Change, ChangeError, FaultInjector, MgmtChange, RoutingMode,
+    Vns, VnsConfig,
+};
 use vns_topo::{generate, Internet, TopoConfig};
 
 /// Fixed seed of the cross-thread reproducibility suite.
@@ -51,6 +54,23 @@ pub fn sweep(seed: u64, hot: bool) -> World {
     }
 }
 
+/// `World::hot(seed, scale)` and `World::geo(seed, scale)`, deployed on
+/// clones of one generated Internet as `Ctx` deploys its two worlds.
+pub fn hot_and_geo(seed: u64, scale: f64) -> (World, World) {
+    let geo = WorldConfig {
+        seed,
+        scale,
+        ..WorldConfig::default()
+    };
+    let mut hot = geo.clone();
+    hot.vns.mode = RoutingMode::HotPotato;
+    let internet = generate(&geo.topo()).expect("topology generation");
+    (
+        World::deploy(internet.clone(), hot),
+        World::deploy(internet, geo),
+    )
+}
+
 /// A raw `(Internet, Vns)` pair from a tiny topology — for suites that
 /// mutate the control plane directly and don't need `World`'s channel
 /// factory or RNG tree.
@@ -58,6 +78,21 @@ pub fn raw_tiny(seed: u64) -> (Internet, Vns) {
     let mut internet = generate(&TopoConfig::tiny(seed)).expect("generate");
     let vns = build_vns(&mut internet, &VnsConfig::default()).expect("converge");
     (internet, vns)
+}
+
+/// Launches `kind` on `world` through `Vns::apply`, with a fresh injector.
+pub fn launch(world: &mut World, kind: AttackKind, seed: u64) -> Result<Applied, ChangeError> {
+    let attack = Change::Attack { kind, seed };
+    world
+        .vns
+        .apply(&mut world.internet, &mut FaultInjector::new(), attack)
+}
+
+/// Applies a management action through `Vns::apply`, with a fresh
+/// injector.
+pub fn mgmt(internet: &mut Internet, vns: &mut Vns, action: MgmtChange) {
+    vns.apply(internet, &mut FaultInjector::new(), Change::Mgmt(action))
+        .expect("reconverges");
 }
 
 /// The first European last-mile /16 of a world (the prefix the management

@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 
 use vns_bgp::policy::relation_from_tags;
 use vns_bgp::{may_export, Prefix, RouteSource, Speaker, SpeakerId};
-use vns_core::{launch_attack, AttackKind, FaultInjector, FaultPlan, PopId, Vns};
+use vns_core::{AttackKind, FaultInjector, FaultPlan, PopId, Vns};
 use vns_service::{EndpointTable, PathTable};
 use vns_topo::path::Forward;
 use vns_topo::{AsId, Internet, PrefixInfo};
@@ -340,7 +340,7 @@ fn attacks_say_what_they_said() {
     let mut valleys = 0;
     for kind in AttackKind::ALL {
         let mut world = testworld::tiny(77);
-        launch_attack(kind, &mut world.internet, &mut world.vns, 77)
+        testworld::launch(&mut world, kind, 77)
             .unwrap_or_else(|e| panic!("{kind}: launch failed: {e}"));
         let (v, _) = assert_says_what_it_said(
             &world.internet,

@@ -7,28 +7,28 @@
 //! input: prefix hijacks, more-specific interceptions, valley-violating
 //! route leaks, poisoned geolocation feeds, flap storms and byzantine
 //! routers. This module scripts each of those as a deterministic mutation
-//! of a converged world, layered on the PR-5 fault machinery
+//! of a converged world, layered on the fault machinery
 //! ([`crate::fault`]) and the [`vns_geo::GeoIpErrorModel`] poisoning
-//! variants.
+//! variants. An attack is a [`crate::Change::Attack`]: [`Vns::apply`]
+//! stages it, reconverges, and runs the flap storm's cut/restore steps
+//! through the caller's injector, one reconvergence each.
 //!
 //! Each [`AttackKind`] names the invariant(s) the two-stage verifier is
 //! *expected* to raise ([`AttackKind::expected_invariants`], as
 //! `vns_verify::Invariant::code()` strings — `vns-core` deliberately does
-//! not depend on `vns-verify`). The bench campaign launches every attack
-//! on a fresh world, reconverges incrementally, measures data-plane damage
-//! and records which invariants actually fired — the detection matrix with
+//! not depend on `vns-verify`). The bench campaign applies every attack
+//! to a fork of the converged world, measures data-plane damage and
+//! records which invariants actually fired — the detection matrix with
 //! its measured catch rate.
 
-use vns_bgp::{
-    ConvergenceError, ConvergenceStats, PeerConfig, PeerKind, Policy, Prefix, Relation, Speaker,
-    SpeakerId,
-};
+use vns_bgp::{PeerConfig, PeerKind, Policy, Prefix, Relation, Speaker, SpeakerId};
 use vns_geo::cities::city_by_name;
-use vns_geo::{city, GeoIpErrorModel, GeoPoint, Region};
+use vns_geo::{city, CityId, GeoIpErrorModel, Region};
 use vns_topo::{AsId, AsInfo, AsType, Internet};
 
+use crate::change::ChangeError;
 use crate::config::RoutingMode;
-use crate::fault::{FaultError, FaultInjector, FaultPlan};
+use crate::fault::{FaultEvent, FaultPlan};
 use crate::service::Vns;
 
 /// Where the synthetic malicious AS homes: far from the EU/NA client mass
@@ -39,8 +39,8 @@ pub const ATTACKER_HOME: &str = "Sydney";
 /// PoPs whose primary upstream sessions the default flap storm batters.
 pub const FLAP_STORM_POPS: [&str; 3] = ["AMS", "SJS", "SIN"];
 
-/// Cut/restore cycles per flapped session in the default storm (burst rate
-/// = sessions × cycles events; [`flap_storm`] takes both as parameters).
+/// Cut/restore cycles per flapped session in the storm (burst rate =
+/// sessions × cycles events).
 pub const FLAP_STORM_CYCLES: usize = 3;
 
 /// One scripted attack from the corpus.
@@ -134,89 +134,11 @@ impl AttackKind {
             AttackKind::ByzantineLoop => &["LOOP-FREE"],
         }
     }
-
-    /// One-line description for the artefact.
-    pub fn description(self) -> &'static str {
-        match self {
-            AttackKind::AnycastExactHijack => "malicious stub originates the exact VNS anycast /16",
-            AttackKind::AnycastInterception => {
-                "malicious stub announces a forged-registry more-specific /20 \
-                 inside the anycast /16 and terminates the flows (interception)"
-            }
-            AttackKind::LastMileHijack => {
-                "malicious stub originates an existing external last-mile /16"
-            }
-            AttackKind::RouteLeak => {
-                "multihomed stub leaks provider-learned routes across a \
-                 peering session misdeclared as customer"
-            }
-            AttackKind::GeoPoisonDb => {
-                "GeoIP feed poisoned (Europe region-swapped to Asia-Pacific) \
-                 with no route refresh: RIBs stale against the database"
-            }
-            AttackKind::GeoPoisonIngested => {
-                "reflectors ingest a region-swapped GeoIP snapshot and \
-                 refresh all routes"
-            }
-            AttackKind::GeoShiftIngested => {
-                "reflectors ingest a snapshot with every location dragged \
-                 toward the attacker's home"
-            }
-            AttackKind::FlapStorm => {
-                "primary upstream sessions of three PoPs flap in bursts, \
-                 ending fully restored"
-            }
-            AttackKind::ByzantineLoop => {
-                "two byzantine borders point their selected route for a \
-                 victim prefix at each other"
-            }
-            AttackKind::ByzantineBlackhole => {
-                "byzantine egress border silently drops its selected route \
-                 for a victim prefix"
-            }
-        }
-    }
 }
 
 impl std::fmt::Display for AttackKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-/// Why an attack could not be staged on this world.
-#[derive(Debug)]
-pub enum AttackError {
-    /// The world lacks a viable target (e.g. no external last-mile prefix,
-    /// no IXP peer to leak across).
-    NoTarget(&'static str),
-    /// Reconvergence after the attack failed.
-    Convergence(ConvergenceError),
-    /// The fault machinery refused an event (flap storm).
-    Fault(FaultError),
-}
-
-impl std::fmt::Display for AttackError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            AttackError::NoTarget(what) => write!(f, "no attack target: {what}"),
-            AttackError::Convergence(e) => write!(f, "reconvergence failed: {e}"),
-            AttackError::Fault(e) => write!(f, "fault injection failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for AttackError {}
-
-impl From<ConvergenceError> for AttackError {
-    fn from(e: ConvergenceError) -> Self {
-        AttackError::Convergence(e)
-    }
-}
-
-impl From<FaultError> for AttackError {
-    fn from(e: FaultError) -> Self {
-        AttackError::Fault(e)
     }
 }
 
@@ -236,31 +158,38 @@ pub struct LaunchedAttack {
     /// Discrete adversarial actions applied (originations, session events,
     /// corruptions, poisonings).
     pub events: usize,
-    /// Aggregated reconvergence work across every incremental run.
-    pub stats: ConvergenceStats,
 }
 
-/// Stages one attack against a converged world and reconverges. The world
-/// is mutated in place; `seed` drives any poisoning randomness so repeated
-/// launches are byte-identical.
-pub fn launch(
+/// Stages one attack against a converged world without reconverging, for
+/// [`Vns::apply`]. Returns what was staged and the fault events to apply
+/// after it, one reconvergence each: the flap storm's cut/restore steps,
+/// none for any other attack.
+pub(crate) fn stage(
     kind: AttackKind,
     internet: &mut Internet,
     vns: &mut Vns,
     seed: u64,
-) -> Result<LaunchedAttack, AttackError> {
-    match kind {
+) -> Result<(LaunchedAttack, Vec<FaultEvent>), ChangeError> {
+    let launched = match kind {
         AttackKind::AnycastExactHijack => anycast_exact_hijack(internet, vns),
         AttackKind::AnycastInterception => anycast_interception(internet, vns),
         AttackKind::LastMileHijack => lastmile_hijack(internet, vns),
         AttackKind::RouteLeak => route_leak(internet, vns),
-        AttackKind::GeoPoisonDb => geo_poison_db(internet, vns, seed),
-        AttackKind::GeoPoisonIngested => geo_poison_ingested(internet, vns, seed),
+        AttackKind::GeoPoisonDb => Ok(geo_poison_db(internet, vns, seed)),
+        AttackKind::GeoPoisonIngested => Ok(geo_poison_ingested(internet, vns, seed)),
         AttackKind::GeoShiftIngested => geo_shift_ingested(internet, vns),
-        AttackKind::FlapStorm => flap_storm(internet, vns, &FLAP_STORM_POPS, FLAP_STORM_CYCLES),
+        AttackKind::FlapStorm => return flap_storm(internet, vns),
         AttackKind::ByzantineLoop => byzantine_loop(internet, vns),
         AttackKind::ByzantineBlackhole => byzantine_blackhole(internet, vns),
-    }
+    }?;
+    Ok((launched, Vec::new()))
+}
+
+/// The city of [`ATTACKER_HOME`].
+fn attacker_home() -> Result<CityId, ChangeError> {
+    city_by_name(ATTACKER_HOME)
+        .map(|(id, _)| id)
+        .ok_or(ChangeError::NoTarget("attacker home city unknown"))
 }
 
 /// Registers a synthetic malicious stub AS homed at [`ATTACKER_HOME`] as a
@@ -271,17 +200,15 @@ pub fn launch(
 pub fn spawn_malicious_as(
     internet: &mut Internet,
     vns: &Vns,
-) -> Result<(vns_bgp::Asn, SpeakerId), AttackError> {
-    let (home, _) = city_by_name(ATTACKER_HOME).ok_or(AttackError::NoTarget(
-        "attacker home city missing from table",
-    ))?;
+) -> Result<(vns_bgp::Asn, SpeakerId), ChangeError> {
+    let home = attacker_home()?;
     let provider_as: AsId = *vns
         .upstreams()
         .first()
-        .ok_or(AttackError::NoTarget("VNS has no upstream providers"))?;
+        .ok_or(ChangeError::NoTarget("VNS has no upstream providers"))?;
     let provider_sp = internet
         .router_of(provider_as, home)
-        .ok_or(AttackError::NoTarget("upstream provider has no routers"))?;
+        .ok_or(ChangeError::NoTarget("upstream provider has no routers"))?;
     let provider_city = internet.city_of_router(provider_sp).unwrap_or(home);
 
     let asn = internet.alloc_asn();
@@ -318,30 +245,10 @@ pub fn spawn_malicious_as(
     Ok((asn, sp_id))
 }
 
-/// Incremental reconvergence; accumulates work into `stats`. A run that
-/// returns `Ok` has drained every queue (a budget exhaustion is an
-/// [`AttackError`]), so the net is quiescent afterwards.
-fn settle(
-    internet: &mut Internet,
-    vns: &Vns,
-    stats: &mut ConvergenceStats,
-) -> Result<(), AttackError> {
-    let s = vns.reconverge(internet)?;
-    stats.activations += s.activations;
-    stats.messages += s.messages;
-    debug_assert!(
-        internet.net.is_quiescent(),
-        "reconverge returned Ok unsettled"
-    );
-    Ok(())
-}
-
-fn anycast_exact_hijack(internet: &mut Internet, vns: &Vns) -> Result<LaunchedAttack, AttackError> {
+fn anycast_exact_hijack(internet: &mut Internet, vns: &Vns) -> Result<LaunchedAttack, ChangeError> {
     let (asn, attacker) = spawn_malicious_as(internet, vns)?;
     let pfx = vns.anycast_prefix();
     internet.net.originate(attacker, pfx);
-    let mut stats = ConvergenceStats::default();
-    settle(internet, vns, &mut stats)?;
     Ok(LaunchedAttack {
         kind: AttackKind::AnycastExactHijack,
         detail: format!(
@@ -352,11 +259,10 @@ fn anycast_exact_hijack(internet: &mut Internet, vns: &Vns) -> Result<LaunchedAt
         victim_prefix: Some(pfx),
         attacker: Some(attacker),
         events: 1,
-        stats,
     })
 }
 
-fn anycast_interception(internet: &mut Internet, vns: &Vns) -> Result<LaunchedAttack, AttackError> {
+fn anycast_interception(internet: &mut Internet, vns: &Vns) -> Result<LaunchedAttack, ChangeError> {
     let (asn, attacker) = spawn_malicious_as(internet, vns)?;
     let base = vns.anycast_prefix();
     // Sub-prefix interception with registry cover: the attacker announces
@@ -368,7 +274,7 @@ fn anycast_interception(internet: &mut Internet, vns: &Vns) -> Result<LaunchedAt
     let more = Prefix::new(base.addr(), 20);
     let as_id = internet
         .as_of_speaker(attacker)
-        .ok_or(AttackError::NoTarget("attacker AS not registered"))?;
+        .ok_or(ChangeError::NoTarget("attacker AS not registered"))?;
     let home = internet.as_info(as_id).home_city;
     let location = city(home).location;
     let country = city(home).country.to_string();
@@ -385,8 +291,6 @@ fn anycast_interception(internet: &mut Internet, vns: &Vns) -> Result<LaunchedAt
         location,
     );
     internet.net.originate(attacker, more);
-    let mut stats = ConvergenceStats::default();
-    settle(internet, vns, &mut stats)?;
     Ok(LaunchedAttack {
         kind: AttackKind::AnycastInterception,
         detail: format!(
@@ -398,20 +302,17 @@ fn anycast_interception(internet: &mut Internet, vns: &Vns) -> Result<LaunchedAt
         victim_prefix: Some(more),
         attacker: Some(attacker),
         events: 1,
-        stats,
     })
 }
 
-fn lastmile_hijack(internet: &mut Internet, vns: &Vns) -> Result<LaunchedAttack, AttackError> {
+fn lastmile_hijack(internet: &mut Internet, vns: &Vns) -> Result<LaunchedAttack, ChangeError> {
     let victim = internet
         .prefixes()
         .find(|p| p.last_mile && p.origin != vns.as_id())
         .map(|p| p.prefix)
-        .ok_or(AttackError::NoTarget("no external last-mile prefix"))?;
+        .ok_or(ChangeError::NoTarget("no external last-mile prefix"))?;
     let (asn, attacker) = spawn_malicious_as(internet, vns)?;
     internet.net.originate(attacker, victim);
-    let mut stats = ConvergenceStats::default();
-    settle(internet, vns, &mut stats)?;
     Ok(LaunchedAttack {
         kind: AttackKind::LastMileHijack,
         detail: format!(
@@ -422,11 +323,10 @@ fn lastmile_hijack(internet: &mut Internet, vns: &Vns) -> Result<LaunchedAttack,
         victim_prefix: Some(victim),
         attacker: Some(attacker),
         events: 1,
-        stats,
     })
 }
 
-fn route_leak(internet: &mut Internet, vns: &Vns) -> Result<LaunchedAttack, AttackError> {
+fn route_leak(internet: &mut Internet, vns: &Vns) -> Result<LaunchedAttack, ChangeError> {
     let (asn, attacker) = spawn_malicious_as(internet, vns)?;
     // Second leg: a session with one of the VNS's IXP peers that the peer
     // declares as settlement-free peering but the stub misdeclares as a
@@ -438,13 +338,11 @@ fn route_leak(internet: &mut Internet, vns: &Vns) -> Result<LaunchedAttack, Atta
     let peer_as: AsId = *vns
         .peers()
         .first()
-        .ok_or(AttackError::NoTarget("VNS has no IXP peers to leak across"))?;
-    let (home, _) = city_by_name(ATTACKER_HOME).ok_or(AttackError::NoTarget(
-        "attacker home city missing from table",
-    ))?;
+        .ok_or(ChangeError::NoTarget("VNS has no IXP peers to leak across"))?;
+    let home = attacker_home()?;
     let peer_sp = internet
         .router_of(peer_as, home)
-        .ok_or(AttackError::NoTarget("peer AS has no routers"))?;
+        .ok_or(ChangeError::NoTarget("peer AS has no routers"))?;
     let peer_city = internet.city_of_router(peer_sp).unwrap_or(home);
     let peer_asn = internet.as_info(peer_as).asn;
     internet.net.connect(
@@ -471,8 +369,6 @@ fn route_leak(internet: &mut Internet, vns: &Vns) -> Result<LaunchedAttack, Atta
             s.schedule_initial_advertisement();
         }
     }
-    let mut stats = ConvergenceStats::default();
-    settle(internet, vns, &mut stats)?;
     Ok(LaunchedAttack {
         kind: AttackKind::RouteLeak,
         detail: format!(
@@ -483,7 +379,6 @@ fn route_leak(internet: &mut Internet, vns: &Vns) -> Result<LaunchedAttack, Atta
         victim_prefix: None,
         attacker: Some(attacker),
         events: 2,
-        stats,
     })
 }
 
@@ -496,11 +391,7 @@ fn region_swap() -> GeoIpErrorModel {
     }
 }
 
-fn geo_poison_db(
-    internet: &mut Internet,
-    vns: &Vns,
-    seed: u64,
-) -> Result<LaunchedAttack, AttackError> {
+fn geo_poison_db(internet: &mut Internet, vns: &Vns, seed: u64) -> LaunchedAttack {
     internet.geoip.apply_error_model(&region_swap(), seed);
     let detail = if vns.mode() == RoutingMode::GeoColdPotato {
         "live GeoIP database region-swapped (Europe → Asia-Pacific) with no \
@@ -511,59 +402,39 @@ fn geo_poison_db(
          consults it — the poison is inert"
             .to_string()
     };
-    Ok(LaunchedAttack {
+    LaunchedAttack {
         kind: AttackKind::GeoPoisonDb,
         detail,
         victim_prefix: None,
         attacker: None,
         events: 1,
-        stats: ConvergenceStats::default(),
-    })
-}
-
-/// Has the reflectors score with `snapshot` from now on (a new import
-/// table, as the build fills it, over a different database) and refreshes
-/// every border session so the whole control plane reconverges on the
-/// poisoned geography.
-fn ingest_snapshot(
-    internet: &mut Internet,
-    vns: &mut Vns,
-    snapshot: vns_geo::GeoIpDb<Prefix>,
-) -> Result<(ConvergenceStats, usize), AttackError> {
-    vns.reflector_geoip = snapshot;
-    let events = vns.push_import_prefs(internet);
-    let borders: Vec<SpeakerId> = vns.pops().iter().flat_map(|p| p.borders).collect();
-    for b in borders {
-        if let Some(s) = internet.net.speaker_mut(b) {
-            s.request_refresh_all();
-        }
     }
-    let mut stats = ConvergenceStats::default();
-    settle(internet, vns, &mut stats)?;
-    Ok((stats, events))
 }
 
-fn geo_poison_ingested(
-    internet: &mut Internet,
-    vns: &mut Vns,
-    seed: u64,
-) -> Result<LaunchedAttack, AttackError> {
+/// What an ingest attack stages on a hot-potato deployment: nothing.
+fn nothing_to_poison(kind: AttackKind) -> LaunchedAttack {
+    LaunchedAttack {
+        kind,
+        detail: "hot-potato deployment installs no geo hook; there is \
+                 nothing to poison"
+            .to_string(),
+        victim_prefix: None,
+        attacker: None,
+        events: 0,
+    }
+}
+
+fn geo_poison_ingested(internet: &mut Internet, vns: &mut Vns, seed: u64) -> LaunchedAttack {
     if vns.mode() != RoutingMode::GeoColdPotato {
-        return Ok(LaunchedAttack {
-            kind: AttackKind::GeoPoisonIngested,
-            detail: "hot-potato deployment installs no geo hook; there is \
-                     nothing to poison"
-                .to_string(),
-            victim_prefix: None,
-            attacker: None,
-            events: 0,
-            stats: ConvergenceStats::default(),
-        });
+        return nothing_to_poison(AttackKind::GeoPoisonIngested);
     }
     let mut poisoned = internet.geoip.clone();
     poisoned.apply_error_model(&region_swap(), seed);
-    let (stats, events) = ingest_snapshot(internet, vns, poisoned)?;
-    Ok(LaunchedAttack {
+    // The reflectors score with the snapshot from now on, and every border
+    // session is refreshed onto the poisoned geography.
+    vns.reflector_geoip = poisoned;
+    let events = vns.refresh_imports(internet);
+    LaunchedAttack {
         kind: AttackKind::GeoPoisonIngested,
         detail: "reflectors ingested a region-swapped GeoIP snapshot \
                  (Europe → Asia-Pacific) and refreshed every border: RIB \
@@ -572,32 +443,17 @@ fn geo_poison_ingested(
         victim_prefix: None,
         attacker: None,
         events,
-        stats,
-    })
+    }
 }
 
 fn geo_shift_ingested(
     internet: &mut Internet,
     vns: &mut Vns,
-) -> Result<LaunchedAttack, AttackError> {
+) -> Result<LaunchedAttack, ChangeError> {
     if vns.mode() != RoutingMode::GeoColdPotato {
-        return Ok(LaunchedAttack {
-            kind: AttackKind::GeoShiftIngested,
-            detail: "hot-potato deployment installs no geo hook; there is \
-                     nothing to poison"
-                .to_string(),
-            victim_prefix: None,
-            attacker: None,
-            events: 0,
-            stats: ConvergenceStats::default(),
-        });
+        return Ok(nothing_to_poison(AttackKind::GeoShiftIngested));
     }
-    let target: GeoPoint =
-        city_by_name(ATTACKER_HOME)
-            .map(|(_, c)| c.location)
-            .ok_or(AttackError::NoTarget(
-                "attacker home city missing from table",
-            ))?;
+    let target = city(attacker_home()?).location;
     let mut poisoned = internet.geoip.clone();
     poisoned.apply_error_model(
         &GeoIpErrorModel::AdversarialShift {
@@ -606,7 +462,8 @@ fn geo_shift_ingested(
         },
         0, // the shift is deterministic; the seed is unused entropy
     );
-    let (stats, events) = ingest_snapshot(internet, vns, poisoned)?;
+    vns.reflector_geoip = poisoned;
+    let events = vns.refresh_imports(internet);
     Ok(LaunchedAttack {
         kind: AttackKind::GeoShiftIngested,
         detail: format!(
@@ -617,53 +474,43 @@ fn geo_shift_ingested(
         victim_prefix: None,
         attacker: None,
         events,
-        stats,
     })
 }
 
-/// eBGP flap storm with a configurable burst: for each PoP code, the
-/// primary upstream session of border 0 is cut and restored `cycles`
-/// times, reconverging after every event. Ends fully restored.
-pub fn flap_storm(
-    internet: &mut Internet,
+/// eBGP flap storm: at each of [`FLAP_STORM_POPS`], the primary upstream
+/// session of border 0 is cut and restored [`FLAP_STORM_CYCLES`] times.
+/// Stages nothing itself; the cut/restore steps are its follow-on events,
+/// so it ends fully restored.
+fn flap_storm(
+    internet: &Internet,
     vns: &Vns,
-    pop_codes: &[&str],
-    cycles: usize,
-) -> Result<LaunchedAttack, AttackError> {
-    let mut inj = FaultInjector::new();
-    let mut stats = ConvergenceStats::default();
-    let mut events = 0;
-    let mut flapped = Vec::new();
-    for code in pop_codes {
+) -> Result<(LaunchedAttack, Vec<FaultEvent>), ChangeError> {
+    let mut steps = Vec::new();
+    for code in FLAP_STORM_POPS {
         let pop = vns
             .pop_by_code(code)
-            .ok_or(AttackError::NoTarget("unknown PoP code in flap storm"))?;
+            .ok_or(ChangeError::NoTarget("unknown PoP code in flap storm"))?;
         let border = pop.borders[0];
         let (up_as, entry_city) = vns.primary_upstream(pop.id());
         let upstream = internet
             .router_of(up_as, entry_city)
-            .ok_or(AttackError::NoTarget("primary upstream has no routers"))?;
-        let plan = FaultPlan::session_flap(format!("storm:{code}"), border, upstream, cycles);
-        for step in plan.steps {
-            inj.apply(internet, vns, step)?;
-            events += 1;
-            settle(internet, vns, &mut stats)?;
-        }
-        flapped.push(*code);
+            .ok_or(ChangeError::NoTarget("primary upstream has no routers"))?;
+        let flap = FaultPlan::session_flap(code, border, upstream, FLAP_STORM_CYCLES);
+        steps.extend(flap.steps);
     }
-    debug_assert!(inj.fully_restored(), "storm must end fully restored");
-    Ok(LaunchedAttack {
+    let launched = LaunchedAttack {
         kind: AttackKind::FlapStorm,
         detail: format!(
-            "primary upstream sessions at {} flapped {cycles}× each \
-             ({events} events), all restored",
-            flapped.join("/")
+            "primary upstream sessions at {} flapped {FLAP_STORM_CYCLES}× each \
+             ({} events), all restored",
+            FLAP_STORM_POPS.join("/"),
+            steps.len()
         ),
         victim_prefix: None,
         attacker: None,
-        events,
-        stats,
-    })
+        events: steps.len(),
+    };
+    Ok((launched, steps))
 }
 
 /// First external last-mile prefix for which `want` holds.
@@ -679,16 +526,16 @@ fn pick_external_lastmile(
         .find(|&p| want(internet, p))
 }
 
-fn byzantine_loop(internet: &mut Internet, vns: &Vns) -> Result<LaunchedAttack, AttackError> {
+fn byzantine_loop(internet: &mut Internet, vns: &Vns) -> Result<LaunchedAttack, ChangeError> {
     let pop = vns
         .pop_by_code("AMS")
-        .ok_or(AttackError::NoTarget("AMS PoP missing"))?;
+        .ok_or(ChangeError::NoTarget("AMS PoP missing"))?;
     let [b0, b1] = pop.borders;
     let victim = pick_external_lastmile(internet, vns, |net, p| {
         net.net.speaker(b0).and_then(|s| s.best(&p)).is_some()
             && net.net.speaker(b1).and_then(|s| s.best(&p)).is_some()
     })
-    .ok_or(AttackError::NoTarget(
+    .ok_or(ChangeError::NoTarget(
         "no external last-mile prefix routed at both AMS borders",
     ))?;
     for (at, to) in [(b0, b1), (b1, b0)] {
@@ -697,11 +544,9 @@ fn byzantine_loop(internet: &mut Internet, vns: &Vns) -> Result<LaunchedAttack, 
             .speaker_mut(at)
             .is_some_and(|s| s.corrupt_redirect_ibgp(&victim, to));
         if !ok {
-            return Err(AttackError::NoTarget("loop corruption site unusable"));
+            return Err(ChangeError::NoTarget("loop corruption site unusable"));
         }
     }
-    let mut stats = ConvergenceStats::default();
-    settle(internet, vns, &mut stats)?;
     Ok(LaunchedAttack {
         kind: AttackKind::ByzantineLoop,
         detail: format!(
@@ -711,11 +556,10 @@ fn byzantine_loop(internet: &mut Internet, vns: &Vns) -> Result<LaunchedAttack, 
         victim_prefix: Some(victim),
         attacker: Some(b0),
         events: 2,
-        stats,
     })
 }
 
-fn byzantine_blackhole(internet: &mut Internet, vns: &Vns) -> Result<LaunchedAttack, AttackError> {
+fn byzantine_blackhole(internet: &mut Internet, vns: &Vns) -> Result<LaunchedAttack, ChangeError> {
     let rr0 = vns.reflectors()[0];
     // Victim: a prefix the reflector routes via some egress border — that
     // border is downstream of every other VNS router for this prefix, so
@@ -730,21 +574,19 @@ fn byzantine_blackhole(internet: &mut Internet, vns: &Vns) -> Result<LaunchedAtt
             None => false,
         }
     })
-    .ok_or(AttackError::NoTarget(
+    .ok_or(ChangeError::NoTarget(
         "no external last-mile prefix routed at the reflector",
     ))?;
-    let egress = egress.ok_or(AttackError::NoTarget("reflector best has no next hop"))?;
+    let egress = egress.ok_or(ChangeError::NoTarget("reflector best has no next hop"))?;
     let ok = internet
         .net
         .speaker_mut(egress)
         .is_some_and(|s| s.corrupt_drop_route(&victim));
     if !ok {
-        return Err(AttackError::NoTarget(
+        return Err(ChangeError::NoTarget(
             "egress border holds no route to drop",
         ));
     }
-    let mut stats = ConvergenceStats::default();
-    settle(internet, vns, &mut stats)?;
     Ok(LaunchedAttack {
         kind: AttackKind::ByzantineBlackhole,
         detail: format!(
@@ -754,7 +596,6 @@ fn byzantine_blackhole(internet: &mut Internet, vns: &Vns) -> Result<LaunchedAtt
         victim_prefix: Some(victim),
         attacker: Some(egress),
         events: 1,
-        stats,
     })
 }
 
@@ -765,12 +606,21 @@ mod tests {
     use vns_topo::{generate, TopoConfig};
 
     use crate::build::build_vns;
+    use crate::change::{Applied, Change};
     use crate::config::VnsConfig;
+    use crate::fault::FaultInjector;
 
     fn tiny_world(seed: u64) -> (Internet, Vns) {
         let mut internet = generate(&TopoConfig::tiny(seed)).unwrap();
         let vns = build_vns(&mut internet, &VnsConfig::default()).unwrap();
         (internet, vns)
+    }
+
+    /// Applies `kind` through [`Vns::apply`] with a fresh injector.
+    fn launch(kind: AttackKind, internet: &mut Internet, vns: &mut Vns, seed: u64) -> Applied {
+        let change = Change::Attack { kind, seed };
+        vns.apply(internet, &mut FaultInjector::new(), change)
+            .unwrap()
     }
 
     #[test]
@@ -806,8 +656,8 @@ mod tests {
     #[test]
     fn exact_hijack_converges_with_forged_origin() {
         let (mut internet, mut vns) = tiny_world(7);
-        let hit = launch(AttackKind::AnycastExactHijack, &mut internet, &mut vns, 7).unwrap();
-        let attacker = hit.attacker.unwrap();
+        let applied = launch(AttackKind::AnycastExactHijack, &mut internet, &mut vns, 7);
+        let attacker = applied.attack.unwrap().attacker.unwrap();
         let best = internet
             .net
             .speaker(attacker)
@@ -816,13 +666,15 @@ mod tests {
             .unwrap();
         assert!(matches!(best.source, RouteSource::Local));
         // The forged origin must have propagated beyond the attacker.
-        assert!(hit.stats.messages > 0);
+        assert!(applied.stats.messages > 0);
     }
 
     #[test]
     fn interception_keeps_a_covering_route() {
         let (mut internet, mut vns) = tiny_world(8);
-        let hit = launch(AttackKind::AnycastInterception, &mut internet, &mut vns, 8).unwrap();
+        let hit = launch(AttackKind::AnycastInterception, &mut internet, &mut vns, 8)
+            .attack
+            .unwrap();
         let attacker = hit.attacker.unwrap();
         let sp = internet.net.speaker(attacker).unwrap();
         // The /20 is locally originated; the covering /16 was learned from
@@ -843,7 +695,9 @@ mod tests {
         if vns.peers().is_empty() {
             return; // tiny worlds may lack IXP peers; campaign worlds don't
         }
-        let hit = launch(AttackKind::RouteLeak, &mut internet, &mut vns, 9).unwrap();
+        let hit = launch(AttackKind::RouteLeak, &mut internet, &mut vns, 9)
+            .attack
+            .unwrap();
         let attacker = hit.attacker.unwrap();
         // Some prefix in the peer's Adj-RIB-In from the attacker must be
         // provider-learned at the attacker — the valley the verifier flags.
@@ -874,9 +728,17 @@ mod tests {
     #[test]
     fn flap_storm_ends_restored_and_quiescent() {
         let (mut internet, mut vns) = tiny_world(10);
-        let hit = launch(AttackKind::FlapStorm, &mut internet, &mut vns, 10).unwrap();
+        let mut inj = FaultInjector::new();
+        let change = Change::Attack {
+            kind: AttackKind::FlapStorm,
+            seed: 10,
+        };
+        let applied = vns.apply(&mut internet, &mut inj, change).unwrap();
+        let hit = applied.attack.unwrap();
         assert_eq!(hit.events, FLAP_STORM_POPS.len() * FLAP_STORM_CYCLES * 2);
-        assert!(hit.stats.messages > 0);
+        assert!(applied.stats.messages > 0);
+        assert!(inj.fully_restored());
+        assert!(internet.net.is_quiescent());
     }
 
     #[test]
@@ -891,7 +753,7 @@ mod tests {
             .adj_rib_in_entries()
             .map(|(.., c)| c.attrs.local_pref)
             .collect();
-        launch(AttackKind::GeoPoisonIngested, &mut internet, &mut vns, 11).unwrap();
+        launch(AttackKind::GeoPoisonIngested, &mut internet, &mut vns, 11);
         let after: Vec<u32> = internet
             .net
             .speaker(rr)
@@ -908,7 +770,9 @@ mod tests {
     #[test]
     fn byzantine_corruptions_survive_reconvergence() {
         let (mut internet, mut vns) = tiny_world(12);
-        let hit = launch(AttackKind::ByzantineLoop, &mut internet, &mut vns, 12).unwrap();
+        let hit = launch(AttackKind::ByzantineLoop, &mut internet, &mut vns, 12)
+            .attack
+            .unwrap();
         let victim = hit.victim_prefix.unwrap();
         let pop = vns.pop_by_code("AMS").unwrap();
         let [b0, b1] = pop.borders;
@@ -918,7 +782,9 @@ mod tests {
         assert_eq!(nh1.attrs.next_hop, b0);
 
         let (mut internet, mut vns) = tiny_world(13);
-        let hit = launch(AttackKind::ByzantineBlackhole, &mut internet, &mut vns, 13).unwrap();
+        let hit = launch(AttackKind::ByzantineBlackhole, &mut internet, &mut vns, 13)
+            .attack
+            .unwrap();
         let victim = hit.victim_prefix.unwrap();
         let egress = hit.attacker.unwrap();
         assert!(internet

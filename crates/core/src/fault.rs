@@ -13,8 +13,9 @@
 //! link weights. It never deletes speakers: a "dead" router is one whose
 //! BGP sessions are all torn down (control-plane crash), which is both the
 //! common real-world failure and the one the paper's mechanisms defend
-//! against. [`Vns::reconverge`] after each event yields the incremental
-//! reconvergence the failover campaign measures.
+//! against. An event is a [`crate::Change::Fault`]: [`Vns::apply`] runs it
+//! through an injector and reconverges, the incremental reconvergence the
+//! failover campaign measures.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -221,7 +222,8 @@ impl FaultInjector {
     }
 
     /// Applies one event to the world, queued until [`Vns::reconverge`]
-    /// runs; `vns_verify::Certifier::apply` does both and certifies it.
+    /// runs; [`Vns::apply`] does both, and `vns_verify::Certifier::apply`
+    /// certifies the result.
     pub fn apply(
         &mut self,
         internet: &mut Internet,

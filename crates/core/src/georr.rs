@@ -81,7 +81,8 @@ impl Vns {
     /// geo preference and gets none.
     ///
     /// The table takes effect on the routes the reflectors import next, so
-    /// every caller follows it with a route refresh. A prefix named after
+    /// every change follows it with a route refresh
+    /// ([`Vns::refresh_imports`]). A prefix named after
     /// the push has no row, so its routes keep their preference until the
     /// next push: an override set on a prefix no router had named at the
     /// last push does not apply when that prefix is originated later.
@@ -98,6 +99,18 @@ impl Vns {
             if let Some(speaker) = internet.net.speaker_mut(rr) {
                 speaker.set_import_prefs(Arc::clone(&prefs));
                 pushed += 1;
+            }
+        }
+        pushed
+    }
+
+    /// [`Vns::push_import_prefs`], then route refresh from every border so
+    /// the next reconvergence re-imports every route under the new table.
+    pub(crate) fn refresh_imports(&self, internet: &mut Internet) -> usize {
+        let pushed = self.push_import_prefs(internet);
+        for b in self.pops().iter().flat_map(|p| p.borders) {
+            if let Some(s) = internet.net.speaker_mut(b) {
+                s.request_refresh_all();
             }
         }
         pushed

@@ -20,7 +20,9 @@
 //! potato"). Border routers advertise *best external* to
 //! keep alternatives visible (the hidden-routes fix), and a management
 //! interface ([`mgmt`]) can force exits, exempt badly geolocated prefixes,
-//! or inject `NO_EXPORT`-tagged more-specifics.
+//! or inject `NO_EXPORT`-tagged more-specifics. Faults, management actions
+//! and attacks are all [`Change`]s, staged and reconverged by
+//! [`Vns::apply`].
 //!
 //! [`RoutingMode::HotPotato`] builds the same overlay without the geo
 //! preference — the paper's "before" configuration that Figs 4 and 5 compare
@@ -28,6 +30,7 @@
 
 pub mod adversary;
 pub mod build;
+pub mod change;
 pub mod config;
 pub mod economics;
 pub mod fault;
@@ -37,8 +40,9 @@ pub mod mgmt;
 pub mod pops;
 pub mod service;
 
-pub use adversary::{launch as launch_attack, AttackError, AttackKind, LaunchedAttack};
+pub use adversary::{AttackKind, LaunchedAttack};
 pub use build::{build_vns, deploy_vns};
+pub use change::{Applied, Change, ChangeError, MgmtChange};
 pub use config::{RoutingMode, VnsConfig};
 pub use economics::{analyze as analyze_economics, CostBreakdown, CostModel, Demand};
 pub use fault::{FaultError, FaultEvent, FaultInjector, FaultPlan};

@@ -8,16 +8,19 @@
 //! geo-routing entirely, and (c) statically advertise remote more-specific
 //! subnets from their closest PoP, tagged `NO_EXPORT`.
 //!
-//! [`Overrides`] is the table [`Vns::assigned_pref`] consults first; the
-//! apply-functions here push the change through the control plane (a new
-//! import table for the reflectors, route refresh from the clients so the
-//! reflectors re-import, then reconvergence).
+//! [`Overrides`] is the table [`Vns::assigned_pref`] consults first. Each
+//! action is a [`MgmtChange`] applied through [`Vns::apply`], the door
+//! faults and attacks take too: an override edits the table, gives the
+//! reflectors its new import table and requests route refresh from every
+//! border so they re-import; a more-specific is originated at its PoP's
+//! borders; then the world reconverges.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use vns_bgp::{Community, ConvergenceError, Prefix};
+use vns_bgp::{Community, Prefix};
 use vns_topo::Internet;
 
+use crate::change::{ChangeError, MgmtChange};
 use crate::pops::PopId;
 use crate::service::Vns;
 
@@ -80,37 +83,6 @@ impl Overrides {
 }
 
 impl Vns {
-    /// Forces `prefix` to exit at `pop` and reconverges.
-    pub fn mgmt_force_exit(
-        &mut self,
-        internet: &mut Internet,
-        prefix: Prefix,
-        pop: PopId,
-    ) -> Result<(), ConvergenceError> {
-        self.overrides.force_exit(prefix, pop);
-        self.refresh_and_run(internet)
-    }
-
-    /// Exempts `prefix` from geo-routing and reconverges.
-    pub fn mgmt_exempt(
-        &mut self,
-        internet: &mut Internet,
-        prefix: Prefix,
-    ) -> Result<(), ConvergenceError> {
-        self.overrides.exempt(prefix);
-        self.refresh_and_run(internet)
-    }
-
-    /// Clears overrides on `prefix` and reconverges.
-    pub fn mgmt_clear(
-        &mut self,
-        internet: &mut Internet,
-        prefix: Prefix,
-    ) -> Result<(), ConvergenceError> {
-        self.overrides.clear(&prefix);
-        self.refresh_and_run(internet)
-    }
-
     /// Fault injection for verifier tests: puts `prefix` in *both* the
     /// exempt set and the forced map of the override table, violating the
     /// mutual exclusion that [`Overrides::exempt`]/[`Overrides::force_exit`]
@@ -122,39 +94,34 @@ impl Vns {
         self.overrides.forced.insert(prefix, pop);
     }
 
-    /// Statically advertises `more_specific` from PoP `pop`, tagged
-    /// `NO_EXPORT` so it never leaks outside VNS (Sec 3.2: remote subnets
-    /// of a mostly-regional prefix are steered to their own closest PoP,
-    /// "given that it has a route to the less-specific prefix").
-    pub fn mgmt_inject_more_specific(
-        &self,
+    /// Stages a management action for [`Vns::apply`]: an override edits
+    /// the table and refreshes the imports ([`Vns::refresh_imports`]); a
+    /// more-specific is originated at its PoP's borders, if it has the PoP.
+    pub(crate) fn stage_mgmt(
+        &mut self,
         internet: &mut Internet,
-        more_specific: Prefix,
-        pop: PopId,
-    ) -> Result<(), ConvergenceError> {
-        for b in self.pop(pop).borders {
-            internet
-                .net
-                .originate_with(b, more_specific, vec![Community::NoExport]);
-        }
-        self.reconverge(internet).map(|_| ())
-    }
-
-    /// Gives the reflectors the import table of the current overrides,
-    /// requests route refresh from every border router and reconverges —
-    /// how override changes reach the reflectors' imports.
-    fn refresh_and_run(&self, internet: &mut Internet) -> Result<(), ConvergenceError> {
-        self.push_import_prefs(internet);
-        for pop in self.pops() {
-            for b in pop.borders {
-                internet
-                    .net
-                    .speaker_mut(b)
-                    .expect("VNS border router registered")
-                    .request_refresh_all();
+        action: MgmtChange,
+    ) -> Result<(), ChangeError> {
+        match action {
+            MgmtChange::ForceExit { prefix, pop } => self.overrides.force_exit(prefix, pop),
+            MgmtChange::Exempt(prefix) => self.overrides.exempt(prefix),
+            MgmtChange::Clear(prefix) => self.overrides.clear(&prefix),
+            MgmtChange::InjectMoreSpecific { prefix, pop } => {
+                let pop = self
+                    .pops()
+                    .iter()
+                    .find(|p| p.id() == pop)
+                    .ok_or(ChangeError::NoTarget("no such PoP for the more-specific"))?;
+                for b in pop.borders {
+                    internet
+                        .net
+                        .originate_with(b, prefix, vec![Community::NoExport]);
+                }
+                return Ok(());
             }
         }
-        self.reconverge(internet).map(|_| ())
+        self.refresh_imports(internet);
+        Ok(())
     }
 }
 

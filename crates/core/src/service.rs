@@ -189,8 +189,9 @@ impl Vns {
         MESSAGE_BUDGET
     }
 
-    /// Reconverges `internet` after a change (fault, override, attack) within
-    /// [`Vns::message_budget`]: the one call that picks that engine.
+    /// Reconverges `internet` after a change within
+    /// [`Vns::message_budget`]: the one call that picks that engine, made
+    /// only by [`Vns::apply`] outside tests.
     pub fn reconverge(
         &self,
         internet: &mut Internet,

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use vns_bgp::{Prefix, SpeakerId, DEFAULT_LOCAL_PREF};
 use vns_core::georr::{FORCED_EXIT_PREF, FORCED_OTHER_PREF};
-use vns_core::{build_vns, PopId, Vns, VnsConfig};
+use vns_core::{build_vns, Change, FaultInjector, MgmtChange, PopId, Vns, VnsConfig};
 use vns_geo::cities::city_by_name;
 use vns_geo::GeoIpDb;
 use vns_topo::{generate, Internet, TopoConfig};
@@ -14,6 +14,12 @@ fn world(seed: u64) -> (Internet, Vns) {
     let mut internet = generate(&TopoConfig::tiny(seed)).expect("topology generates");
     let vns = build_vns(&mut internet, &VnsConfig::default()).expect("overlay converges");
     (internet, vns)
+}
+
+/// Applies a management action through `Vns::apply`.
+fn mgmt(internet: &mut Internet, vns: &mut Vns, action: MgmtChange) {
+    vns.apply(internet, &mut FaultInjector::new(), Change::Mgmt(action))
+        .expect("reconverges");
 }
 
 /// A tiny geo world, a GeoIP database placing one prefix in Paris, and
@@ -86,7 +92,7 @@ fn ebgp_updates_ignored() {
 #[test]
 fn exempt_prefix_reverts_to_default() {
     let (mut internet, mut vns, geoip, prefix, [(ams, _), _]) = setup();
-    vns.mgmt_exempt(&mut internet, prefix).unwrap();
+    mgmt(&mut internet, &mut vns, MgmtChange::Exempt(prefix));
     assert_eq!(
         vns.assigned_pref(&geoip, ams, prefix),
         Some(DEFAULT_LOCAL_PREF)
@@ -97,7 +103,11 @@ fn exempt_prefix_reverts_to_default() {
 fn forced_exit_dominates_geography() {
     let (mut internet, mut vns, geoip, prefix, [(ams, _), (sin, sin_pop)]) = setup();
     // Force the Paris prefix out of Singapore.
-    vns.mgmt_force_exit(&mut internet, prefix, sin_pop).unwrap();
+    let force = MgmtChange::ForceExit {
+        prefix,
+        pop: sin_pop,
+    };
+    mgmt(&mut internet, &mut vns, force);
     assert_eq!(
         vns.assigned_pref(&geoip, sin, prefix),
         Some(FORCED_EXIT_PREF)
@@ -141,11 +151,15 @@ fn pushed_table_equals_the_rule_through_every_override() {
     assert_table_is_the_rule(&internet, &vns);
     let prefix = reflector_external_prefix(&internet, &vns);
     let pop = vns.pop_by_code("SIN").unwrap().id();
-    vns.mgmt_exempt(&mut internet, prefix).unwrap();
+    mgmt(&mut internet, &mut vns, MgmtChange::Exempt(prefix));
     assert_table_is_the_rule(&internet, &vns);
-    vns.mgmt_force_exit(&mut internet, prefix, pop).unwrap();
+    mgmt(
+        &mut internet,
+        &mut vns,
+        MgmtChange::ForceExit { prefix, pop },
+    );
     assert_table_is_the_rule(&internet, &vns);
-    vns.mgmt_clear(&mut internet, prefix).unwrap();
+    mgmt(&mut internet, &mut vns, MgmtChange::Clear(prefix));
     assert_table_is_the_rule(&internet, &vns);
 }
 
@@ -174,9 +188,13 @@ fn force_then_clear_heals_to_a_pristine_clone() {
     let pristine = internet.clone();
     let prefix = reflector_external_prefix(&internet, &vns);
     let pop = vns.pop_by_code("SYD").unwrap().id();
-    vns.mgmt_force_exit(&mut internet, prefix, pop).unwrap();
+    mgmt(
+        &mut internet,
+        &mut vns,
+        MgmtChange::ForceExit { prefix, pop },
+    );
     assert_ne!(rib_snapshot(&internet), rib_snapshot(&pristine));
-    vns.mgmt_clear(&mut internet, prefix).unwrap();
+    mgmt(&mut internet, &mut vns, MgmtChange::Clear(prefix));
     assert_eq!(rib_snapshot(&internet), rib_snapshot(&pristine));
     assert!(vns.overrides().is_empty());
 }

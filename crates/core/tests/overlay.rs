@@ -1,6 +1,6 @@
 //! End-to-end tests of the VNS overlay over a generated Internet.
 
-use vns_core::{build_vns, PopId, RoutingMode, Vns, VnsConfig};
+use vns_core::{build_vns, Change, FaultInjector, MgmtChange, PopId, RoutingMode, Vns, VnsConfig};
 use vns_geo::{PopRegion, Region};
 use vns_topo::{generate, Internet, TopoConfig};
 
@@ -12,6 +12,12 @@ fn world(seed: u64, mode: RoutingMode) -> (Internet, Vns) {
     };
     let vns = build_vns(&mut internet, &cfg).expect("overlay converges");
     (internet, vns)
+}
+
+/// Applies a management action through `Vns::apply`.
+fn mgmt(internet: &mut Internet, vns: &mut Vns, action: MgmtChange) {
+    vns.apply(internet, &mut FaultInjector::new(), Change::Mgmt(action))
+        .expect("reconverges");
 }
 
 #[test]
@@ -229,23 +235,26 @@ fn management_force_exit_and_exempt() {
         PopRegion::Eu,
         "sanity: EU prefix exits in EU"
     );
-    vns.mgmt_force_exit(&mut internet, prefix, PopId(7))
-        .expect("reconverges");
+    let force = MgmtChange::ForceExit {
+        prefix,
+        pop: PopId(7),
+    };
+    mgmt(&mut internet, &mut vns, force);
     let forced = vns.egress_pop(&internet, PopId(10), ip).unwrap();
     assert_eq!(forced, PopId(7), "forced exit via Singapore");
     // Clearing restores geography.
-    vns.mgmt_clear(&mut internet, prefix).expect("reconverges");
+    mgmt(&mut internet, &mut vns, MgmtChange::Clear(prefix));
     let after = vns.egress_pop(&internet, PopId(10), ip).unwrap();
     assert_eq!(vns.pop(after).spec.region, PopRegion::Eu);
     // Exempting falls back to default BGP (egress may or may not change,
     // but the override table must reflect it and reconvergence succeed).
-    vns.mgmt_exempt(&mut internet, prefix).expect("reconverges");
+    mgmt(&mut internet, &mut vns, MgmtChange::Exempt(prefix));
     assert!(vns.overrides().is_exempt(&prefix));
 }
 
 #[test]
 fn management_more_specific_steers_within_vns() {
-    let (mut internet, vns) = world(20, RoutingMode::GeoColdPotato);
+    let (mut internet, mut vns) = world(20, RoutingMode::GeoColdPotato);
     // Take a European /16 and steer one /18 of it via Hong Kong (as if
     // that subnet were actually in Asia).
     let parent = internet
@@ -257,8 +266,11 @@ fn management_more_specific_steers_within_vns() {
     let ip_in_sub = sub.first_host();
     let before = vns.egress_pop(&internet, PopId(10), ip_in_sub).unwrap();
     assert_eq!(vns.pop(before).spec.region, PopRegion::Eu);
-    vns.mgmt_inject_more_specific(&mut internet, sub, PopId(8))
-        .expect("reconverges");
+    let inject = MgmtChange::InjectMoreSpecific {
+        prefix: sub,
+        pop: PopId(8),
+    };
+    mgmt(&mut internet, &mut vns, inject);
     // Inside VNS, the more-specific wins and steers to HKG.
     let after = vns.egress_pop(&internet, PopId(10), ip_in_sub).unwrap();
     assert_eq!(after, PopId(8), "steered via the injected more-specific");

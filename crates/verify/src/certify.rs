@@ -1,12 +1,13 @@
 //! One certified change. A [`Certifier`] owns the [`FaultInjector`], so the
 //! scope both stages run under is always the set of routers its faults took
-//! down: it applies an event, reconverges, refuses a torn net as a typed
-//! [`CertifyError`], and certifies the result and the rebuilt [`PathTable`].
+//! down: it applies a [`Change`] through [`Vns::apply`], refuses a torn net
+//! as a typed [`CertifyError`], and certifies the result and the rebuilt
+//! [`PathTable`].
 
 use std::fmt;
 
-use vns_bgp::{ConvergenceError, ConvergenceStats};
-use vns_core::{FaultError, FaultEvent, FaultInjector, Vns};
+use vns_bgp::ConvergenceStats;
+use vns_core::{Change, ChangeError, FaultInjector, LaunchedAttack, Vns};
 use vns_service::{EndpointTable, PathTable};
 use vns_topo::Internet;
 
@@ -15,7 +16,7 @@ use crate::dataplane::{
 };
 use crate::{verify_scoped, Report, VerifyScope};
 
-/// Applies [`FaultEvent`]s to a world and certifies each state they leave.
+/// Applies [`Change`]s to a world and certifies each state they leave.
 #[derive(Debug, Default)]
 pub struct Certifier {
     injector: FaultInjector,
@@ -24,21 +25,21 @@ pub struct Certifier {
 /// What one certified change cost and what both stages found after it.
 #[derive(Debug)]
 pub struct Certified {
-    /// The reconvergence the event caused.
+    /// The reconvergence the change caused.
     pub stats: ConvergenceStats,
-    /// Stage 1 on the post-event RIBs, scoped to the routers that are down.
+    /// What an attack staged ([`vns_core::Applied::attack`]).
+    pub attack: Option<LaunchedAttack>,
+    /// Stage 1 on the post-change RIBs, scoped to the routers that are down.
     pub control: Report,
-    /// Stage 2 on the post-event forwarding graph, same scope.
+    /// Stage 2 on the post-change forwarding graph, same scope.
     pub dataplane: DataplaneReport,
 }
 
 /// Why a change could not be certified.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CertifyError {
-    /// The injector refused the event; the world is unchanged.
-    Fault(FaultError),
-    /// The message budget ran out before quiescence.
-    Convergence(ConvergenceError),
+    /// The change did not apply or did not reconverge.
+    Change(ChangeError),
     /// The run returned with work still queued: a transient, not a state.
     Torn,
 }
@@ -46,8 +47,7 @@ pub enum CertifyError {
 impl fmt::Display for CertifyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CertifyError::Fault(e) => write!(f, "event does not apply: {e}"),
-            CertifyError::Convergence(e) => write!(f, "does not reconverge: {e}"),
+            CertifyError::Change(e) => e.fmt(f),
             CertifyError::Torn => f.write_str("left the net torn"),
         }
     }
@@ -56,26 +56,25 @@ impl fmt::Display for CertifyError {
 impl std::error::Error for CertifyError {}
 
 impl Certifier {
-    /// Applies `event`, reconverges through [`Vns::reconverge`] and runs
-    /// both stages scoped to the routers that are down afterwards.
+    /// Applies `change` through [`Vns::apply`] with this certifier's
+    /// injector and runs both stages scoped to the routers that are down
+    /// afterwards.
     pub fn apply(
         &mut self,
         internet: &mut Internet,
-        vns: &Vns,
-        event: FaultEvent,
+        vns: &mut Vns,
+        change: Change,
     ) -> Result<Certified, CertifyError> {
-        self.injector
-            .apply(internet, vns, event)
-            .map_err(CertifyError::Fault)?;
-        let stats = vns
-            .reconverge(internet)
-            .map_err(CertifyError::Convergence)?;
+        let applied = vns
+            .apply(internet, &mut self.injector, change)
+            .map_err(CertifyError::Change)?;
         if !internet.net.is_quiescent() {
             return Err(CertifyError::Torn);
         }
         let (control, dataplane) = self.check(internet, vns);
         Ok(Certified {
-            stats,
+            stats: applied.stats,
+            attack: applied.attack,
             control,
             dataplane,
         })

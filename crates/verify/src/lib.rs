@@ -49,11 +49,12 @@
 //! measured catch rate.
 //!
 //! The checks assume the network has been run to quiescence
-//! ([`vns_core::Vns::reconverge`]); on a mid-convergence network they may
-//! report transients.
+//! ([`vns_core::Vns::apply`] reconverges after every change); on a
+//! mid-convergence network they may report transients.
 //!
-//! Entry points: a [`Certifier`] applies a fault event, reconverges and
-//! runs both stages scoped to the dead routers ([`Certifier::apply`]), runs
+//! Entry points: a [`Certifier`] applies a change — a fault, a management
+//! action or an attack — and runs both stages scoped to the dead routers
+//! ([`Certifier::apply`]), runs
 //! them on the current state ([`Certifier::check`]) and certifies a rebuilt
 //! `PathTable` ([`Certifier::rebuild_paths`]), over [`verify_scoped`] and
 //! [`verify_dataplane_scoped`]. The `vns-verify` binary (in `vns-bench`)

@@ -7,7 +7,9 @@ use vns_bgp::{
     Asn, Community, Message, Origin, PeerKind, Prefix, RouteAttrs, RouteSource, SpeakerId,
     DEFAULT_LOCAL_PREF,
 };
-use vns_core::{build_vns, LocalPrefFn, PopId, RoutingMode, Vns, VnsConfig};
+use vns_core::{
+    build_vns, Change, FaultInjector, LocalPrefFn, MgmtChange, PopId, RoutingMode, Vns, VnsConfig,
+};
 use vns_topo::{generate, Internet, TopoConfig};
 use vns_verify::{verify, Invariant, Severity};
 
@@ -21,6 +23,16 @@ fn world_with(seed: u64, tweak: impl FnOnce(&mut VnsConfig)) -> (Internet, Vns) 
 
 fn world(seed: u64) -> (Internet, Vns) {
     world_with(seed, |_| {})
+}
+
+/// Applies a management action through `Vns::apply`.
+fn mgmt(internet: &mut Internet, vns: &mut Vns, action: MgmtChange) {
+    vns.apply(internet, &mut FaultInjector::new(), Change::Mgmt(action))
+        .expect("reconvergence");
+}
+
+fn force(prefix: Prefix, pop: PopId) -> MgmtChange {
+    MgmtChange::ForceExit { prefix, pop }
 }
 
 /// First externally learned prefix in a reflector's Adj-RIB-In (non-empty
@@ -86,9 +98,7 @@ fn stale_override_table_flagged() {
     // contradicting the clone's override table.
     let prefix = reflector_external_prefix(&internet, &vns);
     let mut changed = vns.clone();
-    changed
-        .mgmt_force_exit(&mut internet.clone(), prefix, PopId(1))
-        .expect("reconvergence");
+    mgmt(&mut internet.clone(), &mut changed, force(prefix, PopId(1)));
     assert!(vns.overrides().is_empty(), "the original is untouched");
     let report = verify(&internet, &changed);
     assert!(
@@ -145,8 +155,7 @@ fn corrupted_override_table_flagged() {
     // a PoP that does not exist.
     vns.inject_inconsistent_override_for_test(prefix, PopId(3));
     let ghost: Prefix = "200.1.0.0/16".parse().expect("prefix");
-    vns.mgmt_force_exit(&mut internet, ghost, PopId(99))
-        .expect("reconvergence");
+    mgmt(&mut internet, &mut vns, force(ghost, PopId(99)));
     let report = verify(&internet, &vns);
     assert!(
         report
@@ -348,29 +357,25 @@ fn override_precedence_end_to_end() {
 
     // Force wins over geography, and the refreshed RIBs agree with the
     // table (verifier clean).
-    vns.mgmt_force_exit(&mut internet, prefix, forced)
-        .expect("reconvergence");
+    mgmt(&mut internet, &mut vns, force(prefix, forced));
     assert_eq!(vns.egress_pop(&internet, vantage, ip), Some(forced));
     let report = verify(&internet, &vns);
     assert!(report.passes(), "{}", report.render());
 
     // Exempt replaces force (this order)…
-    vns.mgmt_exempt(&mut internet, prefix)
-        .expect("reconvergence");
+    mgmt(&mut internet, &mut vns, MgmtChange::Exempt(prefix));
     assert!(vns.overrides().is_exempt(&prefix));
     assert_eq!(vns.overrides().forced_exit(&prefix), None);
     assert!(verify(&internet, &vns).passes());
 
     // …and force replaces exempt (the other order).
-    vns.mgmt_force_exit(&mut internet, prefix, forced)
-        .expect("reconvergence");
+    mgmt(&mut internet, &mut vns, force(prefix, forced));
     assert!(!vns.overrides().is_exempt(&prefix));
     assert_eq!(vns.overrides().forced_exit(&prefix), Some(forced));
     assert_eq!(vns.egress_pop(&internet, vantage, ip), Some(forced));
 
     // Clear restores pure geo-routing.
-    vns.mgmt_clear(&mut internet, prefix)
-        .expect("reconvergence");
+    mgmt(&mut internet, &mut vns, MgmtChange::Clear(prefix));
     assert!(vns.overrides().is_empty());
     assert_eq!(vns.egress_pop(&internet, vantage, ip), Some(geo_egress));
     let report = verify(&internet, &vns);

@@ -11,7 +11,7 @@
 //! exit, exempting a badly geolocated prefix, and injecting a NO_EXPORT
 //! more-specific.
 
-use vns::core::{build_vns, PopId, RoutingMode, VnsConfig};
+use vns::core::{build_vns, Change, FaultInjector, MgmtChange, PopId, RoutingMode, VnsConfig};
 use vns::topo::{generate, TopoConfig};
 
 fn main() {
@@ -85,25 +85,32 @@ fn main() {
         let e = vns.egress_pop(net, viewpoint, ip).expect("egress resolves");
         println!("  {label}: exits at {}", vns.pop(e).code());
     };
+    // Every management action is a `Change`, applied through the door
+    // faults and attacks take too.
+    let mut injector = FaultInjector::new();
+    let mut mgmt = |vns: &mut vns::core::Vns, net: &mut vns::topo::Internet, action| {
+        vns.apply(net, &mut injector, Change::Mgmt(action))
+            .expect("reconverges");
+    };
     show(&after, &after_net, "geo default     ");
-    after
-        .mgmt_force_exit(&mut after_net, victim, PopId(7))
-        .expect("reconverges");
+    let force = MgmtChange::ForceExit {
+        prefix: victim,
+        pop: PopId(7),
+    };
+    mgmt(&mut after, &mut after_net, force);
     show(&after, &after_net, "forced to SIN   ");
-    after
-        .mgmt_exempt(&mut after_net, victim)
-        .expect("reconverges");
+    mgmt(&mut after, &mut after_net, MgmtChange::Exempt(victim));
     show(&after, &after_net, "exempted        ");
-    after
-        .mgmt_clear(&mut after_net, victim)
-        .expect("reconverges");
+    mgmt(&mut after, &mut after_net, MgmtChange::Clear(victim));
     show(&after, &after_net, "cleared         ");
 
     // Steer one /18 of it via Hong Kong without leaking the route.
     let sub = victim.subnet(18, 2);
-    after
-        .mgmt_inject_more_specific(&mut after_net, sub, PopId(8))
-        .expect("reconverges");
+    let inject = MgmtChange::InjectMoreSpecific {
+        prefix: sub,
+        pop: PopId(8),
+    };
+    mgmt(&mut after, &mut after_net, inject);
     let e = after
         .egress_pop(&after_net, viewpoint, sub.first_host())
         .expect("egress resolves");

@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
-"""Check that one call site picks each convergence engine.
+"""Check that one call site picks each convergence engine, and that one
+door reconverges a deployed world.
 
 Usage: engine_sites.py
 
 Outside `crates/bgp`, non-test code under `crates/*/src` may drive a
 `BgpNet` in two places only: `Vns::reconverge` calls `.net.run(` (every
 change after the build reconverges through it) and `Internet::converge`
-calls `run_sharded(` (every build converges through it). Any other call
+calls `run_sharded(` (every build converges through it). `Vns::reconverge`
+itself is called from `Vns::apply` only, the one place a fault, a
+management action or an attack is staged and reconverged. Any other call
 is printed with its location and the script exits 1, so choosing an
-engine stays a one-line change.
+engine stays a one-line change and every change is counted the same way.
 
 The scan is textual, like pub_audit.py, whose stripping of comments,
 string literals and `#[cfg(test)]` items it reuses; a call is attributed
@@ -24,6 +27,7 @@ from pub_audit import ROOT, non_test_code
 SITES = {
     r"\.net\s*\.\s*run\s*\(": ("crates/core/src/service.rs", "reconverge"),
     r"\brun_sharded\s*\(": ("crates/topo/src/internet.rs", "converge"),
+    r"\.reconverge\s*\(": ("crates/core/src/change.rs", "apply"),
 }
 
 
