@@ -335,10 +335,11 @@ fn bench_path_resolution(c: &mut Criterion) {
 /// The read paths certification runs through, each on the scale-1 world
 /// (the size `benchmark/`'s `fault-reconverge` rebuilds and re-verifies
 /// after every event): Loc-RIB longest match, IGP shortest path, the
-/// service plane's wholesale `PathTable` build and both verifier stages.
+/// service plane's wholesale `PathTable` build and both verifier stages
+/// (the data-plane stage also as its forwarding graph alone).
 fn bench_certification_reads(c: &mut Criterion) {
     use vns_service::{EndpointTable, PathTable};
-    use vns_verify::{forwarding_graph, verify, VerifyScope};
+    use vns_verify::{forwarding_graph, verify, verify_dataplane, VerifyScope};
     let world = World::geo(77, 1.0);
     let (internet, vns) = (&world.internet, &world.vns);
 
@@ -407,6 +408,11 @@ fn bench_certification_reads(c: &mut Criterion) {
     });
     c.bench_function("verify/control_checks", |b| {
         b.iter(|| black_box(verify(internet, vns)));
+    });
+    // The whole data-plane stage: the graph, the five checks and dropping
+    // the analysis.
+    c.bench_function("verify/dataplane", |b| {
+        b.iter(|| black_box(verify_dataplane(internet, vns).pairs));
     });
 }
 

@@ -40,7 +40,7 @@ fn assert_agreement(internet: &Internet, scope: &VerifyScope, context: &str) -> 
             let city = internet.city_of_router(id).expect("speaker has a city");
             let resolved = resolve_path(internet, id, city, dest.ip);
             let at = |e: &str| format!("{context}: {id} -> {} ({e})", dest.prefix);
-            match dest.outcomes.get(&id) {
+            match dest.outcome(id) {
                 None => assert_eq!(
                     resolved.as_ref().err(),
                     Some(&PathError::NoRoute(id)),
@@ -50,7 +50,7 @@ fn assert_agreement(internet: &Internet, scope: &VerifyScope, context: &str) -> 
                 Some(Terminal::Origin { at: end } | Terminal::Anycast { at: end }) => {
                     seen[0] += 1;
                     let path = resolved.unwrap_or_else(|e| panic!("{}", at(&e.to_string())));
-                    assert_eq!(path.routers.last(), Some(end), "{}", at("delivery router"));
+                    assert_eq!(path.routers.last(), Some(&end), "{}", at("delivery router"));
                 }
                 Some(Terminal::Blackhole { .. }) => {
                     seen[1] += 1;
@@ -185,7 +185,7 @@ fn graph_agrees_with_resolver_under_management_overrides() {
     let parent = analysis
         .destination(&testworld::european_prefix(&internet))
         .expect("parent analysed");
-    assert_eq!(steered.outcomes.len(), parent.outcomes.len());
+    assert_eq!(steered.sources(), parent.sources());
 
     // A forced exit moves the egress, not the agreement.
     let (mut internet, mut vns) = testworld::raw_tiny(20);

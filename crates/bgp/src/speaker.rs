@@ -403,8 +403,40 @@ impl<'a> ExportForms<'a> {
     }
 }
 
-/// What (if anything) `peer` should currently hear: the best route in the
-/// form its session takes, else the best-external fallback.
+/// Which candidate a peer hears, and in which form.
+#[derive(Debug, Clone, Copy)]
+enum Heard {
+    /// The best route.
+    Best(Form),
+    /// The best-external fallback.
+    External(Form),
+}
+
+/// The export decision: whether `peer` hears anything, and what — the best
+/// route in the form its session takes, else the best-external fallback.
+/// Builds nothing; [`export_for`] builds what it decides, and
+/// [`Speaker::advertises_to`] reads only the decision.
+fn heard(
+    best: &ExportForms<'_>,
+    best_ext: Option<&ExportForms<'_>>,
+    peer: SpeakerId,
+    kind: PeerKind,
+) -> Option<Heard> {
+    if let Some(form) = best.form_for(peer, kind) {
+        return Some(Heard::Best(form));
+    }
+    // Best-external: when the best route is iBGP-learned (and therefore
+    // not advertised back over iBGP by the rules above), a border router
+    // still offers its best eBGP-learned route to its iBGP peers so the
+    // reflectors keep seeing every external option.
+    if !kind.is_ebgp() && best.candidate.source.is_ibgp() {
+        return best_ext?.form_for(peer, kind).map(Heard::External);
+    }
+    None
+}
+
+/// What (if anything) `peer` should currently hear: [`heard`]'s decision,
+/// built.
 fn export_for<'f>(
     best: Option<&'f mut ExportForms<'_>>,
     best_ext: Option<&'f mut ExportForms<'_>>,
@@ -412,19 +444,10 @@ fn export_for<'f>(
     kind: PeerKind,
 ) -> Option<&'f Export> {
     let best = best?;
-    if let Some(form) = best.form_for(peer, kind) {
-        return Some(best.get(form));
+    match heard(best, best_ext.as_deref(), peer, kind)? {
+        Heard::Best(form) => Some(best.get(form)),
+        Heard::External(form) => best_ext.map(|ext| ext.get(form)),
     }
-    // Best-external: when the best route is iBGP-learned (and therefore
-    // not advertised back over iBGP by the rules above), a border router
-    // still offers its best eBGP-learned route to its iBGP peers so the
-    // reflectors keep seeing every external option.
-    if !kind.is_ebgp() && best.candidate.source.is_ibgp() {
-        let ext = best_ext?;
-        let form = ext.form_for(peer, kind)?;
-        return Some(ext.get(form));
-    }
-    None
 }
 
 /// A short list its owner keeps sorted: up to two entries inline, more on
@@ -1254,6 +1277,18 @@ impl Speaker {
         })
     }
 
+    /// The Adj-RIB-In entries for prefix `id` as `(sending peer,
+    /// candidate)`, in sender order: what [`Speaker::adj_rib_in_entries`]
+    /// yields for it. A caller walking many speakers in one prefix order
+    /// builds the order once ([`crate::BgpNet::prefix_ids`]) and reads each
+    /// speaker by id.
+    pub fn adj_rib_in(&self, id: PrefixId) -> impl Iterator<Item = (SpeakerId, &Candidate)> + '_ {
+        self.slot(id)
+            .map_or(&[][..], |slot| slot.learned.as_slice())
+            .iter()
+            .map(|c| (sender(c), c))
+    }
+
     /// How many `(peer, prefix)` advertisements the Adj-RIB-Out remembers.
     pub fn adj_rib_out_len(&self) -> usize {
         self.slots.iter().map(|slot| slot.row.len()).sum()
@@ -1269,17 +1304,40 @@ impl Speaker {
     /// The stored Adj-RIB-Out keeps only fingerprints to diff against; this
     /// is the authoritative way to inspect outbound state.
     pub fn exported_to(&self, peer: SpeakerId, prefix: impl PrefixKey) -> Option<Arc<RouteAttrs>> {
+        let (kind, mut best, mut best_ext) = self.export_inputs(peer, prefix)?;
+        export_for(Some(&mut best), best_ext.as_mut(), peer, kind)
+            .map(|(attrs, _)| Arc::clone(attrs))
+    }
+
+    /// Whether this router currently advertises anything to `peer` for
+    /// `prefix` (by value or by id): `exported_to(peer, prefix).is_some()`,
+    /// by the same export decision, without building the wire form.
+    pub fn advertises_to(&self, peer: SpeakerId, prefix: impl PrefixKey) -> bool {
+        self.export_inputs(peer, prefix)
+            .is_some_and(|(kind, best, best_ext)| {
+                heard(&best, best_ext.as_ref(), peer, kind).is_some()
+            })
+    }
+
+    /// What the export decision towards `peer` for `prefix` reads: the
+    /// session kind, and the forms of the best route and of the
+    /// best-external fallback. `None` when the peer is not configured or
+    /// nothing is selected.
+    fn export_inputs(
+        &self,
+        peer: SpeakerId,
+        prefix: impl PrefixKey,
+    ) -> Option<(PeerKind, ExportForms<'_>, Option<ExportForms<'_>>)> {
         let cfg = self.peer_config(peer)?;
         let id = self.prefixes.id_of(prefix)?;
         let slot = self.slot(id)?;
-        let mut best = ExportForms::new(self, self.selected(id)?);
-        let mut best_ext = self
+        let best = ExportForms::new(self, self.selected(id)?);
+        let best_ext = self
             .best_external
             .then(|| self.best_ebgp(slot))
             .flatten()
             .map(|c| ExportForms::new(self, c));
-        export_for(Some(&mut best), best_ext.as_mut(), peer, cfg.kind)
-            .map(|(attrs, _)| Arc::clone(attrs))
+        Some((cfg.kind, best, best_ext))
     }
 
     /// Installed IGP cost from this router to `to` (`Some(0)` for itself,
@@ -2249,6 +2307,126 @@ mod tests {
             some > 4000 && none > 4000 && fallbacks > 400,
             "{some} {none} {fallbacks}"
         );
+    }
+
+    /// A small network: AS 100 is a reflector (1) with two border clients
+    /// (2, 3); around it a provider (10), a peer (11), a customer (12) and a
+    /// stub (13) multi-homed to the provider and the peer. Border 2 also
+    /// originates a NO_EXPORT more-specific, border 3 a NO_ADVERTISE route.
+    fn advertising_net(best_external: bool) -> crate::BgpNet {
+        use crate::BgpNet;
+        let mut net = BgpNet::new();
+        for (id, asn) in [
+            (1, 100),
+            (2, 100),
+            (3, 100),
+            (10, 200),
+            (11, 300),
+            (12, 400),
+        ] {
+            net.add_speaker(Speaker::new(SpeakerId(id), Asn(asn)));
+        }
+        net.add_speaker(Speaker::new(SpeakerId(13), Asn(500)));
+        for (rr, client) in [(1, 2), (1, 3)] {
+            net.connect_rr_client(SpeakerId(rr), SpeakerId(client), Policy::GaoRexford);
+        }
+        for (a, b, rel) in [
+            (2, 10, Relation::Provider),
+            (3, 10, Relation::Provider),
+            (3, 11, Relation::Peer),
+            (2, 12, Relation::Customer),
+            (10, 13, Relation::Customer),
+            (11, 13, Relation::Customer),
+        ] {
+            net.connect_ebgp(SpeakerId(a), SpeakerId(b), rel, Policy::GaoRexford);
+        }
+        for id in [1, 2, 3] {
+            let costs = [(1, 10), (2, 10), (3, 10)]
+                .into_iter()
+                .filter(|&(to, _)| to != id)
+                .map(|(to, c)| (SpeakerId(to), c))
+                .collect();
+            let sp = net.speaker_mut(SpeakerId(id)).unwrap();
+            sp.set_igp_costs(costs);
+            sp.set_best_external(best_external && id != 1);
+        }
+        for (at, prefix) in [
+            (13, "10.13.0.0/16"),
+            (12, "10.12.0.0/16"),
+            (11, "10.11.0.0/16"),
+            (10, "10.10.0.0/16"),
+            (3, "10.3.0.0/16"),
+        ] {
+            net.originate(SpeakerId(at), p(prefix));
+        }
+        net.originate_with(SpeakerId(2), p("10.13.64.0/18"), vec![Community::NoExport]);
+        net.originate_with(
+            SpeakerId(3),
+            p("10.3.128.0/17"),
+            vec![Community::NoAdvertise],
+        );
+        net.run(100_000).unwrap();
+        net
+    }
+
+    /// `advertises_to` is `exported_to(..).is_some()` for every speaker ×
+    /// configured peer × prefix, and says no to a peer that is not
+    /// configured; returns how many pairs advertise.
+    fn assert_advertises_as_exported(net: &crate::BgpNet, ctx: &str) -> usize {
+        let ids: Vec<PrefixId> = net.prefix_ids().map(|(_, id)| id).collect();
+        let mut advertised = 0;
+        for sid in net.speaker_ids() {
+            let sp = net.speaker(sid).unwrap();
+            for &id in &ids {
+                for peer in sp.peer_ids() {
+                    let exported = sp.exported_to(peer, id).is_some();
+                    assert_eq!(
+                        sp.advertises_to(peer, id),
+                        exported,
+                        "{ctx}: {sid} -> {peer} for {}",
+                        sp.prefixes.prefix(id)
+                    );
+                    advertised += usize::from(exported);
+                }
+                assert!(!sp.advertises_to(SpeakerId(99), id), "{ctx}: unconfigured");
+            }
+        }
+        advertised
+    }
+
+    #[test]
+    fn advertises_to_is_exported_to_is_some() {
+        for best_external in [true, false] {
+            let mut net = advertising_net(best_external);
+            let ctx = format!("best-external {best_external}");
+            let converged = assert_advertises_as_exported(&net, &ctx);
+            // Cut the reflector from one border, then the border's
+            // provider session: the survivors re-decide.
+            net.disconnect(SpeakerId(1), SpeakerId(3));
+            net.run(100_000).unwrap();
+            assert_advertises_as_exported(&net, &format!("{ctx}, 1-3 cut"));
+            net.disconnect(SpeakerId(2), SpeakerId(10));
+            net.run(100_000).unwrap();
+            let cut = assert_advertises_as_exported(&net, &format!("{ctx}, 2-10 cut"));
+            assert!(converged > cut && cut > 0, "{ctx}: {converged} {cut}");
+        }
+        // Best-external is what the fallback branch decides: with it on, a
+        // border whose best is iBGP-learned still advertises its external
+        // route to the reflector.
+        let on = advertising_net(true);
+        let off = advertising_net(false);
+        let heard = |net: &crate::BgpNet| {
+            let borders = [2, 3].map(|b| net.speaker(SpeakerId(b)).unwrap());
+            net.prefix_ids()
+                .filter(|&(_, id)| {
+                    borders.iter().any(|sp| {
+                        sp.best(id).is_some_and(|c| c.source.is_ibgp())
+                            && sp.advertises_to(SpeakerId(1), id)
+                    })
+                })
+                .count()
+        };
+        assert!(heard(&on) > heard(&off), "{} {}", heard(&on), heard(&off));
     }
 
     #[test]

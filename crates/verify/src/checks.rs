@@ -4,13 +4,26 @@
 //! accessors on [`vns_bgp::Speaker`]) and pushes [`Violation`]s into the
 //! shared [`Reporter`]. None of them mutate the network or depend on
 //! check order.
+//!
+//! **What a check reads.** The checks that walk RIBs walk them in one
+//! prefix order, [`PrefixOrder`], built once per verify call, and read
+//! each speaker at each prefix by id — the same entries, in the same order,
+//! as each speaker's own `adj_rib_in_entries` / `loc_rib_entries`, without
+//! walking every speaker's prefix table. What depends only on (prefix,
+//! egress) or (sender, prefix) is computed once per call: GEO-PREF's
+//! expected preference ([`AssignedPrefs`]) and VALLEY-FREE's reading of a
+//! sender's best route ([`SenderClasses`]). HIDDEN-ROUTE asks only
+//! *whether* a border advertises to a reflector
+//! ([`vns_bgp::Speaker::advertises_to`]), not what. The tables decide
+//! which entries need a closer look; the findings are worded by the code
+//! that looks.
 
 use std::collections::BTreeSet;
 
 use vns_bgp::policy::relation_from_tags;
 use vns_bgp::{
-    may_export, BgpNet, Candidate, Community, Prefix, PrefixId, RouteSource, SpeakerId,
-    DEFAULT_LOCAL_PREF,
+    may_export, BgpNet, Candidate, Community, Prefix, PrefixId, Relation, RouteSource, Speaker,
+    SpeakerId, DEFAULT_LOCAL_PREF,
 };
 use vns_core::lpfunc::MAX_DISTANCE_KM;
 use vns_core::{LocalPrefFn, RoutingMode, Vns};
@@ -145,12 +158,14 @@ pub(crate) fn geo_preference(
     internet: &Internet,
     vns: &Vns,
     scope: &VerifyScope,
+    order: &PrefixOrder,
     rep: &mut Reporter,
 ) {
     if vns.mode() != RoutingMode::GeoColdPotato {
         // Hot-potato deployments assign no geo preference; nothing to audit.
         return;
     }
+    let mut assigned = AssignedPrefs::new(internet, vns, order.len());
     for rr in vns.reflectors() {
         if scope.is_dead(rr) {
             // A downed reflector's Adj-RIB-In is empty by construction;
@@ -167,7 +182,7 @@ pub(crate) fn geo_preference(
             );
             continue;
         };
-        for (prefix, _, from, cand) in sp.adj_rib_in_entries() {
+        for (k, prefix, _, from, cand) in order.adj_rib_in(sp) {
             if !cand.source.is_ibgp() {
                 rep.push(
                     Violation::error(
@@ -189,7 +204,7 @@ pub(crate) fn geo_preference(
                 continue;
             }
             let egress = cand.attrs.next_hop;
-            if let Some(expected) = vns.assigned_pref(&internet.geoip, egress, prefix) {
+            if let Some(expected) = assigned.get(k, prefix, egress) {
                 let got = cand.attrs.local_pref;
                 if got != expected {
                     let pop = vns
@@ -216,6 +231,96 @@ pub(crate) fn geo_preference(
     }
 }
 
+/// The network's prefixes in `(addr, len)` order, with their ids: the
+/// order every speaker's RIB readers walk, built once per verify call. A
+/// prefix's position in it (`k`) indexes the per-call tables below.
+pub(crate) struct PrefixOrder(Vec<(Prefix, PrefixId)>);
+
+impl PrefixOrder {
+    pub(crate) fn new(net: &BgpNet) -> Self {
+        let mut order: Vec<(Prefix, PrefixId)> = net.prefix_ids().collect();
+        order.sort_unstable_by_key(|&(prefix, _)| prefix);
+        Self(order)
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Every prefix with its position and id, in order.
+    fn iter(&self) -> impl Iterator<Item = (usize, Prefix, PrefixId)> + '_ {
+        self.0
+            .iter()
+            .enumerate()
+            .map(|(k, &(prefix, id))| (k, prefix, id))
+    }
+
+    /// `sp`'s Adj-RIB-In as `(position, prefix, id, sender, candidate)`:
+    /// the entries of `sp.adj_rib_in_entries()`, in its order.
+    fn adj_rib_in<'a>(
+        &'a self,
+        sp: &'a Speaker,
+    ) -> impl Iterator<Item = (usize, Prefix, PrefixId, SpeakerId, &'a Candidate)> + 'a {
+        self.iter().flat_map(move |(k, prefix, id)| {
+            sp.adj_rib_in(id)
+                .map(move |(from, cand)| (k, prefix, id, from, cand))
+        })
+    }
+
+    /// `sp`'s Loc-RIB as `(position, prefix, id, best)`: the entries of
+    /// `sp.loc_rib_entries()`, in its order.
+    fn loc_rib<'a>(
+        &'a self,
+        sp: &'a Speaker,
+    ) -> impl Iterator<Item = (usize, Prefix, PrefixId, &'a Candidate)> + 'a {
+        self.iter()
+            .filter_map(|(k, prefix, id)| Some((k, prefix, id, sp.best(id)?)))
+    }
+}
+
+/// GEO-PREF's expected preferences: [`Vns::assigned_pref`] once per
+/// (prefix, egress) per verify call, on first ask, shared by both
+/// reflectors. Egresses are the deployment's routers (the next hops its
+/// borders set); any other next hop is computed on every ask.
+struct AssignedPrefs<'a> {
+    internet: &'a Internet,
+    vns: &'a Vns,
+    /// The egresses with a column, sorted.
+    egresses: Vec<SpeakerId>,
+    /// `cells[k * egresses.len() + column]`: `None` until asked.
+    cells: Vec<Option<Option<u32>>>,
+}
+
+impl<'a> AssignedPrefs<'a> {
+    fn new(internet: &'a Internet, vns: &'a Vns, prefixes: usize) -> Self {
+        let mut egresses: Vec<SpeakerId> = vns
+            .pops()
+            .iter()
+            .flat_map(|p| p.borders)
+            .chain(vns.reflectors().iter().copied())
+            .collect();
+        egresses.sort_unstable();
+        egresses.dedup();
+        Self {
+            internet,
+            vns,
+            cells: vec![None; prefixes * egresses.len()],
+            egresses,
+        }
+    }
+
+    /// The preference `vns` assigns a route to `prefix` (at position `k`)
+    /// via `egress`.
+    fn get(&mut self, k: usize, prefix: Prefix, egress: SpeakerId) -> Option<u32> {
+        let (internet, vns) = (self.internet, self.vns);
+        let assign = || vns.assigned_pref(&internet.geoip, egress, prefix);
+        match self.egresses.binary_search(&egress) {
+            Ok(column) => *self.cells[k * self.egresses.len() + column].get_or_insert_with(assign),
+            Err(_) => assign(),
+        }
+    }
+}
+
 /// Invariants 3 and 6, which both read every speaker's Adj-RIB-In, in one
 /// pass over it (NO-EXPORT findings go to `rep`, VALLEY-FREE findings to
 /// `valley`, so the caller can place each where its report order wants it).
@@ -229,20 +334,43 @@ pub(crate) fn geo_preference(
 ///
 /// VALLEY-FREE: see [`valley_free_entry`].
 ///
-/// Both walks hold each prefix's [`PrefixId`] beside it and read the
-/// sender's Loc-RIB, the best-external route and the exports by that id,
-/// so the pass over every Adj-RIB-In entry probes no prefix table.
+/// Both go in `order` and read every RIB by prefix id. VALLEY-FREE
+/// reads each sender's Loc-RIB once per prefix, up front
+/// ([`SenderClasses`]): an entry the table clears costs one load, and only
+/// an entry it flags goes through [`valley_free_entry`], which words the
+/// finding. The send side runs the best-external decision only where the
+/// receive side met an eBGP-learned `NO_EXPORT` route, the only kind it
+/// can select.
 pub(crate) fn no_export_and_valley_free(
     internet: &Internet,
+    order: &PrefixOrder,
     rep: &mut Reporter,
     valley: &mut Reporter,
 ) {
     let net = &internet.net;
+    let classes = SenderClasses::new(net, order);
+    // The current speaker's eBGP-learned entries, for the receive side.
+    let mut learned: Vec<(usize, Prefix, SpeakerId, &Candidate)> = Vec::new();
+    // The positions at which it holds an eBGP-learned NO_EXPORT route:
+    // only there can its best-external route carry one.
+    let mut leaked: Vec<usize> = Vec::new();
     for id in net.speaker_ids() {
         let Some(sp) = net.speaker(id) else { continue };
-        for (prefix, pid, from, cand) in sp.adj_rib_in_entries() {
-            // NO-EXPORT (a): receive side.
-            if cand.source.is_ebgp() && cand.attrs.has_community(Community::NoExport) {
+        learned.clear();
+        leaked.clear();
+        for (k, prefix, pid, from, cand) in order.adj_rib_in(sp) {
+            if cand.source.is_ebgp() {
+                learned.push((k, prefix, from, cand));
+            }
+            if classes.flags(id, k, cand) {
+                valley_free_entry(net, id, (prefix, pid), cand, valley);
+            }
+        }
+        // NO-EXPORT (a): receive side, over the entries the walk collected
+        // (a loop with nothing else in it overlaps their attribute loads).
+        for &(k, prefix, from, cand) in &learned {
+            if cand.attrs.has_community(Community::NoExport) {
+                leaked.push(k);
                 rep.push(
                     Violation::error(
                         Invariant::NoExportLeak,
@@ -257,7 +385,6 @@ pub(crate) fn no_export_and_valley_free(
                     .on(prefix),
                 );
             }
-            valley_free_entry(net, id, (prefix, pid), cand, valley);
         }
         // NO-EXPORT (b): send side.
         let ebgp_peers: Vec<SpeakerId> = sp
@@ -267,9 +394,10 @@ pub(crate) fn no_export_and_valley_free(
         if ebgp_peers.is_empty() {
             continue;
         }
-        for (prefix, pid, best) in sp.loc_rib_entries() {
+        for (k, prefix, pid, best) in order.loc_rib(sp) {
             let tagged_best = best.attrs.has_community(Community::NoExport);
             let tagged_ext = sp.best_external_enabled()
+                && leaked.contains(&k)
                 && sp
                     .best_external_route(pid)
                     .is_some_and(|c| c.attrs.has_community(Community::NoExport));
@@ -312,6 +440,7 @@ pub(crate) fn hidden_routes(
     internet: &Internet,
     vns: &Vns,
     scope: &VerifyScope,
+    order: &PrefixOrder,
     rep: &mut Reporter,
 ) {
     for pop in vns.pops() {
@@ -348,7 +477,7 @@ pub(crate) fn hidden_routes(
                 }
                 up
             });
-            for (prefix, pid, best) in sp.loc_rib_entries() {
+            for (_, prefix, pid, best) in order.loc_rib(sp) {
                 if !best.source.is_ibgp() {
                     continue;
                 }
@@ -359,7 +488,7 @@ pub(crate) fn hidden_routes(
                     continue;
                 }
                 for &rr in &reflectors {
-                    if sp.exported_to(rr, pid).is_none() {
+                    if !sp.advertises_to(rr, pid) {
                         let v = if sp.best_external_enabled() {
                             Violation::error(
                                 Invariant::HiddenRoute,
@@ -385,6 +514,110 @@ pub(crate) fn hidden_routes(
                 }
             }
         }
+    }
+}
+
+/// VALLEY-FREE's reading of every sender's best route, one [`SenderClass`]
+/// per (speaker, prefix position), row by speaker id. A speaker id with no
+/// speaker holds [`SenderClass::RECHECK`] throughout.
+struct SenderClasses {
+    prefixes: usize,
+    cells: Vec<SenderClass>,
+}
+
+impl SenderClasses {
+    fn new(net: &BgpNet, order: &PrefixOrder) -> Self {
+        let prefixes = order.len();
+        let rows = net.speaker_ids().last().map_or(0, |id| id.0 as usize + 1);
+        let mut cells = vec![SenderClass::RECHECK; rows * prefixes];
+        for id in net.speaker_ids() {
+            let Some(sp) = net.speaker(id) else { continue };
+            let row = &mut cells[id.0 as usize * prefixes..][..prefixes];
+            for (cell, (_, _, pid)) in row.iter_mut().zip(order.iter()) {
+                *cell = SenderClass::of(sp.best(pid));
+            }
+        }
+        Self { prefixes, cells }
+    }
+
+    /// Whether the Adj-RIB-In entry `cand`, held by `id` for the prefix at
+    /// position `k`, needs [`valley_free_entry`]: true for an eBGP-learned
+    /// entry the table does not clear — its sender unknown, its sender's
+    /// best learned from `id` (an echo), untagged transit or not
+    /// exportable to `id`.
+    fn flags(&self, id: SpeakerId, k: usize, cand: &Candidate) -> bool {
+        let RouteSource::Ebgp { peer, relation, .. } = cand.source else {
+            return false;
+        };
+        let Some(&class) = self.cells.get(peer.0 as usize * self.prefixes + k) else {
+            return true;
+        };
+        match class.learned() {
+            Err(recheck) => recheck,
+            Ok(learned) => class.is_from(id) || !may_export(learned, relation.inverse()),
+        }
+    }
+}
+
+/// A sender's best route for one prefix as VALLEY-FREE reads it, in four
+/// bytes: the class in the top three bits — no best, recheck, own,
+/// customer-, peer- or provider-learned — and the best's sender plus one
+/// (0 for none) in the rest, for the echo test. A best that cannot be
+/// classed here (untagged iBGP transit, a sender id too large to pack) is
+/// `RECHECK`: its entries go to [`valley_free_entry`] as they always did.
+#[derive(Debug, Clone, Copy)]
+struct SenderClass(u32);
+
+impl SenderClass {
+    const SHIFT: u32 = 29;
+    const SENDER: u32 = (1 << Self::SHIFT) - 1;
+    const NO_BEST: Self = Self(0);
+    const RECHECK: Self = Self(1 << Self::SHIFT);
+    const OWN: u32 = 2;
+    const CUSTOMER: u32 = 3;
+    const PEER: u32 = 4;
+    const PROVIDER: u32 = 5;
+
+    fn of(best: Option<&Candidate>) -> Self {
+        let Some(best) = best else {
+            return Self::NO_BEST;
+        };
+        let Some(learned) = learned_over(best) else {
+            return Self::RECHECK;
+        };
+        let class = match learned {
+            None => Self::OWN,
+            Some(Relation::Customer) => Self::CUSTOMER,
+            Some(Relation::Peer) => Self::PEER,
+            Some(Relation::Provider) => Self::PROVIDER,
+        };
+        let sender = match best.source.peer() {
+            None => 0,
+            Some(peer) => match peer.0.checked_add(1).filter(|s| *s <= Self::SENDER) {
+                Some(s) => s,
+                None => return Self::RECHECK,
+            },
+        };
+        Self(class << Self::SHIFT | sender)
+    }
+
+    /// The relation the best was learned over (`None`: this AS's own), or
+    /// whether the entry needs rechecking when there is no class: `false`
+    /// with no best (a withdraw is the converged state), `true` for
+    /// `RECHECK`.
+    fn learned(self) -> Result<Option<Relation>, bool> {
+        match self.0 >> Self::SHIFT {
+            Self::OWN => Ok(None),
+            Self::CUSTOMER => Ok(Some(Relation::Customer)),
+            Self::PEER => Ok(Some(Relation::Peer)),
+            Self::PROVIDER => Ok(Some(Relation::Provider)),
+            class => Err(class != 0),
+        }
+    }
+
+    /// Whether the best was learned from `id`.
+    fn is_from(self, id: SpeakerId) -> bool {
+        id.0.checked_add(1) == Some(self.0 & Self::SENDER)
     }
 }
 
@@ -436,28 +669,20 @@ fn valley_free_entry(
         );
         return;
     }
-    let learned = match &sbest.source {
-        RouteSource::Local => None,
-        RouteSource::Ebgp { relation, .. } => Some(*relation),
-        RouteSource::Ibgp { .. } => match relation_from_tags(&sbest.attrs) {
-            Some(r) => Some(r),
-            None if sbest.attrs.as_path.is_empty() => None,
-            None => {
-                rep.push(
-                    Violation::error(
-                        Invariant::ValleyFree,
-                        format!(
-                            "{peer} exported an iBGP-learned transit \
-                             route with no ingress-relation tag; its \
-                             Gao–Rexford class cannot be established"
-                        ),
-                    )
-                    .at(id)
-                    .on(prefix),
-                );
-                return;
-            }
-        },
+    let Some(learned) = learned_over(sbest) else {
+        rep.push(
+            Violation::error(
+                Invariant::ValleyFree,
+                format!(
+                    "{peer} exported an iBGP-learned transit \
+                     route with no ingress-relation tag; its \
+                     Gao–Rexford class cannot be established"
+                ),
+            )
+            .at(id)
+            .on(prefix),
+        );
+        return;
     };
     // `relation` is *our* relationship to the sender; the sender
     // sees us as the inverse.
@@ -475,6 +700,22 @@ fn valley_free_entry(
             .at(id)
             .on(prefix),
         );
+    }
+}
+
+/// The relation a best route was learned over, as Gao–Rexford scoping
+/// reads it: `Some(None)` for this AS's own route, `None` for an
+/// iBGP-learned transit route with no ingress-relation tag, whose class
+/// cannot be established.
+fn learned_over(best: &Candidate) -> Option<Option<Relation>> {
+    match &best.source {
+        RouteSource::Local => Some(None),
+        RouteSource::Ebgp { relation, .. } => Some(Some(*relation)),
+        RouteSource::Ibgp { .. } => match relation_from_tags(&best.attrs) {
+            Some(r) => Some(Some(r)),
+            None if best.attrs.as_path.is_empty() => Some(None),
+            None => None,
+        },
     }
 }
 

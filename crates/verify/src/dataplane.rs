@@ -249,11 +249,7 @@ fn run(
 fn check_loop_free(analysis: &ForwardingAnalysis, rep: &mut Reporter) {
     for dest in &analysis.destinations {
         for (idx, members) in dest.cycles.iter().enumerate() {
-            let feeders = dest
-                .outcomes
-                .values()
-                .filter(|t| matches!(t, Terminal::Cycle { idx: i } if *i == idx))
-                .count();
+            let feeders = dest.sources_with(Terminal::Cycle { idx });
             let ring: Vec<String> = members.iter().map(|s| s.to_string()).collect();
             let lead = members.first().copied().unwrap_or(SpeakerId(0));
             rep.push(
@@ -278,15 +274,15 @@ fn check_loop_free(analysis: &ForwardingAnalysis, rep: &mut Reporter) {
 fn check_no_blackhole(analysis: &ForwardingAnalysis, rep: &mut Reporter) {
     for dest in &analysis.destinations {
         let mut seen: Vec<Terminal> = Vec::new();
-        for t in dest.outcomes.values() {
-            let Terminal::Blackhole { at, cause } = *t else {
+        for (_, t) in dest.outcomes() {
+            let Terminal::Blackhole { at, cause } = t else {
                 continue;
             };
-            if seen.contains(t) {
+            if seen.contains(&t) {
                 continue;
             }
-            seen.push(*t);
-            let affected = dest.sources_with(*t);
+            seen.push(t);
+            let affected = dest.sources_with(t);
             rep.push(
                 Violation::error(
                     Invariant::NoBlackhole,
@@ -341,7 +337,7 @@ fn check_anycast_nearest(
         let Some(client) = internet.router_of(pi.origin, pi.city) else {
             continue;
         };
-        match dest.outcomes.get(&client) {
+        match dest.outcome(client) {
             // No route to the anycast address (possible under faults; the
             // service plane records these callers as unreachable) — and
             // blackholes/cycles are LOOP-FREE / NO-BLACKHOLE findings, not
@@ -356,19 +352,19 @@ fn check_anycast_nearest(
                         Invariant::AnycastNearest,
                         format!("anycast traffic terminates as unicast at {at}"),
                     )
-                    .at(*at)
+                    .at(at)
                     .on(pi.prefix),
                 );
             }
             Some(Terminal::Anycast { at }) => {
                 clients += 1;
-                let Some(pop) = vns.pop_of_router(*at) else {
+                let Some(pop) = vns.pop_of_router(at) else {
                     rep.push(
                         Violation::error(
                             Invariant::AnycastNearest,
                             format!("anycast delivery at {at}, which is not a PoP border"),
                         )
-                        .at(*at)
+                        .at(at)
                         .on(pi.prefix),
                     );
                     continue;
@@ -380,7 +376,7 @@ fn check_anycast_nearest(
                     .min_by(f64::total_cmp)
                     .unwrap_or(0.0);
                 if landing_km > cfg.anycast_stretch * nearest_km + cfg.anycast_slack_km {
-                    *tail.entry(*at).or_insert(0) += 1;
+                    *tail.entry(at).or_insert(0) += 1;
                 }
             }
         }
@@ -422,12 +418,12 @@ fn check_waypoint(
     paths: &PathTable,
     rep: &mut Reporter,
 ) {
-    let anycast = vns.anycast_prefix();
+    let anycast = analysis.destination(&vns.anycast_prefix());
     let graph_landing = |ip: u32| -> Option<vns_core::PopId> {
         let pi = internet.lookup_prefix(ip)?;
         let client = internet.router_of(pi.origin, pi.city)?;
-        match analysis.destination(&anycast)?.outcomes.get(&client) {
-            Some(Terminal::Anycast { at }) => vns.pop_of_router(*at),
+        match anycast?.outcome(client) {
+            Some(Terminal::Anycast { at }) => vns.pop_of_router(at),
             _ => None,
         }
     };

@@ -22,13 +22,17 @@
 //! ([`vns_bgp::BgpNet::covering`]), and every speaker's decision reads its
 //! own Loc-RIB at those ids. The walk then runs on `Vec`s indexed by
 //! ordinal: the memoised terminal, an on-chain stamp with the chain
-//! position it vouches for, and one chain buffer reused across sources;
-//! the public `outcomes` map is assembled once at the end. Invariant: a
+//! position it vouches for, and one chain buffer reused across sources.
+//! The memoised terminals are the result: every destination's row of one
+//! table (row by destination, column by ordinal), allocated once per call
+//! and shared, with the ordinal ↔ id map, by every [`DestinationAnalysis`],
+//! which answers by id through that map — no per-destination map or
+//! allocation is built. Invariant: a
 //! chain position is meaningful only under the *current* walk's stamp (the
 //! source's ordinal + 1, unique per walk), so nothing is cleared between
 //! sources and a stale stamp can never be taken for chain membership.
-//! Nothing outlives the call: the tables borrow the `Internet`, so there is
-//! no cache to invalidate.
+//! Nothing but the results outlives the call: the tables borrow the
+//! `Internet`, so there is no cache to invalidate.
 //!
 //! **Destinations.** Every registered prefix that no more-specific
 //! registration shadows at its first host, then every prefix some speaker
@@ -45,8 +49,9 @@
 //! forwarding cycle. The data-plane properties in [`crate::dataplane`]
 //! are all predicates over this structure.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 use vns_bgp::{Covering, Prefix, Speaker, SpeakerId};
 use vns_topo::path::{forwarding_decision, Forward};
@@ -131,6 +136,80 @@ enum Step {
     Dead(BlackholeCause),
 }
 
+/// The speakers of one [`analyze`] call in id order: an ordinal's id, and
+/// an id's ordinal by index.
+#[derive(Debug)]
+struct Roster {
+    ids: Vec<SpeakerId>,
+    /// `ordinals[id]`: the ordinal of speaker `id`, `None` for an id with
+    /// no speaker.
+    ordinals: Vec<Option<usize>>,
+}
+
+impl Roster {
+    fn ordinal(&self, id: SpeakerId) -> Option<usize> {
+        self.ordinals.get(id.0 as usize).copied().flatten()
+    }
+}
+
+/// Every destination's fates, shared by the destinations of one [`analyze`]
+/// call: `table[row * n + ordinal]` is the fate of the speaker with that
+/// ordinal for the destination at `row` (`n` speakers in the roster).
+#[derive(Debug)]
+struct Fates {
+    roster: Roster,
+    table: Vec<Fate>,
+}
+
+/// A [`Terminal`], or none (the speaker is not a source: no covering
+/// route, or dead), in the eight bytes a table cell holds: the variant, and
+/// a blackhole's cause, in `kind` (0 for none); the router's id or the
+/// cycle's index in `arg`. A cycle index fits: a destination's cycles are disjoint, so there
+/// are fewer than speakers, whose ids are `u32`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Fate {
+    kind: u32,
+    arg: u32,
+}
+
+impl Fate {
+    /// Blackhole causes in `kind` order, after the other four variants.
+    const CAUSES: [BlackholeCause; 4] = [
+        BlackholeCause::NoRoute,
+        BlackholeCause::NoInterconnect,
+        BlackholeCause::IgpUnreachable,
+        BlackholeCause::UnknownSpeaker,
+    ];
+
+    fn of(t: Terminal) -> Self {
+        let (kind, arg) = match t {
+            Terminal::Origin { at } => (1, at.0),
+            Terminal::Anycast { at } => (2, at.0),
+            Terminal::DeadSink { at } => (3, at.0),
+            Terminal::Cycle { idx } => (4, idx as u32),
+            Terminal::Blackhole { at, cause } => (5 + cause as u32, at.0),
+        };
+        Self { kind, arg }
+    }
+
+    fn terminal(self) -> Option<Terminal> {
+        let at = SpeakerId(self.arg);
+        Some(match self.kind {
+            0 => return None,
+            1 => Terminal::Origin { at },
+            2 => Terminal::Anycast { at },
+            3 => Terminal::DeadSink { at },
+            4 => Terminal::Cycle {
+                idx: self.arg as usize,
+            },
+            kind => Terminal::Blackhole {
+                at,
+                cause: *Self::CAUSES.get(kind as usize - 5)?,
+            },
+        })
+    }
+}
+
 /// The per-destination slice of the forwarding graph: every speaker that
 /// holds a covering route, with where its traffic ends.
 #[derive(Debug)]
@@ -139,17 +218,46 @@ pub struct DestinationAnalysis {
     pub prefix: Prefix,
     /// The representative host address the graph was derived for.
     pub ip: u32,
-    /// Terminal fate per reachable source speaker.
-    pub outcomes: BTreeMap<SpeakerId, Terminal>,
+    /// The call's fates; this destination's are row `row`.
+    fates: Arc<Fates>,
+    row: usize,
     /// Distinct forwarding cycles, each canonicalised to start at its
     /// smallest member.
     pub cycles: Vec<Vec<SpeakerId>>,
 }
 
 impl DestinationAnalysis {
+    /// This destination's fates, by ordinal.
+    fn row(&self) -> &[Fate] {
+        let n = self.fates.roster.ids.len();
+        &self.fates.table[self.row * n..][..n]
+    }
+
+    /// The terminal fate of source `id`; `None` when `id` is not a source.
+    pub fn outcome(&self, id: SpeakerId) -> Option<Terminal> {
+        self.row()[self.fates.roster.ordinal(id)?].terminal()
+    }
+
+    /// Every source with its terminal fate, in id order.
+    pub fn outcomes(&self) -> impl Iterator<Item = (SpeakerId, Terminal)> + '_ {
+        self.fates
+            .roster
+            .ids
+            .iter()
+            .zip(self.row())
+            .filter_map(|(&id, fate)| Some((id, fate.terminal()?)))
+    }
+
+    /// How many sources reach a terminal: the (source, destination) pairs
+    /// this destination contributes.
+    pub fn sources(&self) -> usize {
+        self.row().iter().filter(|fate| fate.kind != 0).count()
+    }
+
     /// Sources whose terminal equals `t` (used for affected-source counts).
     pub fn sources_with(&self, t: Terminal) -> usize {
-        self.outcomes.values().filter(|o| **o == t).count()
+        let t = Fate::of(t);
+        self.row().iter().filter(|fate| **fate == t).count()
     }
 }
 
@@ -170,21 +278,21 @@ impl ForwardingAnalysis {
 
     /// Total (source, destination) pairs analysed.
     pub fn pairs(&self) -> usize {
-        self.destinations.iter().map(|d| d.outcomes.len()).sum()
+        self.destinations
+            .iter()
+            .map(DestinationAnalysis::sources)
+            .sum()
     }
 }
 
 /// The speakers of one world in id order, with what every forwarding
 /// decision needs of each resolved once: built per [`analyze`] call, shared
 /// by all destinations. A speaker's position is its *ordinal*, the index
-/// the per-destination walk state is kept under; `ordinals` maps a speaker
-/// id back to it by index.
+/// the per-destination walk state is kept under; the [`Roster`] maps a
+/// speaker id back to it by index.
 struct Speakers<'a> {
     internet: &'a Internet,
-    ids: Vec<SpeakerId>,
-    /// `ordinals[id]`: the ordinal of speaker `id`, `None` for an id with
-    /// no speaker.
-    ordinals: Vec<Option<usize>>,
+    roster: Roster,
     speakers: Vec<&'a Speaker>,
     as_of: Vec<Option<AsId>>,
     dead: Vec<bool>,
@@ -205,8 +313,7 @@ impl<'a> Speakers<'a> {
         let dead = ids.iter().map(|&id| scope.is_dead(id)).collect();
         Self {
             internet,
-            ids,
-            ordinals,
+            roster: Roster { ids, ordinals },
             speakers,
             as_of,
             dead,
@@ -214,7 +321,11 @@ impl<'a> Speakers<'a> {
     }
 
     fn ordinal(&self, id: SpeakerId) -> Option<usize> {
-        self.ordinals.get(id.0 as usize).copied().flatten()
+        self.roster.ordinal(id)
+    }
+
+    fn id(&self, ordinal: usize) -> SpeakerId {
+        self.roster.ids[ordinal]
     }
 
     /// The forwarding decision of the speaker with ordinal `cur` for the
@@ -229,7 +340,7 @@ impl<'a> Speakers<'a> {
         covering: &Covering,
         pinfo: Option<&PrefixInfo>,
     ) -> Option<Step> {
-        let cur_id = self.ids[cur];
+        let cur_id = self.id(cur);
         let forward = forwarding_decision(self.speakers[cur], self.as_of[cur], covering, pinfo)?;
         let Some(cur_as) = self.as_of[cur] else {
             return Some(Step::Dead(BlackholeCause::UnknownSpeaker));
@@ -262,18 +373,18 @@ impl<'a> Speakers<'a> {
         })
     }
 
-    /// Derives the forwarding graph for one destination and walks every
-    /// source to its terminal. All walk state is dense, indexed by speaker
-    /// ordinal; the public map is assembled once at the end.
-    fn analyze_destination(&self, prefix: Prefix) -> DestinationAnalysis {
+    /// Derives the forwarding graph for the destination at `prefix`'s first
+    /// host and walks every source to its terminal, memoised in `terminal`
+    /// (its row of the call's table, by speaker ordinal); returns the
+    /// distinct cycles. All walk state is dense, indexed by ordinal.
+    fn walk_destination(&self, prefix: Prefix, terminal: &mut [Fate]) -> Vec<Vec<SpeakerId>> {
         let ip = prefix.first_host();
         // Both prefix tables probed once per destination, not once per
         // speaker.
         let pinfo = self.internet.lookup_prefix(ip);
         let covering = self.internet.net.covering(ip);
 
-        let n = self.ids.len();
-        let mut terminal: Vec<Option<Terminal>> = vec![None; n];
+        let n = self.speakers.len();
         // `chain_pos[s]` is `s`'s position on the current walk's chain iff
         // `on_chain[s]` carries the current walk's stamp (its source's
         // ordinal + 1); stamps from earlier walks are never equal to it, so
@@ -284,18 +395,18 @@ impl<'a> Speakers<'a> {
         let mut cycles: Vec<Vec<SpeakerId>> = Vec::new();
 
         for src in 0..n {
-            if terminal[src].is_some() || self.dead[src] {
+            if terminal[src].kind != 0 || self.dead[src] {
                 continue;
             }
             let stamp = src + 1;
             chain.clear();
             let mut cur = src;
             let fate: Option<Terminal> = loop {
-                if let Some(t) = terminal[cur] {
+                if let Some(t) = terminal[cur].terminal() {
                     break Some(t);
                 }
                 if self.dead[cur] {
-                    break Some(Terminal::DeadSink { at: self.ids[cur] });
+                    break Some(Terminal::DeadSink { at: self.id(cur) });
                 }
                 match self.successor(cur, &covering, pinfo) {
                     None => {
@@ -304,26 +415,26 @@ impl<'a> Speakers<'a> {
                         // this destination; downstream it is a silent
                         // blackhole.
                         break (!chain.is_empty()).then_some(Terminal::Blackhole {
-                            at: self.ids[cur],
+                            at: self.id(cur),
                             cause: BlackholeCause::NoRoute,
                         });
                     }
                     Some(Step::Deliver { anycast }) => {
-                        let at = self.ids[cur];
+                        let at = self.id(cur);
                         let t = if anycast {
                             Terminal::Anycast { at }
                         } else {
                             Terminal::Origin { at }
                         };
-                        terminal[cur] = Some(t);
+                        terminal[cur] = Fate::of(t);
                         break Some(t);
                     }
                     Some(Step::Dead(cause)) => {
                         let t = Terminal::Blackhole {
-                            at: self.ids[cur],
+                            at: self.id(cur),
                             cause,
                         };
-                        terminal[cur] = Some(t);
+                        terminal[cur] = Fate::of(t);
                         break Some(t);
                     }
                     Some(Step::Forward(next)) => {
@@ -333,7 +444,7 @@ impl<'a> Speakers<'a> {
                         if on_chain[next] == stamp {
                             let mut members: Vec<SpeakerId> = chain[chain_pos[next]..]
                                 .iter()
-                                .map(|&s| self.ids[s])
+                                .map(|&s| self.id(s))
                                 .collect();
                             let lead = members
                                 .iter()
@@ -355,22 +466,11 @@ impl<'a> Speakers<'a> {
             };
             if let Some(t) = fate {
                 for &s in &chain {
-                    terminal[s] = Some(t);
+                    terminal[s] = Fate::of(t);
                 }
             }
         }
-        let outcomes: BTreeMap<SpeakerId, Terminal> = self
-            .ids
-            .iter()
-            .zip(terminal)
-            .filter_map(|(&id, t)| Some((id, t?)))
-            .collect();
-        DestinationAnalysis {
-            prefix,
-            ip,
-            outcomes,
-            cycles,
-        }
+        cycles
     }
 }
 
@@ -394,9 +494,29 @@ pub fn analyze(internet: &Internet, scope: &VerifyScope) -> ForwardingAnalysis {
         .flat_map(|sp| sp.originated_prefixes())
         .filter(|p| internet.prefix_info(p).is_none())
         .collect();
-    let destinations = registered
-        .chain(steered)
-        .map(|p| speakers.analyze_destination(p))
+    let prefixes: Vec<Prefix> = registered.chain(steered).collect();
+    let n = speakers.speakers.len();
+    let mut table = vec![Fate::default(); prefixes.len() * n];
+    let cycles: Vec<Vec<Vec<SpeakerId>>> = prefixes
+        .iter()
+        .enumerate()
+        .map(|(row, &p)| speakers.walk_destination(p, &mut table[row * n..][..n]))
+        .collect();
+    let fates = Arc::new(Fates {
+        roster: speakers.roster,
+        table,
+    });
+    let destinations = prefixes
+        .into_iter()
+        .zip(cycles)
+        .enumerate()
+        .map(|(row, (prefix, cycles))| DestinationAnalysis {
+            prefix,
+            ip: prefix.first_host(),
+            fates: Arc::clone(&fates),
+            row,
+            cycles,
+        })
         .collect();
     ForwardingAnalysis { destinations }
 }

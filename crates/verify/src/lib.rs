@@ -455,14 +455,16 @@ pub fn verify(internet: &Internet, vns: &Vns) -> Report {
 /// mid-convergence transients.
 pub fn verify_scoped(internet: &Internet, vns: &Vns, scope: &VerifyScope) -> Report {
     let mut rep = Reporter::default();
+    // The RIB walks all go in one prefix order, built once.
+    let order = checks::PrefixOrder::new(&internet.net);
     checks::lp_fn_shape(vns.lp_fn(), "deployed", &mut rep);
     checks::override_sanity(vns, &mut rep);
-    checks::geo_preference(internet, vns, scope, &mut rep);
+    checks::geo_preference(internet, vns, scope, &order, &mut rep);
     // NO-EXPORT and VALLEY-FREE share one pass over every Adj-RIB-In;
     // VALLEY-FREE's findings are reported after HIDDEN-ROUTE's.
     let mut valley = Reporter::default();
-    checks::no_export_and_valley_free(internet, &mut rep, &mut valley);
-    checks::hidden_routes(internet, vns, scope, &mut rep);
+    checks::no_export_and_valley_free(internet, &order, &mut rep, &mut valley);
+    checks::hidden_routes(internet, vns, scope, &order, &mut rep);
     rep.absorb(valley);
     checks::next_hop_resolution(internet, vns, scope, &mut rep);
     rep.finish()
