@@ -15,6 +15,10 @@
 //!   and STRETCH-BOUND, with a per-check timing ledger (stage 2);
 //! * `all` (default) — both stages.
 //!
+//! Stdout carries only findings and counts, so two runs with the same
+//! arguments print the same bytes; the timing ledger and the wall-clock
+//! summary go to stderr.
+//!
 //! Exits 1 when any error-severity violation exists. Use it before a long
 //! campaign run, or after hand-editing deployment knobs, to catch a
 //! misconfigured control plane in seconds instead of hours. A bad command
@@ -109,6 +113,7 @@ fn run(opts: &Opts) -> ExitCode {
             Certifier::default().rebuild_paths(&world.internet, &world.vns, &endpoints);
         if !opts.quiet || !report.passes() {
             print!("{}", report.render());
+            eprint!("{}", report.render_timings());
         }
         ok &= report.passes();
     }

@@ -181,3 +181,24 @@ fn binaries_refuse_bad_lines_with_usage_and_exit_2() {
         assert!(out.stdout.is_empty(), "{bin} {args:?} printed an artefact");
     }
 }
+
+#[test]
+fn verify_stdout_is_a_function_of_its_arguments() {
+    let run = || {
+        let out = Command::new(env!("CARGO_BIN_EXE_vns-verify"))
+            .args(["all", "--seed", "21", "--scale", "0.45"])
+            .output()
+            .expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "{stderr}");
+        (out.stdout, stderr)
+    };
+    let (first, stderr) = run();
+    let (second, _) = run();
+    let text = String::from_utf8_lossy(&first);
+    assert!(text.contains("vns-verify dataplane: clean"), "{text}");
+    assert!(!text.contains("timing:"), "{text}");
+    // The wall-clock ledger is still printed, on stderr.
+    assert!(stderr.contains("timing:"), "{stderr}");
+    assert!(first == second, "two runs printed different stdout");
+}

@@ -225,7 +225,6 @@ pub fn spawn_malicious_as(
         presence: vec![home],
         speaker: Some(sp_id),
         routers: vec![(home, sp_id)],
-        prefixes: vec![],
         dedicated: false,
         igp: None,
     });

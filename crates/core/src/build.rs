@@ -21,6 +21,7 @@ use vns_topo::internet::{AsInfo, PrefixInfo};
 use vns_topo::{AsId, AsType, Internet};
 
 use crate::config::{RoutingMode, VnsConfig, MESSAGE_BUDGET};
+use crate::mgmt::Overrides;
 use crate::pops::{resolve_city, Pop, PopId, INTER_CLUSTER_LINKS, POP_SPECS};
 use crate::service::{EchoServer, Vns};
 
@@ -93,7 +94,6 @@ pub fn deploy_vns(internet: &mut Internet, config: &VnsConfig) -> Vns {
             .iter()
             .flat_map(|p| p.borders.map(|b| (p.city, b)))
             .collect(),
-        prefixes: Vec::new(),
         dedicated: true,
         igp: None,
     });
@@ -359,26 +359,23 @@ pub fn deploy_vns(internet: &mut Internet, config: &VnsConfig) -> Vns {
         }
         echo_servers.push(EchoServer { prefix, pop: pid });
     }
-    internet.as_info_mut(as_id).prefixes.push(anycast_prefix);
-    let echo_prefixes: Vec<Prefix> = echo_servers.iter().map(|e| e.prefix).collect();
-    internet.as_info_mut(as_id).prefixes.extend(echo_prefixes);
-
-    let vns = Vns::assemble(
+    let vns = Vns {
         as_id,
         asn,
-        config.mode,
-        config.lp_fn,
+        mode: config.mode,
+        lp_fn: config.lp_fn,
         pops,
-        [rr0, rr1],
-        upstream_ltps,
+        rrs: [rr0, rr1],
+        upstreams: upstream_ltps,
         pop_upstream,
         peers,
         anycast_prefix,
         echo_servers,
         router_pop,
         router_locations,
+        overrides: Overrides::default(),
         reflector_geoip,
-    );
+    };
     vns.push_import_prefs(internet);
     vns
 }

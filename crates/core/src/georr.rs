@@ -27,6 +27,7 @@ use vns_geo::GeoIpDb;
 use vns_topo::Internet;
 
 use crate::config::RoutingMode;
+use crate::mgmt::Override;
 use crate::service::Vns;
 
 /// LOCAL_PREF given to the forced egress PoP's routes.
@@ -53,25 +54,27 @@ impl Vns {
         egress: SpeakerId,
         prefix: Prefix,
     ) -> Option<u32> {
-        if self.overrides.is_exempt(&prefix) {
+        match self.overrides.get(&prefix) {
             // Exempted from geo-routing: fall back to default preference,
             // i.e. plain BGP behaviour (Sec 3.2: "exempting a prefix
             // altogether from being geo-routed, in case it is spread
             // globally").
-            return Some(DEFAULT_LOCAL_PREF);
+            Some(Override::Exempt) => Some(DEFAULT_LOCAL_PREF),
+            Some(Override::ForceExit(forced)) => {
+                Some(if self.pop_of_router(egress) == Some(forced) {
+                    FORCED_EXIT_PREF
+                } else {
+                    FORCED_OTHER_PREF
+                })
+            }
+            // Normal geo scoring. Prefixes missing from the GeoIP database
+            // keep their default preference (the paper's fallback).
+            None => {
+                let loc = geoip.lookup(prefix).ok()?;
+                let rloc = self.router_locations.get(&egress)?;
+                Some(self.lp_fn().compute(rloc.distance_km(&loc)))
+            }
         }
-        if let Some(forced) = self.overrides.forced_exit(&prefix) {
-            return Some(if self.pop_of_router(egress) == Some(forced) {
-                FORCED_EXIT_PREF
-            } else {
-                FORCED_OTHER_PREF
-            });
-        }
-        // Normal geo scoring. Prefixes missing from the GeoIP database
-        // keep their default preference (the paper's fallback).
-        let loc = geoip.lookup(prefix).ok()?;
-        let rloc = self.router_locations.get(&egress)?;
-        Some(self.lp_fn().compute(rloc.distance_km(&loc)))
     }
 
     /// Fills the reflectors' import preferences — [`Vns::assigned_pref`]

@@ -47,6 +47,6 @@ pub use config::{RoutingMode, VnsConfig};
 pub use economics::{analyze as analyze_economics, CostBreakdown, CostModel, Demand};
 pub use fault::{FaultError, FaultEvent, FaultInjector, FaultPlan};
 pub use lpfunc::LocalPrefFn;
-pub use mgmt::Overrides;
+pub use mgmt::{Override, Overrides};
 pub use pops::{ClusterId, Pop, PopId, POP_COUNT};
 pub use service::Vns;

@@ -8,14 +8,17 @@
 //! geo-routing entirely, and (c) statically advertise remote more-specific
 //! subnets from their closest PoP, tagged `NO_EXPORT`.
 //!
-//! [`Overrides`] is the table [`Vns::assigned_pref`] consults first. Each
-//! action is a [`MgmtChange`] applied through [`Vns::apply`], the door
-//! faults and attacks take too: an override edits the table, gives the
-//! reflectors its new import table and requests route refresh from every
-//! border so they re-import; a more-specific is originated at its PoP's
-//! borders; then the world reconverges.
+//! [`Overrides`] is the table [`Vns::assigned_pref`] consults first: one
+//! row per prefix, since a prefix carries at most one directive — an
+//! [`Override::Exempt`] or an [`Override::ForceExit`]. Each action is a
+//! [`MgmtChange`] applied through [`Vns::apply`], the door faults and
+//! attacks take too: `ForceExit` and `Exempt` write the prefix's row,
+//! `Clear` removes it; the reflectors then get their new import table and
+//! route refresh is requested from every border so they re-import; a
+//! more-specific is originated at its PoP's borders; then the world
+//! reconverges.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use vns_bgp::{Community, Prefix};
 use vns_topo::Internet;
@@ -24,76 +27,40 @@ use crate::change::{ChangeError, MgmtChange};
 use crate::pops::PopId;
 use crate::service::Vns;
 
-/// Live override table.
+/// The one directive a prefix carries: the row [`Overrides`] holds for it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Override {
+    /// Exempt from geo-routing: the reflectors assign the default
+    /// preference, i.e. plain BGP.
+    Exempt,
+    /// Exit at this PoP.
+    ForceExit(PopId),
+}
+
+/// Live override table: at most one [`Override`] per prefix.
 #[derive(Debug, Default, Clone)]
 pub struct Overrides {
-    exempt: BTreeSet<Prefix>,
-    forced: BTreeMap<Prefix, PopId>,
+    rows: BTreeMap<Prefix, Override>,
 }
 
 impl Overrides {
-    /// Marks a prefix exempt from geo-routing.
-    pub fn exempt(&mut self, prefix: Prefix) {
-        self.exempt.insert(prefix);
-        self.forced.remove(&prefix);
+    /// The prefix's directive, if it has one.
+    pub fn get(&self, prefix: &Prefix) -> Option<Override> {
+        self.rows.get(prefix).copied()
     }
 
-    /// Forces a prefix's exit PoP.
-    pub fn force_exit(&mut self, prefix: Prefix, pop: PopId) {
-        self.forced.insert(prefix, pop);
-        self.exempt.remove(&prefix);
-    }
-
-    /// Clears any override on a prefix.
-    pub fn clear(&mut self, prefix: &Prefix) {
-        self.exempt.remove(prefix);
-        self.forced.remove(prefix);
-    }
-
-    /// Whether the prefix is exempt.
-    pub fn is_exempt(&self, prefix: &Prefix) -> bool {
-        self.exempt.contains(prefix)
-    }
-
-    /// The forced exit PoP, if any.
-    pub fn forced_exit(&self, prefix: &Prefix) -> Option<PopId> {
-        self.forced.get(prefix).copied()
-    }
-
-    /// Number of active overrides.
-    pub fn len(&self) -> usize {
-        self.exempt.len() + self.forced.len()
+    /// Every row in address order.
+    pub fn iter(&self) -> impl Iterator<Item = (Prefix, Override)> + '_ {
+        self.rows.iter().map(|(p, o)| (*p, *o))
     }
 
     /// True when no overrides are active.
     pub fn is_empty(&self) -> bool {
-        self.exempt.is_empty() && self.forced.is_empty()
-    }
-
-    /// Exempted prefixes in address order (for auditing — `vns-verify`'s
-    /// override-sanity check walks the whole table).
-    pub fn exempt_prefixes(&self) -> impl Iterator<Item = Prefix> + '_ {
-        self.exempt.iter().copied()
-    }
-
-    /// Forced exits as `(prefix, pop)` in address order.
-    pub fn forced_exits(&self) -> impl Iterator<Item = (Prefix, PopId)> + '_ {
-        self.forced.iter().map(|(p, pop)| (*p, *pop))
+        self.rows.is_empty()
     }
 }
 
 impl Vns {
-    /// Fault injection for verifier tests: puts `prefix` in *both* the
-    /// exempt set and the forced map of the override table, violating the
-    /// mutual exclusion that [`Overrides::exempt`]/[`Overrides::force_exit`]
-    /// maintain, and pushes nothing. Exists so tests can prove `vns-verify`
-    /// catches a corrupted table; never call it from operational code.
-    #[doc(hidden)]
-    pub fn inject_inconsistent_override_for_test(&mut self, prefix: Prefix, pop: PopId) {
-        self.overrides.exempt.insert(prefix);
-        self.overrides.forced.insert(prefix, pop);
-    }
-
     /// Stages a management action for [`Vns::apply`]: an override edits
     /// the table and refreshes the imports ([`Vns::refresh_imports`]); a
     /// more-specific is originated at its PoP's borders, if it has the PoP.
@@ -102,10 +69,12 @@ impl Vns {
         internet: &mut Internet,
         action: MgmtChange,
     ) -> Result<(), ChangeError> {
+        let rows = &mut self.overrides.rows;
+        // Each arm yields the row it replaced.
         match action {
-            MgmtChange::ForceExit { prefix, pop } => self.overrides.force_exit(prefix, pop),
-            MgmtChange::Exempt(prefix) => self.overrides.exempt(prefix),
-            MgmtChange::Clear(prefix) => self.overrides.clear(&prefix),
+            MgmtChange::ForceExit { prefix, pop } => rows.insert(prefix, Override::ForceExit(pop)),
+            MgmtChange::Exempt(prefix) => rows.insert(prefix, Override::Exempt),
+            MgmtChange::Clear(prefix) => rows.remove(&prefix),
             MgmtChange::InjectMoreSpecific { prefix, pop } => {
                 let pop = self
                     .pops()
@@ -119,7 +88,7 @@ impl Vns {
                 }
                 return Ok(());
             }
-        }
+        };
         self.refresh_imports(internet);
         Ok(())
     }
@@ -128,26 +97,55 @@ impl Vns {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vns_topo::{generate, TopoConfig};
+
+    use crate::{build_vns, VnsConfig};
 
     fn p(s: &str) -> Prefix {
         s.parse().unwrap()
     }
 
+    fn force(prefix: Prefix, pop: u8) -> MgmtChange {
+        let pop = PopId(pop);
+        MgmtChange::ForceExit { prefix, pop }
+    }
+
     #[test]
     fn override_table_semantics() {
-        let mut o = Overrides::default();
-        assert!(o.is_empty());
-        o.exempt(p("10.0.0.0/8"));
-        assert!(o.is_exempt(&p("10.0.0.0/8")));
-        assert_eq!(o.len(), 1);
-        // Forcing replaces exemption.
-        o.force_exit(p("10.0.0.0/8"), PopId(7));
-        assert!(!o.is_exempt(&p("10.0.0.0/8")));
-        assert_eq!(o.forced_exit(&p("10.0.0.0/8")), Some(PopId(7)));
-        // Exempting replaces forcing.
-        o.exempt(p("10.0.0.0/8"));
-        assert_eq!(o.forced_exit(&p("10.0.0.0/8")), None);
-        o.clear(&p("10.0.0.0/8"));
-        assert!(o.is_empty());
+        let mut internet = generate(&TopoConfig::tiny(61)).unwrap();
+        let mut vns = build_vns(&mut internet, &VnsConfig::default()).unwrap();
+        assert!(vns.overrides().is_empty());
+        let (a, b, pop) = (p("10.0.0.0/8"), p("11.0.0.0/8"), PopId(5));
+        let (exempt, forced) = (Override::Exempt, |pop| Override::ForceExit(PopId(pop)));
+        let more_specific = MgmtChange::InjectMoreSpecific {
+            prefix: p("11.0.0.0/9"),
+            pop,
+        };
+        // After each change, the whole table: every change writes its
+        // prefix's row, the last writer wins, and a more-specific is
+        // originated without touching the table.
+        let script = [
+            (MgmtChange::Exempt(a), vec![(a, exempt)]),
+            (force(a, 7), vec![(a, forced(7))]),
+            (force(a, 3), vec![(a, forced(3))]),
+            (MgmtChange::Exempt(a), vec![(a, exempt)]),
+            (force(b, 5), vec![(a, exempt), (b, forced(5))]),
+            (MgmtChange::Clear(a), vec![(b, forced(5))]),
+            (MgmtChange::Clear(a), vec![(b, forced(5))]),
+            (more_specific, vec![(b, forced(5))]),
+            (MgmtChange::Clear(b), vec![]),
+        ];
+        for (change, rows) in script {
+            vns.stage_mgmt(&mut internet, change).unwrap();
+            assert_eq!(
+                vns.overrides().iter().collect::<Vec<_>>(),
+                rows,
+                "{change:?}"
+            );
+            for (prefix, row) in rows {
+                assert_eq!(vns.overrides().get(&prefix), Some(row));
+            }
+        }
+        assert!(vns.overrides().is_empty() && vns.overrides().get(&a).is_none());
     }
 }

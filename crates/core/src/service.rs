@@ -33,19 +33,19 @@ impl EchoServer {
 /// A built VNS deployment (see [`crate::build_vns`]).
 #[derive(Debug, Clone)]
 pub struct Vns {
-    as_id: AsId,
-    asn: Asn,
-    mode: RoutingMode,
-    lp_fn: LocalPrefFn,
-    pops: Vec<Pop>,
-    rrs: [SpeakerId; 2],
-    upstreams: Vec<AsId>,
-    pop_upstream: BTreeMap<PopId, (AsId, CityId)>,
-    peers: Vec<AsId>,
-    anycast_prefix: Prefix,
-    echo_servers: Vec<EchoServer>,
+    pub(crate) as_id: AsId,
+    pub(crate) asn: Asn,
+    pub(crate) mode: RoutingMode,
+    pub(crate) lp_fn: LocalPrefFn,
+    pub(crate) pops: Vec<Pop>,
+    pub(crate) rrs: [SpeakerId; 2],
+    pub(crate) upstreams: Vec<AsId>,
+    pub(crate) pop_upstream: BTreeMap<PopId, (AsId, CityId)>,
+    pub(crate) peers: Vec<AsId>,
+    pub(crate) anycast_prefix: Prefix,
+    pub(crate) echo_servers: Vec<EchoServer>,
     /// The PoP of every border router.
-    router_pop: BTreeMap<SpeakerId, PopId>,
+    pub(crate) router_pop: BTreeMap<SpeakerId, PopId>,
     /// The location of every VNS router: borders and reflectors.
     pub(crate) router_locations: BTreeMap<SpeakerId, GeoPoint>,
     /// The management overrides ([`crate::mgmt`]).
@@ -57,43 +57,6 @@ pub struct Vns {
 }
 
 impl Vns {
-    /// Internal constructor used by the builder.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn assemble(
-        as_id: AsId,
-        asn: Asn,
-        mode: RoutingMode,
-        lp_fn: LocalPrefFn,
-        pops: Vec<Pop>,
-        rrs: [SpeakerId; 2],
-        upstreams: Vec<AsId>,
-        pop_upstream: BTreeMap<PopId, (AsId, CityId)>,
-        peers: Vec<AsId>,
-        anycast_prefix: Prefix,
-        echo_servers: Vec<EchoServer>,
-        router_pop: BTreeMap<SpeakerId, PopId>,
-        router_locations: BTreeMap<SpeakerId, GeoPoint>,
-        reflector_geoip: GeoIpDb<Prefix>,
-    ) -> Self {
-        Self {
-            as_id,
-            asn,
-            mode,
-            lp_fn,
-            pops,
-            rrs,
-            upstreams,
-            pop_upstream,
-            peers,
-            anycast_prefix,
-            echo_servers,
-            router_pop,
-            router_locations,
-            overrides: Overrides::default(),
-            reflector_geoip,
-        }
-    }
-
     /// The VNS AS id in the Internet registry.
     pub fn as_id(&self) -> AsId {
         self.as_id

@@ -1,6 +1,8 @@
 //! End-to-end tests of the VNS overlay over a generated Internet.
 
-use vns_core::{build_vns, Change, FaultInjector, MgmtChange, PopId, RoutingMode, Vns, VnsConfig};
+use vns_core::{
+    build_vns, Change, FaultInjector, MgmtChange, Override, PopId, RoutingMode, Vns, VnsConfig,
+};
 use vns_geo::{PopRegion, Region};
 use vns_topo::{generate, Internet, TopoConfig};
 
@@ -249,7 +251,7 @@ fn management_force_exit_and_exempt() {
     // Exempting falls back to default BGP (egress may or may not change,
     // but the override table must reflect it and reconvergence succeed).
     mgmt(&mut internet, &mut vns, MgmtChange::Exempt(prefix));
-    assert!(vns.overrides().is_exempt(&prefix));
+    assert_eq!(vns.overrides().get(&prefix), Some(Override::Exempt));
 }
 
 #[test]

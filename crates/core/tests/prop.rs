@@ -1,8 +1,7 @@
-//! Property tests for VNS components: the LOCAL_PREF function and the
-//! override table.
+//! Property tests for VNS components: the LOCAL_PREF function.
 
 use proptest::prelude::*;
-use vns_core::{LocalPrefFn, Overrides, PopId};
+use vns_core::LocalPrefFn;
 
 fn lp_fn() -> impl Strategy<Value = LocalPrefFn> {
     prop_oneof![
@@ -24,27 +23,5 @@ proptest! {
     fn lp_monotone_nonincreasing(f in lp_fn(), a in 0.0f64..20_000.0, b in 0.0f64..20_000.0) {
         let (near, far) = if a <= b { (a, b) } else { (b, a) };
         prop_assert!(f.compute(near) >= f.compute(far), "{f:?}: {near} vs {far}");
-    }
-
-    #[test]
-    fn overrides_are_mutually_exclusive(
-        prefixes in prop::collection::vec((any::<u32>(), 8u8..=24), 1..40),
-        ops in prop::collection::vec((0usize..40, 0u8..3, 1u8..=11), 1..120)
-    ) {
-        let ps: Vec<vns_bgp::Prefix> = prefixes
-            .iter()
-            .map(|(a, l)| vns_bgp::Prefix::new(*a, *l))
-            .collect();
-        let mut o = Overrides::default();
-        for (idx, op, pop) in ops {
-            let p = ps[idx % ps.len()];
-            match op {
-                0 => o.exempt(p),
-                1 => o.force_exit(p, PopId(pop)),
-                _ => o.clear(&p),
-            }
-            // Invariant: a prefix is never both exempt and forced.
-            prop_assert!(!(o.is_exempt(&p) && o.forced_exit(&p).is_some()));
-        }
     }
 }

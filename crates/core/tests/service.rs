@@ -113,7 +113,10 @@ fn exit_neighbor_is_a_real_session() {
         let Some(asn) = vns.exit_neighbor(&internet, PopId(4), p.prefix.first_host()) else {
             continue;
         };
-        let info = internet.as_by_asn(asn).expect("neighbour AS exists");
+        let info = internet
+            .ases()
+            .find(|a| a.asn == asn)
+            .expect("neighbour AS exists");
         // It must be an upstream or a configured peer.
         let known = vns.upstreams().contains(&info.id) || vns.peers().contains(&info.id);
         assert!(known, "exit neighbour {asn} is neither upstream nor peer");

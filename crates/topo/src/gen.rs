@@ -375,7 +375,6 @@ pub fn wire(config: &TopoConfig) -> Internet {
                 country,
                 location,
             );
-            internet.as_info_mut(id).prefixes.push(prefix);
             internet.net.originate(speaker, prefix);
         }
     }
@@ -468,7 +467,6 @@ fn create_as(
         presence,
         speaker: Some(speaker_id),
         routers: vec![(home, speaker_id)],
-        prefixes: Vec::new(),
         dedicated: false,
         igp: None,
     })
@@ -536,7 +534,6 @@ fn create_ltp(
         presence,
         speaker: primary,
         routers,
-        prefixes: Vec::new(),
         dedicated: false,
         igp: None,
     });

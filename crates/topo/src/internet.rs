@@ -19,7 +19,6 @@
 //! hot-potato choice keeps the first of equally near links, so that order
 //! is an artefact input.
 
-use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 use vns_bgp::{Asn, BgpNet, IgpGraph, LpmMap, Prefix, SpeakerId};
@@ -68,8 +67,6 @@ pub struct AsInfo {
     /// All of the AS's routers with their cities. Single-router ASes have
     /// one entry; multi-router transit providers (and VNS) have several.
     pub routers: Vec<(CityId, SpeakerId)>,
-    /// Prefixes it originates.
-    pub prefixes: Vec<Prefix>,
     /// True for well-provisioned dedicated infrastructure (VNS): its
     /// intra-AS hops use the near-lossless channel profile.
     pub dedicated: bool,
@@ -109,7 +106,6 @@ pub struct Internet {
     /// wrong; ground truth lives in [`PrefixInfo`]).
     pub geoip: GeoIpDb<Prefix>,
     ases: Vec<AsInfo>,
-    asn_index: BTreeMap<Asn, AsId>,
     /// `speaker_index[id]`: the AS of registered router `id`.
     speaker_index: Vec<Option<AsId>>,
     /// `router_city[id]`: the city of registered router `id` (AS-level
@@ -142,7 +138,6 @@ impl Internet {
             net: BgpNet::new(),
             geoip: GeoIpDb::new(),
             ases: Vec::new(),
-            asn_index: BTreeMap::new(),
             speaker_index: Vec::new(),
             router_city: Vec::new(),
             session_links: Vec::new(),
@@ -171,7 +166,6 @@ impl Internet {
     pub fn add_as(&mut self, info: AsInfo) -> AsId {
         let id = AsId(self.ases.len() as u32);
         debug_assert_eq!(info.id, id, "AsInfo.id must match registry position");
-        self.asn_index.insert(info.asn, id);
         if let Some(sp) = info.speaker {
             self.register_router(sp, id, info.home_city);
         }
@@ -330,11 +324,6 @@ impl Internet {
         self.as_info_mut(as_id).igp = Some(graph);
     }
 
-    /// AS by number.
-    pub fn as_by_asn(&self, asn: Asn) -> Option<&AsInfo> {
-        self.asn_index.get(&asn).map(|id| self.as_info(*id))
-    }
-
     /// The AS a speaker belongs to.
     pub fn as_of_speaker(&self, sp: SpeakerId) -> Option<AsId> {
         self.speaker_index.get(index(sp)).copied().flatten()
@@ -383,7 +372,6 @@ mod tests {
             presence: vec![cid],
             speaker,
             routers: speaker.map(|s| (cid, s)).into_iter().collect(),
-            prefixes: vec![],
             dedicated: false,
             igp: None,
         }
@@ -396,7 +384,7 @@ mod tests {
         let id = net.add_as(test_as(0, 100, Some(sp), "Amsterdam"));
         assert_eq!(net.as_count(), 1);
         assert_eq!(net.as_info(id).asn, Asn(100));
-        assert_eq!(net.as_by_asn(Asn(100)).unwrap().id, id);
+        assert_eq!(net.ases().find(|a| a.asn == Asn(100)).unwrap().id, id);
         assert_eq!(net.as_of_speaker(sp), Some(id));
         assert_eq!(
             net.city_of_router(sp),

@@ -662,7 +662,6 @@ mod tests {
             presence: vec![cid],
             speaker: (routers == 1).then(|| speakers[0]),
             routers: speakers.iter().map(|&sp| (cid, sp)).collect(),
-            prefixes: vec![],
             dedicated: false,
             igp: None,
         });

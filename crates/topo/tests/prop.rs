@@ -25,11 +25,17 @@ proptest! {
             }
         }
 
-        // Every prefix registered in the table is originated by its AS and
-        // geolocated.
+        // Every prefix registered in the table is originated by its AS (some
+        // router of the origin lists it in BGP) and geolocated.
         for p in internet.prefixes() {
             let origin = internet.as_info(p.origin);
-            prop_assert!(origin.prefixes.contains(&p.prefix));
+            let originated = origin.routers.iter().any(|&(_, sp)| {
+                internet
+                    .net
+                    .speaker(sp)
+                    .is_some_and(|s| s.originated_prefixes().any(|q| q == p.prefix))
+            });
+            prop_assert!(originated, "{} not originated by {}", p.prefix, origin.asn);
             prop_assert!(internet.geoip.lookup(p.prefix).is_ok());
             // True location is near the claimed city (placement scatter is
             // tens of km).

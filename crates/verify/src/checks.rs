@@ -26,7 +26,7 @@ use vns_bgp::{
     SpeakerId, DEFAULT_LOCAL_PREF,
 };
 use vns_core::lpfunc::MAX_DISTANCE_KM;
-use vns_core::{LocalPrefFn, RoutingMode, Vns};
+use vns_core::{LocalPrefFn, Override, RoutingMode, Vns};
 use vns_topo::Internet;
 
 use crate::{Invariant, Reporter, VerifyScope, Violation};
@@ -110,15 +110,13 @@ pub(crate) fn lp_fn_shape(lp_fn: LocalPrefFn, label: &str, rep: &mut Reporter) {
     }
 }
 
-/// Invariant 4 — OVERRIDE: forced exits reference PoPs that exist, and the
-/// exempt set and forced map are disjoint (the table's own mutators keep
-/// them so; a corrupted table makes the geo preference depend on lookup
-/// order).
+/// Invariant 4 — OVERRIDE: forced exits reference PoPs that exist.
 pub(crate) fn override_sanity(vns: &Vns, rep: &mut Reporter) {
     let pop_ids: BTreeSet<_> = vns.pops().iter().map(|p| p.id()).collect();
-    let overrides = vns.overrides();
-    let exempt: BTreeSet<Prefix> = overrides.exempt_prefixes().collect();
-    for (prefix, pop) in overrides.forced_exits() {
+    for (prefix, row) in vns.overrides().iter() {
+        let Override::ForceExit(pop) = row else {
+            continue;
+        };
         if !pop_ids.contains(&pop) {
             rep.push(
                 Violation::error(
@@ -126,19 +124,6 @@ pub(crate) fn override_sanity(vns: &Vns, rep: &mut Reporter) {
                     format!(
                         "forced exit references {pop}, which is not a deployed \
                          PoP — the force can never take effect"
-                    ),
-                )
-                .on(prefix),
-            );
-        }
-        if exempt.contains(&prefix) {
-            rep.push(
-                Violation::error(
-                    Invariant::OverrideSanity,
-                    format!(
-                        "prefix is both exempt from geo-routing and forced to \
-                         exit at {pop}; the two directives contradict and the \
-                         hook's behaviour depends on evaluation order"
                     ),
                 )
                 .on(prefix),

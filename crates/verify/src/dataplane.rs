@@ -122,28 +122,32 @@ impl DataplaneReport {
         self.timings.iter().map(|t| t.seconds).sum()
     }
 
-    /// Renders the violations plus the timing ledger (CLI output; never
-    /// written into campaign artifacts).
+    /// Renders the violations, or the counts of a clean pass: a function
+    /// of the checked state alone, with no wall-clock figure in it.
     pub fn render(&self) -> String {
-        let mut out = if self.report.is_clean() {
+        if self.report.is_clean() {
             format!(
                 "vns-verify dataplane: clean ({} destinations, {} source-destination pairs)\n",
                 self.destinations, self.pairs
             )
         } else {
             self.report.render()
-        };
+        }
+    }
+
+    /// Renders the timing ledger as one line (CLI diagnostics; never
+    /// written into campaign artifacts).
+    pub fn render_timings(&self) -> String {
         let stages: Vec<String> = self
             .timings
             .iter()
             .map(|t| format!("{} {:.3}s", t.stage, t.seconds))
             .collect();
-        out.push_str(&format!(
+        format!(
             "  timing: {} | total {:.3}s\n",
             stages.join(", "),
             self.total_seconds()
-        ));
-        out
+        )
     }
 }
 

@@ -24,8 +24,8 @@
 //!    an AS boundary (Sec 3.2: injected steering more-specifics must stay
 //!    inside VNS).
 //! 4. **OVERRIDE** — the management override table is sane: forced exits
-//!    reference existing PoPs and no prefix is simultaneously exempt and
-//!    forced.
+//!    reference existing PoPs (the table holds one row per prefix, so a
+//!    prefix cannot be both exempt and forced).
 //! 5. **HIDDEN-ROUTE** — a border router whose best route is iBGP-learned
 //!    but which holds an eBGP alternative still advertises that external
 //!    route to the reflectors (Sec 3.2's hidden-routes pathology and its

@@ -8,7 +8,8 @@ use vns_bgp::{
     DEFAULT_LOCAL_PREF,
 };
 use vns_core::{
-    build_vns, Change, FaultInjector, LocalPrefFn, MgmtChange, PopId, RoutingMode, Vns, VnsConfig,
+    build_vns, Change, FaultInjector, LocalPrefFn, MgmtChange, Override, PopId, RoutingMode, Vns,
+    VnsConfig,
 };
 use vns_topo::{generate, Internet, TopoConfig};
 use vns_verify::{verify, Invariant, Severity};
@@ -149,21 +150,10 @@ fn no_export_leak_flagged() {
 #[test]
 fn corrupted_override_table_flagged() {
     let (mut internet, mut vns) = world(45);
-    let prefix = reflector_external_prefix(&internet, &vns);
-    // Hand-corrupt the table into the both-exempt-and-forced state the
-    // mutators normally make unrepresentable, and force a second prefix to
-    // a PoP that does not exist.
-    vns.inject_inconsistent_override_for_test(prefix, PopId(3));
+    // Force a prefix to a PoP that does not exist.
     let ghost: Prefix = "200.1.0.0/16".parse().expect("prefix");
     mgmt(&mut internet, &mut vns, force(ghost, PopId(99)));
     let report = verify(&internet, &vns);
-    assert!(
-        report
-            .of(Invariant::OverrideSanity)
-            .any(|v| v.prefix == Some(prefix) && v.message.contains("both")),
-        "{}",
-        report.render()
-    );
     assert!(
         report
             .of(Invariant::OverrideSanity)
@@ -364,14 +354,15 @@ fn override_precedence_end_to_end() {
 
     // Exempt replaces force (this order)…
     mgmt(&mut internet, &mut vns, MgmtChange::Exempt(prefix));
-    assert!(vns.overrides().is_exempt(&prefix));
-    assert_eq!(vns.overrides().forced_exit(&prefix), None);
+    assert_eq!(vns.overrides().get(&prefix), Some(Override::Exempt));
     assert!(verify(&internet, &vns).passes());
 
     // …and force replaces exempt (the other order).
     mgmt(&mut internet, &mut vns, force(prefix, forced));
-    assert!(!vns.overrides().is_exempt(&prefix));
-    assert_eq!(vns.overrides().forced_exit(&prefix), Some(forced));
+    assert_eq!(
+        vns.overrides().get(&prefix),
+        Some(Override::ForceExit(forced))
+    );
     assert_eq!(vns.egress_pop(&internet, vantage, ip), Some(forced));
 
     // Clear restores pure geo-routing.
